@@ -365,6 +365,21 @@ mod tests {
         assert_eq!(back.str_dict(0), t.str_dict(0));
     }
 
+    /// `(len, fnv1a64)` of the sample table's file, pinned from the bytes
+    /// the version-1 writer emitted before the codecs were unified: files
+    /// already on disk must keep loading.
+    #[test]
+    fn golden_bytes_are_pinned() {
+        let bytes = roundtrip(&sample_table());
+        let mut hash = Fnv1a::new();
+        hash.update(&bytes);
+        assert_eq!(
+            (bytes.len(), hash.0),
+            (164, 0x96d0_82b4_e9ca_cc69),
+            "table file bytes drifted"
+        );
+    }
+
     #[test]
     fn empty_table_roundtrips() {
         let t = TableBuilder::new(Schema::new(vec![ColumnDef::new("x", DataType::Int)])).finish();

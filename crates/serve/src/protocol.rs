@@ -1126,9 +1126,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn frames_round_trip() {
-        let frames = [
+    fn fixture_frames() -> [Frame; 7] {
+        [
             sample_round(),
             Frame::Answer(WireAnswer {
                 outcome: StepOutcome::Converged,
@@ -1167,11 +1166,44 @@ mod tests {
                 code: ErrorCode::NoSuchToken,
                 message: "token 9 is unknown or expired".into(),
             },
-        ];
-        for frame in frames {
+        ]
+    }
+
+    #[test]
+    fn frames_round_trip() {
+        for frame in fixture_frames() {
             let payload = frame.encode();
             assert_eq!(Frame::decode(&payload), Ok(frame));
         }
+    }
+
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// `(len, fnv1a64)` of every fixture frame's payload, pinned from the
+    /// bytes the encoder emitted before the codecs were unified: deployed
+    /// clients decode exactly these.
+    #[test]
+    fn golden_bytes_are_pinned() {
+        let got: Vec<(usize, u64)> = fixture_frames()
+            .iter()
+            .map(Frame::encode)
+            .map(|payload| (payload.len(), fnv1a64(&payload)))
+            .collect();
+        // Round, Answer, Error, Evicted, Stats, Parked, Error(NoSuchToken).
+        let golden: [(usize, u64); 7] = [
+            (123, 0x939e_b782_fbb9_a134),
+            (44, 0x9f87_14aa_935e_7344),
+            (20, 0x8468_9e51_2b73_3cea),
+            (9, 0xed82_e568_ef61_7f23),
+            (153, 0x1fad_47d1_e66b_baea),
+            (9, 0x25f6_4c27_5bd5_3cb3),
+            (35, 0xbb20_cde8_4fab_8e70),
+        ];
+        assert_eq!(got, golden, "encoded frame bytes drifted");
     }
 
     #[test]

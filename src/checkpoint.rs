@@ -1140,8 +1140,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn round_trips_edge_fields() {
+    /// The all-`None`, already-terminal checkpoint: every optional field
+    /// absent, every vector empty.
+    fn edge_checkpoint() -> SessionCheckpoint {
         let mut ck = checkpoint_with(SavedStepper::Scan(SavedScan {
             estimates: vec![],
             samples: vec![],
@@ -1161,6 +1162,44 @@ mod tests {
         ck.terminal = Some(StepOutcome::BudgetExhausted);
         ck.budget_tripped = true;
         ck.delivered_terminal = true;
+        ck
+    }
+
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// `(len, fnv1a64)` of every fixture's serialized form, pinned from the
+    /// bytes the version-1 encoder emitted before the codecs were unified:
+    /// any layout drift fails here before it strands a parked session.
+    #[test]
+    fn golden_bytes_are_pinned() {
+        let mut fixtures: Vec<_> = every_stepper().into_iter().map(checkpoint_with).collect();
+        fixtures.push(edge_checkpoint());
+        let got: Vec<(usize, u64)> = fixtures
+            .iter()
+            .map(|ck| ck.to_bytes())
+            .map(|bytes| (bytes.len(), fnv1a64(&bytes)))
+            .collect();
+        // Focus, RoundRobin, Sum1, IRefine, Scan, Sum2, Partial, edge.
+        let golden: [(usize, u64); 8] = [
+            (415, 0xc8dd_d301_d654_dab1),
+            (415, 0x1310_fde8_1c23_19d6),
+            (415, 0x3d95_c371_525a_e3f3),
+            (411, 0x3bd5_2521_0127_aeb9),
+            (344, 0x4c79_7c61_e6fe_763d),
+            (379, 0xfd33_370c_13b6_c466),
+            (464, 0xfa19_c348_819c_5763),
+            (98, 0x8a1e_d888_1271_e498),
+        ];
+        assert_eq!(got, golden, "serialized checkpoint bytes drifted");
+    }
+
+    #[test]
+    fn round_trips_edge_fields() {
+        let ck = edge_checkpoint();
         let back = SessionCheckpoint::from_bytes(&ck.to_bytes()).unwrap();
         assert_eq!(back, ck);
         let converged = SessionCheckpoint {
