@@ -41,6 +41,29 @@ impl StepOutcome {
     pub fn is_running(self) -> bool {
         matches!(self, StepOutcome::Running)
     }
+
+    /// The outcome's one-byte code in every serialized form (wire frames,
+    /// session checkpoints): `0` running, `1` converged, `2` budget
+    /// exhausted.
+    #[must_use]
+    pub fn code(self) -> u8 {
+        match self {
+            StepOutcome::Running => 0,
+            StepOutcome::Converged => 1,
+            StepOutcome::BudgetExhausted => 2,
+        }
+    }
+
+    /// The inverse of [`StepOutcome::code`]; `None` for an unknown byte.
+    #[must_use]
+    pub fn from_code(code: u8) -> Option<Self> {
+        match code {
+            0 => Some(StepOutcome::Running),
+            1 => Some(StepOutcome::Converged),
+            2 => Some(StepOutcome::BudgetExhausted),
+            _ => None,
+        }
+    }
 }
 
 /// A point-in-time view of a stepper: everything a progressive renderer
@@ -316,6 +339,16 @@ mod tests {
         assert!(StepOutcome::Running.is_running());
         assert!(!StepOutcome::Converged.is_running());
         assert!(!StepOutcome::BudgetExhausted.is_running());
+    }
+
+    #[test]
+    fn outcome_codes_round_trip_and_are_pinned() {
+        use StepOutcome::{BudgetExhausted, Converged, Running};
+        for (outcome, code) in [(Running, 0), (Converged, 1), (BudgetExhausted, 2)] {
+            assert_eq!(outcome.code(), code);
+            assert_eq!(StepOutcome::from_code(code), Some(outcome));
+        }
+        assert_eq!(StepOutcome::from_code(3), None);
     }
 
     #[test]

@@ -37,6 +37,8 @@
 //!   a plan cache handing back ready group row sets — repeat-query
 //!   planning is near-O(1) and allocation-light).
 //! * [`cache`] — the small bounded LRU map those caches use.
+//! * [`codec`] — the one bounded little-endian byte codec under the table
+//!   file ([`storage`]), the session checkpoint and the wire frame.
 //! * [`scan`] — the `SCAN` baseline: a full sequential pass computing exact
 //!   per-group aggregates via a hash map, as a traditional DBMS would.
 //! * [`io`] — the deterministic I/O + CPU cost model used to regenerate the
@@ -49,6 +51,7 @@
 
 pub mod bitmap;
 pub mod cache;
+pub mod codec;
 pub mod composite;
 pub mod csv;
 pub mod disk;

@@ -2,15 +2,16 @@
 
 use std::fmt;
 
-/// Column data types supported by the engine.
+/// Column data types supported by the engine. The discriminant is the
+/// type byte of the table file ([`crate::storage`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 64-bit signed integer.
-    Int,
+    Int = 0,
     /// 64-bit float.
-    Float,
+    Float = 1,
     /// Dictionary-encoded UTF-8 string.
-    Str,
+    Str = 2,
 }
 
 impl fmt::Display for DataType {

@@ -1,21 +1,24 @@
 //! Binary table persistence.
 //!
-//! A compact little-endian on-disk format so loaded relations survive
-//! process restarts without re-ingesting CSV:
+//! A compact on-disk format so loaded relations survive process restarts
+//! without re-ingesting CSV — a schema over [`crate::codec`], which owns
+//! the primitives and the hardening rules:
 //!
 //! ```text
 //! magic "NTBL" | version u32 | arity u32 | row_count u64
-//! per column: name_len u32 | name bytes | type u8
+//! per column: name string | type u8 (0 Int / 1 Float / 2 Str)
 //! per column payload:
 //!   Int/Float: row_count * 8 bytes
-//!   Str:       dict_len u32 | (len u32 | bytes)* | row_count * 4 code bytes
+//!   Str:       dict_len u32 | dict_len strings | row_count * 4 code bytes
 //! trailer: fnv1a-64 checksum of everything before it
 //! ```
 //!
-//! The reader validates magic, version, and checksum before constructing
-//! the table, so truncated or corrupted files fail loudly instead of
-//! producing silently wrong aggregates.
+//! The reader validates magic, version, and checksum, and caps every
+//! length field against the bytes actually present, before constructing
+//! the table, so truncated, corrupted or crafted files fail with a
+//! [`StorageError`] instead of producing silently wrong aggregates.
 
+use crate::codec::{fnv1a64, CodecError, Dec, Enc};
 use crate::schema::{ColumnDef, DataType, Schema};
 use crate::table::{Table, TableBuilder};
 use crate::value::Value;
@@ -60,82 +63,19 @@ impl From<io::Error> for StorageError {
     }
 }
 
-/// FNV-1a 64-bit rolling checksum.
-#[derive(Debug, Clone, Copy)]
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+impl From<CodecError> for StorageError {
+    fn from(e: CodecError) -> Self {
+        StorageError::Malformed(match e {
+            CodecError::Utf8 => "name or dictionary entry is not UTF-8",
+            _ => "length fields disagree with the bytes present",
+        })
     }
 }
 
-/// Writer that checksums everything it emits.
-struct CheckedWriter<W: Write> {
-    inner: W,
-    hash: Fnv1a,
-}
-
-impl<W: Write> CheckedWriter<W> {
-    fn new(inner: W) -> Self {
-        Self {
-            inner,
-            hash: Fnv1a::new(),
-        }
-    }
-
-    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.hash.update(bytes);
-        self.inner.write_all(bytes)
-    }
-
-    fn put_u32(&mut self, v: u32) -> io::Result<()> {
-        self.put(&v.to_le_bytes())
-    }
-
-    fn put_u64(&mut self, v: u64) -> io::Result<()> {
-        self.put(&v.to_le_bytes())
-    }
-}
-
-/// Reader that checksums everything it consumes.
-struct CheckedReader<R: Read> {
-    inner: R,
-    hash: Fnv1a,
-}
-
-impl<R: Read> CheckedReader<R> {
-    fn new(inner: R) -> Self {
-        Self {
-            inner,
-            hash: Fnv1a::new(),
-        }
-    }
-
-    fn take(&mut self, buf: &mut [u8]) -> Result<(), StorageError> {
-        self.inner.read_exact(buf)?;
-        self.hash.update(buf);
-        Ok(())
-    }
-
-    fn take_u32(&mut self) -> Result<u32, StorageError> {
-        let mut b = [0u8; 4];
-        self.take(&mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn take_u64(&mut self) -> Result<u64, StorageError> {
-        let mut b = [0u8; 8];
-        self.take(&mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
+/// A length the format stores as `u32`; a table too large for it is an
+/// error here, not a silently clamped (unreadable) file.
+fn len_u32(n: usize, what: &'static str) -> Result<u32, StorageError> {
+    u32::try_from(n).map_err(|_| StorageError::Malformed(what))
 }
 
 /// Serializes a table to any writer.
@@ -143,55 +83,51 @@ impl<R: Read> CheckedReader<R> {
 /// # Errors
 ///
 /// Propagates I/O errors.
-pub fn write_table<W: Write>(table: &Table, writer: W) -> Result<(), StorageError> {
-    let mut w = CheckedWriter::new(writer);
-    w.put(MAGIC)?;
-    w.put_u32(VERSION)?;
-    let arity =
-        u32::try_from(table.schema().arity()).map_err(|_| StorageError::Malformed("arity"))?;
-    w.put_u32(arity)?;
-    w.put_u64(table.row_count())?;
-    for col in table.schema().columns() {
-        let name_len =
-            u32::try_from(col.name.len()).map_err(|_| StorageError::Malformed("column name"))?;
-        w.put_u32(name_len)?;
-        w.put(col.name.as_bytes())?;
-        w.put(&[type_tag(col.data_type)])?;
+pub fn write_table<W: Write>(table: &Table, mut writer: W) -> Result<(), StorageError> {
+    let schema = table.schema();
+    let rows = table.row_count();
+    let mut e = Enc::default();
+    e.bytes(MAGIC);
+    e.u32(VERSION);
+    e.u32(len_u32(schema.arity(), "arity")?);
+    e.u64(rows);
+    for col in schema.columns() {
+        e.u32(len_u32(col.name.len(), "column name")?);
+        e.bytes(col.name.as_bytes());
+        e.u8(col.data_type as u8);
     }
-    for (c, col) in table.schema().columns().iter().enumerate() {
+    for (c, col) in schema.columns().iter().enumerate() {
         match col.data_type {
             DataType::Int => {
-                for row in 0..table.row_count() {
+                for row in 0..rows {
                     let Value::Int(v) = table.value(row, c) else {
                         unreachable!("schema says Int");
                     };
-                    w.put(&v.to_le_bytes())?;
+                    e.i64(v);
                 }
             }
             DataType::Float => {
-                for row in 0..table.row_count() {
-                    w.put(&table.float_value(row, c).to_le_bytes())?;
+                for row in 0..rows {
+                    e.f64_bits(table.float_value(row, c));
                 }
             }
             DataType::Str => {
                 let dict = table.str_dict(c);
-                let dict_len = u32::try_from(dict.len())
-                    .map_err(|_| StorageError::Malformed("dictionary size"))?;
-                w.put_u32(dict_len)?;
+                e.u32(len_u32(dict.len(), "dictionary size")?);
                 for entry in dict {
-                    let entry_len = u32::try_from(entry.len())
-                        .map_err(|_| StorageError::Malformed("dictionary entry"))?;
-                    w.put_u32(entry_len)?;
-                    w.put(entry.as_bytes())?;
+                    e.u32(len_u32(entry.len(), "dictionary entry")?);
+                    e.bytes(entry.as_bytes());
                 }
-                for row in 0..table.row_count() {
-                    w.put_u32(table.str_code(row, c))?;
+                for row in 0..rows {
+                    e.u32(table.str_code(row, c));
                 }
             }
         }
     }
-    let checksum = w.hash.0;
-    w.inner.write_all(&checksum.to_le_bytes())?;
+    let mut file = e.into_bytes();
+    let checksum = fnv1a64(&file);
+    file.extend_from_slice(&checksum.to_le_bytes());
+    writer.write_all(&file)?;
     Ok(())
 }
 
@@ -201,29 +137,32 @@ pub fn write_table<W: Write>(table: &Table, writer: W) -> Result<(), StorageErro
 ///
 /// Returns a [`StorageError`] on I/O failure, format mismatch, or
 /// corruption.
-pub fn read_table<R: Read>(reader: R) -> Result<Table, StorageError> {
-    let mut r = CheckedReader::new(reader);
-    let mut magic = [0u8; 4];
-    r.take(&mut magic)?;
-    if &magic != MAGIC {
+pub fn read_table<R: Read>(mut reader: R) -> Result<Table, StorageError> {
+    let mut file = Vec::new();
+    reader.read_to_end(&mut file)?;
+    if !file.starts_with(MAGIC) {
         return Err(StorageError::BadMagic);
     }
-    let version = r.take_u32()?;
+    let (body, trailer) = file.split_at(file.len().saturating_sub(8));
+    let mut d = Dec::new(body);
+    d.bytes(MAGIC.len())?;
+    let version = d.u32()?;
     if version != VERSION {
         return Err(StorageError::BadVersion(version));
     }
-    let arity = r.take_u32()? as usize;
-    let row_count = r.take_u64()?;
+    if trailer != fnv1a64(body).to_le_bytes() {
+        return Err(StorageError::Corrupt);
+    }
+    let arity = d.count(5)?;
+    let rows = usize::try_from(d.u64()?).map_err(|_| StorageError::Malformed("row count"))?;
+    if arity == 0 && rows > 0 {
+        // No column bytes back the row count, so nothing below bounds it.
+        return Err(StorageError::Malformed("rows without columns"));
+    }
     let mut columns = Vec::with_capacity(arity);
     for _ in 0..arity {
-        let name_len = r.take_u32()? as usize;
-        let mut name = vec![0u8; name_len];
-        r.take(&mut name)?;
-        let name =
-            String::from_utf8(name).map_err(|_| StorageError::Malformed("column name utf8"))?;
-        let mut tag = [0u8; 1];
-        r.take(&mut tag)?;
-        columns.push(ColumnDef::new(name, tag_type(tag[0])?));
+        let name = d.str()?;
+        columns.push(ColumnDef::new(name, tag_type(d.u8()?)?));
     }
     let schema = Schema::new(columns);
 
@@ -232,85 +171,44 @@ pub fn read_table<R: Read>(reader: R) -> Result<Table, StorageError> {
     enum Payload {
         Int(Vec<i64>),
         Float(Vec<f64>),
-        Str(Vec<String>),
+        Str(Vec<String>, Vec<u32>),
     }
-    let mut payloads = Vec::with_capacity(schema.arity());
+    let mut payloads = Vec::with_capacity(arity);
     for col in schema.columns() {
-        match col.data_type {
-            DataType::Int => {
-                let mut v = Vec::with_capacity(row_count as usize);
-                for _ in 0..row_count {
-                    let mut b = [0u8; 8];
-                    r.take(&mut b)?;
-                    v.push(i64::from_le_bytes(b));
-                }
-                payloads.push(Payload::Int(v));
-            }
+        payloads.push(match col.data_type {
+            DataType::Int => Payload::Int(d.column(rows)?),
             DataType::Float => {
-                let mut v = Vec::with_capacity(row_count as usize);
-                for _ in 0..row_count {
-                    let mut b = [0u8; 8];
-                    r.take(&mut b)?;
-                    let f = f64::from_le_bytes(b);
-                    if f.is_nan() {
-                        return Err(StorageError::Malformed("NaN float"));
-                    }
-                    v.push(f);
+                let v: Vec<f64> = d.column(rows)?;
+                if v.iter().any(|f| f.is_nan()) {
+                    return Err(StorageError::Malformed("NaN float"));
                 }
-                payloads.push(Payload::Float(v));
+                Payload::Float(v)
             }
             DataType::Str => {
-                let dict_len = r.take_u32()? as usize;
-                let mut dict = Vec::with_capacity(dict_len);
-                for _ in 0..dict_len {
-                    let len = r.take_u32()? as usize;
-                    let mut bytes = vec![0u8; len];
-                    r.take(&mut bytes)?;
-                    dict.push(
-                        String::from_utf8(bytes)
-                            .map_err(|_| StorageError::Malformed("dict entry utf8"))?,
-                    );
+                let dict: Vec<String> = d.vec()?;
+                let codes: Vec<u32> = d.column(rows)?;
+                if codes.iter().any(|&code| code as usize >= dict.len()) {
+                    return Err(StorageError::Malformed("dictionary code out of range"));
                 }
-                let mut v = Vec::with_capacity(row_count as usize);
-                for _ in 0..row_count {
-                    let code = r.take_u32()? as usize;
-                    let entry = dict
-                        .get(code)
-                        .ok_or(StorageError::Malformed("dictionary code out of range"))?;
-                    v.push(entry.clone());
-                }
-                payloads.push(Payload::Str(v));
+                Payload::Str(dict, codes)
             }
-        }
+        });
     }
-    let computed = r.hash.0;
-    let mut trailer = [0u8; 8];
-    r.inner.read_exact(&mut trailer)?;
-    if u64::from_le_bytes(trailer) != computed {
-        return Err(StorageError::Corrupt);
-    }
+    d.finish()?;
 
     let mut builder = TableBuilder::new(schema);
-    for row in 0..row_count as usize {
+    for row in 0..rows {
         let mut values = Vec::with_capacity(payloads.len());
         for payload in &payloads {
             values.push(match payload {
                 Payload::Int(v) => Value::Int(v[row]),
                 Payload::Float(v) => Value::Float(v[row]),
-                Payload::Str(v) => Value::Str(v[row].clone()),
+                Payload::Str(dict, codes) => Value::Str(dict[codes[row] as usize].clone()),
             });
         }
         builder.push_row(values);
     }
     Ok(builder.finish())
-}
-
-fn type_tag(t: DataType) -> u8 {
-    match t {
-        DataType::Int => 0,
-        DataType::Float => 1,
-        DataType::Str => 2,
-    }
 }
 
 fn tag_type(tag: u8) -> Result<DataType, StorageError> {
@@ -371,10 +269,8 @@ mod tests {
     #[test]
     fn golden_bytes_are_pinned() {
         let bytes = roundtrip(&sample_table());
-        let mut hash = Fnv1a::new();
-        hash.update(&bytes);
         assert_eq!(
-            (bytes.len(), hash.0),
+            (bytes.len(), fnv1a64(&bytes)),
             (164, 0x96d0_82b4_e9ca_cc69),
             "table file bytes drifted"
         );
@@ -430,6 +326,62 @@ mod tests {
             read_table(cut),
             Err(StorageError::Io(_) | StorageError::Corrupt)
         ));
+    }
+
+    /// `body` plus a valid checksum trailer, so only the structural checks
+    /// stand between a crafted length field and the allocator.
+    fn stamped(body: &[u8]) -> Vec<u8> {
+        let mut file = body.to_vec();
+        file.extend_from_slice(&fnv1a64(body).to_le_bytes());
+        file
+    }
+
+    #[test]
+    fn hostile_length_fields_error_before_allocating() {
+        // The 25-byte file that used to abort with `capacity overflow`:
+        // one empty-named Int column and a row count of u64::MAX.
+        let mut header = Vec::new();
+        header.extend_from_slice(MAGIC);
+        header.extend_from_slice(&VERSION.to_le_bytes());
+        header.extend_from_slice(&1u32.to_le_bytes());
+        header.extend_from_slice(&u64::MAX.to_le_bytes());
+        header.extend_from_slice(&0u32.to_le_bytes());
+        header.push(0);
+        assert_eq!(header.len(), 25);
+        assert!(matches!(
+            read_table(header.as_slice()),
+            Err(StorageError::Corrupt)
+        ));
+        let err = read_table(stamped(&header).as_slice());
+        assert!(matches!(err, Err(StorageError::Malformed(_))), "{err:?}");
+
+        // Rows that no column backs would spin the row-major rebuild.
+        let mut no_columns = header[..8].to_vec();
+        no_columns.extend_from_slice(&0u32.to_le_bytes());
+        no_columns.extend_from_slice(&u64::MAX.to_le_bytes());
+        let err = read_table(stamped(&no_columns).as_slice());
+        assert!(matches!(err, Err(StorageError::Malformed(_))), "{err:?}");
+
+        // Every u32 length field of a valid file, blown up to u32::MAX
+        // under a re-stamped checksum. Offsets: 20-byte fixed header, then
+        // 28 bytes of column definitions, then the Str column's dictionary.
+        let good = roundtrip(&sample_table());
+        let body = &good[..good.len() - 8];
+        for (what, at) in [
+            ("arity", 8),
+            ("name_len", 20),
+            ("dict_len", 48),
+            ("entry len", 52),
+        ] {
+            let mut bad = body.to_vec();
+            bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let err = read_table(stamped(&bad).as_slice());
+            assert!(
+                matches!(err, Err(StorageError::Malformed(_))),
+                "{what}: {err:?}"
+            );
+        }
+        assert!(read_table(stamped(body).as_slice()).is_ok());
     }
 
     #[test]

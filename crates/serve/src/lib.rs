@@ -52,10 +52,11 @@
 //! u32 LE payload length (≤ protocol::MAX_FRAME_BYTES) | payload
 //! ```
 //!
-//! All integers are little-endian. Floats travel as `f64::to_bits` in a
-//! `u64` — bit-exact, NaN-safe. Strings are `u32 length | UTF-8 bytes`.
-//! Vectors are a `u32` count followed by packed elements. `payload[0]` is
-//! the frame tag:
+//! Payloads are built from the primitives of
+//! [`rapidviz::needletail::codec`]: little-endian integers, floats as
+//! `f64::to_bits` in a `u64` (bit-exact, NaN-safe), `0`/`1` flag bytes,
+//! strings as `u32 length | UTF-8 bytes`, vectors as a `u32` count
+//! followed by packed elements. `payload[0]` is the frame tag:
 //!
 //! | tag | frame | payload after the tag |
 //! |-----|-------|------------------------|
@@ -73,8 +74,9 @@
 //! `0x02` and `0x03` are **terminal**: the server sends nothing further
 //! for that command (and closes after `0x03`). `0x04` is followed by a
 //! best-effort `0x02`; `0x06` precedes the round stream. Decoders must
-//! reject unknown tags, truncated payloads, and trailing bytes —
-//! [`protocol::Frame::decode`] does, and the robustness tests hammer it.
+//! reject unknown tags, truncated payloads, flag bytes other than `0`/`1`,
+//! and trailing bytes — [`protocol::Frame::decode`] does, and the
+//! robustness tests hammer it.
 //!
 //! ## Server lifecycle and failure behavior
 //!

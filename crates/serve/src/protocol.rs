@@ -2,11 +2,12 @@
 //!
 //! The byte-for-byte layout is specified in the [crate docs](crate); this
 //! module implements it. Requests are a single ASCII line parsed into a
-//! [`QueryRequest`]; every server→client message is a [`Frame`] encoded
-//! with fixed little-endian integers, `f64::to_bits` floats (bit-exact —
-//! the wire answer must compare byte-identical to an in-process run), and
-//! length-prefixed UTF-8 strings.
+//! [`QueryRequest`]; every server→client message is a [`Frame`] whose
+//! payload is a schema over [`rapidviz::needletail::codec`] — the codec
+//! owns the primitives (bit-exact `f64`s: the wire answer must compare
+//! byte-identical to an in-process run) and the decode hardening rules.
 
+use rapidviz::needletail::codec::{CodecError, Dec, Enc};
 use rapidviz::needletail::Predicate;
 use rapidviz::{Aggregate, AlgorithmChoice, QueryAnswer, RoundUpdate, StepOutcome};
 use rapidviz_stats::Interval;
@@ -535,175 +536,38 @@ const TAG_EVICTED: u8 = 0x04;
 const TAG_STATS: u8 = 0x05;
 const TAG_PARKED: u8 = 0x06;
 
-fn outcome_to_u8(o: StepOutcome) -> u8 {
-    match o {
-        StepOutcome::Running => 0,
-        StepOutcome::Converged => 1,
-        StepOutcome::BudgetExhausted => 2,
+impl From<CodecError> for DecodeError {
+    fn from(e: CodecError) -> Self {
+        DecodeError(e.to_string())
     }
 }
 
-fn outcome_from_u8(v: u8) -> Result<StepOutcome, DecodeError> {
-    match v {
-        0 => Ok(StepOutcome::Running),
-        1 => Ok(StepOutcome::Converged),
-        2 => Ok(StepOutcome::BudgetExhausted),
-        other => Err(DecodeError(format!("bad outcome byte {other}"))),
-    }
-}
-
-/// Byte-writer over the frame payload.
-#[derive(Default)]
-struct Enc(Vec<u8>);
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64_bits(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn str(&mut self, s: &str) {
-        // Wire strings are labels and error messages, nowhere near 4 GiB —
-        // but the encoder runs on the serving path and must never abort, so
-        // clamp (producing a decode error at the peer) instead of panicking.
-        debug_assert!(s.len() <= u32::MAX as usize, "wire string too large");
-        let len = u32::try_from(s.len()).unwrap_or(u32::MAX);
-        self.u32(len);
-        self.0.extend_from_slice(&s.as_bytes()[..len as usize]);
-    }
-    fn len_u32(&mut self, n: usize) {
-        // Same serving-path rule as `str`: clamp, never abort.
-        debug_assert!(n <= u32::MAX as usize, "wire count too large");
-        self.u32(u32::try_from(n).unwrap_or(u32::MAX));
-    }
-}
-
-/// Byte-reader over the frame payload.
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| DecodeError("truncated payload".into()))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        let Ok(bytes) = <[u8; 4]>::try_from(self.take(4)?) else {
-            return Err(DecodeError("truncated payload".into()));
-        };
-        Ok(u32::from_le_bytes(bytes))
-    }
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        let Ok(bytes) = <[u8; 8]>::try_from(self.take(8)?) else {
-            return Err(DecodeError("truncated payload".into()));
-        };
-        Ok(u64::from_le_bytes(bytes))
-    }
-    fn f64_bits(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    /// An element count, sanity-capped against the remaining payload so a
-    /// corrupt count cannot drive a huge allocation.
-    fn count(&mut self, min_elem_bytes: usize) -> Result<usize, DecodeError> {
-        let n = self.u32()? as usize;
-        let remaining = self.buf.len() - self.pos;
-        if n.saturating_mul(min_elem_bytes.max(1)) > remaining {
-            return Err(DecodeError(format!(
-                "count {n} exceeds remaining payload ({remaining} bytes)"
-            )));
-        }
-        Ok(n)
-    }
-    fn str(&mut self) -> Result<String, DecodeError> {
-        let len = self.count(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError("invalid UTF-8".into()))
-    }
-    fn finish(self) -> Result<(), DecodeError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(DecodeError(format!(
-                "{} trailing bytes after payload",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
+fn decode_outcome(d: &mut Dec<'_>) -> Result<StepOutcome, DecodeError> {
+    let code = d.u8()?;
+    StepOutcome::from_code(code).ok_or_else(|| DecodeError(format!("bad outcome byte {code}")))
 }
 
 fn encode_snapshot(e: &mut Enc, s: &WireSnapshot) {
-    e.len_u32(s.labels.len());
-    for l in &s.labels {
-        e.str(l);
-    }
-    for &v in &s.estimates {
-        e.f64_bits(v);
-    }
-    for &(lo, hi) in &s.intervals {
-        e.f64_bits(lo);
-        e.f64_bits(hi);
-    }
-    for &a in &s.active {
-        e.u8(u8::from(a));
-    }
-    for &n in &s.samples_per_group {
-        e.u64(n);
-    }
+    e.count(s.labels.len());
+    e.column(&s.labels);
+    e.column(&s.estimates);
+    e.column(&s.intervals);
+    e.column(&s.active);
+    e.column(&s.samples_per_group);
     e.u64(s.rounds);
-    e.u8(u8::from(s.truncated));
+    e.flag(s.truncated);
 }
 
 fn decode_snapshot(d: &mut Dec<'_>) -> Result<WireSnapshot, DecodeError> {
     let k = d.count(4)?;
-    let mut labels = Vec::with_capacity(k);
-    for _ in 0..k {
-        labels.push(d.str()?);
-    }
-    let mut estimates = Vec::with_capacity(k);
-    for _ in 0..k {
-        estimates.push(d.f64_bits()?);
-    }
-    let mut intervals = Vec::with_capacity(k);
-    for _ in 0..k {
-        intervals.push((d.f64_bits()?, d.f64_bits()?));
-    }
-    let mut active = Vec::with_capacity(k);
-    for _ in 0..k {
-        active.push(d.u8()? != 0);
-    }
-    let mut samples_per_group = Vec::with_capacity(k);
-    for _ in 0..k {
-        samples_per_group.push(d.u64()?);
-    }
     Ok(WireSnapshot {
-        labels,
-        estimates,
-        intervals,
-        active,
-        samples_per_group,
+        labels: d.column(k)?,
+        estimates: d.column(k)?,
+        intervals: d.column(k)?,
+        active: d.column(k)?,
+        samples_per_group: d.column(k)?,
         rounds: d.u64()?,
-        truncated: d.u8()? != 0,
+        truncated: d.flag()?,
     })
 }
 
@@ -758,31 +622,22 @@ impl Frame {
         match self {
             Frame::Round(r) => {
                 e.u8(TAG_ROUND);
-                e.u8(outcome_to_u8(r.outcome));
+                e.u8(r.outcome.code());
                 e.u64(r.round);
                 e.u64(r.total_samples);
                 e.f64_bits(r.fraction_sampled);
-                e.len_u32(r.newly_certified.len());
-                for &i in &r.newly_certified {
-                    e.u32(i);
-                }
+                e.vec(&r.newly_certified);
                 encode_snapshot(&mut e, &r.snapshot);
             }
             Frame::Answer(a) => {
                 e.u8(TAG_ANSWER);
-                e.u8(outcome_to_u8(a.outcome));
+                e.u8(a.outcome.code());
                 e.u64(a.population);
-                e.u8(u8::from(a.truncated));
-                e.len_u32(a.labels.len());
-                for l in &a.labels {
-                    e.str(l);
-                }
-                for &v in &a.estimates {
-                    e.f64_bits(v);
-                }
-                for &n in &a.samples_per_group {
-                    e.u64(n);
-                }
+                e.flag(a.truncated);
+                e.count(a.labels.len());
+                e.column(&a.labels);
+                e.column(&a.estimates);
+                e.column(&a.samples_per_group);
                 e.u64(a.rounds);
             }
             Frame::Error { code, message } => {
@@ -796,7 +651,7 @@ impl Frame {
             }
             Frame::Stats(s) => {
                 e.u8(TAG_STATS);
-                for v in [
+                e.column(&[
                     s.sessions_admitted,
                     s.sessions_completed,
                     s.sessions_cancelled,
@@ -816,16 +671,14 @@ impl Frame {
                     s.parked_now,
                     s.parked_bytes,
                     s.scheduler_restarts,
-                ] {
-                    e.u64(v);
-                }
+                ]);
             }
             Frame::Parked { token } => {
                 e.u8(TAG_PARKED);
                 e.u64(*token);
             }
         }
-        e.0
+        e.into_bytes()
     }
 
     /// Decodes one frame payload.
@@ -833,54 +686,31 @@ impl Frame {
     /// # Errors
     ///
     /// Returns [`DecodeError`] on an unknown tag, truncated payload,
-    /// implausible count, invalid UTF-8, or trailing bytes.
+    /// implausible count, non-`0`/`1` boolean, invalid UTF-8, or trailing
+    /// bytes.
     pub fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
         let mut d = Dec::new(payload);
         let frame = match d.u8()? {
-            TAG_ROUND => {
-                let outcome = outcome_from_u8(d.u8()?)?;
-                let round = d.u64()?;
-                let total_samples = d.u64()?;
-                let fraction_sampled = d.f64_bits()?;
-                let n = d.count(4)?;
-                let mut newly_certified = Vec::with_capacity(n);
-                for _ in 0..n {
-                    newly_certified.push(d.u32()?);
-                }
-                let snapshot = decode_snapshot(&mut d)?;
-                Frame::Round(WireRound {
-                    outcome,
-                    round,
-                    total_samples,
-                    fraction_sampled,
-                    newly_certified,
-                    snapshot,
-                })
-            }
+            TAG_ROUND => Frame::Round(WireRound {
+                outcome: decode_outcome(&mut d)?,
+                round: d.u64()?,
+                total_samples: d.u64()?,
+                fraction_sampled: d.f64_bits()?,
+                newly_certified: d.vec()?,
+                snapshot: decode_snapshot(&mut d)?,
+            }),
             TAG_ANSWER => {
-                let outcome = outcome_from_u8(d.u8()?)?;
+                let outcome = decode_outcome(&mut d)?;
                 let population = d.u64()?;
-                let truncated = d.u8()? != 0;
+                let truncated = d.flag()?;
                 let k = d.count(4)?;
-                let mut labels = Vec::with_capacity(k);
-                for _ in 0..k {
-                    labels.push(d.str()?);
-                }
-                let mut estimates = Vec::with_capacity(k);
-                for _ in 0..k {
-                    estimates.push(d.f64_bits()?);
-                }
-                let mut samples_per_group = Vec::with_capacity(k);
-                for _ in 0..k {
-                    samples_per_group.push(d.u64()?);
-                }
                 Frame::Answer(WireAnswer {
                     outcome,
                     population,
                     truncated,
-                    labels,
-                    estimates,
-                    samples_per_group,
+                    labels: d.column(k)?,
+                    estimates: d.column(k)?,
+                    samples_per_group: d.column(k)?,
                     rounds: d.u64()?,
                 })
             }
@@ -1063,6 +893,7 @@ pub fn read_line<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rapidviz::needletail::codec::fnv1a64;
 
     fn sample_round() -> Frame {
         Frame::Round(WireRound {
@@ -1177,12 +1008,6 @@ mod tests {
         }
     }
 
-    fn fnv1a64(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
-
     /// `(len, fnv1a64)` of every fixture frame's payload, pinned from the
     /// bytes the encoder emitted before the codecs were unified: deployed
     /// clients decode exactly these.
@@ -1227,6 +1052,24 @@ mod tests {
         // samples(8)+fraction(8) = offset 26.
         huge[26..30].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(Frame::decode(&huge).is_err());
+    }
+
+    #[test]
+    fn booleans_decode_strictly() {
+        // In the 123-byte sample round the two `active` flags sit at
+        // 96..98 and `truncated` is the last byte; only 0/1 are booleans.
+        let payload = sample_round().encode();
+        assert_eq!((payload[96], payload[97], payload[122]), (1, 0, 0));
+        for at in [96, 97, 122] {
+            let mut bad = payload.clone();
+            bad[at] = 2;
+            let err = Frame::decode(&bad).unwrap_err();
+            assert!(err.0.contains("bad boolean byte 2"), "byte {at}: {err}");
+        }
+        // The Answer frame's `truncated` follows tag, outcome, population.
+        let mut answer = fixture_frames()[1].encode();
+        answer[10] = 0xff;
+        assert!(Frame::decode(&answer).is_err());
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //!
 //! # Binary format
 //!
-//! Little-endian throughout; `f64`s travel as IEEE-754 bit patterns so the
-//! round-trip is exact. Strings and vectors are `u32`-length-prefixed.
-//! `Option<T>` is a `u8` presence flag (`0`/`1`) followed by the payload.
+//! A schema over [`rapidviz_needletail::codec`], which defines the
+//! primitives (`T?` below is its flag-prefixed option) and the hardening
+//! rules every decode obeys; failures are [`CheckpointError::Decode`].
 //!
 //! ```text
 //! magic    "RVCK"                                  4 bytes
@@ -46,14 +46,11 @@
 //!          budget_tripped u8, delivered_terminal u8
 //! ```
 //!
-//! Decoding is hardened the same way the wire protocol is: truncated,
-//! corrupt, oversized, or wrong-version bytes produce a structured
-//! [`CheckpointError`], never a panic, and element counts are sanity-capped
-//! against the remaining payload so corrupt lengths cannot drive huge
-//! allocations. Numeric spec fields are range-checked at decode time
-//! (`δ ∈ (0, 1)`, positive bounds, non-zero batch sizes) so a corrupt
-//! checkpoint is rejected here rather than tripping an assertion deep in
-//! planning.
+//! On top of the codec's rules this schema caps the whole payload
+//! ([`MAX_CHECKPOINT_BYTES`]) and the predicate nesting depth, and
+//! range-checks the numeric spec fields (`δ ∈ (0, 1)`, positive bounds,
+//! non-zero batch sizes) so a corrupt checkpoint is rejected here rather
+//! than tripping an assertion deep in planning.
 //!
 //! # Versioning
 //!
@@ -68,6 +65,7 @@ use rapidviz_core::saved::{
     RestoreError, SavedFocusCore, SavedIRefine, SavedPartial, SavedScan, SavedStepper, SavedSum2,
 };
 use rapidviz_core::StepOutcome;
+use rapidviz_needletail::codec::{CodecError, Dec, Enc};
 use rapidviz_needletail::{EngineError, Predicate, Value};
 use std::time::Duration;
 
@@ -89,38 +87,39 @@ pub const MAX_CHECKPOINT_BYTES: usize = 64 * 1024 * 1024;
 const MAX_PREDICATE_DEPTH: u32 = 64;
 
 /// Which aggregate a query computes. Defined here beside [`QuerySpec`]
-/// (the serialized form carries it) and re-exported through
-/// [`crate::query`], where the builder consumes it.
+/// (the serialized form carries it, as the discriminant byte) and
+/// re-exported through [`crate::query`], where the builder consumes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Aggregate {
     /// `AVG(measure)` — Problem 1 / Algorithm 1.
     #[default]
-    Avg,
+    Avg = 0,
     /// `SUM(measure)` with known group sizes — Algorithm 4.
-    Sum,
+    Sum = 1,
     /// `COUNT` with unknown group sizes — the §6.3.2 reduction of
     /// Algorithm 5 to the size-estimate stream. Estimates are **normalized
     /// counts** `s_i ∈ [0, 1]` (each group's fraction of the relation);
     /// multiply by the relation size for absolute counts.
-    Count,
+    Count = 2,
 }
 
 /// Which ordering algorithm drives an `AVG` query. `SUM`/`COUNT` queries
-/// have dedicated algorithms (4 and 5) and reject an override.
+/// have dedicated algorithms (4 and 5) and reject an override. The
+/// discriminant is the checkpoint byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AlgorithmChoice {
     /// IFOCUS (Algorithm 1) — the paper's primary contribution and the
     /// default.
     #[default]
-    IFocus,
+    IFocus = 0,
     /// IREFINE (Algorithm 3), the interval-halving alternative.
-    IRefine,
+    IRefine = 1,
     /// The ROUNDROBIN baseline (conventional stratified sampling with the
     /// same stopping guarantee).
-    RoundRobin,
+    RoundRobin = 2,
     /// The exhaustive SCAN baseline: exact answer, maximal cost; sessions
     /// stream one exact group per round.
-    ExactScan,
+    ExactScan = 3,
 }
 
 /// The re-plannable description of a query — the builder fields of
@@ -241,162 +240,25 @@ impl From<RestoreError> for CheckpointError {
     }
 }
 
-// ---------------------------------------------------------------------
-// Byte-level encode/decode (the wire protocol's Enc/Dec idiom).
-// ---------------------------------------------------------------------
-
-#[derive(Default)]
-struct Enc(Vec<u8>);
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64_bits(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn flag(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-    fn str(&mut self, s: &str) {
-        // Checkpoints are taken on the serving path and must never abort;
-        // clamp absurd lengths (producing a decode error on resume)
-        // instead of panicking, exactly like the wire encoder.
-        debug_assert!(s.len() <= u32::MAX as usize, "checkpoint string too large");
-        let len = u32::try_from(s.len()).unwrap_or(u32::MAX);
-        self.u32(len);
-        self.0.extend_from_slice(&s.as_bytes()[..len as usize]);
-    }
-    fn len_u32(&mut self, n: usize) {
-        debug_assert!(n <= u32::MAX as usize, "checkpoint count too large");
-        self.u32(u32::try_from(n).unwrap_or(u32::MAX));
-    }
-    fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.flag(true);
-                self.f64_bits(x);
-            }
-            None => self.flag(false),
-        }
-    }
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.flag(true);
-                self.u64(x);
-            }
-            None => self.flag(false),
-        }
-    }
+fn bad(msg: impl Into<String>) -> CheckpointError {
+    CheckpointError::Decode(msg.into())
 }
 
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-    fn err(msg: impl Into<String>) -> CheckpointError {
-        CheckpointError::Decode(msg.into())
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| Self::err("truncated checkpoint"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let Ok(bytes) = <[u8; 4]>::try_from(self.take(4)?) else {
-            return Err(Self::err("truncated checkpoint"));
-        };
-        Ok(u32::from_le_bytes(bytes))
-    }
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let Ok(bytes) = <[u8; 8]>::try_from(self.take(8)?) else {
-            return Err(Self::err("truncated checkpoint"));
-        };
-        Ok(u64::from_le_bytes(bytes))
-    }
-    fn f64_bits(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    /// A strict boolean: anything but 0/1 means corruption.
-    fn flag(&mut self) -> Result<bool, CheckpointError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(Self::err(format!("bad boolean byte {other}"))),
-        }
-    }
-    /// An element count, sanity-capped against the remaining payload so a
-    /// corrupt count cannot drive a huge allocation.
-    fn count(&mut self, min_elem_bytes: usize) -> Result<usize, CheckpointError> {
-        let n = self.u32()? as usize;
-        let remaining = self.buf.len() - self.pos;
-        if n.saturating_mul(min_elem_bytes.max(1)) > remaining {
-            return Err(Self::err(format!(
-                "count {n} exceeds remaining payload ({remaining} bytes)"
-            )));
-        }
-        Ok(n)
-    }
-    fn str(&mut self) -> Result<String, CheckpointError> {
-        let len = self.count(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| Self::err("invalid UTF-8 in string"))
-    }
-    fn opt_f64(&mut self) -> Result<Option<f64>, CheckpointError> {
-        Ok(if self.flag()? {
-            Some(self.f64_bits()?)
-        } else {
-            None
-        })
-    }
-    fn opt_u64(&mut self) -> Result<Option<u64>, CheckpointError> {
-        Ok(if self.flag()? {
-            Some(self.u64()?)
-        } else {
-            None
-        })
-    }
-    fn finish(self) -> Result<(), CheckpointError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(Self::err(format!(
-                "{} trailing bytes after checkpoint",
-                self.buf.len() - self.pos
-            )))
-        }
+impl From<CodecError> for CheckpointError {
+    fn from(e: CodecError) -> Self {
+        bad(e.to_string())
     }
 }
 
 // ---------------------------------------------------------------------
-// Component encoders/decoders.
+// The schema, component by component, over `needletail::codec`.
 // ---------------------------------------------------------------------
 
 fn encode_value(e: &mut Enc, v: &Value) {
     match v {
         Value::Int(i) => {
             e.u8(0);
-            e.u64(*i as u64);
+            e.i64(*i);
         }
         Value::Float(x) => {
             e.u8(1);
@@ -411,10 +273,10 @@ fn encode_value(e: &mut Enc, v: &Value) {
 
 fn decode_value(d: &mut Dec<'_>) -> Result<Value, CheckpointError> {
     match d.u8()? {
-        0 => Ok(Value::Int(d.u64()? as i64)),
+        0 => Ok(Value::Int(d.i64()?)),
         1 => Ok(Value::Float(d.f64_bits()?)),
         2 => Ok(Value::Str(d.str()?)),
-        other => Err(Dec::err(format!("bad value tag {other}"))),
+        other => Err(bad(format!("bad value tag {other}"))),
     }
 }
 
@@ -429,7 +291,7 @@ fn encode_predicate(e: &mut Enc, p: &Predicate) {
         Predicate::In(col, vals) => {
             e.u8(2);
             e.str(col);
-            e.len_u32(vals.len());
+            e.count(vals.len());
             for v in vals {
                 encode_value(e, v);
             }
@@ -437,16 +299,15 @@ fn encode_predicate(e: &mut Enc, p: &Predicate) {
         Predicate::Range { column, lo, hi } => {
             e.u8(3);
             e.str(column);
-            e.opt_f64(*lo);
-            e.opt_f64(*hi);
+            e.opt(lo);
+            e.opt(hi);
         }
-        Predicate::And(a, b) => {
-            e.u8(4);
-            encode_predicate(e, a);
-            encode_predicate(e, b);
-        }
-        Predicate::Or(a, b) => {
-            e.u8(5);
+        Predicate::And(a, b) | Predicate::Or(a, b) => {
+            e.u8(if matches!(p, Predicate::And(..)) {
+                4
+            } else {
+                5
+            });
             encode_predicate(e, a);
             encode_predicate(e, b);
         }
@@ -459,14 +320,11 @@ fn encode_predicate(e: &mut Enc, p: &Predicate) {
 
 fn decode_predicate(d: &mut Dec<'_>, depth: u32) -> Result<Predicate, CheckpointError> {
     if depth > MAX_PREDICATE_DEPTH {
-        return Err(Dec::err("predicate nests too deeply"));
+        return Err(bad("predicate nests too deeply"));
     }
     match d.u8()? {
         0 => Ok(Predicate::True),
-        1 => {
-            let col = d.str()?;
-            Ok(Predicate::Eq(col, decode_value(d)?))
-        }
+        1 => Ok(Predicate::Eq(d.str()?, decode_value(d)?)),
         2 => {
             let col = d.str()?;
             let n = d.count(2)?;
@@ -478,29 +336,20 @@ fn decode_predicate(d: &mut Dec<'_>, depth: u32) -> Result<Predicate, Checkpoint
         }
         3 => Ok(Predicate::Range {
             column: d.str()?,
-            lo: d.opt_f64()?,
-            hi: d.opt_f64()?,
+            lo: d.opt::<f64>()?,
+            hi: d.opt::<f64>()?,
         }),
-        4 => {
-            let a = decode_predicate(d, depth + 1)?;
-            let b = decode_predicate(d, depth + 1)?;
-            Ok(Predicate::And(Box::new(a), Box::new(b)))
-        }
-        5 => {
-            let a = decode_predicate(d, depth + 1)?;
-            let b = decode_predicate(d, depth + 1)?;
-            Ok(Predicate::Or(Box::new(a), Box::new(b)))
+        tag @ (4 | 5) => {
+            let a = Box::new(decode_predicate(d, depth + 1)?);
+            let b = Box::new(decode_predicate(d, depth + 1)?);
+            Ok(if tag == 4 {
+                Predicate::And(a, b)
+            } else {
+                Predicate::Or(a, b)
+            })
         }
         6 => Ok(Predicate::Not(Box::new(decode_predicate(d, depth + 1)?))),
-        other => Err(Dec::err(format!("bad predicate tag {other}"))),
-    }
-}
-
-fn aggregate_to_u8(a: Aggregate) -> u8 {
-    match a {
-        Aggregate::Avg => 0,
-        Aggregate::Sum => 1,
-        Aggregate::Count => 2,
+        other => Err(bad(format!("bad predicate tag {other}"))),
     }
 }
 
@@ -509,16 +358,7 @@ fn aggregate_from_u8(v: u8) -> Result<Aggregate, CheckpointError> {
         0 => Ok(Aggregate::Avg),
         1 => Ok(Aggregate::Sum),
         2 => Ok(Aggregate::Count),
-        other => Err(Dec::err(format!("bad aggregate byte {other}"))),
-    }
-}
-
-fn algorithm_to_u8(a: AlgorithmChoice) -> u8 {
-    match a {
-        AlgorithmChoice::IFocus => 0,
-        AlgorithmChoice::IRefine => 1,
-        AlgorithmChoice::RoundRobin => 2,
-        AlgorithmChoice::ExactScan => 3,
+        other => Err(bad(format!("bad aggregate byte {other}"))),
     }
 }
 
@@ -528,128 +368,81 @@ fn algorithm_from_u8(v: u8) -> Result<AlgorithmChoice, CheckpointError> {
         1 => Ok(AlgorithmChoice::IRefine),
         2 => Ok(AlgorithmChoice::RoundRobin),
         3 => Ok(AlgorithmChoice::ExactScan),
-        other => Err(Dec::err(format!("bad algorithm byte {other}"))),
+        other => Err(bad(format!("bad algorithm byte {other}"))),
     }
 }
 
 fn encode_spec(e: &mut Enc, spec: &QuerySpec) {
-    e.len_u32(spec.group_by.len());
-    for col in &spec.group_by {
-        e.str(col);
-    }
+    e.vec(&spec.group_by);
     e.str(&spec.measure);
-    e.u8(aggregate_to_u8(spec.aggregate));
-    e.u8(algorithm_to_u8(spec.algorithm));
+    e.u8(spec.aggregate as u8);
+    e.u8(spec.algorithm as u8);
     encode_predicate(e, &spec.predicate);
     e.f64_bits(spec.delta);
-    e.opt_f64(spec.resolution_fraction);
-    e.opt_f64(spec.bound);
-    e.opt_u64(spec.samples_per_round);
-    e.opt_u64(spec.max_samples);
+    e.opt(&spec.resolution_fraction);
+    e.opt(&spec.bound);
+    e.opt(&spec.samples_per_round);
+    e.opt(&spec.max_samples);
 }
 
 fn decode_spec(d: &mut Dec<'_>) -> Result<QuerySpec, CheckpointError> {
-    let n = d.count(4)?;
-    let mut group_by = Vec::with_capacity(n);
-    for _ in 0..n {
-        group_by.push(d.str()?);
-    }
-    let measure = d.str()?;
-    let aggregate = aggregate_from_u8(d.u8()?)?;
-    let algorithm = algorithm_from_u8(d.u8()?)?;
-    let predicate = decode_predicate(d, 0)?;
-    let delta = d.f64_bits()?;
+    let spec = QuerySpec {
+        group_by: d.vec()?,
+        measure: d.str()?,
+        aggregate: aggregate_from_u8(d.u8()?)?,
+        algorithm: algorithm_from_u8(d.u8()?)?,
+        predicate: decode_predicate(d, 0)?,
+        delta: d.f64_bits()?,
+        resolution_fraction: d.opt()?,
+        bound: d.opt()?,
+        samples_per_round: d.opt()?,
+        max_samples: d.opt()?,
+    };
     // Range-check the numeric knobs here so a corrupt checkpoint is
     // rejected with a structured error instead of tripping a planning
     // assertion on resume.
-    if !(delta.is_finite() && delta > 0.0 && delta < 1.0) {
-        return Err(Dec::err(format!("delta {delta} outside (0, 1)")));
+    let positive = |x: f64| x.is_finite() && x > 0.0;
+    if !(positive(spec.delta) && spec.delta < 1.0) {
+        return Err(bad(format!("delta {} outside (0, 1)", spec.delta)));
     }
-    let resolution_fraction = d.opt_f64()?;
-    if let Some(r) = resolution_fraction {
-        if !(r.is_finite() && r > 0.0) {
-            return Err(Dec::err(format!("resolution fraction {r} not positive")));
-        }
+    if let Some(r) = spec.resolution_fraction.filter(|&r| !positive(r)) {
+        return Err(bad(format!("resolution fraction {r} not positive")));
     }
-    let bound = d.opt_f64()?;
-    if let Some(c) = bound {
-        if !(c.is_finite() && c > 0.0) {
-            return Err(Dec::err(format!("bound {c} not positive")));
-        }
+    if let Some(c) = spec.bound.filter(|&c| !positive(c)) {
+        return Err(bad(format!("bound {c} not positive")));
     }
-    let samples_per_round = d.opt_u64()?;
-    if samples_per_round == Some(0) {
-        return Err(Dec::err("samples_per_round is zero"));
+    if spec.samples_per_round == Some(0) {
+        return Err(bad("samples_per_round is zero"));
     }
-    let max_samples = d.opt_u64()?;
-    if max_samples == Some(0) {
-        return Err(Dec::err("max_samples is zero"));
+    if spec.max_samples == Some(0) {
+        return Err(bad("max_samples is zero"));
     }
-    Ok(QuerySpec {
-        group_by,
-        measure,
-        aggregate,
-        algorithm,
-        predicate,
-        delta,
-        resolution_fraction,
-        bound,
-        samples_per_round,
-        max_samples,
-    })
+    Ok(spec)
 }
 
-fn encode_focus_core(e: &mut Enc, c: &SavedFocusCore) {
-    e.len_u32(c.estimates.len());
-    for &(count, mean) in &c.estimates {
-        e.u64(count);
-        e.f64_bits(mean);
-    }
-    for &a in &c.active {
-        e.flag(a);
-    }
-    for &x in &c.exhausted {
-        e.flag(x);
-    }
-    for &eps in &c.frozen_eps {
-        e.f64_bits(eps);
-    }
-    for &s in &c.samples {
-        e.u64(s);
-    }
+// Every stepper payload opens with one group count `k`, shared by the
+// per-group columns that follow it.
+
+fn encode_focus_core(e: &mut Enc, tag: u8, c: &SavedFocusCore) {
+    e.u8(tag);
+    e.count(c.estimates.len());
+    e.column(&c.estimates);
+    e.column(&c.active);
+    e.column(&c.exhausted);
+    e.column(&c.frozen_eps);
+    e.column(&c.samples);
     e.u64(c.m);
     e.flag(c.truncated);
 }
 
 fn decode_focus_core(d: &mut Dec<'_>) -> Result<SavedFocusCore, CheckpointError> {
     let k = d.count(16)?;
-    let mut estimates = Vec::with_capacity(k);
-    for _ in 0..k {
-        let count = d.u64()?;
-        estimates.push((count, d.f64_bits()?));
-    }
-    let mut active = Vec::with_capacity(k);
-    for _ in 0..k {
-        active.push(d.flag()?);
-    }
-    let mut exhausted = Vec::with_capacity(k);
-    for _ in 0..k {
-        exhausted.push(d.flag()?);
-    }
-    let mut frozen_eps = Vec::with_capacity(k);
-    for _ in 0..k {
-        frozen_eps.push(d.f64_bits()?);
-    }
-    let mut samples = Vec::with_capacity(k);
-    for _ in 0..k {
-        samples.push(d.u64()?);
-    }
     Ok(SavedFocusCore {
-        estimates,
-        active,
-        exhausted,
-        frozen_eps,
-        samples,
+        estimates: d.column(k)?,
+        active: d.column(k)?,
+        exhausted: d.column(k)?,
+        frozen_eps: d.column(k)?,
+        samples: d.column(k)?,
         m: d.u64()?,
         truncated: d.flag()?,
     })
@@ -665,81 +458,42 @@ const STEPPER_PARTIAL: u8 = 6;
 
 fn encode_stepper(e: &mut Enc, s: &SavedStepper) {
     match s {
-        SavedStepper::Focus(c) => {
-            e.u8(STEPPER_FOCUS);
-            encode_focus_core(e, c);
-        }
-        SavedStepper::RoundRobin(c) => {
-            e.u8(STEPPER_ROUNDROBIN);
-            encode_focus_core(e, c);
-        }
-        SavedStepper::Sum1(c) => {
-            e.u8(STEPPER_SUM1);
-            encode_focus_core(e, c);
-        }
+        SavedStepper::Focus(c) => encode_focus_core(e, STEPPER_FOCUS, c),
+        SavedStepper::RoundRobin(c) => encode_focus_core(e, STEPPER_ROUNDROBIN, c),
+        SavedStepper::Sum1(c) => encode_focus_core(e, STEPPER_SUM1, c),
         SavedStepper::IRefine(s) => {
             e.u8(STEPPER_IREFINE);
-            e.len_u32(s.estimates.len());
-            for &x in &s.estimates {
-                e.f64_bits(x);
-            }
-            for &x in &s.eps {
-                e.f64_bits(x);
-            }
-            for &x in &s.deltas {
-                e.f64_bits(x);
-            }
-            for &a in &s.active {
-                e.flag(a);
-            }
-            for &n in &s.samples {
-                e.u64(n);
-            }
-            for &(count, sum) in &s.cumulative {
-                e.u64(count);
-                e.f64_bits(sum);
-            }
+            e.count(s.estimates.len());
+            e.column(&s.estimates);
+            e.column(&s.eps);
+            e.column(&s.deltas);
+            e.column(&s.active);
+            e.column(&s.samples);
+            e.column(&s.cumulative);
             e.u64(s.phase);
             e.flag(s.truncated);
         }
         SavedStepper::Scan(s) => {
             e.u8(STEPPER_SCAN);
-            e.len_u32(s.estimates.len());
-            for &x in &s.estimates {
-                e.f64_bits(x);
-            }
-            for &n in &s.samples {
-                e.u64(n);
-            }
+            e.count(s.estimates.len());
+            e.column(&s.estimates);
+            e.column(&s.samples);
             e.u64(s.next_group);
         }
         SavedStepper::Sum2(s) => {
             e.u8(STEPPER_SUM2);
-            e.len_u32(s.estimates.len());
-            for &(count, mean) in &s.estimates {
-                e.u64(count);
-                e.f64_bits(mean);
-            }
-            for &a in &s.active {
-                e.flag(a);
-            }
-            for &x in &s.frozen_eps {
-                e.f64_bits(x);
-            }
-            for &n in &s.samples {
-                e.u64(n);
-            }
+            e.count(s.estimates.len());
+            e.column(&s.estimates);
+            e.column(&s.active);
+            e.column(&s.frozen_eps);
+            e.column(&s.samples);
             e.u64(s.m);
             e.flag(s.truncated);
         }
         SavedStepper::Partial(p) => {
-            e.u8(STEPPER_PARTIAL);
-            encode_focus_core(e, &p.core);
-            e.len_u32(p.emitted.len());
-            for &x in &p.emitted {
-                e.flag(x);
-            }
-            e.len_u32(p.pending.len());
+            encode_focus_core(e, STEPPER_PARTIAL, &p.core);
+            e.vec(&p.emitted);
+            e.count(p.pending.len());
             for em in &p.pending {
                 e.u64(em.group as u64);
                 e.str(&em.label);
@@ -758,100 +512,46 @@ fn decode_stepper(d: &mut Dec<'_>) -> Result<SavedStepper, CheckpointError> {
         STEPPER_SUM1 => Ok(SavedStepper::Sum1(decode_focus_core(d)?)),
         STEPPER_IREFINE => {
             let k = d.count(8)?;
-            let mut estimates = Vec::with_capacity(k);
-            for _ in 0..k {
-                estimates.push(d.f64_bits()?);
-            }
-            let mut eps = Vec::with_capacity(k);
-            for _ in 0..k {
-                eps.push(d.f64_bits()?);
-            }
-            let mut deltas = Vec::with_capacity(k);
-            for _ in 0..k {
-                deltas.push(d.f64_bits()?);
-            }
-            let mut active = Vec::with_capacity(k);
-            for _ in 0..k {
-                active.push(d.flag()?);
-            }
-            let mut samples = Vec::with_capacity(k);
-            for _ in 0..k {
-                samples.push(d.u64()?);
-            }
-            let mut cumulative = Vec::with_capacity(k);
-            for _ in 0..k {
-                let count = d.u64()?;
-                cumulative.push((count, d.f64_bits()?));
-            }
             Ok(SavedStepper::IRefine(SavedIRefine {
-                estimates,
-                eps,
-                deltas,
-                active,
-                samples,
-                cumulative,
+                estimates: d.column(k)?,
+                eps: d.column(k)?,
+                deltas: d.column(k)?,
+                active: d.column(k)?,
+                samples: d.column(k)?,
+                cumulative: d.column(k)?,
                 phase: d.u64()?,
                 truncated: d.flag()?,
             }))
         }
         STEPPER_SCAN => {
             let k = d.count(8)?;
-            let mut estimates = Vec::with_capacity(k);
-            for _ in 0..k {
-                estimates.push(d.f64_bits()?);
-            }
-            let mut samples = Vec::with_capacity(k);
-            for _ in 0..k {
-                samples.push(d.u64()?);
-            }
             Ok(SavedStepper::Scan(SavedScan {
-                estimates,
-                samples,
+                estimates: d.column(k)?,
+                samples: d.column(k)?,
                 next_group: d.u64()?,
             }))
         }
         STEPPER_SUM2 => {
             let k = d.count(16)?;
-            let mut estimates = Vec::with_capacity(k);
-            for _ in 0..k {
-                let count = d.u64()?;
-                estimates.push((count, d.f64_bits()?));
-            }
-            let mut active = Vec::with_capacity(k);
-            for _ in 0..k {
-                active.push(d.flag()?);
-            }
-            let mut frozen_eps = Vec::with_capacity(k);
-            for _ in 0..k {
-                frozen_eps.push(d.f64_bits()?);
-            }
-            let mut samples = Vec::with_capacity(k);
-            for _ in 0..k {
-                samples.push(d.u64()?);
-            }
             Ok(SavedStepper::Sum2(SavedSum2 {
-                estimates,
-                active,
-                frozen_eps,
-                samples,
+                estimates: d.column(k)?,
+                active: d.column(k)?,
+                frozen_eps: d.column(k)?,
+                samples: d.column(k)?,
                 m: d.u64()?,
                 truncated: d.flag()?,
             }))
         }
         STEPPER_PARTIAL => {
             let core = decode_focus_core(d)?;
-            let ke = d.count(1)?;
-            let mut emitted = Vec::with_capacity(ke);
-            for _ in 0..ke {
-                emitted.push(d.flag()?);
-            }
+            let emitted = d.vec()?;
             let np = d.count(8)?;
             let mut pending = Vec::with_capacity(np);
             for _ in 0..np {
                 let group = d.u64()?;
                 pending.push(PartialEmission {
                     group: usize::try_from(group)
-                        .map_err(|_| Dec::err(format!("pending group index {group} overflows")))?,
+                        .map_err(|_| bad(format!("pending group index {group} overflows")))?,
                     label: d.str()?,
                     estimate: d.f64_bits()?,
                     round: d.u64()?,
@@ -864,26 +564,7 @@ fn decode_stepper(d: &mut Dec<'_>) -> Result<SavedStepper, CheckpointError> {
                 pending,
             }))
         }
-        other => Err(Dec::err(format!("bad stepper tag {other}"))),
-    }
-}
-
-fn outcome_to_u8(o: Option<StepOutcome>) -> u8 {
-    match o {
-        Some(StepOutcome::Converged) => 1,
-        Some(StepOutcome::BudgetExhausted) => 2,
-        // `Running` is never a terminal outcome; encode it (defensively)
-        // as "no terminal yet".
-        None | Some(StepOutcome::Running) => 0,
-    }
-}
-
-fn outcome_from_u8(v: u8) -> Result<Option<StepOutcome>, CheckpointError> {
-    match v {
-        0 => Ok(None),
-        1 => Ok(Some(StepOutcome::Converged)),
-        2 => Ok(Some(StepOutcome::BudgetExhausted)),
-        other => Err(Dec::err(format!("bad terminal byte {other}"))),
+        other => Err(bad(format!("bad stepper tag {other}"))),
     }
 }
 
@@ -892,39 +573,26 @@ impl SessionCheckpoint {
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut e = Enc::default();
-        e.0.extend_from_slice(&CHECKPOINT_MAGIC);
+        e.bytes(&CHECKPOINT_MAGIC);
         e.u32(CHECKPOINT_VERSION);
         encode_spec(&mut e, &self.spec);
         encode_stepper(&mut e, &self.stepper);
-        e.len_u32(self.samplers.len());
+        e.count(self.samplers.len());
         for (drawn, entries) in &self.samplers {
             e.u64(*drawn);
-            e.len_u32(entries.len());
-            for &(slot, value) in entries {
-                e.u64(slot);
-                e.u64(value);
-            }
+            e.vec(entries);
         }
-        for &w in &self.rng {
-            e.u64(w);
-        }
-        match self.remaining {
-            Some(dur) => {
-                e.flag(true);
-                // u64 nanoseconds cover ~584 years of remaining budget;
-                // clamp rather than panic on absurd durations.
-                e.u64(u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX));
-            }
-            None => e.flag(false),
-        }
-        e.len_u32(self.prev_active.len());
-        for &a in &self.prev_active {
-            e.flag(a);
-        }
-        e.u8(outcome_to_u8(self.terminal));
+        e.column(&self.rng);
+        // u64 nanoseconds cover ~584 years of remaining budget; clamp
+        // rather than panic on absurd durations.
+        let nanos = |dur: Duration| u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX);
+        e.opt(&self.remaining.map(nanos));
+        e.vec(&self.prev_active);
+        // 0 = no terminal yet; `Running` is never terminal and shares it.
+        e.u8(self.terminal.map_or(0, StepOutcome::code));
         e.flag(self.budget_tripped);
         e.flag(self.delivered_terminal);
-        e.0
+        e.into_bytes()
     }
 
     /// Parses a checkpoint from bytes produced by
@@ -936,19 +604,18 @@ impl SessionCheckpoint {
     /// trailing-garbage, or unknown-version payloads — never a panic.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, CheckpointError> {
         if buf.len() > MAX_CHECKPOINT_BYTES {
-            return Err(Dec::err(format!(
+            return Err(bad(format!(
                 "checkpoint of {} bytes exceeds the {MAX_CHECKPOINT_BYTES}-byte cap",
                 buf.len()
             )));
         }
         let mut d = Dec::new(buf);
-        let magic = d.take(4)?;
-        if magic != CHECKPOINT_MAGIC {
-            return Err(Dec::err("bad magic (not a rapidviz checkpoint)"));
+        if d.bytes(4)? != CHECKPOINT_MAGIC {
+            return Err(bad("bad magic (not a rapidviz checkpoint)"));
         }
         let version = d.u32()?;
         if version != CHECKPOINT_VERSION {
-            return Err(Dec::err(format!(
+            return Err(bad(format!(
                 "unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
             )));
         }
@@ -958,40 +625,29 @@ impl SessionCheckpoint {
         let mut samplers = Vec::with_capacity(ns);
         for _ in 0..ns {
             let drawn = d.u64()?;
-            let ne = d.count(16)?;
-            let mut entries = Vec::with_capacity(ne);
-            for _ in 0..ne {
-                let slot = d.u64()?;
-                entries.push((slot, d.u64()?));
-            }
-            samplers.push((drawn, entries));
+            samplers.push((drawn, d.vec()?));
         }
         let rng = [d.u64()?, d.u64()?, d.u64()?, d.u64()?];
-        let remaining = if d.flag()? {
-            Some(Duration::from_nanos(d.u64()?))
-        } else {
-            None
-        };
-        let na = d.count(1)?;
-        let mut prev_active = Vec::with_capacity(na);
-        for _ in 0..na {
-            prev_active.push(d.flag()?);
-        }
-        let terminal = outcome_from_u8(d.u8()?)?;
-        let budget_tripped = d.flag()?;
-        let delivered_terminal = d.flag()?;
-        d.finish()?;
-        Ok(Self {
+        let remaining = d.opt::<u64>()?.map(Duration::from_nanos);
+        let checkpoint = Self {
             spec,
             stepper,
             samplers,
             rng,
             remaining,
-            prev_active,
-            terminal,
-            budget_tripped,
-            delivered_terminal,
-        })
+            prev_active: d.vec()?,
+            terminal: match d.u8()? {
+                0 => None,
+                code => Some(
+                    StepOutcome::from_code(code)
+                        .ok_or_else(|| bad(format!("bad terminal byte {code}")))?,
+                ),
+            },
+            budget_tripped: d.flag()?,
+            delivered_terminal: d.flag()?,
+        };
+        d.finish()?;
+        Ok(checkpoint)
     }
 
     /// Approximate resident bytes of this checkpoint — what a parking
@@ -1035,6 +691,7 @@ impl SessionCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rapidviz_needletail::codec::fnv1a64;
 
     fn rich_spec() -> QuerySpec {
         QuerySpec {
@@ -1163,12 +820,6 @@ mod tests {
         ck.budget_tripped = true;
         ck.delivered_terminal = true;
         ck
-    }
-
-    fn fnv1a64(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
     }
 
     /// `(len, fnv1a64)` of every fixture's serialized form, pinned from the
