@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for the design choices `AlgoConfig` exposes:
 //! κ, sampling mode, reactivation policy, and the heuristic factor —
 //! measured as end-to-end IFOCUS cost on a fixed mixture workload.
 

@@ -2,9 +2,9 @@
 //!
 //! Every function prints the same rows/series the paper's artifact shows.
 //! Absolute wall-clock numbers go through the calibrated
-//! [`DiskModel`] cost model (see DESIGN.md §4 — we do not have the
-//! authors' hardware), so the *shape* — who wins, by what factor, where
-//! curves flatten — is the reproduction target, recorded in EXPERIMENTS.md.
+//! [`DiskModel`] cost model (we do not have the authors' hardware), so
+//! the *shape* — who wins, by what factor, where curves flatten — is the
+//! reproduction target.
 //!
 //! Scale notes: the paper repeats every data point over 100 generated
 //! datasets and sweeps sizes to 10^10 records. Virtual groups make the
@@ -374,7 +374,7 @@ pub fn fig5b(opts: &ExpOptions) {
     // terminates with a sliver of the data unread — and a 0.1-wide gap
     // flips easily. We keep γ = 0.1 and size the groups so exhaustion is
     // reachable (the paper's 10M-row run behaves identically in this
-    // regime; see EXPERIMENTS.md).
+    // regime).
     let gamma = 0.1;
     header(
         "fig5b",
@@ -400,8 +400,8 @@ pub fn fig5b(opts: &ExpOptions) {
             );
             // Materialized groups: correctness is judged against the
             // *realized* population means, and exhaustion genuinely yields
-            // them — the regime this figure probes. (Virtual groups would
-            // fake the exhaustion collapse; see DESIGN.md §4.)
+            // them — the regime this figure probes. (Virtual groups draw
+            // i.i.d. forever, so they would fake the exhaustion collapse.)
             let mut data_rng = StdRng::seed_from_u64(opts.seed + 777 + u64::from(rep));
             let mut groups = spec.materialize(&mut data_rng);
             let truths: Vec<f64> = groups

@@ -2,8 +2,7 @@
 //!
 //! The experiment harness: one function per table/figure of the paper's
 //! evaluation (§5), each printing the same rows/series the paper reports.
-//! See EXPERIMENTS.md for the paper-vs-measured record and
-//! `src/bin/experiments.rs` for the CLI.
+//! See `src/bin/experiments.rs` for the CLI.
 
 pub mod algorithms;
 pub mod experiments;

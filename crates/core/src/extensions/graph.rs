@@ -150,24 +150,6 @@ pub fn is_graph_correct(
     })
 }
 
-impl crate::runner::OrderingAlgorithm for IFocusGraph {
-    type Stepper = crate::runner::OneShotStepper;
-
-    fn name(&self) -> String {
-        "ifocus-graph".to_owned()
-    }
-
-    /// Eager algorithm: the whole run happens inside `start`, and the
-    /// returned one-shot stepper exposes only the final state.
-    fn start<G: crate::group::GroupSource + crate::group::MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn rand::RngCore,
-    ) -> crate::runner::OneShotStepper {
-        crate::runner::OneShotStepper::completed(self.run(groups, rng))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

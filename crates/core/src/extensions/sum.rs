@@ -19,7 +19,7 @@
 use crate::config::AlgoConfig;
 use crate::group::{GroupSource, MaybeSend};
 use crate::result::RunResult;
-use crate::runner::{AlgorithmStepper, OrderingAlgorithm, Snapshot, StepOutcome};
+use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
 use crate::saved::{check_len, RestoreError, SavedStepper, SavedSum2};
 use crate::state::{FixpointScratch, FocusState};
 use rand::RngCore;
@@ -204,26 +204,6 @@ impl AlgorithmStepper for IFocusSum1Stepper {
             *est *= n as f64;
         }
         result
-    }
-}
-
-impl OrderingAlgorithm for IFocusSum1 {
-    type Stepper = IFocusSum1Stepper;
-
-    fn name(&self) -> String {
-        if self.config.resolution.is_some() {
-            "ifocus-sum1r".to_owned()
-        } else {
-            "ifocus-sum1".to_owned()
-        }
-    }
-
-    fn start<G: GroupSource + MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> IFocusSum1Stepper {
-        IFocusSum1::start(self, groups, rng)
     }
 }
 

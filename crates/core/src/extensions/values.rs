@@ -99,24 +99,6 @@ impl IFocusValues {
     }
 }
 
-impl crate::runner::OrderingAlgorithm for IFocusValues {
-    type Stepper = crate::runner::OneShotStepper;
-
-    fn name(&self) -> String {
-        "ifocus-values".to_owned()
-    }
-
-    /// Eager algorithm: the whole run happens inside `start`, and the
-    /// returned one-shot stepper exposes only the final state.
-    fn start<G: crate::group::GroupSource + crate::group::MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn rand::RngCore,
-    ) -> crate::runner::OneShotStepper {
-        crate::runner::OneShotStepper::completed(self.run(groups, rng))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,7 +22,7 @@
 use crate::config::AlgoConfig;
 use crate::group::{GroupSource, MaybeSend};
 use crate::result::RunResult;
-use crate::runner::{AlgorithmStepper, OrderingAlgorithm, Snapshot, StepOutcome};
+use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
 use crate::saved::{RestoreError, SavedStepper};
 use crate::state::FocusState;
 use rand::RngCore;
@@ -180,26 +180,6 @@ impl AlgorithmStepper for IFocusStepper {
 
     fn finish(self) -> RunResult {
         self.state.finish()
-    }
-}
-
-impl OrderingAlgorithm for IFocus {
-    type Stepper = IFocusStepper;
-
-    fn name(&self) -> String {
-        if self.config.resolution.is_some() {
-            "ifocusr".to_owned()
-        } else {
-            "ifocus".to_owned()
-        }
-    }
-
-    fn start<G: GroupSource + MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> IFocusStepper {
-        IFocus::start(self, groups, rng)
     }
 }
 
@@ -597,15 +577,5 @@ mod tests {
                 got: 3
             })
         ));
-    }
-
-    #[test]
-    fn algorithm_name_reflects_resolution() {
-        use crate::runner::OrderingAlgorithm;
-        assert_eq!(IFocus::new(AlgoConfig::new(1.0, 0.05)).name(), "ifocus");
-        assert_eq!(
-            IFocus::new(AlgoConfig::new(1.0, 0.05).with_resolution(0.01)).name(),
-            "ifocusr"
-        );
     }
 }

@@ -36,7 +36,7 @@ use crate::config::AlgoConfig;
 use crate::group::{GroupSource, MaybeSend};
 use crate::history::{History, HistoryPoint};
 use crate::result::RunResult;
-use crate::runner::{AlgorithmStepper, OrderingAlgorithm, Snapshot, StepOutcome};
+use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
 use crate::saved::{check_len, RestoreError, SavedIRefine, SavedStepper};
 use rand::RngCore;
 use rapidviz_stats::{hoeffding_sample_size, Interval, IntervalSet, SamplingMode};
@@ -330,26 +330,6 @@ impl AlgorithmStepper for IRefineStepper {
     }
 }
 
-impl OrderingAlgorithm for IRefine {
-    type Stepper = IRefineStepper;
-
-    fn name(&self) -> String {
-        if self.config.resolution.is_some() {
-            "irefiner".to_owned()
-        } else {
-            "irefine".to_owned()
-        }
-    }
-
-    fn start<G: GroupSource + MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> IRefineStepper {
-        IRefine::start(self, groups, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,15 +418,6 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(68);
         let result = algo.run(&mut groups, &mut rng);
         assert!(!result.truncated);
-    }
-
-    #[test]
-    fn name() {
-        assert_eq!(IRefine::new(AlgoConfig::new(1.0, 0.05)).name(), "irefine");
-        assert_eq!(
-            IRefine::new(AlgoConfig::new(1.0, 0.05).with_resolution(0.1)).name(),
-            "irefiner"
-        );
     }
 
     /// The pre-stepper IREFINE phase loop, verbatim. Guards the acceptance

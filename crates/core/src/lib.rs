@@ -23,8 +23,9 @@
 //! * [`scan::ExactScan`] — exhaustive read; exact answer, zero risk,
 //!   maximal cost.
 //!
-//! All four implement [`runner::OrderingAlgorithm`] over any collection of
-//! [`group::GroupSource`]s, so the experiment harness can swap them freely.
+//! All four run over any collection of [`group::GroupSource`]s through the
+//! same inherent `new` / `start` / `run` shape, their steppers behind the
+//! [`runner::AlgorithmStepper`] trait.
 //!
 //! ## Extensions (§6)
 //!
@@ -81,7 +82,7 @@ pub use ordering::{
 };
 pub use result::RunResult;
 pub use roundrobin::{RoundRobin, RoundRobinStepper};
-pub use runner::{AlgorithmStepper, OneShotStepper, OrderingAlgorithm, Snapshot, StepOutcome};
+pub use runner::{AlgorithmStepper, Snapshot, StepOutcome};
 pub use saved::{
     RestoreError, SavedFocusCore, SavedIRefine, SavedPartial, SavedScan, SavedStepper, SavedSum2,
 };

@@ -14,7 +14,7 @@
 use crate::config::AlgoConfig;
 use crate::group::{GroupSource, MaybeSend};
 use crate::result::RunResult;
-use crate::runner::{AlgorithmStepper, OrderingAlgorithm, Snapshot, StepOutcome};
+use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
 use crate::saved::{RestoreError, SavedStepper};
 use crate::state::FocusState;
 use rand::RngCore;
@@ -161,26 +161,6 @@ impl FocusState {
     }
 }
 
-impl OrderingAlgorithm for RoundRobin {
-    type Stepper = RoundRobinStepper;
-
-    fn name(&self) -> String {
-        if self.config.resolution.is_some() {
-            "roundrobinr".to_owned()
-        } else {
-            "roundrobin".to_owned()
-        }
-    }
-
-    fn start<G: GroupSource + MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> RoundRobinStepper {
-        RoundRobin::start(self, groups, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,18 +252,6 @@ mod tests {
         let result = algo.run(&mut groups, &mut rng);
         assert!(!result.truncated);
         assert_eq!(result.total_samples(), 600, "full scan fallback");
-    }
-
-    #[test]
-    fn name() {
-        assert_eq!(
-            RoundRobin::new(AlgoConfig::new(1.0, 0.05)).name(),
-            "roundrobin"
-        );
-        assert_eq!(
-            RoundRobin::new(AlgoConfig::new(1.0, 0.05).with_resolution(0.1)).name(),
-            "roundrobinr"
-        );
     }
 
     /// The pre-stepper ROUNDROBIN loop, verbatim. Guards the acceptance

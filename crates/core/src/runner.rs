@@ -1,13 +1,11 @@
-//! The common algorithm interface: blocking execution and resumable,
-//! round-granular stepping.
+//! The common stepping interface: resumable, round-granular execution.
 //!
 //! Every algorithm in this crate is round-based: it repeatedly draws a few
 //! samples, tightens confidence intervals, and freezes groups whose position
-//! in the ordering has become certain. [`OrderingAlgorithm`] exposes that
-//! structure directly: [`OrderingAlgorithm::start`] returns an
-//! [`AlgorithmStepper`] — an explicit state machine advanced one round at a
-//! time by [`AlgorithmStepper::step`] — and the blocking
-//! [`OrderingAlgorithm::execute`] is nothing but a thin loop over it.
+//! in the ordering has become certain. Each resumable algorithm's inherent
+//! `start` returns an [`AlgorithmStepper`] — an explicit state machine
+//! advanced one round at a time by [`AlgorithmStepper::step`] — and its
+//! blocking `run` is nothing but a thin loop over it.
 //! Between steps, [`AlgorithmStepper::snapshot`] exposes the current
 //! estimates, confidence intervals, active set, and the progressively
 //! hardening partial ordering, so callers can render partial results,
@@ -190,8 +188,8 @@ pub trait AlgorithmStepper {
     }
 
     /// Captures the stepper's mutable round-loop state for a durable
-    /// session checkpoint, or `None` for steppers that cannot be resumed
-    /// (the eager [`OneShotStepper`]). Derived state — labels, sizes,
+    /// session checkpoint; the provided implementation returns `None`, for
+    /// a stepper that cannot be resumed. Derived state — labels, sizes,
     /// configuration, ε schedules, scratch arenas — is excluded by design:
     /// resume re-plans the query and rebuilds it, then overwrites the
     /// mutable fields via [`AlgorithmStepper::restore`].
@@ -219,120 +217,9 @@ pub trait AlgorithmStepper {
     fn finish(self) -> RunResult;
 }
 
-/// An algorithm that estimates per-group aggregates with an ordering
-/// guarantee. Implemented by [`crate::IFocus`], [`crate::IRefine`],
-/// [`crate::RoundRobin`], [`crate::ExactScan`],
-/// [`crate::extensions::IFocusSum1`], and the §6 extension algorithms, so
-/// harness code can sweep over algorithms generically.
-///
-/// The resumable entry point is [`OrderingAlgorithm::start`]; the blocking
-/// [`OrderingAlgorithm::execute`] is a provided thin loop over the stepper.
-///
-/// The [`MaybeSend`] bound is `Send` only under the `parallel` feature
-/// (enabling the threaded per-round draw fan-out) and is satisfied by every
-/// type otherwise.
-pub trait OrderingAlgorithm {
-    /// The state-machine type driving this algorithm round by round.
-    /// Algorithms whose loops have not (yet) been decomposed use
-    /// [`OneShotStepper`], which runs eagerly inside `start` and exposes
-    /// only the final state.
-    type Stepper: AlgorithmStepper;
-
-    /// Short identifier used in experiment output (`ifocus`, `ifocusr`, …).
-    fn name(&self) -> String;
-
-    /// Begins a resumable run: performs any bootstrap sampling and the
-    /// initial deactivation test, returning the stepper positioned before
-    /// its first full round. Pass the same `groups` and `rng` to every
-    /// subsequent [`AlgorithmStepper::step`] call.
-    fn start<G: GroupSource + MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> Self::Stepper;
-
-    /// Runs the algorithm over the groups to completion — a thin loop over
-    /// [`OrderingAlgorithm::start`] and [`AlgorithmStepper::step`].
-    fn execute<G: GroupSource + MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> RunResult {
-        let mut stepper = self.start(groups, rng);
-        while stepper.step(groups, rng).is_running() {}
-        stepper.finish()
-    }
-}
-
-/// Degenerate [`AlgorithmStepper`] for algorithms that still run eagerly:
-/// the whole run happens inside [`OrderingAlgorithm::start`] and the
-/// stepper is born converged, exposing the final state only (point
-/// intervals, empty active set).
-#[derive(Debug, Clone)]
-pub struct OneShotStepper {
-    result: RunResult,
-}
-
-impl OneShotStepper {
-    /// Wraps an already-computed result.
-    #[must_use]
-    pub fn completed(result: RunResult) -> Self {
-        Self { result }
-    }
-}
-
-impl AlgorithmStepper for OneShotStepper {
-    fn step<G: GroupSource + MaybeSend>(
-        &mut self,
-        _groups: &mut [G],
-        _rng: &mut dyn RngCore,
-    ) -> StepOutcome {
-        if self.result.truncated {
-            StepOutcome::BudgetExhausted
-        } else {
-            StepOutcome::Converged
-        }
-    }
-
-    fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            labels: self.result.labels.clone(),
-            estimates: self.result.estimates.clone(),
-            // Post-hoc the per-group half-widths are gone; report point
-            // intervals at the final estimates.
-            intervals: self
-                .result
-                .estimates
-                .iter()
-                .map(|&e| Interval::centered(e, 0.0))
-                .collect(),
-            active: vec![false; self.result.estimates.len()],
-            samples_per_group: self.result.samples_per_group.clone(),
-            rounds: self.result.rounds,
-            truncated: self.result.truncated,
-        }
-    }
-
-    fn finish(self) -> RunResult {
-        self.result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_result() -> RunResult {
-        RunResult {
-            labels: vec!["a".into(), "b".into(), "c".into()],
-            estimates: vec![30.0, 10.0, 20.0],
-            samples_per_group: vec![5, 7, 9],
-            rounds: 9,
-            trace: None,
-            history: None,
-            truncated: false,
-        }
-    }
 
     #[test]
     fn outcome_is_running() {
@@ -371,20 +258,5 @@ mod tests {
         // Only the certified (inactive) groups appear, sorted by estimate.
         assert_eq!(snap.certified_order(), vec![1, 0]);
         assert_eq!(snap.order_by_estimate(), vec![1, 2, 0]);
-    }
-
-    #[test]
-    fn one_shot_is_born_terminal() {
-        use crate::group::VecGroup;
-        use rand::SeedableRng;
-        let mut stepper = OneShotStepper::completed(sample_result());
-        let mut groups = vec![VecGroup::new("g", vec![1.0])];
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        assert_eq!(stepper.step(&mut groups, &mut rng), StepOutcome::Converged);
-        let snap = stepper.snapshot();
-        assert_eq!(snap.active_count(), 0);
-        assert_eq!(snap.certified_order(), vec![1, 2, 0]);
-        let result = stepper.finish();
-        assert_eq!(result.estimates, vec![30.0, 10.0, 20.0]);
     }
 }

@@ -150,8 +150,8 @@ impl SavedStepper {
 /// this as a structured error instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RestoreError {
-    /// The stepper does not support save/restore (the eager
-    /// [`crate::OneShotStepper`] wrapper).
+    /// The stepper does not support save/restore (it keeps the
+    /// [`crate::AlgorithmStepper`] trait's provided `restore`).
     Unsupported,
     /// The saved kind tag does not match the stepper being restored.
     WrongKind {

@@ -8,7 +8,7 @@
 use crate::config::AlgoConfig;
 use crate::group::GroupSource;
 use crate::result::RunResult;
-use crate::runner::{AlgorithmStepper, OrderingAlgorithm, Snapshot, StepOutcome};
+use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
 use crate::saved::{check_len, RestoreError, SavedScan, SavedStepper};
 use rand::RngCore;
 use rapidviz_stats::{Interval, SamplingMode};
@@ -176,22 +176,6 @@ impl AlgorithmStepper for ScanStepper {
     }
 }
 
-impl OrderingAlgorithm for ExactScan {
-    type Stepper = ScanStepper;
-
-    fn name(&self) -> String {
-        "scan".to_owned()
-    }
-
-    fn start<G: GroupSource + crate::group::MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> ScanStepper {
-        ExactScan::start(self, groups, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,7 +194,6 @@ mod tests {
         assert_eq!(result.estimates, vec![2.0, 15.0]);
         assert_eq!(result.samples_per_group, vec![3, 2]);
         assert_eq!(result.total_samples(), 5);
-        assert_eq!(algo.name(), "scan");
     }
 
     #[test]

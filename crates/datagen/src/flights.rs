@@ -2,8 +2,8 @@
 //!
 //! The paper's real-data experiments use the ASA Data Expo flight records
 //! (120 M rows, 1987–2008, the paper's reference 20) and scale them to 1.2 B / 12 B rows via
-//! probability-density estimation. We do not ship that dataset; instead —
-//! per the substitution rule in DESIGN.md §4 — [`FlightModel`] is a density
+//! probability-density estimation. We do not ship that dataset; instead
+//! [`FlightModel`] substitutes the end product of that estimation, a density
 //! model directly: one distribution per (airline, attribute), with
 //! per-airline means deliberately containing **near-ties** (the "highly
 //! conflicting groups with means very close to one another" the paper

@@ -5,7 +5,7 @@
 //! — Theorem 3.6 — so the experiment harness does not need the records,
 //! only a stream of draws from each group's distribution and the virtual
 //! `n_i` for the without-replacement correction. [`VirtualGroup`] provides
-//! exactly that (substitution documented in DESIGN.md §4): draws are i.i.d.
+//! exactly that, a substitution for the records themselves: draws are i.i.d.
 //! from the distribution, indistinguishable from without-replacement
 //! sampling at these scales (the algorithms never draw more than a
 //! vanishing fraction of a 10^9-element group, and the Serfling factor the

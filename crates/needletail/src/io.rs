@@ -4,11 +4,11 @@
 //! specific server: spinning disks read sequentially at ~800 MB/s through
 //! 1 MB Direct-I/O blocks, a single core performs ~10 M hash-map updates per
 //! second, and the bitmap index retrieves one matching tuple per random
-//! block read. We do not have that hardware, so — per the substitution rule
-//! in DESIGN.md §4 — [`DiskModel`] reproduces those figures as a
-//! *deterministic cost model*: the experiment harness feeds it the exact
-//! operation counts ([`crate::metrics::MetricsSnapshot`]-style) and it
-//! returns I/O and CPU seconds.
+//! block read. We do not have that hardware, so [`DiskModel`] substitutes
+//! for it and reproduces those figures as a *deterministic cost model*: the
+//! experiment harness feeds it the exact operation counts
+//! ([`crate::metrics::MetricsSnapshot`]-style) and it returns I/O and CPU
+//! seconds.
 //!
 //! Because every §5 time series is a monotone function of sample counts and
 //! bytes scanned, the model preserves the *shape* of every figure (who wins,

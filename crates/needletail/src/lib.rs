@@ -42,8 +42,8 @@
 //! * [`scan`] — the `SCAN` baseline: a full sequential pass computing exact
 //!   per-group aggregates via a hash map, as a traditional DBMS would.
 //! * [`io`] — the deterministic I/O + CPU cost model used to regenerate the
-//!   paper's wall-clock figures (a documented substitution for the authors'
-//!   hardware; see DESIGN.md §4).
+//!   paper's wall-clock figures (a substitution for the authors' hardware,
+//!   documented in the module).
 //! * [`metrics`] — sample/block counters every operation feeds.
 //! * [`fault`] — injectable storage-read fault points (deterministic,
 //!   row-keyed), so chaos tests can verify that sessions degrade to
