@@ -13,10 +13,9 @@
 //! trailer: fnv1a-64 checksum of everything before it
 //! ```
 //!
-//! The reader validates magic, version, and checksum, and caps every
-//! length field against the bytes actually present, before constructing
-//! the table, so truncated, corrupted or crafted files fail with a
-//! [`StorageError`] instead of producing silently wrong aggregates.
+//! The reader checks magic, version and checksum, and caps every length
+//! field against the bytes present, before building the table: truncated,
+//! corrupted or crafted files fail with a [`StorageError`].
 
 use crate::codec::{fnv1a64, CodecError, Dec, Enc};
 use crate::schema::{ColumnDef, DataType, Schema};
@@ -195,6 +194,7 @@ pub fn read_table<R: Read>(mut reader: R) -> Result<Table, StorageError> {
         });
     }
     d.finish()?;
+    drop(file); // the columns are decoded; don't hold the bytes through the rebuild
 
     let mut builder = TableBuilder::new(schema);
     for row in 0..rows {

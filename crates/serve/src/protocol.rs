@@ -714,12 +714,11 @@ impl Frame {
                     rounds: d.u64()?,
                 })
             }
-            TAG_ERROR => {
-                let code = ErrorCode::from_u8(d.u8()?)
-                    .ok_or_else(|| DecodeError("bad error code".into()))?;
-                let message = d.str()?;
-                Frame::Error { code, message }
-            }
+            TAG_ERROR => Frame::Error {
+                code: ErrorCode::from_u8(d.u8()?)
+                    .ok_or_else(|| DecodeError("bad error code".into()))?,
+                message: d.str()?,
+            },
             TAG_EVICTED => Frame::Evicted { bytes: d.u64()? },
             TAG_STATS => {
                 let mut next = || d.u64();

@@ -250,9 +250,7 @@ impl From<CodecError> for CheckpointError {
     }
 }
 
-// ---------------------------------------------------------------------
 // The schema, component by component, over `needletail::codec`.
-// ---------------------------------------------------------------------
 
 fn encode_value(e: &mut Enc, v: &Value) {
     match v {
