@@ -123,6 +123,9 @@ fn run_wire_fleet(handle: &ServerHandle) -> FleetRun {
                                     frames += 1;
                                     break;
                                 }
+                                // The resume token every durable session
+                                // is granted ahead of its first round.
+                                Some(rapidviz_serve::Frame::Parked { .. }) => {}
                                 Some(other) => panic!("unexpected frame {other:?}"),
                                 None => panic!("stream closed without terminal answer"),
                             }

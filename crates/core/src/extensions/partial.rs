@@ -10,7 +10,6 @@ use crate::config::AlgoConfig;
 use crate::group::{GroupSource, MaybeSend};
 use crate::result::RunResult;
 use crate::runner::{Snapshot, StepOutcome};
-use crate::saved::{check_len, RestoreError, SavedPartial, SavedStepper};
 use crate::state::FocusState;
 use rand::RngCore;
 
@@ -153,41 +152,6 @@ impl IFocusPartialStepper {
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
         self.state.snapshot()
-    }
-
-    /// Captures the mutable round-loop state — the shared focus core plus
-    /// the emission bookkeeping (including any queued-but-undrained
-    /// emissions, so a checkpoint taken mid-round loses nothing); mirrors
-    /// [`crate::runner::AlgorithmStepper::save`].
-    #[must_use]
-    pub fn save(&self) -> SavedStepper {
-        SavedStepper::Partial(SavedPartial {
-            core: self.state.save_core(),
-            emitted: self.emitted.clone(),
-            pending: self.pending.clone(),
-        })
-    }
-
-    /// Overwrites the mutable state from a checkpoint taken by
-    /// [`Self::save`] on an identically planned run; mirrors
-    /// [`crate::runner::AlgorithmStepper::restore`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a structured [`RestoreError`] (never panics) when the saved
-    /// kind or per-group shape does not match this stepper.
-    pub fn restore(&mut self, saved: &SavedStepper) -> Result<(), RestoreError> {
-        let SavedStepper::Partial(s) = saved else {
-            return Err(RestoreError::WrongKind {
-                expected: "partial",
-                got: saved.kind(),
-            });
-        };
-        check_len(self.state.k(), &s.emitted)?;
-        self.state.restore_core(&s.core)?;
-        self.emitted.copy_from_slice(&s.emitted);
-        self.pending = s.pending.clone();
-        Ok(())
     }
 
     /// Consumes the stepper and packages the final result.

@@ -20,7 +20,6 @@ use crate::config::AlgoConfig;
 use crate::group::{GroupSource, MaybeSend};
 use crate::result::RunResult;
 use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
-use crate::saved::{check_len, RestoreError, SavedStepper, SavedSum2};
 use crate::state::{FixpointScratch, FocusState};
 use rand::RngCore;
 use rapidviz_stats::{EpsilonSchedule, Interval, RunningMean, SamplingMode};
@@ -179,22 +178,6 @@ impl AlgorithmStepper for IFocusSum1Stepper {
 
     fn approx_bytes(&self) -> usize {
         self.state.approx_bytes() + self.sizes.capacity() * std::mem::size_of::<u64>()
-    }
-
-    fn save(&self) -> Option<SavedStepper> {
-        // `sizes` is derived (cloned from the state at start) — only the
-        // shared focus core needs saving.
-        Some(SavedStepper::Sum1(self.state.save_core()))
-    }
-
-    fn restore(&mut self, saved: &SavedStepper) -> Result<(), RestoreError> {
-        match saved {
-            SavedStepper::Sum1(core) => self.state.restore_core(core),
-            other => Err(RestoreError::WrongKind {
-                expected: "sum1",
-                got: other.kind(),
-            }),
-        }
     }
 
     fn finish(self) -> RunResult {
@@ -600,57 +583,6 @@ impl IFocusSum2Stepper {
             + self.samples.capacity() * size_of::<u64>()
             + self.pairs.capacity() * size_of::<(f64, f64)>()
             + self.fix.approx_bytes()
-    }
-
-    /// Captures the mutable round-loop state for a durable session
-    /// checkpoint; mirrors [`AlgorithmStepper::save`]. The ε schedule is
-    /// derived from the configuration (always with-replacement for the
-    /// i.i.d. `x·z` stream) and is rebuilt by `start` on resume.
-    #[must_use]
-    pub fn save(&self) -> SavedStepper {
-        SavedStepper::Sum2(SavedSum2 {
-            estimates: self
-                .estimates
-                .iter()
-                .map(|e| (e.count(), e.mean()))
-                .collect(),
-            active: self.active.clone(),
-            frozen_eps: self.frozen_eps.clone(),
-            samples: self.samples.clone(),
-            m: self.m,
-            truncated: self.truncated,
-        })
-    }
-
-    /// Overwrites the mutable state from a checkpoint taken by
-    /// [`Self::save`] on an identically planned run; mirrors
-    /// [`AlgorithmStepper::restore`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a structured [`RestoreError`] (never panics) when the saved
-    /// kind or per-group shape does not match this stepper.
-    pub fn restore(&mut self, saved: &SavedStepper) -> Result<(), RestoreError> {
-        let SavedStepper::Sum2(s) = saved else {
-            return Err(RestoreError::WrongKind {
-                expected: "sum2",
-                got: saved.kind(),
-            });
-        };
-        let k = self.labels.len();
-        check_len(k, &s.estimates)?;
-        check_len(k, &s.active)?;
-        check_len(k, &s.frozen_eps)?;
-        check_len(k, &s.samples)?;
-        for (est, &(count, mean)) in self.estimates.iter_mut().zip(&s.estimates) {
-            *est = RunningMean::from_parts(count, mean);
-        }
-        self.active.copy_from_slice(&s.active);
-        self.frozen_eps.copy_from_slice(&s.frozen_eps);
-        self.samples.copy_from_slice(&s.samples);
-        self.m = s.m;
-        self.truncated = s.truncated;
-        Ok(())
     }
 
     /// Packages the final result; mirrors [`AlgorithmStepper::finish`].

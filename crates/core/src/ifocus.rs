@@ -23,7 +23,6 @@ use crate::config::AlgoConfig;
 use crate::group::{GroupSource, MaybeSend};
 use crate::result::RunResult;
 use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
-use crate::saved::{RestoreError, SavedStepper};
 use crate::state::FocusState;
 use rand::RngCore;
 
@@ -162,20 +161,6 @@ impl AlgorithmStepper for IFocusStepper {
 
     fn approx_bytes(&self) -> usize {
         self.state.approx_bytes()
-    }
-
-    fn save(&self) -> Option<SavedStepper> {
-        Some(SavedStepper::Focus(self.state.save_core()))
-    }
-
-    fn restore(&mut self, saved: &SavedStepper) -> Result<(), RestoreError> {
-        match saved {
-            SavedStepper::Focus(core) => self.state.restore_core(core),
-            other => Err(RestoreError::WrongKind {
-                expected: "focus",
-                got: other.kind(),
-            }),
-        }
     }
 
     fn finish(self) -> RunResult {
@@ -511,71 +496,5 @@ mod tests {
         );
         assert_eq!(r1.samples_per_group, r2.samples_per_group);
         assert!(is_correctly_ordered(&r1.estimates, &truths));
-    }
-
-    #[test]
-    fn save_restore_resumes_bit_identically() {
-        // With-replacement mode keeps the groups stateless, so stepper
-        // state + RNG words are the complete resumable state. Checkpoint
-        // after a few rounds, rebuild a fresh stepper (whose bootstrap
-        // draws come from a throwaway RNG), restore, and the remaining
-        // rounds must replay bit-identically.
-        let make = || two_point_groups(&[20.0, 45.0, 55.0, 80.0], 30_000, 300);
-        let config = AlgoConfig::new(100.0, 0.05).with_mode(SamplingMode::WithReplacement);
-        let mut g1 = make();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(301);
-        let mut original = IFocus::new(config.clone()).start(&mut g1, &mut rng);
-        for _ in 0..3 {
-            let _ = original.step(&mut g1, &mut rng);
-        }
-        let saved = original.save().expect("ifocus steppers are resumable");
-        let rng_words = rng.state();
-        while original.step(&mut g1, &mut rng).is_running() {}
-        let uninterrupted = original.finish();
-
-        let mut g2 = make();
-        let mut throwaway = rand::rngs::StdRng::seed_from_u64(0);
-        let mut resumed = IFocus::new(config).start(&mut g2, &mut throwaway);
-        resumed.restore(&saved).expect("shape matches");
-        let mut rng2 = rand::rngs::StdRng::from_state(rng_words);
-        while resumed.step(&mut g2, &mut rng2).is_running() {}
-        let replayed = resumed.finish();
-
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&uninterrupted.estimates), bits(&replayed.estimates));
-        assert_eq!(uninterrupted.samples_per_group, replayed.samples_per_group);
-        assert_eq!(uninterrupted.rounds, replayed.rounds);
-        assert_eq!(uninterrupted.truncated, replayed.truncated);
-    }
-
-    #[test]
-    fn restore_rejects_wrong_kind_and_shape() {
-        use crate::saved::{RestoreError, SavedScan, SavedStepper};
-        let mut groups = two_point_groups(&[20.0, 80.0], 1_000, 310);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(311);
-        let mut stepper = IFocus::new(AlgoConfig::new(100.0, 0.05)).start(&mut groups, &mut rng);
-        let wrong_kind = SavedStepper::Scan(SavedScan {
-            estimates: vec![0.0; 2],
-            samples: vec![0; 2],
-            next_group: 0,
-        });
-        assert!(matches!(
-            stepper.restore(&wrong_kind),
-            Err(RestoreError::WrongKind {
-                expected: "focus",
-                ..
-            })
-        ));
-        let mut wrong_shape = stepper.save().unwrap();
-        if let SavedStepper::Focus(core) = &mut wrong_shape {
-            core.active.push(true);
-        }
-        assert!(matches!(
-            stepper.restore(&wrong_shape),
-            Err(RestoreError::LengthMismatch {
-                expected: 2,
-                got: 3
-            })
-        ));
     }
 }

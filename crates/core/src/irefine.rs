@@ -37,7 +37,6 @@ use crate::group::{GroupSource, MaybeSend};
 use crate::history::{History, HistoryPoint};
 use crate::result::RunResult;
 use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
-use crate::saved::{check_len, RestoreError, SavedIRefine, SavedStepper};
 use rand::RngCore;
 use rapidviz_stats::{hoeffding_sample_size, Interval, IntervalSet, SamplingMode};
 
@@ -277,44 +276,6 @@ impl AlgorithmStepper for IRefineStepper {
             + self.samples.capacity() * size_of::<u64>()
             + self.cumulative.capacity() * size_of::<(u64, f64)>()
             + self.batch_buf.capacity() * size_of::<f64>()
-    }
-
-    fn save(&self) -> Option<SavedStepper> {
-        Some(SavedStepper::IRefine(SavedIRefine {
-            estimates: self.estimates.clone(),
-            eps: self.eps.clone(),
-            deltas: self.deltas.clone(),
-            active: self.active.clone(),
-            samples: self.samples.clone(),
-            cumulative: self.cumulative.clone(),
-            phase: self.phase,
-            truncated: self.truncated,
-        }))
-    }
-
-    fn restore(&mut self, saved: &SavedStepper) -> Result<(), RestoreError> {
-        let SavedStepper::IRefine(s) = saved else {
-            return Err(RestoreError::WrongKind {
-                expected: "irefine",
-                got: saved.kind(),
-            });
-        };
-        let k = self.labels.len();
-        check_len(k, &s.estimates)?;
-        check_len(k, &s.eps)?;
-        check_len(k, &s.deltas)?;
-        check_len(k, &s.active)?;
-        check_len(k, &s.samples)?;
-        check_len(k, &s.cumulative)?;
-        self.estimates.copy_from_slice(&s.estimates);
-        self.eps.copy_from_slice(&s.eps);
-        self.deltas.copy_from_slice(&s.deltas);
-        self.active.copy_from_slice(&s.active);
-        self.samples.copy_from_slice(&s.samples);
-        self.cumulative.copy_from_slice(&s.cumulative);
-        self.phase = s.phase;
-        self.truncated = s.truncated;
-        Ok(())
     }
 
     fn finish(self) -> RunResult {

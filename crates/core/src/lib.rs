@@ -64,7 +64,6 @@ mod pool;
 pub mod result;
 pub mod roundrobin;
 pub mod runner;
-pub mod saved;
 pub mod scan;
 mod state;
 pub mod trace;
@@ -83,9 +82,6 @@ pub use ordering::{
 pub use result::RunResult;
 pub use roundrobin::{RoundRobin, RoundRobinStepper};
 pub use runner::{AlgorithmStepper, Snapshot, StepOutcome};
-pub use saved::{
-    RestoreError, SavedFocusCore, SavedIRefine, SavedPartial, SavedScan, SavedStepper, SavedSum2,
-};
 pub use scan::{ExactScan, ScanStepper};
 pub use trace::{Trace, TraceRow};
 

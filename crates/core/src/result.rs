@@ -6,9 +6,7 @@ use crate::trace::Trace;
 
 /// One streamed partial result: a group's estimate frozen at the moment
 /// the algorithm deactivated it (§6.2.2). Produced by
-/// [`crate::extensions::IFocusPartial`] and carried through saved
-/// stepper state, which is why it lives here with the other result
-/// types rather than up in the extensions layer.
+/// [`crate::extensions::IFocusPartial`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartialEmission {
     /// Group index in the input order.

@@ -15,7 +15,6 @@ use crate::config::AlgoConfig;
 use crate::group::{GroupSource, MaybeSend};
 use crate::result::RunResult;
 use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
-use crate::saved::{RestoreError, SavedStepper};
 use crate::state::FocusState;
 use rand::RngCore;
 
@@ -132,20 +131,6 @@ impl AlgorithmStepper for RoundRobinStepper {
 
     fn approx_bytes(&self) -> usize {
         self.state.approx_bytes()
-    }
-
-    fn save(&self) -> Option<SavedStepper> {
-        Some(SavedStepper::RoundRobin(self.state.save_core()))
-    }
-
-    fn restore(&mut self, saved: &SavedStepper) -> Result<(), RestoreError> {
-        match saved {
-            SavedStepper::RoundRobin(core) => self.state.restore_core(core),
-            other => Err(RestoreError::WrongKind {
-                expected: "roundrobin",
-                got: other.kind(),
-            }),
-        }
     }
 
     fn finish(self) -> RunResult {

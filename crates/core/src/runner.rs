@@ -13,7 +13,6 @@
 
 use crate::group::{GroupSource, MaybeSend};
 use crate::result::RunResult;
-use crate::saved::{RestoreError, SavedStepper};
 use rand::RngCore;
 use rapidviz_stats::Interval;
 
@@ -185,31 +184,6 @@ pub trait AlgorithmStepper {
     /// deliberately not counted (resumable sessions never enable it).
     fn approx_bytes(&self) -> usize {
         self.snapshot().approx_bytes()
-    }
-
-    /// Captures the stepper's mutable round-loop state for a durable
-    /// session checkpoint; the provided implementation returns `None`, for
-    /// a stepper that cannot be resumed. Derived state — labels, sizes,
-    /// configuration, ε schedules, scratch arenas — is excluded by design:
-    /// resume re-plans the query and rebuilds it, then overwrites the
-    /// mutable fields via [`AlgorithmStepper::restore`].
-    fn save(&self) -> Option<SavedStepper> {
-        None
-    }
-
-    /// Overwrites this stepper's mutable state from a [`SavedStepper`]
-    /// captured by [`AlgorithmStepper::save`] on an identically planned
-    /// run. The stepper must be freshly started for the same query; with
-    /// the sampler permutations and RNG also restored, subsequent `step`
-    /// calls replay the uninterrupted round stream bit-identically.
-    ///
-    /// # Errors
-    ///
-    /// Returns a structured [`RestoreError`] (never panics) when the saved
-    /// kind or per-group shape does not match this stepper.
-    fn restore(&mut self, saved: &SavedStepper) -> Result<(), RestoreError> {
-        let _ = saved;
-        Err(RestoreError::Unsupported)
     }
 
     /// Consumes the stepper and packages the final (or best-effort, if

@@ -9,7 +9,6 @@ use crate::config::AlgoConfig;
 use crate::group::GroupSource;
 use crate::result::RunResult;
 use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
-use crate::saved::{check_len, RestoreError, SavedScan, SavedStepper};
 use rand::RngCore;
 use rapidviz_stats::{Interval, SamplingMode};
 
@@ -134,32 +133,6 @@ impl AlgorithmStepper for ScanStepper {
             rounds: self.samples.iter().copied().max().unwrap_or(0),
             truncated: false,
         }
-    }
-
-    fn save(&self) -> Option<SavedStepper> {
-        Some(SavedStepper::Scan(SavedScan {
-            estimates: self.estimates.clone(),
-            samples: self.samples.clone(),
-            next_group: self.next_group as u64,
-        }))
-    }
-
-    fn restore(&mut self, saved: &SavedStepper) -> Result<(), RestoreError> {
-        let SavedStepper::Scan(s) = saved else {
-            return Err(RestoreError::WrongKind {
-                expected: "scan",
-                got: saved.kind(),
-            });
-        };
-        let k = self.labels.len();
-        check_len(k, &s.estimates)?;
-        check_len(k, &s.samples)?;
-        self.estimates.copy_from_slice(&s.estimates);
-        self.samples.copy_from_slice(&s.samples);
-        // A corrupt cursor past the group count means "all groups read";
-        // clamping keeps step() a terminal no-op instead of panicking.
-        self.next_group = usize::try_from(s.next_group).unwrap_or(k).min(k);
-        Ok(())
     }
 
     fn finish(self) -> RunResult {

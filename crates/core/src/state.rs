@@ -11,7 +11,6 @@ use crate::group::GroupSource;
 use crate::history::{History, HistoryPoint};
 use crate::result::RunResult;
 use crate::runner::Snapshot;
-use crate::saved::{check_len, RestoreError, SavedFocusCore};
 use crate::trace::{Trace, TraceRow};
 use rand::RngCore;
 use rapidviz_stats::{EpsilonSchedule, Interval, IntervalSetScratch, RunningMean};
@@ -510,48 +509,6 @@ impl FocusState {
             rounds: self.m,
             truncated: self.truncated,
         }
-    }
-
-    /// Captures the mutable round-loop state for a session checkpoint.
-    /// Derived state (labels, sizes, config, ε schedule) and scratch
-    /// arenas are excluded — resume re-derives them by re-planning.
-    pub(crate) fn save_core(&self) -> SavedFocusCore {
-        SavedFocusCore {
-            estimates: self
-                .estimates
-                .iter()
-                .map(|e| (e.count(), e.mean()))
-                .collect(),
-            active: self.active.clone(),
-            exhausted: self.exhausted.clone(),
-            frozen_eps: self.frozen_eps.clone(),
-            samples: self.samples.clone(),
-            m: self.m,
-            truncated: self.truncated,
-        }
-    }
-
-    /// Overwrites the mutable round-loop state from a checkpoint taken by
-    /// [`Self::save_core`]. The state must have been freshly initialized
-    /// for the *same* query (same group count); shape mismatches return a
-    /// structured error and leave the state untouched.
-    pub(crate) fn restore_core(&mut self, saved: &SavedFocusCore) -> Result<(), RestoreError> {
-        let k = self.k();
-        check_len(k, &saved.estimates)?;
-        check_len(k, &saved.active)?;
-        check_len(k, &saved.exhausted)?;
-        check_len(k, &saved.frozen_eps)?;
-        check_len(k, &saved.samples)?;
-        for (est, &(count, mean)) in self.estimates.iter_mut().zip(&saved.estimates) {
-            *est = RunningMean::from_parts(count, mean);
-        }
-        self.active.copy_from_slice(&saved.active);
-        self.exhausted.copy_from_slice(&saved.exhausted);
-        self.frozen_eps.copy_from_slice(&saved.frozen_eps);
-        self.samples.copy_from_slice(&saved.samples);
-        self.m = saved.m;
-        self.truncated = saved.truncated;
-        Ok(())
     }
 
     /// Packages the final result.

@@ -928,20 +928,6 @@ impl GroupHandle {
         self.sampler.reset();
     }
 
-    /// Captures the handle's without-replacement permutation state (see
-    /// [`BitmapSampler::permutation_state`]) — the session-checkpoint hook.
-    #[must_use]
-    pub fn permutation_state(&self) -> (u64, Vec<(u64, u64)>) {
-        self.sampler.permutation_state()
-    }
-
-    /// Restores permutation state captured by
-    /// [`Self::permutation_state`], typically on a freshly planned handle
-    /// during session resume.
-    pub fn restore_permutation(&mut self, drawn: u64, entries: &[(u64, u64)]) {
-        self.sampler.restore_permutation(drawn, entries);
-    }
-
     /// Exact group mean (reads every member; test/verification aid).
     #[must_use]
     pub fn exact_mean(&self) -> Option<f64> {

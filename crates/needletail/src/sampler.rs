@@ -361,34 +361,16 @@ impl BitmapSampler {
 
     /// Captures the without-replacement permutation state: the number of
     /// draws made so far plus every virtual Fisher–Yates swap entry,
-    /// **sorted by logical slot** so the bytes a checkpoint derives from
-    /// this are independent of the swap table's internal layout.
-    ///
-    /// Together with [`Self::restore_permutation`] this makes a sampler
-    /// resumable: a restored sampler continues the exact row stream the
-    /// saved one would have produced (given the same RNG stream). The
-    /// with-replacement path is stateless and needs no capture.
+    /// **sorted by logical slot** so the result is independent of the swap
+    /// table's internal layout. A read-only view of how much state the
+    /// sampler carries (the stack benchmark reports swap-map occupancy
+    /// through it); the with-replacement path is stateless.
     #[must_use]
     pub fn permutation_state(&self) -> (u64, Vec<(u64, u64)>) {
         let mut entries = Vec::with_capacity(self.swaps.len());
         self.swaps.for_each_entry(|k, v| entries.push((k, v)));
         entries.sort_unstable();
         (self.drawn, entries)
-    }
-
-    /// Restores the permutation captured by [`Self::permutation_state`].
-    /// Only `get`/`insert`/`remove` semantics matter to future draws, so
-    /// rebuilding the swap table by insertion (whatever its resulting
-    /// layout) reproduces the saved sampler's row stream exactly. A
-    /// `drawn` beyond the eligible count (corrupt input) is clamped rather
-    /// than trusted.
-    pub fn restore_permutation(&mut self, drawn: u64, entries: &[(u64, u64)]) {
-        self.swaps.clear();
-        self.swaps.reserve(entries.len());
-        for &(k, v) in entries {
-            self.swaps.insert(k, v);
-        }
-        self.drawn = drawn.min(self.eligible);
     }
 
     fn logical(&self, slot: u64) -> u64 {
@@ -710,30 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn permutation_state_roundtrip_continues_the_stream() {
-        let positions: Vec<u64> = (0..200).map(|i| i * 3 + 1).collect();
-        let mut original = BitmapSampler::new(bitmap(&positions, 700));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-        for _ in 0..60 {
-            let _ = original.sample_without_replacement(&mut rng);
-        }
-        let (drawn, entries) = original.permutation_state();
-        assert_eq!(drawn, 60);
-        // Restore into a *fresh* sampler over the same rows and continue
-        // with a clone of the RNG: streams must match draw for draw.
-        let mut restored = BitmapSampler::new(bitmap(&positions, 700));
-        restored.restore_permutation(drawn, &entries);
-        let mut rng2 = rng.clone();
-        for _ in 0..140 {
-            assert_eq!(
-                original.sample_without_replacement(&mut rng),
-                restored.sample_without_replacement(&mut rng2),
-            );
-        }
-        assert_eq!(original.sample_without_replacement(&mut rng), None);
-    }
-
-    #[test]
     fn permutation_state_entries_are_sorted() {
         let positions: Vec<u64> = (0..500).collect();
         let mut s = BitmapSampler::new(bitmap(&positions, 500));
@@ -743,13 +701,6 @@ mod tests {
         }
         let (_, entries) = s.permutation_state();
         assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn restore_permutation_clamps_corrupt_drawn() {
-        let mut s = BitmapSampler::new(bitmap(&[1, 2, 3], 8));
-        s.restore_permutation(u64::MAX, &[]);
-        assert_eq!(s.remaining(), 0);
     }
 
     #[test]

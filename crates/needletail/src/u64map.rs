@@ -206,9 +206,8 @@ impl<T: SlotWord> RawMap<T> {
         Some(removed.to_u64())
     }
 
-    /// Visits every live `(key, value)` entry in unspecified (slot) order.
-    /// Checkpoint serialization sorts the collected pairs by key, so table
-    /// layout never leaks into encoded bytes.
+    /// Visits every live `(key, value)` entry in unspecified (slot) order;
+    /// callers that need a layout-independent view sort by key.
     pub fn for_each_entry(&self, mut f: impl FnMut(u64, u64)) {
         for &(k, v) in &self.entries {
             if k != T::EMPTY {

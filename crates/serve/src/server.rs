@@ -565,7 +565,7 @@ fn scheduler_loop(
             SchedulerEvent::Round { id, update } => {
                 let terminal = update.outcome != StepOutcome::Running;
                 if let Some(link) = links.get(&id) {
-                    send_round(&link.tx, &Frame::from_update(&update).encode(), stats);
+                    send_round(&link.tx, Frame::from_update(&update).encode(), stats);
                     if !terminal && link.token != 0 {
                         // Durability refresh: keep the registry holding
                         // this session's latest resumable state, so even
@@ -844,8 +844,8 @@ fn deliver_answer(
 
 /// Sends an intermediate round frame without ever blocking the scheduler:
 /// a full queue drops the frame (the next snapshot supersedes it).
-fn send_round(tx: &SyncSender<Vec<u8>>, payload: &[u8], stats: &ServerStats) {
-    match tx.try_send(payload.to_vec()) {
+fn send_round(tx: &SyncSender<Vec<u8>>, payload: Vec<u8>, stats: &ServerStats) {
+    match tx.try_send(payload) {
         Ok(()) => {}
         Err(TrySendError::Full(_)) => {
             stats.frames_dropped_slow.fetch_add(1, Ordering::Relaxed);
@@ -1122,6 +1122,20 @@ mod tests {
         let registry = Arc::new(Mutex::new(ParkingRegistry::new(config.park_ttl)));
         let stats = Arc::new(ServerStats::default());
         let (cmd_tx, cmd_rx) = mpsc::channel::<Command>();
+        // Order-determined, not timing-dependent: the admission and the
+        // shutdown are both queued before the supervisor exists, so the
+        // loop drains them back to back, ahead of its first `poll()`, and
+        // the session is live and unfinished when the drain lands however
+        // fast a round is.
+        let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(4_096);
+        cmd_tx
+            .send(Command::Admit {
+                client: 1,
+                request: Box::new(QueryRequest::avg("name", "arr_delay", 1)),
+                tx,
+            })
+            .expect("admit queued");
+        cmd_tx.send(Command::Shutdown).expect("shutdown queued");
         let thread = {
             let stats = Arc::clone(&stats);
             let config = config.clone();
@@ -1132,29 +1146,11 @@ mod tests {
                 .spawn(move || supervisor_loop(&engine, &config, &cmd_rx, &stats, &registry))
                 .expect("scheduler thread spawns")
         };
-        // A session far too long to complete before the drain lands (one
-        // sample per round makes every step pay full snapshot overhead,
-        // and the inflated bound keeps it from certifying early).
-        let mut req = QueryRequest::avg("name", "arr_delay", 1);
-        req.max_samples = Some(200_000);
-        req.samples_per_round = Some(1);
-        req.bound = Some(5_000.0);
-        let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(4_096);
-        cmd_tx
-            .send(Command::Admit {
-                client: 1,
-                request: Box::new(req),
-                tx,
-            })
-            .expect("admit sent");
-        // The token announcement proves the session is live and durable.
-        let first = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("token frame arrives");
-        assert_eq!(first.first().copied(), Some(0x06), "Parked frame first");
-
         drain_scheduler(&cmd_tx, thread);
 
+        // The token announcement proves the session was live and durable.
+        let first = rx.try_recv().expect("token frame was sent");
+        assert_eq!(first.first().copied(), Some(0x06), "Parked frame first");
         assert_eq!(
             stats.sessions_parked.load(Ordering::Relaxed),
             1,

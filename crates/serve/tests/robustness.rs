@@ -88,6 +88,24 @@ fn malformed_request_lines_get_structured_errors() {
 }
 
 #[test]
+fn count_with_a_filter_is_rejected_not_answered_unfiltered() {
+    let handle = start_server(ServerConfig::default());
+    let mut client = connect(&handle);
+    client
+        .send_line("QUERY group=name agg=count measure=elapsed seed=1 filter=eq:name:AA")
+        .expect("line sent");
+    match client.next_frame().expect("server answers") {
+        Some(Frame::Error { code, message }) => {
+            assert_eq!(code, ErrorCode::InvalidQuery);
+            assert!(message.contains(".filter()"), "{message}");
+        }
+        other => panic!("expected an InvalidQuery error frame, got {other:?}"),
+    }
+    assert_eq!(handle.stats().sessions_admitted.load(Ordering::Relaxed), 0);
+    handle.shutdown();
+}
+
+#[test]
 fn request_split_at_every_byte_boundary_still_parses() {
     let handle = start_server(ServerConfig::default());
     let mut req = QueryRequest::avg("name", "elapsed", 9);

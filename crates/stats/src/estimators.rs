@@ -21,16 +21,6 @@ impl RunningMean {
         Self::default()
     }
 
-    /// Rebuilds an estimator from previously captured
-    /// ([`count`](RunningMean::count), [`mean`](RunningMean::mean)) parts —
-    /// the checkpoint/restore hook. The restored estimator is bit-identical
-    /// to the one the parts were read from, so subsequent pushes continue
-    /// the exact same float stream.
-    #[must_use]
-    pub fn from_parts(count: u64, mean: f64) -> Self {
-        Self { count, mean }
-    }
-
     /// Incorporates one observation.
     pub fn push(&mut self, x: f64) {
         self.count += 1;
@@ -279,19 +269,6 @@ mod tests {
         let mut batched = RunningMean::new();
         batched.push_products(&pairs);
         assert_eq!(batched, singles);
-    }
-
-    #[test]
-    fn running_mean_from_parts_roundtrips_bit_exact() {
-        let mut rm = RunningMean::new();
-        for x in [3.5, -2.0, 17.25, 0.1] {
-            rm.push(x);
-        }
-        let mut restored = RunningMean::from_parts(rm.count(), rm.mean());
-        assert_eq!(restored, rm);
-        restored.push(9.75);
-        rm.push(9.75);
-        assert_eq!(restored.mean().to_bits(), rm.mean().to_bits());
     }
 
     #[test]

@@ -42,21 +42,6 @@ impl NeedletailGroup {
     pub fn handle(&self) -> &GroupHandle {
         &self.handle
     }
-
-    /// Captures the handle's without-replacement permutation state — the
-    /// session-checkpoint hook (see
-    /// [`GroupHandle::permutation_state`]).
-    #[must_use]
-    pub fn permutation_state(&self) -> (u64, Vec<(u64, u64)>) {
-        self.handle.permutation_state()
-    }
-
-    /// Restores permutation state captured by
-    /// [`Self::permutation_state`] onto a freshly planned handle during
-    /// session resume.
-    pub fn restore_permutation(&mut self, drawn: u64, entries: &[(u64, u64)]) {
-        self.handle.restore_permutation(drawn, entries);
-    }
 }
 
 impl GroupSource for NeedletailGroup {

@@ -1,30 +1,43 @@
 //! Durable session checkpoints: the on-disk / in-registry serialization of
 //! a paused [`QuerySession`](crate::QuerySession).
 //!
-//! A [`SessionCheckpoint`] captures **everything a resumed session needs to
-//! replay the remaining round stream bit-identically** — and deliberately
-//! nothing else:
+//! A [`SessionCheckpoint`] is a **replay recipe**, not a state dump. A
+//! fixed seed reproduces a session's sample stream `to_bits`-exactly, so
+//! everything a resumed session needs to continue the round stream
+//! bit-identically is:
 //!
 //! * the **query spec** ([`QuerySpec`]): group-by columns, measure,
 //!   aggregate, algorithm, predicate, `δ`, resolution, bound override, and
 //!   budgets — enough to re-plan the query against the engine from scratch;
-//! * the algorithm stepper's mutable state
-//!   ([`SavedStepper`]): estimators, activity
-//!   flags, ε bookkeeping, round counters;
-//! * per-group **sampler permutation state** (the virtual Fisher–Yates
-//!   `(drawn, swaps)` records) for without-replacement sessions;
-//! * the session RNG's xoshiro256** state words;
+//! * the session RNG's xoshiro256** state words **as they were before
+//!   planning drew the bootstrap samples**;
+//! * the number of algorithm **steps** taken since;
 //! * budget bookkeeping: the **remaining** time-to-deadline (re-anchored at
 //!   the resuming clock's `now()`, so wall time spent parked does not count
-//!   against the query), the previously delivered active set, and the
-//!   terminal outcome if one was already reached.
+//!   against the query) and the terminal outcome if one was already reached;
+//! * a **replay checksum** — the group count and the total samples drawn —
+//!   that the replayed session must land on, or the resume is refused.
 //!
-//! **Excluded by design:** the engine's planning caches (predicate bitmaps,
-//! group plans, composite indexes). Resume re-plans through the normal
-//! path, so a checkpoint taken on one server restores correctly on a
-//! restarted server with cold caches — only planning latency differs, never
-//! results. Derived algorithm state (labels, group sizes, ε schedules,
-//! scratch arenas) is likewise rebuilt by re-planning rather than stored.
+//! [`QuerySession::resume_with_clock`](crate::QuerySession::resume_with_clock)
+//! re-plans the spec, reseeds the RNG, replays the bootstrap and `steps`
+//! rounds, and checks the checksum. A checkpoint is therefore the same few
+//! hundred bytes after round 1 and after round 10 000, and capturing one
+//! costs a spec clone; the trade is that a resume costs the session's own
+//! sampling up to the pause (never more than the embedded query itself,
+//! and bounded by the spec's `max_samples` when set) instead of a state
+//! copy. Replayed draws are real retrievals and are charged to the engine's
+//! metrics as such.
+//!
+//! **Excluded by design:** every piece of algorithm and sampler state
+//! (estimators, activity flags, ε bookkeeping, Fisher–Yates permutations —
+//! all reproduced by the replay) and the engine's planning caches
+//! (predicate bitmaps, group plans, composite indexes). Resume re-plans
+//! through the normal path, so a checkpoint taken on one server restores
+//! correctly on a restarted server with cold caches — only latency
+//! differs, never results. The checksum detects a *differently shaped or
+//! sized* replay; it is not a table-identity stamp, and a resume against
+//! different data that happens to draw the same number of samples is not
+//! detected.
 //!
 //! # Binary format
 //!
@@ -34,14 +47,13 @@
 //!
 //! ```text
 //! magic    "RVCK"                                  4 bytes
-//! version  u32 (currently 1)
+//! version  u32 (currently 2)
 //! spec     group_by, measure, aggregate u8, algorithm u8,
 //!          predicate (tagged recursive), delta, resolution?, bound?,
 //!          samples_per_round?, max_samples?
-//! stepper  kind tag u8 + per-kind payload (see `SavedStepper`)
-//! samplers vec of (drawn u64, vec of (slot u64, value u64))
-//! rng      4 × u64 xoshiro256** state words
-//! budgets  remaining-deadline nanos?, prev_active flags,
+//! rng      4 × u64 xoshiro256** state words (pre-planning)
+//! replay   steps u64, groups u64, total_samples u64
+//! budgets  remaining-deadline nanos?,
 //!          terminal u8 (0 none / 1 converged / 2 budget),
 //!          budget_tripped u8, delivered_terminal u8
 //! ```
@@ -50,20 +62,19 @@
 //! ([`MAX_CHECKPOINT_BYTES`]) and the predicate nesting depth, and
 //! range-checks the numeric spec fields (`δ ∈ (0, 1)`, positive bounds,
 //! non-zero batch sizes) so a corrupt checkpoint is rejected here rather
-//! than tripping an assertion deep in planning.
+//! than tripping an assertion deep in planning. Hostile bytes that decode
+//! can only name a recipe; it either replays consistently or is refused
+//! with [`CheckpointError::Mismatch`].
 //!
 //! # Versioning
 //!
 //! The version integer gates the whole payload: decoders reject any version
-//! they do not know ([`CheckpointError::Decode`]), and any layout change —
-//! even additive — bumps it. Checkpoints are short-lived (they live in the
+//! they do not know ([`CheckpointError::Decode`]) — including version 1,
+//! the state dump this recipe replaced — and any layout change, even
+//! additive, bumps it. Checkpoints are short-lived (they live in the
 //! serving layer's parking registry under a TTL), so no cross-version
 //! migration is attempted.
 
-use rapidviz_core::extensions::PartialEmission;
-use rapidviz_core::saved::{
-    RestoreError, SavedFocusCore, SavedIRefine, SavedPartial, SavedScan, SavedStepper, SavedSum2,
-};
 use rapidviz_core::StepOutcome;
 use rapidviz_needletail::codec::{CodecError, Dec, Enc};
 use rapidviz_needletail::{EngineError, Predicate, Value};
@@ -72,14 +83,14 @@ use std::time::Duration;
 /// First four bytes of every serialized checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"RVCK";
 
-/// Current (and only) serialization version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Current (and only accepted) serialization version.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Upper bound accepted by [`SessionCheckpoint::from_bytes`]. Generously
-/// above any real session (the dominant term is one `(u64, u64)` pair per
-/// without-replacement draw still held in the permutation map), while
-/// keeping a corrupt length from asking the server to buffer gigabytes.
-pub const MAX_CHECKPOINT_BYTES: usize = 64 * 1024 * 1024;
+/// above any real recipe (the only unbounded term is the predicate's
+/// `IN` lists), while keeping a corrupt length from asking the server to
+/// buffer gigabytes.
+pub const MAX_CHECKPOINT_BYTES: usize = 1024 * 1024;
 
 /// Deepest predicate tree a checkpoint will decode — matches any sane
 /// query and keeps a crafted payload from recursing the decoder off the
@@ -149,27 +160,27 @@ pub struct QuerySpec {
     pub max_samples: Option<u64>,
 }
 
-/// A paused session, ready to serialize. See the [module docs](self) for
-/// what is captured and what is deliberately rebuilt on resume.
+/// A paused session, ready to serialize: the recipe that replays it. See
+/// the [module docs](self) for what is captured and what the replay
+/// reproduces instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionCheckpoint {
     /// The query, re-planned verbatim on resume.
     pub spec: QuerySpec,
-    /// The algorithm stepper's mutable state.
-    pub stepper: SavedStepper,
-    /// Per-group `(drawn, permutation swaps)` records, in group order —
-    /// empty for with-replacement sessions (`COUNT`), whose samplers are
-    /// stateless.
-    pub samplers: Vec<(u64, Vec<(u64, u64)>)>,
-    /// xoshiro256** state words of the session RNG.
+    /// xoshiro256** state words of the session RNG as handed to
+    /// [`crate::VizQuery::start`], before planning drew from it.
     pub rng: [u64; 4],
+    /// Algorithm rounds taken since the bootstrap (rounds a session budget
+    /// pre-empted are not counted: they never reached the algorithm).
+    pub steps: u64,
+    /// Replay checksum: the planned query's group count.
+    pub groups: u64,
+    /// Replay checksum: total samples drawn after `steps` rounds.
+    pub total_samples: u64,
     /// Time left until the session's deadline when the checkpoint was
     /// taken; `None` when no wall-clock budget was configured. Resume
     /// re-anchors this at the new clock's `now()`.
     pub remaining: Option<Duration>,
-    /// Active flags after the last delivered update (drives
-    /// `newly_certified` on the first resumed round).
-    pub prev_active: Vec<bool>,
     /// Terminal outcome, if the session already finished.
     pub terminal: Option<StepOutcome>,
     /// Whether that terminal outcome came from a session budget.
@@ -185,21 +196,17 @@ pub enum CheckpointError {
     /// The session's RNG is not the checkpointable [`rand::rngs::StdRng`]
     /// (sessions started with a custom RNG run fine but cannot park).
     OpaqueRng,
-    /// The session cannot checkpoint for a structural reason (e.g. it was
-    /// not created through [`crate::VizQuery::start`]).
-    Unsupported(&'static str),
     /// The byte payload is truncated, corrupt, oversized, or of an unknown
     /// version.
     Decode(String),
     /// Re-planning the embedded query failed on resume (schema drift: a
     /// column the original query used no longer exists, say).
     Engine(EngineError),
-    /// The stepper state does not fit the re-planned query (group count
-    /// drift between checkpoint and resume).
-    Restore(RestoreError),
-    /// The checkpoint disagrees with the re-planned session's shape in a
-    /// way the stepper restore alone cannot see (sampler record counts,
-    /// active-flag length).
+    /// The recipe does not replay on this engine: the re-planned query
+    /// has a different group count, the run ends before `steps` rounds,
+    /// or the replay lands on a different sample count or outcome than
+    /// recorded (data drift between checkpoint and resume, or a corrupt
+    /// recipe).
     Mismatch(String),
 }
 
@@ -209,11 +216,9 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::OpaqueRng => {
                 write!(f, "session RNG is not the checkpointable StdRng")
             }
-            CheckpointError::Unsupported(what) => write!(f, "cannot checkpoint: {what}"),
             CheckpointError::Decode(msg) => write!(f, "checkpoint decode error: {msg}"),
             CheckpointError::Engine(e) => write!(f, "resume re-planning failed: {e}"),
-            CheckpointError::Restore(e) => write!(f, "resume state restore failed: {e}"),
-            CheckpointError::Mismatch(msg) => write!(f, "checkpoint/session mismatch: {msg}"),
+            CheckpointError::Mismatch(msg) => write!(f, "checkpoint does not replay: {msg}"),
         }
     }
 }
@@ -222,7 +227,6 @@ impl std::error::Error for CheckpointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CheckpointError::Engine(e) => Some(e),
-            CheckpointError::Restore(e) => Some(e),
             _ => None,
         }
     }
@@ -231,12 +235,6 @@ impl std::error::Error for CheckpointError {
 impl From<EngineError> for CheckpointError {
     fn from(e: EngineError) -> Self {
         CheckpointError::Engine(e)
-    }
-}
-
-impl From<RestoreError> for CheckpointError {
-    fn from(e: RestoreError) -> Self {
-        CheckpointError::Restore(e)
     }
 }
 
@@ -418,154 +416,6 @@ fn decode_spec(d: &mut Dec<'_>) -> Result<QuerySpec, CheckpointError> {
     Ok(spec)
 }
 
-// Every stepper payload opens with one group count `k`, shared by the
-// per-group columns that follow it.
-
-fn encode_focus_core(e: &mut Enc, tag: u8, c: &SavedFocusCore) {
-    e.u8(tag);
-    e.count(c.estimates.len());
-    e.column(&c.estimates);
-    e.column(&c.active);
-    e.column(&c.exhausted);
-    e.column(&c.frozen_eps);
-    e.column(&c.samples);
-    e.u64(c.m);
-    e.flag(c.truncated);
-}
-
-fn decode_focus_core(d: &mut Dec<'_>) -> Result<SavedFocusCore, CheckpointError> {
-    let k = d.count(16)?;
-    Ok(SavedFocusCore {
-        estimates: d.column(k)?,
-        active: d.column(k)?,
-        exhausted: d.column(k)?,
-        frozen_eps: d.column(k)?,
-        samples: d.column(k)?,
-        m: d.u64()?,
-        truncated: d.flag()?,
-    })
-}
-
-const STEPPER_FOCUS: u8 = 0;
-const STEPPER_ROUNDROBIN: u8 = 1;
-const STEPPER_SUM1: u8 = 2;
-const STEPPER_IREFINE: u8 = 3;
-const STEPPER_SCAN: u8 = 4;
-const STEPPER_SUM2: u8 = 5;
-const STEPPER_PARTIAL: u8 = 6;
-
-fn encode_stepper(e: &mut Enc, s: &SavedStepper) {
-    match s {
-        SavedStepper::Focus(c) => encode_focus_core(e, STEPPER_FOCUS, c),
-        SavedStepper::RoundRobin(c) => encode_focus_core(e, STEPPER_ROUNDROBIN, c),
-        SavedStepper::Sum1(c) => encode_focus_core(e, STEPPER_SUM1, c),
-        SavedStepper::IRefine(s) => {
-            e.u8(STEPPER_IREFINE);
-            e.count(s.estimates.len());
-            e.column(&s.estimates);
-            e.column(&s.eps);
-            e.column(&s.deltas);
-            e.column(&s.active);
-            e.column(&s.samples);
-            e.column(&s.cumulative);
-            e.u64(s.phase);
-            e.flag(s.truncated);
-        }
-        SavedStepper::Scan(s) => {
-            e.u8(STEPPER_SCAN);
-            e.count(s.estimates.len());
-            e.column(&s.estimates);
-            e.column(&s.samples);
-            e.u64(s.next_group);
-        }
-        SavedStepper::Sum2(s) => {
-            e.u8(STEPPER_SUM2);
-            e.count(s.estimates.len());
-            e.column(&s.estimates);
-            e.column(&s.active);
-            e.column(&s.frozen_eps);
-            e.column(&s.samples);
-            e.u64(s.m);
-            e.flag(s.truncated);
-        }
-        SavedStepper::Partial(p) => {
-            encode_focus_core(e, STEPPER_PARTIAL, &p.core);
-            e.vec(&p.emitted);
-            e.count(p.pending.len());
-            for em in &p.pending {
-                e.u64(em.group as u64);
-                e.str(&em.label);
-                e.f64_bits(em.estimate);
-                e.u64(em.round);
-                e.u64(em.total_samples_so_far);
-            }
-        }
-    }
-}
-
-fn decode_stepper(d: &mut Dec<'_>) -> Result<SavedStepper, CheckpointError> {
-    match d.u8()? {
-        STEPPER_FOCUS => Ok(SavedStepper::Focus(decode_focus_core(d)?)),
-        STEPPER_ROUNDROBIN => Ok(SavedStepper::RoundRobin(decode_focus_core(d)?)),
-        STEPPER_SUM1 => Ok(SavedStepper::Sum1(decode_focus_core(d)?)),
-        STEPPER_IREFINE => {
-            let k = d.count(8)?;
-            Ok(SavedStepper::IRefine(SavedIRefine {
-                estimates: d.column(k)?,
-                eps: d.column(k)?,
-                deltas: d.column(k)?,
-                active: d.column(k)?,
-                samples: d.column(k)?,
-                cumulative: d.column(k)?,
-                phase: d.u64()?,
-                truncated: d.flag()?,
-            }))
-        }
-        STEPPER_SCAN => {
-            let k = d.count(8)?;
-            Ok(SavedStepper::Scan(SavedScan {
-                estimates: d.column(k)?,
-                samples: d.column(k)?,
-                next_group: d.u64()?,
-            }))
-        }
-        STEPPER_SUM2 => {
-            let k = d.count(16)?;
-            Ok(SavedStepper::Sum2(SavedSum2 {
-                estimates: d.column(k)?,
-                active: d.column(k)?,
-                frozen_eps: d.column(k)?,
-                samples: d.column(k)?,
-                m: d.u64()?,
-                truncated: d.flag()?,
-            }))
-        }
-        STEPPER_PARTIAL => {
-            let core = decode_focus_core(d)?;
-            let emitted = d.vec()?;
-            let np = d.count(8)?;
-            let mut pending = Vec::with_capacity(np);
-            for _ in 0..np {
-                let group = d.u64()?;
-                pending.push(PartialEmission {
-                    group: usize::try_from(group)
-                        .map_err(|_| bad(format!("pending group index {group} overflows")))?,
-                    label: d.str()?,
-                    estimate: d.f64_bits()?,
-                    round: d.u64()?,
-                    total_samples_so_far: d.u64()?,
-                });
-            }
-            Ok(SavedStepper::Partial(SavedPartial {
-                core,
-                emitted,
-                pending,
-            }))
-        }
-        other => Err(bad(format!("bad stepper tag {other}"))),
-    }
-}
-
 impl SessionCheckpoint {
     /// Serializes the checkpoint to its versioned binary form.
     #[must_use]
@@ -574,18 +424,14 @@ impl SessionCheckpoint {
         e.bytes(&CHECKPOINT_MAGIC);
         e.u32(CHECKPOINT_VERSION);
         encode_spec(&mut e, &self.spec);
-        encode_stepper(&mut e, &self.stepper);
-        e.count(self.samplers.len());
-        for (drawn, entries) in &self.samplers {
-            e.u64(*drawn);
-            e.vec(entries);
-        }
         e.column(&self.rng);
+        e.u64(self.steps);
+        e.u64(self.groups);
+        e.u64(self.total_samples);
         // u64 nanoseconds cover ~584 years of remaining budget; clamp
         // rather than panic on absurd durations.
         let nanos = |dur: Duration| u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX);
         e.opt(&self.remaining.map(nanos));
-        e.vec(&self.prev_active);
         // 0 = no terminal yet; `Running` is never terminal and shares it.
         e.u8(self.terminal.map_or(0, StepOutcome::code));
         e.flag(self.budget_tripped);
@@ -617,23 +463,13 @@ impl SessionCheckpoint {
                 "unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
             )));
         }
-        let spec = decode_spec(&mut d)?;
-        let stepper = decode_stepper(&mut d)?;
-        let ns = d.count(12)?;
-        let mut samplers = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            let drawn = d.u64()?;
-            samplers.push((drawn, d.vec()?));
-        }
-        let rng = [d.u64()?, d.u64()?, d.u64()?, d.u64()?];
-        let remaining = d.opt::<u64>()?.map(Duration::from_nanos);
         let checkpoint = Self {
-            spec,
-            stepper,
-            samplers,
-            rng,
-            remaining,
-            prev_active: d.vec()?,
+            spec: decode_spec(&mut d)?,
+            rng: [d.u64()?, d.u64()?, d.u64()?, d.u64()?],
+            steps: d.u64()?,
+            groups: d.u64()?,
+            total_samples: d.u64()?,
+            remaining: d.opt::<u64>()?.map(Duration::from_nanos),
             terminal: match d.u8()? {
                 0 => None,
                 code => Some(
@@ -648,41 +484,12 @@ impl SessionCheckpoint {
         Ok(checkpoint)
     }
 
-    /// Approximate resident bytes of this checkpoint — what a parking
-    /// registry charges against its memory cap. Computed structurally
-    /// (no serialization pass); tracks the serialized size closely since
-    /// the format has no compression.
+    /// Bytes this checkpoint is charged against a parking registry's
+    /// memory cap: its serialized length. A recipe is a few hundred bytes
+    /// whatever the session has drawn, so this is one small encode.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        let sampler_bytes: usize = self
-            .samplers
-            .iter()
-            .map(|(_, entries)| 8 + 4 + entries.len() * 16)
-            .sum();
-        let spec_bytes: usize = self
-            .spec
-            .group_by
-            .iter()
-            .map(|s| 4 + s.len())
-            .sum::<usize>()
-            + self.spec.measure.len()
-            + 64;
-        let stepper_bytes = match &self.stepper {
-            SavedStepper::Focus(c) | SavedStepper::RoundRobin(c) | SavedStepper::Sum1(c) => {
-                c.estimates.len() * 42
-            }
-            SavedStepper::IRefine(s) => s.estimates.len() * 58,
-            SavedStepper::Scan(s) => s.estimates.len() * 16,
-            SavedStepper::Sum2(s) => s.estimates.len() * 42,
-            SavedStepper::Partial(p) => {
-                p.core.estimates.len() * 43
-                    + p.pending
-                        .iter()
-                        .map(|em| 36 + em.label.len())
-                        .sum::<usize>()
-            }
-        };
-        64 + spec_bytes + stepper_bytes + sampler_bytes + self.prev_active.len()
+        self.to_bytes().len()
     }
 }
 
@@ -716,132 +523,98 @@ mod tests {
         }
     }
 
-    fn focus_core() -> SavedFocusCore {
-        SavedFocusCore {
-            estimates: vec![(10, 1.5), (20, 2.5), (0, 0.0)],
-            active: vec![true, false, true],
-            exhausted: vec![false, false, true],
-            frozen_eps: vec![0.1, 0.2, f64::INFINITY],
-            samples: vec![10, 20, 0],
-            m: 21,
-            truncated: false,
-        }
-    }
-
-    fn every_stepper() -> Vec<SavedStepper> {
-        vec![
-            SavedStepper::Focus(focus_core()),
-            SavedStepper::RoundRobin(focus_core()),
-            SavedStepper::Sum1(focus_core()),
-            SavedStepper::IRefine(SavedIRefine {
-                estimates: vec![1.0, 2.0],
-                eps: vec![0.5, 0.25],
-                deltas: vec![0.01, 0.02],
-                active: vec![true, false],
-                samples: vec![8, 16],
-                cumulative: vec![(8, 9.5), (16, 31.0)],
-                phase: 3,
-                truncated: true,
-            }),
-            SavedStepper::Scan(SavedScan {
-                estimates: vec![4.0, 0.0],
-                samples: vec![100, 0],
-                next_group: 1,
-            }),
-            SavedStepper::Sum2(SavedSum2 {
-                estimates: vec![(5, 0.3), (7, 0.6)],
-                active: vec![false, true],
-                frozen_eps: vec![0.05, f64::INFINITY],
-                samples: vec![5, 7],
-                m: 8,
-                truncated: false,
-            }),
-            SavedStepper::Partial(SavedPartial {
-                core: focus_core(),
-                emitted: vec![true, false, false],
-                pending: vec![PartialEmission {
-                    group: 1,
-                    label: "JB".into(),
-                    estimate: 2.5,
-                    round: 20,
-                    total_samples_so_far: 30,
-                }],
-            }),
+    /// One recipe per session-reachable stepper kind — the four `AVG`
+    /// algorithms, `SUM` (Algorithm 4) and `COUNT` (Algorithm 5).
+    fn every_kind() -> Vec<SessionCheckpoint> {
+        use AlgorithmChoice::{ExactScan, IFocus, IRefine, RoundRobin};
+        [
+            (Aggregate::Avg, IFocus),
+            (Aggregate::Avg, IRefine),
+            (Aggregate::Avg, RoundRobin),
+            (Aggregate::Avg, ExactScan),
+            (Aggregate::Sum, IFocus),
+            (Aggregate::Count, IFocus),
         ]
-    }
-
-    fn checkpoint_with(stepper: SavedStepper) -> SessionCheckpoint {
-        SessionCheckpoint {
-            spec: rich_spec(),
-            stepper,
-            samplers: vec![(3, vec![(0, 7), (2, 5)]), (0, vec![]), (1, vec![(4, 4)])],
+        .into_iter()
+        .map(|(aggregate, algorithm)| SessionCheckpoint {
+            spec: QuerySpec {
+                aggregate,
+                algorithm,
+                ..rich_spec()
+            },
             rng: [1, 2, 3, u64::MAX],
+            steps: 21,
+            groups: 3,
+            total_samples: 30,
             remaining: Some(Duration::from_millis(1500)),
-            prev_active: vec![true, true, false],
             terminal: None,
             budget_tripped: false,
             delivered_terminal: false,
-        }
+        })
+        .collect()
+    }
+
+    fn sample_checkpoint() -> SessionCheckpoint {
+        every_kind().swap_remove(0)
     }
 
     #[test]
     fn round_trips_every_stepper_kind() {
-        for stepper in every_stepper() {
-            let ck = checkpoint_with(stepper);
-            let bytes = ck.to_bytes();
-            let back = SessionCheckpoint::from_bytes(&bytes)
-                .unwrap_or_else(|e| panic!("decode failed for {}: {e}", ck.stepper.kind()));
-            assert_eq!(back, ck, "round-trip mismatch for {}", ck.stepper.kind());
+        for ck in every_kind() {
+            let back = SessionCheckpoint::from_bytes(&ck.to_bytes())
+                .unwrap_or_else(|e| panic!("decode failed for {:?}: {e}", ck.spec.aggregate));
+            assert_eq!(back, ck);
         }
     }
 
     /// The all-`None`, already-terminal checkpoint: every optional field
-    /// absent, every vector empty.
+    /// absent, nothing stepped.
     fn edge_checkpoint() -> SessionCheckpoint {
-        let mut ck = checkpoint_with(SavedStepper::Scan(SavedScan {
-            estimates: vec![],
-            samples: vec![],
-            next_group: 0,
-        }));
-        ck.spec.group_by = vec!["g".into()];
-        ck.spec.aggregate = Aggregate::Count;
-        ck.spec.algorithm = AlgorithmChoice::IFocus;
-        ck.spec.predicate = Predicate::True;
-        ck.spec.resolution_fraction = None;
-        ck.spec.bound = None;
-        ck.spec.samples_per_round = None;
-        ck.spec.max_samples = None;
-        ck.samplers = vec![];
-        ck.remaining = None;
-        ck.prev_active = vec![];
-        ck.terminal = Some(StepOutcome::BudgetExhausted);
-        ck.budget_tripped = true;
-        ck.delivered_terminal = true;
-        ck
+        SessionCheckpoint {
+            spec: QuerySpec {
+                group_by: vec!["g".into()],
+                measure: "delay".into(),
+                aggregate: Aggregate::Count,
+                algorithm: AlgorithmChoice::IFocus,
+                predicate: Predicate::True,
+                delta: 0.05,
+                resolution_fraction: None,
+                bound: None,
+                samples_per_round: None,
+                max_samples: None,
+            },
+            rng: [1, 2, 3, u64::MAX],
+            steps: 0,
+            groups: 0,
+            total_samples: 0,
+            remaining: None,
+            terminal: Some(StepOutcome::BudgetExhausted),
+            budget_tripped: true,
+            delivered_terminal: true,
+        }
     }
 
     /// `(len, fnv1a64)` of every fixture's serialized form, pinned from the
-    /// bytes the version-1 encoder emitted before the codecs were unified:
-    /// any layout drift fails here before it strands a parked session.
+    /// bytes the version-2 encoder emits: any layout drift fails here
+    /// before it strands a parked session.
     #[test]
     fn golden_bytes_are_pinned() {
-        let mut fixtures: Vec<_> = every_stepper().into_iter().map(checkpoint_with).collect();
+        let mut fixtures = every_kind();
         fixtures.push(edge_checkpoint());
         let got: Vec<(usize, u64)> = fixtures
             .iter()
             .map(|ck| ck.to_bytes())
             .map(|bytes| (bytes.len(), fnv1a64(&bytes)))
             .collect();
-        // Focus, RoundRobin, Sum1, IRefine, Scan, Sum2, Partial, edge.
-        let golden: [(usize, u64); 8] = [
-            (415, 0xc8dd_d301_d654_dab1),
-            (415, 0x1310_fde8_1c23_19d6),
-            (415, 0x3d95_c371_525a_e3f3),
-            (411, 0x3bd5_2521_0127_aeb9),
-            (344, 0x4c79_7c61_e6fe_763d),
-            (379, 0xfd33_370c_13b6_c466),
-            (464, 0xfa19_c348_819c_5763),
-            (98, 0x8a1e_d888_1271_e498),
+        // AVG × {IFocus, IRefine, RoundRobin, ExactScan}, SUM, COUNT, edge.
+        let golden: [(usize, u64); 7] = [
+            (228, 0x8a91_eaee_1bb8_ddc5),
+            (228, 0x06ef_c8a3_8633_b56e),
+            (228, 0x4d8c_41d8_d5f7_10c3),
+            (228, 0x9a54_7ca4_765f_0044),
+            (228, 0x8d39_bfa4_cd97_4d00),
+            (228, 0xd210_56bd_df47_9247),
+            (101, 0x5bfd_9d83_1f49_1931),
         ];
         assert_eq!(got, golden, "serialized checkpoint bytes drifted");
     }
@@ -861,7 +634,7 @@ mod tests {
 
     #[test]
     fn every_truncation_errors_never_panics() {
-        let bytes = checkpoint_with(SavedStepper::Focus(focus_core())).to_bytes();
+        let bytes = sample_checkpoint().to_bytes();
         for cut in 0..bytes.len() {
             assert!(
                 SessionCheckpoint::from_bytes(&bytes[..cut]).is_err(),
@@ -873,13 +646,8 @@ mod tests {
     #[test]
     fn every_single_byte_flip_is_handled() {
         // Flipping any one byte must never panic; it may still decode (a
-        // flipped estimate bit is valid data) but usually errors.
-        let bytes = checkpoint_with(SavedStepper::Partial(SavedPartial {
-            core: focus_core(),
-            emitted: vec![false, true, false],
-            pending: vec![],
-        }))
-        .to_bytes();
+        // flipped seed bit is valid data) but usually errors.
+        let bytes = sample_checkpoint().to_bytes();
         for i in 0..bytes.len() {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0xFF;
@@ -889,7 +657,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic_version_and_trailing_bytes() {
-        let good = checkpoint_with(SavedStepper::Focus(focus_core())).to_bytes();
+        let good = sample_checkpoint().to_bytes();
 
         let mut bad_magic = good.clone();
         bad_magic[0] = b'X';
@@ -900,6 +668,13 @@ mod tests {
         bad_version[4..8].copy_from_slice(&99u32.to_le_bytes());
         let err = SessionCheckpoint::from_bytes(&bad_version).unwrap_err();
         assert!(matches!(&err, CheckpointError::Decode(m) if m.contains("version 99")));
+
+        // Version 1 (the retired state dump) is refused by the same gate,
+        // before a byte of its payload is looked at.
+        let mut v1 = good.clone();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let err = SessionCheckpoint::from_bytes(&v1).unwrap_err();
+        assert!(matches!(&err, CheckpointError::Decode(m) if m.contains("version 1 ")));
 
         let mut trailing = good.clone();
         trailing.push(0);
@@ -919,7 +694,7 @@ mod tests {
     #[test]
     fn rejects_out_of_range_spec_numbers() {
         // Corrupt delta to NaN by locating its unique bit pattern.
-        let ck = checkpoint_with(SavedStepper::Focus(focus_core()));
+        let ck = sample_checkpoint();
         let bytes = ck.to_bytes();
         let needle = 0.05f64.to_bits().to_le_bytes();
         let pos = bytes
@@ -954,7 +729,7 @@ mod tests {
         // Overwrite the group-by count (first u32 after the 8-byte header)
         // with u32::MAX; the decoder must reject it against the remaining
         // payload instead of allocating.
-        let mut bytes = checkpoint_with(SavedStepper::Focus(focus_core())).to_bytes();
+        let mut bytes = sample_checkpoint().to_bytes();
         bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = SessionCheckpoint::from_bytes(&bytes).unwrap_err();
         assert!(
@@ -965,15 +740,8 @@ mod tests {
 
     #[test]
     fn approx_bytes_tracks_serialized_size() {
-        for stepper in every_stepper() {
-            let ck = checkpoint_with(stepper);
-            let serialized = ck.to_bytes().len();
-            let approx = ck.approx_bytes();
-            assert!(
-                approx >= serialized / 2 && approx <= serialized * 4 + 256,
-                "approx {approx} far from serialized {serialized} for {}",
-                ck.stepper.kind()
-            );
+        for ck in every_kind() {
+            assert_eq!(ck.approx_bytes(), ck.to_bytes().len());
         }
     }
 
@@ -982,8 +750,10 @@ mod tests {
         let decode = CheckpointError::Decode("boom".into());
         assert!(decode.to_string().contains("boom"));
         assert!(std::error::Error::source(&decode).is_none());
-        let restore = CheckpointError::from(RestoreError::Unsupported);
-        assert!(std::error::Error::source(&restore).is_some());
+        let engine = CheckpointError::from(EngineError::NoSuchColumn("c".into()));
+        assert!(std::error::Error::source(&engine).is_some());
+        let mismatch = CheckpointError::Mismatch("3 groups, recipe says 4".into());
+        assert!(mismatch.to_string().contains("does not replay"));
         assert!(CheckpointError::OpaqueRng.to_string().contains("StdRng"));
     }
 }

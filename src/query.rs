@@ -23,9 +23,7 @@
 
 use crate::adapter::{NeedletailGroup, SizedNeedletailGroup};
 use crate::checkpoint::QuerySpec;
-use crate::session::{
-    MeanStepper, PlanCacheStats, QuerySession, SessionCore, SessionEngine, SessionRng,
-};
+use crate::session::{MeanStepper, PlanCacheStats, QuerySession, SessionCore, SessionEngine};
 use rand::RngCore;
 use rapidviz_core::clock::{Clock, SystemClock};
 use rapidviz_core::extensions::{count_config, CountSource, IFocusSum1, IFocusSum2};
@@ -270,13 +268,16 @@ impl<'a> VizQuery<'a> {
     /// # Errors
     ///
     /// Same conditions as [`VizQuery::execute`].
-    pub fn start(&self, rng: impl RngCore + 'static) -> Result<QuerySession, EngineError> {
-        // Keep the concrete shim StdRng visible (instead of erasing it
-        // behind `dyn RngCore` immediately) so the session can capture its
-        // state words when checkpointing.
-        let mut rng = SessionRng::capture(rng);
+    pub fn start(&self, mut rng: impl RngCore + 'static) -> Result<QuerySession, EngineError> {
+        // A checkpoint replays the session from here, so the RNG words are
+        // read before planning draws the bootstrap samples. Only the shim
+        // `StdRng` can be reseeded from them; a session on any other RNG
+        // runs just as well but refuses to checkpoint.
+        let seed = (&rng as &dyn std::any::Any)
+            .downcast_ref::<rand::rngs::StdRng>()
+            .map(rand::rngs::StdRng::state);
         let core = self.prepare_core(&mut rng)?;
-        Ok(QuerySession::new(core, rng, Some(self.spec())))
+        Ok(QuerySession::new(core, Box::new(rng), seed, self.spec()))
     }
 
     /// The re-plannable description of this query — everything a
@@ -298,15 +299,13 @@ impl<'a> VizQuery<'a> {
         }
     }
 
-    /// Rebuilds a builder from a checkpointed spec. The checkpoint stores
-    /// the **remaining** time-to-deadline, passed here as `timeout` so the
-    /// budget re-anchors at `clock.now()` — wall time spent parked never
-    /// counts against the query.
+    /// Rebuilds a builder from a checkpointed spec, with no wall-clock
+    /// budget: the resume path re-anchors the checkpoint's **remaining**
+    /// time-to-deadline itself, once its replay is done.
     pub(crate) fn from_spec(
         engine: &'a NeedleTail,
         spec: &QuerySpec,
         clock: Arc<dyn Clock>,
-        timeout: Option<Duration>,
     ) -> Self {
         Self {
             engine,
@@ -320,7 +319,7 @@ impl<'a> VizQuery<'a> {
             bound: spec.bound,
             samples_per_round: spec.samples_per_round,
             max_samples: spec.max_samples,
-            timeout,
+            timeout: None,
             deadline: None,
             clock,
         }
@@ -421,6 +420,16 @@ impl<'a> VizQuery<'a> {
                 if self.group_by.len() != 1 {
                     return Err(EngineError::Unsupported(
                         "COUNT supports a single group-by attribute".into(),
+                    ));
+                }
+                if self.predicate != Predicate::True {
+                    // The size-estimating handles sample the whole
+                    // relation; answering anyway would be a confident
+                    // statement about the unfiltered table.
+                    return Err(EngineError::Unsupported(
+                        "COUNT samples the whole relation through its size-estimating handles; \
+                         .filter() does not apply"
+                            .into(),
                     ));
                 }
                 let handles = self
@@ -565,6 +574,22 @@ mod tests {
             .unwrap();
         // Roughly equal sizes: SUM order mirrors AVG order here.
         assert_eq!(answer.ranked_labels().last(), Some(&"UA"));
+    }
+
+    #[test]
+    fn count_rejects_a_filter_instead_of_ignoring_it() {
+        let engine = engine();
+        let query = VizQuery::new(&engine).group_by("name").count("delay");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        assert!(query.clone().resolution_pct(5.0).execute(&mut rng).is_ok());
+        let err = query
+            .filter(Predicate::eq("origin", "BOS"))
+            .execute(&mut rng)
+            .unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Unsupported(msg) if msg.contains(".filter()")),
+            "expected Unsupported about the filter, got {err:?}"
+        );
     }
 
     #[test]

@@ -51,18 +51,17 @@
 //! assert!(answer.fraction_sampled() < 1.0);
 //! ```
 
-use rand::{RngCore, SeedableRng};
+use rand::RngCore;
 use rapidviz_core::clock::{Clock, SystemClock};
 use rapidviz_core::extensions::{CountSource, IFocusSum1Stepper, IFocusSum2Stepper};
 use rapidviz_core::runner::AlgorithmStepper;
-use rapidviz_core::saved::{RestoreError, SavedStepper};
 use rapidviz_core::{
     viz, IFocusStepper, IRefineStepper, RoundRobinStepper, RunResult, ScanStepper, Snapshot,
     StepOutcome,
 };
 use rapidviz_needletail::NeedleTail;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::adapter::{NeedletailGroup, SizedNeedletailGroup};
 use crate::checkpoint::{CheckpointError, QuerySpec, SessionCheckpoint};
@@ -100,60 +99,6 @@ pub(crate) enum SessionEngine {
         /// Size-estimating samplers wrapped in the COUNT rewrite.
         groups: Vec<CountSource<SizedNeedletailGroup>>,
     },
-}
-
-/// The RNG a session owns. The concrete shim [`rand::rngs::StdRng`] is
-/// kept visible (not erased behind `dyn RngCore`) so
-/// [`QuerySession::checkpoint`] can capture its xoshiro256** state words;
-/// any other RNG is boxed as opaque — fully usable, but the session then
-/// refuses to checkpoint with [`CheckpointError::OpaqueRng`].
-pub(crate) enum SessionRng {
-    /// The checkpointable shim generator.
-    Std(rand::rngs::StdRng),
-    /// Any other caller-supplied RNG.
-    Opaque(Box<dyn RngCore>),
-}
-
-impl SessionRng {
-    /// Wraps a caller RNG, detecting the shim `StdRng` by concrete type.
-    pub(crate) fn capture<R: RngCore + 'static>(rng: R) -> Self {
-        let mut slot = Some(rng);
-        let any = &mut slot as &mut dyn std::any::Any;
-        if let Some(std) = any.downcast_mut::<Option<rand::rngs::StdRng>>() {
-            if let Some(r) = std.take() {
-                return SessionRng::Std(r);
-            }
-        }
-        match slot.take() {
-            Some(r) => SessionRng::Opaque(Box::new(r)),
-            // The slot is emptied only on the `Std` path above, which
-            // returns before reaching here.
-            None => unreachable!("rng slot is still full on the opaque path"),
-        }
-    }
-}
-
-impl RngCore for SessionRng {
-    fn next_u32(&mut self) -> u32 {
-        match self {
-            SessionRng::Std(r) => r.next_u32(),
-            SessionRng::Opaque(r) => r.next_u32(),
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        match self {
-            SessionRng::Std(r) => r.next_u64(),
-            SessionRng::Opaque(r) => r.next_u64(),
-        }
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        match self {
-            SessionRng::Std(r) => r.fill_bytes(dest),
-            SessionRng::Opaque(r) => r.fill_bytes(dest),
-        }
-    }
 }
 
 impl SessionEngine {
@@ -219,82 +164,6 @@ impl SessionEngine {
                 MeanStepper::Sum1(s) => s.finish(),
             },
             SessionEngine::Sized { stepper, .. } => stepper.finish(),
-        }
-    }
-
-    /// The stepper's resumable state (every session-reachable stepper
-    /// supports save, so `None` signals an internal gap, not user error).
-    fn save(&self) -> Option<SavedStepper> {
-        match self {
-            SessionEngine::Mean { stepper, .. } => match stepper {
-                MeanStepper::IFocus(s) => s.save(),
-                MeanStepper::IRefine(s) => s.save(),
-                MeanStepper::RoundRobin(s) => s.save(),
-                MeanStepper::Scan(s) => AlgorithmStepper::save(s),
-                MeanStepper::Sum1(s) => s.save(),
-            },
-            SessionEngine::Sized { stepper, .. } => Some(stepper.save()),
-        }
-    }
-
-    /// Overwrites the stepper's mutable state from a checkpoint bag.
-    fn restore(&mut self, saved: &SavedStepper) -> Result<(), RestoreError> {
-        match self {
-            SessionEngine::Mean { stepper, .. } => match stepper {
-                MeanStepper::IFocus(s) => s.restore(saved),
-                MeanStepper::IRefine(s) => s.restore(saved),
-                MeanStepper::RoundRobin(s) => s.restore(saved),
-                MeanStepper::Scan(s) => AlgorithmStepper::restore(s, saved),
-                MeanStepper::Sum1(s) => s.restore(saved),
-            },
-            SessionEngine::Sized { stepper, .. } => stepper.restore(saved),
-        }
-    }
-
-    /// Per-group without-replacement permutation records, in group order.
-    /// Empty for the `COUNT` engine, whose with-replacement samplers are
-    /// stateless.
-    fn sampler_states(&self) -> Vec<(u64, Vec<(u64, u64)>)> {
-        match self {
-            SessionEngine::Mean { groups, .. } => groups
-                .iter()
-                .map(NeedletailGroup::permutation_state)
-                .collect(),
-            SessionEngine::Sized { .. } => Vec::new(),
-        }
-    }
-
-    /// Restores permutation records captured by
-    /// [`SessionEngine::sampler_states`] onto freshly planned groups.
-    fn restore_samplers(
-        &mut self,
-        samplers: &[(u64, Vec<(u64, u64)>)],
-    ) -> Result<(), CheckpointError> {
-        match self {
-            SessionEngine::Mean { groups, .. } => {
-                if samplers.len() != groups.len() {
-                    return Err(CheckpointError::Mismatch(format!(
-                        "checkpoint has {} sampler records for {} groups",
-                        samplers.len(),
-                        groups.len()
-                    )));
-                }
-                for (g, (drawn, entries)) in groups.iter_mut().zip(samplers) {
-                    g.restore_permutation(*drawn, entries);
-                }
-                Ok(())
-            }
-            SessionEngine::Sized { .. } => {
-                if samplers.is_empty() {
-                    Ok(())
-                } else {
-                    Err(CheckpointError::Mismatch(
-                        "COUNT sessions sample with replacement; the checkpoint should carry \
-                         no sampler records"
-                            .into(),
-                    ))
-                }
-            }
         }
     }
 }
@@ -400,6 +269,9 @@ pub(crate) struct SessionCore {
     /// Whether the terminal outcome came from a session budget (sample or
     /// deadline), as opposed to natural convergence.
     budget_tripped: bool,
+    /// Algorithm rounds taken since the bootstrap — with the seed, the
+    /// whole of a checkpoint's replay recipe.
+    steps: u64,
     /// Planning-cache hit/miss delta captured while this query planned.
     planning: PlanCacheStats,
 }
@@ -423,6 +295,7 @@ impl SessionCore {
             prev_active,
             terminal: None,
             budget_tripped: false,
+            steps: 0,
             planning,
         }
     }
@@ -431,10 +304,23 @@ impl SessionCore {
         self.planning
     }
 
-    fn budget_hit(&self) -> bool {
+    fn sample_budget_hit(&self) -> bool {
         self.max_samples
             .is_some_and(|cap| self.engine.total_samples() >= cap)
-            || self.deadline.is_some_and(|d| self.clock.now() >= d)
+    }
+
+    fn budget_hit(&self) -> bool {
+        self.sample_budget_hit() || self.deadline.is_some_and(|d| self.clock.now() >= d)
+    }
+
+    /// One algorithm round, counted; a non-`Running` outcome is terminal.
+    fn engine_step(&mut self, rng: &mut dyn RngCore) -> StepOutcome {
+        let outcome = self.engine.step(rng);
+        self.steps += 1;
+        if !outcome.is_running() {
+            self.terminal = Some(outcome);
+        }
+        outcome
     }
 
     /// Advances one round without building a `RoundUpdate` — the blocking
@@ -443,16 +329,12 @@ impl SessionCore {
         if let Some(t) = self.terminal {
             return t;
         }
-        let outcome = if self.budget_hit() {
+        if self.budget_hit() {
             self.budget_tripped = true;
-            StepOutcome::BudgetExhausted
-        } else {
-            self.engine.step(rng)
-        };
-        if !outcome.is_running() {
-            self.terminal = Some(outcome);
+            self.terminal = Some(StepOutcome::BudgetExhausted);
+            return StepOutcome::BudgetExhausted;
         }
-        outcome
+        self.engine_step(rng)
     }
 
     /// Advances one round and packages the full per-round update.
@@ -509,41 +391,91 @@ impl SessionCore {
 
     // --- checkpoint/resume surface (crate-private) --------------------
 
-    pub(crate) fn engine(&self) -> &SessionEngine {
-        &self.engine
+    /// Replays a checkpointed session's `steps` rounds on this freshly
+    /// planned core (its bootstrap just redrawn from the same `rng`), then adopts
+    /// the recorded terminal flags and re-anchors the remaining
+    /// time-to-deadline at the clock's `now()`.
+    ///
+    /// The wall-clock budget is not consulted while replaying — the
+    /// original run cleared it at every one of these rounds — but the
+    /// sample budget is deterministic, and a recipe that steps past it,
+    /// past the run's own end, or onto a different group count, sample
+    /// count or outcome than it recorded is refused. That also bounds the
+    /// loop for hostile input: by the query's natural length, and by
+    /// `max_samples` when set.
+    pub(crate) fn replay(
+        &mut self,
+        checkpoint: &SessionCheckpoint,
+        rng: &mut dyn RngCore,
+    ) -> Result<(), CheckpointError> {
+        let refuse = |what: String| Err(CheckpointError::Mismatch(what));
+        let groups = self.prev_active.len() as u64;
+        if groups != checkpoint.groups {
+            return refuse(format!(
+                "the query plans {groups} groups, the checkpoint recorded {}",
+                checkpoint.groups
+            ));
+        }
+        for step in 0..checkpoint.steps {
+            if self.terminal.is_some() || self.sample_budget_hit() {
+                return refuse(format!(
+                    "the run ends after {step} steps, the checkpoint recorded {}",
+                    checkpoint.steps
+                ));
+            }
+            self.engine_step(rng);
+        }
+        let total_samples = self.engine.total_samples();
+        if total_samples != checkpoint.total_samples {
+            return refuse(format!(
+                "replay drew {total_samples} samples, the checkpoint recorded {}",
+                checkpoint.total_samples
+            ));
+        }
+        let consistent = if checkpoint.budget_tripped {
+            // A session budget pre-empts a round, so it can only have
+            // tripped on a run whose every round came back `Running`.
+            self.terminal.is_none() && checkpoint.terminal == Some(StepOutcome::BudgetExhausted)
+        } else {
+            checkpoint.terminal == self.terminal
+        };
+        if !consistent {
+            return refuse(format!(
+                "replay ends {:?}, the checkpoint recorded {:?} (budget tripped: {})",
+                self.terminal, checkpoint.terminal, checkpoint.budget_tripped
+            ));
+        }
+        self.terminal = checkpoint.terminal;
+        self.budget_tripped = checkpoint.budget_tripped;
+        self.prev_active = self.engine.snapshot().active;
+        // Anchored only now, so the replay's own wall time is not charged.
+        self.deadline = checkpoint.remaining.map(|left| self.clock.now() + left);
+        Ok(())
     }
 
-    pub(crate) fn engine_mut(&mut self) -> &mut SessionEngine {
-        &mut self.engine
-    }
-
-    /// Time left until the deadline as measured by the session clock —
-    /// what a checkpoint stores so parked wall time never counts against
-    /// the query's budget.
-    pub(crate) fn remaining_time(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(self.clock.now()))
-    }
-
-    pub(crate) fn prev_active(&self) -> &[bool] {
-        &self.prev_active
-    }
-
-    pub(crate) fn set_prev_active(&mut self, prev_active: Vec<bool>) {
-        self.prev_active = prev_active;
-    }
-
-    pub(crate) fn terminal(&self) -> Option<StepOutcome> {
-        self.terminal
-    }
-
-    pub(crate) fn budget_tripped(&self) -> bool {
-        self.budget_tripped
-    }
-
-    pub(crate) fn set_terminal(&mut self, terminal: Option<StepOutcome>, budget_tripped: bool) {
-        self.terminal = terminal;
-        self.budget_tripped = budget_tripped;
+    /// The replay recipe of this core, completed with what the session
+    /// around it owns. `remaining` is the time left until the deadline as
+    /// measured by the session clock, so parked wall time never counts
+    /// against the query's budget.
+    fn checkpoint(
+        &self,
+        spec: QuerySpec,
+        rng: [u64; 4],
+        delivered_terminal: bool,
+    ) -> SessionCheckpoint {
+        SessionCheckpoint {
+            spec,
+            rng,
+            steps: self.steps,
+            groups: self.prev_active.len() as u64,
+            total_samples: self.engine.total_samples(),
+            remaining: self
+                .deadline
+                .map(|d| d.saturating_duration_since(self.clock.now())),
+            terminal: self.terminal,
+            budget_tripped: self.budget_tripped,
+            delivered_terminal,
+        }
     }
 
     pub(crate) fn finish(self) -> QueryAnswer {
@@ -596,13 +528,14 @@ fn fraction(samples: u64, population: u64) -> f64 {
 /// than there are rows).
 pub struct QuerySession {
     core: SessionCore,
-    rng: SessionRng,
+    rng: Box<dyn RngCore>,
+    /// State words `rng` held when [`crate::VizQuery::start`] received it,
+    /// before planning drew from it; `None` for an RNG other than the shim
+    /// [`rand::rngs::StdRng`], which a checkpoint could not reseed.
+    seed: Option<[u64; 4]>,
     delivered_terminal: bool,
     /// The re-plannable query description, embedded in checkpoints.
-    /// `None` only for sessions not created through
-    /// [`crate::VizQuery::start`] (none exist today) — those cannot
-    /// checkpoint.
-    spec: Option<QuerySpec>,
+    spec: QuerySpec,
 }
 
 impl std::fmt::Debug for QuerySession {
@@ -615,23 +548,28 @@ impl std::fmt::Debug for QuerySession {
 }
 
 impl QuerySession {
-    pub(crate) fn new(core: SessionCore, rng: SessionRng, spec: Option<QuerySpec>) -> Self {
+    pub(crate) fn new(
+        core: SessionCore,
+        rng: Box<dyn RngCore>,
+        seed: Option<[u64; 4]>,
+        spec: QuerySpec,
+    ) -> Self {
         Self {
             core,
             rng,
+            seed,
             delivered_terminal: false,
             spec,
         }
     }
 
-    /// Captures the session's full resumable state as a
-    /// [`SessionCheckpoint`]: the query spec, the stepper's mutable state,
-    /// per-group sampler permutations, the RNG words, and budget
-    /// bookkeeping (time-to-deadline, not an absolute instant — parked
-    /// wall time never counts against the query). The engine's planning
-    /// caches are deliberately **not** captured; resume re-plans through
-    /// the normal path, so the checkpoint restores on a restarted server
-    /// with cold caches. See [`crate::checkpoint`] for the format.
+    /// Captures the session as a [`SessionCheckpoint`] — its **replay
+    /// recipe**: the query spec, the RNG words the session started from,
+    /// the number of rounds taken, budget bookkeeping (time-to-deadline,
+    /// not an absolute instant — parked wall time never counts against the
+    /// query) and a sample-count checksum. No estimator, sampler or cache
+    /// state is captured, so the cost and the size are the same at every
+    /// round. See [`crate::checkpoint`] for the format.
     ///
     /// Stepping a resumed session produces a round stream bit-identical
     /// (`f64::to_bits`) to the uninterrupted original.
@@ -639,34 +577,12 @@ impl QuerySession {
     /// # Errors
     ///
     /// [`CheckpointError::OpaqueRng`] when the session was started with an
-    /// RNG other than the shim [`rand::rngs::StdRng`];
-    /// [`CheckpointError::Unsupported`] when the session was not created
-    /// through [`crate::VizQuery::start`].
+    /// RNG other than the shim [`rand::rngs::StdRng`].
     pub fn checkpoint(&self) -> Result<SessionCheckpoint, CheckpointError> {
-        let Some(spec) = &self.spec else {
-            return Err(CheckpointError::Unsupported(
-                "session was not created by VizQuery::start",
-            ));
-        };
-        let SessionRng::Std(rng) = &self.rng else {
-            return Err(CheckpointError::OpaqueRng);
-        };
-        let Some(stepper) = self.core.engine().save() else {
-            return Err(CheckpointError::Unsupported(
-                "the session's stepper does not support save",
-            ));
-        };
-        Ok(SessionCheckpoint {
-            spec: spec.clone(),
-            stepper,
-            samplers: self.core.engine().sampler_states(),
-            rng: rng.state(),
-            remaining: self.core.remaining_time(),
-            prev_active: self.core.prev_active().to_vec(),
-            terminal: self.core.terminal(),
-            budget_tripped: self.core.budget_tripped(),
-            delivered_terminal: self.delivered_terminal,
-        })
+        let seed = self.seed.ok_or(CheckpointError::OpaqueRng)?;
+        Ok(self
+            .core
+            .checkpoint(self.spec.clone(), seed, self.delivered_terminal))
     }
 
     /// Rebuilds a session from a checkpoint against `engine`, measuring
@@ -683,55 +599,42 @@ impl QuerySession {
         Self::resume_with_clock(engine, checkpoint, Arc::new(SystemClock))
     }
 
-    /// Rebuilds a session from a checkpoint against `engine`: re-plans the
-    /// embedded query (rebuilding all derived state — group handles,
-    /// labels, ε schedules — through the ordinary planning path, caches
-    /// and all), then overwrites the mutable state from the checkpoint:
-    /// stepper estimators and flags, per-group sampler permutations, the
-    /// RNG words, and budget bookkeeping. The remaining time-to-deadline
-    /// is re-anchored at `clock.now()`.
+    /// Rebuilds a session from a checkpoint against `engine` by replaying
+    /// it: re-plans the embedded query through the ordinary planning path
+    /// (caches and all), reseeds the RNG from the recorded words, redraws
+    /// the bootstrap, and re-runs the recorded number of rounds. The
+    /// remaining time-to-deadline is re-anchored at `clock.now()` and is
+    /// not consumed by the replay's rounds.
     ///
     /// The resumed session's round stream is bit-identical to what the
-    /// original would have produced had it never paused.
+    /// original would have produced had it never paused. A resume costs
+    /// the session's own sampling up to the pause — never more than the
+    /// embedded query itself, and bounded by the spec's `max_samples` when
+    /// set — instead of a state copy; the replayed draws are real
+    /// retrievals and are charged to the engine's metrics as such.
     ///
     /// # Errors
     ///
     /// * [`CheckpointError::Engine`] — re-planning failed (schema drift);
-    /// * [`CheckpointError::Restore`] / [`CheckpointError::Mismatch`] —
-    ///   the checkpoint does not fit the re-planned query's shape (group
-    ///   count drift between checkpoint and resume).
+    /// * [`CheckpointError::Mismatch`] — the recipe does not replay on this
+    ///   engine: a different group count, a run that ends before the
+    ///   recorded number of rounds, or a different sample count or outcome
+    ///   at the end of it.
     pub fn resume_with_clock(
         engine: &NeedleTail,
         checkpoint: &SessionCheckpoint,
         clock: Arc<dyn Clock>,
     ) -> Result<Self, CheckpointError> {
-        let query = crate::VizQuery::from_spec(
-            engine,
-            &checkpoint.spec,
-            Arc::clone(&clock),
-            checkpoint.remaining,
-        );
-        // The bootstrap draws during re-planning consume a throwaway RNG
-        // and scratch sampler state; everything they touch is overwritten
-        // below, so the seed is irrelevant.
-        let mut throwaway = rand::rngs::StdRng::seed_from_u64(0);
-        let mut core = query.prepare_core(&mut throwaway)?;
-        core.engine_mut().restore(&checkpoint.stepper)?;
-        core.engine_mut().restore_samplers(&checkpoint.samplers)?;
-        if checkpoint.prev_active.len() != core.prev_active().len() {
-            return Err(CheckpointError::Mismatch(format!(
-                "checkpoint has {} active flags for {} groups",
-                checkpoint.prev_active.len(),
-                core.prev_active().len()
-            )));
-        }
-        core.set_prev_active(checkpoint.prev_active.clone());
-        core.set_terminal(checkpoint.terminal, checkpoint.budget_tripped);
+        let query = crate::VizQuery::from_spec(engine, &checkpoint.spec, clock);
+        let mut rng = rand::rngs::StdRng::from_state(checkpoint.rng);
+        let mut core = query.prepare_core(&mut rng)?;
+        core.replay(checkpoint, &mut rng)?;
         Ok(Self {
             core,
-            rng: SessionRng::Std(rand::rngs::StdRng::from_state(checkpoint.rng)),
+            rng: Box::new(rng),
+            seed: Some(checkpoint.rng),
             delivered_terminal: checkpoint.delivered_terminal,
-            spec: Some(checkpoint.spec.clone()),
+            spec: checkpoint.spec.clone(),
         })
     }
 
@@ -745,7 +648,7 @@ impl QuerySession {
     /// it), but the [`Iterator`] view never re-yields it, even when `step`
     /// and iteration are mixed on the same session.
     pub fn step(&mut self) -> RoundUpdate {
-        let update = self.core.step_update(&mut self.rng);
+        let update = self.core.step_update(&mut *self.rng);
         if !update.outcome.is_running() {
             // Mark the terminal update consumed for the Iterator view too:
             // without this, reaching the terminal via an explicit `step()`

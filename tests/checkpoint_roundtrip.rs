@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use rand::{RngCore, SeedableRng};
 use rapidviz::needletail::{
-    ColumnDef, DataType, NeedleTail, Predicate, Schema, TableBuilder, Value,
+    ColumnDef, DataType, NeedleTail, Predicate, Schema, SeededFaults, TableBuilder, Value,
 };
 use rapidviz::{
     AlgorithmChoice, CheckpointError, QuerySession, RoundUpdate, SessionCheckpoint, SimulatedClock,
@@ -312,11 +312,135 @@ fn resume_rejects_group_count_drift() {
     let drifted = NeedleTail::new(b.finish(), &["name"]).unwrap();
     let err = QuerySession::resume(&drifted, &ck).unwrap_err();
     assert!(
-        matches!(
-            err,
-            CheckpointError::Restore(_) | CheckpointError::Mismatch(_)
-        ),
+        matches!(err, CheckpointError::Mismatch(_)),
         "expected a shape error, got {err:?}"
+    );
+}
+
+/// A mid-run checkpoint of a budgeted AVG session.
+fn mid_run_checkpoint(engine: &NeedleTail) -> SessionCheckpoint {
+    let mut session = VizQuery::new(engine)
+        .group_by("name")
+        .avg("delay")
+        .bound(100.0)
+        .resolution_pct(6.0)
+        .samples_per_round(24)
+        .max_samples(100_000)
+        .start(rand::rngs::StdRng::seed_from_u64(42))
+        .unwrap();
+    for _ in 0..3 {
+        assert!(session.step().outcome.is_running());
+    }
+    session.checkpoint().unwrap()
+}
+
+fn assert_refused(engine: &NeedleTail, ck: &SessionCheckpoint, what: &str) {
+    match QuerySession::resume(engine, ck) {
+        Err(CheckpointError::Mismatch(msg)) => {
+            assert!(msg.contains(what), "expected {what:?} in {msg:?}");
+        }
+        other => panic!("expected a Mismatch about {what:?}, got {other:?}"),
+    }
+}
+
+#[test]
+fn recipes_that_do_not_replay_are_refused() {
+    let engine = engine();
+    let good = mid_run_checkpoint(&engine);
+    assert!(QuerySession::resume(&engine, &good).is_ok());
+
+    // More steps than the run has: the replay stops at the run's natural
+    // end (or its sample budget) instead of spinning on a finished stepper.
+    for steps in [good.steps + 10_000, u64::MAX] {
+        let past_the_end = SessionCheckpoint {
+            steps,
+            ..good.clone()
+        };
+        assert_refused(&engine, &past_the_end, "the run ends after");
+    }
+    let unbudgeted = SessionCheckpoint {
+        steps: u64::MAX,
+        spec: rapidviz::QuerySpec {
+            max_samples: None,
+            ..good.spec.clone()
+        },
+        ..good.clone()
+    };
+    assert_refused(&engine, &unbudgeted, "the run ends after");
+
+    let wrong_samples = SessionCheckpoint {
+        total_samples: good.total_samples + 1,
+        ..good.clone()
+    };
+    assert_refused(&engine, &wrong_samples, "samples");
+
+    let wrong_groups = SessionCheckpoint {
+        groups: good.groups + 1,
+        ..good.clone()
+    };
+    assert_refused(&engine, &wrong_groups, "groups");
+
+    // A recorded outcome the replay does not reach is not taken on trust.
+    let wrong_outcome = SessionCheckpoint {
+        terminal: Some(StepOutcome::Converged),
+        ..good.clone()
+    };
+    assert_refused(&engine, &wrong_outcome, "replay ends");
+}
+
+#[test]
+fn checkpoint_size_does_not_grow_with_samples_drawn() {
+    // Without-replacement AVG: the sampler's swap map grows with every
+    // draw, the recipe does not.
+    let engine = engine();
+    let mut session = VizQuery::new(&engine)
+        .group_by("name")
+        .avg("delay")
+        .bound(100.0)
+        .samples_per_round(8)
+        .max_samples(1_200)
+        .start(rand::rngs::StdRng::seed_from_u64(11))
+        .unwrap();
+    session.step();
+    let first = session.checkpoint().unwrap();
+    let updates = drive(&mut session);
+    assert!(updates.len() > 20, "the session ran on for many rounds");
+    let last = session.checkpoint().unwrap();
+    assert!(last.total_samples > 10 * first.total_samples);
+    assert_eq!(first.approx_bytes(), last.approx_bytes());
+    assert_eq!(first.to_bytes().len(), last.to_bytes().len());
+}
+
+#[test]
+fn replay_crosses_cold_caches_and_withheld_reads() {
+    // 5% of row reads fail (purely a function of the row), and the
+    // planning caches are dropped between checkpoint and resume: the
+    // replay re-plans cold, hits the same withheld reads, and continues
+    // the same stream.
+    let mut engine = engine();
+    engine.set_fault_injector(Arc::new(SeededFaults::new(9, 0.05)));
+    for (label, query) in queries(&engine) {
+        let mut reference = query.start(rand::rngs::StdRng::seed_from_u64(7)).unwrap();
+        let ref_updates = drive(&mut reference);
+        let boundary = ref_updates.len() / 2;
+
+        let mut session = query.start(rand::rngs::StdRng::seed_from_u64(7)).unwrap();
+        for _ in 0..boundary {
+            session.step();
+        }
+        let ck = session.checkpoint().unwrap();
+        drop(session);
+        engine.clear_plan_caches();
+
+        let mut resumed = QuerySession::resume(&engine, &ck)
+            .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
+        for (i, expected) in ref_updates.iter().enumerate().skip(boundary) {
+            assert_updates_identical(label, i, &resumed.step(), expected);
+        }
+    }
+    assert!(
+        engine.metrics().snapshot().faulted_reads > 0,
+        "the injector withheld reads"
     );
 }
 
