@@ -17,8 +17,9 @@
 use crate::config::AlgoConfig;
 use crate::group::GroupSource;
 use crate::result::RunResult;
+use crate::state::FixpointScratch;
 use rand::RngCore;
-use rapidviz_stats::{BernsteinSchedule, Interval, IntervalSet, SamplingMode, WelfordVariance};
+use rapidviz_stats::{BernsteinSchedule, Interval, SamplingMode, WelfordVariance};
 
 /// IFOCUS with the empirical-Bernstein anytime schedule.
 #[derive(Debug, Clone)]
@@ -50,6 +51,7 @@ impl IFocusBernstein {
         let mut m = 1u64;
         let mut truncated = false;
         let resolution_eps = self.config.resolution_epsilon();
+        let mut fix = FixpointScratch::default();
 
         for (i, group) in groups.iter_mut().enumerate() {
             if let Some(x) = group.sample(rng, SamplingMode::WithReplacement) {
@@ -69,27 +71,8 @@ impl IFocusBernstein {
                 }
             }
             // Fixpoint deactivation with per-group widths.
-            loop {
-                let members: Vec<usize> = (0..k).filter(|&i| active[i]).collect();
-                if members.is_empty() {
-                    break;
-                }
-                let set = IntervalSet::new(
-                    members
-                        .iter()
-                        .map(|&i| Interval::centered(stats[i].mean(), eps_of(i)))
-                        .collect(),
-                );
-                let to_remove: Vec<usize> = members
-                    .iter()
-                    .enumerate()
-                    .filter(|&(pos, _)| !set.member_overlaps_others(pos))
-                    .map(|(_, &i)| i)
-                    .collect();
-                if to_remove.is_empty() {
-                    break;
-                }
-                for i in to_remove {
+            while fix.separate(&active, |i| Interval::centered(stats[i].mean(), eps_of(i))) {
+                for &i in &fix.remove {
                     active[i] = false;
                 }
             }

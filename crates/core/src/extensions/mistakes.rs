@@ -56,16 +56,10 @@ impl IFocusMistakes {
                 state.deactivate_all();
                 break;
             }
-            if state.m >= self.config.max_rounds {
-                state.truncated = true;
+            if state.begin_round(1).is_some() {
                 break;
             }
-            state.m += 1;
-            for i in 0..k {
-                if state.active[i] && !state.exhausted[i] {
-                    state.draw(i, &mut groups[i], rng);
-                }
-            }
+            state.draw_active(groups, rng);
             if state.resolution_reached() || state.all_active_exhausted() {
                 state.deactivate_all();
             } else {

@@ -16,8 +16,9 @@
 //! valid at every per-group `m`, so correctness is unaffected.
 
 use crate::config::AlgoConfig;
+use crate::state::FixpointScratch;
 use rand::RngCore;
-use rapidviz_stats::{Interval, IntervalSet, RunningMean, SamplingMode};
+use rapidviz_stats::{Interval, RunningMean, SamplingMode};
 
 /// A group source producing paired measures `(y, z)` for one tuple.
 pub trait PairGroupSource {
@@ -153,144 +154,106 @@ impl IFocusMultiAggregate {
         let k = groups.len();
         let mut half = self.config.clone();
         half.delta /= 2.0;
-        let schedule = half.schedule(k);
-        let labels: Vec<String> = groups.iter().map(PairGroupSource::label).collect();
-        let sizes: Vec<u64> = groups.iter().map(PairGroupSource::len).collect();
-        let n_max = sizes.iter().copied().max().unwrap_or(1);
-        let resolution_eps = self.config.resolution_epsilon();
-
-        let mut y_est = vec![RunningMean::new(); k];
-        let mut z_est = vec![RunningMean::new(); k];
-        let mut counts = vec![0u64; k];
-        let mut truncated = false;
-
-        // Phase 1: drive on Y, piggyback Z.
-        let mut active = vec![true; k];
-        let mut m = 1u64;
-        for i in 0..k {
-            if let Some((y, z)) = groups[i].sample_pair(rng, self.config.mode) {
-                y_est[i].push(y);
-                z_est[i].push(z);
-                counts[i] += 1;
-            }
-        }
-        loop {
-            Self::deactivate(
-                &schedule,
-                &y_est,
-                &counts,
-                &mut active,
-                resolution_eps,
-                n_max,
-            );
-            if !active.iter().any(|&a| a) {
-                break;
-            }
-            if m >= self.config.max_rounds {
-                truncated = true;
-                break;
-            }
-            m += 1;
-            let mut progressed = false;
-            for i in 0..k {
-                if active[i] {
-                    if let Some((y, z)) = groups[i].sample_pair(rng, self.config.mode) {
-                        y_est[i].push(y);
-                        z_est[i].push(z);
-                        counts[i] += 1;
-                        progressed = true;
-                    }
-                }
-            }
-            if !progressed {
-                break; // every active group exhausted
-            }
-        }
-
+        let mut run = PairRun {
+            config: &self.config,
+            schedule: half.schedule(k),
+            n_max: groups.iter().map(PairGroupSource::len).max().unwrap_or(1),
+            estimates: [vec![RunningMean::new(); k], vec![RunningMean::new(); k]],
+            counts: vec![0u64; k],
+            fix: FixpointScratch::default(),
+        };
+        // Phase 1: drive on Y, piggyback Z; the bootstrap draw is round 1.
+        run.draw(&vec![true; k], groups, rng);
+        let truncated_y = run.phase(0, 1, groups, rng);
         // Phase 2: drive on Z, starting from the piggybacked estimates and
         // heterogeneous per-group counts.
-        let mut active = vec![true; k];
-        let mut rounds2 = 0u64;
-        loop {
-            Self::deactivate(
-                &schedule,
-                &z_est,
-                &counts,
-                &mut active,
-                resolution_eps,
-                n_max,
-            );
-            if !active.iter().any(|&a| a) {
-                break;
-            }
-            if rounds2 >= self.config.max_rounds {
-                truncated = true;
-                break;
-            }
-            rounds2 += 1;
-            let mut progressed = false;
-            for i in 0..k {
-                if active[i] {
-                    if let Some((y, z)) = groups[i].sample_pair(rng, self.config.mode) {
-                        y_est[i].push(y);
-                        z_est[i].push(z);
-                        counts[i] += 1;
-                        progressed = true;
-                    }
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-
+        let truncated_z = run.phase(1, 0, groups, rng);
+        let [y_est, z_est] = &run.estimates;
         MultiAggregateResult {
-            labels,
+            labels: groups.iter().map(PairGroupSource::label).collect(),
             y_estimates: y_est.iter().map(RunningMean::mean).collect(),
             z_estimates: z_est.iter().map(RunningMean::mean).collect(),
-            samples_per_group: counts,
-            truncated,
+            samples_per_group: run.counts,
+            truncated: truncated_y || truncated_z,
+        }
+    }
+}
+
+/// The state both phases share: `[Y, Z]` running means fed by every drawn
+/// tuple, and the per-group tuple counts that set each group's ε.
+struct PairRun<'a> {
+    config: &'a AlgoConfig,
+    schedule: rapidviz_stats::EpsilonSchedule,
+    n_max: u64,
+    estimates: [Vec<RunningMean>; 2],
+    counts: Vec<u64>,
+    fix: FixpointScratch,
+}
+
+impl PairRun<'_> {
+    /// One tuple from every active group; `false` when none had one left.
+    fn draw<G: PairGroupSource>(
+        &mut self,
+        active: &[bool],
+        groups: &mut [G],
+        rng: &mut dyn RngCore,
+    ) -> bool {
+        let mut progressed = false;
+        for i in 0..active.len() {
+            if active[i] {
+                if let Some((y, z)) = groups[i].sample_pair(rng, self.config.mode) {
+                    self.estimates[0][i].push(y);
+                    self.estimates[1][i].push(z);
+                    self.counts[i] += 1;
+                    progressed = true;
+                }
+            }
+        }
+        progressed
+    }
+
+    /// IFOCUS on measure `drive` with every group active again, its round
+    /// counter starting at `round`; returns whether the round cap cut it.
+    fn phase<G: PairGroupSource>(
+        &mut self,
+        drive: usize,
+        mut round: u64,
+        groups: &mut [G],
+        rng: &mut dyn RngCore,
+    ) -> bool {
+        let mut active = vec![true; self.counts.len()];
+        loop {
+            self.deactivate(drive, &mut active);
+            if !active.iter().any(|&a| a) {
+                return false;
+            }
+            if round >= self.config.max_rounds {
+                return true;
+            }
+            round += 1;
+            if !self.draw(&active, groups, rng) {
+                return false; // every active group exhausted
+            }
         }
     }
 
     /// Fixpoint deactivation with per-group ε(m_i) (heterogeneous counts).
-    fn deactivate(
-        schedule: &rapidviz_stats::EpsilonSchedule,
-        estimates: &[RunningMean],
-        counts: &[u64],
-        active: &mut [bool],
-        resolution_eps: Option<f64>,
-        n_max: u64,
-    ) {
-        let k = active.len();
+    fn deactivate(&mut self, drive: usize, active: &mut [bool]) {
+        let (schedule, counts, n_max) = (&self.schedule, &self.counts, self.n_max);
+        let estimates = &self.estimates[drive];
         let eps_of = |i: usize| schedule.half_width(counts[i].max(1), n_max);
-        if let Some(thresh) = resolution_eps {
-            if (0..k).filter(|&i| active[i]).all(|i| eps_of(i) < thresh) {
+        if let Some(thresh) = self.config.resolution_epsilon() {
+            if (0..active.len())
+                .filter(|&i| active[i])
+                .all(|i| eps_of(i) < thresh)
+            {
                 active.iter_mut().for_each(|a| *a = false);
                 return;
             }
         }
-        loop {
-            let members: Vec<usize> = (0..k).filter(|&i| active[i]).collect();
-            if members.is_empty() {
-                break;
-            }
-            let set = IntervalSet::new(
-                members
-                    .iter()
-                    .map(|&i| Interval::centered(estimates[i].mean(), eps_of(i)))
-                    .collect(),
-            );
-            let to_remove: Vec<usize> = members
-                .iter()
-                .enumerate()
-                .filter(|&(pos, _)| !set.member_overlaps_others(pos))
-                .map(|(_, &i)| i)
-                .collect();
-            if to_remove.is_empty() {
-                break;
-            }
-            for i in to_remove {
+        let interval_of = |i: usize| Interval::centered(estimates[i].mean(), eps_of(i));
+        while self.fix.separate(active, interval_of) {
+            for &i in &self.fix.remove {
                 active[i] = false;
             }
         }

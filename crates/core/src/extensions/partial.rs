@@ -116,17 +116,13 @@ impl IFocusPartialStepper {
         groups: &mut [G],
         rng: &mut dyn RngCore,
     ) -> StepOutcome {
-        if !self.state.any_active() {
-            return StepOutcome::Converged;
-        }
-        if self.state.m >= self.state.config.max_rounds {
-            self.state.truncated = true;
-            // Truncated runs still flush whatever froze.
-            self.flush();
-            return StepOutcome::BudgetExhausted;
-        }
         let batch = self.state.config.samples_per_round;
-        self.state.m += batch;
+        if let Some(terminal) = self.state.begin_round(batch) {
+            // Truncated runs still flush whatever froze (a converged run
+            // has nothing left to flush).
+            self.flush();
+            return terminal;
+        }
         self.state.draw_round_selected(false, groups, rng, batch);
         if self.state.resolution_reached() || self.state.all_active_exhausted() {
             self.state.deactivate_all();
@@ -135,11 +131,7 @@ impl IFocusPartialStepper {
         }
         self.flush();
         self.state.record();
-        if self.state.any_active() {
-            StepOutcome::Running
-        } else {
-            StepOutcome::Converged
-        }
+        self.state.outcome()
     }
 
     /// Removes and returns the emissions produced since the last drain, in

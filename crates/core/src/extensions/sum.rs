@@ -16,13 +16,13 @@
 //!   sizes, run the same loop on the `z` stream alone (values in `[0, 1]`,
 //!   so the schedule uses `c = 1`), yielding normalized counts `s_i`.
 
-use crate::config::AlgoConfig;
+use crate::config::{AlgoConfig, ReactivationPolicy};
 use crate::group::{GroupSource, MaybeSend};
 use crate::result::RunResult;
 use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
-use crate::state::{FixpointScratch, FocusState};
+use crate::state::FocusState;
 use rand::RngCore;
-use rapidviz_stats::{EpsilonSchedule, Interval, RunningMean, SamplingMode};
+use rapidviz_stats::{Interval, SamplingMode};
 
 /// IFOCUS for `SUM` with known group sizes (Algorithm 4).
 #[derive(Debug, Clone)]
@@ -69,22 +69,14 @@ impl IFocusSum1 {
         stepper.finish()
     }
 
-    /// Overlap test with per-group scaled intervals
-    /// `[|S_i|·(ν_i − ε), |S_i|·(ν_i + ε)]` (Algorithm 4 lines 6–7, 11–13),
-    /// iterated to a fixpoint in the state's reusable scratch (zero
-    /// steady-state allocation).
+    /// The deactivation fixpoint over per-group scaled intervals
+    /// `[|S_i|·(ν_i − ε), |S_i|·(ν_i + ε)]` (Algorithm 4 lines 6–7, 11–13).
     fn deactivate_scaled(state: &mut FocusState, sizes: &[u64]) {
         let eps_base = state.epsilon();
-        let mut fix = std::mem::take(&mut state.fix);
-        while fix.separate(&state.active, |i| {
+        state.separate(eps_base, |s, i| {
             let scale = sizes[i] as f64;
-            Interval::centered(state.estimates[i].mean() * scale, eps_base * scale)
-        }) {
-            for &i in &fix.remove {
-                state.deactivate(i, eps_base);
-            }
-        }
-        state.fix = fix;
+            Interval::centered(s.estimates[i].mean() * scale, eps_base * scale)
+        });
     }
 }
 
@@ -99,13 +91,6 @@ pub struct IFocusSum1Stepper {
 }
 
 impl IFocusSum1Stepper {
-    /// Total samples drawn so far (cheaper than a full snapshot — used by
-    /// session budget checks every round).
-    #[must_use]
-    pub fn total_samples(&self) -> u64 {
-        self.state.total_samples()
-    }
-
     /// [`AlgorithmStepper::step`] without the `MaybeSend` bound (this
     /// per-draw loop never fans out across threads).
     pub fn step_any<G: GroupSource>(
@@ -114,19 +99,10 @@ impl IFocusSum1Stepper {
         rng: &mut dyn RngCore,
     ) -> StepOutcome {
         let state = &mut self.state;
-        if !state.any_active() {
-            return StepOutcome::Converged;
+        if let Some(terminal) = state.begin_round(1) {
+            return terminal;
         }
-        if state.m >= state.config.max_rounds {
-            state.truncated = true;
-            return StepOutcome::BudgetExhausted;
-        }
-        state.m += 1;
-        for i in 0..state.k() {
-            if state.active[i] && !state.exhausted[i] {
-                state.draw(i, &mut groups[i], rng);
-            }
-        }
+        state.draw_active(groups, rng);
         // Resolution semantics in sum space: ε_i = |S_i|·ε, so the
         // cut-off compares the *largest* scaled width against r/4.
         let eps_base = state.epsilon();
@@ -147,11 +123,7 @@ impl IFocusSum1Stepper {
             IFocusSum1::deactivate_scaled(state, &self.sizes);
         }
         state.record();
-        if state.any_active() {
-            StepOutcome::Running
-        } else {
-            StepOutcome::Converged
-        }
+        state.outcome()
     }
 }
 
@@ -174,6 +146,10 @@ impl AlgorithmStepper for IFocusSum1Stepper {
             snap.intervals[i] = Interval::centered(iv.center() * scale, 0.5 * iv.width() * scale);
         }
         snap
+    }
+
+    fn total_samples(&self) -> u64 {
+        self.state.total_samples()
     }
 
     fn approx_bytes(&self) -> usize {
@@ -392,35 +368,26 @@ impl IFocusSum2 {
         groups: &mut [G],
         rng: &mut dyn RngCore,
     ) -> IFocusSum2Stepper {
-        assert!(!groups.is_empty(), "need at least one group");
-        let k = groups.len();
-        // Algorithm 5's ε has no without-replacement factor (x·z pairs are
-        // i.i.d. by construction).
-        let schedule = EpsilonSchedule::with_options(
-            self.config.c,
-            self.config.delta,
-            k,
-            self.config.kappa,
-            SamplingMode::WithReplacement,
-            self.config.heuristic_factor,
-        );
+        // The x·z products are i.i.d. by construction: no population to
+        // exhaust (sizes `u64::MAX`), so ε has no without-replacement
+        // factor, and this loop has never recorded a trace or history nor
+        // reactivated a group, whatever the caller's config says.
+        let config = AlgoConfig {
+            mode: SamplingMode::WithReplacement,
+            reactivation: ReactivationPolicy::Never,
+            record_trace: false,
+            history_every: 0,
+            ..self.config.clone()
+        };
+        let labels = groups.iter().map(SizedGroupSource::label).collect();
         let mut stepper = IFocusSum2Stepper {
-            config: self.config.clone(),
-            schedule,
-            labels: groups.iter().map(SizedGroupSource::label).collect(),
-            estimates: vec![RunningMean::new(); k],
-            active: vec![true; k],
-            frozen_eps: vec![f64::INFINITY; k],
-            samples: vec![0u64; k],
-            m: 1,
-            truncated: false,
+            state: FocusState::new(&config, labels, vec![u64::MAX; groups.len()]),
             pairs: Vec::new(),
-            fix: FixpointScratch::default(),
         };
         for (i, group) in groups.iter_mut().enumerate() {
             if let Some((x, z)) = group.sample_with_size(rng) {
-                stepper.estimates[i].push(x * z);
-                stepper.samples[i] += 1;
+                stepper.state.estimates[i].push(x * z);
+                stepper.state.samples[i] += 1;
             }
         }
         // Round-1 deactivation (lines 11–13) so the first snapshot already
@@ -453,27 +420,15 @@ impl IFocusSum2 {
 
 /// The Algorithm-5 state machine: one step per round (a batched `(x, z)`
 /// draw from every active group, then the deactivation fixpoint at the new
-/// `m`). Operates over [`SizedGroupSource`]s, so it mirrors
-/// [`AlgorithmStepper`]'s shape with inherent methods rather than
-/// implementing the `GroupSource`-bound trait.
+/// `m`) — IFOCUS's own round state over the product stream `x·z`. Operates
+/// over [`SizedGroupSource`]s, so it mirrors [`AlgorithmStepper`]'s shape
+/// with inherent methods rather than implementing the `GroupSource`-bound
+/// trait.
 #[derive(Debug)]
 pub struct IFocusSum2Stepper {
-    config: AlgoConfig,
-    schedule: EpsilonSchedule,
-    labels: Vec<String>,
-    estimates: Vec<RunningMean>,
-    active: Vec<bool>,
-    /// ε at the moment each group deactivated (snapshot intervals only;
-    /// the historical blocking loop never tracked it, and it affects no
-    /// estimate).
-    frozen_eps: Vec<f64>,
-    samples: Vec<u64>,
-    m: u64,
-    truncated: bool,
+    state: FocusState,
     /// Reusable draw buffer: cleared, never shrunk, between batches.
     pairs: Vec<(f64, f64)>,
-    /// Reusable deactivation-fixpoint buffers.
-    fix: FixpointScratch,
 }
 
 impl IFocusSum2Stepper {
@@ -481,35 +436,15 @@ impl IFocusSum2Stepper {
     /// session budget checks every round).
     #[must_use]
     pub fn total_samples(&self) -> u64 {
-        self.samples.iter().sum()
+        self.state.total_samples()
     }
 
-    /// Deactivation (lines 11–13) at the current `m`, iterated to a
-    /// fixpoint in the reusable scratch (zero steady-state allocation).
+    /// Deactivation (lines 11–13) at the current `m`.
     fn deactivate(&mut self) {
-        let eps = self.schedule.half_width(self.m, u64::MAX);
-        let resolution_hit = self
-            .config
-            .resolution_epsilon()
-            .is_some_and(|thresh| eps < thresh);
-        if resolution_hit {
-            for i in 0..self.active.len() {
-                if self.active[i] {
-                    self.active[i] = false;
-                    self.frozen_eps[i] = eps;
-                }
-            }
+        if self.state.resolution_reached() {
+            self.state.deactivate_all();
         } else {
-            let mut fix = std::mem::take(&mut self.fix);
-            while fix.separate(&self.active, |i| {
-                Interval::centered(self.estimates[i].mean(), eps)
-            }) {
-                for &i in &fix.remove {
-                    self.active[i] = false;
-                    self.frozen_eps[i] = eps;
-                }
-            }
-            self.fix = fix;
+            self.state.standard_deactivation();
         }
     }
 
@@ -519,84 +454,41 @@ impl IFocusSum2Stepper {
         groups: &mut [G],
         rng: &mut dyn RngCore,
     ) -> StepOutcome {
-        if !self.active.iter().any(|&a| a) {
-            return StepOutcome::Converged;
+        let batch = self.state.config.samples_per_round;
+        if let Some(terminal) = self.state.begin_round(batch) {
+            return terminal;
         }
-        if self.m >= self.config.max_rounds {
-            self.truncated = true;
-            return StepOutcome::BudgetExhausted;
-        }
-        let batch = self.config.samples_per_round;
-        self.m += batch;
-        for i in 0..self.active.len() {
-            if self.active[i] {
+        let state = &mut self.state;
+        for i in 0..state.k() {
+            if state.active[i] {
                 self.pairs.clear();
                 let got = groups[i].sample_with_size_batch(batch, rng, &mut self.pairs);
-                self.estimates[i].push_products(&self.pairs);
-                self.samples[i] += got;
+                state.estimates[i].push_products(&self.pairs);
+                state.samples[i] += got;
             }
         }
         self.deactivate();
-        if self.active.iter().any(|&a| a) {
-            StepOutcome::Running
-        } else {
-            StepOutcome::Converged
-        }
+        self.state.outcome()
     }
 
     /// The current estimates (normalized sums), intervals, active set, and
     /// sample counts; mirrors [`AlgorithmStepper::snapshot`].
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        let eps = self.schedule.half_width(self.m, u64::MAX);
-        Snapshot {
-            labels: self.labels.clone(),
-            estimates: self.estimates.iter().map(RunningMean::mean).collect(),
-            intervals: (0..self.labels.len())
-                .map(|i| {
-                    let half = if self.active[i] {
-                        eps
-                    } else {
-                        self.frozen_eps[i]
-                    };
-                    Interval::centered(self.estimates[i].mean(), half)
-                })
-                .collect(),
-            active: self.active.clone(),
-            samples_per_group: self.samples.clone(),
-            rounds: self.m,
-            truncated: self.truncated,
-        }
+        self.state.snapshot()
     }
 
     /// Approximate resident bytes of the stepper's state; mirrors
     /// [`AlgorithmStepper::approx_bytes`].
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        size_of::<Self>()
-            + self.labels.capacity() * size_of::<String>()
-            + self.labels.iter().map(String::capacity).sum::<usize>()
-            + self.estimates.capacity() * size_of::<RunningMean>()
-            + self.active.capacity() * size_of::<bool>()
-            + self.frozen_eps.capacity() * size_of::<f64>()
-            + self.samples.capacity() * size_of::<u64>()
-            + self.pairs.capacity() * size_of::<(f64, f64)>()
-            + self.fix.approx_bytes()
+        self.state.approx_bytes() + self.pairs.capacity() * std::mem::size_of::<(f64, f64)>()
     }
 
     /// Packages the final result; mirrors [`AlgorithmStepper::finish`].
     #[must_use]
     pub fn finish(self) -> RunResult {
-        RunResult {
-            labels: self.labels,
-            estimates: self.estimates.iter().map(RunningMean::mean).collect(),
-            samples_per_group: self.samples,
-            rounds: self.m,
-            trace: None,
-            history: None,
-            truncated: self.truncated,
-        }
+        self.state.finish()
     }
 }
 
@@ -635,7 +527,7 @@ mod tests {
     use crate::group::VecGroup;
     use crate::ordering::is_correctly_ordered;
     use rand::{Rng, SeedableRng};
-    use rapidviz_stats::IntervalSet;
+    use rapidviz_stats::{EpsilonSchedule, IntervalSet, RunningMean};
 
     fn two_point_values(mean: f64, n: usize, rng: &mut impl Rng) -> Vec<f64> {
         (0..n)

@@ -14,7 +14,7 @@ use crate::group::GroupSource;
 use crate::result::RunResult;
 use crate::state::FocusState;
 use rand::RngCore;
-use rapidviz_stats::{Interval, IntervalSet};
+use rapidviz_stats::Interval;
 
 /// Whether the analyst wants the largest or the smallest `t` groups
 /// (§6.1.2 supports both "top-t or bottom-t").
@@ -109,17 +109,8 @@ impl IFocusTopT {
         self.update(&mut state, &mut ruled_out);
         state.record();
 
-        while state.any_active() {
-            if state.m >= self.config.max_rounds {
-                state.truncated = true;
-                break;
-            }
-            state.m += 1;
-            for i in 0..state.k() {
-                if state.active[i] && !state.exhausted[i] {
-                    state.draw(i, &mut groups[i], rng);
-                }
-            }
+        while state.begin_round(1).is_none() {
+            state.draw_active(groups, rng);
             if state.resolution_reached() || state.all_active_exhausted() {
                 state.deactivate_all();
             } else {
@@ -156,33 +147,9 @@ impl IFocusTopT {
                 state.deactivate(i, eps_now);
             }
         }
-        // Contenders follow the overlap rule among (active) contenders.
-        loop {
-            let members: Vec<usize> = (0..k)
-                .filter(|&i| state.active[i] && !ruled_out[i])
-                .collect();
-            if members.is_empty() {
-                break;
-            }
-            let set = IntervalSet::new(
-                members
-                    .iter()
-                    .map(|&i| Interval::centered(state.estimates[i].mean(), eps_now))
-                    .collect(),
-            );
-            let to_remove: Vec<usize> = members
-                .iter()
-                .enumerate()
-                .filter(|&(pos, _)| !set.member_overlaps_others(pos))
-                .map(|(_, &i)| i)
-                .collect();
-            if to_remove.is_empty() {
-                break;
-            }
-            for i in to_remove {
-                state.deactivate(i, eps_now);
-            }
-        }
+        // Contenders follow the overlap rule among contenders — exactly the
+        // active groups, since ruling a group out deactivates it for good.
+        state.separate_means(eps_now);
     }
 }
 

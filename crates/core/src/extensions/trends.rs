@@ -41,17 +41,8 @@ impl IFocusTrends {
         Self::update(&mut state, &mut pair_resolved);
         state.record();
 
-        while state.any_active() {
-            if state.m >= self.config.max_rounds {
-                state.truncated = true;
-                break;
-            }
-            state.m += 1;
-            for i in 0..k {
-                if state.active[i] && !state.exhausted[i] {
-                    state.draw(i, &mut groups[i], rng);
-                }
-            }
+        while state.begin_round(1).is_none() {
+            state.draw_active(groups, rng);
             if state.resolution_reached() || state.all_active_exhausted() {
                 state.deactivate_all();
             } else {

@@ -13,7 +13,6 @@ use crate::group::GroupSource;
 use crate::result::RunResult;
 use crate::state::FocusState;
 use rand::RngCore;
-use rapidviz_stats::{Interval, IntervalSet};
 
 /// IFOCUS with a per-group value-accuracy requirement `±d`.
 #[derive(Debug, Clone)]
@@ -44,17 +43,8 @@ impl IFocusValues {
         self.update(&mut state);
         state.record();
 
-        while state.any_active() {
-            if state.m >= self.config.max_rounds {
-                state.truncated = true;
-                break;
-            }
-            state.m += 1;
-            for i in 0..state.k() {
-                if state.active[i] && !state.exhausted[i] {
-                    state.draw(i, &mut groups[i], rng);
-                }
-            }
+        while state.begin_round(1).is_none() {
+            state.draw_active(groups, rng);
             if state.all_active_exhausted() {
                 state.deactivate_all();
             } else {
@@ -69,32 +59,8 @@ impl IFocusValues {
     /// while `ε ≥ d/2` nobody may deactivate.
     fn update(&self, state: &mut FocusState) {
         let eps_now = state.epsilon();
-        if eps_now >= self.d / 2.0 {
-            return;
-        }
-        loop {
-            let members: Vec<usize> = (0..state.k()).filter(|&i| state.active[i]).collect();
-            if members.is_empty() {
-                break;
-            }
-            let set = IntervalSet::new(
-                members
-                    .iter()
-                    .map(|&i| Interval::centered(state.estimates[i].mean(), eps_now))
-                    .collect(),
-            );
-            let to_remove: Vec<usize> = members
-                .iter()
-                .enumerate()
-                .filter(|&(pos, _)| !set.member_overlaps_others(pos))
-                .map(|(_, &i)| i)
-                .collect();
-            if to_remove.is_empty() {
-                break;
-            }
-            for i in to_remove {
-                state.deactivate(i, eps_now);
-            }
+        if eps_now < self.d / 2.0 {
+            state.separate_means(eps_now);
         }
     }
 }

@@ -112,15 +112,6 @@ pub struct IFocusStepper {
     state: FocusState,
 }
 
-impl IFocusStepper {
-    /// Total samples drawn so far (cheaper than a full snapshot — used by
-    /// session budget checks every round).
-    #[must_use]
-    pub fn total_samples(&self) -> u64 {
-        self.state.total_samples()
-    }
-}
-
 impl AlgorithmStepper for IFocusStepper {
     fn step<G: GroupSource + MaybeSend>(
         &mut self,
@@ -128,15 +119,10 @@ impl AlgorithmStepper for IFocusStepper {
         rng: &mut dyn RngCore,
     ) -> StepOutcome {
         let state = &mut self.state;
-        if !state.any_active() {
-            return StepOutcome::Converged;
-        }
-        if state.m >= state.config.max_rounds {
-            state.truncated = true;
-            return StepOutcome::BudgetExhausted;
-        }
         let batch = state.config.samples_per_round;
-        state.m += batch;
+        if let Some(terminal) = state.begin_round(batch) {
+            return terminal;
+        }
         // One draw_batch call per active group (and, over threshold with
         // the `parallel` feature, one worker-pool fan-out per round)
         // instead of `batch` single draws; the selection index list is
@@ -148,15 +134,15 @@ impl AlgorithmStepper for IFocusStepper {
             state.standard_deactivation();
         }
         state.record();
-        if state.any_active() {
-            StepOutcome::Running
-        } else {
-            StepOutcome::Converged
-        }
+        state.outcome()
     }
 
     fn snapshot(&self) -> Snapshot {
         self.state.snapshot()
+    }
+
+    fn total_samples(&self) -> u64 {
+        self.state.total_samples()
     }
 
     fn approx_bytes(&self) -> usize {

@@ -134,15 +134,6 @@ pub struct IRefineStepper {
     phase_cap: u64,
 }
 
-impl IRefineStepper {
-    /// Total samples drawn so far (cheaper than a full snapshot — used by
-    /// session budget checks every round).
-    #[must_use]
-    pub fn total_samples(&self) -> u64 {
-        self.samples.iter().sum()
-    }
-}
-
 impl AlgorithmStepper for IRefineStepper {
     fn step<G: GroupSource + MaybeSend>(
         &mut self,
@@ -261,6 +252,10 @@ impl AlgorithmStepper for IRefineStepper {
             rounds: self.phase,
             truncated: self.truncated,
         }
+    }
+
+    fn total_samples(&self) -> u64 {
+        self.samples.iter().sum()
     }
 
     fn approx_bytes(&self) -> usize {

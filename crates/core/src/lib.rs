@@ -25,7 +25,9 @@
 //!
 //! All four run over any collection of [`group::GroupSource`]s through the
 //! same inherent `new` / `start` / `run` shape, their steppers behind the
-//! [`runner::AlgorithmStepper`] trait.
+//! [`runner::AlgorithmStepper`] trait: step, snapshot, sample count, memory
+//! accounting and finish are everything a driver needs, so the session
+//! facade holds one boxed stepper and never asks which algorithm it is.
 //!
 //! ## Extensions (§6)
 //!

@@ -83,15 +83,6 @@ pub struct RoundRobinStepper {
     state: FocusState,
 }
 
-impl RoundRobinStepper {
-    /// Total samples drawn so far (cheaper than a full snapshot — used by
-    /// session budget checks every round).
-    #[must_use]
-    pub fn total_samples(&self) -> u64 {
-        self.state.total_samples()
-    }
-}
-
 impl AlgorithmStepper for RoundRobinStepper {
     fn step<G: GroupSource + MaybeSend>(
         &mut self,
@@ -99,15 +90,10 @@ impl AlgorithmStepper for RoundRobinStepper {
         rng: &mut dyn RngCore,
     ) -> StepOutcome {
         let state = &mut self.state;
-        if !state.any_active() {
-            return StepOutcome::Converged;
-        }
-        if state.m >= state.config.max_rounds {
-            state.truncated = true;
-            return StepOutcome::BudgetExhausted;
-        }
         let batch = state.config.samples_per_round;
-        state.m += batch;
+        if let Some(terminal) = state.begin_round(batch) {
+            return terminal;
+        }
         // The defining difference from IFOCUS: sample *all* groups —
         // one draw_batch call each (pooled over threshold with the
         // `parallel` feature), selected through the reusable scratch.
@@ -118,15 +104,15 @@ impl AlgorithmStepper for RoundRobinStepper {
             state.standard_deactivation();
         }
         state.record();
-        if state.any_active() {
-            StepOutcome::Running
-        } else {
-            StepOutcome::Converged
-        }
+        state.outcome()
     }
 
     fn snapshot(&self) -> Snapshot {
         self.state.snapshot()
+    }
+
+    fn total_samples(&self) -> u64 {
+        self.state.total_samples()
     }
 
     fn approx_bytes(&self) -> usize {

@@ -175,6 +175,10 @@ pub trait AlgorithmStepper {
     /// The current estimates, intervals, active set, and partial ordering.
     fn snapshot(&self) -> Snapshot;
 
+    /// Total samples drawn so far, without building a snapshot — what a
+    /// session's budget check reads before every round.
+    fn total_samples(&self) -> u64;
+
     /// Approximate resident bytes of the stepper's algorithm state
     /// (estimators, activity flags, scratch arenas) — the per-session
     /// memory-accounting hook. The provided implementation derives the

@@ -69,12 +69,6 @@ pub struct ScanStepper {
 }
 
 impl ScanStepper {
-    /// Total samples (rows read) so far.
-    #[must_use]
-    pub fn total_samples(&self) -> u64 {
-        self.samples.iter().sum()
-    }
-
     /// [`AlgorithmStepper::step`] without the `MaybeSend` bound (SCAN never
     /// fans out across threads).
     pub fn step_any<G: GroupSource>(
@@ -133,6 +127,10 @@ impl AlgorithmStepper for ScanStepper {
             rounds: self.samples.iter().copied().max().unwrap_or(0),
             truncated: false,
         }
+    }
+
+    fn total_samples(&self) -> u64 {
+        self.samples.iter().sum()
     }
 
     fn finish(self) -> RunResult {

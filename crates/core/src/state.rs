@@ -1,16 +1,30 @@
-//! Shared round-loop state for the focused sampling algorithms.
+//! The one IFOCUS round engine.
 //!
-//! IFOCUS, ROUNDROBIN, and every §6 extension share the same bookkeeping:
-//! per-group running means, the global round counter `m`, the anytime ε,
-//! active flags, frozen intervals for deactivated groups, and trace/history
-//! recording. [`FocusState`] centralizes it; the algorithms differ only in
-//! *who gets sampled* each round and *when groups deactivate*.
+//! [`FocusState`] is the round state of every algorithm whose estimator is
+//! a per-group running mean under the shared anytime ε: IFOCUS, ROUNDROBIN,
+//! SUM with known sizes (Algorithm 4), SUM/COUNT with unknown sizes
+//! (Algorithm 5 — IFOCUS over the i.i.d. product stream `x·z`), and the
+//! trends, graph, top-t, mistakes, values and partial-results variants. It
+//! holds the running means, the round counter `m`, the active flags, the
+//! frozen intervals of deactivated groups and the trace/history recording,
+//! and supplies the round prologue ([`FocusState::begin_round`]), the draw,
+//! the deactivation fixpoint ([`FocusState::separate`]) and the snapshot;
+//! those algorithms differ only in *who gets sampled* each round and
+//! *which intervals must separate*.
+//!
+//! [`FixpointScratch::separate`] is the only implementation of the
+//! deactivation fixpoint (Algorithm 1 lines 10–12) in this crate. The three
+//! algorithms with a different estimator — IREFINE (per-phase Hoeffding
+//! targets), the Bernstein variant (Welford variance) and multi-aggregate
+//! (two means per group) — keep their own state; the latter two iterate the
+//! same scratch, while IREFINE and the no-index sampler run a single
+//! all-groups overlap check per round, which is not a fixpoint.
 
 use crate::config::{AlgoConfig, ReactivationPolicy};
 use crate::group::GroupSource;
 use crate::history::{History, HistoryPoint};
 use crate::result::RunResult;
-use crate::runner::Snapshot;
+use crate::runner::{Snapshot, StepOutcome};
 use crate::trace::{Trace, TraceRow};
 use rand::RngCore;
 use rapidviz_stats::{EpsilonSchedule, Interval, IntervalSetScratch, RunningMean};
@@ -19,8 +33,8 @@ use rapidviz_stats::{EpsilonSchedule, Interval, IntervalSetScratch, RunningMean}
 /// list, the interval set, and the per-iteration removal list are all
 /// rebuilt in place, so a warmed scratch makes the whole fixpoint
 /// allocation-free (the same arena discipline as the samplers'
-/// `BatchScratch`). Shared by [`FocusState`], the SUM-scaled variant, and
-/// the unknown-size SUM/COUNT stepper.
+/// `BatchScratch`). Owned by [`FocusState`]; the Bernstein and
+/// multi-aggregate loops hold one of their own.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FixpointScratch {
     /// Indices of currently active groups, rebuilt per iteration.
@@ -116,7 +130,7 @@ pub(crate) struct FocusState {
     round_idxs: Vec<usize>,
     /// Reusable deactivation-fixpoint buffers (member list, interval set,
     /// removal list) — zero steady-state allocation per round.
-    pub(crate) fix: FixpointScratch,
+    fix: FixpointScratch,
 }
 
 impl FocusState {
@@ -127,13 +141,26 @@ impl FocusState {
         groups: &mut [G],
         rng: &mut dyn RngCore,
     ) -> Self {
-        assert!(!groups.is_empty(), "need at least one group");
-        let k = groups.len();
-        let schedule = config.schedule(k);
         let labels = groups.iter().map(GroupSource::label).collect();
-        let sizes: Vec<u64> = groups.iter().map(GroupSource::len).collect();
-        let mut state = Self {
-            schedule,
+        let sizes = groups.iter().map(GroupSource::len).collect();
+        let mut state = Self::new(config, labels, sizes);
+        for (i, group) in groups.iter_mut().enumerate() {
+            state.draw(i, group, rng);
+        }
+        state
+    }
+
+    /// The state at `m = 1` with nothing drawn yet, one group per label;
+    /// the caller draws the bootstrap sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `labels` is empty.
+    pub(crate) fn new(config: &AlgoConfig, labels: Vec<String>, sizes: Vec<u64>) -> Self {
+        assert!(!labels.is_empty(), "need at least one group");
+        let k = labels.len();
+        Self {
+            schedule: config.schedule(k),
             config: config.clone(),
             labels,
             sizes,
@@ -149,11 +176,32 @@ impl FocusState {
             scratch: Vec::new(),
             round_idxs: Vec::new(),
             fix: FixpointScratch::default(),
-        };
-        for (i, group) in groups.iter_mut().enumerate() {
-            state.draw(i, group, rng);
         }
-        state
+    }
+
+    /// The prologue of every round: `Some(terminal)` without touching `m`
+    /// when nothing is active (converged) or the round cap is reached
+    /// (flagged truncated); otherwise advances `m` by `batch` and returns
+    /// `None` — draw, deactivate, [`Self::record`], [`Self::outcome`].
+    pub(crate) fn begin_round(&mut self, batch: u64) -> Option<StepOutcome> {
+        if !self.any_active() {
+            return Some(StepOutcome::Converged);
+        }
+        if self.m >= self.config.max_rounds {
+            self.truncated = true;
+            return Some(StepOutcome::BudgetExhausted);
+        }
+        self.m += batch;
+        None
+    }
+
+    /// What a finished round reports: running while any group is active.
+    pub(crate) fn outcome(&self) -> StepOutcome {
+        if self.any_active() {
+            StepOutcome::Running
+        } else {
+            StepOutcome::Converged
+        }
     }
 
     /// Number of groups.
@@ -171,6 +219,17 @@ impl FocusState {
             }
             None => {
                 self.exhausted[i] = true;
+            }
+        }
+    }
+
+    /// One [`Self::draw`] from every active, unexhausted group, in group
+    /// order on the caller's thread — the per-draw round of Algorithm 4
+    /// and the eager §6 variants, which never fan out.
+    pub(crate) fn draw_active<G: GroupSource>(&mut self, groups: &mut [G], rng: &mut dyn RngCore) {
+        for (i, group) in groups.iter_mut().enumerate() {
+            if self.active[i] && !self.exhausted[i] {
+                self.draw(i, group, rng);
             }
         }
     }
@@ -358,29 +417,45 @@ impl FocusState {
         }
     }
 
-    /// Standard IFOCUS deactivation (Algorithm 1 lines 10–12), iterated to a
-    /// fixpoint: a group leaves the active set when its interval is disjoint
-    /// from the union of the *other active* groups' intervals. Under
-    /// [`ReactivationPolicy::Allow`], activity is instead recomputed from
-    /// scratch over all non-exhausted groups (§3.1 option (b)).
+    /// The deactivation fixpoint (Algorithm 1 lines 10–12): while some
+    /// active group's `interval_of` is disjoint from every *other active*
+    /// group's, deactivate it with its interval frozen at `eps_now`, so
+    /// cascaded separations resolve within the round.
     ///
-    /// Every fixpoint iteration rebuilds its member list and interval set in
-    /// the state's reusable [`FixpointScratch`] — zero steady-state heap
+    /// Every iteration rebuilds its member list and interval set in the
+    /// state's reusable [`FixpointScratch`] — zero steady-state heap
     /// allocation (verified by the `alloc_free` integration tests).
+    pub(crate) fn separate(
+        &mut self,
+        eps_now: f64,
+        interval_of: impl Fn(&Self, usize) -> Interval,
+    ) {
+        let mut fix = std::mem::take(&mut self.fix);
+        while fix.separate(&self.active, |i| interval_of(self, i)) {
+            for &i in &fix.remove {
+                self.deactivate(i, eps_now);
+            }
+        }
+        self.fix = fix;
+    }
+
+    /// [`Self::separate`] over the plain intervals `ν_i ± eps_now`.
+    pub(crate) fn separate_means(&mut self, eps_now: f64) {
+        self.separate(eps_now, |s, i| {
+            Interval::centered(s.estimates[i].mean(), eps_now)
+        });
+    }
+
+    /// Standard IFOCUS deactivation: [`Self::separate_means`] at the current
+    /// ε. Under [`ReactivationPolicy::Allow`], activity is instead
+    /// recomputed from scratch over all non-exhausted groups (§3.1 option
+    /// (b)).
     pub(crate) fn standard_deactivation(&mut self) {
         let eps_now = self.epsilon();
-        let mut fix = std::mem::take(&mut self.fix);
         match self.config.reactivation {
-            ReactivationPolicy::Never => {
-                while fix.separate(&self.active, |i| {
-                    Interval::centered(self.estimates[i].mean(), eps_now)
-                }) {
-                    for &i in &fix.remove {
-                        self.deactivate(i, eps_now);
-                    }
-                }
-            }
+            ReactivationPolicy::Never => self.separate_means(eps_now),
             ReactivationPolicy::Allow => {
+                let mut fix = std::mem::take(&mut self.fix);
                 // Recompute overlap among every group (frozen estimates for
                 // previously inactive ones, live ε for all).
                 fix.build_full(self.k(), |i| {
@@ -397,9 +472,9 @@ impl FocusState {
                         self.deactivate(i, eps_now);
                     }
                 }
+                self.fix = fix;
             }
         }
-        self.fix = fix;
     }
 
     /// Deactivates everything (resolution cut-off or exhaustion).

@@ -691,14 +691,7 @@ impl NeedleTail {
             .indexes
             .get(group_col)
             .ok_or_else(|| EngineError::NotIndexed(group_col.to_owned()))?;
-        let agg_idx = self
-            .table
-            .schema()
-            .column_index(agg_col)
-            .ok_or_else(|| EngineError::NoSuchColumn(agg_col.to_owned()))?;
-        if self.table.schema().columns()[agg_idx].data_type == DataType::Str {
-            return Err(EngineError::NotNumeric(agg_col.to_owned()));
-        }
+        let agg_idx = self.numeric_column(agg_col)?;
         let mut handles = Vec::with_capacity(index.distinct_count());
         for value in index.values() {
             let bitmap = Arc::clone(

@@ -536,6 +536,13 @@ const TAG_EVICTED: u8 = 0x04;
 const TAG_STATS: u8 = 0x05;
 const TAG_PARKED: u8 = 0x06;
 
+/// Whether an encoded payload's tag ends its reply stream: `Answer`,
+/// `Error` and `Stats` do; `Evicted` is followed by a best-effort `Answer`
+/// and `Parked` precedes the round stream.
+pub(crate) fn ends_stream(tag: u8) -> bool {
+    matches!(tag, TAG_ANSWER | TAG_ERROR | TAG_STATS)
+}
+
 impl From<CodecError> for DecodeError {
     fn from(e: CodecError) -> Self {
         DecodeError(e.to_string())

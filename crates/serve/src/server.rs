@@ -50,14 +50,15 @@
 //! unblocks the scheduler immediately.
 
 use crate::protocol::{
-    parse_resume_line, read_line, ErrorCode, Frame, LineError, LineReader, QueryRequest, WireStats,
+    ends_stream, parse_resume_line, read_line, ErrorCode, Frame, LineError, LineReader,
+    QueryRequest, WireStats,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rapidviz::needletail::NeedleTail;
 use rapidviz::{
-    MultiQueryScheduler, ParkingRegistry, QueryId, QuerySession, SchedulePolicy, SchedulerEvent,
-    StepOutcome, VizQuery,
+    MultiQueryScheduler, ParkError, ParkingRegistry, QueryId, QuerySession, SchedulePolicy,
+    SchedulerEvent, StepOutcome, VizQuery,
 };
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -726,53 +727,43 @@ fn handle_command(
             }
         },
         Command::Resume { client, token, tx } => {
-            let taken = {
+            let resumed = {
+                // Held across the replay: `registry` before the engine's
+                // `cache` locks is the declared order, and a failed resume
+                // leaves the checkpoint parked (observable and retryable
+                // until the TTL reaps it) with no counter touched.
                 let mut reg = lock_registry(registry);
-                reg.take(token).ok()
-            };
-            let Some(checkpoint) = taken else {
-                stats.sessions_rejected.fetch_add(1, Ordering::Relaxed);
-                let payload = (Frame::Error {
-                    code: ErrorCode::NoSuchToken,
-                    message: format!("token {token} is unknown, already resumed, or expired"),
-                })
-                .encode();
-                let _ = tx.send(payload);
-                return None;
-            };
-            let clock = lock_registry(registry).clock();
-            // Resumed outside the registry lock: re-planning may take
-            // engine cache locks of its own.
-            match QuerySession::resume_with_clock(engine, &checkpoint, clock) {
-                Ok(session) => {
-                    let id = sched.admit(session);
+                let resumed = sched.unpark(&mut reg, token, engine);
+                if let Ok(id) = resumed {
                     // The token survives the resume: re-seed the registry
                     // under the same name so the session stays durable
                     // across any number of further failures.
                     if let Ok(fresh) = sched.checkpoint(id) {
-                        let mut reg = lock_registry(registry);
                         let _ = reg.park_reserved(token, fresh);
                     }
+                }
+                resumed
+            };
+            match resumed {
+                Ok(id) => {
                     let _ = tx.send((Frame::Parked { token }).encode());
                     links.insert(id, ClientLink { client, tx, token });
                     stats.sessions_admitted.fetch_add(1, Ordering::Relaxed);
                     stats.sessions_resumed.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(e) => {
-                    // Schema drift between park and resume: put the
-                    // checkpoint back so the failure stays observable
-                    // (and retryable) until the TTL reaps it.
-                    {
-                        let mut reg = lock_registry(registry);
-                        let _ = reg.park_reserved(token, checkpoint);
-                    }
                     stats.sessions_rejected.fetch_add(1, Ordering::Relaxed);
-                    let payload = (Frame::Error {
-                        code: ErrorCode::InvalidQuery,
-                        message: format!("resume failed: {e}"),
-                    })
-                    .encode();
-                    let _ = tx.send(payload);
+                    let (code, message) = match e {
+                        // Schema drift between park and resume.
+                        ParkError::Checkpoint(e) => {
+                            (ErrorCode::InvalidQuery, format!("resume failed: {e}"))
+                        }
+                        _ => (
+                            ErrorCode::NoSuchToken,
+                            format!("token {token} is unknown, already resumed, or expired"),
+                        ),
+                    };
+                    let _ = tx.send((Frame::Error { code, message }).encode());
                 }
             }
         }
@@ -962,7 +953,7 @@ fn client_loop(
             if cmd_tx.send(Command::Stats { tx }).is_err() {
                 break;
             }
-            if !pump_frames(&mut writer, &rx, stats, shutdown, client, cmd_tx) {
+            if !pump_frames(&mut writer, &rx, stats, shutdown) {
                 break;
             }
             continue;
@@ -978,73 +969,41 @@ fn client_loop(
             send_error(&mut writer, stats, ErrorCode::Malformed, "unknown command");
             break;
         }
-        if line.starts_with("RESUME") {
-            match parse_resume_line(line) {
-                Ok(token) => {
-                    if shutdown.load(Ordering::SeqCst) {
-                        stats.sessions_rejected.fetch_add(1, Ordering::Relaxed);
-                        send_error(
-                            &mut writer,
-                            stats,
-                            ErrorCode::ShuttingDown,
-                            "server is shutting down",
-                        );
-                        break;
-                    }
-                    let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(config.frame_queue.max(1));
-                    if cmd_tx.send(Command::Resume { client, token, tx }).is_err() {
-                        break;
-                    }
-                    if !pump_frames(&mut writer, &rx, stats, shutdown, client, cmd_tx) {
-                        // Disconnect (or shutdown) raced the stream; park
-                        // (or reclaim) the slot.
-                        let _ = cmd_tx.send(Command::Cancel { client });
-                        break;
-                    }
-                }
-                Err(message) => {
-                    stats.sessions_rejected.fetch_add(1, Ordering::Relaxed);
-                    send_error(&mut writer, stats, ErrorCode::Malformed, &message);
-                    break;
-                }
-            }
-            continue;
-        }
-        match QueryRequest::parse_line(line) {
-            Ok(request) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    stats.sessions_rejected.fetch_add(1, Ordering::Relaxed);
-                    send_error(
-                        &mut writer,
-                        stats,
+        // Everything else opens a round stream: a parked session resumed
+        // by token, or a fresh query.
+        let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(config.frame_queue.max(1));
+        let command = if line.starts_with("RESUME") {
+            parse_resume_line(line).map(|token| Command::Resume { client, token, tx })
+        } else {
+            QueryRequest::parse_line(line).map(|request| Command::Admit {
+                client,
+                request: Box::new(request),
+                tx,
+            })
+        };
+        let command = match command {
+            Ok(command) if !shutdown.load(Ordering::SeqCst) => command,
+            refused => {
+                let (code, message) = match refused {
+                    Err(message) => (ErrorCode::Malformed, message),
+                    Ok(_) => (
                         ErrorCode::ShuttingDown,
-                        "server is shutting down",
-                    );
-                    break;
-                }
-                let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(config.frame_queue.max(1));
-                if cmd_tx
-                    .send(Command::Admit {
-                        client,
-                        request: Box::new(request),
-                        tx,
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-                if !pump_frames(&mut writer, &rx, stats, shutdown, client, cmd_tx) {
-                    // Disconnect (or shutdown) raced the stream; make sure
-                    // the slot is parked or reclaimed.
-                    let _ = cmd_tx.send(Command::Cancel { client });
-                    break;
-                }
-            }
-            Err(message) => {
+                        "server is shutting down".to_owned(),
+                    ),
+                };
                 stats.sessions_rejected.fetch_add(1, Ordering::Relaxed);
-                send_error(&mut writer, stats, ErrorCode::Malformed, &message);
+                send_error(&mut writer, stats, code, &message);
                 break;
             }
+        };
+        if cmd_tx.send(command).is_err() {
+            break;
+        }
+        if !pump_frames(&mut writer, &rx, stats, shutdown) {
+            // Disconnect (or shutdown) raced the stream; make sure the
+            // slot is parked or reclaimed.
+            let _ = cmd_tx.send(Command::Cancel { client });
+            break;
         }
     }
 }
@@ -1069,8 +1028,6 @@ fn pump_frames(
     rx: &Receiver<Vec<u8>>,
     stats: &ServerStats,
     shutdown: &AtomicBool,
-    _client: u64,
-    _cmd_tx: &Sender<Command>,
 ) -> bool {
     loop {
         let payload = match rx.recv_timeout(Duration::from_millis(100)) {
@@ -1085,15 +1042,11 @@ fn pump_frames(
             // more is coming.
             Err(RecvTimeoutError::Disconnected) => return false,
         };
-        let tag = payload.first().copied().unwrap_or(0);
         if crate::protocol::write_frame_bytes(writer, &payload).is_err() {
             return false;
         }
         stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-        // 0x02 Answer, 0x03 Error, 0x05 Stats end the stream (0x04
-        // Evicted is followed by a best-effort Answer; 0x06 Parked
-        // precedes the round stream).
-        if matches!(tag, 0x02 | 0x03 | 0x05) {
+        if payload.first().is_some_and(|&tag| ends_stream(tag)) {
             let _ = writer.flush();
             return true;
         }
@@ -1160,6 +1113,78 @@ mod tests {
         let reg = lock_registry(&registry);
         assert_eq!(reg.len(), 1, "registry holds the parked checkpoint");
         assert!(reg.bytes() > 0);
+    }
+
+    /// `RESUME` inside the scheduler incarnation that parked the session
+    /// must hand the parked draws back (`MultiQueryScheduler::unpark`), or
+    /// the global sample budget is charged for them twice; and a resume
+    /// that fails must leave the registry's counters alone.
+    #[test]
+    fn resume_unparks_without_double_charging_the_global_budget() {
+        let engine = engine();
+        let config = ServerConfig::default();
+        let registry = Arc::new(Mutex::new(ParkingRegistry::new(config.park_ttl)));
+        let stats = ServerStats::default();
+        let mut sched = MultiQueryScheduler::new(config.policy);
+        let mut links = BTreeMap::new();
+        let mut run = |sched: &mut MultiQueryScheduler, cmd| {
+            let exit = handle_command(cmd, &engine, &config, sched, &mut links, &stats, &registry);
+            assert!(exit.is_none());
+        };
+        let (tx, _admitted) = mpsc::sync_channel::<Vec<u8>>(4_096);
+        let admit = Command::Admit {
+            client: 1,
+            request: Box::new(QueryRequest::avg("name", "arr_delay", 1)),
+            tx,
+        };
+        run(&mut sched, admit);
+        for _ in 0..5 {
+            sched.poll();
+        }
+        let drawn = sched.total_samples();
+        assert!(drawn > 0);
+        run(&mut sched, Command::Cancel { client: 1 });
+        assert_eq!(sched.len(), 0, "the disconnect parked the session");
+
+        // No such token: rejected, and not counted as a resume.
+        let (tx, refused) = mpsc::sync_channel::<Vec<u8>>(4);
+        let resume = Command::Resume {
+            client: 2,
+            token: 99,
+            tx,
+        };
+        run(&mut sched, resume);
+        let frame = refused.try_recv().expect("error frame was sent");
+        assert!(matches!(
+            Frame::decode(&frame),
+            Ok(Frame::Error {
+                code: ErrorCode::NoSuchToken,
+                ..
+            })
+        ));
+        assert_eq!(lock_registry(&registry).stats().resumed_total, 0);
+
+        let (tx, resumed) = mpsc::sync_channel::<Vec<u8>>(4_096);
+        let resume = Command::Resume {
+            client: 2,
+            token: 1,
+            tx,
+        };
+        run(&mut sched, resume);
+        let frame = resumed.try_recv().expect("token frame was sent");
+        assert_eq!(Frame::decode(&frame), Ok(Frame::Parked { token: 1 }));
+        assert_eq!(sched.len(), 1);
+        assert_eq!(
+            sched.total_samples(),
+            drawn,
+            "the one session's draws are charged once"
+        );
+        assert_eq!(stats.sessions_parked.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.sessions_resumed.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.sessions_rejected.load(Ordering::Relaxed), 1);
+        let parking = lock_registry(&registry).stats();
+        assert_eq!(parking.resumed_total, 1);
+        assert_eq!(parking.parked, 1, "the resumed session is durable again");
     }
 
     /// The drain must also join cleanly when the scheduler holds nothing.

@@ -23,7 +23,7 @@
 
 use crate::adapter::{NeedletailGroup, SizedNeedletailGroup};
 use crate::checkpoint::QuerySpec;
-use crate::session::{MeanStepper, PlanCacheStats, QuerySession, SessionCore, SessionEngine};
+use crate::session::{PlanCacheStats, QuerySession, SessionCore, SessionEngine};
 use rand::RngCore;
 use rapidviz_core::clock::{Clock, SystemClock};
 use rapidviz_core::extensions::{count_config, CountSource, IFocusSum1, IFocusSum2};
@@ -47,16 +47,9 @@ pub use crate::checkpoint::{Aggregate, AlgorithmChoice};
 #[derive(Debug, Clone)]
 pub struct VizQuery<'a> {
     engine: &'a NeedleTail,
-    group_by: Vec<String>,
-    measure: Option<String>,
-    aggregate: Aggregate,
-    algorithm: AlgorithmChoice,
-    predicate: Predicate,
-    delta: f64,
-    resolution_fraction: Option<f64>,
-    bound: Option<f64>,
-    samples_per_round: Option<u64>,
-    max_samples: Option<u64>,
+    /// Everything a checkpoint must carry to re-plan the query; an empty
+    /// `measure` means none was set yet.
+    spec: QuerySpec,
     timeout: Option<Duration>,
     deadline: Option<Instant>,
     clock: Arc<dyn Clock>,
@@ -66,10 +59,9 @@ impl<'a> VizQuery<'a> {
     /// Starts a query against an engine.
     #[must_use]
     pub fn new(engine: &'a NeedleTail) -> Self {
-        Self {
-            engine,
+        let spec = QuerySpec {
             group_by: Vec::new(),
-            measure: None,
+            measure: String::new(),
             aggregate: Aggregate::Avg,
             algorithm: AlgorithmChoice::IFocus,
             predicate: Predicate::True,
@@ -78,33 +70,31 @@ impl<'a> VizQuery<'a> {
             bound: None,
             samples_per_round: None,
             max_samples: None,
-            timeout: None,
-            deadline: None,
-            clock: Arc::new(SystemClock),
-        }
+        };
+        Self::from_spec(engine, spec, Arc::new(SystemClock))
     }
 
     /// Adds a group-by attribute (call twice for a two-attribute group-by,
     /// §6.3.4).
     #[must_use]
     pub fn group_by(mut self, column: impl Into<String>) -> Self {
-        self.group_by.push(column.into());
+        self.spec.group_by.push(column.into());
         self
     }
 
     /// Sets the measure to `AVG(column)`.
     #[must_use]
     pub fn avg(mut self, column: impl Into<String>) -> Self {
-        self.measure = Some(column.into());
-        self.aggregate = Aggregate::Avg;
+        self.spec.measure = column.into();
+        self.spec.aggregate = Aggregate::Avg;
         self
     }
 
     /// Sets the measure to `SUM(column)` (group sizes come from the index).
     #[must_use]
     pub fn sum(mut self, column: impl Into<String>) -> Self {
-        self.measure = Some(column.into());
-        self.aggregate = Aggregate::Sum;
+        self.spec.measure = column.into();
+        self.spec.aggregate = Aggregate::Sum;
         self
     }
 
@@ -120,8 +110,8 @@ impl<'a> VizQuery<'a> {
     /// scale) or a session budget to bound such runs.
     #[must_use]
     pub fn count(mut self, column: impl Into<String>) -> Self {
-        self.measure = Some(column.into());
-        self.aggregate = Aggregate::Count;
+        self.spec.measure = column.into();
+        self.spec.aggregate = Aggregate::Count;
         self
     }
 
@@ -130,7 +120,7 @@ impl<'a> VizQuery<'a> {
     /// execution time.
     #[must_use]
     pub fn algorithm(mut self, algorithm: AlgorithmChoice) -> Self {
-        self.algorithm = algorithm;
+        self.spec.algorithm = algorithm;
         self
     }
 
@@ -148,7 +138,7 @@ impl<'a> VizQuery<'a> {
     #[must_use]
     pub fn samples_per_round(mut self, n: u64) -> Self {
         assert!(n > 0, "samples per round must be positive");
-        self.samples_per_round = Some(n);
+        self.spec.samples_per_round = Some(n);
         self
     }
 
@@ -164,7 +154,7 @@ impl<'a> VizQuery<'a> {
     #[must_use]
     pub fn max_samples(mut self, cap: u64) -> Self {
         assert!(cap > 0, "sample budget must be positive");
-        self.max_samples = Some(cap);
+        self.spec.max_samples = Some(cap);
         self
     }
 
@@ -198,7 +188,7 @@ impl<'a> VizQuery<'a> {
     /// Restricts rows with a predicate (§6.3.3).
     #[must_use]
     pub fn filter(mut self, predicate: Predicate) -> Self {
-        self.predicate = predicate;
+        self.spec.predicate = predicate;
         self
     }
 
@@ -210,7 +200,7 @@ impl<'a> VizQuery<'a> {
     #[must_use]
     pub fn delta(mut self, delta: f64) -> Self {
         assert!(delta > 0.0 && delta < 1.0, "delta must lie in (0, 1)");
-        self.delta = delta;
+        self.spec.delta = delta;
         self
     }
 
@@ -223,7 +213,7 @@ impl<'a> VizQuery<'a> {
     #[must_use]
     pub fn resolution_pct(mut self, percent: f64) -> Self {
         assert!(percent > 0.0, "resolution must be positive");
-        self.resolution_fraction = Some(percent / 100.0);
+        self.spec.resolution_fraction = Some(percent / 100.0);
         self
     }
 
@@ -237,7 +227,7 @@ impl<'a> VizQuery<'a> {
     #[must_use]
     pub fn bound(mut self, c: f64) -> Self {
         assert!(c > 0.0, "bound must be positive");
-        self.bound = Some(c);
+        self.spec.bound = Some(c);
         self
     }
 
@@ -277,48 +267,25 @@ impl<'a> VizQuery<'a> {
             .downcast_ref::<rand::rngs::StdRng>()
             .map(rand::rngs::StdRng::state);
         let core = self.prepare_core(&mut rng)?;
-        Ok(QuerySession::new(core, Box::new(rng), seed, self.spec()))
+        Ok(QuerySession::new(
+            core,
+            Box::new(rng),
+            seed,
+            self.spec.clone(),
+        ))
     }
 
-    /// The re-plannable description of this query — everything a
-    /// [`crate::SessionCheckpoint`] needs to rebuild the builder on
-    /// resume, minus the engine reference and clock (supplied by the
-    /// resuming process).
-    pub(crate) fn spec(&self) -> QuerySpec {
-        QuerySpec {
-            group_by: self.group_by.clone(),
-            measure: self.measure.clone().unwrap_or_default(),
-            aggregate: self.aggregate,
-            algorithm: self.algorithm,
-            predicate: self.predicate.clone(),
-            delta: self.delta,
-            resolution_fraction: self.resolution_fraction,
-            bound: self.bound,
-            samples_per_round: self.samples_per_round,
-            max_samples: self.max_samples,
-        }
-    }
-
-    /// Rebuilds a builder from a checkpointed spec, with no wall-clock
-    /// budget: the resume path re-anchors the checkpoint's **remaining**
-    /// time-to-deadline itself, once its replay is done.
+    /// A builder over `spec` with no wall-clock budget: the resume path
+    /// re-anchors the checkpoint's **remaining** time-to-deadline itself,
+    /// once its replay is done.
     pub(crate) fn from_spec(
         engine: &'a NeedleTail,
-        spec: &QuerySpec,
+        spec: QuerySpec,
         clock: Arc<dyn Clock>,
     ) -> Self {
         Self {
             engine,
-            group_by: spec.group_by.clone(),
-            measure: Some(spec.measure.clone()),
-            aggregate: spec.aggregate,
-            algorithm: spec.algorithm,
-            predicate: spec.predicate.clone(),
-            delta: spec.delta,
-            resolution_fraction: spec.resolution_fraction,
-            bound: spec.bound,
-            samples_per_round: spec.samples_per_round,
-            max_samples: spec.max_samples,
+            spec,
             timeout: None,
             deadline: None,
             clock,
@@ -330,12 +297,14 @@ impl<'a> VizQuery<'a> {
     /// included) — shared by [`VizQuery::execute`], [`VizQuery::start`],
     /// and the checkpoint-resume path.
     pub(crate) fn prepare_core(&self, rng: &mut dyn RngCore) -> Result<SessionCore, EngineError> {
-        let measure = self.measure.as_ref().ok_or_else(|| {
-            EngineError::InvalidQuery(
+        let spec = &self.spec;
+        let measure = spec.measure.as_str();
+        if measure.is_empty() {
+            return Err(EngineError::InvalidQuery(
                 "no measure set: call .avg(column), .sum(column), or .count(column)".into(),
-            )
-        })?;
-        if self.group_by.is_empty() {
+            ));
+        }
+        if spec.group_by.is_empty() {
             return Err(EngineError::InvalidQuery(
                 "no group-by set: call .group_by(column) at least once".into(),
             ));
@@ -352,44 +321,45 @@ impl<'a> VizQuery<'a> {
         // records how the planning caches treated this query (the
         // observability a serving layer keys on).
         let metrics_before = self.engine.metrics().snapshot();
-        let (engine, population) = match self.aggregate {
+        let (engine, population): (Box<dyn SessionEngine>, u64) = match spec.aggregate {
             Aggregate::Avg | Aggregate::Sum => {
-                let handles = if self.group_by.len() == 1 {
+                let handles = if spec.group_by.len() == 1 {
                     self.engine
-                        .group_handles(&self.group_by[0], measure, &self.predicate)?
+                        .group_handles(&spec.group_by[0], measure, &spec.predicate)?
                 } else {
-                    let cols: Vec<&str> = self.group_by.iter().map(String::as_str).collect();
+                    let cols: Vec<&str> = spec.group_by.iter().map(String::as_str).collect();
                     self.engine
-                        .group_handles_multi(&cols, measure, &self.predicate)?
+                        .group_handles_multi(&cols, measure, &spec.predicate)?
                 };
                 let mut groups: Vec<NeedletailGroup> =
                     handles.into_iter().map(NeedletailGroup::new).collect();
-                let c = match self.bound {
+                let c = match spec.bound {
                     Some(c) => c,
                     None => self.infer_bound(measure)?,
                 };
-                let mut config = AlgoConfig::new(c, self.delta);
-                if let Some(frac) = self.resolution_fraction {
+                let mut config = AlgoConfig::new(c, spec.delta);
+                if let Some(frac) = spec.resolution_fraction {
                     config = config.with_resolution(c * frac);
                 }
-                if let Some(batch) = self.samples_per_round {
+                if let Some(batch) = spec.samples_per_round {
                     config = config.with_samples_per_round(batch);
                 }
-                let stepper = match (self.aggregate, self.algorithm) {
+                let population = groups.iter().map(GroupSource::len).sum();
+                let engine: Box<dyn SessionEngine> = match (spec.aggregate, spec.algorithm) {
                     (Aggregate::Avg, AlgorithmChoice::IFocus) => {
-                        MeanStepper::IFocus(IFocus::new(config).start(&mut groups, rng))
+                        Box::new((IFocus::new(config).start(&mut groups, rng), groups))
                     }
                     (Aggregate::Avg, AlgorithmChoice::IRefine) => {
-                        MeanStepper::IRefine(IRefine::new(config).start(&mut groups, rng))
+                        Box::new((IRefine::new(config).start(&mut groups, rng), groups))
                     }
                     (Aggregate::Avg, AlgorithmChoice::RoundRobin) => {
-                        MeanStepper::RoundRobin(RoundRobin::new(config).start(&mut groups, rng))
+                        Box::new((RoundRobin::new(config).start(&mut groups, rng), groups))
                     }
                     (Aggregate::Avg, AlgorithmChoice::ExactScan) => {
-                        MeanStepper::Scan(ExactScan::new(config).start(&mut groups, rng))
+                        Box::new((ExactScan::new(config).start(&mut groups, rng), groups))
                     }
                     (Aggregate::Sum, AlgorithmChoice::IFocus) => {
-                        MeanStepper::Sum1(IFocusSum1::new(config).start(&mut groups, rng))
+                        Box::new((IFocusSum1::new(config).start(&mut groups, rng), groups))
                     }
                     (Aggregate::Sum, other) => {
                         return Err(EngineError::Unsupported(format!(
@@ -398,11 +368,10 @@ impl<'a> VizQuery<'a> {
                     }
                     (Aggregate::Count, _) => unreachable!("handled in the outer match"),
                 };
-                let population = groups.iter().map(GroupSource::len).sum();
-                (SessionEngine::Mean { stepper, groups }, population)
+                (engine, population)
             }
             Aggregate::Count => {
-                if self.bound.is_some() {
+                if spec.bound.is_some() {
                     // Rejected rather than ignored, for the same loudness
                     // as the algorithm-override check below.
                     return Err(EngineError::Unsupported(
@@ -411,18 +380,18 @@ impl<'a> VizQuery<'a> {
                             .into(),
                     ));
                 }
-                if self.algorithm != AlgorithmChoice::IFocus {
+                if spec.algorithm != AlgorithmChoice::IFocus {
                     return Err(EngineError::Unsupported(format!(
                         "COUNT uses its dedicated Algorithm 5 reduction; cannot override with {:?}",
-                        self.algorithm
+                        spec.algorithm
                     )));
                 }
-                if self.group_by.len() != 1 {
+                if spec.group_by.len() != 1 {
                     return Err(EngineError::Unsupported(
                         "COUNT supports a single group-by attribute".into(),
                     ));
                 }
-                if self.predicate != Predicate::True {
+                if spec.predicate != Predicate::True {
                     // The size-estimating handles sample the whole
                     // relation; answering anyway would be a confident
                     // statement about the unfiltered table.
@@ -434,7 +403,7 @@ impl<'a> VizQuery<'a> {
                 }
                 let handles = self
                     .engine
-                    .sized_group_handles(&self.group_by[0], measure)?;
+                    .sized_group_handles(&spec.group_by[0], measure)?;
                 let mut groups: Vec<CountSource<SizedNeedletailGroup>> = handles
                     .into_iter()
                     .map(|h| CountSource::new(SizedNeedletailGroup::new(h)))
@@ -442,22 +411,22 @@ impl<'a> VizQuery<'a> {
                 let population = groups.iter().map(|g| g.inner().handle().eligible()).sum();
                 // The z stream lives in [0, 1], so c = 1 and the resolution
                 // fraction applies directly on the normalized-count scale.
-                let mut config = AlgoConfig::new(1.0, self.delta);
-                if let Some(frac) = self.resolution_fraction {
+                let mut config = AlgoConfig::new(1.0, spec.delta);
+                if let Some(frac) = spec.resolution_fraction {
                     config = config.with_resolution(frac);
                 }
-                if let Some(batch) = self.samples_per_round {
+                if let Some(batch) = spec.samples_per_round {
                     config = config.with_samples_per_round(batch);
                 }
                 let stepper = IFocusSum2::new(count_config(&config)).start(&mut groups, rng);
-                (SessionEngine::Sized { stepper, groups }, population)
+                (Box::new((stepper, groups)), population)
             }
         };
         let planning = PlanCacheStats::delta(&metrics_before, &self.engine.metrics().snapshot());
         Ok(SessionCore::new(
             engine,
             population,
-            self.max_samples,
+            spec.max_samples,
             deadline,
             Arc::clone(&self.clock),
             planning,

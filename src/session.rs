@@ -53,12 +53,9 @@
 
 use rand::RngCore;
 use rapidviz_core::clock::{Clock, SystemClock};
-use rapidviz_core::extensions::{CountSource, IFocusSum1Stepper, IFocusSum2Stepper};
+use rapidviz_core::extensions::{CountSource, IFocusSum2Stepper};
 use rapidviz_core::runner::AlgorithmStepper;
-use rapidviz_core::{
-    viz, IFocusStepper, IRefineStepper, RoundRobinStepper, RunResult, ScanStepper, Snapshot,
-    StepOutcome,
-};
+use rapidviz_core::{viz, RunResult, Snapshot, StepOutcome};
 use rapidviz_needletail::NeedleTail;
 use std::sync::Arc;
 use std::time::Instant;
@@ -66,105 +63,62 @@ use std::time::Instant;
 use crate::adapter::{NeedletailGroup, SizedNeedletailGroup};
 use crate::checkpoint::{CheckpointError, QuerySpec, SessionCheckpoint};
 
-/// The mean-space algorithm steppers a session can drive (AVG under any
-/// ordering algorithm, plus SUM with known group sizes).
-#[derive(Debug)]
-pub(crate) enum MeanStepper {
-    /// IFOCUS (Algorithm 1 / IFOCUS-R).
-    IFocus(IFocusStepper),
-    /// IREFINE (Algorithm 3).
-    IRefine(IRefineStepper),
-    /// The ROUNDROBIN baseline.
-    RoundRobin(RoundRobinStepper),
-    /// The exhaustive SCAN baseline (one group per step).
-    Scan(ScanStepper),
-    /// SUM with known group sizes (Algorithm 4).
-    Sum1(IFocusSum1Stepper),
+/// A stepper paired with the groups it samples — what a session drives,
+/// whatever the algorithm. `VizQuery::prepare_core` picks the pair; nothing
+/// here knows which one it got.
+pub(crate) trait SessionEngine: std::fmt::Debug {
+    fn step(&mut self, rng: &mut dyn RngCore) -> StepOutcome;
+    fn snapshot(&self) -> Snapshot;
+    fn total_samples(&self) -> u64;
+    fn approx_bytes(&self) -> usize;
+    fn finish(self: Box<Self>) -> RunResult;
 }
 
-/// A session's algorithm state machine paired with the groups it samples.
-#[derive(Debug)]
-pub(crate) enum SessionEngine {
-    /// Algorithms over plain [`NeedletailGroup`] handles.
-    Mean {
-        /// The round-level state machine.
-        stepper: MeanStepper,
-        /// Storage-backed samplers, one per group.
-        groups: Vec<NeedletailGroup>,
-    },
-    /// Algorithm 5 over size-estimating handles (the COUNT reduction).
-    Sized {
-        /// The round-level state machine.
-        stepper: IFocusSum2Stepper,
-        /// Size-estimating samplers wrapped in the COUNT rewrite.
-        groups: Vec<CountSource<SizedNeedletailGroup>>,
-    },
-}
-
-impl SessionEngine {
+/// Every [`AlgorithmStepper`] over plain storage-backed groups: AVG under
+/// any ordering algorithm, and SUM with known group sizes (Algorithm 4).
+impl<S: AlgorithmStepper + std::fmt::Debug> SessionEngine for (S, Vec<NeedletailGroup>) {
     fn step(&mut self, rng: &mut dyn RngCore) -> StepOutcome {
-        match self {
-            SessionEngine::Mean { stepper, groups } => match stepper {
-                MeanStepper::IFocus(s) => s.step(groups.as_mut_slice(), rng),
-                MeanStepper::IRefine(s) => s.step(groups.as_mut_slice(), rng),
-                MeanStepper::RoundRobin(s) => s.step(groups.as_mut_slice(), rng),
-                MeanStepper::Scan(s) => s.step_any(groups.as_mut_slice(), rng),
-                MeanStepper::Sum1(s) => s.step_any(groups.as_mut_slice(), rng),
-            },
-            SessionEngine::Sized { stepper, groups } => stepper.step(groups.as_mut_slice(), rng),
-        }
+        self.0.step(&mut self.1, rng)
     }
 
     fn snapshot(&self) -> Snapshot {
-        match self {
-            SessionEngine::Mean { stepper, .. } => match stepper {
-                MeanStepper::IFocus(s) => s.snapshot(),
-                MeanStepper::IRefine(s) => s.snapshot(),
-                MeanStepper::RoundRobin(s) => s.snapshot(),
-                MeanStepper::Scan(s) => s.snapshot(),
-                MeanStepper::Sum1(s) => s.snapshot(),
-            },
-            SessionEngine::Sized { stepper, .. } => stepper.snapshot(),
-        }
+        self.0.snapshot()
     }
 
     fn total_samples(&self) -> u64 {
-        match self {
-            SessionEngine::Mean { stepper, .. } => match stepper {
-                MeanStepper::IFocus(s) => s.total_samples(),
-                MeanStepper::IRefine(s) => s.total_samples(),
-                MeanStepper::RoundRobin(s) => s.total_samples(),
-                MeanStepper::Scan(s) => s.total_samples(),
-                MeanStepper::Sum1(s) => s.total_samples(),
-            },
-            SessionEngine::Sized { stepper, .. } => stepper.total_samples(),
-        }
+        self.0.total_samples()
     }
 
     fn approx_bytes(&self) -> usize {
-        match self {
-            SessionEngine::Mean { stepper, .. } => match stepper {
-                MeanStepper::IFocus(s) => s.approx_bytes(),
-                MeanStepper::IRefine(s) => s.approx_bytes(),
-                MeanStepper::RoundRobin(s) => s.approx_bytes(),
-                MeanStepper::Scan(s) => s.approx_bytes(),
-                MeanStepper::Sum1(s) => s.approx_bytes(),
-            },
-            SessionEngine::Sized { stepper, .. } => stepper.approx_bytes(),
-        }
+        self.0.approx_bytes()
     }
 
-    fn finish(self) -> RunResult {
-        match self {
-            SessionEngine::Mean { stepper, .. } => match stepper {
-                MeanStepper::IFocus(s) => s.finish(),
-                MeanStepper::IRefine(s) => s.finish(),
-                MeanStepper::RoundRobin(s) => s.finish(),
-                MeanStepper::Scan(s) => s.finish(),
-                MeanStepper::Sum1(s) => s.finish(),
-            },
-            SessionEngine::Sized { stepper, .. } => stepper.finish(),
-        }
+    fn finish(self: Box<Self>) -> RunResult {
+        self.0.finish()
+    }
+}
+
+/// Algorithm 5 over size-estimating handles wrapped in the COUNT rewrite;
+/// its sources are not `GroupSource`s, so it stands outside the trait.
+impl SessionEngine for (IFocusSum2Stepper, Vec<CountSource<SizedNeedletailGroup>>) {
+    fn step(&mut self, rng: &mut dyn RngCore) -> StepOutcome {
+        self.0.step(&mut self.1, rng)
+    }
+
+    fn snapshot(&self) -> Snapshot {
+        self.0.snapshot()
+    }
+
+    fn total_samples(&self) -> u64 {
+        self.0.total_samples()
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.0.approx_bytes()
+    }
+
+    fn finish(self: Box<Self>) -> RunResult {
+        self.0.finish()
     }
 }
 
@@ -254,7 +208,7 @@ pub struct RoundUpdate {
 /// their fixed-seed results are identical by construction.
 #[derive(Debug)]
 pub(crate) struct SessionCore {
-    engine: SessionEngine,
+    engine: Box<dyn SessionEngine>,
     population: u64,
     max_samples: Option<u64>,
     deadline: Option<Instant>,
@@ -278,7 +232,7 @@ pub(crate) struct SessionCore {
 
 impl SessionCore {
     pub(crate) fn new(
-        engine: SessionEngine,
+        engine: Box<dyn SessionEngine>,
         population: u64,
         max_samples: Option<u64>,
         deadline: Option<Instant>,
@@ -625,7 +579,7 @@ impl QuerySession {
         checkpoint: &SessionCheckpoint,
         clock: Arc<dyn Clock>,
     ) -> Result<Self, CheckpointError> {
-        let query = crate::VizQuery::from_spec(engine, &checkpoint.spec, clock);
+        let query = crate::VizQuery::from_spec(engine, checkpoint.spec.clone(), clock);
         let mut rng = rand::rngs::StdRng::from_state(checkpoint.rng);
         let mut core = query.prepare_core(&mut rng)?;
         core.replay(checkpoint, &mut rng)?;
