@@ -6,7 +6,6 @@
 
 pub mod algorithms;
 pub mod experiments;
-pub mod perfgate;
 pub mod report;
 
 pub use algorithms::AlgorithmKind;

@@ -17,7 +17,7 @@
 //! | rule | what fires | where it applies |
 //! |------|------------|------------------|
 //! | `panic` | `.unwrap()`, `.expect(…)`, `panic!`, `todo!`, `unimplemented!` | library code under `[rules.panic] paths` (the serving / scheduler / engine answer paths) |
-//! | `clock` | `Instant::now()`, `SystemTime::now()` | all library code except `[rules.clock] allow` (the `Clock` impls and measurement harnesses) |
+//! | `clock` | `Instant::now()`, `SystemTime::now()` | all library code except `[rules.clock] allow` (the `Clock` impls) |
 //! | `determinism` | `thread_rng`, ambient `random()`, and `.iter()` / `.keys()` / `.values()` / `.drain()` (and `_mut` / `into_` variants) on bindings lexically typed or initialized as `HashMap` / `HashSet` | library code under `[rules.determinism] paths` (answer-producing crates) |
 //! | `unsafe` | any `unsafe` token not matching a committed `[[unsafe]]` manifest entry (file + exact count + justification) | library, binary, and shim code |
 //! | `output` | `println!`, `eprintln!` (and `print!` / `eprint!`) | all library code — diagnostics go through `Metrics` or returned errors |

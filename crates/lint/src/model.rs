@@ -99,7 +99,7 @@ impl WorkspaceModel {
             }
         }
         // Drop dependency edges that point outside the first-party set
-        // (rand/proptest/criterion shims, hypothetical registry deps).
+        // (rand/proptest shims, hypothetical registry deps).
         let names: Vec<String> = crates.iter().map(|c| c.name.clone()).collect();
         for c in &mut crates {
             c.deps.retain(|d| names.contains(&d.name));

@@ -9,9 +9,9 @@
 //! Spawns N client threads; each runs its queries back-to-back (closed
 //! loop) with a deterministic per-client mix of AVG / SUM / COUNT over
 //! the flight measures, records time-to-first-certified-bar and frame
-//! counts, and requires a terminal frame for every query. Prints p50/p99
-//! TTFCB, frames/s, and sessions/s; exits non-zero if any query missed
-//! its terminal frame.
+//! counts, and requires an answer for every query. Prints p50/p99 TTFCB,
+//! frames/s, and sessions/s over the answered queries; exits non-zero if
+//! any query was refused with an error frame or missed its terminal frame.
 //!
 //! `--self-host` starts an in-process server on an ephemeral loopback
 //! port first — the CI smoke path, no background-process orchestration
@@ -106,6 +106,7 @@ struct ClientReport {
     ttfcb: Vec<Duration>,
     frames: u64,
     completed: u64,
+    errored: u64,
     missing_terminal: u64,
     retries: u64,
 }
@@ -133,7 +134,8 @@ fn run_client(
         let start = Instant::now();
         conn.send_request(&req)?;
         let mut first_certified: Option<Duration> = None;
-        let mut terminal = false;
+        // `Some(answered)` once a terminal frame arrives.
+        let mut terminal: Option<bool> = None;
         while let Some(frame) = conn.next_frame()? {
             report.frames += 1;
             match frame {
@@ -143,12 +145,12 @@ fn run_client(
                     }
                 }
                 rapidviz_serve::Frame::Answer(_) => {
-                    terminal = true;
+                    terminal = Some(true);
                     break;
                 }
                 rapidviz_serve::Frame::Error { code, message } => {
                     eprintln!("client {client} query {q}: server error {code:?}: {message}");
-                    terminal = true;
+                    terminal = Some(false);
                     break;
                 }
                 rapidviz_serve::Frame::Parked { .. }
@@ -156,15 +158,17 @@ fn run_client(
                 | rapidviz_serve::Frame::Stats(_) => {}
             }
         }
-        if terminal {
-            report.completed += 1;
-            // A query whose first certification arrives only with the
-            // terminal frame still counts — use total latency then.
-            report
-                .ttfcb
-                .push(first_certified.unwrap_or_else(|| start.elapsed()));
-        } else {
-            report.missing_terminal += 1;
+        match terminal {
+            Some(true) => {
+                report.completed += 1;
+                // A query whose first certification arrives only with the
+                // terminal frame still counts — use total latency then.
+                report
+                    .ttfcb
+                    .push(first_certified.unwrap_or_else(|| start.elapsed()));
+            }
+            Some(false) => report.errored += 1,
+            None => report.missing_terminal += 1,
         }
     }
     Ok(report)
@@ -225,6 +229,7 @@ fn main() {
     let mut ttfcb = Vec::new();
     let mut frames = 0u64;
     let mut completed = 0u64;
+    let mut errored = 0u64;
     let mut missing = 0u64;
     let mut io_errors = 0u64;
     let mut retries = 0u64;
@@ -234,6 +239,7 @@ fn main() {
                 ttfcb.extend(rep.ttfcb);
                 frames += rep.frames;
                 completed += rep.completed;
+                errored += rep.errored;
                 missing += rep.missing_terminal;
                 retries += rep.retries;
             }
@@ -246,16 +252,17 @@ fn main() {
     ttfcb.sort();
     let secs = elapsed.as_secs_f64().max(1e-9);
     println!(
-        "rapidviz-load: {completed} sessions, {frames} frames in {:.2}s \
+        "rapidviz-load: {completed} sessions, {errored} errored, {frames} frames in {:.2}s \
          ({:.1} sessions/s, {:.1} frames/s), {retries} connect retries",
         elapsed.as_secs_f64(),
         completed as f64 / secs,
         frames as f64 / secs,
     );
     println!(
-        "time-to-first-certified-bar: p50 {:.2}ms  p99 {:.2}ms",
+        "time-to-first-certified-bar: p50 {:.2}ms  p99 {:.2}ms  n={}",
         percentile(&ttfcb, 0.50).as_secs_f64() * 1e3,
         percentile(&ttfcb, 0.99).as_secs_f64() * 1e3,
+        ttfcb.len(),
     );
     if let Some(h) = hosted {
         let dropped = h
@@ -265,8 +272,8 @@ fn main() {
         println!("server dropped {dropped} slow-client round frames");
         h.shutdown();
     }
-    if missing > 0 || io_errors > 0 {
-        eprintln!("rapidviz-load: FAIL — {missing} queries missing terminal frames, {io_errors} client I/O failures");
+    if errored > 0 || missing > 0 || io_errors > 0 {
+        eprintln!("rapidviz-load: FAIL — {errored} queries refused with error frames, {missing} missing terminal frames, {io_errors} client I/O failures");
         std::process::exit(1);
     }
 }

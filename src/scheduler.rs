@@ -1146,19 +1146,15 @@ impl ParkingRegistry {
     /// may also invoke it directly to release memory promptly.
     pub fn sweep(&mut self) {
         let now = self.clock.now();
-        let ttl = self.ttl;
-        let expired: Vec<u64> = self
-            .parked
-            .iter()
-            .filter(|(_, e)| now.saturating_duration_since(e.parked_at) >= ttl)
-            .map(|(t, _)| *t)
-            .collect();
-        for token in expired {
-            if let Some(entry) = self.parked.remove(&token) {
-                self.bytes -= entry.bytes;
-                self.expired_total += 1;
+        let (ttl, bytes, expired) = (self.ttl, &mut self.bytes, &mut self.expired_total);
+        self.parked.retain(|_, e| {
+            let live = now.saturating_duration_since(e.parked_at) < ttl;
+            if !live {
+                *bytes -= e.bytes;
+                *expired += 1;
             }
-        }
+            live
+        });
     }
 
     /// Sessions currently parked.

@@ -159,13 +159,16 @@ impl PlanCacheStats {
         before: &rapidviz_needletail::MetricsSnapshot,
         after: &rapidviz_needletail::MetricsSnapshot,
     ) -> Self {
+        // Saturating: `Metrics::reset()` is public on the engine's shared
+        // counters, so `after` may sit below `before`.
+        let d = u64::saturating_sub;
         Self {
-            predicate_hits: after.predicate_cache_hits - before.predicate_cache_hits,
-            predicate_misses: after.predicate_cache_misses - before.predicate_cache_misses,
-            plan_hits: after.plan_cache_hits - before.plan_cache_hits,
-            plan_misses: after.plan_cache_misses - before.plan_cache_misses,
-            composite_hits: after.composite_cache_hits - before.composite_cache_hits,
-            composite_misses: after.composite_cache_misses - before.composite_cache_misses,
+            predicate_hits: d(after.predicate_cache_hits, before.predicate_cache_hits),
+            predicate_misses: d(after.predicate_cache_misses, before.predicate_cache_misses),
+            plan_hits: d(after.plan_cache_hits, before.plan_cache_hits),
+            plan_misses: d(after.plan_cache_misses, before.plan_cache_misses),
+            composite_hits: d(after.composite_cache_hits, before.composite_cache_hits),
+            composite_misses: d(after.composite_cache_misses, before.composite_cache_misses),
         }
     }
 
@@ -757,5 +760,31 @@ impl QueryAnswer {
         let labels: Vec<&str> = ranked.iter().map(|(l, _)| *l).collect();
         let values: Vec<f64> = ranked.iter().map(|(_, v)| *v).collect();
         viz::bar_chart(&labels, &values, width)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::PlanCacheStats;
+    use rapidviz_needletail::Metrics;
+
+    /// A scrape-and-reset between the two planning snapshots must read as
+    /// "nothing counted", not underflow.
+    #[test]
+    fn delta_saturates_across_a_metrics_reset() {
+        let metrics = Metrics::new();
+        for _ in 0..3 {
+            metrics.add_plan_cache_lookup(true);
+        }
+        metrics.add_predicate_cache_lookup(false);
+        let before = metrics.snapshot();
+        metrics.reset();
+        metrics.add_plan_cache_lookup(true);
+        let after = metrics.snapshot();
+        assert_eq!(
+            PlanCacheStats::delta(&before, &after),
+            PlanCacheStats::default()
+        );
+        assert_eq!(PlanCacheStats::delta(&after, &before).plan_hits, 2);
     }
 }
