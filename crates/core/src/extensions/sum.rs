@@ -404,9 +404,9 @@ impl IFocusSum2 {
     /// batched call (and, for NEEDLETAIL-backed sources, one sorted
     /// `select_many` sweep) instead of per-draw sampler round trips — into
     /// a reusable pair buffer, feeding the estimator via the batched
-    /// [`RunningMean::push_products`] hook. Fixed-seed results are
-    /// byte-identical to the historical per-draw loop (regression-tested
-    /// against a verbatim reference implementation).
+    /// [`rapidviz_stats::RunningMean::push_products`] hook. Fixed-seed
+    /// results are byte-identical to the historical per-draw loop
+    /// (regression-tested against a verbatim reference implementation).
     ///
     /// # Panics
     ///

@@ -519,8 +519,8 @@ impl FocusState {
 
     /// Records trace and history rows for the just-finished round.
     pub(crate) fn record(&mut self) {
-        let eps_now = self.epsilon();
         if self.trace.is_some() {
+            let eps_now = self.epsilon();
             let row = TraceRow {
                 round: self.m,
                 intervals: (0..self.k()).map(|i| self.interval(i, eps_now)).collect(),

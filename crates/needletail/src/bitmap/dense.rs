@@ -9,10 +9,28 @@
 //! window, then resolves within one word by branch-free broadword
 //! arithmetic ([`select_in_word`]).
 //!
-//! Batched queries use [`DenseBitmap::select_many`]: a sorted batch of
-//! ranks is resolved in a single monotone pass whose cursor only moves
-//! forward — `O(b + log n)` directory work for clustered batches versus
-//! `b` independent `O(log n)` binary searches, with far better locality.
+//! ## The staged batch
+//!
+//! On a bitmap larger than the cache a select is two dependent misses — a
+//! line of the superblock directory, then the line of words it points at —
+//! and almost nothing else, so what a batch costs is decided by how many of
+//! those misses wait on each other. [`DenseBitmap::select_many`] therefore
+//! resolves a sorted batch [`SELECT_CHUNK`] ranks at a time, in two stages:
+//!
+//! 1. every rank's **superblock**. The upper directory is small enough to
+//!    stay cache-resident and is walked by one monotone cursor; the 64-entry
+//!    window search below it reads only that cursor and the rank, never the
+//!    previous rank's answer, so the window probes of different ranks are
+//!    independent loads. A rank inside the previous rank's superblock skips
+//!    the search (the clustered case).
+//! 2. every rank's **word scan** ([`DenseBitmap::select_in_superblock`],
+//!    the same helper `select` ends in). Each scan needs only its own
+//!    superblock index from stage 1, so the word lines are independent too.
+//!
+//! Neither stage threads a cursor through the data it is about to miss on,
+//! which is what lets an out-of-order core keep several of a chunk's misses
+//! in flight instead of queueing them behind one another. The staging
+//! changes no result: each rank resolves to exactly what `select` returns.
 
 /// Words per rank-directory superblock (512 bits each).
 const WORDS_PER_SUPERBLOCK: usize = 8;
@@ -20,6 +38,10 @@ const WORDS_PER_SUPERBLOCK: usize = 8;
 const BITS_PER_SUPERBLOCK: u64 = (WORDS_PER_SUPERBLOCK as u64) * 64;
 /// Superblocks summarized per upper-directory block (32768 bits each).
 const SUPERBLOCKS_PER_L2: usize = 64;
+/// Ranks [`DenseBitmap::select_many`] stages together: enough independent
+/// misses to fill the core's load queue, few enough that the staging buffer
+/// is a 256-byte stack array.
+const SELECT_CHUNK: usize = 32;
 
 /// A dense bitvector over positions `0..len` with `O(1)` rank and
 /// `O(log n)` select.
@@ -206,19 +228,7 @@ impl DenseBitmap {
         // Binary search the small upper directory, then only a 64-entry
         // window of the superblock directory.
         let lb = self.l2_ranks.partition_point(|&r| r <= k) - 1;
-        let sb = self.superblock_in_l2(lb, k);
-        let mut remaining = k - self.super_ranks[sb];
-        let word_start = sb * WORDS_PER_SUPERBLOCK;
-        let word_end = (word_start + WORDS_PER_SUPERBLOCK).min(self.words.len());
-        for wi in word_start..word_end {
-            let ones = u64::from(self.words[wi].count_ones());
-            if remaining < ones {
-                let bit = select_in_word(self.words[wi], remaining as u32);
-                return Some((wi as u64) * 64 + u64::from(bit));
-            }
-            remaining -= ones;
-        }
-        unreachable!("rank directory inconsistent with words");
+        Some(self.select_in_superblock(self.superblock_in_l2(lb, k), k))
     }
 
     /// Last superblock within upper block `lb` whose cumulative rank is
@@ -231,18 +241,38 @@ impl DenseBitmap {
         sb_start + self.super_ranks[sb_start + 1..=sb_end].partition_point(|&r| r <= k)
     }
 
-    /// Resolves a **sorted** batch of ranks in one monotone pass over the
-    /// rank directory, appending the position of each `k`-th set bit to
-    /// `out` in input order.
+    /// Position of the `k`-th set bit given the superblock `sb` that holds
+    /// it (`super_ranks[sb] <= k < super_ranks[sb + 1]`): a scan of at most
+    /// [`WORDS_PER_SUPERBLOCK`] words.
+    #[inline]
+    fn select_in_superblock(&self, sb: usize, k: u64) -> u64 {
+        let mut remaining = k - self.super_ranks[sb];
+        let word_start = sb * WORDS_PER_SUPERBLOCK;
+        let word_end = (word_start + WORDS_PER_SUPERBLOCK).min(self.words.len());
+        for (wi, &word) in (word_start..).zip(&self.words[word_start..word_end]) {
+            let ones = u64::from(word.count_ones());
+            if remaining < ones {
+                let bit = select_in_word(word, remaining as u32);
+                return (wi as u64) * 64 + u64::from(bit);
+            }
+            remaining -= ones;
+        }
+        unreachable!("rank directory inconsistent with words");
+    }
+
+    /// Resolves a **sorted** batch of ranks, appending the position of each
+    /// `k`-th set bit to `out` in input order — the same positions as one
+    /// [`Self::select`] per rank.
     ///
-    /// Where [`Self::select`] pays a full `O(log n)` directory binary
-    /// search per rank, this walks the directory forward exactly once:
-    /// consecutive ranks that land in the same superblock reuse the cursor,
-    /// and larger gaps are crossed with a suffix binary search. For a batch
-    /// of `b` sorted ranks the cost is `O(b + log n)` directory work when
-    /// the ranks are clustered and never worse than `O(b · log n)` — with
-    /// far better cache behaviour than `b` independent searches, since the
-    /// word scan only ever moves forward.
+    /// The batch is staged 32 ranks at a time: first every rank's
+    /// superblock, then every rank's word scan, so that the directory probes
+    /// of a chunk, and then its word lines, are independent loads a core can
+    /// overlap instead of a chain of misses each waiting on the last.
+    /// Sortedness is what keeps stage 1 cheap: the upper directory is walked
+    /// once by a cursor that only moves forward, and a rank in the same
+    /// superblock as its predecessor costs no search at all — `O(b + log n)`
+    /// directory work for a clustered batch, one 64-entry window search per
+    /// rank for a sparse one.
     ///
     /// # Panics
     ///
@@ -258,39 +288,27 @@ impl DenseBitmap {
             self.count_ones
         );
         out.reserve(sorted_ks.len());
-        let mut sb = 0usize; // current superblock
-        let mut wi = 0usize; // current word
-        let mut before = 0u64; // ones strictly before words[wi]
-        let mut wc = u64::from(self.words[0].count_ones());
+        let mut lb = 0usize; // upper-directory cursor
+        let mut sb = 0usize; // superblock of the previous rank
         let mut prev_k = 0u64;
-        for &k in sorted_ks {
-            debug_assert!(k >= prev_k, "select_many ranks must be sorted");
-            prev_k = k;
-            // Cross whole superblocks when the target rank lies beyond the
-            // current one: gallop the (cache-resident) upper directory
-            // first if the target leaves the current upper block, then
-            // search only a 64-entry superblock window. Nearby targets —
-            // the common case for a sorted batch — cost a couple of
-            // adjacent probes; distant ones touch the hot upper directory
-            // instead of cold mid-array lines.
-            if self.super_ranks[sb + 1] <= k {
-                let mut lb = sb / SUPERBLOCKS_PER_L2;
-                if self.l2_ranks[lb + 1] <= k {
-                    lb = gallop_last_le(&self.l2_ranks, lb + 1, k);
+        let mut sbs = [0usize; SELECT_CHUNK];
+        for chunk in sorted_ks.chunks(SELECT_CHUNK) {
+            for (slot, &k) in sbs.iter_mut().zip(chunk) {
+                debug_assert!(k >= prev_k, "select_many ranks must be sorted");
+                prev_k = k;
+                if self.super_ranks[sb + 1] <= k {
+                    if self.l2_ranks[lb + 1] <= k {
+                        lb = gallop_last_le(&self.l2_ranks, lb + 1, k);
+                    }
+                    sb = self.superblock_in_l2(lb, k);
                 }
-                sb = self.superblock_in_l2(lb, k).max(sb);
-                wi = sb * WORDS_PER_SUPERBLOCK;
-                before = self.super_ranks[sb];
-                wc = u64::from(self.words[wi].count_ones());
+                *slot = sb;
             }
-            // Then walk forward word by word within the superblock.
-            while before + wc <= k {
-                before += wc;
-                wi += 1;
-                wc = u64::from(self.words[wi].count_ones());
-            }
-            let bit = select_in_word(self.words[wi], (k - before) as u32);
-            out.push((wi as u64) * 64 + u64::from(bit));
+            out.extend(
+                sbs.iter()
+                    .zip(chunk)
+                    .map(|(&sb, &k)| self.select_in_superblock(sb, k)),
+            );
         }
     }
 
@@ -595,6 +613,47 @@ mod tests {
         let mut out = Vec::new();
         bm.select_many(&[], &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn select_many_staging_matches_select_for_every_chunk_shape() {
+        // Batch lengths on both sides of every SELECT_CHUNK boundary, three
+        // rank shapes, three densities — over 70 001 bits: 137 superblocks
+        // (the last one 369 bits, its last word partial) in 3 upper blocks.
+        let len = 70_001u64;
+        let mut x = 0x2545_F491_4F6C_DD1D_u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for one_in in [2u64, 14, 400] {
+            let positions: Vec<u64> = (0..len).filter(|_| next() % one_in == 0).collect();
+            let bm = DenseBitmap::from_sorted_positions(&positions, len);
+            let n = bm.count_ones();
+            assert!(bm.l2_ranks.len() > 3 && n >= 100);
+            for batch in [1usize, 31, 32, 33, 64, 65, 4096] {
+                let sparse: Vec<u64> = (0..batch).map(|_| next() % n).collect();
+                let start = next() % n;
+                let clustered: Vec<u64> = (0..batch as u64).map(|i| (start + i / 3) % n).collect();
+                let duplicates: Vec<u64> = sparse.iter().map(|k| k - k % (n / 7)).collect();
+                for mut ks in [sparse, clustered, duplicates] {
+                    ks.sort_unstable();
+                    // Every batch ends on the last one of the partial word.
+                    ks[batch - 1] = n - 1;
+                    let mut out = vec![u64::MAX];
+                    bm.select_many(&ks, &mut out);
+                    let expect: Vec<u64> = std::iter::once(u64::MAX)
+                        .chain(ks.iter().map(|&k| positions[k as usize]))
+                        .collect();
+                    assert_eq!(out, expect, "1/{one_in}, batch {batch}");
+                    assert!(ks
+                        .iter()
+                        .all(|&k| bm.select(k) == Some(positions[k as usize])));
+                }
+            }
+        }
     }
 
     #[test]

@@ -105,11 +105,12 @@ impl Bitmap {
         }
     }
 
-    /// Resolves a **sorted** batch of ranks in one monotone pass,
-    /// appending the position of each `k`-th set bit to `out` in input
-    /// order. See [`DenseBitmap::select_many`] / [`RleBitmap::select_many`]
-    /// for the per-representation cost model; both replace `b` independent
-    /// directory binary searches with a single forward sweep.
+    /// Resolves a **sorted** batch of ranks, appending the position of each
+    /// `k`-th set bit to `out` in input order — the positions one
+    /// [`Self::select`] per rank would return. See
+    /// [`DenseBitmap::select_many`] / [`RleBitmap::select_many`] for the
+    /// per-representation cost model: the dense form stages the batch so
+    /// its cache misses overlap, the RLE form walks its runs once.
     ///
     /// # Panics
     ///

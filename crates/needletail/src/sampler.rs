@@ -26,15 +26,44 @@
 //! Both regimes also come in batch form —
 //! [`BitmapSampler::sample_batch_with_replacement`] and
 //! [`BitmapSampler::sample_batch_without_replacement`] — which generate all
-//! `n` random ranks first, resolve them through
-//! [`Bitmap::select_many`]'s single monotone directory sweep (one
-//! `O(b + log n)` pass instead of `b` independent `O(log n)` binary
-//! searches), and then restore draw order. The batch paths consume the RNG
-//! identically to `n` single draws, so for a fixed seed they return the
-//! **same stream of rows** — batching is a pure throughput optimization
-//! with no statistical or reproducibility cost.
+//! `n` random ranks first, resolve them through one sorted
+//! [`Bitmap::select_many`] call, and then restore draw order. The batch
+//! paths consume the RNG identically to `n` single draws, so for a fixed
+//! seed they return the **same stream of rows** — batching is a pure
+//! throughput optimization with no statistical or reproducibility cost.
 //! [`SizeEstimatingSampler::sample_batch_with_size_estimate`] extends the
 //! same contract to Algorithm 5's `(row, z)` pairs.
+//!
+//! ## The staged shuffle
+//!
+//! One Fisher–Yates draw is: pick a slot `j` in `drawn..eligible`, hand out
+//! what slot `j` holds, move what slot `drawn` holds into `j`, advance
+//! `drawn`. Its state lives in a [`SwapMap`] that a long run grows past the
+//! cache, so a draw costs the memory latency of the slots it probes — and a
+//! loop of draws pays those latencies one after another, because each draw's
+//! `j` comes out of the RNG only after the previous swap. The batch call
+//! breaks that chain into three stages:
+//!
+//! 1. **Draw every slot up front**: `j_i = gen_range(drawn + i..eligible)`
+//!    for the whole batch. This is exact, not approximate: `drawn` advances
+//!    by one per draw *whatever the table holds*, so the range of draw `i`
+//!    is known before any swap is applied, and the RNG is consumed word for
+//!    word (rejections included) as the one-at-a-time loop consumes it.
+//! 2. **Touch every `j_i`'s home slot** ([`SwapMap::touch`], after the
+//!    table has been reserved so no slot moves): plain loads that depend on
+//!    nothing but stage 1, folded into a `black_box`ed accumulator so they
+//!    are neither dropped nor ordered. Their cache lines are in flight
+//!    together. Losing this stage could cost speed, never an answer.
+//! 3. **Apply the swaps in draw order** through the private `swap_step` —
+//!    the same function the single-draw path calls, so the two cannot
+//!    drift. The step is two probe sequences: removing `drawn`'s entry *is*
+//!    the lookup of the displaced value, and replacing `j`'s entry *is* the
+//!    lookup of the chosen one. `drawn`'s home slot walks the table
+//!    sequentially (keys are homed at their low bits), so after stage 2
+//!    neither probe waits on memory.
+//!
+//! The swaps themselves stay strictly ordered — a batch may pick the same
+//! `j` twice, or pick `j == drawn` — only their memory traffic is hoisted.
 //!
 //! ## The scratch arena
 //!
@@ -209,9 +238,9 @@ pub struct BitmapSampler {
     bits: RowSet,
     eligible: u64,
     /// Virtual Fisher–Yates state: logical position -> displaced value.
-    /// An open-addressed multiply-shift map ([`SwapMap`]): the default
-    /// SipHash `HashMap` dominates without-replacement draw cost, and these
-    /// keys are internal ranks, never untrusted. Populations below
+    /// An open-addressed map homed at the key's low bits ([`SwapMap`]): the
+    /// default SipHash `HashMap` dominates without-replacement draw cost,
+    /// and these keys are internal ranks, never untrusted. Populations below
     /// `u32::MAX` use 8-byte entries so long runs stay cache-resident.
     swaps: SwapMap,
     /// Draws made without replacement so far.
@@ -285,13 +314,23 @@ impl BitmapSampler {
         }
         // Virtual Fisher–Yates over logical indices [drawn, eligible).
         let j = rng.gen_range(self.drawn..self.eligible);
-        let chosen = self.logical(j);
-        let displaced = self.logical(self.drawn);
-        // Swap: slot j now holds what slot `drawn` held.
-        self.swaps.insert(j, displaced);
-        self.swaps.remove(self.drawn);
-        self.drawn += 1;
+        let chosen = self.swap_step(j);
         self.bits.select(chosen)
+    }
+
+    /// One Fisher–Yates swap: hands out the rank logical slot `j` holds,
+    /// moves what slot `drawn` holds into `j`, and retires slot `drawn`.
+    /// A slot without an entry holds its own index.
+    #[inline]
+    fn swap_step(&mut self, j: u64) -> u64 {
+        let displaced = self.swaps.remove(self.drawn).unwrap_or(self.drawn);
+        let chosen = if j == self.drawn {
+            displaced
+        } else {
+            self.swaps.replace(j, displaced).unwrap_or(j)
+        };
+        self.drawn += 1;
+        chosen
     }
 
     /// Draws `n` rows with replacement in one batch, appending them to
@@ -326,8 +365,9 @@ impl BitmapSampler {
     /// The virtual Fisher–Yates state advances exactly as under repeated
     /// [`Self::sample_without_replacement`] calls and the RNG is consumed
     /// identically, so for a fixed seed the appended rows are the same
-    /// stream — only the rank→position resolution is batched through
-    /// [`Bitmap::select_many`].
+    /// stream. The batch is staged (module docs, *The staged shuffle*): all
+    /// slots drawn, all home slots touched, then the swaps in draw order,
+    /// then one [`Bitmap::select_many`] over the chosen ranks.
     pub fn sample_batch_without_replacement<R: Rng + ?Sized>(
         &mut self,
         n: usize,
@@ -338,16 +378,17 @@ impl BitmapSampler {
         if take == 0 {
             return 0;
         }
-        self.scratch.keys.clear();
+        let (drawn, eligible) = (self.drawn, self.eligible);
+        let keys = &mut self.scratch.keys;
+        keys.clear();
+        keys.extend((0..take as u64).map(|i| rng.gen_range(drawn + i..eligible)));
         self.swaps.reserve(take);
-        for _ in 0..take {
-            let j = rng.gen_range(self.drawn..self.eligible);
-            let chosen = self.logical(j);
-            let displaced = self.logical(self.drawn);
-            self.swaps.insert(j, displaced);
-            self.swaps.remove(self.drawn);
-            self.drawn += 1;
-            self.scratch.keys.push(chosen);
+        let touched = keys
+            .iter()
+            .fold(0u64, |acc, &j| acc.wrapping_add(self.swaps.touch(j)));
+        std::hint::black_box(touched);
+        for i in 0..take {
+            self.scratch.keys[i] = self.swap_step(self.scratch.keys[i]);
         }
         resolve_in_draw_order(&self.bits, &mut self.scratch, out);
         take
@@ -371,10 +412,6 @@ impl BitmapSampler {
         self.swaps.for_each_entry(|k, v| entries.push((k, v)));
         entries.sort_unstable();
         (self.drawn, entries)
-    }
-
-    fn logical(&self, slot: u64) -> u64 {
-        self.swaps.get(slot).unwrap_or(slot)
     }
 }
 
@@ -833,6 +870,59 @@ mod tests {
         }
         seen.sort_unstable();
         assert_eq!(seen, positions, "mixed draws must still be a permutation");
+    }
+
+    #[test]
+    fn staged_batches_equal_single_draws_on_every_tiny_population() {
+        // Populations of 1..=6 rows, every way of cutting the run into
+        // batches (the last one asking for two rows more than are left),
+        // 300 seeds each. Small enough that the corners the staging must get
+        // right are the common case: a slot drawn twice in one batch, a draw
+        // of `j == drawn`, and a batch the population runs dry under.
+        let (mut repeated_j, mut j_is_drawn) = (0u32, 0u32);
+        for eligible in 1..=6u64 {
+            let positions: Vec<u64> = (0..eligible).map(|i| i * 5 + 1).collect();
+            let fresh = BitmapSampler::new(bitmap(&positions, 40));
+            for cuts in 0..1u32 << (eligible - 1) {
+                // Bit `i` of `cuts` set = a batch ends after draw `i`.
+                let ends = (0..eligible).filter(|&i| cuts >> i & 1 == 1 || i == eligible - 1);
+                let mut sizes = Vec::new();
+                let mut start = 0;
+                for end in ends {
+                    sizes.push((end + 1 - start) as usize);
+                    start = end + 1;
+                }
+                *sizes.last_mut().unwrap() += 2;
+                for seed in 0..300 {
+                    let (mut singles, mut batched) = (fresh.clone(), fresh.clone());
+                    let mut rng_s = rand::rngs::StdRng::seed_from_u64(seed);
+                    let mut rng_b = rng_s.clone();
+                    for &size in &sizes {
+                        // The slots this batch will draw, from a copy of
+                        // the generator.
+                        let mut peek = rng_b.clone();
+                        let js: Vec<u64> = (batched.drawn..eligible)
+                            .take(size)
+                            .map(|d| peek.gen_range(d..eligible))
+                            .collect();
+                        repeated_j += u32::from((1..js.len()).any(|i| js[..i].contains(&js[i])));
+                        j_is_drawn += u32::from((batched.drawn..).zip(&js).any(|(d, &j)| d == j));
+                        let want: Vec<u64> = (0..size)
+                            .map_while(|_| singles.sample_without_replacement(&mut rng_s))
+                            .collect();
+                        let mut got = Vec::new();
+                        let n =
+                            batched.sample_batch_without_replacement(size, &mut rng_b, &mut got);
+                        assert_eq!(n, got.len());
+                        assert_eq!(got, want, "n {eligible} split {sizes:?} seed {seed}");
+                        assert_eq!(batched.permutation_state(), singles.permutation_state());
+                        assert_eq!(rng_b.state(), rng_s.state(), "RNG words consumed");
+                    }
+                    assert_eq!(batched.remaining(), 0);
+                }
+            }
+        }
+        assert!(repeated_j > 1000 && j_is_drawn > 1000);
     }
 
     #[test]

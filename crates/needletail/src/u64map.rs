@@ -1,19 +1,42 @@
 //! Small open-addressed integer maps for hot sampler state.
 //!
-//! The virtual Fisher–Yates shuffle performs two lookups, one insert, and
-//! one remove *per draw*; even with a fast hasher, `std::collections::
+//! The virtual Fisher–Yates shuffle takes one entry out of this table and
+//! puts one in *per draw*; even with a fast hasher, `std::collections::
 //! HashMap`'s general-purpose machinery (SipHash by default, tagged control
 //! bytes, separate allocation paths) is measurable there. This map is the
 //! special case that state needs and nothing more: power-of-two capacity,
 //! interleaved `(key, value)` slots (one cache line serves a whole probe),
-//! linear probing, multiply-shift hashing, and backward-shift deletion
-//! (no tombstones, so probe chains never degrade).
+//! linear probing, and backward-shift deletion (no tombstones, so probe
+//! chains never degrade).
+//!
+//! ## Keys are homed at their low bits
+//!
+//! A key's home slot is `key & mask` — no hash. That is safe *for these
+//! keys*, and only for them: they are logical ranks the sampler computes
+//! itself (`drawn`, and a uniform `j` in `drawn..eligible`), never outside
+//! input, so nobody can aim them at one slot, and uniform `j`s spread over
+//! the low bits exactly as a hash would spread them. What the identity buys
+//! is the access pattern of the shuffle's other key: `drawn` counts up by
+//! one per draw, so its home slot walks the table **sequentially** — the
+//! next line is the one the hardware prefetcher already fetched — and the
+//! uniform `j` is the only random access a draw makes. The dense key run a
+//! shuffle ends in (every remaining slot displaced, `drawn..eligible`
+//! contiguous) maps to distinct slots, collision-free, where a hash would
+//! scatter it.
+//!
+//! ## What a draw costs
+//!
+//! A long without-replacement run grows this table past cache, and each
+//! probe sequence is then one memory latency. The shuffle's swap is two of
+//! them: [`RawMap::remove`] of `drawn` *is* the lookup of the value it
+//! displaces, and [`RawMap::replace`] of `j` *is* the lookup of the value it
+//! chooses. [`RawMap::touch`] is a plain load of a key's home slot, for a
+//! batch that wants the random one of those two lines on its way before the
+//! swap needs it.
 //!
 //! Two widths are provided: [`U64Map`] for arbitrary ranks and [`U32Map`]
 //! for samplers whose population fits in `u32` — the common case, and half
-//! the memory per entry, which matters because a long without-replacement
-//! run grows this table past cache and every draw then pays its memory
-//! latency four times.
+//! the memory per entry, so twice the entries per cache line.
 //!
 //! Keys are logical sampler ranks, so each width's all-ones key is reserved
 //! as the empty marker (`MAX` would mean a table of `2^width` rows).
@@ -26,12 +49,7 @@ pub trait SlotWord: Copy + Eq + std::fmt::Debug {
     fn to_u64(self) -> u64;
     /// Narrowing conversion; caller guarantees the value fits.
     fn from_u64(v: u64) -> Self;
-    /// Multiply-shift hash folded into `mask`.
-    fn slot_of(self, mask: usize) -> usize;
 }
-
-/// Fibonacci multiplier for multiply-shift hashing.
-const MULT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl SlotWord for u64 {
     const EMPTY: Self = u64::MAX;
@@ -44,11 +62,6 @@ impl SlotWord for u64 {
     #[inline]
     fn from_u64(v: u64) -> Self {
         v
-    }
-
-    #[inline]
-    fn slot_of(self, mask: usize) -> usize {
-        (self.wrapping_mul(MULT) >> 32) as usize & mask
     }
 }
 
@@ -65,11 +78,6 @@ impl SlotWord for u32 {
     fn from_u64(v: u64) -> Self {
         debug_assert!(v < u64::from(u32::MAX));
         v as u32
-    }
-
-    #[inline]
-    fn slot_of(self, mask: usize) -> usize {
-        (u64::from(self).wrapping_mul(MULT) >> 32) as usize & mask
     }
 }
 
@@ -105,6 +113,13 @@ impl<T: SlotWord> RawMap<T> {
         }
     }
 
+    /// Home slot: the key's low bits (the module docs say why these keys
+    /// need no hash).
+    #[inline]
+    fn home(&self, key: T) -> usize {
+        key.to_u64() as usize & self.mask
+    }
+
     /// Number of live entries.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -123,7 +138,7 @@ impl<T: SlotWord> RawMap<T> {
     pub fn get(&self, key: u64) -> Option<u64> {
         let key = T::from_u64(key);
         debug_assert!(key != T::EMPTY, "all-ones key is reserved");
-        let mut i = key.slot_of(self.mask);
+        let mut i = self.home(key);
         loop {
             let (k, v) = self.entries[i];
             if k == key {
@@ -136,8 +151,25 @@ impl<T: SlotWord> RawMap<T> {
         }
     }
 
+    /// The key word in `key`'s home slot, live or empty: one plain load
+    /// that depends on nothing but the key. A batch folds these into a
+    /// `black_box`ed accumulator to have the slots' cache lines in flight
+    /// before it probes them; the value means nothing.
+    #[inline]
+    #[must_use]
+    pub fn touch(&self, key: u64) -> u64 {
+        self.entries[self.home(T::from_u64(key))].0.to_u64()
+    }
+
     /// Inserts or updates `key`.
+    #[inline]
     pub fn insert(&mut self, key: u64, val: u64) {
+        let _ = self.replace(key, val);
+    }
+
+    /// Inserts or updates `key`, returning the value it held before — one
+    /// probe sequence for a lookup and a store.
+    pub fn replace(&mut self, key: u64, val: u64) -> Option<u64> {
         let key = T::from_u64(key);
         let val = T::from_u64(val);
         debug_assert!(key != T::EMPTY, "all-ones key is reserved");
@@ -147,17 +179,17 @@ impl<T: SlotWord> RawMap<T> {
         if (self.len + 1) * 2 > self.entries.len() {
             self.grow();
         }
-        let mut i = key.slot_of(self.mask);
+        let mut i = self.home(key);
         loop {
-            let k = self.entries[i].0;
+            let (k, old) = self.entries[i];
             if k == key {
                 self.entries[i].1 = val;
-                return;
+                return Some(old.to_u64());
             }
             if k == T::EMPTY {
                 self.entries[i] = (key, val);
                 self.len += 1;
-                return;
+                return None;
             }
             i = (i + 1) & self.mask;
         }
@@ -168,7 +200,7 @@ impl<T: SlotWord> RawMap<T> {
     pub fn remove(&mut self, key: u64) -> Option<u64> {
         let key = T::from_u64(key);
         debug_assert!(key != T::EMPTY, "all-ones key is reserved");
-        let mut i = key.slot_of(self.mask);
+        let mut i = self.home(key);
         loop {
             let k = self.entries[i].0;
             if k == T::EMPTY {
@@ -191,7 +223,7 @@ impl<T: SlotWord> RawMap<T> {
             if entry.0 == T::EMPTY {
                 break;
             }
-            let home = entry.0.slot_of(self.mask);
+            let home = self.home(entry.0);
             let moveable = if gap <= j {
                 home <= gap || home > j
             } else {
@@ -245,7 +277,7 @@ impl<T: SlotWord> RawMap<T> {
 
     /// Insert during rehash (no growth check).
     fn insert_raw(&mut self, key: T, val: T) {
-        let mut i = key.slot_of(self.mask);
+        let mut i = self.home(key);
         loop {
             let k = self.entries[i].0;
             if k == T::EMPTY {
@@ -290,12 +322,31 @@ impl SwapMap {
         }
     }
 
+    /// The key word in `key`'s home slot (see [`RawMap::touch`]).
+    #[inline]
+    #[must_use]
+    pub fn touch(&self, key: u64) -> u64 {
+        match self {
+            SwapMap::Narrow(m) => m.touch(key),
+            SwapMap::Wide(m) => m.touch(key),
+        }
+    }
+
     /// Inserts or updates `key`.
     #[inline]
     pub fn insert(&mut self, key: u64, val: u64) {
         match self {
             SwapMap::Narrow(m) => m.insert(key, val),
             SwapMap::Wide(m) => m.insert(key, val),
+        }
+    }
+
+    /// Inserts or updates `key`, returning the value it held before.
+    #[inline]
+    pub fn replace(&mut self, key: u64, val: u64) -> Option<u64> {
+        match self {
+            SwapMap::Narrow(m) => m.replace(key, val),
+            SwapMap::Wide(m) => m.replace(key, val),
         }
     }
 
@@ -384,6 +435,37 @@ mod tests {
     }
 
     #[test]
+    fn replace_and_touch_wrap_around_the_table_end() {
+        let mut m = U32Map::default();
+        let cap = m.entries.len() as u64;
+        // Three keys homed at the last slot: they occupy it and, wrapping,
+        // the first two.
+        let keys = [cap - 1, 2 * cap - 1, 3 * cap - 1];
+        for (i, &k) in (0u64..).zip(&keys) {
+            assert_eq!(m.replace(k, i), None);
+        }
+        let slots: Vec<u32> = [cap as usize - 1, 0, 1]
+            .iter()
+            .map(|&i| m.entries[i].0)
+            .collect();
+        assert_eq!(slots, keys.map(|k| k as u32));
+        // touch reads the home slot, whoever lives there; an empty home
+        // reads as the empty marker.
+        assert_eq!(m.touch(3 * cap - 1), cap - 1);
+        assert_eq!(m.touch(5), u64::from(u32::MAX));
+        // replace finds a key past the wrap and hands back its old value.
+        assert_eq!(m.replace(3 * cap - 1, 9), Some(2));
+        assert_eq!(m.get(3 * cap - 1), Some(9));
+        assert_eq!(m.len(), 3);
+        // Removing the head shifts the wrapped tail back across the end.
+        assert_eq!(m.remove(cap - 1), Some(0));
+        assert_eq!(m.touch(cap - 1), 2 * cap - 1);
+        assert_eq!(m.get(2 * cap - 1), Some(1));
+        assert_eq!(m.get(3 * cap - 1), Some(9));
+        assert_eq!(m.entries[1].0, u32::MAX, "the run's old tail slot is free");
+    }
+
+    #[test]
     fn clear_resets() {
         let mut m = U32Map::default();
         for i in 0..10_000 {
@@ -453,7 +535,9 @@ mod tests {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                x
+                // xorshift64*: the raw low bits are linearly related from
+                // one word to the next, which would tie each key to one op.
+                x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32
             };
             let mut ours = if narrow {
                 SwapMap::Narrow(U32Map::default())
@@ -462,14 +546,30 @@ mod tests {
             };
             let mut oracle: HashMap<u64, u64> = HashMap::new();
             for round in 0..60_000 {
-                let key = step() % 512; // small domain forces dense collisions
-                match step() % 3 {
+                // 512 keys in 8 families `r + 2^20·i`. Low-bit homing sends
+                // a whole family to one slot at every capacity this test
+                // reaches, and the residues straddle the table end (the last
+                // four slots, then the first four), so the families pile
+                // into one long probe run that wraps — a small *dense*
+                // domain would be collision-free under this homing.
+                let draw = step() % 512;
+                let residue = ((1u64 << 20) - 4 + draw % 8) % (1 << 20);
+                let key = residue + ((draw / 8) << 20);
+                match step() % 4 {
                     0 => {
                         let val = step() % 100_000;
                         ours.insert(key, val);
                         oracle.insert(key, val);
                     }
                     1 => {
+                        let val = step() % 100_000;
+                        assert_eq!(
+                            ours.replace(key, val),
+                            oracle.insert(key, val),
+                            "round {round}"
+                        );
+                    }
+                    2 => {
                         assert_eq!(ours.remove(key), oracle.remove(&key), "round {round}");
                     }
                     _ => {

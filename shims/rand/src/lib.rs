@@ -97,7 +97,11 @@ fn uniform_u64<R: RngCore + ?Sized>(rng: &mut R, bound: u64) -> u64 {
         let x = rng.next_u64();
         let m = u128::from(x) * u128::from(bound);
         let lo = m as u64;
-        if lo >= bound.wrapping_neg() % bound {
+        // A word is rejected when `lo` is below the threshold `2^64 mod
+        // bound`. The threshold is always `< bound`, so `lo >= bound`
+        // accepts without evaluating it: the 64-bit division runs with
+        // probability `bound / 2^64`, not on every call.
+        if lo >= bound || lo >= bound.wrapping_neg() % bound {
             return (m >> 64) as u64;
         }
         // Reject to remove modulo bias (rare: p < bound / 2^64).
@@ -359,6 +363,65 @@ mod tests {
             assert!((0.25..0.75).contains(&x));
             let y: i64 = rng.gen_range(1..=5);
             assert!((1..=5).contains(&y));
+        }
+    }
+
+    #[test]
+    fn uniform_u64_fast_path_matches_the_always_divide_formula() {
+        // The reference evaluates the threshold on every word, as the shim
+        // did before the `lo >= bound` short cut. Same accept set, so the
+        // outputs and the number of words consumed must be equal.
+        fn reference(rng: &mut Counted, bound: u64) -> u64 {
+            loop {
+                let m = u128::from(rng.next_u64()) * u128::from(bound);
+                if m as u64 >= bound.wrapping_neg() % bound {
+                    return (m >> 64) as u64;
+                }
+            }
+        }
+        struct Counted {
+            rng: StdRng,
+            words: u64,
+        }
+        impl RngCore for Counted {
+            fn next_u32(&mut self) -> u32 {
+                (self.next_u64() >> 32) as u32
+            }
+            fn next_u64(&mut self) -> u64 {
+                self.words += 1;
+                self.rng.next_u64()
+            }
+        }
+        // (bound, whether it rejects in practice): the thresholds of 3·2^62
+        // and 2^63 + 1 are 2^62 and 2^63 − 1, a quarter and a half of all
+        // words; every other threshold here is 0 or a few parts in 2^64.
+        let bounds = [
+            (1, false),
+            (2, false),
+            (3, false),
+            (10, false),
+            (1 << 32, false),
+            (1 << 63, false),
+            (3 << 62, true),
+            ((1 << 63) + 1, true),
+            (u64::MAX, false),
+        ];
+        const DRAWS: u64 = 20_000;
+        for (seed, (bound, rejects)) in (0u64..).zip(bounds) {
+            let counted = || Counted {
+                rng: StdRng::seed_from_u64(seed),
+                words: 0,
+            };
+            let (mut fast, mut slow) = (counted(), counted());
+            for _ in 0..DRAWS {
+                assert_eq!(
+                    super::uniform_u64(&mut fast, bound),
+                    reference(&mut slow, bound),
+                    "bound {bound}"
+                );
+            }
+            assert_eq!(fast.words, slow.words, "words consumed, bound {bound}");
+            assert_eq!(fast.words > DRAWS, rejects, "bound {bound}");
         }
     }
 
