@@ -13,6 +13,10 @@
 //! Sampling is with replacement (the empirical Bernstein inequality is
 //! stated for i.i.d. draws); a finite-population refinement would only
 //! tighten it.
+//!
+//! Outside [`crate::focus`]'s one round, whose state holds one ε per round:
+//! this loop keeps a Welford variance and a width per *group* (ROADMAP
+//! item 8's `Bound` axis, not a rule). Library-only reference, eager `run`.
 
 use crate::config::AlgoConfig;
 use crate::group::GroupSource;

@@ -9,9 +9,9 @@
 //! with the path graph; a choropleth supplies its region-adjacency edges.
 
 use crate::config::AlgoConfig;
+use crate::focus::{FocusStepper, Rule};
 use crate::group::GroupSource;
 use crate::result::RunResult;
-use crate::state::FocusState;
 use rand::RngCore;
 
 /// IFOCUS for graph-restricted pairwise ordering.
@@ -72,48 +72,8 @@ impl IFocusGraph {
         for &(a, b) in &self.edges {
             assert!(a < k && b < k, "edge ({a}, {b}) out of range for k={k}");
         }
-        let mut state = FocusState::initialize(&self.config, groups, rng);
-        let mut resolved: Vec<bool> = self.edges.iter().map(|&(a, b)| a == b).collect();
-        self.update(&mut state, &mut resolved);
-        state.record();
-
-        while state.begin_round(1).is_none() {
-            state.draw_active(groups, rng);
-            if state.resolution_reached() || state.all_active_exhausted() {
-                state.deactivate_all();
-            } else {
-                self.update(&mut state, &mut resolved);
-            }
-            state.record();
-        }
-        state.finish()
-    }
-
-    /// Resolves separated edges, then retires groups with no open edge.
-    fn update(&self, state: &mut FocusState, resolved: &mut [bool]) {
-        let eps_now = state.epsilon();
-        for (e, &(a, b)) in self.edges.iter().enumerate() {
-            if !resolved[e] {
-                let ia = state.interval(a, eps_now);
-                let ib = state.interval(b, eps_now);
-                if !ia.overlaps(&ib) {
-                    resolved[e] = true;
-                }
-            }
-        }
-        let k = state.k();
-        let mut has_open_edge = vec![false; k];
-        for (e, &(a, b)) in self.edges.iter().enumerate() {
-            if !resolved[e] {
-                has_open_edge[a] = true;
-                has_open_edge[b] = true;
-            }
-        }
-        for i in 0..k {
-            if !has_open_edge[i] {
-                state.deactivate(i, eps_now);
-            }
-        }
+        let rule = Rule::neighbours(self.edges.clone());
+        FocusStepper::run(&self.config, rule, groups, rng)
     }
 }
 

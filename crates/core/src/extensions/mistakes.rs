@@ -7,9 +7,9 @@
 //! as that fraction reaches `1 − γ`, abandoning the hardest comparisons.
 
 use crate::config::AlgoConfig;
+use crate::focus::{FocusStepper, Rule};
 use crate::group::GroupSource;
 use crate::result::RunResult;
-use crate::state::FocusState;
 use rand::RngCore;
 
 /// IFOCUS with an allowed fraction of pair mistakes.
@@ -38,36 +38,8 @@ impl IFocusMistakes {
     ///
     /// Panics if `groups` is empty.
     pub fn run<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RunResult {
-        let mut state = FocusState::initialize(&self.config, groups, rng);
-        let k = state.k();
-        let total_pairs = (k * (k.saturating_sub(1)) / 2).max(1) as f64;
-        state.standard_deactivation();
-        state.record();
-
-        while state.any_active() {
-            // Certified pairs: every pair with at least one inactive
-            // endpoint. (When a group deactivates its interval is disjoint
-            // from all then-active intervals, and Lemma 1's argument shows
-            // its order relative to *every* other group is settled.) Only
-            // active–active pairs remain uncertain.
-            let active = state.active_count();
-            let certified = total_pairs - (active * active.saturating_sub(1) / 2) as f64;
-            if certified / total_pairs >= 1.0 - self.gamma {
-                state.deactivate_all();
-                break;
-            }
-            if state.begin_round(1).is_some() {
-                break;
-            }
-            state.draw_active(groups, rng);
-            if state.resolution_reached() || state.all_active_exhausted() {
-                state.deactivate_all();
-            } else {
-                state.standard_deactivation();
-            }
-            state.record();
-        }
-        state.finish()
+        let rule = Rule::Mistakes { gamma: self.gamma };
+        FocusStepper::run(&self.config, rule, groups, rng)
     }
 }
 
@@ -130,6 +102,46 @@ mod tests {
         let truths: Vec<f64> = g1.iter().map(|g| g.true_mean().unwrap()).collect();
         let frac = fraction_correct_pairs(&r_lenient.estimates, &truths);
         assert!(frac >= 0.89, "pair accuracy {frac}");
+    }
+
+    #[test]
+    fn budget_stop_shows_in_the_last_trace_row_and_history_point() {
+        // The γ test used to fire *after* the round's record(): a finished
+        // run's last trace row still showed active groups and the terminal
+        // history point was never pushed. Answers must not move.
+        let means = [30.0, 30.5, 55.0, 75.0, 90.0];
+        let run = |config: AlgoConfig| {
+            let mut groups = two_point_groups(&means, 400_000, 92);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(93);
+            IFocusMistakes::new(config, 0.11).run(&mut groups, &mut rng)
+        };
+        let base = AlgoConfig::new(100.0, 0.05);
+        let plain = run(base.clone());
+        let recorded = run(base.with_trace().with_history_every(1000));
+        assert_eq!(recorded.estimates, plain.estimates);
+        assert_eq!(recorded.samples_per_group, plain.samples_per_group);
+        assert_eq!(recorded.rounds, plain.rounds);
+        assert!(!recorded.truncated);
+        assert!(
+            !recorded.rounds.is_multiple_of(1000),
+            "test premise: the stop falls between two periodic history points"
+        );
+
+        let trace = recorded.trace.as_ref().expect("trace enabled");
+        let rows = trace.rows();
+        let last = rows.last().expect("at least the bootstrap row");
+        assert_eq!(last.round, recorded.rounds);
+        assert!(last.active.iter().all(|&a| !a), "{:?}", last.active);
+        // The near-tie was abandoned, not resolved: frozen still overlapping.
+        assert!(last.intervals[0].overlaps(&last.intervals[1]));
+        assert!(rows[rows.len() - 2].active[..2].iter().all(|&a| a));
+        assert_eq!(trace.implied_sample_cost(), recorded.total_samples());
+
+        let history = recorded.history.as_ref().expect("history enabled");
+        let terminal = history.points().last().expect("history recorded");
+        assert_eq!(terminal.round, recorded.rounds);
+        assert_eq!(terminal.active_groups, 0);
+        assert_eq!(terminal.total_samples, recorded.total_samples());
     }
 
     #[test]

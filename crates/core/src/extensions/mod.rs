@@ -1,18 +1,23 @@
-//! Every algorithm variant of §6.
+//! Every algorithm variant of §6 — most of them [`crate::focus`]'s one
+//! round under a different crate-private *rule* (named in brackets).
 //!
-//! * [`trends`] — Problem 3: trend-lines and choropleths need only
-//!   *adjacent* groups ordered correctly.
-//! * [`topt`] — Problem 4: certify and order only the top-`t` groups.
+//! * [`trends`], [`graph`] — Problem 3: trend-lines and choropleths need
+//!   only *adjacent* groups ordered correctly \[`Neighbours`; a trend line
+//!   is the path graph\].
+//! * [`topt`] — Problem 4: certify and order only the top-`t` groups \[`TopT`\].
 //! * [`mistakes`] — Problem 5: stop early once the ordering of all but an
-//!   allowed fraction of pairs is certified.
-//! * [`values`] — Problem 6: ordering *plus* per-group value accuracy `±d`.
+//!   allowed fraction of pairs is certified \[`Mistakes`\].
+//! * [`values`] — Problem 6: ordering *plus* per-group value accuracy `±d`
+//!   \[`Values`\].
 //! * [`partial`] — Problem 7: stream each group's estimate out the moment
-//!   it becomes inactive.
-//! * [`sum`] — §6.3.1/§6.3.2: `SUM` with known (Algorithm 4) and unknown
-//!   (Algorithm 5) group sizes, and `COUNT`.
-//! * [`multi`] — §6.3.5: two aggregates visualized simultaneously
-//!   (Problem 8).
-//! * [`noindex`] — §6.3.6: no index on the group-by attribute (Problem 9).
+//!   it becomes inactive \[`FullOrder`, plus an emission queue\].
+//! * [`sum`] — §6.3.1/§6.3.2: `SUM` with known sizes \[Algorithm 4,
+//!   `ScaledSum`\], unknown sizes and `COUNT` \[Algorithm 5, `FullOrder`
+//!   over the `x·z` stream\].
+//! * [`adaptive`], [`multi`] (§6.3.5, two aggregates — Problem 8) and
+//!   [`noindex`] (§6.3.6, no index on the group-by attribute — Problem 9)
+//!   keep a loop of their own as library-only references; each module doc
+//!   says why.
 //!
 //! Selection predicates (§6.3.3) and multiple group-bys (§6.3.4) change
 //! *which rows are eligible*, not the algorithm, and are provided by the

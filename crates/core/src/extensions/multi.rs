@@ -14,6 +14,10 @@
 //! Because the groups enter phase 2 with heterogeneous sample counts, the
 //! phase-2 loop uses per-group ε values `ε(m_i)`; the anytime schedule is
 //! valid at every per-group `m`, so correctness is unaffected.
+//!
+//! Outside [`crate::focus`]'s one round: it samples a *pair* stream
+//! ([`PairGroupSource`], not `GroupSource`) into two means per group, in two
+//! phases at per-group `m_i`. Library-only §6.3.5 reference, eager `run`.
 
 use crate::config::AlgoConfig;
 use crate::state::FixpointScratch;

@@ -13,6 +13,10 @@
 //! As the paper notes, when groups are roughly equal-sized this behaves
 //! like ROUNDROBIN (no focusing is possible), yet still samples far less
 //! than a full scan.
+//!
+//! Outside [`crate::focus`]'s one round: rows arrive from a [`StreamSource`]
+//! (no NEEDLETAIL index, no per-group draw to direct), every group sits at
+//! its own `m_i`. Library-only §6.3.6 reference, eager `run`.
 
 use crate::config::AlgoConfig;
 use crate::result::RunResult;

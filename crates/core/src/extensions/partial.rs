@@ -7,9 +7,10 @@
 //! point in time is correct (they were mutually disjoint when they froze).
 
 use crate::config::AlgoConfig;
+use crate::focus::{FocusStepper, Rule};
 use crate::group::{GroupSource, MaybeSend};
 use crate::result::RunResult;
-use crate::runner::{Snapshot, StepOutcome};
+use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
 use crate::state::FocusState;
 use rand::RngCore;
 
@@ -42,15 +43,14 @@ impl IFocusPartial {
         rng: &mut dyn RngCore,
     ) -> IFocusPartialStepper {
         let state = FocusState::initialize(&self.config, groups, rng);
-        let emitted = vec![false; state.k()];
         let mut stepper = IFocusPartialStepper {
-            state,
-            emitted,
+            emitted: vec![false; state.k()],
+            // Unlike plain IFOCUS, the round-1 test does not consult the
+            // resolution cut-off (pinned as is; see `FocusStepper::start`).
+            inner: FocusStepper::begin(state, Rule::FullOrder, false),
             pending: Vec::new(),
         };
-        stepper.state.standard_deactivation();
         stepper.flush();
-        stepper.state.record();
         stepper
     }
 
@@ -74,18 +74,12 @@ impl IFocusPartial {
         mut emit: impl FnMut(PartialEmission),
     ) -> RunResult {
         let mut stepper = self.start(groups, rng);
-        for e in stepper.drain_emissions() {
-            emit(e);
+        let mut running = true;
+        while running {
+            stepper.drain_emissions().into_iter().for_each(&mut emit);
+            running = stepper.step(groups, rng).is_running();
         }
-        loop {
-            let outcome = stepper.step(groups, rng);
-            for e in stepper.drain_emissions() {
-                emit(e);
-            }
-            if !outcome.is_running() {
-                break;
-            }
-        }
+        stepper.drain_emissions().into_iter().for_each(&mut emit);
         stepper.finish()
     }
 }
@@ -96,7 +90,7 @@ impl IFocusPartial {
 /// shape with an extra [`IFocusPartialStepper::drain_emissions`] hook.
 #[derive(Debug)]
 pub struct IFocusPartialStepper {
-    state: FocusState,
+    inner: FocusStepper,
     emitted: Vec<bool>,
     pending: Vec<PartialEmission>,
 }
@@ -105,33 +99,21 @@ impl IFocusPartialStepper {
     /// Total samples drawn so far.
     #[must_use]
     pub fn total_samples(&self) -> u64 {
-        self.state.total_samples()
+        self.inner.total_samples()
     }
 
     /// Advances one round; mirrors
     /// [`crate::runner::AlgorithmStepper::step`]. Newly certified groups
-    /// land in the pending queue — drain it after each call.
+    /// land in the pending queue — drain it after each call. (A truncated
+    /// run still flushes whatever froze.)
     pub fn step<G: GroupSource + MaybeSend>(
         &mut self,
         groups: &mut [G],
         rng: &mut dyn RngCore,
     ) -> StepOutcome {
-        let batch = self.state.config.samples_per_round;
-        if let Some(terminal) = self.state.begin_round(batch) {
-            // Truncated runs still flush whatever froze (a converged run
-            // has nothing left to flush).
-            self.flush();
-            return terminal;
-        }
-        self.state.draw_round_selected(false, groups, rng, batch);
-        if self.state.resolution_reached() || self.state.all_active_exhausted() {
-            self.state.deactivate_all();
-        } else {
-            self.state.standard_deactivation();
-        }
+        let outcome = self.inner.step(groups, rng);
         self.flush();
-        self.state.record();
-        self.state.outcome()
+        outcome
     }
 
     /// Removes and returns the emissions produced since the last drain, in
@@ -143,20 +125,20 @@ impl IFocusPartialStepper {
     /// The current estimates, intervals, active set, and partial ordering.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        self.state.snapshot()
+        self.inner.snapshot()
     }
 
     /// Consumes the stepper and packages the final result.
     #[must_use]
     pub fn finish(self) -> RunResult {
-        self.state.finish()
+        self.inner.finish()
     }
 
     /// Queues an emission for every group that deactivated since the last
     /// flush.
     fn flush(&mut self) {
-        let state = &self.state;
-        let total: u64 = state.samples.iter().sum();
+        let state = &self.inner.state;
+        let total = state.total_samples();
         for i in 0..state.k() {
             if !state.active[i] && !self.emitted[i] {
                 self.emitted[i] = true;

@@ -17,12 +17,13 @@
 //!   so the schedule uses `c = 1`), yielding normalized counts `s_i`.
 
 use crate::config::{AlgoConfig, ReactivationPolicy};
-use crate::group::{GroupSource, MaybeSend};
+use crate::focus::{FocusStepper, Rule};
+use crate::group::GroupSource;
 use crate::result::RunResult;
 use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
 use crate::state::FocusState;
 use rand::RngCore;
-use rapidviz_stats::{Interval, SamplingMode};
+use rapidviz_stats::SamplingMode;
 
 /// IFOCUS for `SUM` with known group sizes (Algorithm 4).
 #[derive(Debug, Clone)]
@@ -49,122 +50,26 @@ impl IFocusSum1 {
         groups: &mut [G],
         rng: &mut dyn RngCore,
     ) -> IFocusSum1Stepper {
-        let mut state = FocusState::initialize(&self.config, groups, rng);
-        let sizes = state.sizes.clone();
-        Self::deactivate_scaled(&mut state, &sizes);
-        state.record();
-        IFocusSum1Stepper { state, sizes }
+        FocusStepper::start(&self.config, Rule::ScaledSum, groups, rng)
     }
 
     /// Runs over the groups; estimates are group **sums** `ν_i ≈ σ_i` —
-    /// a thin loop over [`IFocusSum1::start`] and
-    /// [`AlgorithmStepper::step`].
+    /// [`IFocusSum1::start`] stepped to completion through
+    /// [`FocusStepper::step_any`].
     ///
     /// # Panics
     ///
     /// Panics if `groups` is empty.
     pub fn run<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RunResult {
-        let mut stepper = self.start(groups, rng);
-        while stepper.step_any(groups, rng).is_running() {}
-        stepper.finish()
-    }
-
-    /// The deactivation fixpoint over per-group scaled intervals
-    /// `[|S_i|·(ν_i − ε), |S_i|·(ν_i + ε)]` (Algorithm 4 lines 6–7, 11–13).
-    fn deactivate_scaled(state: &mut FocusState, sizes: &[u64]) {
-        let eps_base = state.epsilon();
-        state.separate(eps_base, |s, i| {
-            let scale = sizes[i] as f64;
-            Interval::centered(s.estimates[i].mean() * scale, eps_base * scale)
-        });
+        FocusStepper::run(&self.config, Rule::ScaledSum, groups, rng)
     }
 }
 
 /// The Algorithm-4 state machine: one step per round (one draw per active
-/// group, then the scaled-interval deactivation fixpoint). Snapshots report
-/// estimates and intervals in **sum space** (`×|S_i|`), matching the final
-/// result semantics.
-#[derive(Debug)]
-pub struct IFocusSum1Stepper {
-    state: FocusState,
-    sizes: Vec<u64>,
-}
-
-impl IFocusSum1Stepper {
-    /// [`AlgorithmStepper::step`] without the `MaybeSend` bound (this
-    /// per-draw loop never fans out across threads).
-    pub fn step_any<G: GroupSource>(
-        &mut self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> StepOutcome {
-        let state = &mut self.state;
-        if let Some(terminal) = state.begin_round(1) {
-            return terminal;
-        }
-        state.draw_active(groups, rng);
-        // Resolution semantics in sum space: ε_i = |S_i|·ε, so the
-        // cut-off compares the *largest* scaled width against r/4.
-        let eps_base = state.epsilon();
-        let max_scaled = self
-            .sizes
-            .iter()
-            .zip(&state.active)
-            .filter(|(_, &a)| a)
-            .map(|(&n, _)| n as f64 * eps_base)
-            .fold(0.0f64, f64::max);
-        let resolution_hit = state
-            .config
-            .resolution_epsilon()
-            .is_some_and(|thresh| max_scaled < thresh);
-        if resolution_hit || state.all_active_exhausted() {
-            state.deactivate_all();
-        } else {
-            IFocusSum1::deactivate_scaled(state, &self.sizes);
-        }
-        state.record();
-        state.outcome()
-    }
-}
-
-impl AlgorithmStepper for IFocusSum1Stepper {
-    fn step<G: GroupSource + MaybeSend>(
-        &mut self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> StepOutcome {
-        self.step_any(groups, rng)
-    }
-
-    fn snapshot(&self) -> Snapshot {
-        let mut snap = self.state.snapshot();
-        // Scale estimates and intervals from mean space into sum space.
-        for (i, &n) in self.sizes.iter().enumerate() {
-            let scale = n as f64;
-            snap.estimates[i] *= scale;
-            let iv = snap.intervals[i];
-            snap.intervals[i] = Interval::centered(iv.center() * scale, 0.5 * iv.width() * scale);
-        }
-        snap
-    }
-
-    fn total_samples(&self) -> u64 {
-        self.state.total_samples()
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.state.approx_bytes() + self.sizes.capacity() * std::mem::size_of::<u64>()
-    }
-
-    fn finish(self) -> RunResult {
-        let mut result = self.state.finish();
-        // Convert mean estimates to sums.
-        for (est, &n) in result.estimates.iter_mut().zip(&self.sizes) {
-            *est *= n as f64;
-        }
-        result
-    }
-}
+/// group, then the scaled-interval deactivation fixpoint) — the shared
+/// round under its sum-space rule. Snapshots report estimates and intervals
+/// in **sum space** (`×|S_i|`), matching the final result semantics.
+pub type IFocusSum1Stepper = FocusStepper;
 
 /// A group source that also yields unbiased normalized-size estimates —
 /// what Algorithm 5 needs when group sizes are unknown.
@@ -380,20 +285,19 @@ impl IFocusSum2 {
             ..self.config.clone()
         };
         let labels = groups.iter().map(SizedGroupSource::label).collect();
-        let mut stepper = IFocusSum2Stepper {
-            state: FocusState::new(&config, labels, vec![u64::MAX; groups.len()]),
-            pairs: Vec::new(),
-        };
+        let mut state = FocusState::new(&config, labels, vec![u64::MAX; groups.len()]);
         for (i, group) in groups.iter_mut().enumerate() {
             if let Some((x, z)) = group.sample_with_size(rng) {
-                stepper.state.estimates[i].push(x * z);
-                stepper.state.samples[i] += 1;
+                state.estimates[i].push(x * z);
+                state.samples[i] += 1;
             }
         }
         // Round-1 deactivation (lines 11–13) so the first snapshot already
         // reflects any instant separations.
-        stepper.deactivate();
-        stepper
+        IFocusSum2Stepper {
+            inner: FocusStepper::begin(state, Rule::FullOrder, true),
+            pairs: Vec::new(),
+        }
     }
 
     /// Runs over sized sources to completion — a thin loop over
@@ -420,13 +324,13 @@ impl IFocusSum2 {
 
 /// The Algorithm-5 state machine: one step per round (a batched `(x, z)`
 /// draw from every active group, then the deactivation fixpoint at the new
-/// `m`) — IFOCUS's own round state over the product stream `x·z`. Operates
-/// over [`SizedGroupSource`]s, so it mirrors [`AlgorithmStepper`]'s shape
-/// with inherent methods rather than implementing the `GroupSource`-bound
-/// trait.
+/// `m`) — the shared full-order round over the product stream `x·z`.
+/// Operates over [`SizedGroupSource`]s, so it mirrors [`AlgorithmStepper`]'s
+/// shape with inherent methods rather than implementing the
+/// `GroupSource`-bound trait.
 #[derive(Debug)]
 pub struct IFocusSum2Stepper {
-    state: FocusState,
+    inner: FocusStepper,
     /// Reusable draw buffer: cleared, never shrunk, between batches.
     pairs: Vec<(f64, f64)>,
 }
@@ -436,16 +340,7 @@ impl IFocusSum2Stepper {
     /// session budget checks every round).
     #[must_use]
     pub fn total_samples(&self) -> u64 {
-        self.state.total_samples()
-    }
-
-    /// Deactivation (lines 11–13) at the current `m`.
-    fn deactivate(&mut self) {
-        if self.state.resolution_reached() {
-            self.state.deactivate_all();
-        } else {
-            self.state.standard_deactivation();
-        }
+        self.inner.total_samples()
     }
 
     /// Advances one round; mirrors [`AlgorithmStepper::step`].
@@ -454,41 +349,38 @@ impl IFocusSum2Stepper {
         groups: &mut [G],
         rng: &mut dyn RngCore,
     ) -> StepOutcome {
-        let batch = self.state.config.samples_per_round;
-        if let Some(terminal) = self.state.begin_round(batch) {
-            return terminal;
-        }
-        let state = &mut self.state;
-        for i in 0..state.k() {
-            if state.active[i] {
-                self.pairs.clear();
-                let got = groups[i].sample_with_size_batch(batch, rng, &mut self.pairs);
-                state.estimates[i].push_products(&self.pairs);
-                state.samples[i] += got;
+        let batch = self.inner.state.config.samples_per_round;
+        let pairs = &mut self.pairs;
+        self.inner.round(batch, |state| {
+            for i in 0..state.k() {
+                if state.active[i] {
+                    pairs.clear();
+                    let got = groups[i].sample_with_size_batch(batch, rng, pairs);
+                    state.estimates[i].push_products(pairs);
+                    state.samples[i] += got;
+                }
             }
-        }
-        self.deactivate();
-        self.state.outcome()
+        })
     }
 
     /// The current estimates (normalized sums), intervals, active set, and
     /// sample counts; mirrors [`AlgorithmStepper::snapshot`].
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        self.state.snapshot()
+        self.inner.snapshot()
     }
 
     /// Approximate resident bytes of the stepper's state; mirrors
     /// [`AlgorithmStepper::approx_bytes`].
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        self.state.approx_bytes() + self.pairs.capacity() * std::mem::size_of::<(f64, f64)>()
+        self.inner.approx_bytes() + self.pairs.capacity() * std::mem::size_of::<(f64, f64)>()
     }
 
     /// Packages the final result; mirrors [`AlgorithmStepper::finish`].
     #[must_use]
     pub fn finish(self) -> RunResult {
-        self.state.finish()
+        self.inner.finish()
     }
 }
 
@@ -527,7 +419,7 @@ mod tests {
     use crate::group::VecGroup;
     use crate::ordering::is_correctly_ordered;
     use rand::{Rng, SeedableRng};
-    use rapidviz_stats::{EpsilonSchedule, IntervalSet, RunningMean};
+    use rapidviz_stats::{EpsilonSchedule, Interval, IntervalSet, RunningMean};
 
     fn two_point_values(mean: f64, n: usize, rng: &mut impl Rng) -> Vec<f64> {
         (0..n)

@@ -10,22 +10,12 @@
 //! overlap rule restricted to other still-relevant groups.
 
 use crate::config::AlgoConfig;
+use crate::focus::{FocusStepper, Rule};
 use crate::group::GroupSource;
 use crate::result::RunResult;
-use crate::state::FocusState;
 use rand::RngCore;
-use rapidviz_stats::Interval;
 
-/// Whether the analyst wants the largest or the smallest `t` groups
-/// (§6.1.2 supports both "top-t or bottom-t").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TopTDirection {
-    /// Certify the `t` groups with the largest means.
-    #[default]
-    Largest,
-    /// Certify the `t` groups with the smallest means.
-    Smallest,
-}
+pub use crate::focus::TopTDirection;
 
 /// IFOCUS for certified top-`t` (or bottom-`t`) visualization.
 #[derive(Debug, Clone)]
@@ -102,54 +92,12 @@ impl IFocusTopT {
             self.t,
             groups.len()
         );
-        let mut state = FocusState::initialize(&self.config, groups, rng);
-        // Groups certified outside the top-t; they stop being comparison
-        // targets entirely.
-        let mut ruled_out = vec![false; state.k()];
-        self.update(&mut state, &mut ruled_out);
-        state.record();
-
-        while state.begin_round(1).is_none() {
-            state.draw_active(groups, rng);
-            if state.resolution_reached() || state.all_active_exhausted() {
-                state.deactivate_all();
-            } else {
-                self.update(&mut state, &mut ruled_out);
-            }
-            state.record();
-        }
-        state.finish()
-    }
-
-    /// Rules out groups certainly below the top-t, then applies the overlap
-    /// rule among the remaining contenders.
-    fn update(&self, state: &mut FocusState, ruled_out: &mut [bool]) {
-        let eps_now = state.epsilon();
-        let k = state.k();
-        let intervals: Vec<Interval> = (0..k).map(|i| state.interval(i, eps_now)).collect();
-        // A group is certainly out when >= t intervals sit strictly on the
-        // winning side of it (above for top-t, below for bottom-t).
-        for i in 0..k {
-            if ruled_out[i] {
-                continue;
-            }
-            let strictly_better = (0..k)
-                .filter(|&j| {
-                    j != i
-                        && match self.direction {
-                            TopTDirection::Largest => intervals[i].strictly_below(&intervals[j]),
-                            TopTDirection::Smallest => intervals[j].strictly_below(&intervals[i]),
-                        }
-                })
-                .count();
-            if strictly_better >= self.t {
-                ruled_out[i] = true;
-                state.deactivate(i, eps_now);
-            }
-        }
-        // Contenders follow the overlap rule among contenders — exactly the
-        // active groups, since ruling a group out deactivates it for good.
-        state.separate_means(eps_now);
+        let rule = Rule::TopT {
+            t: self.t,
+            direction: self.direction,
+            ruled_out: vec![false; groups.len()],
+        };
+        FocusStepper::run(&self.config, rule, groups, rng)
     }
 }
 

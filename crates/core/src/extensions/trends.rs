@@ -10,9 +10,9 @@
 //! far cheaper.
 
 use crate::config::AlgoConfig;
+use crate::extensions::graph::IFocusGraph;
 use crate::group::GroupSource;
 use crate::result::RunResult;
-use crate::state::FocusState;
 use rand::RngCore;
 
 /// IFOCUS for adjacent-pair (trend/choropleth) ordering.
@@ -28,52 +28,14 @@ impl IFocusTrends {
         Self { config }
     }
 
-    /// Runs over the groups (in x-axis order).
+    /// Runs over the groups (in x-axis order): [`IFocusGraph::path`], the
+    /// graph variant over the edges `(0, 1), (1, 2), …`.
     ///
     /// # Panics
     ///
     /// Panics if `groups` is empty.
     pub fn run<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RunResult {
-        let mut state = FocusState::initialize(&self.config, groups, rng);
-        let k = state.k();
-        // pair_resolved[i] covers (i, i+1).
-        let mut pair_resolved = vec![false; k.saturating_sub(1)];
-        Self::update(&mut state, &mut pair_resolved);
-        state.record();
-
-        while state.begin_round(1).is_none() {
-            state.draw_active(groups, rng);
-            if state.resolution_reached() || state.all_active_exhausted() {
-                state.deactivate_all();
-            } else {
-                Self::update(&mut state, &mut pair_resolved);
-            }
-            state.record();
-        }
-        state.finish()
-    }
-
-    /// Resolves adjacent pairs whose intervals separated, then deactivates
-    /// groups with no unresolved incident pair.
-    fn update(state: &mut FocusState, pair_resolved: &mut [bool]) {
-        let eps_now = state.epsilon();
-        let k = state.k();
-        for i in 0..k.saturating_sub(1) {
-            if !pair_resolved[i] {
-                let a = state.interval(i, eps_now);
-                let b = state.interval(i + 1, eps_now);
-                if !a.overlaps(&b) {
-                    pair_resolved[i] = true;
-                }
-            }
-        }
-        for i in 0..k {
-            let left_open = i > 0 && !pair_resolved[i - 1];
-            let right_open = i + 1 < k && !pair_resolved[i];
-            if !left_open && !right_open {
-                state.deactivate(i, eps_now);
-            }
-        }
+        IFocusGraph::path(self.config.clone(), groups.len()).run(groups, rng)
     }
 }
 
@@ -131,6 +93,33 @@ mod tests {
             r_trends.total_samples(),
             r_full.total_samples()
         );
+    }
+
+    #[test]
+    fn equals_the_path_graph_bit_for_bit() {
+        // The licence for this module keeping no deactivation logic of its
+        // own: a trend line *is* `IFocusGraph::path(k)`.
+        let base = AlgoConfig::new(100.0, 0.05).with_max_rounds(3_000);
+        for k in [1usize, 2, 7, 12] {
+            let means: Vec<f64> = (0..k).map(|i| 20.0 + ((i * 37) % 60) as f64).collect();
+            for config in [base.clone(), base.clone().with_resolution(8.0)] {
+                for seed in 0..10u64 {
+                    let mut g1 = two_point_groups(&means, 20_000, 300 + seed);
+                    let mut g2 = g1.clone();
+                    let mut rng1 = rand::rngs::StdRng::seed_from_u64(400 + seed);
+                    let mut rng2 = rand::rngs::StdRng::seed_from_u64(400 + seed);
+                    let trend = IFocusTrends::new(config.clone()).run(&mut g1, &mut rng1);
+                    let path = IFocusGraph::path(config.clone(), k).run(&mut g2, &mut rng2);
+                    let bits = |r: &RunResult| -> Vec<u64> {
+                        r.estimates.iter().map(|e| e.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&trend), bits(&path), "k {k} seed {seed}");
+                    assert_eq!(trend.samples_per_group, path.samples_per_group);
+                    assert_eq!(trend.rounds, path.rounds);
+                    assert_eq!(trend.truncated, path.truncated);
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! sampling, never reduce it.
 
 use crate::config::AlgoConfig;
+use crate::focus::{FocusStepper, Rule};
 use crate::group::GroupSource;
 use crate::result::RunResult;
-use crate::state::FocusState;
 use rand::RngCore;
 
 /// IFOCUS with a per-group value-accuracy requirement `±d`.
@@ -39,29 +39,7 @@ impl IFocusValues {
     ///
     /// Panics if `groups` is empty.
     pub fn run<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RunResult {
-        let mut state = FocusState::initialize(&self.config, groups, rng);
-        self.update(&mut state);
-        state.record();
-
-        while state.begin_round(1).is_none() {
-            state.draw_active(groups, rng);
-            if state.all_active_exhausted() {
-                state.deactivate_all();
-            } else {
-                self.update(&mut state);
-            }
-            state.record();
-        }
-        state.finish()
-    }
-
-    /// Standard overlap deactivation gated on the value requirement:
-    /// while `ε ≥ d/2` nobody may deactivate.
-    fn update(&self, state: &mut FocusState) {
-        let eps_now = state.epsilon();
-        if eps_now < self.d / 2.0 {
-            state.separate_means(eps_now);
-        }
+        FocusStepper::run(&self.config, Rule::Values { d: self.d }, groups, rng)
     }
 }
 

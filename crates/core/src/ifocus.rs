@@ -20,10 +20,10 @@
 //! optimal up to the `log log` term by the Theorem 3.8 lower bound.
 
 use crate::config::AlgoConfig;
+use crate::focus::{FocusStepper, Rule};
 use crate::group::{GroupSource, MaybeSend};
 use crate::result::RunResult;
-use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
-use crate::state::FocusState;
+use crate::runner::AlgorithmStepper;
 use rand::RngCore;
 
 /// The IFOCUS algorithm (and IFOCUS-R when a resolution is configured).
@@ -74,17 +74,7 @@ impl IFocus {
         groups: &mut [G],
         rng: &mut dyn RngCore,
     ) -> IFocusStepper {
-        let mut state = FocusState::initialize(&self.config, groups, rng);
-        // Round-1 bookkeeping: check separation immediately (a dataset can
-        // already be resolved after one sample per group only when the
-        // resolution cut-off fires; ε at m = 1 is otherwise huge).
-        if state.resolution_reached() {
-            state.deactivate_all();
-        } else {
-            state.standard_deactivation();
-        }
-        state.record();
-        IFocusStepper { state }
+        FocusStepper::start(&self.config, Rule::FullOrder, groups, rng)
     }
 
     /// Runs IFOCUS over the groups to completion — a thin loop over
@@ -106,53 +96,8 @@ impl IFocus {
 
 /// The IFOCUS state machine: one [`AlgorithmStepper::step`] call per round
 /// (draw a batch from every active group, recompute ε, run the deactivation
-/// fixpoint).
-#[derive(Debug)]
-pub struct IFocusStepper {
-    state: FocusState,
-}
-
-impl AlgorithmStepper for IFocusStepper {
-    fn step<G: GroupSource + MaybeSend>(
-        &mut self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> StepOutcome {
-        let state = &mut self.state;
-        let batch = state.config.samples_per_round;
-        if let Some(terminal) = state.begin_round(batch) {
-            return terminal;
-        }
-        // One draw_batch call per active group (and, over threshold with
-        // the `parallel` feature, one worker-pool fan-out per round)
-        // instead of `batch` single draws; the selection index list is
-        // rebuilt in the state's reusable scratch buffer.
-        state.draw_round_selected(false, groups, rng, batch);
-        if state.resolution_reached() || state.all_active_exhausted() {
-            state.deactivate_all();
-        } else {
-            state.standard_deactivation();
-        }
-        state.record();
-        state.outcome()
-    }
-
-    fn snapshot(&self) -> Snapshot {
-        self.state.snapshot()
-    }
-
-    fn total_samples(&self) -> u64 {
-        self.state.total_samples()
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.state.approx_bytes()
-    }
-
-    fn finish(self) -> RunResult {
-        self.state.finish()
-    }
-}
+/// fixpoint) — the shared round under its full-order rule.
+pub type IFocusStepper = FocusStepper;
 
 #[cfg(test)]
 mod tests {
@@ -160,6 +105,7 @@ mod tests {
     use crate::config::ReactivationPolicy;
     use crate::group::VecGroup;
     use crate::ordering::{is_correctly_ordered, is_correctly_ordered_with_resolution};
+    use crate::state::FocusState;
     use rand::{Rng, SeedableRng};
     use rapidviz_stats::SamplingMode;
 

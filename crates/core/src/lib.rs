@@ -28,14 +28,20 @@
 //! [`runner::AlgorithmStepper`] trait: step, snapshot, sample count, memory
 //! accounting and finish are everything a driver needs, so the session
 //! facade holds one boxed stepper and never asks which algorithm it is.
+//! IFOCUS's round is written once, in [`focus`]: [`IFocusStepper`] and
+//! [`RoundRobinStepper`] are one type, [`focus::FocusStepper`], under a
+//! crate-private *rule* (every pair must order; the same with every group
+//! drawing). IREFINE and SCAN have a round of their own.
 //!
 //! ## Extensions (§6)
 //!
 //! The [`extensions`] module implements every variant the paper describes:
 //! trend-line / choropleth adjacency ordering, top-t, allowed mistakes,
 //! value accuracy, partial results, `SUM` (known and unknown group sizes),
-//! `COUNT`, multiple aggregates, and the no-index setting. Selection
-//! predicates and multiple group-bys are handled in the storage layer
+//! `COUNT`, multiple aggregates, and the no-index setting — all but the
+//! last two as further rules over that one round ([`extensions`] names
+//! each). Selection predicates and multiple group-bys are handled in the
+//! storage layer
 //! (`rapidviz-needletail`) since they only change which rows are eligible.
 //!
 //! ## Instrumentation
@@ -56,6 +62,7 @@
 pub mod clock;
 pub mod config;
 pub mod extensions;
+pub mod focus;
 pub mod group;
 pub mod history;
 pub mod ifocus;

@@ -12,10 +12,10 @@
 //! `Σ_i m_i` — the gap the paper's Figure 3a quantifies.
 
 use crate::config::AlgoConfig;
+use crate::focus::{FocusStepper, Rule};
 use crate::group::{GroupSource, MaybeSend};
 use crate::result::RunResult;
-use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
-use crate::state::FocusState;
+use crate::runner::AlgorithmStepper;
 use rand::RngCore;
 
 /// The ROUNDROBIN baseline (and ROUNDROBIN-R with a resolution configured).
@@ -49,14 +49,7 @@ impl RoundRobin {
         groups: &mut [G],
         rng: &mut dyn RngCore,
     ) -> RoundRobinStepper {
-        let mut state = FocusState::initialize(&self.config, groups, rng);
-        if state.resolution_reached() {
-            state.deactivate_all();
-        } else {
-            state.standard_deactivation();
-        }
-        state.record();
-        RoundRobinStepper { state }
+        FocusStepper::start(&self.config, Rule::EveryGroup, groups, rng)
     }
 
     /// Runs ROUNDROBIN over the groups to completion — a thin loop over
@@ -77,60 +70,9 @@ impl RoundRobin {
 }
 
 /// The ROUNDROBIN state machine: each step samples **every** unexhausted
-/// group once (batched), then runs the same deactivation test as IFOCUS.
-#[derive(Debug)]
-pub struct RoundRobinStepper {
-    state: FocusState,
-}
-
-impl AlgorithmStepper for RoundRobinStepper {
-    fn step<G: GroupSource + MaybeSend>(
-        &mut self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> StepOutcome {
-        let state = &mut self.state;
-        let batch = state.config.samples_per_round;
-        if let Some(terminal) = state.begin_round(batch) {
-            return terminal;
-        }
-        // The defining difference from IFOCUS: sample *all* groups —
-        // one draw_batch call each (pooled over threshold with the
-        // `parallel` feature), selected through the reusable scratch.
-        state.draw_round_selected(true, groups, rng, batch);
-        if state.resolution_reached() || state.all_exhausted() {
-            state.deactivate_all();
-        } else {
-            state.standard_deactivation();
-        }
-        state.record();
-        state.outcome()
-    }
-
-    fn snapshot(&self) -> Snapshot {
-        self.state.snapshot()
-    }
-
-    fn total_samples(&self) -> u64 {
-        self.state.total_samples()
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.state.approx_bytes()
-    }
-
-    fn finish(self) -> RunResult {
-        self.state.finish()
-    }
-}
-
-impl FocusState {
-    /// Every group exhausted (ROUNDROBIN keeps sampling inactive groups, so
-    /// its stopping guard looks at all of them).
-    pub(crate) fn all_exhausted(&self) -> bool {
-        self.exhausted.iter().all(|&e| e)
-    }
-}
+/// group once (batched), then runs the same deactivation test as IFOCUS —
+/// the shared round under its every-group rule.
+pub type RoundRobinStepper = FocusStepper;
 
 #[cfg(test)]
 mod tests {
@@ -138,6 +80,7 @@ mod tests {
     use crate::group::VecGroup;
     use crate::ifocus::IFocus;
     use crate::ordering::is_correctly_ordered;
+    use crate::state::FocusState;
     use rand::{Rng, SeedableRng};
 
     fn two_point_groups(means: &[f64], n: usize, seed: u64) -> Vec<VecGroup> {

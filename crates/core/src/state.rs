@@ -1,4 +1,4 @@
-//! The one IFOCUS round engine.
+//! The one IFOCUS round state.
 //!
 //! [`FocusState`] is the round state of every algorithm whose estimator is
 //! a per-group running mean under the shared anytime ε: IFOCUS, ROUNDROBIN,
@@ -10,7 +10,8 @@
 //! and supplies the round prologue ([`FocusState::begin_round`]), the draw,
 //! the deactivation fixpoint ([`FocusState::separate`]) and the snapshot;
 //! those algorithms differ only in *who gets sampled* each round and
-//! *which intervals must separate*.
+//! *which intervals must separate* — the [`crate::focus::Rule`] the one
+//! round in [`crate::focus`] is parameterised by.
 //!
 //! [`FixpointScratch::separate`] is the only implementation of the
 //! deactivation fixpoint (Algorithm 1 lines 10–12) in this crate. The three
@@ -182,7 +183,7 @@ impl FocusState {
     /// The prologue of every round: `Some(terminal)` without touching `m`
     /// when nothing is active (converged) or the round cap is reached
     /// (flagged truncated); otherwise advances `m` by `batch` and returns
-    /// `None` — draw, deactivate, [`Self::record`], [`Self::outcome`].
+    /// `None` — draw, deactivate, [`Self::record`], report.
     pub(crate) fn begin_round(&mut self, batch: u64) -> Option<StepOutcome> {
         if !self.any_active() {
             return Some(StepOutcome::Converged);
@@ -193,15 +194,6 @@ impl FocusState {
         }
         self.m += batch;
         None
-    }
-
-    /// What a finished round reports: running while any group is active.
-    pub(crate) fn outcome(&self) -> StepOutcome {
-        if self.any_active() {
-            StepOutcome::Running
-        } else {
-            StepOutcome::Converged
-        }
     }
 
     /// Number of groups.
@@ -219,17 +211,6 @@ impl FocusState {
             }
             None => {
                 self.exhausted[i] = true;
-            }
-        }
-    }
-
-    /// One [`Self::draw`] from every active, unexhausted group, in group
-    /// order on the caller's thread — the per-draw round of Algorithm 4
-    /// and the eager §6 variants, which never fan out.
-    pub(crate) fn draw_active<G: GroupSource>(&mut self, groups: &mut [G], rng: &mut dyn RngCore) {
-        for (i, group) in groups.iter_mut().enumerate() {
-            if self.active[i] && !self.exhausted[i] {
-                self.draw(i, group, rng);
             }
         }
     }
@@ -505,6 +486,12 @@ impl FocusState {
             }
         }
         any_active
+    }
+
+    /// Every group exhausted (ROUNDROBIN keeps sampling inactive groups, so
+    /// its stopping guard looks at all of them).
+    pub(crate) fn all_exhausted(&self) -> bool {
+        self.exhausted.iter().all(|&e| e)
     }
 
     /// Any group still active?
