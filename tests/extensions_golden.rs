@@ -235,29 +235,39 @@ fn round_digests(run: impl Fn(AlgoConfig) -> RunResult) -> Vec<u64> {
         .collect()
 }
 
+/// A wide round: 64 draws from each of the six groups, 384 per round.
+fn wide_config() -> AlgoConfig {
+    AlgoConfig::new(100.0, 0.05).with_samples_per_round(64)
+}
+
 #[test]
 fn ifocus_runs_are_pinned() {
-    let got = round_digests(|c| IFocus::new(c).run(&mut two_point_groups(2040), &mut rng(2041)));
+    let run = |c| IFocus::new(c).run(&mut two_point_groups(2040), &mut rng(2041));
+    let mut got = round_digests(run);
+    got.push(run_digest(&run(wide_config())));
     let golden = [
         0x158e_cced_0d85_c5be,
         0x8ad1_8392_998a_3e8e,
         0x1f0e_b935_ce8b_39f6,
         0xa512_020b_84b3_577d,
         0xfcb0_2203_9069_c82a,
+        0x8245_db95_f51e_c589,
     ];
     assert_eq!(got, golden, "got {got:#018x?}");
 }
 
 #[test]
 fn roundrobin_runs_are_pinned() {
-    let got =
-        round_digests(|c| RoundRobin::new(c).run(&mut two_point_groups(2050), &mut rng(2051)));
+    let run = |c| RoundRobin::new(c).run(&mut two_point_groups(2050), &mut rng(2051));
+    let mut got = round_digests(run);
+    got.push(run_digest(&run(wide_config())));
     let golden = [
         0xb511_eefd_5ff5_8fd3,
         0x14dc_4b78_4c73_c29f,
         0x1645_b06c_cc0a_a08e,
         0x735a_d9c6_b437_e5c2,
         0x3462_ecfa_3869_44b2,
+        0x2b44_fe19_4240_c94e,
     ];
     assert_eq!(got, golden, "got {got:#018x?}");
 }
