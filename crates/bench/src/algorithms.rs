@@ -55,7 +55,7 @@ impl AlgorithmKind {
 
     /// Runs the algorithm: `base` carries `(c, δ, …)`; `r` is the minimum
     /// resolution applied to the `-R` variants only.
-    pub fn run<G: GroupSource + rapidviz_core::group::MaybeSend>(
+    pub fn run<G: GroupSource>(
         self,
         base: &AlgoConfig,
         r: f64,

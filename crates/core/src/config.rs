@@ -62,14 +62,6 @@ pub struct AlgoConfig {
     /// exceed the remaining budget retires the group instead (the run is
     /// marked truncated). `u64::MAX` = no cap.
     pub max_samples_per_group: u64,
-    /// Minimum `samples_per_round × active groups` at which a round's
-    /// per-group draw loop fans out across the persistent worker pool.
-    /// Only consulted when the crate is built with the `parallel` feature.
-    /// Dispatch costs one channel send per worker (the pool threads spawn
-    /// once and park between rounds), so even narrow rounds can profit;
-    /// the default guards only the tiniest rounds, where per-group RNG
-    /// seeding would dominate the draws themselves.
-    pub parallel_threshold: u64,
 }
 
 impl AlgoConfig {
@@ -96,7 +88,6 @@ impl AlgoConfig {
             max_rounds: u64::MAX,
             max_samples_per_group: u64::MAX,
             samples_per_round: 1,
-            parallel_threshold: 256,
         }
     }
 
@@ -175,14 +166,6 @@ impl AlgoConfig {
     pub fn with_samples_per_round(mut self, b: u64) -> Self {
         assert!(b >= 1, "batch size must be at least 1");
         self.samples_per_round = b;
-        self
-    }
-
-    /// Sets the minimum per-round draw count that triggers the parallel
-    /// fan-out (`parallel` feature only).
-    #[must_use]
-    pub fn with_parallel_threshold(mut self, threshold: u64) -> Self {
-        self.parallel_threshold = threshold;
         self
     }
 

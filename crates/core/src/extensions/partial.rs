@@ -8,7 +8,7 @@
 
 use crate::config::AlgoConfig;
 use crate::focus::{FocusStepper, Rule};
-use crate::group::{GroupSource, MaybeSend};
+use crate::group::GroupSource;
 use crate::result::RunResult;
 use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
 use crate::state::FocusState;
@@ -37,7 +37,7 @@ impl IFocusPartial {
     /// # Panics
     ///
     /// Panics if `groups` is empty.
-    pub fn start<G: GroupSource + MaybeSend>(
+    pub fn start<G: GroupSource>(
         &self,
         groups: &mut [G],
         rng: &mut dyn RngCore,
@@ -67,7 +67,7 @@ impl IFocusPartial {
     /// # Panics
     ///
     /// Panics if `groups` is empty.
-    pub fn run<G: GroupSource + MaybeSend>(
+    pub fn run<G: GroupSource>(
         &self,
         groups: &mut [G],
         rng: &mut dyn RngCore,
@@ -106,11 +106,7 @@ impl IFocusPartialStepper {
     /// [`crate::runner::AlgorithmStepper::step`]. Newly certified groups
     /// land in the pending queue — drain it after each call. (A truncated
     /// run still flushes whatever froze.)
-    pub fn step<G: GroupSource + MaybeSend>(
-        &mut self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> StepOutcome {
+    pub fn step<G: GroupSource>(&mut self, groups: &mut [G], rng: &mut dyn RngCore) -> StepOutcome {
         let outcome = self.inner.step(groups, rng);
         self.flush();
         outcome
@@ -287,10 +283,7 @@ mod tests {
     #[test]
     fn batched_partial_matches_single_draw_reference() {
         // Byte-identical emissions and result vs the per-draw loop at the
-        // default batch size. Skipped under `parallel` (per-group streams).
-        if cfg!(feature = "parallel") {
-            return;
-        }
+        // default batch size.
         let means = [20.0, 46.0, 54.0, 85.0];
         let mut g1 = two_point_groups(&means, 50_000, 140);
         let mut g2 = g1.clone();

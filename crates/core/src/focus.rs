@@ -11,7 +11,7 @@
 //! crate root and [`crate::extensions`] list which rule each public type is.
 
 use crate::config::AlgoConfig;
-use crate::group::{GroupSource, MaybeSend};
+use crate::group::GroupSource;
 use crate::result::RunResult;
 use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
 use crate::state::FocusState;
@@ -247,10 +247,9 @@ impl FocusStepper {
         self.state.record();
     }
 
-    /// The per-draw round: one `sample()` per drawing group on the caller's
-    /// thread, `samples_per_round` ignored — what Algorithm 4 and the eager
-    /// §6 variants run, and [`AlgorithmStepper::step`] without the
-    /// `MaybeSend` bound.
+    /// The per-draw round: one `sample()` per drawing group,
+    /// `samples_per_round` ignored — what Algorithm 4 and the eager §6
+    /// variants run.
     pub fn step_any<G: GroupSource>(
         &mut self,
         groups: &mut [G],
@@ -268,18 +267,13 @@ impl FocusStepper {
 }
 
 impl AlgorithmStepper for FocusStepper {
-    fn step<G: GroupSource + MaybeSend>(
-        &mut self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> StepOutcome {
+    fn step<G: GroupSource>(&mut self, groups: &mut [G], rng: &mut dyn RngCore) -> StepOutcome {
         let every = match self.rule {
             Rule::FullOrder => false,
             Rule::EveryGroup => true,
             _ => return self.step_any(groups, rng),
         };
-        // One draw_batch call per drawing group (and, over threshold with
-        // the `parallel` feature, one worker-pool fan-out per round).
+        // One draw_batch call per drawing group.
         let batch = self.state.config.samples_per_round;
         self.round(batch, |state| {
             state.draw_round_selected(every, groups, rng, batch)
@@ -405,6 +399,16 @@ mod tests {
         // only exhaustion stops a tie.
         let values = IFocusValues::new(c(), 6.0).run(&mut tied(), &mut rng());
         assert_eq!(values.samples_per_group, [100, 100, 100]);
+    }
+
+    #[test]
+    fn a_u64_max_batch_saturates_the_round_counter_and_terminates() {
+        // A tie only exhaustion can end, so the hostile round is reached.
+        let config = AlgoConfig::new(100.0, 0.05).with_samples_per_round(u64::MAX);
+        let result = IFocus::new(config).run(&mut tied(), &mut rng());
+        assert_eq!(result.rounds, u64::MAX);
+        assert_eq!(result.samples_per_group, [100, 100, 100]);
+        assert!(!result.truncated);
     }
 
     #[test]

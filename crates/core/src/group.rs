@@ -8,22 +8,6 @@
 use rand::RngCore;
 use rapidviz_stats::SamplingMode;
 
-/// Marker bound that equals `Send` when the `parallel` feature is on and is
-/// satisfied by every type otherwise. The algorithms bound their group type
-/// on it so the parallel draw fan-out can move groups across threads
-/// without imposing `Send` on single-threaded builds.
-#[cfg(feature = "parallel")]
-pub trait MaybeSend: Send {}
-#[cfg(feature = "parallel")]
-impl<T: Send + ?Sized> MaybeSend for T {}
-
-/// Marker bound that equals `Send` when the `parallel` feature is on and is
-/// satisfied by every type otherwise.
-#[cfg(not(feature = "parallel"))]
-pub trait MaybeSend {}
-#[cfg(not(feature = "parallel"))]
-impl<T: ?Sized> MaybeSend for T {}
-
 /// A sampleable group `S_i` of bounded values.
 ///
 /// The `rng` parameter is `dyn` so implementations stay object-safe; rand's

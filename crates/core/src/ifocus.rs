@@ -21,7 +21,7 @@
 
 use crate::config::AlgoConfig;
 use crate::focus::{FocusStepper, Rule};
-use crate::group::{GroupSource, MaybeSend};
+use crate::group::GroupSource;
 use crate::result::RunResult;
 use crate::runner::AlgorithmStepper;
 use rand::RngCore;
@@ -69,11 +69,7 @@ impl IFocus {
     /// # Panics
     ///
     /// Panics if `groups` is empty.
-    pub fn start<G: GroupSource + MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> IFocusStepper {
+    pub fn start<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> IFocusStepper {
         FocusStepper::start(&self.config, Rule::FullOrder, groups, rng)
     }
 
@@ -83,11 +79,7 @@ impl IFocus {
     /// # Panics
     ///
     /// Panics if `groups` is empty.
-    pub fn run<G: GroupSource + MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> RunResult {
+    pub fn run<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RunResult {
         let mut stepper = self.start(groups, rng);
         while stepper.step(groups, rng).is_running() {}
         stepper.finish()
@@ -382,11 +374,7 @@ mod tests {
     fn batched_pipeline_matches_single_draw_reference() {
         // Byte-identical results vs the pre-batching per-draw loop, at batch
         // size 1 AND at larger batches (draw_batch replays the same RNG
-        // stream). Skipped under the `parallel` feature, whose fan-out
-        // intentionally re-seeds per group.
-        if cfg!(feature = "parallel") {
-            return;
-        }
+        // stream).
         for batch in [1u64, 16] {
             let mut g1 = two_point_groups(&[20.0, 45.0, 55.0, 80.0], 30_000, 90);
             let mut g2 = g1.clone();
@@ -403,30 +391,5 @@ mod tests {
             assert_eq!(result.rounds, reference.rounds, "batch {batch}");
             assert_eq!(result.truncated, reference.truncated, "batch {batch}");
         }
-    }
-
-    /// Under the parallel feature, a threshold-0 run must (a) produce a
-    /// correct ordering and (b) be bit-identical across repeated runs with
-    /// the same seed (thread scheduling must not leak into results).
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_rounds_deterministic_and_correct() {
-        let make = || two_point_groups(&[20.0, 45.0, 55.0, 80.0], 50_000, 95);
-        let truths = true_means(&make());
-        let config = AlgoConfig::new(100.0, 0.05)
-            .with_samples_per_round(32)
-            .with_parallel_threshold(1);
-        let run = |groups: &mut Vec<VecGroup>| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(96);
-            IFocus::new(config.clone()).run(groups, &mut rng)
-        };
-        let r1 = run(&mut make());
-        let r2 = run(&mut make());
-        assert_eq!(
-            r1.estimates, r2.estimates,
-            "parallel run must be deterministic"
-        );
-        assert_eq!(r1.samples_per_group, r2.samples_per_group);
-        assert!(is_correctly_ordered(&r1.estimates, &truths));
     }
 }

@@ -33,7 +33,7 @@
 //!   adversarial equal-mean inputs terminating.
 
 use crate::config::AlgoConfig;
-use crate::group::{GroupSource, MaybeSend};
+use crate::group::GroupSource;
 use crate::history::{History, HistoryPoint};
 use crate::result::RunResult;
 use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
@@ -67,7 +67,7 @@ impl IRefine {
     /// # Panics
     ///
     /// Panics if `groups` is empty.
-    pub fn start<G: GroupSource + MaybeSend>(
+    pub fn start<G: GroupSource>(
         &self,
         groups: &mut [G],
         _rng: &mut dyn RngCore,
@@ -101,11 +101,7 @@ impl IRefine {
     /// # Panics
     ///
     /// Panics if `groups` is empty.
-    pub fn run<G: GroupSource + MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> RunResult {
+    pub fn run<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RunResult {
         let mut stepper = self.start(groups, rng);
         while stepper.step(groups, rng).is_running() {}
         stepper.finish()
@@ -135,11 +131,7 @@ pub struct IRefineStepper {
 }
 
 impl AlgorithmStepper for IRefineStepper {
-    fn step<G: GroupSource + MaybeSend>(
-        &mut self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> StepOutcome {
+    fn step<G: GroupSource>(&mut self, groups: &mut [G], rng: &mut dyn RngCore) -> StepOutcome {
         if !self.active.iter().any(|&a| a) {
             return StepOutcome::Converged;
         }

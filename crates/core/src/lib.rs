@@ -50,10 +50,7 @@
 //! Table 1) and a sampled [`history::History`] of active-set size and
 //! estimate snapshots (reproducing Figures 5c and 6a).
 
-// `deny` rather than `forbid`: the persistent worker pool (`pool`, built
-// only under the `parallel` feature) contains one vetted lifetime-erasure
-// `unsafe` — the same scoped-task pattern rayon and crossbeam use — and
-// carries a module-local `allow` with its safety argument.
+#![forbid(unsafe_code)]
 // The algorithms walk several parallel per-group arrays (estimates, active
 // flags, samplers) by index; iterator zips would obscure the pseudocode
 // correspondence that this crate deliberately mirrors.
@@ -68,8 +65,6 @@ pub mod history;
 pub mod ifocus;
 pub mod irefine;
 pub mod ordering;
-#[cfg(feature = "parallel")]
-mod pool;
 pub mod result;
 pub mod roundrobin;
 pub mod runner;

@@ -13,7 +13,7 @@
 
 use crate::config::AlgoConfig;
 use crate::focus::{FocusStepper, Rule};
-use crate::group::{GroupSource, MaybeSend};
+use crate::group::GroupSource;
 use crate::result::RunResult;
 use crate::runner::AlgorithmStepper;
 use rand::RngCore;
@@ -44,7 +44,7 @@ impl RoundRobin {
     /// # Panics
     ///
     /// Panics if `groups` is empty.
-    pub fn start<G: GroupSource + MaybeSend>(
+    pub fn start<G: GroupSource>(
         &self,
         groups: &mut [G],
         rng: &mut dyn RngCore,
@@ -58,11 +58,7 @@ impl RoundRobin {
     /// # Panics
     ///
     /// Panics if `groups` is empty.
-    pub fn run<G: GroupSource + MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> RunResult {
+    pub fn run<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RunResult {
         let mut stepper = self.start(groups, rng);
         while stepper.step(groups, rng).is_running() {}
         stepper.finish()

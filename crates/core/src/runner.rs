@@ -11,7 +11,7 @@
 //! hardening partial ordering, so callers can render partial results,
 //! enforce sample/time budgets, or cancel and keep the best answer so far.
 
-use crate::group::{GroupSource, MaybeSend};
+use crate::group::GroupSource;
 use crate::result::RunResult;
 use rand::RngCore;
 use rapidviz_stats::Interval;
@@ -166,11 +166,7 @@ pub trait AlgorithmStepper {
     /// Idempotent after termination: once `Converged` (or once a budget
     /// tripped and the caller stops), further calls return the terminal
     /// outcome without drawing.
-    fn step<G: GroupSource + MaybeSend>(
-        &mut self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> StepOutcome;
+    fn step<G: GroupSource>(&mut self, groups: &mut [G], rng: &mut dyn RngCore) -> StepOutcome;
 
     /// The current estimates, intervals, active set, and partial ordering.
     fn snapshot(&self) -> Snapshot;

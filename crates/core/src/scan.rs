@@ -53,7 +53,7 @@ impl ExactScan {
     /// Panics if `groups` is empty.
     pub fn run<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RunResult {
         let mut stepper = self.start(groups, rng);
-        while stepper.step_any(groups, rng).is_running() {}
+        while stepper.step(groups, rng).is_running() {}
         stepper.finish()
     }
 }
@@ -68,14 +68,8 @@ pub struct ScanStepper {
     next_group: usize,
 }
 
-impl ScanStepper {
-    /// [`AlgorithmStepper::step`] without the `MaybeSend` bound (SCAN never
-    /// fans out across threads).
-    pub fn step_any<G: GroupSource>(
-        &mut self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> StepOutcome {
+impl AlgorithmStepper for ScanStepper {
+    fn step<G: GroupSource>(&mut self, groups: &mut [G], rng: &mut dyn RngCore) -> StepOutcome {
         if self.next_group >= self.labels.len() {
             return StepOutcome::Converged;
         }
@@ -96,16 +90,6 @@ impl ScanStepper {
         } else {
             StepOutcome::Running
         }
-    }
-}
-
-impl AlgorithmStepper for ScanStepper {
-    fn step<G: GroupSource + crate::group::MaybeSend>(
-        &mut self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> StepOutcome {
-        self.step_any(groups, rng)
     }
 
     fn snapshot(&self) -> Snapshot {

@@ -125,10 +125,6 @@ pub(crate) struct FocusState {
     pub(crate) truncated: bool,
     /// Reusable buffer for batched draws (avoids a per-round allocation).
     scratch: Vec<f64>,
-    /// Reusable round-selection index buffer: the per-round list of groups
-    /// to draw from is rebuilt in place here instead of allocating a fresh
-    /// `Vec<usize>` every round.
-    round_idxs: Vec<usize>,
     /// Reusable deactivation-fixpoint buffers (member list, interval set,
     /// removal list) — zero steady-state allocation per round.
     fix: FixpointScratch,
@@ -175,7 +171,6 @@ impl FocusState {
             history: (config.history_every > 0).then(History::new),
             truncated: false,
             scratch: Vec::new(),
-            round_idxs: Vec::new(),
             fix: FixpointScratch::default(),
         }
     }
@@ -192,7 +187,7 @@ impl FocusState {
             self.truncated = true;
             return Some(StepOutcome::BudgetExhausted);
         }
-        self.m += batch;
+        self.m = self.m.saturating_add(batch);
         None
     }
 
@@ -235,124 +230,23 @@ impl FocusState {
         }
     }
 
-    /// Draws this round's batch from every group the selection admits,
-    /// reusing the state's round-index scratch buffer instead of
-    /// allocating a fresh index vector per round (the IFOCUS / ROUNDROBIN
-    /// / partial-results hot loops all come through here).
+    /// Draws this round's batch from every group the selection admits, in
+    /// group order (the IFOCUS / ROUNDROBIN / partial-results hot loops all
+    /// come through here).
     ///
     /// With `include_inactive` false only active, unexhausted groups draw
     /// (IFOCUS semantics); with it true every unexhausted group draws
     /// (ROUNDROBIN semantics).
-    pub(crate) fn draw_round_selected<G: GroupSource + crate::group::MaybeSend>(
+    pub(crate) fn draw_round_selected<G: GroupSource>(
         &mut self,
         include_inactive: bool,
         groups: &mut [G],
         rng: &mut dyn RngCore,
         batch: u64,
     ) {
-        let mut idxs = std::mem::take(&mut self.round_idxs);
-        idxs.clear();
-        idxs.extend(
-            (0..self.k()).filter(|&i| (include_inactive || self.active[i]) && !self.exhausted[i]),
-        );
-        self.draw_round(&idxs, groups, rng, batch);
-        self.round_idxs = idxs;
-    }
-
-    /// Draws this round's batch from every group selected by `idxs`
-    /// (indices must be ascending). Sequential by default; under the
-    /// `parallel` feature, rounds whose total draw count
-    /// (`batch × |idxs|`) reaches [`AlgoConfig::parallel_threshold`] fan
-    /// the per-group loop out across the persistent worker pool.
-    pub(crate) fn draw_round<G: GroupSource + crate::group::MaybeSend>(
-        &mut self,
-        idxs: &[usize],
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-        batch: u64,
-    ) {
-        #[cfg(feature = "parallel")]
-        if idxs.len() > 1
-            && batch.saturating_mul(idxs.len() as u64) >= self.config.parallel_threshold
-        {
-            self.draw_round_parallel(idxs, groups, rng, batch);
-            return;
-        }
-        for &i in idxs {
-            self.draw_batch(i, &mut groups[i], rng, batch);
-        }
-    }
-
-    /// Parallel per-group draw fan-out (`parallel` feature).
-    ///
-    /// Each selected group gets an independent RNG stream seeded from the
-    /// master RNG **in group order**, so results are deterministic for a
-    /// fixed seed regardless of thread scheduling — but the streams differ
-    /// from the sequential path's single interleaved stream, so parallel
-    /// runs are reproducible against parallel runs, not sequential ones.
-    /// The workspace has no rayon (offline build); near-equal chunks are
-    /// dispatched onto the persistent [`crate::pool`] worker pool, whose
-    /// per-round cost is a channel send rather than a thread spawn.
-    #[cfg(feature = "parallel")]
-    fn draw_round_parallel<G: GroupSource + Send>(
-        &mut self,
-        idxs: &[usize],
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-        batch: u64,
-    ) {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-
-        let mode = self.config.mode;
-        // Disjoint &mut access: walk all groups once, keeping those selected
-        // (idxs is ascending), pairing each with its order-derived seed.
-        let mut work: Vec<(usize, &mut G, u64)> = Vec::with_capacity(idxs.len());
-        let mut next = 0usize;
-        for (i, group) in groups.iter_mut().enumerate() {
-            if next < idxs.len() && idxs[next] == i {
-                work.push((i, group, rng.next_u64()));
-                next += 1;
-            }
-        }
-        debug_assert_eq!(work.len(), idxs.len());
-        let pool = crate::pool::global();
-        let threads = pool.workers().min(work.len());
-        let chunk_size = work.len().div_ceil(threads);
-        let mut chunks: Vec<Vec<(usize, &mut G, u64)>> = Vec::with_capacity(threads);
-        let mut rest = work;
-        while !rest.is_empty() {
-            let tail = rest.split_off(chunk_size.min(rest.len()));
-            chunks.push(std::mem::replace(&mut rest, tail));
-        }
-        // One output slot per chunk; each task writes only its own slot,
-        // and the merge below walks slots in chunk (= group) order, so
-        // estimator updates stay deterministic.
-        let mut outputs: Vec<Vec<(usize, u64, Vec<f64>)>> =
-            chunks.iter().map(|_| Vec::new()).collect();
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = chunks
-            .into_iter()
-            .zip(outputs.iter_mut())
-            .map(|(chunk, out)| {
-                Box::new(move || {
-                    *out = chunk
-                        .into_iter()
-                        .map(|(i, group, seed)| {
-                            let mut rng = StdRng::seed_from_u64(seed);
-                            let mut buf = Vec::with_capacity(batch as usize);
-                            let got = group.draw_batch(batch, &mut rng, mode, &mut buf);
-                            (i, got, buf)
-                        })
-                        .collect();
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run_scoped(tasks);
-        for (i, got, xs) in outputs.into_iter().flatten() {
-            self.estimates[i].push_batch(&xs);
-            self.samples[i] += got;
-            if got < batch {
-                self.exhausted[i] = true;
+        for i in 0..self.k() {
+            if (include_inactive || self.active[i]) && !self.exhausted[i] {
+                self.draw_batch(i, &mut groups[i], rng, batch);
             }
         }
     }
@@ -553,7 +447,6 @@ impl FocusState {
             + self.frozen_eps.capacity() * size_of::<f64>()
             + self.samples.capacity() * size_of::<u64>()
             + self.scratch.capacity() * size_of::<f64>()
-            + self.round_idxs.capacity() * size_of::<usize>()
             + self.fix.approx_bytes()
     }
 

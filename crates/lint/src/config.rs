@@ -36,16 +36,16 @@
 //! # in scoped code must appear here, and nested acquisitions must happen
 //! # in list order. Entries no lock uses are stale (a violation).
 //! [locks]
-//! order = ["client_threads", "receiver"]
+//! order = ["client_threads", "registry"]
 //!
 //! # The unsafe budget: every file holding `unsafe` tokens must have an
 //! # entry whose count matches exactly and whose justification is
 //! # non-empty. A new `unsafe` anywhere fails the lint until a reviewer
 //! # budgets it here.
 //! [[unsafe]]
-//! file = "crates/core/src/pool.rs"
+//! file = "crates/ffi/src/sys.rs"
 //! count = 1
-//! justification = "scoped-task lifetime erasure; see the SAFETY comment"
+//! justification = "foreign call; see the SAFETY comment"
 //! ```
 
 use std::collections::BTreeMap;

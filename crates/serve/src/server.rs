@@ -442,7 +442,7 @@ fn lock_registry(registry: &Mutex<ParkingRegistry>) -> std::sync::MutexGuard<'_,
 }
 
 /// Builds a session from a wire request, clamping its sample budget to
-/// the server's per-client ceiling.
+/// the server's per-client ceiling and its round size to that budget.
 fn build_session(
     engine: &NeedleTail,
     req: &QueryRequest,
@@ -470,13 +470,15 @@ fn build_session(
     if let Some(b) = req.bound {
         q = q.bound(b);
     }
-    if let Some(s) = req.samples_per_round {
-        q = q.samples_per_round(s);
-    }
     let cap = req
         .max_samples
         .map_or(per_client_max_samples, |m| m.min(per_client_max_samples));
     q = q.max_samples(cap);
+    if let Some(s) = req.samples_per_round {
+        // The budget is only checked between rounds, so a round may not be
+        // wider than the budget itself.
+        q = q.samples_per_round(s.min(cap));
+    }
     q.start(StdRng::seed_from_u64(req.seed))
         .map_err(|e| e.to_string())
 }

@@ -106,6 +106,39 @@ fn count_with_a_filter_is_rejected_not_answered_unfiltered() {
 }
 
 #[test]
+fn hostile_round_size_is_clamped_to_the_sample_budget() {
+    let handle = start_server(ServerConfig::default());
+    let mut client = connect(&handle);
+    client
+        .send_line(
+            "QUERY group=name agg=avg measure=elapsed seed=1 max_samples=100 \
+             spr=18446744073709551615",
+        )
+        .expect("line sent");
+    let answer = loop {
+        match client.next_frame().expect("server answers, never resets") {
+            Some(Frame::Answer(answer)) => break answer,
+            Some(Frame::Error { code, message }) => panic!("error {code:?}: {message}"),
+            Some(_) => {}
+            None => panic!("connection closed without an answer"),
+        }
+    };
+    // The budget is checked between rounds: the bootstrap sample per group
+    // (14 groups, under the budget) plus one round, itself clamped to the
+    // 100-sample budget.
+    let groups = answer.samples_per_group.len() as u64;
+    let drawn: u64 = answer.samples_per_group.iter().sum();
+    assert!(
+        drawn <= groups * (1 + 100),
+        "{drawn} samples over {groups} groups"
+    );
+    assert_eq!(answer.rounds, 1 + 100);
+    assert_eq!(handle.stats().scheduler_restarts.load(Ordering::Relaxed), 0);
+    assert_no_leaked_slots(&handle);
+    handle.shutdown();
+}
+
+#[test]
 fn request_split_at_every_byte_boundary_still_parses() {
     let handle = start_server(ServerConfig::default());
     let mut req = QueryRequest::avg("name", "elapsed", 9);

@@ -126,11 +126,10 @@ impl<'a> VizQuery<'a> {
 
     /// Sets how many samples each round draws per active group (default 1,
     /// the paper's round structure). Larger batches amortize per-round
-    /// bookkeeping and — above the engine's parallel threshold, with the
-    /// `parallel` feature — fan the per-group draws out across the shared
-    /// worker pool; the anytime ε still tightens with every sample, so the
+    /// bookkeeping; the anytime ε still tightens with every sample, so the
     /// guarantee is unchanged, at the cost of up to one batch of overshoot
-    /// per group.
+    /// per group. `SUM` queries ignore it: Algorithm 4 runs the per-draw
+    /// round, one sample per active group.
     ///
     /// # Panics
     ///

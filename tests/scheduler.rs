@@ -576,11 +576,9 @@ fn empty_scheduler_drains_immediately() {
     );
 }
 
-/// Contention stress: many heterogeneous sessions with wide per-round
-/// batches (batch × groups clears the core's parallel threshold, so under
-/// `--features parallel` / `--all-features` every quantum fans out over
-/// the shared worker pool) — and the determinism invariant must still
-/// hold byte-for-byte. This is the CI threaded-stress entry point.
+/// Interleaving stress: many heterogeneous sessions with wide per-round
+/// batches (64 draws per group, 256 per round) under every policy — each
+/// scheduled answer must match its standalone run byte-for-byte.
 #[test]
 fn stress_interleaving_under_worker_pool_contention() {
     let engines: Vec<NeedleTail> = (0..4).map(|i| near_tie_engine(4, 100 + i)).collect();
