@@ -1,10 +1,10 @@
 //! A small bounded LRU map for the engine's planning caches.
 //!
-//! The engine caches evaluated predicate bitmaps and ready group plans per
-//! immutable table ([`crate::engine::NeedleTail`]); both caches are tiny
-//! (dozens of entries) but must not grow without bound under an adversarial
-//! stream of distinct queries. This map is the minimal structure that
-//! serves: a `HashMap` tagged with a monotone use tick, evicting the
+//! The engine caches ready group plans and composite indexes per immutable
+//! table ([`crate::engine::NeedleTail`]); both caches are tiny (64 and 8
+//! entries) but must not grow without bound under an adversarial stream
+//! of distinct queries. This map is the minimal structure that serves: a
+//! `HashMap` tagged with a monotone use tick, evicting the
 //! least-recently-used entry on overflow. Eviction is an `O(capacity)`
 //! scan — at the capacities the engine uses (≤ 64) that is a few cache
 //! lines, far below the cost of the plan it replaces, and it keeps the
@@ -43,12 +43,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     #[must_use]
     pub fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// The bound this cache was created with (entries, not bytes).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Whether the cache is empty.
@@ -99,11 +93,13 @@ mod tests {
     #[test]
     fn capacity_is_reported_and_survives_clear() {
         let mut c: LruCache<&str, u32> = LruCache::new(3);
-        assert_eq!(c.capacity(), 3);
         c.insert("a", 1);
         c.clear();
-        assert_eq!(c.capacity(), 3);
         assert!(c.is_empty());
+        for (k, v) in [("a", 1), ("b", 2), ("c", 3), ("d", 4)] {
+            c.insert(k, v);
+        }
+        assert_eq!(c.len(), 3, "the bound holds after a clear");
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::sync::Arc;
 type Key = Vec<String>;
 
 /// A bitmap index over a tuple of columns. Per-cell bitmaps are held
-/// behind [`Arc`] so plan-cache entries and samplers share them zero-copy
+/// behind [`Arc`] so plan cache entries and samplers share them zero-copy
 /// (see [`crate::index::BitmapIndex`]).
 #[derive(Debug, Clone)]
 pub struct CompositeIndex {
@@ -111,7 +111,7 @@ impl CompositeIndex {
     }
 
     /// The shared handle to a cell's bitmap — the zero-copy path samplers
-    /// and plan-cache entries use.
+    /// and plan cache entries use.
     ///
     /// # Panics
     ///

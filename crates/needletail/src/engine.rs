@@ -32,7 +32,7 @@ pub enum EngineError {
     NoSuchColumn(String),
     /// The named column is not indexed and the operation needs an index.
     NotIndexed(String),
-    /// The measure column is not numeric.
+    /// The measure column, or a range predicate's column, is not numeric.
     NotNumeric(String),
     /// The requested combination of query options is not supported (e.g.
     /// an algorithm override on an aggregate with a dedicated algorithm).
@@ -58,98 +58,15 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Entries kept in the predicate-bitmap LRU. Dashboards reuse a handful
-/// of filters; 64 canonical predicates is far past any realistic fan-out
-/// while bounding worst-case growth to ~64 table-length bitmaps.
-const PREDICATE_CACHE_CAPACITY: usize = 64;
-
 /// Entries kept in the plan LRU (one per distinct `(group-by, predicate)`
-/// pair). Plans mostly *share* bitmaps with the indexes and the predicate
-/// cache, so entries are cheap; selective-intersection views are the only
-/// storage a plan owns outright.
+/// pair). Plans mostly *share* bitmaps with the indexes, so entries are
+/// cheap; selective-intersection views are the only storage a plan owns
+/// outright.
 const PLAN_CACHE_CAPACITY: usize = 64;
 
 /// Distinct multi-attribute group-by column sets whose composite indexes
 /// are retained.
 const COMPOSITE_CACHE_CAPACITY: usize = 8;
-
-/// Capacities (entry counts) for the three planning-cache LRUs. The
-/// defaults match the committed constants and suit a dashboard workload;
-/// a serving deployment whose filter diversity outruns them (watch the
-/// miss counters in [`crate::metrics::MetricsSnapshot`]) can raise them
-/// via [`NeedleTailBuilder::cache_capacities`] without a rebuild of
-/// anything else. Values are clamped to at least one entry at build time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheCapacities {
-    /// Predicate-bitmap LRU entries (each up to one table-length bitmap).
-    pub predicate: usize,
-    /// Group-plan LRU entries (one per distinct group-by/predicate pair).
-    pub plan: usize,
-    /// Composite-index LRU entries (one per multi-attribute column set).
-    pub composite: usize,
-}
-
-impl Default for CacheCapacities {
-    fn default() -> Self {
-        Self {
-            predicate: PREDICATE_CACHE_CAPACITY,
-            plan: PLAN_CACHE_CAPACITY,
-            composite: COMPOSITE_CACHE_CAPACITY,
-        }
-    }
-}
-
-impl CacheCapacities {
-    /// The capacities actually applied: every cache holds at least one
-    /// entry (the LRU itself rejects zero, and a zero-entry plan cache
-    /// would silently re-plan every query).
-    #[must_use]
-    pub fn clamped(self) -> Self {
-        Self {
-            predicate: self.predicate.max(1),
-            plan: self.plan.max(1),
-            composite: self.composite.max(1),
-        }
-    }
-}
-
-/// Deferred construction of a [`NeedleTail`] engine, for callers that
-/// want non-default planning-cache capacities. Created by
-/// [`NeedleTail::builder`]; [`NeedleTailBuilder::build`] performs the
-/// same index builds and validation as [`NeedleTail::new`].
-#[derive(Debug)]
-pub struct NeedleTailBuilder {
-    table: Table,
-    indexed_columns: Vec<String>,
-    capacities: CacheCapacities,
-}
-
-impl NeedleTailBuilder {
-    /// Columns to build bitmap indexes over (replaces any earlier list).
-    #[must_use]
-    pub fn indexed_columns(mut self, columns: &[&str]) -> Self {
-        self.indexed_columns = columns.iter().map(|c| (*c).to_owned()).collect();
-        self
-    }
-
-    /// Overrides the planning-cache LRU capacities (clamped to ≥ 1 per
-    /// cache). Defaults are [`CacheCapacities::default`].
-    #[must_use]
-    pub fn cache_capacities(mut self, capacities: CacheCapacities) -> Self {
-        self.capacities = capacities;
-        self
-    }
-
-    /// Builds the engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::NoSuchColumn`] if an index target is missing.
-    pub fn build(self) -> Result<NeedleTail, EngineError> {
-        let refs: Vec<&str> = self.indexed_columns.iter().map(String::as_str).collect();
-        NeedleTail::with_capacities(self.table, &refs, self.capacities)
-    }
-}
 
 /// Selectivity cutover for filtered group plans: when the smaller operand
 /// of `group ∧ predicate` has at most `table_rows / 64` ones, the plan
@@ -220,23 +137,27 @@ fn lock<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The engine's table is immutable for its lifetime, so every planning
 /// artifact is cacheable forever with **no invalidation story beyond the
 /// engine's own drop** — the same contract as the per-column maxima behind
-/// [`NeedleTail::column_max`]. Three interior caches (all behind their own
-/// locks; the engine stays shareable by `&`) make repeat-query planning
+/// [`NeedleTail::column_max`]. Two interior caches (each behind its own
+/// lock; the engine stays shareable by `&`) make repeat-query planning
 /// near-O(1):
 ///
-/// * **Predicate bitmaps**, keyed by [`Predicate::canonical_key`] — the
-///   canonical form flattens and sorts `AND`/`OR` chains, so every
-///   spelling of a dashboard's shared filter hits one entry. A bare
-///   indexed equality bypasses the cache entirely (the index entry *is*
-///   the answer, shared zero-copy).
-/// * **Group plans**, keyed by `(group columns, canonical predicate)` —
-///   the labels and per-group eligible-row sets
+/// * **Group plans** (64 entries), keyed by `(group columns, canonical
+///   predicate)` — the labels and per-group eligible-row sets
 ///   ([`NeedleTail::group_handles`] / [`NeedleTail::group_handles_multi`]).
-///   A warm hit hands back shared [`RowSet`]s: no predicate evaluation, no
+///   [`Predicate::canonical_key`] flattens and sorts `AND`/`OR` chains, so
+///   every spelling of a dashboard's shared filter hits one entry. A warm
+///   hit hands back shared [`RowSet`]s: no predicate evaluation, no
 ///   per-group intersection, no table-sized copies — fresh sampler state
 ///   over shared rows.
-/// * **Composite indexes**, keyed by the group-by column list (the §6.3.4
-///   joint indexes, formerly rebuilt on every multi-attribute query).
+/// * **Composite indexes** (8 entries), keyed by the group-by column list
+///   (the §6.3.4 joint indexes, formerly rebuilt on every multi-attribute
+///   query).
+///
+/// There is no predicate-bitmap cache: the plan key already holds the
+/// canonical predicate, so such a cache would only be consulted on a plan
+/// miss for a key population the plan cache already covers. A plan miss
+/// under a new group-by pays one predicate evaluation, which is small
+/// beside the per-group intersections it pays anyway.
 ///
 /// Filtered plans choose between a fused word-AND materialization and a
 /// sorted-position intersection view per group by selectivity: below one
@@ -261,24 +182,18 @@ pub struct NeedleTail {
     /// instead of a full table scan per query, and columns never queried
     /// (or queries that always supply an explicit bound) cost nothing.
     column_maxima: Vec<std::sync::OnceLock<Option<f64>>>,
-    /// Evaluated predicate bitmaps by canonical key (see the
+    /// Ready group plans by `(group-by, canonical predicate)` (see the
     /// [planning-caches](#planning-caches) docs).
-    predicate_bitmaps: Mutex<LruCache<String, Arc<Bitmap>>>,
-    /// Ready group plans by `(group-by, canonical predicate)`.
     plans: Mutex<LruCache<PlanKey, Arc<CachedPlan>>>,
     /// Composite (multi-attribute) indexes by column list.
     composites: Mutex<LruCache<Vec<String>, Arc<CompositeIndex>>>,
     /// The all-rows bitmap [`NeedleTail::predicate_bitmap`] returns for
-    /// [`Predicate::True`], built once per engine (it never earns an LRU
-    /// slot — its key never varies).
+    /// [`Predicate::True`], built once per engine.
     all_rows: std::sync::OnceLock<Arc<Bitmap>>,
     /// Fault injector consulted on every sampled-row read (see
     /// [`crate::fault`]). Captured by handles at build time, so installing
     /// or clearing an injector affects only handles built afterwards.
     faults: Option<Arc<dyn FaultInjector>>,
-    /// The (clamped) planning-cache capacities this engine was built
-    /// with, echoed by [`NeedleTail::cache_capacities`].
-    capacities: CacheCapacities,
 }
 
 impl NeedleTail {
@@ -288,31 +203,6 @@ impl NeedleTail {
     ///
     /// Returns [`EngineError::NoSuchColumn`] if an index target is missing.
     pub fn new(table: Table, indexed_columns: &[&str]) -> Result<Self, EngineError> {
-        Self::with_capacities(table, indexed_columns, CacheCapacities::default())
-    }
-
-    /// Starts a [`NeedleTailBuilder`] over `table` for non-default
-    /// construction (custom planning-cache capacities).
-    #[must_use]
-    pub fn builder(table: Table) -> NeedleTailBuilder {
-        NeedleTailBuilder {
-            table,
-            indexed_columns: Vec::new(),
-            capacities: CacheCapacities::default(),
-        }
-    }
-
-    /// [`NeedleTail::new`] with explicit planning-cache capacities
-    /// (clamped to ≥ 1 per cache).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::NoSuchColumn`] if an index target is missing.
-    pub fn with_capacities(
-        table: Table,
-        indexed_columns: &[&str],
-        capacities: CacheCapacities,
-    ) -> Result<Self, EngineError> {
         for col in indexed_columns {
             if table.schema().column_index(col).is_none() {
                 return Err(EngineError::NoSuchColumn((*col).to_owned()));
@@ -325,26 +215,16 @@ impl NeedleTail {
         let column_maxima = (0..table.schema().columns().len())
             .map(|_| std::sync::OnceLock::new())
             .collect();
-        let capacities = capacities.clamped();
         Ok(Self {
             table: Arc::new(table),
             indexes,
             metrics: Arc::new(Metrics::new()),
             column_maxima,
-            predicate_bitmaps: Mutex::new(LruCache::new(capacities.predicate)),
-            plans: Mutex::new(LruCache::new(capacities.plan)),
-            composites: Mutex::new(LruCache::new(capacities.composite)),
+            plans: Mutex::new(LruCache::new(PLAN_CACHE_CAPACITY)),
+            composites: Mutex::new(LruCache::new(COMPOSITE_CACHE_CAPACITY)),
             all_rows: std::sync::OnceLock::new(),
             faults: None,
-            capacities,
         })
-    }
-
-    /// The planning-cache capacities this engine was built with (already
-    /// clamped).
-    #[must_use]
-    pub fn cache_capacities(&self) -> CacheCapacities {
-        self.capacities
     }
 
     /// Installs a fault injector consulted on every sampled-row read from
@@ -411,15 +291,16 @@ impl NeedleTail {
         &self.indexes
     }
 
-    /// Evaluates `predicate` to a shared eligibility bitmap, serving
-    /// repeats (under any evaluation-equivalent spelling — see
-    /// [`Predicate::canonical_key`]) from the engine's predicate-bitmap
-    /// LRU. A bare equality atom on an indexed column short-circuits to
-    /// the index's own bitmap, zero-copy and without touching the cache.
+    /// Evaluates `predicate` to a shared eligibility bitmap. `True` and a
+    /// bare equality atom on an indexed column are served zero-copy (the
+    /// engine's all-rows bitmap, the index's own bitmap); anything else is
+    /// evaluated afresh — planning caches whole plans instead (see the
+    /// [planning-caches](#planning-caches) docs).
     ///
     /// # Panics
     ///
-    /// Panics if the predicate references a missing column.
+    /// Panics if the predicate references a missing column, or applies a
+    /// range to an unindexed string column.
     #[must_use]
     pub fn predicate_bitmap(&self, predicate: &Predicate) -> Arc<Bitmap> {
         if matches!(predicate, Predicate::True) {
@@ -437,28 +318,50 @@ impl NeedleTail {
                 return Arc::clone(shared);
             }
         }
-        let key = predicate.canonical_key();
-        if let Some(hit) = lock(&self.predicate_bitmaps).get(&key) {
-            self.metrics.add_predicate_cache_lookup(true);
-            return Arc::clone(hit);
-        }
-        self.metrics.add_predicate_cache_lookup(false);
-        // Evaluate outside the lock: concurrent misses on the same key
-        // duplicate work harmlessly instead of serializing every planner
-        // behind one evaluation.
-        let bitmap = Arc::new(predicate.evaluate(&self.table, &self.indexes));
-        lock(&self.predicate_bitmaps).insert(key, Arc::clone(&bitmap));
-        bitmap
+        Arc::new(predicate.evaluate(&self.table, &self.indexes))
     }
 
-    /// Drops every planning cache (predicate bitmaps, group plans,
-    /// composite indexes). Purely a memory-pressure/benchmarking valve:
-    /// the caches are repopulated on demand and carry no correctness
-    /// state, since the underlying table is immutable.
+    /// Drops both planning caches (group plans, composite indexes).
+    /// Purely a memory-pressure/benchmarking valve: the caches are
+    /// repopulated on demand and carry no correctness state, since the
+    /// underlying table is immutable.
     pub fn clear_plan_caches(&self) {
-        lock(&self.predicate_bitmaps).clear();
         lock(&self.plans).clear();
         lock(&self.composites).clear();
+    }
+
+    /// Resolves every column `predicate` names against the schema, so
+    /// evaluation cannot panic: a missing column is
+    /// [`EngineError::NoSuchColumn`], a range over a string column
+    /// [`EngineError::NotNumeric`].
+    fn check_predicate(&self, predicate: &Predicate) -> Result<(), EngineError> {
+        match predicate {
+            Predicate::Range { column, .. } => self.numeric_column(column).map(drop),
+            Predicate::And(a, b) | Predicate::Or(a, b) => {
+                self.check_predicate(a)?;
+                self.check_predicate(b)
+            }
+            Predicate::Not(p) => self.check_predicate(p),
+            atom => match atom
+                .referenced_columns()
+                .into_iter()
+                .find(|col| self.table.schema().column_index(col).is_none())
+            {
+                Some(missing) => Err(EngineError::NoSuchColumn(missing.to_owned())),
+                None => Ok(()),
+            },
+        }
+    }
+
+    /// The checked predicate's eligibility bitmap for a cold plan to
+    /// intersect each group with; `None` for `True` (groups are shared
+    /// unfiltered).
+    fn plan_filter(&self, predicate: &Predicate) -> Result<Option<Arc<Bitmap>>, EngineError> {
+        if matches!(predicate, Predicate::True) {
+            return Ok(None);
+        }
+        self.check_predicate(predicate)?;
+        Ok(Some(self.predicate_bitmap(predicate)))
     }
 
     /// The plan for `key`, served from the plan cache or built via
@@ -557,8 +460,9 @@ impl NeedleTail {
     ///
     /// # Errors
     ///
-    /// Returns an error if `group_col` is unindexed or missing, or if
-    /// `agg_col` is missing or non-numeric.
+    /// Returns an error if `group_col` is unindexed or missing, if
+    /// `agg_col` is missing or non-numeric, or if `predicate` names a
+    /// missing column or ranges over a string one.
     pub fn group_handles(
         &self,
         group_col: &str,
@@ -576,10 +480,7 @@ impl NeedleTail {
                 .indexes
                 .get(group_col)
                 .ok_or_else(|| EngineError::NotIndexed(group_col.to_owned()))?;
-            let pred_bitmap = match predicate {
-                Predicate::True => None,
-                p => Some(self.predicate_bitmap(p)),
-            };
+            let pred_bitmap = self.plan_filter(predicate)?;
             let mut groups = Vec::with_capacity(index.distinct_count());
             for value in index.values() {
                 let base = index
@@ -608,8 +509,8 @@ impl NeedleTail {
     ///
     /// # Errors
     ///
-    /// Returns an error if any column is missing or `agg_col` is
-    /// non-numeric.
+    /// Returns an error if any column is missing, if `agg_col` is
+    /// non-numeric, or if `predicate` ranges over a string column.
     pub fn group_handles_multi(
         &self,
         group_cols: &[&str],
@@ -629,11 +530,8 @@ impl NeedleTail {
             predicate: predicate.canonical_key(),
         };
         let plan = self.plan_for(key, || {
+            let pred_bitmap = self.plan_filter(predicate)?;
             let joint = self.composite_index(&owned_cols, group_cols);
-            let pred_bitmap = match predicate {
-                Predicate::True => None,
-                p => Some(self.predicate_bitmap(p)),
-            };
             let mut groups = Vec::with_capacity(joint.cell_count());
             for cell in joint.cells() {
                 let base = joint
@@ -746,7 +644,8 @@ impl NeedleTail {
     ///
     /// # Errors
     ///
-    /// Returns an error if either column is missing.
+    /// Returns an error if either column is missing, or if `predicate`
+    /// names a missing column or ranges over a string one.
     pub fn scan(
         &self,
         group_col: &str,
@@ -758,6 +657,7 @@ impl NeedleTail {
                 return Err(EngineError::NoSuchColumn(col.to_owned()));
             }
         }
+        self.check_predicate(predicate)?;
         self.metrics.add_rows_scanned(self.table.row_count());
         Ok(scan_group_aggregates(
             &self.table,
@@ -1056,44 +956,44 @@ mod tests {
 
     #[test]
     fn default_cache_capacities_are_pinned() {
-        // The committed defaults are part of the serving contract:
-        // changing them must be a deliberate decision, not a side effect.
-        let defaults = CacheCapacities::default();
-        assert_eq!(
-            (defaults.predicate, defaults.plan, defaults.composite),
-            (64, 64, 8)
-        );
-        let engine = NeedleTail::new(flights(), &["name"]).unwrap();
-        assert_eq!(engine.cache_capacities(), defaults);
-    }
-
-    #[test]
-    fn builder_overrides_capacities_and_clamps_zero() {
-        let engine = NeedleTail::builder(flights())
-            .indexed_columns(&["name"])
-            .cache_capacities(CacheCapacities {
-                predicate: 3,
-                plan: 0,
-                composite: 5,
-            })
-            .build()
-            .unwrap();
-        let caps = engine.cache_capacities();
-        assert_eq!((caps.predicate, caps.plan, caps.composite), (3, 1, 5));
-        // The resized engine still plans and answers.
-        let handles = engine
-            .group_handles("name", "delay", &Predicate::True)
-            .unwrap();
-        assert_eq!(handles.len(), 3);
+        // The committed sizes are part of the serving contract: changing
+        // them must be a deliberate decision, not a side effect.
+        assert_eq!((PLAN_CACHE_CAPACITY, COMPOSITE_CACHE_CAPACITY), (64, 8));
     }
 
     #[test]
     fn builder_rejects_missing_index_column() {
-        let err = NeedleTail::builder(flights())
-            .indexed_columns(&["nope"])
-            .build()
-            .unwrap_err();
+        let err = NeedleTail::new(flights(), &["nope"]).unwrap_err();
         assert_eq!(err, EngineError::NoSuchColumn("nope".to_owned()));
+    }
+
+    #[test]
+    fn predicates_over_missing_or_mistyped_columns_are_errors() {
+        // `name` stays unindexed so every atom takes the scan path, where
+        // an unchecked predicate would panic.
+        let engine = NeedleTail::new(skewed(), &["year"]).unwrap();
+        let missing = EngineError::NoSuchColumn("nope".into());
+        for (predicate, expect) in [
+            (Predicate::eq("nope", "AA"), missing.clone()),
+            (Predicate::is_in("nope", ["AA", "JB"]), missing.clone()),
+            (
+                Predicate::eq("name", "AA").and(Predicate::eq("nope", 1.0).not()),
+                missing,
+            ),
+            (
+                Predicate::ge("name", 1.0),
+                EngineError::NotNumeric("name".into()),
+            ),
+        ] {
+            let single = engine.group_handles("year", "delay", &predicate).err();
+            assert_eq!(single, Some(expect.clone()), "{predicate:?}");
+            let multi = engine
+                .group_handles_multi(&["year"], "delay", &predicate)
+                .err();
+            assert_eq!(multi, Some(expect.clone()), "{predicate:?}");
+            let scan = engine.scan("year", "delay", &predicate).err();
+            assert_eq!(scan, Some(expect), "{predicate:?}");
+        }
     }
 
     #[test]
@@ -1361,9 +1261,10 @@ mod tests {
         let b = Predicate::ge("delay", 10.0).and(Predicate::eq("year", Value::Int(2001)));
         let bm_a = engine.predicate_bitmap(&a);
         let bm_b = engine.predicate_bitmap(&b);
-        assert!(
-            Arc::ptr_eq(&bm_a, &bm_b),
-            "equivalent spellings must share one cached bitmap"
+        assert_eq!(
+            bm_a.iter_ones().collect::<Vec<_>>(),
+            bm_b.iter_ones().collect::<Vec<_>>(),
+            "equivalent spellings must select the same rows"
         );
         // A bare indexed equality is served from the index itself.
         let eq = Predicate::eq("name", "AA");
@@ -1469,7 +1370,7 @@ mod tests {
                 rows.iter().map(|&r| table.float_value(r, 2)).sum::<f64>() / rows.len() as f64;
             assert!((h.exact_mean().unwrap() - mean).abs() < 1e-9);
         }
-        // Cached reuse: the second identical call (plan-cache hit, joint
+        // Cached reuse: the second identical call (plan cache hit, joint
         // index reused) replays cold fixed-seed draws bit for bit.
         let mut warm = engine
             .group_handles_multi(&["name", "year"], "delay", &predicate)

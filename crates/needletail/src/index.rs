@@ -46,7 +46,7 @@ impl ValueKey {
 /// A bitmap index over one column of a table.
 ///
 /// Per-value bitmaps are held behind [`Arc`] so the engine can hand them
-/// to samplers, predicate evaluations, and plan-cache entries **zero-copy**
+/// to samplers, predicate evaluations, and plan cache entries **zero-copy**
 /// — an unfiltered `GROUP BY` query clones pointers, never table-sized
 /// bitmaps.
 #[derive(Debug, Clone)]

@@ -32,9 +32,9 @@
 //!   through a reusable per-sampler scratch arena — allocation-free at
 //!   steady state, radix-sorted above [`RADIX_MIN_BATCH`]).
 //! * [`engine`] — the [`engine::NeedleTail`] façade tying it together,
-//!   including the zero-copy planning caches (shared `Arc` bitmaps, an LRU
-//!   of evaluated predicate bitmaps keyed by canonical predicate form, and
-//!   a plan cache handing back ready group row sets — repeat-query
+//!   including the zero-copy planning caches (shared `Arc` bitmaps, a plan
+//!   cache keyed by group-by and canonical predicate form handing back
+//!   ready group row sets, and a composite-index cache — repeat-query
 //!   planning is near-O(1) and allocation-light).
 //! * [`cache`] — the small bounded LRU map those caches use.
 //! * [`codec`] — the one bounded little-endian byte codec under the table
@@ -73,9 +73,7 @@ pub use bitmap::{Bitmap, DenseBitmap, RleBitmap};
 pub use composite::CompositeIndex;
 pub use csv::{read_csv, CsvError, CsvOptions};
 pub use disk::SimulatedDisk;
-pub use engine::{
-    CacheCapacities, EngineError, GroupHandle, NeedleTail, NeedleTailBuilder, SizedGroupHandle,
-};
+pub use engine::{EngineError, GroupHandle, NeedleTail, SizedGroupHandle};
 pub use fault::{FaultInjector, FaultSite, SeededFaults};
 pub use index::BitmapIndex;
 pub use io::{CostBreakdown, DiskModel};

@@ -15,8 +15,6 @@ pub struct Metrics {
     rows_scanned: AtomicU64,
     index_probes: AtomicU64,
     faulted_reads: AtomicU64,
-    predicate_cache_hits: AtomicU64,
-    predicate_cache_misses: AtomicU64,
     plan_cache_hits: AtomicU64,
     plan_cache_misses: AtomicU64,
     composite_cache_hits: AtomicU64,
@@ -37,13 +35,12 @@ pub struct MetricsSnapshot {
     /// attempted (and charged as a random sample) but its value was never
     /// delivered. Always 0 without an injector.
     pub faulted_reads: u64,
-    /// Predicate-bitmap LRU hits (repeat predicate evaluations served
-    /// zero-copy). [`Predicate::True`](crate::Predicate::True) and bare
-    /// indexed equalities bypass the cache entirely and count as neither
-    /// hit nor miss.
+    /// Always 0: the engine has no predicate-bitmap cache (the plan cache
+    /// is keyed by the canonical predicate). Kept so readers of this
+    /// field keep compiling.
     pub predicate_cache_hits: u64,
-    /// Predicate-bitmap LRU misses (the predicate was evaluated against
-    /// the table and the result cached).
+    /// Always 0, like
+    /// [`predicate_cache_hits`](MetricsSnapshot::predicate_cache_hits).
     pub predicate_cache_misses: u64,
     /// Group-plan LRU hits: planning handed back ready `(label, rows)`
     /// sets with no predicate evaluation or per-group intersection.
@@ -83,15 +80,6 @@ impl Metrics {
         self.faulted_reads.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one predicate-bitmap cache lookup (`hit` says which way).
-    pub fn add_predicate_cache_lookup(&self, hit: bool) {
-        if hit {
-            self.predicate_cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.predicate_cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Records one group-plan cache lookup (`hit` says which way).
     pub fn add_plan_cache_lookup(&self, hit: bool) {
         if hit {
@@ -118,8 +106,8 @@ impl Metrics {
             rows_scanned: self.rows_scanned.load(Ordering::Relaxed),
             index_probes: self.index_probes.load(Ordering::Relaxed),
             faulted_reads: self.faulted_reads.load(Ordering::Relaxed),
-            predicate_cache_hits: self.predicate_cache_hits.load(Ordering::Relaxed),
-            predicate_cache_misses: self.predicate_cache_misses.load(Ordering::Relaxed),
+            predicate_cache_hits: 0,
+            predicate_cache_misses: 0,
             plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
             plan_cache_misses: self.plan_cache_misses.load(Ordering::Relaxed),
             composite_cache_hits: self.composite_cache_hits.load(Ordering::Relaxed),
@@ -133,8 +121,6 @@ impl Metrics {
         self.rows_scanned.store(0, Ordering::Relaxed);
         self.index_probes.store(0, Ordering::Relaxed);
         self.faulted_reads.store(0, Ordering::Relaxed);
-        self.predicate_cache_hits.store(0, Ordering::Relaxed);
-        self.predicate_cache_misses.store(0, Ordering::Relaxed);
         self.plan_cache_hits.store(0, Ordering::Relaxed);
         self.plan_cache_misses.store(0, Ordering::Relaxed);
         self.composite_cache_hits.store(0, Ordering::Relaxed);
@@ -162,14 +148,10 @@ mod tests {
     #[test]
     fn cache_lookup_counters_split_by_outcome() {
         let m = Metrics::new();
-        m.add_predicate_cache_lookup(false);
-        m.add_predicate_cache_lookup(true);
-        m.add_predicate_cache_lookup(true);
         m.add_plan_cache_lookup(false);
         m.add_plan_cache_lookup(true);
         m.add_composite_cache_lookup(false);
         let s = m.snapshot();
-        assert_eq!((s.predicate_cache_hits, s.predicate_cache_misses), (2, 1));
         assert_eq!((s.plan_cache_hits, s.plan_cache_misses), (1, 1));
         assert_eq!((s.composite_cache_hits, s.composite_cache_misses), (0, 1));
     }

@@ -130,8 +130,8 @@ impl Predicate {
                     .value(row, idx)
                     .as_f64()
                     // lint: allow(panic) — documented `# Panics` precondition:
-                    // the engine type-checks predicate columns against the
-                    // schema at plan time, so this is a caller bug, not data
+                    // the engine type-checks range columns against the schema
+                    // before planning or scanning, so this is a caller bug
                     .unwrap_or_else(|| panic!("range predicate on non-numeric column {column:?}"));
                 lo.is_none_or(|l| x >= l) && hi.is_none_or(|h| x <= h)
             }
@@ -195,9 +195,8 @@ impl Predicate {
         Bitmap::Dense(DenseBitmap::from_bools(&bits))
     }
 
-    /// A canonical, hashable key for this predicate — the engine's cache
-    /// key ([`crate::engine::NeedleTail`]'s predicate-bitmap and plan
-    /// caches).
+    /// A canonical, hashable key for this predicate — the predicate half
+    /// of the key of [`crate::engine::NeedleTail`]'s plan cache.
     ///
     /// Canonicalization maps evaluation-equivalent spellings to one key so
     /// they share a cache entry:
@@ -353,9 +352,9 @@ fn column_index(table: &Table, name: &str) -> usize {
     table
         .schema()
         .column_index(name)
-        // lint: allow(panic) — documented `# Panics` precondition: predicate
-        // columns are resolved against the schema at plan time, so a miss
-        // here is a caller bug, not a data-dependent serving failure
+        // lint: allow(panic) — documented `# Panics` precondition: the engine
+        // resolves predicate columns against the schema before planning or
+        // scanning, so a miss here is a caller bug, not a serving failure
         .unwrap_or_else(|| panic!("no column named {name:?}"))
 }
 

@@ -88,7 +88,7 @@ use std::sync::Arc;
 ///
 /// * [`RowSet::Bitmap`] — a full bitmap behind an [`Arc`]: the group's own
 ///   index bitmap (shared pointer-for-pointer between every handle and
-///   cache entry that needs it), a cached predicate bitmap, or a
+///   cache entry that needs it), an evaluated predicate bitmap, or a
 ///   materialized intersection.
 /// * [`RowSet::Positions`] — the **intersection view**: the sorted row ids
 ///   of a *selective* `group ∧ predicate` intersection, built by galloping

@@ -15,7 +15,9 @@
 //!
 //! `--self-host` starts an in-process server on an ephemeral loopback
 //! port first — the CI smoke path, no background-process orchestration
-//! needed.
+//! needed. A self-hosted run also exits non-zero if the server's
+//! scheduler restarted: a panic the supervisor absorbed drops sessions,
+//! so it fails the run even when every query was answered.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,6 +25,7 @@ use rapidviz::needletail::NeedleTail;
 use rapidviz::Aggregate;
 use rapidviz_datagen::FlightModel;
 use rapidviz_serve::{QueryRequest, RetryPolicy, Server, ServerConfig, ServerHandle, WireClient};
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 const MEASURES: [&str; 3] = ["elapsed", "arr_delay", "dep_delay"];
@@ -264,16 +267,16 @@ fn main() {
         percentile(&ttfcb, 0.99).as_secs_f64() * 1e3,
         ttfcb.len(),
     );
+    let mut restarts = 0u64;
     if let Some(h) = hosted {
-        let dropped = h
-            .stats()
-            .frames_dropped_slow
-            .load(std::sync::atomic::Ordering::Relaxed);
+        let stats = h.stats();
+        let dropped = stats.frames_dropped_slow.load(Ordering::Relaxed);
+        restarts = stats.scheduler_restarts.load(Ordering::Relaxed);
         println!("server dropped {dropped} slow-client round frames");
         h.shutdown();
     }
-    if errored > 0 || missing > 0 || io_errors > 0 {
-        eprintln!("rapidviz-load: FAIL — {errored} queries refused with error frames, {missing} missing terminal frames, {io_errors} client I/O failures");
+    if errored > 0 || missing > 0 || io_errors > 0 || restarts > 0 {
+        eprintln!("rapidviz-load: FAIL — {errored} queries refused with error frames, {missing} missing terminal frames, {io_errors} client I/O failures, {restarts} scheduler restarts");
         std::process::exit(1);
     }
 }

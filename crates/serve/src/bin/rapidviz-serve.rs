@@ -6,21 +6,16 @@
 //!                [--policy fairshare|deadline|greedy] [--max-clients 64]
 //!                [--global-budget N] [--memory-cap BYTES]
 //!                [--per-client-max-samples N] [--sessions-limit N]
-//!                [--predicate-cache N] [--plan-cache N]
-//!                [--composite-cache N] [--park-ttl-secs 120]
-//!                [--park-byte-cap BYTES] [--enable-crash]
+//!                [--park-ttl-secs 120] [--park-byte-cap BYTES]
+//!                [--enable-crash]
 //! ```
 //!
 //! `--park-ttl-secs` bounds how long a disconnected client's session
 //! stays resumable via `RESUME token=…`; `--park-byte-cap` caps the
 //! registry's total checkpoint bytes (sessions over the cap run without
 //! durability). `--enable-crash` arms the `CRASH` recovery-drill verb —
-//! chaos testing only, never in real deployments.
-//!
-//! The three `--*-cache` flags size the engine's planning-cache LRUs
-//! (entries, clamped to ≥ 1); defaults match the engine's built-in
-//! capacities. Raise them when the STATS frame's cache-miss counters
-//! show workload filter diversity outrunning the defaults.
+//! chaos testing only, never in real deployments. The engine's planning
+//! caches have fixed sizes (see `NeedleTail`'s "Planning caches" docs).
 //!
 //! With `--sessions-limit N` the server exits 0 once N sessions have
 //! reached a terminal state (completed or cancelled) — the CI smoke uses
@@ -28,7 +23,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rapidviz::needletail::{CacheCapacities, NeedleTail};
+use rapidviz::needletail::NeedleTail;
 use rapidviz::SchedulePolicy;
 use rapidviz_datagen::FlightModel;
 use rapidviz_serve::{Server, ServerConfig};
@@ -45,7 +40,6 @@ struct Args {
     memory_cap: Option<usize>,
     per_client_max_samples: u64,
     sessions_limit: Option<u64>,
-    caches: CacheCapacities,
     park_ttl_secs: u64,
     park_byte_cap: Option<usize>,
     enable_crash: bool,
@@ -62,7 +56,6 @@ fn parse_args() -> Result<Args, String> {
         memory_cap: None,
         per_client_max_samples: 200_000,
         sessions_limit: None,
-        caches: CacheCapacities::default(),
         park_ttl_secs: 120,
         park_byte_cap: None,
         enable_crash: false,
@@ -97,15 +90,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--sessions-limit" => {
                 args.sessions_limit = Some(parse("--sessions-limit", &value("--sessions-limit")?)?);
-            }
-            "--predicate-cache" => {
-                args.caches.predicate = parse("--predicate-cache", &value("--predicate-cache")?)?;
-            }
-            "--plan-cache" => {
-                args.caches.plan = parse("--plan-cache", &value("--plan-cache")?)?;
-            }
-            "--composite-cache" => {
-                args.caches.composite = parse("--composite-cache", &value("--composite-cache")?)?;
             }
             "--park-ttl-secs" => {
                 args.park_ttl_secs = parse("--park-ttl-secs", &value("--park-ttl-secs")?)?;
@@ -143,11 +127,7 @@ fn main() {
     };
     let mut rng = StdRng::seed_from_u64(args.seed);
     let table = FlightModel::new(args.seed).to_table(args.rows, &mut rng);
-    let engine = match NeedleTail::builder(table)
-        .indexed_columns(&["name"])
-        .cache_capacities(args.caches)
-        .build()
-    {
+    let engine = match NeedleTail::new(table, &["name"]) {
         Ok(e) => e,
         Err(e) => {
             eprintln!("rapidviz-serve: engine build failed: {e:?}");

@@ -462,9 +462,10 @@ pub struct WireStats {
     pub frames_dropped_slow: u64,
     /// Currently connected clients.
     pub active_clients: u64,
-    /// Engine predicate-bitmap cache hits / misses (lifetime totals).
+    /// Always `(0, 0)`: the engine has no predicate-bitmap cache. The
+    /// slot is kept so the STATS frame layout does not change.
     pub predicate_cache: (u64, u64),
-    /// Engine group-plan cache hits / misses.
+    /// Engine group-plan cache hits / misses (lifetime totals).
     pub plan_cache: (u64, u64),
     /// Engine composite-index cache hits / misses.
     pub composite_cache: (u64, u64),

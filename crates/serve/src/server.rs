@@ -184,10 +184,7 @@ impl ServerStats {
             frames_sent: self.frames_sent.load(Ordering::Relaxed),
             frames_dropped_slow: self.frames_dropped_slow.load(Ordering::Relaxed),
             active_clients: self.active_clients.load(Ordering::Relaxed),
-            predicate_cache: (
-                engine_metrics.predicate_cache_hits,
-                engine_metrics.predicate_cache_misses,
-            ),
+            predicate_cache: (0, 0),
             plan_cache: (
                 engine_metrics.plan_cache_hits,
                 engine_metrics.plan_cache_misses,

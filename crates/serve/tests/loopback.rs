@@ -266,7 +266,7 @@ fn stats_frame_reports_sessions_and_cache_counters() {
     // surface through the stats frame.
     assert!(
         stats.plan_cache.0 >= 1,
-        "warm repeat should register plan-cache hits, got {:?}",
+        "warm repeat should register plan cache hits, got {:?}",
         stats.plan_cache
     );
     handle.shutdown();

@@ -106,6 +106,51 @@ fn count_with_a_filter_is_rejected_not_answered_unfiltered() {
 }
 
 #[test]
+fn filter_on_a_missing_column_is_rejected_without_a_scheduler_restart() {
+    let handle = start_server(ServerConfig::default());
+    // A long session streaming on its own connection while the bad
+    // queries arrive: a scheduler panic would drop it.
+    let mut streaming = connect(&handle);
+    streaming
+        .send_line("QUERY group=name agg=avg measure=elapsed seed=3 spr=1 max_samples=20000")
+        .expect("line sent");
+    loop {
+        match streaming.next_frame().expect("server answers") {
+            Some(Frame::Round(_)) => break,
+            Some(Frame::Parked { .. }) => {}
+            other => panic!("expected the stream to start, got {other:?}"),
+        }
+    }
+    for bad in [
+        "QUERY group=name agg=avg measure=elapsed seed=1 filter=eq:nope:AA",
+        "QUERY group=name agg=avg measure=elapsed seed=1 filter=in:nope:AA|JB",
+    ] {
+        let mut client = connect(&handle);
+        client.send_line(bad).expect("line sent");
+        match client.next_frame().expect("server answers, never resets") {
+            Some(Frame::Error { code, message }) => {
+                assert_eq!(code, ErrorCode::InvalidQuery, "{bad:?}");
+                assert!(message.contains("nope"), "{message}");
+            }
+            other => panic!("{bad:?}: expected an InvalidQuery error frame, got {other:?}"),
+        }
+    }
+    loop {
+        match streaming.next_frame().expect("stream survives") {
+            Some(Frame::Answer(_)) => break,
+            Some(Frame::Error { code, message }) => panic!("error {code:?}: {message}"),
+            Some(_) => {}
+            None => panic!("streaming session dropped without an answer"),
+        }
+    }
+    let stats = handle.stats();
+    assert_eq!(stats.scheduler_restarts.load(Ordering::Relaxed), 0);
+    assert_eq!(stats.sessions_rejected.load(Ordering::Relaxed), 2);
+    assert_no_leaked_slots(&handle);
+    handle.shutdown();
+}
+
+#[test]
 fn hostile_round_size_is_clamped_to_the_sample_budget() {
     let handle = start_server(ServerConfig::default());
     let mut client = connect(&handle);

@@ -93,7 +93,7 @@ pub enum PredSpec {
     /// `f = f<value>`.
     FilterEq(usize),
     /// `f = f<a> OR f = f<b>` — `swapped` flips the operand order, which
-    /// canonicalization collapses back onto the same plan-cache entry.
+    /// canonicalization collapses back onto the same plan cache entry.
     FilterIn {
         /// First filter value.
         a: usize,

@@ -4,7 +4,8 @@
 //! A wire episode derives — from one root seed — a table, a fleet of
 //! clients, and each client's scripted behavior (complete a query,
 //! disconnect mid-stream after a few frames, half-close, speak garbage,
-//! disconnect-then-`RESUME`, or crash the scheduler and recover), then
+//! filter on a missing column, disconnect-then-`RESUME`, or crash the
+//! scheduler and recover), then
 //! runs the fleet against an **in-process [`rapidviz_serve::Server`]**
 //! on an ephemeral loopback port and checks:
 //!
@@ -20,11 +21,14 @@
 //!    completed + cancelled + parked + crashed (disconnects park their
 //!    durable slots; crash drills count their casualties).
 //! 4. **malformed-rejection** — garbage lines get `Malformed` error
-//!    frames; nothing panics server-side.
+//!    frames, and a well-formed query filtering on a column the table
+//!    lacks gets `InvalidQuery`; nothing panics server-side.
 //! 5. **crash-recovery** — a `CRASH` drill closes the victim stream
 //!    without fabricating a terminal frame, restarts the scheduler, and
 //!    a seeded-backoff reconnect plus `RESUME token=…` recovers the
-//!    session bit-identically from its registry checkpoint.
+//!    session bit-identically from its registry checkpoint. Conversely,
+//!    an episode without a drill ends with zero scheduler restarts, so a
+//!    panic the supervisor quietly absorbs still fails the episode.
 //!
 //! Crash-drill episodes run a single client: the drill kills every live
 //! session in the incarnation, so a fleet-mate's `Complete` script would
@@ -135,6 +139,9 @@ pub enum WireBehavior {
     DisconnectAfter(u64),
     /// Send a malformed line; expect a `Malformed` error frame.
     Malformed,
+    /// Send a well-formed query whose filter names a column the table
+    /// lacks; expect an `InvalidQuery` error frame.
+    MissingColumn,
     /// Send the query, shut down the write half, and still drain to the
     /// terminal frame.
     HalfClose,
@@ -199,7 +206,7 @@ pub struct WireReport {
     /// Mid-stream disconnects exercised (including reconnects that lost
     /// the race against server-side completion).
     pub disconnects: u64,
-    /// Malformed lines rejected.
+    /// Malformed lines and missing-column queries rejected.
     pub malformed_rejections: u64,
     /// Sessions resumed via `RESUME` after a disconnect whose answers
     /// byte-matched the uninterrupted replay.
@@ -237,6 +244,9 @@ pub fn wire_episode_plan(seed: u64) -> WireEpisodePlan {
                 let mut query = scripted_query(&mut rng);
                 let behavior = match rng.gen_range(0..10u32) {
                     0 => WireBehavior::DisconnectAfter(rng.gen_range(0..4)),
+                    // Every other malformed script, keyed off an already
+                    // drawn value so the seed → episode mapping holds.
+                    1 if query.seed % 2 == 1 => WireBehavior::MissingColumn,
                     1 => WireBehavior::Malformed,
                     2 => WireBehavior::HalfClose,
                     3 => {
@@ -349,15 +359,16 @@ pub fn run_wire_episode(plan: &WireEpisodePlan) -> Result<WireReport, WireFailur
         message,
     };
     let engine = plan.table.build();
+    let drilled = plan
+        .clients
+        .iter()
+        .any(|c| matches!(c.behavior, WireBehavior::CrashRestart(_)));
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         max_clients: plan.clients.len() + 2,
         per_client_max_samples: 1_000_000,
         // The drill verb is armed only when the plan scripts a drill.
-        enable_crash: plan
-            .clients
-            .iter()
-            .any(|c| matches!(c.behavior, WireBehavior::CrashRestart(_))),
+        enable_crash: drilled,
         ..ServerConfig::default()
     };
     let handle =
@@ -453,10 +464,17 @@ pub fn run_wire_episode(plan: &WireEpisodePlan) -> Result<WireReport, WireFailur
     }
     // A recovered crash drill must have actually gone through a scheduler
     // restart — otherwise the drill silently degraded into a plain run.
-    if report.crash_recoveries > 0 && stats.scheduler_restarts.load(Ordering::Relaxed) == 0 {
+    // Without a drill, any restart is a panic the supervisor absorbed.
+    let restarts = stats.scheduler_restarts.load(Ordering::Relaxed);
+    if report.crash_recoveries > 0 && restarts == 0 {
         return Err(fail(
             "crash drill recovered without a scheduler restart".to_owned(),
         ));
+    }
+    if !drilled && restarts > 0 {
+        return Err(fail(format!(
+            "{restarts} scheduler restart(s) without a crash drill"
+        )));
     }
     handle.shutdown();
     Ok(report)
@@ -596,6 +614,19 @@ fn run_client_script(
                     ..
                 }) => Ok(ClientOutcome::MalformedRejected),
                 other => Err(format!("expected Malformed error, got {other:?}")),
+            }
+        }
+        WireBehavior::MissingColumn => {
+            let mut req = QueryRequest::avg("g", "v", script.query.seed);
+            req.filter = Some(FilterSpec::Eq("nope".into(), "f0".into()));
+            let run = client
+                .run_query(&req)
+                .map_err(|e| format!("query stream failed: {e}"))?;
+            match run.error {
+                Some((ErrorCode::InvalidQuery, _)) => Ok(ClientOutcome::MalformedRejected),
+                other => Err(format!(
+                    "expected InvalidQuery for a missing filter column, got {other:?}"
+                )),
             }
         }
         WireBehavior::DisconnectReconnect(frames) => {

@@ -33,7 +33,7 @@ fn wire_plan_is_deterministic_and_covers_behaviors() {
     assert_eq!(a, b, "same seed, same plan");
     // Across a modest seed range every behavior variant appears — the
     // grammar can actually reach its chaos arms.
-    let mut saw = [false; 6];
+    let mut saw = [false; 7];
     for seed in 0..200u64 {
         let plan = wire_episode_plan(seed);
         let solo = plan.clients.len() == 1;
@@ -50,10 +50,11 @@ fn wire_plan_is_deterministic_and_covers_behaviors() {
                     // incarnation, so it must never have fleet-mates.
                     assert!(solo, "crash drill in a multi-client episode (seed {seed})");
                 }
+                WireBehavior::MissingColumn => saw[6] = true,
             }
         }
     }
-    assert_eq!(saw, [true; 6], "behavior coverage: {saw:?}");
+    assert_eq!(saw, [true; 7], "behavior coverage: {saw:?}");
 }
 
 #[test]

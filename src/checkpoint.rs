@@ -31,7 +31,7 @@
 //! **Excluded by design:** every piece of algorithm and sampler state
 //! (estimators, activity flags, ε bookkeeping, Fisher–Yates permutations —
 //! all reproduced by the replay) and the engine's planning caches
-//! (predicate bitmaps, group plans, composite indexes). Resume re-plans
+//! (group plans, composite indexes). Resume re-plans
 //! through the normal path, so a checkpoint taken on one server restores
 //! correctly on a restarted server with cold caches — only latency
 //! differs, never results. The checksum detects a *differently shaped or

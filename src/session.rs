@@ -136,10 +136,6 @@ impl SessionEngine for (IFocusSum2Stepper, Vec<CountSource<SizedNeedletailGroup>
 /// include a neighbour's lookups; totals across sessions stay exact.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Predicate-bitmap LRU hits during planning.
-    pub predicate_hits: u64,
-    /// Predicate-bitmap LRU misses (predicate evaluated cold).
-    pub predicate_misses: u64,
     /// Group-plan LRU hits (ready `(label, rows)` sets reused).
     pub plan_hits: u64,
     /// Group-plan LRU misses (plan built cold).
@@ -163,8 +159,6 @@ impl PlanCacheStats {
         // counters, so `after` may sit below `before`.
         let d = u64::saturating_sub;
         Self {
-            predicate_hits: d(after.predicate_cache_hits, before.predicate_cache_hits),
-            predicate_misses: d(after.predicate_cache_misses, before.predicate_cache_misses),
             plan_hits: d(after.plan_cache_hits, before.plan_cache_hits),
             plan_misses: d(after.plan_cache_misses, before.plan_cache_misses),
             composite_hits: d(after.composite_cache_hits, before.composite_cache_hits),
@@ -176,10 +170,9 @@ impl PlanCacheStats {
     /// a single miss.
     #[must_use]
     pub fn fully_warm(&self) -> bool {
-        self.predicate_misses == 0
-            && self.plan_misses == 0
+        self.plan_misses == 0
             && self.composite_misses == 0
-            && (self.plan_hits > 0 || self.predicate_hits > 0 || self.composite_hits > 0)
+            && (self.plan_hits > 0 || self.composite_hits > 0)
     }
 }
 
@@ -776,7 +769,6 @@ mod tests {
         for _ in 0..3 {
             metrics.add_plan_cache_lookup(true);
         }
-        metrics.add_predicate_cache_lookup(false);
         let before = metrics.snapshot();
         metrics.reset();
         metrics.add_plan_cache_lookup(true);

@@ -1,6 +1,5 @@
 //! End-to-end regression tests for the zero-copy plan cache (PR 5): a
-//! query planned from warm caches (shared predicate bitmap + cached group
-//! plan) must produce **byte-identical** fixed-seed answers to the same
+//! query planned from a warm cache (a cached group plan) must produce **byte-identical** fixed-seed answers to the same
 //! query planned cold — same RNG stream, same draw order, same estimates
 //! down to the last bit (compared via `f64::to_bits`). If the cache ever
 //! changed group order, eligible counts, or the select() mapping, these
@@ -51,7 +50,7 @@ fn warm_plan_execute_is_bit_identical_to_cold() {
             .unwrap()
     };
     let cold = query(&shared); // first call: caches empty
-    let warm = query(&shared); // second call: predicate + plan cache hits
+    let warm = query(&shared); // second call: plan cache hit
     let recold = query(&engine()); // fresh engine: cold again
     assert_eq!(cold.ranked_labels(), vec!["JB", "AA", "UA"]);
     assert_eq!(estimate_bits(&cold), estimate_bits(&warm));
@@ -161,8 +160,7 @@ fn planning_stats_distinguish_cold_from_warm_sessions() {
             .unwrap()
     };
 
-    // Cold: the predicate bitmap and the group plan are both built from
-    // scratch — misses, no full warmth.
+    // Cold: the group plan is built from scratch — a miss, no full warmth.
     let cold = start(&shared, 1).planning_stats();
     assert!(cold.plan_misses >= 1, "cold plan should miss: {cold:?}");
     assert!(!cold.fully_warm());
@@ -171,7 +169,6 @@ fn planning_stats_distinguish_cold_from_warm_sessions() {
     let warm = start(&shared, 2).planning_stats();
     assert!(warm.plan_hits >= 1, "warm repeat should hit: {warm:?}");
     assert_eq!(warm.plan_misses, 0, "{warm:?}");
-    assert_eq!(warm.predicate_misses, 0, "{warm:?}");
     assert!(warm.fully_warm(), "{warm:?}");
 
     // The same stats surface through the scheduler's per-session view.
