@@ -6,6 +6,11 @@
 //! the *shape* — who wins, by what factor, where curves flatten — is the
 //! reproduction target.
 //!
+//! Table 1 and Figures 5c/6a show a run's state round by round. They drive
+//! IFOCUS through `start`/`step` and read each kept round off
+//! [`AlgorithmStepper::snapshot`]: the algorithms keep no record of their
+//! own.
+//!
 //! Scale notes: the paper repeats every data point over 100 generated
 //! datasets and sweeps sizes to 10^10 records. Virtual groups make the
 //! sizes free, but the *sample draws* are real work, so the default
@@ -18,11 +23,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rapidviz_core::group::VecGroup;
 use rapidviz_core::{
-    is_correctly_ordered, is_correctly_ordered_with_resolution, AlgoConfig, IFocus,
+    count_incorrect_pairs, is_correctly_ordered, is_correctly_ordered_with_resolution, AlgoConfig,
+    AlgorithmStepper, GroupSource, IFocus, RunResult, Snapshot, StepOutcome,
 };
 use rapidviz_datagen::difficulty::five_number_summary;
 use rapidviz_datagen::{difficulty, DatasetSpec, FlightAttribute, FlightModel, WorkloadFamily};
 use rapidviz_needletail::DiskModel;
+use std::fmt::Write as _;
 
 /// Round cap for non-resolution algorithms on adversarial seeds (the paper
 /// hits the same wall through dataset exhaustion instead).
@@ -116,6 +123,69 @@ fn run_six(
         .collect()
 }
 
+/// IFOCUS driven through `start`/`step` and observed: the snapshot after
+/// round 1 (the bootstrap), after every round divisible by `every`, and
+/// after the round that converges, beside the finished result. A round cap
+/// ends the run without running a round, so it adds no row.
+fn ifocus_rounds<G: GroupSource>(
+    config: AlgoConfig,
+    groups: &mut [G],
+    rng: &mut StdRng,
+    every: u64,
+) -> (Vec<Snapshot>, RunResult) {
+    let batch = config.samples_per_round;
+    let mut stepper = IFocus::new(config).start(groups, rng);
+    let mut rows = vec![stepper.snapshot()];
+    let mut round = 1u64;
+    let mut running = rows[0].active_count() > 0;
+    while running {
+        let outcome = stepper.step(groups, rng);
+        running = outcome.is_running();
+        round = round.saturating_add(batch);
+        if outcome == StepOutcome::Converged || (running && round.is_multiple_of(every)) {
+            rows.push(stepper.snapshot());
+        }
+    }
+    (rows, stepper.finish())
+}
+
+/// Table 1's fast-forward view (Example 3.1): the first and last rows and
+/// every row where some group's active flag flips, one line each, every
+/// group as `[lo, hi] A|I`.
+fn render_transitions(rows: &[Snapshot]) -> String {
+    let mut out = String::new();
+    for (idx, row) in rows.iter().enumerate() {
+        if idx > 0 && idx + 1 < rows.len() && rows[idx - 1].active == row.active {
+            continue;
+        }
+        let _ = write!(out, "{:>6} ", row.rounds);
+        for (iv, &a) in row.intervals.iter().zip(&row.active) {
+            let flag = if a { 'A' } else { 'I' };
+            let _ = write!(out, " [{:.1}, {:.1}] {flag}", iv.lo, iv.hi);
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// The round of the first row showing each group inactive.
+fn deactivation_rounds(rows: &[Snapshot]) -> Vec<Option<u64>> {
+    let k = rows.first().map_or(0, |row| row.active.len());
+    (0..k)
+        .map(|i| rows.iter().find(|row| !row.active[i]).map(|row| row.rounds))
+        .collect()
+}
+
+/// Example 3.1's cost accounting over consecutive rows: the bootstrap draws
+/// every group once, and each later round the groups active before it.
+fn implied_sample_cost(rows: &[Snapshot]) -> u64 {
+    let Some((_, before_each_round)) = rows.split_last() else {
+        return 0;
+    };
+    let later: usize = before_each_round.iter().map(Snapshot::active_count).sum();
+    (rows[0].active.len() + later) as u64
+}
+
 /// Table 1 — an IFOCUS execution trace on four groups.
 pub fn table1(opts: &ExpOptions) {
     header("table1", "IFOCUS execution trace (4 groups)");
@@ -133,14 +203,12 @@ pub fn table1(opts: &ExpOptions) {
             VecGroup::new(format!("Group {}", i + 1), values)
         })
         .collect();
-    let algo = IFocus::new(AlgoConfig::new(100.0, 0.05).with_trace());
     let mut run_rng = StdRng::seed_from_u64(opts.seed + 1);
-    let result = algo.run(&mut groups, &mut run_rng);
-    let trace = result.trace.as_ref().expect("trace enabled");
+    let config = AlgoConfig::new(100.0, 0.05);
+    let (rows, result) = ifocus_rounds(config, &mut groups, &mut run_rng, 1);
     println!("round | per-group [lo, hi] A(ctive)/I(nactive)");
-    print!("{}", trace.render(true));
-    let deact: Vec<String> = trace
-        .deactivation_rounds()
+    print!("{}", render_transitions(&rows));
+    let deact: Vec<String> = deactivation_rounds(&rows)
         .iter()
         .enumerate()
         .map(|(i, r)| {
@@ -155,7 +223,7 @@ pub fn table1(opts: &ExpOptions) {
     println!(
         "total cost C = {} samples (trace-implied {})",
         result.total_samples(),
-        trace.implied_sample_cost()
+        implied_sample_cost(&rows)
     );
 }
 
@@ -433,9 +501,9 @@ pub fn fig5c_6a(opts: &ExpOptions) {
     );
     let size = if opts.quick { 1_000_000 } else { 10_000_000 };
     let reps = opts.scaled_reps(20);
-    // Collect histories.
-    // (active-group series, incorrect-pair series, total samples) per run.
-    type RunHistory = (Vec<(u64, usize)>, Vec<(u64, u64)>, u64);
+    // Per run: (samples, active groups, incorrect pairs) at every kept row,
+    // and the run's total samples.
+    type RunHistory = (Vec<(u64, usize, u64)>, u64);
     let mut runs: Vec<RunHistory> = Vec::new();
     for rep in 0..reps {
         let spec = DatasetSpec::generate(
@@ -446,48 +514,38 @@ pub fn fig5c_6a(opts: &ExpOptions) {
         );
         let truths = spec.true_means();
         let mut groups = spec.virtual_groups();
-        let config = AlgoConfig::new(100.0, 0.05)
-            .with_history_every(64)
-            .with_max_rounds(ROUND_CAP);
+        let config = AlgoConfig::new(100.0, 0.05).with_max_rounds(ROUND_CAP);
         let mut rng = StdRng::seed_from_u64(opts.seed ^ ((u64::from(rep) + 1) * 32_452_843));
-        let result = IFocus::new(config).run(&mut groups, &mut rng);
-        let total_samples = result.total_samples();
-        let history = result.history.expect("history enabled");
-        runs.push((
-            history.active_groups_series(),
-            history.incorrect_pairs_series(&truths),
-            total_samples,
-        ));
+        let (rows, result) = ifocus_rounds(config, &mut groups, &mut rng, 64);
+        let series = rows
+            .iter()
+            .map(|row| {
+                let bad_pairs = count_incorrect_pairs(&row.estimates, &truths);
+                (row.total_samples(), row.active_count(), bad_pairs)
+            })
+            .collect();
+        runs.push((series, result.total_samples()));
     }
     // Average the series on a common grid of sample checkpoints.
-    let max_samples = runs.iter().map(|r| r.2).max().unwrap_or(1);
+    let max_samples = runs.iter().map(|r| r.1).max().unwrap_or(1);
     let grid: Vec<u64> = (1..=16).map(|i| max_samples * i / 16).collect();
     let threshold = (size as f64 * 0.3) as u64; // the paper's "3M of 10M" cut
-    let heavy: Vec<&RunHistory> = runs.iter().filter(|r| r.2 >= threshold).collect();
+    let heavy: Vec<&RunHistory> = runs.iter().filter(|r| r.1 >= threshold).collect();
     println!(
         "{:>14} {:>12} {:>14} {:>16}",
         "samples", "avg active", "avg bad pairs", "avg active (30%+)"
     );
     for &g in &grid {
-        let at = |series: &[(u64, usize)]| -> f64 {
-            series
-                .iter()
-                .take_while(|(s, _)| *s <= g)
-                .last()
-                .or_else(|| series.first())
-                .map_or(0.0, |&(_, a)| a as f64)
+        // The last row at or below `g` samples (the first row if none is).
+        let at = |run: &RunHistory| -> (f64, f64) {
+            let series = &run.0;
+            let row = series.iter().take_while(|p| p.0 <= g).last();
+            row.or_else(|| series.first())
+                .map_or((0.0, 0.0), |&(_, a, bad)| (a as f64, bad as f64))
         };
-        let at_pairs = |series: &[(u64, u64)]| -> f64 {
-            series
-                .iter()
-                .take_while(|(s, _)| *s <= g)
-                .last()
-                .or_else(|| series.first())
-                .map_or(0.0, |&(_, a)| a as f64)
-        };
-        let active: Vec<f64> = runs.iter().map(|r| at(&r.0)).collect();
-        let pairs: Vec<f64> = runs.iter().map(|r| at_pairs(&r.1)).collect();
-        let heavy_active: Vec<f64> = heavy.iter().map(|r| at(&r.0)).collect();
+        let active: Vec<f64> = runs.iter().map(|r| at(r).0).collect();
+        let pairs: Vec<f64> = runs.iter().map(|r| at(r).1).collect();
+        let heavy_active: Vec<f64> = heavy.iter().map(|r| at(r).0).collect();
         println!(
             "{:>14} {:>12.2} {:>14.2} {:>16}",
             count(g),
@@ -889,4 +947,83 @@ pub fn all(opts: &ExpOptions) {
     table3(opts);
     extensions(opts);
     lowerbound(opts);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rapidviz_stats::Interval;
+
+    fn row(rounds: u64, intervals: &[(f64, f64)], active: &[bool]) -> Snapshot {
+        Snapshot {
+            labels: (0..active.len()).map(|i| format!("g{i}")).collect(),
+            estimates: vec![0.0; active.len()],
+            intervals: intervals
+                .iter()
+                .map(|&(lo, hi)| Interval::new(lo, hi))
+                .collect(),
+            active: active.to_vec(),
+            samples_per_group: vec![0; active.len()],
+            rounds,
+            truncated: false,
+        }
+    }
+
+    /// Miniature of Table 1: 3 groups; group 0 deactivates at round 2, the
+    /// rest at round 3.
+    fn example_rows() -> Vec<Snapshot> {
+        vec![
+            row(1, &[(60.0, 90.0), (20.0, 50.0), (40.0, 70.0)], &[true; 3]),
+            row(
+                2,
+                &[(66.0, 84.0), (28.0, 48.0), (45.0, 65.0)],
+                &[false, true, true],
+            ),
+            row(3, &[(66.0, 84.0), (30.0, 44.0), (46.0, 64.0)], &[false; 3]),
+        ]
+    }
+
+    #[test]
+    fn deactivation_rounds() {
+        let rows = example_rows();
+        assert_eq!(
+            super::deactivation_rounds(&rows),
+            vec![Some(2), Some(3), Some(3)]
+        );
+    }
+
+    #[test]
+    fn implied_cost_matches_example_accounting() {
+        // Round 1: 3 groups; round 2 samples 3 actives; round 3 samples 2.
+        assert_eq!(implied_sample_cost(&example_rows()), 3 + 3 + 2);
+    }
+
+    #[test]
+    fn render_full_and_transitions() {
+        let rendered = render_transitions(&example_rows());
+        assert_eq!(rendered.lines().count(), 3, "all rows are transitions here");
+        assert!(rendered.contains("[60.0, 90.0] A"));
+        assert!(rendered.contains("[66.0, 84.0] I"));
+    }
+
+    #[test]
+    fn render_collapses_stable_runs() {
+        let rows: Vec<Snapshot> = (1..=10)
+            .map(|round| row(round, &[(0.0, 1.0)], &[round < 9]))
+            .collect();
+        // Rows: round 1 (first), round 9 (flip), round 10 (last).
+        let rendered = render_transitions(&rows);
+        let rounds: Vec<&str> = rendered
+            .lines()
+            .map(|l| l.split_whitespace().next().unwrap())
+            .collect();
+        assert_eq!(rounds, ["1", "9", "10"]);
+    }
+
+    #[test]
+    fn empty_trace() {
+        assert_eq!(implied_sample_cost(&[]), 0);
+        assert!(super::deactivation_rounds(&[]).is_empty());
+        assert_eq!(render_transitions(&[]), "");
+    }
 }

@@ -41,12 +41,6 @@ pub struct AlgoConfig {
     pub heuristic_factor: f64,
     /// Reactivation policy for the §3.1 corner case.
     pub reactivation: ReactivationPolicy,
-    /// Record a per-round interval trace (Table 1). Costs O(k) memory per
-    /// round — only enable for small illustrative runs.
-    pub record_trace: bool,
-    /// Record a history point (active count + estimate snapshot) every this
-    /// many rounds (Figures 5c / 6a). `0` disables history.
-    pub history_every: u64,
     /// Hard cap on rounds, as a runaway guard for with-replacement runs on
     /// adversarial data. `u64::MAX` = no cap. Without replacement the
     /// schedule's exhaustion collapse bounds rounds by `max_i n_i` already.
@@ -83,8 +77,6 @@ impl AlgoConfig {
             mode: SamplingMode::WithoutReplacement,
             heuristic_factor: 1.0,
             reactivation: ReactivationPolicy::Never,
-            record_trace: false,
-            history_every: 0,
             max_rounds: u64::MAX,
             max_samples_per_group: u64::MAX,
             samples_per_round: 1,
@@ -130,20 +122,6 @@ impl AlgoConfig {
     #[must_use]
     pub fn with_reactivation(mut self, policy: ReactivationPolicy) -> Self {
         self.reactivation = policy;
-        self
-    }
-
-    /// Enables per-round trace recording (Table 1).
-    #[must_use]
-    pub fn with_trace(mut self) -> Self {
-        self.record_trace = true;
-        self
-    }
-
-    /// Enables history recording every `n` rounds (Figures 5c/6a).
-    #[must_use]
-    pub fn with_history_every(mut self, n: u64) -> Self {
-        self.history_every = n;
         self
     }
 
@@ -213,14 +191,10 @@ mod tests {
             .with_heuristic_factor(2.0)
             .with_kappa(1.5)
             .with_reactivation(ReactivationPolicy::Allow)
-            .with_trace()
-            .with_history_every(10)
             .with_max_rounds(1000);
         assert_eq!(c.resolution, Some(1.0));
         assert_eq!(c.resolution_epsilon(), Some(0.25));
         assert_eq!(c.mode, SamplingMode::WithReplacement);
-        assert!(c.record_trace);
-        assert_eq!(c.history_every, 10);
         assert_eq!(c.max_rounds, 1000);
     }
 

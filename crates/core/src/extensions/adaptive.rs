@@ -102,8 +102,6 @@ impl IFocusBernstein {
             estimates: stats.iter().map(WelfordVariance::mean).collect(),
             samples_per_group: samples,
             rounds: m,
-            trace: None,
-            history: None,
             truncated,
         }
     }

@@ -49,6 +49,7 @@ mod tests {
     use crate::group::VecGroup;
     use crate::ifocus::IFocus;
     use crate::ordering::fraction_correct_pairs;
+    use crate::runner::AlgorithmStepper;
     use rand::{Rng, SeedableRng};
 
     fn two_point_groups(means: &[f64], n: usize, seed: u64) -> Vec<VecGroup> {
@@ -106,42 +107,32 @@ mod tests {
 
     #[test]
     fn budget_stop_shows_in_the_last_trace_row_and_history_point() {
-        // The γ test used to fire *after* the round's record(): a finished
-        // run's last trace row still showed active groups and the terminal
-        // history point was never pushed. Answers must not move.
+        // The γ stop must land in the round that fires it: the snapshot
+        // after the last round shows every group inactive, while the one
+        // before still shows the abandoned near-tie drawing.
         let means = [30.0, 30.5, 55.0, 75.0, 90.0];
-        let run = |config: AlgoConfig| {
-            let mut groups = two_point_groups(&means, 400_000, 92);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(93);
-            IFocusMistakes::new(config, 0.11).run(&mut groups, &mut rng)
-        };
-        let base = AlgoConfig::new(100.0, 0.05);
-        let plain = run(base.clone());
-        let recorded = run(base.with_trace().with_history_every(1000));
-        assert_eq!(recorded.estimates, plain.estimates);
-        assert_eq!(recorded.samples_per_group, plain.samples_per_group);
-        assert_eq!(recorded.rounds, plain.rounds);
-        assert!(!recorded.truncated);
-        assert!(
-            !recorded.rounds.is_multiple_of(1000),
-            "test premise: the stop falls between two periodic history points"
-        );
-
-        let trace = recorded.trace.as_ref().expect("trace enabled");
-        let rows = trace.rows();
-        let last = rows.last().expect("at least the bootstrap row");
-        assert_eq!(last.round, recorded.rounds);
+        let config = AlgoConfig::new(100.0, 0.05);
+        let mut groups = two_point_groups(&means, 400_000, 92);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(93);
+        let rule = Rule::Mistakes { gamma: 0.11 };
+        let mut stepper = FocusStepper::start(&config, rule, &mut groups, &mut rng);
+        let mut before = stepper.snapshot();
+        while stepper.step_any(&mut groups, &mut rng).is_running() {
+            before = stepper.snapshot();
+        }
+        let last = stepper.snapshot();
+        assert_eq!(last.rounds, before.rounds + 1);
+        assert!(!last.truncated);
         assert!(last.active.iter().all(|&a| !a), "{:?}", last.active);
         // The near-tie was abandoned, not resolved: frozen still overlapping.
         assert!(last.intervals[0].overlaps(&last.intervals[1]));
-        assert!(rows[rows.len() - 2].active[..2].iter().all(|&a| a));
-        assert_eq!(trace.implied_sample_cost(), recorded.total_samples());
-
-        let history = recorded.history.as_ref().expect("history enabled");
-        let terminal = history.points().last().expect("history recorded");
-        assert_eq!(terminal.round, recorded.rounds);
-        assert_eq!(terminal.active_groups, 0);
-        assert_eq!(terminal.total_samples, recorded.total_samples());
+        assert!(before.active[..2].iter().all(|&a| a));
+        // The observed drive is the public run.
+        let mut groups = two_point_groups(&means, 400_000, 92);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(93);
+        let result = IFocusMistakes::new(config, 0.11).run(&mut groups, &mut rng);
+        assert_eq!(last.estimates, result.estimates);
+        assert_eq!(last.samples_per_group, result.samples_per_group);
     }
 
     #[test]

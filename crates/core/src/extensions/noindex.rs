@@ -179,8 +179,6 @@ impl NoIndexSampler {
             estimates: estimates.iter().map(RunningMean::mean).collect(),
             samples_per_group: (0..k).map(|i| estimates[i].count()).collect(),
             rounds: rows_drawn,
-            trace: None,
-            history: None,
             truncated,
         }
     }

@@ -256,7 +256,6 @@ mod tests {
         let mut emitted = vec![false; state.k()];
         state.standard_deactivation();
         reference_flush(&state, &mut emitted, emit);
-        state.record();
         while state.any_active() {
             if state.m >= config.max_rounds {
                 state.truncated = true;
@@ -274,7 +273,6 @@ mod tests {
                 state.standard_deactivation();
             }
             reference_flush(&state, &mut emitted, emit);
-            state.record();
         }
         reference_flush(&state, &mut emitted, emit);
         state.finish()

@@ -275,13 +275,11 @@ impl IFocusSum2 {
     ) -> IFocusSum2Stepper {
         // The x·z products are i.i.d. by construction: no population to
         // exhaust (sizes `u64::MAX`), so ε has no without-replacement
-        // factor, and this loop has never recorded a trace or history nor
-        // reactivated a group, whatever the caller's config says.
+        // factor, and this loop never reactivates a group, whatever the
+        // caller's config says.
         let config = AlgoConfig {
             mode: SamplingMode::WithReplacement,
             reactivation: ReactivationPolicy::Never,
-            record_trace: false,
-            history_every: 0,
             ..self.config.clone()
         };
         let labels = groups.iter().map(SizedGroupSource::label).collect();
@@ -612,8 +610,6 @@ mod tests {
             estimates: estimates.iter().map(RunningMean::mean).collect(),
             samples_per_group: samples,
             rounds: m,
-            trace: None,
-            history: None,
             truncated,
         }
     }
@@ -711,7 +707,6 @@ mod tests {
         let mut state = FocusState::initialize(config, groups, rng);
         let sizes = state.sizes.clone();
         deactivate_scaled(&mut state, &sizes);
-        state.record();
         while state.any_active() {
             if state.m >= config.max_rounds {
                 state.truncated = true;
@@ -738,7 +733,6 @@ mod tests {
             } else {
                 deactivate_scaled(&mut state, &sizes);
             }
-            state.record();
         }
         let mut result = state.finish();
         for (est, &n) in result.estimates.iter_mut().zip(&sizes) {

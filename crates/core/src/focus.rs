@@ -1,8 +1,8 @@
 //! The one IFOCUS round, and the rule that tells its variants apart.
 //!
 //! Algorithm 1 and its §6 relatives all run the same round over one
-//! `FocusState` — prologue, draw, cut-off or deactivation test, record,
-//! outcome — and differ only in their answer to *which comparisons still
+//! `FocusState` — prologue, draw, cut-off or deactivation test, outcome —
+//! and differ only in their answer to *which comparisons still
 //! matter?* [`FocusStepper`] writes that round once
 //! (`FocusStepper::round` holds the crate's only `begin_round` call); a
 //! crate-private `Rule` owns the four things the variants disagree on:
@@ -221,7 +221,7 @@ impl FocusStepper {
 
     /// The one round: prologue (converged / round cap / `m += batch`),
     /// `draw` (which must add `batch` samples to every drawing group),
-    /// cut-off or deactivation, record, outcome.
+    /// cut-off or deactivation, outcome.
     pub(crate) fn round(&mut self, batch: u64, draw: impl FnOnce(&mut FocusState)) -> StepOutcome {
         if let Some(terminal) = self.state.begin_round(batch) {
             return terminal;
@@ -237,14 +237,13 @@ impl FocusStepper {
     }
 
     /// Ends a round: everything deactivates on `stop`, otherwise the rule
-    /// decides; then the trace/history row.
+    /// decides.
     fn settle(&mut self, stop: bool) {
         if stop {
             self.state.deactivate_all();
         } else {
             self.rule.deactivate(&mut self.state);
         }
-        self.state.record();
     }
 
     /// The per-draw round: one `sample()` per drawing group,

@@ -97,6 +97,7 @@ mod tests {
     use crate::config::ReactivationPolicy;
     use crate::group::VecGroup;
     use crate::ordering::{is_correctly_ordered, is_correctly_ordered_with_resolution};
+    use crate::runner::{Snapshot, StepOutcome};
     use crate::state::FocusState;
     use rand::{Rng, SeedableRng};
     use rapidviz_stats::SamplingMode;
@@ -248,36 +249,49 @@ mod tests {
         assert!(result.rounds <= 10);
     }
 
+    /// The snapshot after the bootstrap and after every round that ran.
+    fn observed_rounds(groups: &mut [VecGroup], seed: u64) -> Vec<Snapshot> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut stepper = IFocus::new(AlgoConfig::new(100.0, 0.05)).start(groups, &mut rng);
+        let mut rows = vec![stepper.snapshot()];
+        while rows[rows.len() - 1].active_count() > 0 {
+            if stepper.step(groups, &mut rng) == StepOutcome::BudgetExhausted {
+                break;
+            }
+            rows.push(stepper.snapshot());
+        }
+        rows
+    }
+
     #[test]
     fn trace_records_activity_transitions() {
         let mut groups = two_point_groups(&[20.0, 50.0, 80.0], 20_000, 13);
-        let algo = IFocus::new(AlgoConfig::new(100.0, 0.05).with_trace());
-        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
-        let result = algo.run(&mut groups, &mut rng);
-        let trace = result.trace.as_ref().expect("trace enabled");
-        assert!(!trace.is_empty());
+        let rows = observed_rounds(&mut groups, 14);
         // All groups eventually deactivate.
-        let deact = trace.deactivation_rounds();
-        assert!(deact.iter().all(Option::is_some));
-        // Trace-implied cost equals measured cost.
-        assert_eq!(trace.implied_sample_cost(), result.total_samples());
+        let last = &rows[rows.len() - 1];
+        assert!(last.active.iter().all(|&a| !a));
+        // The bootstrap draws every group once and each later round draws
+        // the groups active before it: that accounting is the measured cost.
+        let before_each_round = rows[..rows.len() - 1].iter().map(Snapshot::active_count);
+        let implied = groups.len() + before_each_round.sum::<usize>();
+        assert_eq!(implied as u64, last.total_samples());
     }
 
     #[test]
     fn history_is_monotone() {
         let mut groups = two_point_groups(&[10.0, 45.0, 55.0, 90.0], 50_000, 15);
-        let algo = IFocus::new(AlgoConfig::new(100.0, 0.05).with_history_every(5));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(16);
-        let result = algo.run(&mut groups, &mut rng);
-        let history = result.history.as_ref().expect("history enabled");
-        let series = history.active_groups_series();
-        assert!(!series.is_empty());
+        let rows = observed_rounds(&mut groups, 16);
+        assert!(rows.len() > 1);
         // Samples grow, active groups never grow (policy (a)).
-        for w in series.windows(2) {
-            assert!(w[1].0 >= w[0].0);
-            assert!(w[1].1 <= w[0].1);
+        for w in rows.windows(2) {
+            assert!(w[1].total_samples() >= w[0].total_samples());
+            assert!(w[1].active_count() <= w[0].active_count());
         }
-        assert_eq!(series.last().unwrap().1, 0, "ends with no active groups");
+        assert_eq!(
+            rows[rows.len() - 1].active_count(),
+            0,
+            "ends with no active groups"
+        );
     }
 
     #[test]
@@ -345,7 +359,6 @@ mod tests {
         } else {
             state.standard_deactivation();
         }
-        state.record();
         while state.any_active() {
             if state.m >= config.max_rounds {
                 state.truncated = true;
@@ -365,7 +378,6 @@ mod tests {
             } else {
                 state.standard_deactivation();
             }
-            state.record();
         }
         state.finish()
     }

@@ -34,7 +34,6 @@
 
 use crate::config::AlgoConfig;
 use crate::group::GroupSource;
-use crate::history::{History, HistoryPoint};
 use crate::result::RunResult;
 use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
 use rand::RngCore;
@@ -85,7 +84,6 @@ impl IRefine {
             active: vec![true; k],
             samples: vec![0u64; k],
             cumulative: vec![(0u64, 0.0f64); k],
-            history: (self.config.history_every > 0).then(History::new),
             phase: 0,
             truncated: false,
             batch_buf: Vec::new(),
@@ -123,7 +121,6 @@ pub struct IRefineStepper {
     samples: Vec<u64>,
     /// Cumulative (count, sum) of the i.i.d. with-replacement sample.
     cumulative: Vec<(u64, f64)>,
-    history: Option<History>,
     phase: u64,
     truncated: bool,
     batch_buf: Vec<f64>,
@@ -138,11 +135,13 @@ impl AlgorithmStepper for IRefineStepper {
         let k = self.labels.len();
         let c = self.config.c;
         let resolution_eps = self.config.resolution_epsilon();
-        self.phase += 1;
-        if self.phase > self.phase_cap {
+        // The cap is tested before the counter moves, so a capped run
+        // reports `rounds == phase_cap` however often it is stepped again.
+        if self.phase >= self.phase_cap {
             self.truncated = true;
             return StepOutcome::BudgetExhausted;
         }
+        self.phase += 1;
         for i in 0..k {
             if !self.active[i] {
                 continue;
@@ -211,21 +210,7 @@ impl AlgorithmStepper for IRefineStepper {
                 self.active[i] = set.member_overlaps_others(i);
             }
         }
-        let any_active = self.active.iter().any(|&a| a);
-        if let Some(h) = &mut self.history {
-            if self.phase == 1
-                || self.phase.is_multiple_of(self.config.history_every)
-                || !any_active
-            {
-                h.push(HistoryPoint {
-                    round: self.phase,
-                    total_samples: self.samples.iter().sum(),
-                    active_groups: self.active.iter().filter(|&&a| a).count(),
-                    estimates: self.estimates.clone(),
-                });
-            }
-        }
-        if any_active {
+        if self.active.iter().any(|&a| a) {
             StepOutcome::Running
         } else {
             StepOutcome::Converged
@@ -271,8 +256,6 @@ impl AlgorithmStepper for IRefineStepper {
             estimates: self.estimates,
             samples_per_group: self.samples,
             rounds: self.phase,
-            trace: None,
-            history: self.history,
             truncated: self.truncated,
         }
     }
@@ -368,6 +351,40 @@ mod tests {
         assert!(!result.truncated);
     }
 
+    #[test]
+    fn a_phase_capped_run_reports_the_cap_and_further_steps_change_nothing() {
+        // A tie only the phase cap can stop: the run reports exactly `cap`
+        // phases, and further `step()` calls draw nothing and change nothing
+        // (`AlgorithmStepper::step` is idempotent after termination).
+        for cap in [1u64, 3] {
+            let mut groups = vec![
+                VecGroup::new("a", vec![50.0; 100_000]),
+                VecGroup::new("b", vec![50.0; 100_000]),
+            ];
+            let mut rng = rand::rngs::StdRng::seed_from_u64(69);
+            let algo = IRefine::new(AlgoConfig::new(100.0, 0.05).with_max_rounds(cap));
+            let mut stepper = algo.start(&mut groups, &mut rng);
+            while stepper.step(&mut groups, &mut rng).is_running() {}
+            let view = |s: &IRefineStepper| {
+                let snap = s.snapshot();
+                (
+                    snap.rounds,
+                    snap.estimates,
+                    snap.samples_per_group,
+                    snap.truncated,
+                )
+            };
+            let capped = view(&stepper);
+            assert_eq!(capped.0, cap);
+            assert!(capped.3);
+            for _ in 0..2 {
+                let outcome = stepper.step(&mut groups, &mut rng);
+                assert_eq!(outcome, StepOutcome::BudgetExhausted);
+                assert_eq!(view(&stepper), capped, "cap {cap}");
+            }
+        }
+    }
+
     /// The pre-stepper IREFINE phase loop, verbatim. Guards the acceptance
     /// criterion that the resumable-session refactor is byte-identical for
     /// a fixed seed.
@@ -376,7 +393,6 @@ mod tests {
         groups: &mut [VecGroup],
         rng: &mut dyn RngCore,
     ) -> RunResult {
-        use crate::history::{History, HistoryPoint};
         assert!(!groups.is_empty(), "need at least one group");
         let k = groups.len();
         let c = config.c;
@@ -388,7 +404,6 @@ mod tests {
         let mut active = vec![true; k];
         let mut samples = vec![0u64; k];
         let mut cumulative = vec![(0u64, 0.0f64); k];
-        let mut history = (config.history_every > 0).then(History::new);
         let resolution_eps = config.resolution_epsilon();
         let mut phase = 0u64;
         let mut truncated = false;
@@ -448,27 +463,12 @@ mod tests {
                     active[i] = set.member_overlaps_others(i);
                 }
             }
-            if let Some(h) = &mut history {
-                if phase == 1
-                    || phase.is_multiple_of(config.history_every)
-                    || !active.iter().any(|&a| a)
-                {
-                    h.push(HistoryPoint {
-                        round: phase,
-                        total_samples: samples.iter().sum(),
-                        active_groups: active.iter().filter(|&&a| a).count(),
-                        estimates: estimates.clone(),
-                    });
-                }
-            }
         }
         RunResult {
             labels,
             estimates,
             samples_per_group: samples,
             rounds: phase,
-            trace: None,
-            history,
             truncated,
         }
     }

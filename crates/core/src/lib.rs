@@ -43,12 +43,6 @@
 //! each). Selection predicates and multiple group-bys are handled in the
 //! storage layer
 //! (`rapidviz-needletail`) since they only change which rows are eligible.
-//!
-//! ## Instrumentation
-//!
-//! Runs can record a per-round [`trace::Trace`] (reproducing the paper's
-//! Table 1) and a sampled [`history::History`] of active-set size and
-//! estimate snapshots (reproducing Figures 5c and 6a).
 
 #![forbid(unsafe_code)]
 // The algorithms walk several parallel per-group arrays (estimates, active
@@ -61,7 +55,6 @@ pub mod config;
 pub mod extensions;
 pub mod focus;
 pub mod group;
-pub mod history;
 pub mod ifocus;
 pub mod irefine;
 pub mod ordering;
@@ -70,13 +63,11 @@ pub mod roundrobin;
 pub mod runner;
 pub mod scan;
 mod state;
-pub mod trace;
 pub mod viz;
 
 pub use clock::{Clock, SimulatedClock, SystemClock};
 pub use config::{AlgoConfig, ReactivationPolicy};
 pub use group::GroupSource;
-pub use history::{History, HistoryPoint};
 pub use ifocus::{IFocus, IFocusStepper};
 pub use irefine::{IRefine, IRefineStepper};
 pub use ordering::{
@@ -87,7 +78,6 @@ pub use result::RunResult;
 pub use roundrobin::{RoundRobin, RoundRobinStepper};
 pub use runner::{AlgorithmStepper, Snapshot, StepOutcome};
 pub use scan::{ExactScan, ScanStepper};
-pub use trace::{Trace, TraceRow};
 
 // Re-export the sampling-mode enum so downstream users configure algorithms
 // without importing rapidviz-stats directly.

@@ -1,9 +1,6 @@
 //! Run results: the final [`RunResult`] of a run and the streamed
 //! [`PartialEmission`] records produced by the partial-result variant.
 
-use crate::history::History;
-use crate::trace::Trace;
-
 /// One streamed partial result: a group's estimate frozen at the moment
 /// the algorithm deactivated it (§6.2.2). Produced by
 /// [`crate::extensions::IFocusPartial`].
@@ -33,10 +30,6 @@ pub struct RunResult {
     pub samples_per_group: Vec<u64>,
     /// Number of rounds executed (the final value of `m`).
     pub rounds: u64,
-    /// Per-round trace, if recording was enabled.
-    pub trace: Option<Trace>,
-    /// Convergence history, if recording was enabled.
-    pub history: Option<History>,
     /// Whether the run hit [`crate::AlgoConfig::max_rounds`] before
     /// terminating naturally. Results are still the best-effort estimates.
     pub truncated: bool,
@@ -90,8 +83,6 @@ mod tests {
             estimates: vec![30.0, 15.0, 85.0],
             samples_per_group: vec![100, 250, 50],
             rounds: 250,
-            trace: None,
-            history: None,
             truncated: false,
         }
     }

@@ -178,7 +178,6 @@ mod tests {
         } else {
             state.standard_deactivation();
         }
-        state.record();
         while state.any_active() {
             if state.m >= config.max_rounds {
                 state.truncated = true;
@@ -192,7 +191,6 @@ mod tests {
             } else {
                 state.standard_deactivation();
             }
-            state.record();
         }
         state.finish()
     }

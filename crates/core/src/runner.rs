@@ -180,8 +180,7 @@ pub trait AlgorithmStepper {
     /// memory-accounting hook. The provided implementation derives the
     /// figure from a fresh [`AlgorithmStepper::snapshot`]; steppers backed
     /// by live round-loop state override it with a precise,
-    /// allocation-free accounting. Optional trace/history recording is
-    /// deliberately not counted (resumable sessions never enable it).
+    /// allocation-free accounting.
     fn approx_bytes(&self) -> usize {
         self.snapshot().approx_bytes()
     }

@@ -124,8 +124,6 @@ impl AlgorithmStepper for ScanStepper {
             estimates: self.estimates,
             samples_per_group: self.samples,
             rounds: max_read,
-            trace: None,
-            history: None,
             truncated: false,
         }
     }

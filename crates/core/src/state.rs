@@ -5,13 +5,15 @@
 //! SUM with known sizes (Algorithm 4), SUM/COUNT with unknown sizes
 //! (Algorithm 5 — IFOCUS over the i.i.d. product stream `x·z`), and the
 //! trends, graph, top-t, mistakes, values and partial-results variants. It
-//! holds the running means, the round counter `m`, the active flags, the
-//! frozen intervals of deactivated groups and the trace/history recording,
-//! and supplies the round prologue ([`FocusState::begin_round`]), the draw,
-//! the deactivation fixpoint ([`FocusState::separate`]) and the snapshot;
-//! those algorithms differ only in *who gets sampled* each round and
-//! *which intervals must separate* — the [`crate::focus::Rule`] the one
-//! round in [`crate::focus`] is parameterised by.
+//! holds the running means, the round counter `m`, the active flags and the
+//! frozen intervals of deactivated groups, and supplies the round prologue
+//! ([`FocusState::begin_round`]), the draw, the deactivation fixpoint
+//! ([`FocusState::separate`]) and the snapshot; those algorithms differ
+//! only in *who gets sampled* each round and *which intervals must
+//! separate* — the [`crate::focus::Rule`] the one round in
+//! [`crate::focus`] is parameterised by. It keeps no per-round record: a
+//! caller that wants one (Table 1, Figures 5c/6a) observes the snapshot
+//! after each step.
 //!
 //! [`FixpointScratch::separate`] is the only implementation of the
 //! deactivation fixpoint (Algorithm 1 lines 10–12) in this crate. The three
@@ -23,10 +25,8 @@
 
 use crate::config::{AlgoConfig, ReactivationPolicy};
 use crate::group::GroupSource;
-use crate::history::{History, HistoryPoint};
 use crate::result::RunResult;
 use crate::runner::{Snapshot, StepOutcome};
-use crate::trace::{Trace, TraceRow};
 use rand::RngCore;
 use rapidviz_stats::{EpsilonSchedule, Interval, IntervalSetScratch, RunningMean};
 
@@ -115,13 +115,11 @@ pub(crate) struct FocusState {
     /// Groups whose population is exhausted (without replacement): their
     /// estimate equals the exact group mean and cannot change.
     pub(crate) exhausted: Vec<bool>,
-    /// ε at the moment each group deactivated (for frozen trace intervals).
+    /// ε at the moment each group deactivated (its frozen interval).
     pub(crate) frozen_eps: Vec<f64>,
     pub(crate) samples: Vec<u64>,
     /// Round counter `m` (samples per still-active group so far).
     pub(crate) m: u64,
-    pub(crate) trace: Option<Trace>,
-    pub(crate) history: Option<History>,
     pub(crate) truncated: bool,
     /// Reusable buffer for batched draws (avoids a per-round allocation).
     scratch: Vec<f64>,
@@ -167,8 +165,6 @@ impl FocusState {
             frozen_eps: vec![f64::INFINITY; k],
             samples: vec![0; k],
             m: 1,
-            trace: config.record_trace.then(Trace::new),
-            history: (config.history_every > 0).then(History::new),
             truncated: false,
             scratch: Vec::new(),
             fix: FixpointScratch::default(),
@@ -178,7 +174,7 @@ impl FocusState {
     /// The prologue of every round: `Some(terminal)` without touching `m`
     /// when nothing is active (converged) or the round cap is reached
     /// (flagged truncated); otherwise advances `m` by `batch` and returns
-    /// `None` — draw, deactivate, [`Self::record`], report.
+    /// `None` — draw, deactivate, report.
     pub(crate) fn begin_round(&mut self, batch: u64) -> Option<StepOutcome> {
         if !self.any_active() {
             return Some(StepOutcome::Converged);
@@ -398,33 +394,6 @@ impl FocusState {
         self.active.iter().filter(|&&a| a).count()
     }
 
-    /// Records trace and history rows for the just-finished round.
-    pub(crate) fn record(&mut self) {
-        if self.trace.is_some() {
-            let eps_now = self.epsilon();
-            let row = TraceRow {
-                round: self.m,
-                intervals: (0..self.k()).map(|i| self.interval(i, eps_now)).collect(),
-                active: self.active.clone(),
-            };
-            if let Some(trace) = &mut self.trace {
-                trace.push(row);
-            }
-        }
-        let every = self.config.history_every;
-        if every > 0 && (self.m == 1 || self.m.is_multiple_of(every) || !self.any_active()) {
-            let point = HistoryPoint {
-                round: self.m,
-                total_samples: self.samples.iter().sum(),
-                active_groups: self.active_count(),
-                estimates: self.estimates.iter().map(RunningMean::mean).collect(),
-            };
-            if let Some(history) = &mut self.history {
-                history.push(point);
-            }
-        }
-    }
-
     /// Total samples drawn so far (cheap; no snapshot allocation).
     pub(crate) fn total_samples(&self) -> u64 {
         self.samples.iter().sum()
@@ -433,8 +402,7 @@ impl FocusState {
     /// Approximate resident bytes of the live round-loop state: per-group
     /// estimators, flags, and the reusable scratch arenas. Backs the
     /// steppers' [`crate::runner::AlgorithmStepper::approx_bytes`] memory-
-    /// accounting hook without allocating a snapshot. Trace/history
-    /// recording (disabled on resumable sessions) is not counted.
+    /// accounting hook without allocating a snapshot.
     pub(crate) fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<Self>()
@@ -473,8 +441,6 @@ impl FocusState {
             estimates: self.estimates.iter().map(RunningMean::mean).collect(),
             samples_per_group: self.samples,
             rounds: self.m,
-            trace: self.trace,
-            history: self.history,
             truncated: self.truncated,
         }
     }
