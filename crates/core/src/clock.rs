@@ -25,6 +25,7 @@ pub trait Clock: fmt::Debug + Send + Sync {
 pub struct SystemClock;
 
 impl Clock for SystemClock {
+    #[expect(clippy::disallowed_methods, reason = "the one real wall-clock read")]
     fn now(&self) -> Instant {
         Instant::now()
     }
@@ -59,6 +60,7 @@ struct SimulatedClockInner {
 }
 
 impl Default for SimulatedClockInner {
+    #[expect(clippy::disallowed_methods, reason = "base only; time moves by offset")]
     fn default() -> Self {
         Self {
             base: Instant::now(),

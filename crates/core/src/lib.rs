@@ -45,10 +45,10 @@
 //! (`rapidviz-needletail`) since they only change which rows are eligible.
 
 #![forbid(unsafe_code)]
-// The algorithms walk several parallel per-group arrays (estimates, active
-// flags, samplers) by index; iterator zips would obscure the pseudocode
-// correspondence that this crate deliberately mirrors.
-#![allow(clippy::needless_range_loop)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![expect(clippy::needless_range_loop, reason = "mirrors the paper's pseudocode")]
 
 pub mod clock;
 pub mod config;

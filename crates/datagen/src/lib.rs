@@ -19,6 +19,10 @@
 //! `µ_i` without materialization and the difficulty statistics
 //! (`c²/η²`, Figures 6c/7c) are exact.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod difficulty;
 pub mod dist;
 pub mod flights;

@@ -66,14 +66,13 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     pub fn insert(&mut self, key: K, value: V) {
         self.tick += 1;
         if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
-            if let Some(oldest) = self
+            #[expect(clippy::disallowed_methods, reason = "min of unique ticks: order-free")]
+            let oldest = self
                 .map
-                // lint: allow(determinism) — min_by_key over strictly unique
-                // monotone ticks has one answer regardless of visit order
                 .iter()
                 .min_by_key(|(_, (tick, _))| *tick)
-                .map(|(k, _)| k.clone())
-            {
+                .map(|(k, _)| k.clone());
+            if let Some(oldest) = oldest {
                 self.map.remove(&oldest);
             }
         }

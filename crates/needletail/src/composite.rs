@@ -38,15 +38,13 @@ impl CompositeIndex {
     #[must_use]
     pub fn build(table: &Table, columns: &[&str]) -> Self {
         assert!(!columns.is_empty(), "need at least one column");
+        #[expect(clippy::panic, reason = "`# Panics` precondition; runs at index build")]
         let idxs: Vec<usize> = columns
             .iter()
             .map(|c| {
                 table
                     .schema()
                     .column_index(c)
-                    // lint: allow(panic) — documented `# Panics` precondition
-                    // of the joint-index builder, hit at build time with a
-                    // caller-supplied column list, never while answering
                     .unwrap_or_else(|| panic!("no column named {c:?}"))
             })
             .collect();

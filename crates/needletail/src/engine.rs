@@ -483,11 +483,9 @@ impl NeedleTail {
             let pred_bitmap = self.plan_filter(predicate)?;
             let mut groups = Vec::with_capacity(index.distinct_count());
             for value in index.values() {
+                #[expect(clippy::expect_used, reason = "values() lists only present keys")]
                 let base = index
                     .shared_bitmap_for(&value)
-                    // lint: allow(panic) — values() enumerates exactly the keys
-                    // shared_bitmap_for reads; a miss is index corruption, and
-                    // skipping it would silently drop a group from the answer
                     .expect("index lists only present values");
                 if let Some(rows) = self.intersect_rows(base, pred_bitmap.as_ref()) {
                     groups.push((value, rows));
@@ -534,11 +532,9 @@ impl NeedleTail {
             let joint = self.composite_index(&owned_cols, group_cols);
             let mut groups = Vec::with_capacity(joint.cell_count());
             for cell in joint.cells() {
+                #[expect(clippy::expect_used, reason = "cells() lists only present keys")]
                 let base = joint
                     .shared_bitmap_for(&cell)
-                    // lint: allow(panic) — cells() enumerates exactly the keys
-                    // shared_bitmap_for reads; a miss is index corruption, and
-                    // skipping it would silently drop a cell from the answer
                     .expect("cell listed by index");
                 if let Some(rows) = self.intersect_rows(base, pred_bitmap.as_ref()) {
                     let label = cell
@@ -592,12 +588,10 @@ impl NeedleTail {
         let agg_idx = self.numeric_column(agg_col)?;
         let mut handles = Vec::with_capacity(index.distinct_count());
         for value in index.values() {
+            #[expect(clippy::expect_used, reason = "values() lists only present keys")]
             let bitmap = Arc::clone(
                 index
                     .shared_bitmap_for(&value)
-                    // lint: allow(panic) — values() enumerates exactly the keys
-                    // shared_bitmap_for reads; a miss is index corruption, and
-                    // skipping it would silently drop a group from the answer
                     .expect("index lists only present values"),
             );
             handles.push(SizedGroupHandle {

@@ -67,12 +67,10 @@ impl BitmapIndex {
     /// Panics if the column does not exist.
     #[must_use]
     pub fn build(table: &Table, column: &str) -> Self {
+        #[expect(clippy::panic, reason = "`# Panics` precondition; runs at table load")]
         let col_idx = table
             .schema()
             .column_index(column)
-            // lint: allow(panic) — documented `# Panics` precondition of the
-            // index builder, hit at table-load time with a caller-supplied
-            // column name, never during query answering
             .unwrap_or_else(|| panic!("no column named {column:?}"));
         let len = table.row_count();
         let data_type = table.schema().columns()[col_idx].data_type;

@@ -49,6 +49,11 @@
 //!   row-keyed), so chaos tests can verify that sessions degrade to
 //!   best-effort answers instead of panicking when reads fail.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod bitmap;
 pub mod cache;
 pub mod codec;

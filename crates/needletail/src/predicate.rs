@@ -100,7 +100,7 @@ impl Predicate {
 
     /// `NOT self`.
     #[must_use]
-    #[allow(clippy::should_implement_trait)]
+    #[expect(clippy::should_implement_trait, reason = "a builder verb like and/or")]
     pub fn not(self) -> Self {
         Predicate::Not(Box::new(self))
     }
@@ -126,12 +126,10 @@ impl Predicate {
             }
             Predicate::Range { column, lo, hi } => {
                 let idx = column_index(table, column);
+                #[expect(clippy::panic, reason = "`# Panics`; engine type-checks ranges first")]
                 let x = table
                     .value(row, idx)
                     .as_f64()
-                    // lint: allow(panic) — documented `# Panics` precondition:
-                    // the engine type-checks range columns against the schema
-                    // before planning or scanning, so this is a caller bug
                     .unwrap_or_else(|| panic!("range predicate on non-numeric column {column:?}"));
                 lo.is_none_or(|l| x >= l) && hi.is_none_or(|h| x <= h)
             }
@@ -348,13 +346,11 @@ impl Predicate {
     }
 }
 
+#[expect(clippy::panic, reason = "`# Panics`; engine resolves columns first")]
 fn column_index(table: &Table, name: &str) -> usize {
     table
         .schema()
         .column_index(name)
-        // lint: allow(panic) — documented `# Panics` precondition: the engine
-        // resolves predicate columns against the schema before planning or
-        // scanning, so a miss here is a caller bug, not a serving failure
         .unwrap_or_else(|| panic!("no column named {name:?}"))
 }
 

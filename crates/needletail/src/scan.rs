@@ -45,17 +45,15 @@ pub fn scan_group_aggregates(
     agg_col: &str,
     predicate: &Predicate,
 ) -> Vec<GroupAggregate> {
+    #[expect(clippy::panic, reason = "`# Panics` precondition of the oracle scan")]
     let g_idx = table
         .schema()
         .column_index(group_col)
-        // lint: allow(panic) — documented `# Panics` precondition of the
-        // ground-truth scan helper; callers resolve columns first
         .unwrap_or_else(|| panic!("no column named {group_col:?}"));
+    #[expect(clippy::panic, reason = "`# Panics` precondition of the oracle scan")]
     let a_idx = table
         .schema()
         .column_index(agg_col)
-        // lint: allow(panic) — documented `# Panics` precondition of the
-        // ground-truth scan helper; callers resolve columns first
         .unwrap_or_else(|| panic!("no column named {agg_col:?}"));
 
     // Accumulate per distinct group value; key by display form is unsafe for

@@ -74,9 +74,8 @@ impl Table {
     }
 
     /// Narrows a row index to `usize` for the Vec-backed columns.
+    #[expect(clippy::expect_used, reason = "Vec-backed rows always fit usize")]
     fn row_idx(row: u64) -> usize {
-        // lint: allow(panic) — columns are in-memory Vecs, so every stored
-        // row index fits usize; overflow means the caller fabricated a row
         usize::try_from(row).expect("row index fits usize")
     }
 
@@ -106,8 +105,7 @@ impl Table {
         match &self.columns[col_idx] {
             ColumnData::Int(v) => v[row] as f64,
             ColumnData::Float(v) => v[row],
-            // lint: allow(panic) — documented `# Panics` precondition: measure
-            // columns are type-checked against the schema at plan time
+            #[expect(clippy::panic, reason = "`# Panics`; plans type-check measures")]
             ColumnData::Str { .. } => panic!("column {col_idx} is not numeric"),
         }
     }
@@ -123,8 +121,7 @@ impl Table {
         let row = Self::row_idx(row);
         match &self.columns[col_idx] {
             ColumnData::Str { codes, .. } => codes[row],
-            // lint: allow(panic) — documented `# Panics` precondition used
-            // only by index construction, which resolves column types first
+            #[expect(clippy::panic, reason = "`# Panics`; index build checks types first")]
             _ => panic!("column {col_idx} is not a string column"),
         }
     }
@@ -138,8 +135,7 @@ impl Table {
     pub fn str_dict(&self, col_idx: usize) -> &[String] {
         match &self.columns[col_idx] {
             ColumnData::Str { dict, .. } => dict,
-            // lint: allow(panic) — documented `# Panics` precondition used
-            // only by storage/index code that resolves column types first
+            #[expect(clippy::panic, reason = "`# Panics`; callers check the type first")]
             _ => panic!("column {col_idx} is not a string column"),
         }
     }
@@ -219,20 +215,16 @@ impl TableBuilder {
                 }
                 (ColumnData::Float(v), Value::Int(x)) => v.push(x as f64),
                 (ColumnData::Str { codes, dict }, Value::Str(s)) => {
-                    // lint: allow(panic) — the constructor builds a dict for
-                    // every Str column; a miss is construction-time corruption
+                    #[expect(clippy::expect_used, reason = "every Str column gets a dict")]
                     let table = self.dicts[i].as_mut().expect("string column has dict");
+                    #[expect(clippy::expect_used, reason = "u32 codes by design; overflow aborts")]
                     let code = *table.entry(s.clone()).or_insert_with(|| {
                         dict.push(s);
-                        // lint: allow(panic) — dictionary cardinality is
-                        // bounded by the u32 code width by design; exceeding
-                        // it at load time must abort, not truncate codes
                         u32::try_from(dict.len() - 1).expect("dictionary fits u32")
                     });
                     codes.push(code);
                 }
-                // lint: allow(panic) — documented `# Panics` precondition of
-                // push_row, which runs at table-build time, never while serving
+                #[expect(clippy::panic, reason = "`# Panics`; build time, never serving")]
                 (_, v) => panic!(
                     "type mismatch in column {:?}: got {:?}",
                     self.schema.columns()[i].name,

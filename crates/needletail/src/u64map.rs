@@ -74,7 +74,6 @@ impl SlotWord for u32 {
     }
 
     #[inline]
-    #[allow(clippy::cast_possible_truncation)]
     fn from_u64(v: u64) -> Self {
         debug_assert!(v < u64::from(u32::MAX));
         v as u32
@@ -578,6 +577,7 @@ mod tests {
                 }
                 assert_eq!(ours.len(), oracle.len(), "round {round}");
             }
+            #[expect(clippy::iter_over_hash_type, reason = "checks every key; order-free")]
             for (&k, &v) in &oracle {
                 assert_eq!(ours.get(k), Some(v));
             }

@@ -87,6 +87,9 @@ fn parse_args() -> Result<Args, String> {
                     "--per-client-max-samples",
                     &value("--per-client-max-samples")?,
                 )?;
+                if args.per_client_max_samples == 0 {
+                    return Err("--per-client-max-samples must be positive".to_owned());
+                }
             }
             "--sessions-limit" => {
                 args.sessions_limit = Some(parse("--sessions-limit", &value("--sessions-limit")?)?);

@@ -110,6 +110,11 @@
 //!   self-hosting a server) reporting time-to-first-certified-bar
 //!   percentiles, frames/s, and sessions/s.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod client;
 pub mod protocol;
 pub mod server;

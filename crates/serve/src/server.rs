@@ -61,7 +61,7 @@ use rapidviz::{
     SchedulerEvent, StepOutcome, VizQuery,
 };
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
@@ -87,7 +87,8 @@ pub struct ServerConfig {
     /// ([`MultiQueryScheduler::with_session_memory_cap`]).
     pub session_memory_cap: Option<usize>,
     /// Hard per-query sample ceiling; a request's own `max_samples` is
-    /// clamped to this, and requests without one get exactly this.
+    /// clamped to this, and requests without one get exactly this. Must
+    /// be positive.
     pub per_client_max_samples: u64,
     /// Capacity of each query's frame queue. Larger queues make drops
     /// rarer; tests wanting a complete round stream set this high and
@@ -101,7 +102,8 @@ pub struct ServerConfig {
     pub park_ttl: Duration,
     /// Optional cap on total parked-checkpoint bytes
     /// ([`ParkingRegistry::with_byte_cap`]); sessions whose checkpoints
-    /// the full registry rejects run without durability.
+    /// the full registry rejects run without durability. A cap must be
+    /// positive.
     pub park_byte_cap: Option<usize>,
     /// Gates the `CRASH` debug verb, which kills the current scheduler
     /// loop incarnation (sessions drop un-drained; parked checkpoints
@@ -332,12 +334,16 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Fails on the initial bind or if either server thread cannot spawn.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.park_ttl` is zero.
+    /// Fails with [`std::io::ErrorKind::InvalidInput`] if `park_ttl` is
+    /// zero or `park_byte_cap` is `Some(0)`, and as [`Server::start_shared`]
+    /// does otherwise.
     pub fn start(engine: NeedleTail, config: ServerConfig) -> std::io::Result<ServerHandle> {
+        if config.park_ttl.is_zero() || config.park_byte_cap == Some(0) {
+            return Err(std::io::Error::new(
+                ErrorKind::InvalidInput,
+                "park_ttl and park_byte_cap must be positive",
+            ));
+        }
         let mut registry = ParkingRegistry::new(config.park_ttl);
         if let Some(cap) = config.park_byte_cap {
             registry = registry.with_byte_cap(cap);
@@ -354,12 +360,20 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Fails on the initial bind or if either server thread cannot spawn.
+    /// Fails with [`std::io::ErrorKind::InvalidInput`] if
+    /// `per_client_max_samples` is zero, on the initial bind, or if either
+    /// server thread cannot spawn.
     pub fn start_shared(
         engine: NeedleTail,
         config: ServerConfig,
         registry: Arc<Mutex<ParkingRegistry>>,
     ) -> std::io::Result<ServerHandle> {
+        if config.per_client_max_samples == 0 {
+            return Err(std::io::Error::new(
+                ErrorKind::InvalidInput,
+                "per_client_max_samples must be positive",
+            ));
+        }
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let stats = Arc::new(ServerStats::default());
@@ -534,6 +548,7 @@ fn scheduler_loop(
     let exit = 'run: loop {
         // Drain every pending command first so admissions and cancels are
         // never starved by a busy scheduler.
+        #[expect(clippy::disallowed_methods, reason = "shutdown comes on this channel")]
         let drained = if sched.runnable_count() == 0 && links.is_empty() {
             // Nothing to do: block until the next command (or all senders
             // gone, which only happens at teardown).

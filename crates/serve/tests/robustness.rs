@@ -19,11 +19,14 @@ use std::time::{Duration, Instant};
 const TABLE_SEED: u64 = 5;
 const ROWS: u64 = 20_000;
 
-fn start_server(config: ServerConfig) -> ServerHandle {
+fn engine() -> NeedleTail {
     let mut rng = StdRng::seed_from_u64(TABLE_SEED);
     let table = FlightModel::new(TABLE_SEED).to_table(ROWS, &mut rng);
-    let engine = NeedleTail::new(table, &["name"]).expect("flight engine builds");
-    Server::start(engine, config).expect("server binds")
+    NeedleTail::new(table, &["name"]).expect("flight engine builds")
+}
+
+fn start_server(config: ServerConfig) -> ServerHandle {
+    Server::start(engine(), config).expect("server binds")
 }
 
 fn connect(handle: &ServerHandle) -> WireClient {
@@ -49,6 +52,31 @@ fn assert_no_leaked_slots(handle: &ServerHandle) {
             "leaked session slots: {admitted} admitted, {terminal} terminal"
         );
         std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// Unrefused, a zero sample ceiling would kill the scheduler thread on the
+/// first query, and a zero TTL or byte cap would panic inside `start`.
+#[test]
+fn non_positive_config_fields_are_refused_at_start() {
+    for bad in [
+        ServerConfig {
+            per_client_max_samples: 0,
+            ..ServerConfig::default()
+        },
+        ServerConfig {
+            park_ttl: Duration::ZERO,
+            ..ServerConfig::default()
+        },
+        ServerConfig {
+            park_byte_cap: Some(0),
+            ..ServerConfig::default()
+        },
+    ] {
+        let err = Server::start(engine(), bad)
+            .err()
+            .expect("a non-positive field is refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
     }
 }
 

@@ -96,6 +96,10 @@
 //! [`MultiQueryScheduler`]: rapidviz::MultiQueryScheduler
 //! [`AlgorithmChoice`]: rapidviz::AlgorithmChoice
 
+#![forbid(unsafe_code)]
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 mod minimize;
 mod plan;
 mod run;

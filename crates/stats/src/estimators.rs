@@ -298,6 +298,30 @@ mod tests {
     }
 
     #[test]
+    fn welford_mean_is_bit_equal_to_running_mean() {
+        // Both update `mean += (x - mean) / n` with the same two f64
+        // operations, so a width that needs a variance can keep `m2` beside
+        // the existing mean instead of a second mean.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let (mut rm, mut w) = (RunningMean::new(), WelfordVariance::new());
+        for i in 0..20_000_u32 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let unit = (state >> 11) as f64 / (1_u64 << 53) as f64;
+            let x = match i % 4 {
+                0 => unit,
+                1 => -1e9 * unit,
+                2 => 1e-300 * unit,
+                _ => f64::from(i % 7) * 1e12,
+            };
+            rm.push(x);
+            w.push(x);
+            assert_eq!(w.mean().to_bits(), rm.mean().to_bits(), "push {i}");
+        }
+    }
+
+    #[test]
     fn welford_degenerate_counts() {
         let mut w = WelfordVariance::new();
         assert_eq!(w.population_variance(), None);

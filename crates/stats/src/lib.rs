@@ -22,8 +22,12 @@
 //! All bounds here treat values in a bounded range `[0, c]`; the algorithms
 //! pass `c` explicitly (the paper's boundedness assumption, §2.1).
 //!
-//! The crate is dependency-free; `unsafe` is denied workspace-wide
-//! (see `[workspace.lints]` and the rapidviz-lint unsafe budget).
+//! The crate is dependency-free and forbids `unsafe`.
+
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod bernstein;
 pub mod estimators;

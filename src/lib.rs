@@ -42,6 +42,11 @@
 //! assert!(result.total_samples() < 3 * 20_000);
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod adapter;
 pub mod checkpoint;
 pub mod query;

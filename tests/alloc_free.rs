@@ -7,10 +7,7 @@
 //! of per-batch churn. A counting global allocator (installed for this test
 //! binary only) verifies it directly.
 
-// The counting GlobalAlloc below is the one test-only exception to the
-// workspace-wide `unsafe_code = "deny"`; rapidviz-lint's unsafe budget
-// exempts test targets, and this attribute does the same for rustc.
-#![allow(unsafe_code)]
+#![expect(unsafe_code, reason = "a counting GlobalAlloc is an unsafe trait impl")]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -473,11 +473,6 @@ proptest! {
 
         let mut reference = query.start(rand::rngs::StdRng::seed_from_u64(seed)).unwrap();
         let ref_updates = drive(&mut reference);
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss
-        )]
         let boundary = ((ref_updates.len() as f64) * pause_fraction) as usize;
 
         let mut session = query.start(rand::rngs::StdRng::seed_from_u64(seed)).unwrap();
