@@ -39,8 +39,10 @@ impl IFocusSum1 {
     }
 
     /// Begins a resumable run (bootstrap sample plus the round-1 scaled
-    /// separation check). A fixed-seed `start`/`step`/`finish` drive is
-    /// byte-identical to [`IFocusSum1::run`].
+    /// separation check). Each [`AlgorithmStepper::step`] then draws
+    /// [`AlgoConfig::samples_per_round`] samples per active, unexhausted
+    /// group. A fixed-seed `start`/`step`/`finish` drive is byte-identical
+    /// to [`IFocusSum1::run`] at every batch size.
     ///
     /// # Panics
     ///
@@ -54,20 +56,23 @@ impl IFocusSum1 {
     }
 
     /// Runs over the groups; estimates are group **sums** `ν_i ≈ σ_i` —
-    /// [`IFocusSum1::start`] stepped to completion through
-    /// [`FocusStepper::step_any`].
+    /// [`IFocusSum1::start`] stepped to completion through the batched
+    /// [`AlgorithmStepper::step`]. At the default `samples_per_round` of 1
+    /// this draws exactly what the per-draw round did.
     ///
     /// # Panics
     ///
     /// Panics if `groups` is empty.
     pub fn run<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RunResult {
-        FocusStepper::run(&self.config, Rule::ScaledSum, groups, rng)
+        let mut stepper = self.start(groups, rng);
+        while stepper.step(groups, rng).is_running() {}
+        stepper.finish()
     }
 }
 
-/// The Algorithm-4 state machine: one step per round (one draw per active
-/// group, then the scaled-interval deactivation fixpoint) — the shared
-/// round under its sum-space rule. Snapshots report estimates and intervals
+/// The Algorithm-4 state machine: one step per round (a batch of
+/// `samples_per_round` draws per active group, then the scaled-interval
+/// deactivation fixpoint) — the shared round under its sum-space rule. Snapshots report estimates and intervals
 /// in **sum space** (`×|S_i|`), matching the final result semantics.
 pub type IFocusSum1Stepper = FocusStepper;
 

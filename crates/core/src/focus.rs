@@ -9,6 +9,14 @@
 //! which groups draw, when the whole run is cut off, the deactivation
 //! test, and (for SUM) the sum-space view of snapshots and results. The
 //! crate root and [`crate::extensions`] list which rule each public type is.
+//!
+//! Three rules take the batched round of [`AlgorithmStepper::step`], which
+//! draws `samples_per_round` from each drawing group in one `draw_batch`
+//! call: IFOCUS (`FullOrder`), ROUNDROBIN (`EveryGroup`) and Algorithm 4
+//! (`ScaledSum`). Algorithm 5 batches its `(x, z)` draws the same way in
+//! its own stepper. The anytime ε holds for every `m` at once, so testing
+//! only every `b`-th `m` keeps the 1−δ guarantee. The eager §6 variants run
+//! the per-draw [`FocusStepper::step_any`].
 
 use crate::config::AlgoConfig;
 use crate::group::GroupSource;
@@ -38,9 +46,8 @@ pub(crate) enum Rule {
     /// Every pair must order, but *every* unexhausted group keeps drawing
     /// (ROUNDROBIN).
     EveryGroup,
-    /// Every pair must order in sum space `|S_i|·ν_i` (Algorithm 4). One
-    /// `sample()` per active group per round, whatever `samples_per_round`
-    /// says (ROADMAP 1(b)).
+    /// Every pair must order in sum space `|S_i|·ν_i` (Algorithm 4); active
+    /// groups draw a batch each, as under `FullOrder`.
     ScaledSum,
     /// Only the `t` best groups, and the order among them (§6.1.2).
     /// `ruled_out[i]`: group `i` is certainly not one of them.
@@ -247,8 +254,7 @@ impl FocusStepper {
     }
 
     /// The per-draw round: one `sample()` per drawing group,
-    /// `samples_per_round` ignored — what Algorithm 4 and the eager §6
-    /// variants run.
+    /// `samples_per_round` ignored — what the eager §6 variants run.
     pub fn step_any<G: GroupSource>(
         &mut self,
         groups: &mut [G],
@@ -268,7 +274,7 @@ impl FocusStepper {
 impl AlgorithmStepper for FocusStepper {
     fn step<G: GroupSource>(&mut self, groups: &mut [G], rng: &mut dyn RngCore) -> StepOutcome {
         let every = match self.rule {
-            Rule::FullOrder => false,
+            Rule::FullOrder | Rule::ScaledSum => false,
             Rule::EveryGroup => true,
             _ => return self.step_any(groups, rng),
         };
@@ -412,7 +418,7 @@ mod tests {
 
     #[test]
     fn step_any_is_a_batch_one_round_for_every_rule() {
-        // On the two batched rules `step_any` ignores `samples_per_round`
+        // On the batched rules `step_any` ignores `samples_per_round`
         // and still draws from the right groups.
         let config = AlgoConfig::new(100.0, 0.05).with_samples_per_round(16);
         let mut groups = vec![

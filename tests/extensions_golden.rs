@@ -106,9 +106,8 @@ fn configs() -> [AlgoConfig; 3] {
     ]
 }
 
-/// [`configs`] plus a 500-round cap (the truncated prologue) and, for the
-/// algorithms that draw `samples_per_round` per group (which SUM with known
-/// sizes must ignore), a batch of 7.
+/// [`configs`] plus a 500-round cap (the truncated prologue) and a batch of
+/// 7 draws per group per round.
 fn round_configs() -> [AlgoConfig; 5] {
     let [exact, with_replacement, relaxed] = configs();
     let capped = exact.clone().with_max_rounds(500);
@@ -282,14 +281,14 @@ fn sum_known_sizes_runs_are_pinned() {
         };
         IFocusSum1::new(c).run(&mut unequal_groups(2060), &mut rng(2061))
     });
-    // Algorithm 4 draws one sample per active group per round whatever
-    // `samples_per_round` says: fifth equals first.
+    // Algorithm 4 draws `samples_per_round` per active group per round, so
+    // the batched fifth differs from the first.
     let golden = [
         0x71d6_c223_ca98_0543,
         0xd93f_5319_d01e_0086,
         0x92ff_9e13_576f_d9e5,
         0x0de8_9d29_51f6_2f77,
-        0x71d6_c223_ca98_0543,
+        0xf877_31d3_32f6_cdaf,
     ];
     assert_eq!(got, golden, "got {got:#018x?}");
 }
