@@ -486,9 +486,9 @@ fn build_session(
         .map_or(per_client_max_samples, |m| m.min(per_client_max_samples));
     q = q.max_samples(cap);
     if let Some(s) = req.samples_per_round {
-        // The budget is only checked between rounds, so a round may not be
-        // wider than the budget itself.
-        q = q.samples_per_round(s.min(cap));
+        // `VizQuery` clamps the round to the budget once the plan's group
+        // count is known.
+        q = q.samples_per_round(s);
     }
     q.start(StdRng::seed_from_u64(req.seed))
         .map_err(|e| e.to_string())

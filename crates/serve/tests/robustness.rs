@@ -181,31 +181,34 @@ fn filter_on_a_missing_column_is_rejected_without_a_scheduler_restart() {
 #[test]
 fn hostile_round_size_is_clamped_to_the_sample_budget() {
     let handle = start_server(ServerConfig::default());
-    let mut client = connect(&handle);
-    client
-        .send_line(
-            "QUERY group=name agg=avg measure=elapsed seed=1 max_samples=100 \
-             spr=18446744073709551615",
-        )
-        .expect("line sent");
-    let answer = loop {
-        match client.next_frame().expect("server answers, never resets") {
-            Some(Frame::Answer(answer)) => break answer,
-            Some(Frame::Error { code, message }) => panic!("error {code:?}: {message}"),
-            Some(_) => {}
-            None => panic!("connection closed without an answer"),
-        }
-    };
-    // The budget is checked between rounds: the bootstrap sample per group
-    // (14 groups, under the budget) plus one round, itself clamped to the
-    // 100-sample budget.
-    let groups = answer.samples_per_group.len() as u64;
-    let drawn: u64 = answer.samples_per_group.iter().sum();
-    assert!(
-        drawn <= groups * (1 + 100),
-        "{drawn} samples over {groups} groups"
-    );
-    assert_eq!(answer.rounds, 1 + 100);
+    for agg in ["avg", "sum", "count"] {
+        let mut client = connect(&handle);
+        client
+            .send_line(&format!(
+                "QUERY group=name agg={agg} measure=elapsed seed=1 max_samples=100 \
+                 spr=18446744073709551615"
+            ))
+            .expect("line sent");
+        let answer = loop {
+            match client.next_frame().expect("server answers, never resets") {
+                Some(Frame::Answer(answer)) => break answer,
+                Some(Frame::Error { code, message }) => panic!("error {code:?}: {message}"),
+                Some(_) => {}
+                None => panic!("connection closed without an answer"),
+            }
+        };
+        // The budget is checked between rounds: the bootstrap sample per
+        // group (14 groups, under the budget) plus one round, whose batch
+        // is clamped to the group's share ⌈100 / 14⌉ of the budget.
+        let groups = answer.samples_per_group.len() as u64;
+        let share = 100u64.div_ceil(groups);
+        let drawn: u64 = answer.samples_per_group.iter().sum();
+        assert!(
+            drawn <= groups * (1 + share),
+            "{agg}: {drawn} samples over {groups} groups"
+        );
+        assert_eq!(answer.rounds, 1 + share, "{agg}");
+    }
     assert_eq!(handle.stats().scheduler_restarts.load(Ordering::Relaxed), 0);
     assert_no_leaked_slots(&handle);
     handle.shutdown();

@@ -128,8 +128,9 @@ impl<'a> VizQuery<'a> {
     /// the paper's round structure). Larger batches amortize per-round
     /// bookkeeping; the anytime ε still tightens with every sample, so the
     /// guarantee is unchanged, at the cost of up to one batch of overshoot
-    /// per group. `SUM` queries ignore it: Algorithm 4 runs the per-draw
-    /// round, one sample per active group.
+    /// per group. With [`VizQuery::max_samples`] set, a batch is clamped to
+    /// `⌈cap / k⌉` over the plan's `k` groups, so one round cannot draw
+    /// far past the budget.
     ///
     /// # Panics
     ///
@@ -340,7 +341,7 @@ impl<'a> VizQuery<'a> {
                 if let Some(frac) = spec.resolution_fraction {
                     config = config.with_resolution(c * frac);
                 }
-                if let Some(batch) = spec.samples_per_round {
+                if let Some(batch) = round_size(spec, groups.len()) {
                     config = config.with_samples_per_round(batch);
                 }
                 let population = groups.iter().map(GroupSource::len).sum();
@@ -414,7 +415,7 @@ impl<'a> VizQuery<'a> {
                 if let Some(frac) = spec.resolution_fraction {
                     config = config.with_resolution(frac);
                 }
-                if let Some(batch) = spec.samples_per_round {
+                if let Some(batch) = round_size(spec, groups.len()) {
                     config = config.with_samples_per_round(batch);
                 }
                 let stepper = IFocusSum2::new(count_config(&config)).start(&mut groups, rng);
@@ -454,6 +455,17 @@ impl<'a> VizQuery<'a> {
         let max = self.engine.column_max(measure).unwrap_or(0.0).max(0.0);
         Ok((max * 1.1).max(1.0))
     }
+}
+
+/// The spec's `samples_per_round` over `k` planned groups, clamped to
+/// `⌈max_samples / k⌉` when a budget is set: the budget is checked only
+/// between rounds, and a round draws its batch from every active group.
+fn round_size(spec: &QuerySpec, k: usize) -> Option<u64> {
+    let batch = spec.samples_per_round?;
+    let share = spec
+        .max_samples
+        .map_or(u64::MAX, |cap| cap.div_ceil(k.max(1) as u64));
+    Some(batch.min(share))
 }
 
 // `QueryAnswer` lives next to the session that constructs it; re-exported

@@ -6,6 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rapidviz::core::extensions::{ifocus_count, IFocusSum1};
 use rapidviz::core::{AlgoConfig, IFocus, RunResult, StepOutcome};
+use rapidviz::datagen::FlightModel;
 use rapidviz::needletail::{
     ColumnDef, DataType, NeedleTail, Predicate, Schema, TableBuilder, Value,
 };
@@ -312,6 +313,36 @@ fn sample_budget_exhaustion_is_terminal_and_monotone() {
     assert!(answer.fraction_sampled() < 1.0);
     assert!(answer.fraction_sampled() > 0.0);
     assert_eq!(answer.ranked_labels().len(), 2);
+}
+
+#[test]
+fn one_round_draws_at_most_each_groups_share_of_the_budget() {
+    // The budget is checked between rounds and a round draws its batch from
+    // every active group, so a batch as wide as the budget would draw k
+    // times the budget in one round. The batch is clamped to ⌈cap / k⌉.
+    let mut rng = StdRng::seed_from_u64(24);
+    let table = FlightModel::new(24).to_table(30_000, &mut rng);
+    let engine = NeedleTail::new(table, &["name"]).unwrap();
+    let cap = 2_000u64;
+    let base = VizQuery::new(&engine)
+        .group_by("name")
+        .max_samples(cap)
+        .samples_per_round(cap);
+    for (what, query) in [
+        ("avg", base.clone().avg("elapsed")),
+        ("sum", base.clone().sum("elapsed")),
+        ("count", base.count("elapsed")),
+    ] {
+        let mut session = query.start(StdRng::seed_from_u64(25)).unwrap();
+        let k = session.snapshot().labels.len() as u64;
+        let first = session.step();
+        let bound = k + k * cap.div_ceil(k);
+        assert!(
+            first.total_samples <= bound,
+            "{what}: the first round drew {} samples, more than {bound}",
+            first.total_samples
+        );
+    }
 }
 
 #[test]
