@@ -1,92 +1,156 @@
 //! Durable-session end-to-end: disconnect parks, `RESUME` re-attaches,
 //! a scheduler crash loses nothing the registry holds, and a drained
 //! server's sessions survive into a successor sharing the registry. The
-//! invariant throughout is the repo's north star: the resumed stream and
-//! final answer are **byte-identical** (`f64::to_bits` equal) to the
+//! invariant throughout is the repo's north star: every resumed round is
+//! **byte-identical** (`f64::to_bits` equal) to the same round of the
 //! uninterrupted in-process run with the same seed.
+//!
+//! Each interruption lands on a session that cannot end first (see
+//! [`endless_request`]), so no outcome here depends on how the server's
+//! threads are scheduled against the test's.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rapidviz::needletail::NeedleTail;
-use rapidviz::{ParkingRegistry, SimulatedClock, VizQuery};
-use rapidviz_datagen::FlightModel;
+use rapidviz::needletail::{ColumnDef, DataType, NeedleTail, Schema, TableBuilder, Value};
+use rapidviz::{Aggregate, ParkingRegistry, QuerySession, SimulatedClock, StepOutcome, VizQuery};
 use rapidviz_serve::{
     ErrorCode, Frame, QueryRequest, RetryPolicy, Server, ServerConfig, ServerHandle, WireClient,
+    WireRound,
 };
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-const TABLE_SEED: u64 = 23;
-const ROWS: u64 = 30_000;
+/// Two groups of exactly 5,000 rows each, so their normalized counts tie
+/// at 0.5. A COUNT session over them separates the two only if one
+/// interval misses its true count, which happens with probability at most
+/// δ over the whole run (with replacement, so nothing exhausts either).
+fn engine() -> NeedleTail {
+    let mut b = TableBuilder::new(Schema::new(vec![
+        ColumnDef::new("g", DataType::Str),
+        ColumnDef::new("v", DataType::Float),
+    ]));
+    for i in 0..10_000u32 {
+        let g = if i % 2 == 0 { "a" } else { "b" };
+        b.push_row(vec![g.into(), Value::Float(f64::from(i % 100))]);
+    }
+    NeedleTail::new(b.finish(), &["g"]).expect("tied engine builds")
+}
 
-fn flight_engine() -> NeedleTail {
-    let mut rng = StdRng::seed_from_u64(TABLE_SEED);
-    let table = FlightModel::new(TABLE_SEED).to_table(ROWS, &mut rng);
-    NeedleTail::new(table, &["name"]).expect("flight engine builds")
+/// A server that lets [`endless_request`] run uncapped, with a frame queue
+/// deep enough that the first resumed rounds are never dropped.
+fn durable_config() -> ServerConfig {
+    ServerConfig {
+        frame_queue: 4_096,
+        per_client_max_samples: u64::MAX,
+        ..ServerConfig::default()
+    }
 }
 
 fn start_server(config: ServerConfig) -> ServerHandle {
-    Server::start(flight_engine(), config).expect("server binds")
+    Server::start(engine(), config).expect("server binds")
 }
 
 fn connect(handle: &ServerHandle) -> WireClient {
     WireClient::connect(handle.local_addr(), Duration::from_secs(30)).expect("client connects")
 }
 
-/// A query long enough (thousands of rounds) that a disconnect or crash
-/// always lands mid-stream, in release builds too. The inflated value
-/// bound keeps every confidence interval too wide to certify, so the
-/// session cannot converge early — with the Hoeffding-Serfling
-/// correction it runs until the table is effectively fully drawn.
-fn long_request(seed: u64) -> QueryRequest {
-    let mut req = QueryRequest::avg("name", "arr_delay", seed);
-    req.max_samples = Some(200_000);
+/// COUNT over the tie at δ = 1e-9, with no sample cap under
+/// [`durable_config`]: the session is still running whenever a
+/// disconnect, crash or drain lands, except with probability at most 1e-9.
+fn endless_request(seed: u64) -> QueryRequest {
+    let mut req = QueryRequest::avg("g", "v", seed);
+    req.aggregate = Aggregate::Count;
+    req.delta = Some(1e-9);
     req.samples_per_round = Some(8);
-    req.bound = Some(5_000.0);
     req
 }
 
-fn in_process_answer(req: &QueryRequest) -> rapidviz::QueryAnswer {
-    let engine = flight_engine();
-    let mut q = VizQuery::new(&engine).avg(req.measure.clone());
-    for col in &req.group_by {
-        q = q.group_by(col.clone());
-    }
-    if let Some(s) = req.samples_per_round {
-        q = q.samples_per_round(s);
-    }
-    if let Some(m) = req.max_samples {
-        q = q.max_samples(m);
-    }
-    if let Some(c) = req.bound {
-        q = q.bound(c);
-    }
-    let mut rng = StdRng::seed_from_u64(req.seed);
-    q.execute(&mut rng).expect("in-process query runs")
+/// The uninterrupted in-process run of [`endless_request`]`(seed)`.
+fn in_process_session(engine: &NeedleTail, seed: u64) -> QuerySession {
+    VizQuery::new(engine)
+        .group_by("g")
+        .count("v")
+        .delta(1e-9)
+        .samples_per_round(8)
+        .max_samples(u64::MAX)
+        .start(StdRng::seed_from_u64(seed))
+        .expect("session starts")
 }
 
 fn bits(estimates: &[f64]) -> Vec<u64> {
     estimates.iter().map(|e| e.to_bits()).collect()
 }
 
+/// Asserts every wire round (in stream order) is bit-identical to the same
+/// round of the uninterrupted in-process run of [`endless_request`]`(seed)`.
+fn assert_matches_uninterrupted(rounds: &[WireRound], seed: u64) {
+    let engine = engine();
+    let mut session = in_process_session(&engine, seed);
+    for wire in rounds {
+        let local = loop {
+            let update = session.step();
+            assert_eq!(update.outcome, StepOutcome::Running, "the tie separated");
+            if update.round >= wire.round {
+                break update;
+            }
+        };
+        assert_eq!(local.round, wire.round, "round missing from the reference");
+        assert_eq!(wire.total_samples, local.total_samples);
+        assert_eq!(
+            wire.snapshot.samples_per_group,
+            local.snapshot.samples_per_group
+        );
+        assert_eq!(
+            bits(&wire.snapshot.estimates),
+            bits(&local.snapshot.estimates),
+            "round {} diverged from the uninterrupted run",
+            wire.round
+        );
+    }
+}
+
+/// Sends `RESUME` for `token` and reads the next `n` round frames of the
+/// resumed stream, checking that the token is announced again.
+fn resume_rounds(client: &mut WireClient, token: u64, n: usize) -> Vec<WireRound> {
+    client
+        .send_line(&format!("RESUME token={token}"))
+        .expect("resume sent");
+    let mut announced = false;
+    let mut rounds = Vec::new();
+    while rounds.len() < n {
+        match client.next_frame().expect("frame decodes") {
+            Some(Frame::Parked { token: t }) => {
+                assert_eq!(t, token, "the token survives the resume");
+                announced = true;
+            }
+            Some(Frame::Round(round)) => rounds.push(round),
+            other => panic!("the resumed session must keep streaming, got {other:?}"),
+        }
+    }
+    assert!(announced, "the resumed stream re-announces its token");
+    rounds
+}
+
 /// Sends `req`, reads frames until the resume token and at least
 /// `rounds` round frames have arrived, then drops the connection —
-/// the canonical mid-stream vanish.
-fn start_and_vanish(handle: &ServerHandle, req: &QueryRequest, rounds: usize) -> u64 {
+/// the canonical mid-stream vanish. Returns the token and the last round
+/// seen.
+fn start_and_vanish(handle: &ServerHandle, req: &QueryRequest, rounds: usize) -> (u64, u64) {
     let mut client = connect(handle);
     client.send_request(req).expect("request sent");
     let mut token = None;
-    let mut seen = 0usize;
-    while token.is_none() || seen < rounds {
+    let mut seen = Vec::new();
+    while token.is_none() || seen.len() < rounds {
         match client.next_frame().expect("frame decodes") {
             Some(Frame::Parked { token: t }) => token = Some(t),
-            Some(Frame::Round(_)) => seen += 1,
+            Some(Frame::Round(r)) => seen.push(r.round),
             Some(other) => panic!("unexpected frame before vanish: {other:?}"),
             None => panic!("server closed before token + {rounds} rounds"),
         }
     }
-    token.expect("token announced before first rounds")
+    let last = seen.last().copied().unwrap_or(0);
+    (token.expect("token announced before first rounds"), last)
 }
 
 /// Polls until the server has parked `n` sessions (disconnect handling is
@@ -99,12 +163,19 @@ fn wait_parked(handle: &ServerHandle, n: u64) {
     }
 }
 
+/// A short AVG query that ends on its sample budget.
+fn short_request(seed: u64) -> QueryRequest {
+    let mut req = QueryRequest::avg("g", "v", seed);
+    req.max_samples = Some(500);
+    req
+}
+
 #[test]
 fn token_announced_and_discarded_on_completion() {
     let handle = start_server(ServerConfig::default());
-    let mut req = QueryRequest::avg("name", "elapsed", 3);
-    req.max_samples = Some(500);
-    let run = connect(&handle).run_query(&req).expect("query runs");
+    let run = connect(&handle)
+        .run_query(&short_request(3))
+        .expect("query runs");
     assert!(run.answer.is_some());
     assert!(
         run.token.is_some_and(|t| t != 0),
@@ -119,103 +190,45 @@ fn token_announced_and_discarded_on_completion() {
 
 #[test]
 fn resume_after_disconnect_is_bit_identical_to_uninterrupted_run() {
-    let handle = start_server(ServerConfig {
-        frame_queue: 4_096,
-        ..ServerConfig::default()
-    });
-    let req = long_request(71);
-    let reference = in_process_answer(&req);
-
-    let token = start_and_vanish(&handle, &req, 3);
+    let handle = start_server(durable_config());
+    let req = endless_request(71);
+    let (token, last_seen) = start_and_vanish(&handle, &req, 3);
     wait_parked(&handle, 1);
 
-    let mut client = connect(&handle);
-    let run = client.resume(token).expect("resume round-trips");
-    assert_eq!(run.error, None, "resume must not error");
-    assert_eq!(run.token, Some(token), "token survives the resume");
+    let rounds = resume_rounds(&mut connect(&handle), token, 3);
     assert!(
-        !run.rounds.is_empty(),
-        "resumed stream continues the rounds"
+        rounds[0].round > last_seen,
+        "the resumed stream continues past the rounds seen before the vanish"
     );
-    let answer = run.answer.expect("resumed stream reaches its answer");
-    assert_eq!(answer.labels, reference.result.labels);
-    assert_eq!(answer.rounds, reference.result.rounds);
-    assert_eq!(answer.samples_per_group, reference.result.samples_per_group);
-    assert_eq!(
-        bits(&answer.estimates),
-        bits(&reference.result.estimates),
-        "resumed answer diverged from the uninterrupted run"
-    );
+    assert_matches_uninterrupted(&rounds, req.seed);
     assert_eq!(handle.stats().sessions_resumed.load(Ordering::Relaxed), 1);
     handle.shutdown();
 }
 
 #[test]
 fn resumed_rounds_replay_the_uninterrupted_round_stream() {
-    let handle = start_server(ServerConfig {
-        frame_queue: 4_096,
-        ..ServerConfig::default()
-    });
-    let req = long_request(72);
-
-    // The uninterrupted reference session, round by round, mirroring
-    // `long_request` parameter for parameter.
-    let engine = flight_engine();
-    let mut q = VizQuery::new(&engine)
-        .group_by("name")
-        .avg("arr_delay")
-        .samples_per_round(8)
-        .max_samples(200_000);
-    if let Some(c) = req.bound {
-        q = q.bound(c);
-    }
-    let mut session = q
-        .start(StdRng::seed_from_u64(req.seed))
-        .expect("session starts");
-    let mut reference = Vec::new();
-    loop {
-        let update = session.step();
-        let done = update.outcome != rapidviz::StepOutcome::Running;
-        reference.push(update);
-        if done {
-            break;
-        }
-    }
-
-    let token = start_and_vanish(&handle, &req, 3);
+    let handle = start_server(durable_config());
+    let req = endless_request(72);
+    let (token, _) = start_and_vanish(&handle, &req, 3);
     wait_parked(&handle, 1);
-    let run = connect(&handle).resume(token).expect("resume round-trips");
-    assert!(run.answer.is_some());
-    assert!(!run.rounds.is_empty());
-    // Every resumed round must be bit-identical to the same-numbered
-    // round of the uninterrupted session (slow-client drops only thin the
-    // stream, they never alter a delivered round).
-    let by_round: std::collections::BTreeMap<u64, _> =
-        reference.iter().map(|u| (u.round, u)).collect();
-    for wire in &run.rounds {
-        let local = by_round
-            .get(&wire.round)
-            .unwrap_or_else(|| panic!("round {} missing from the reference run", wire.round));
-        assert_eq!(wire.total_samples, local.total_samples);
-        assert_eq!(
-            bits(&wire.snapshot.estimates),
-            bits(&local.snapshot.estimates),
-            "round {} diverged after resume",
-            wire.round
-        );
-    }
+    // A long stretch of the resumed stream: slow-client drops only thin
+    // it, they never alter a delivered round.
+    let rounds = resume_rounds(&mut connect(&handle), token, 200);
+    assert!(
+        rounds.windows(2).all(|w| w[0].round < w[1].round),
+        "rounds arrive in order"
+    );
+    assert_matches_uninterrupted(&rounds, req.seed);
     handle.shutdown();
 }
 
 #[test]
 fn crash_drops_live_sessions_but_resume_recovers_them_bit_identically() {
     let handle = start_server(ServerConfig {
-        frame_queue: 4_096,
         enable_crash: true,
-        ..ServerConfig::default()
+        ..durable_config()
     });
-    let req = long_request(73);
-    let reference = in_process_answer(&req);
+    let req = endless_request(73);
 
     // Start streaming, then kill the scheduler loop from a second
     // connection mid-stream.
@@ -246,8 +259,8 @@ fn crash_drops_live_sessions_but_resume_recovers_them_bit_identically() {
     drop(victim);
 
     // Reconnect with bounded seeded backoff and resume: the registry kept
-    // the last refreshed checkpoint, so the answer is exactly the
-    // uninterrupted one.
+    // the last refreshed checkpoint, so the stream continues exactly as
+    // the uninterrupted run.
     let policy = RetryPolicy {
         seed: 73,
         ..RetryPolicy::default()
@@ -255,14 +268,9 @@ fn crash_drops_live_sessions_but_resume_recovers_them_bit_identically() {
     let (mut client, _retries) =
         WireClient::connect_with_retry(handle.local_addr(), Duration::from_secs(30), &policy)
             .expect("reconnects");
-    let run = client.resume(token).expect("resume round-trips");
-    assert_eq!(run.error, None, "resume after crash must not error");
-    let answer = run.answer.expect("recovered stream reaches its answer");
-    assert_eq!(
-        bits(&answer.estimates),
-        bits(&reference.result.estimates),
-        "post-crash answer diverged from the uninterrupted run"
-    );
+    let rounds = resume_rounds(&mut client, token, 3);
+    drop(client);
+    assert_matches_uninterrupted(&rounds, req.seed);
     let stats = handle.stats();
     assert!(
         stats.scheduler_restarts.load(Ordering::Relaxed) >= 1,
@@ -270,9 +278,9 @@ fn crash_drops_live_sessions_but_resume_recovers_them_bit_identically() {
     );
     assert_eq!(stats.sessions_resumed.load(Ordering::Relaxed), 1);
     // And the restarted loop serves fresh work too.
-    let mut fresh = QueryRequest::avg("name", "elapsed", 74);
-    fresh.max_samples = Some(500);
-    let run = connect(&handle).run_query(&fresh).expect("fresh query");
+    let run = connect(&handle)
+        .run_query(&short_request(74))
+        .expect("fresh query");
     assert!(run.answer.is_some());
     handle.shutdown();
 }
@@ -310,28 +318,18 @@ fn unknown_or_zero_tokens_get_structured_errors() {
 
 #[test]
 fn graceful_shutdown_drains_into_the_registry_and_a_successor_resumes() {
-    let handle = start_server(ServerConfig {
-        frame_queue: 4_096,
-        ..ServerConfig::default()
-    });
+    let handle = start_server(durable_config());
     let registry = handle.parking();
-    let req = long_request(75);
-    let reference = in_process_answer(&req);
+    let req = endless_request(75);
 
     // Stream mid-query while the server shuts down: the drain must park
     // the live session, not cancel it.
     let mut client = connect(&handle);
     client.send_request(&req).expect("request sent");
-    let mut token = None;
-    while token.is_none() {
-        match client.next_frame().expect("frame decodes") {
-            Some(Frame::Parked { token: t }) => token = Some(t),
-            Some(Frame::Round(_)) => {}
-            Some(other) => panic!("unexpected frame: {other:?}"),
-            None => panic!("closed before token"),
-        }
-    }
-    let token = token.expect("token announced");
+    let token = match client.next_frame().expect("frame decodes") {
+        Some(Frame::Parked { token }) => token,
+        other => panic!("expected the token before any round, got {other:?}"),
+    };
     let stats = Arc::clone(handle.stats());
     handle.shutdown();
     assert_eq!(
@@ -341,25 +339,13 @@ fn graceful_shutdown_drains_into_the_registry_and_a_successor_resumes() {
     );
     drop(client);
 
-    // A successor sharing the registry picks the session back up.
-    let successor = Server::start_shared(
-        flight_engine(),
-        ServerConfig {
-            frame_queue: 4_096,
-            ..ServerConfig::default()
-        },
-        registry,
-    )
-    .expect("successor binds");
-    let run = connect(&successor).resume(token).expect("resume");
-    assert_eq!(run.error, None, "successor resume must not error");
-    let answer = run.answer.expect("successor delivers the answer");
-    assert_eq!(
-        bits(&answer.estimates),
-        bits(&reference.result.estimates),
-        "answer diverged across the server generation"
-    );
+    // A successor sharing the registry picks the session back up and
+    // continues the uninterrupted run's round stream.
+    let successor =
+        Server::start_shared(engine(), durable_config(), registry).expect("successor binds");
+    let rounds = resume_rounds(&mut connect(&successor), token, 3);
     successor.shutdown();
+    assert_matches_uninterrupted(&rounds, req.seed);
 }
 
 #[test]
@@ -369,13 +355,9 @@ fn parked_sessions_expire_after_the_ttl() {
         Duration::from_secs(30),
         Arc::clone(&clock) as Arc<dyn rapidviz::Clock>,
     )));
-    let handle = Server::start_shared(
-        flight_engine(),
-        ServerConfig::default(),
-        Arc::clone(&registry),
-    )
-    .expect("server binds");
-    let token = start_and_vanish(&handle, &long_request(76), 2);
+    let handle = Server::start_shared(engine(), durable_config(), Arc::clone(&registry))
+        .expect("server binds");
+    let (token, _) = start_and_vanish(&handle, &endless_request(76), 2);
     wait_parked(&handle, 1);
 
     clock.advance(Duration::from_secs(31));
@@ -392,8 +374,8 @@ fn parked_sessions_expire_after_the_ttl() {
 
 #[test]
 fn stats_frame_carries_parking_counters_over_the_wire() {
-    let handle = start_server(ServerConfig::default());
-    let token = start_and_vanish(&handle, &long_request(77), 1);
+    let handle = start_server(durable_config());
+    let (token, _) = start_and_vanish(&handle, &endless_request(77), 1);
     wait_parked(&handle, 1);
     let stats = connect(&handle).stats().expect("stats round-trip");
     assert_eq!(stats.sessions_parked, 1);
@@ -401,11 +383,13 @@ fn stats_frame_carries_parking_counters_over_the_wire() {
     assert!(stats.parked_bytes > 0, "parked bytes are accounted");
     assert_eq!(stats.sessions_resumed, 0);
     assert_eq!(stats.scheduler_restarts, 0);
-    // Resume it and the gauge drains while the counter ticks.
-    let run = connect(&handle).resume(token).expect("resume");
-    assert!(run.answer.is_some());
+    // Resume it: the counter ticks, and the live session's durability
+    // shadow keeps its one registry entry under the same token.
+    let mut client = connect(&handle);
+    resume_rounds(&mut client, token, 1);
     let stats = connect(&handle).stats().expect("stats round-trip");
     assert_eq!(stats.sessions_resumed, 1);
-    assert_eq!(stats.parked_now, 0);
+    assert_eq!(stats.parked_now, 1);
+    drop(client);
     handle.shutdown();
 }
