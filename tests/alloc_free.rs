@@ -11,7 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rapidviz::core::extensions::{IFocusSum2, VecSizedGroup};
+use rapidviz::core::extensions::{IFocusSum1, IFocusSum2, VecSizedGroup};
 use rapidviz::core::group::VecGroup;
 use rapidviz::core::{AlgoConfig, AlgorithmStepper, IFocus, SamplingMode, StepOutcome};
 use rapidviz::needletail::sampler::RADIX_MIN_BATCH;
@@ -203,6 +203,46 @@ fn ifocus_stepper_rounds_are_allocation_free_at_steady_state() {
         }
     });
     assert_eq!(allocs, 0, "steady-state IFOCUS step must not allocate");
+}
+
+#[test]
+fn sum1_stepper_rounds_are_allocation_free_at_steady_state() {
+    // Same claim for the Algorithm-4 stepper at a wide batch: 64 draws per
+    // group through the draw scratch, then the sum-space cut-off and
+    // deactivation fixpoint. Equal sizes and near-tied means keep both
+    // groups active through the window; with replacement nothing exhausts.
+    let mut rng = StdRng::seed_from_u64(14);
+    let values = |mu: f64, rng: &mut StdRng| -> Vec<f64> {
+        (0..20_000)
+            .map(|_| if rng.gen_bool(mu / 100.0) { 100.0 } else { 0.0 })
+            .collect()
+    };
+    let mut groups = vec![
+        VecGroup::new("a", values(45.0, &mut rng)),
+        VecGroup::new("b", values(45.3, &mut rng)),
+    ];
+    let config = AlgoConfig::new(100.0, 0.05)
+        .with_mode(SamplingMode::WithReplacement)
+        .with_samples_per_round(64);
+    let mut run_rng = StdRng::seed_from_u64(15);
+    let mut stepper = IFocusSum1::new(config).start(&mut groups, &mut run_rng);
+    for _ in 0..5 {
+        assert_eq!(
+            stepper.step(&mut groups, &mut run_rng),
+            StepOutcome::Running
+        );
+    }
+    let allocs = allocations_during(|| {
+        for _ in 0..50 {
+            assert_eq!(
+                stepper.step(&mut groups, &mut run_rng),
+                StepOutcome::Running,
+                "near-tie must outlast the measurement window"
+            );
+        }
+    });
+    assert_eq!(allocs, 0, "steady-state SUM1 step must not allocate");
+    assert_eq!(stepper.total_samples(), 2 * (1 + 55 * 64));
 }
 
 #[test]

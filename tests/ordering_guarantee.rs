@@ -2,11 +2,13 @@
 //! holds empirically across workload families, and the cost hierarchy
 //! (ifocusr <= ifocus <= roundrobin, etc.) matches §5's figures.
 
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use rapidviz::core::extensions::IFocusSum1;
 use rapidviz::core::{
-    is_correctly_ordered, is_correctly_ordered_with_resolution, AlgoConfig, IFocus, RoundRobin,
+    is_correctly_ordered, is_correctly_ordered_with_resolution, AlgoConfig, GroupSource, IFocus,
+    RoundRobin,
 };
-use rapidviz::datagen::{DatasetSpec, WorkloadFamily};
+use rapidviz::datagen::{DatasetSpec, VecGroup, WorkloadFamily};
 
 const FAMILIES: [WorkloadFamily; 3] = [
     WorkloadFamily::TruncNorm,
@@ -51,6 +53,47 @@ fn resolution_accuracy_is_perfect_across_families() {
             assert!(
                 is_correctly_ordered_with_resolution(&result.estimates, &truths, 1.0),
                 "family {family:?} rep {rep} violated the relaxed ordering"
+            );
+        }
+    }
+}
+
+/// SUM with known sizes (Algorithm 4) tests deactivation only every
+/// `samples_per_round`-th draw; the anytime ε keeps the guarantee at every
+/// batch size. Six groups of 8k–48k two-point values whose sums order
+/// differently from their means; the resolution (2% of the largest
+/// possible group sum) exempts only the one near-tied pair of sums.
+#[test]
+fn sum_batched_rounds_order_correctly() {
+    const MEANS: [f64; 6] = [15.0, 70.0, 40.0, 85.0, 25.0, 72.0];
+    let resolution = 0.02 * 100.0 * 48_000.0;
+    for rep in 0..8u64 {
+        let mut data_rng = rand::rngs::StdRng::seed_from_u64(1_000 + rep);
+        let groups: Vec<VecGroup> = MEANS
+            .iter()
+            .enumerate()
+            .map(|(i, &mu)| {
+                let values = (0..8_000 * (i + 1))
+                    .map(|_| 100.0 * f64::from(u8::from(data_rng.gen_bool(mu / 100.0))))
+                    .collect();
+                VecGroup::new(format!("g{i}"), values)
+            })
+            .collect();
+        let truths: Vec<f64> = groups
+            .iter()
+            .map(|g| g.true_mean().unwrap() * g.len() as f64)
+            .collect();
+        for batch in [1, 16, 256] {
+            let config = AlgoConfig::new(100.0, 0.05)
+                .with_resolution(resolution)
+                .with_samples_per_round(batch);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(1_100 + rep);
+            let result = IFocusSum1::new(config).run(&mut groups.clone(), &mut rng);
+            assert!(!result.truncated);
+            assert!(
+                is_correctly_ordered_with_resolution(&result.estimates, &truths, resolution),
+                "rep {rep} batch {batch}: {:?} vs true sums {truths:?}",
+                result.estimates
             );
         }
     }
