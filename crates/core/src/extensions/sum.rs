@@ -72,8 +72,9 @@ impl IFocusSum1 {
 
 /// The Algorithm-4 state machine: one step per round (a batch of
 /// `samples_per_round` draws per active group, then the scaled-interval
-/// deactivation fixpoint) — the shared round under its sum-space rule. Snapshots report estimates and intervals
-/// in **sum space** (`×|S_i|`), matching the final result semantics.
+/// deactivation fixpoint) — the shared round under its sum-space rule.
+/// Snapshots report estimates and intervals in **sum space** (`×|S_i|`),
+/// matching the final result semantics.
 pub type IFocusSum1Stepper = FocusStepper;
 
 /// A group source that also yields unbiased normalized-size estimates —
