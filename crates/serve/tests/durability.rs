@@ -12,7 +12,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rapidviz::needletail::{ColumnDef, DataType, NeedleTail, Schema, TableBuilder, Value};
-use rapidviz::{Aggregate, ParkingRegistry, QuerySession, SimulatedClock, StepOutcome, VizQuery};
+use rapidviz::{Aggregate, ParkingRegistry, SimulatedClock, StepOutcome, VizQuery};
 use rapidviz_serve::{
     ErrorCode, Frame, QueryRequest, RetryPolicy, Server, ServerConfig, ServerHandle, WireClient,
     WireRound,
@@ -66,18 +66,6 @@ fn endless_request(seed: u64) -> QueryRequest {
     req
 }
 
-/// The uninterrupted in-process run of [`endless_request`]`(seed)`.
-fn in_process_session(engine: &NeedleTail, seed: u64) -> QuerySession {
-    VizQuery::new(engine)
-        .group_by("g")
-        .count("v")
-        .delta(1e-9)
-        .samples_per_round(8)
-        .max_samples(u64::MAX)
-        .start(StdRng::seed_from_u64(seed))
-        .expect("session starts")
-}
-
 fn bits(estimates: &[f64]) -> Vec<u64> {
     estimates.iter().map(|e| e.to_bits()).collect()
 }
@@ -86,7 +74,14 @@ fn bits(estimates: &[f64]) -> Vec<u64> {
 /// round of the uninterrupted in-process run of [`endless_request`]`(seed)`.
 fn assert_matches_uninterrupted(rounds: &[WireRound], seed: u64) {
     let engine = engine();
-    let mut session = in_process_session(&engine, seed);
+    let mut session = VizQuery::new(&engine)
+        .group_by("g")
+        .count("v")
+        .delta(1e-9)
+        .samples_per_round(8)
+        .max_samples(u64::MAX)
+        .start(StdRng::seed_from_u64(seed))
+        .expect("session starts");
     for wire in rounds {
         let local = loop {
             let update = session.step();
