@@ -122,7 +122,9 @@ impl Bitmap {
         }
     }
 
-    /// Bitwise AND.
+    /// Bitwise AND. Two RLE operands stay RLE; otherwise the result is
+    /// dense, and only an RLE operand is converted first — a dense operand
+    /// is read in place.
     ///
     /// # Panics
     ///
@@ -132,7 +134,10 @@ impl Bitmap {
         assert_eq!(self.len(), other.len(), "bitmap lengths must match");
         match (self, other) {
             (Bitmap::Rle(a), Bitmap::Rle(b)) => Bitmap::Rle(a.and(b)),
-            _ => Bitmap::Dense(self.to_dense().and(&other.to_dense())),
+            (Bitmap::Dense(a), Bitmap::Dense(b)) => Bitmap::Dense(a.and(b)),
+            (Bitmap::Dense(d), Bitmap::Rle(r)) | (Bitmap::Rle(r), Bitmap::Dense(d)) => {
+                Bitmap::Dense(d.and(&r.to_dense()))
+            }
         }
     }
 
@@ -161,7 +166,7 @@ impl Bitmap {
         }
     }
 
-    /// Bitwise OR.
+    /// Bitwise OR, with [`Bitmap::and`]'s representation rules.
     ///
     /// # Panics
     ///
@@ -171,7 +176,10 @@ impl Bitmap {
         assert_eq!(self.len(), other.len(), "bitmap lengths must match");
         match (self, other) {
             (Bitmap::Rle(a), Bitmap::Rle(b)) => Bitmap::Rle(a.or(b)),
-            _ => Bitmap::Dense(self.to_dense().or(&other.to_dense())),
+            (Bitmap::Dense(a), Bitmap::Dense(b)) => Bitmap::Dense(a.or(b)),
+            (Bitmap::Dense(d), Bitmap::Rle(r)) | (Bitmap::Rle(r), Bitmap::Dense(d)) => {
+                Bitmap::Dense(d.or(&r.to_dense()))
+            }
         }
     }
 

@@ -4,7 +4,7 @@
 //! aggregate query and watches bars *certify* one by one, long before the
 //! exact answer would be ready. This crate puts that loop behind a TCP
 //! socket: a std-only threaded server ([`server::Server`]) admits queries
-//! into one shared [`rapidviz::MultiQueryScheduler`] and streams every
+//! into one [`rapidviz::MultiQueryScheduler`] per core and streams every
 //! session's [`rapidviz::RoundUpdate`]s to its client as length-prefixed
 //! binary frames, ending with the terminal answer.
 //!
@@ -80,11 +80,15 @@
 //!
 //! ## Server lifecycle and failure behavior
 //!
-//! * One scheduler thread owns the engine and every session; client
-//!   threads only parse, forward, and pump encoded frames (sessions are
-//!   not `Send`-guaranteed, so they never cross threads). A supervisor
-//!   restarts the scheduler loop if it ever panics, instead of leaving
-//!   the accept loop wedged against a dead command channel.
+//! * One scheduler thread per core (a **shard**) owns the sessions
+//!   placed on it; each query goes to the shard with the fewest streams
+//!   in flight, and the shards share the engine, the counters, the
+//!   parking registry and the global sample budget.
+//!   Client threads only parse, forward, and pump encoded frames
+//!   (sessions are not `Send`-guaranteed, so they never cross threads).
+//!   Each shard's supervisor restarts its scheduler loop if it ever
+//!   panics, instead of leaving that shard's connections wedged against
+//!   a dead command channel; a `CRASH` drill restarts every shard.
 //! * Sessions are **durable**: each admission that can checkpoint gets a
 //!   resume token (`0x06 Parked`, sent before the first round) and its
 //!   checkpoint is refreshed into a TTL-bounded parking registry after

@@ -479,7 +479,8 @@ pub struct WireStats {
     pub parked_now: u64,
     /// Checkpoint bytes the parking registry holds right now.
     pub parked_bytes: u64,
-    /// Times the supervisor restarted a panicked scheduler thread.
+    /// Scheduler-loop restarts summed over the server's shards: a panic
+    /// restarts one shard's loop, a `CRASH` drill restarts every shard's.
     pub scheduler_restarts: u64,
 }
 

@@ -1,20 +1,44 @@
-//! The threaded TCP server: one scheduler thread multiplexing every
-//! client's sessions, an accept loop, and one lightweight thread per
-//! connection.
+//! The threaded TCP server: one scheduler thread per core, each
+//! multiplexing the sessions placed on it, an accept loop, and one
+//! lightweight thread per connection.
 //!
 //! # Threading model
 //!
-//! [`QuerySession`]s are not `Send`-guaranteed, so they never leave the
-//! **scheduler thread**: it owns the [`MultiQueryScheduler`], builds
-//! sessions from parsed requests, and multiplexes quanta across every
-//! admitted query. Client threads talk to it over an mpsc command channel
-//! and receive *encoded frame payloads* (plain `Vec<u8>`) back over
-//! bounded per-query channels — the scheduler never blocks on a socket.
-//! The scheduler thread itself runs under a **supervisor**
-//! (`supervisor_loop`): a panic (or the config-gated `CRASH` drill verb)
-//! kills one incarnation of the loop, and the supervisor immediately
-//! starts the next one on the same command channel instead of wedging the
-//! accept loop against a dead receiver.
+//! The server runs one **shard** per core
+//! ([`std::thread::available_parallelism`]). A shard is a scheduler
+//! thread with its own [`MultiQueryScheduler`], command channel and map
+//! of live sessions. [`QuerySession`]s are not `Send`-guaranteed, so a
+//! session never leaves the thread of the shard that built it. The shards
+//! share only what is immutable, atomic or locked: the engine (behind an
+//! `Arc`), the [`ServerStats`] counters, the parking registry and the
+//! global sample budget's [`SampleLedger`]. Every session owns its RNG,
+//! so the shard a session runs on cannot change an answer bit.
+//!
+//! Each command that opens a reply stream — `QUERY`, `RESUME` or `STATS` —
+//! goes to the shard with the fewest reply streams in flight (ties go to
+//! the lowest index), and a disconnect mid-stream is reported to the
+//! shard holding that session. Placing streams rather than pinning
+//! connections keeps the shards balanced when a connection closes just
+//! as another opens: a closed connection counts until its thread notices
+//! the close, a finished stream does not. Client threads receive *encoded
+//! frame payloads* (plain `Vec<u8>`) back over bounded per-query channels
+//! — a scheduler never blocks on a socket. Two commands go to every
+//! shard: a graceful shutdown, which each shard answers by draining its
+//! sessions into the shared registry, and the `CRASH` drill. `RESUME`
+//! works on any shard, because the registry is shared, and so does
+//! `STATS`, because the counters are atomics. Fairness
+//! ([`SchedulePolicy::FairShare`] or any other policy) holds among the
+//! sessions of one shard; across shards, sessions run in parallel.
+//!
+//! Each scheduler thread runs under a **supervisor** (`supervisor_loop`):
+//! a panic kills one incarnation of that shard's loop, and the supervisor
+//! immediately starts the next one on the same command channel instead of
+//! wedging the shard's connections against a dead receiver. The
+//! config-gated `CRASH` drill verb kills every shard's incarnation, and
+//! each supervisor restarts its own.
+//!
+//! A 1-cpu host runs one shard: a single scheduler thread serving every
+//! connection.
 //!
 //! # Durability
 //!
@@ -57,15 +81,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rapidviz::needletail::NeedleTail;
 use rapidviz::{
-    MultiQueryScheduler, ParkError, ParkingRegistry, QueryId, QuerySession, SchedulePolicy,
-    SchedulerEvent, StepOutcome, VizQuery,
+    MultiQueryScheduler, ParkError, ParkingRegistry, QueryId, QuerySession, SampleLedger,
+    SchedulePolicy, SchedulerEvent, StepOutcome, VizQuery,
 };
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -75,13 +99,15 @@ pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port — read it back
     /// from [`ServerHandle::local_addr`]).
     pub addr: String,
-    /// Scheduling policy for the shared [`MultiQueryScheduler`].
+    /// Scheduling policy for each shard's [`MultiQueryScheduler`].
     pub policy: SchedulePolicy,
     /// Concurrent-connection cap; further connects get an
     /// [`ErrorCode::OverCapacity`] frame and a close.
     pub max_clients: usize,
-    /// Optional global sample budget across every session
-    /// ([`MultiQueryScheduler::with_global_sample_budget`]).
+    /// Optional global sample budget across every session of every shard
+    /// ([`SampleLedger`]), kept across scheduler restarts. Each shard
+    /// checks it before each quantum, so the server overshoots it by at
+    /// most one round per shard. A budget must be positive.
     pub global_sample_budget: Option<u64>,
     /// Optional per-session memory cap in bytes
     /// ([`MultiQueryScheduler::with_session_memory_cap`]).
@@ -105,10 +131,10 @@ pub struct ServerConfig {
     /// the full registry rejects run without durability. A cap must be
     /// positive.
     pub park_byte_cap: Option<usize>,
-    /// Gates the `CRASH` debug verb, which kills the current scheduler
-    /// loop incarnation (sessions drop un-drained; parked checkpoints
-    /// survive) so recovery drills can exercise the supervisor. Leave
-    /// off outside tests and chaos harnesses.
+    /// Gates the `CRASH` debug verb, which kills every shard's current
+    /// scheduler loop incarnation (sessions drop un-drained; parked
+    /// checkpoints survive) so recovery drills can exercise the
+    /// supervisors. Leave off outside tests and chaos harnesses.
     pub enable_crash: bool,
 }
 
@@ -160,8 +186,9 @@ pub struct ServerStats {
     /// Admissions that ran without durability because the parking
     /// registry rejected their checkpoint (byte cap).
     pub park_rejected: AtomicU64,
-    /// Times the supervisor restarted a dead scheduler loop (panic or
-    /// `CRASH` drill).
+    /// Times a supervisor restarted a dead scheduler loop, summed over
+    /// the shards. A panic restarts one shard's loop; a `CRASH` drill
+    /// restarts every shard's, so one drill adds the shard count.
     pub scheduler_restarts: AtomicU64,
     /// Sessions dropped un-drained by a `CRASH` drill (their latest
     /// checkpoints survive in the registry, so they stay resumable).
@@ -205,7 +232,7 @@ impl ServerStats {
     }
 }
 
-/// A command from a client thread to the scheduler thread.
+/// A command from a client thread to its shard's scheduler thread.
 enum Command {
     /// Admit a parsed query for `client`, streaming frames to `tx`.
     Admit {
@@ -250,6 +277,70 @@ struct ClientLink {
     token: u64,
 }
 
+/// What every shard shares. Sessions stay on their shard's thread; this
+/// is the only state that crosses shards, and all of it is immutable,
+/// atomic or behind a lock.
+struct Shared {
+    engine: NeedleTail,
+    config: ServerConfig,
+    stats: Arc<ServerStats>,
+    registry: Arc<Mutex<ParkingRegistry>>,
+    /// The global sample budget: every shard's scheduler charges it, and
+    /// it outlives every incarnation, so a crash does not reset it.
+    ledger: Arc<SampleLedger>,
+}
+
+/// The shards' command channels, and how many reply streams each one
+/// serves.
+struct Shards {
+    /// A broadcast holds the write lock across all of its sends, so a
+    /// command sent after any shard acted on a broadcast queues behind it
+    /// on every shard: a `RESUME` that follows a `CRASH` drill never
+    /// reaches a shard that has yet to crash.
+    senders: RwLock<Vec<Sender<Command>>>,
+    /// Reply streams (a session's frames, or a `STATS` reply) in flight on
+    /// each shard.
+    streams: Mutex<Vec<u64>>,
+}
+
+impl Shards {
+    fn new(senders: Vec<Sender<Command>>) -> Self {
+        Self {
+            streams: Mutex::new(vec![0; senders.len()]),
+            senders: RwLock::new(senders),
+        }
+    }
+
+    /// Sends `cmd` to `shard`; `false` once that shard has exited.
+    fn send(&self, shard: usize, cmd: Command) -> bool {
+        let senders = self.senders.read().unwrap_or_else(PoisonError::into_inner);
+        senders.get(shard).is_some_and(|tx| tx.send(cmd).is_ok())
+    }
+
+    /// Sends one `make()` to every shard.
+    fn broadcast(&self, make: impl Fn() -> Command) {
+        let senders = self.senders.write().unwrap_or_else(PoisonError::into_inner);
+        for tx in senders.iter() {
+            let _ = tx.send(make());
+        }
+    }
+
+    /// Picks the shard with the fewest streams in flight for a new one,
+    /// ties going to the lowest index, and counts the stream there.
+    fn place(&self) -> usize {
+        let mut streams = self.streams.lock().unwrap_or_else(PoisonError::into_inner);
+        let shard = (0..streams.len()).min_by_key(|&i| streams[i]).unwrap_or(0);
+        streams[shard] += 1;
+        shard
+    }
+
+    /// A stream placed on `shard` ended.
+    fn leave(&self, shard: usize) {
+        let mut streams = self.streams.lock().unwrap_or_else(PoisonError::into_inner);
+        streams[shard] -= 1;
+    }
+}
+
 /// A running server. Dropping the handle does **not** stop the server —
 /// call [`ServerHandle::shutdown`].
 pub struct Server;
@@ -260,9 +351,9 @@ pub struct ServerHandle {
     stats: Arc<ServerStats>,
     registry: Arc<Mutex<ParkingRegistry>>,
     shutdown: Arc<AtomicBool>,
-    cmd_tx: Sender<Command>,
+    shards: Arc<Shards>,
     accept_thread: Option<JoinHandle<()>>,
-    scheduler_thread: Option<JoinHandle<()>>,
+    scheduler_threads: Vec<JoinHandle<()>>,
     client_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -299,7 +390,7 @@ impl ServerHandle {
         self.shutdown.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
-        let _ = self.cmd_tx.send(Command::Shutdown);
+        self.shards.broadcast(|| Command::Shutdown);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -307,12 +398,12 @@ impl ServerHandle {
             &mut *self
                 .client_threads
                 .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
+                .unwrap_or_else(PoisonError::into_inner),
         );
         for t in clients {
             let _ = t.join();
         }
-        if let Some(t) = self.scheduler_thread.take() {
+        for t in self.scheduler_threads.drain(..) {
             let _ = t.join();
         }
     }
@@ -322,7 +413,7 @@ impl Drop for ServerHandle {
     fn drop(&mut self) {
         // Best-effort: never leave detached threads spinning past the
         // handle (tests that forget shutdown() still terminate cleanly).
-        if self.accept_thread.is_some() || self.scheduler_thread.is_some() {
+        if self.accept_thread.is_some() || !self.scheduler_threads.is_empty() {
             self.shutdown_inner();
         }
     }
@@ -358,52 +449,83 @@ impl Server {
     /// sessions as if nothing happened. The config's own TTL/byte-cap
     /// fields are ignored on this path; the registry carries them.
     ///
+    /// The server runs one scheduler shard per core
+    /// ([`std::thread::available_parallelism`]; see the
+    /// [module docs](self)).
+    ///
     /// # Errors
     ///
     /// Fails with [`std::io::ErrorKind::InvalidInput`] if
-    /// `per_client_max_samples` is zero, on the initial bind, or if either
-    /// server thread cannot spawn.
+    /// `per_client_max_samples` or `global_sample_budget` is zero, on the
+    /// initial bind, or if a server thread cannot spawn.
     pub fn start_shared(
         engine: NeedleTail,
         config: ServerConfig,
         registry: Arc<Mutex<ParkingRegistry>>,
     ) -> std::io::Result<ServerHandle> {
-        if config.per_client_max_samples == 0 {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        Self::start_sharded(engine, config, registry, cores)
+    }
+
+    /// [`Server::start_shared`] with an explicit shard count (at least 1).
+    fn start_sharded(
+        engine: NeedleTail,
+        config: ServerConfig,
+        registry: Arc<Mutex<ParkingRegistry>>,
+        shard_count: usize,
+    ) -> std::io::Result<ServerHandle> {
+        if config.per_client_max_samples == 0 || config.global_sample_budget == Some(0) {
             return Err(std::io::Error::new(
                 ErrorKind::InvalidInput,
-                "per_client_max_samples must be positive",
+                "per_client_max_samples and global_sample_budget must be positive",
             ));
         }
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let stats = Arc::new(ServerStats::default());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (cmd_tx, cmd_rx) = mpsc::channel::<Command>();
         let client_threads = Arc::new(Mutex::new(Vec::new()));
+        let shared = Arc::new(Shared {
+            engine,
+            ledger: Arc::new(SampleLedger::new(config.global_sample_budget)),
+            config,
+            stats: Arc::clone(&stats),
+            registry: Arc::clone(&registry),
+        });
 
-        let scheduler_thread = {
-            let stats = Arc::clone(&stats);
-            let config = config.clone();
-            let registry = Arc::clone(&registry);
-            std::thread::Builder::new()
-                .name("rapidviz-sched".into())
-                .spawn(move || supervisor_loop(&engine, &config, &cmd_rx, &stats, &registry))?
-        };
+        let mut senders = Vec::new();
+        let mut scheduler_threads = Vec::new();
+        for shard in 0..shard_count.max(1) {
+            let (cmd_tx, cmd_rx) = mpsc::channel::<Command>();
+            let shared = Arc::clone(&shared);
+            let spawn = std::thread::Builder::new()
+                .name(format!("rapidviz-sched-{shard}"))
+                .spawn(move || supervisor_loop(&shared, &cmd_rx));
+            match spawn {
+                Ok(t) => {
+                    senders.push(cmd_tx);
+                    scheduler_threads.push(t);
+                }
+                Err(e) => {
+                    drain_schedulers(&Shards::new(senders), scheduler_threads);
+                    return Err(e);
+                }
+            }
+        }
+        let shards = Arc::new(Shards::new(senders));
 
         let accept_thread = {
-            let stats = Arc::clone(&stats);
+            let shared = Arc::clone(&shared);
+            let accept_shards = Arc::clone(&shards);
             let shutdown = Arc::clone(&shutdown);
-            let accept_cmd_tx = cmd_tx.clone();
             let client_threads = Arc::clone(&client_threads);
-            let config = config.clone();
             let spawn = std::thread::Builder::new()
                 .name("rapidviz-accept".into())
                 .spawn(move || {
                     accept_loop(
                         &listener,
-                        &config,
-                        &accept_cmd_tx,
-                        &stats,
+                        &shared,
+                        &accept_shards,
                         &shutdown,
                         &client_threads,
                     );
@@ -411,11 +533,7 @@ impl Server {
             match spawn {
                 Ok(t) => t,
                 Err(e) => {
-                    // Unwind the half-started server: drain the scheduler
-                    // thread — which parks any session it holds — and
-                    // join it before reporting the spawn failure, rather
-                    // than unwinding past a live thread.
-                    drain_scheduler(&cmd_tx, scheduler_thread);
+                    drain_schedulers(&shards, scheduler_threads);
                     return Err(e);
                 }
             }
@@ -426,21 +544,23 @@ impl Server {
             stats,
             registry,
             shutdown,
-            cmd_tx,
+            shards,
             accept_thread: Some(accept_thread),
-            scheduler_thread: Some(scheduler_thread),
+            scheduler_threads,
             client_threads,
         })
     }
 }
 
-/// Tells the scheduler thread to drain (parking its live sessions) and
-/// joins it. The cleanup for a partially-started server: every spawned
+/// Tells every scheduler thread to drain (parking its live sessions) and
+/// joins them. The cleanup for a partially-started server: every spawned
 /// thread is stopped through its ordinary exit path before the start
-/// error propagates.
-fn drain_scheduler(cmd_tx: &Sender<Command>, thread: JoinHandle<()>) {
-    let _ = cmd_tx.send(Command::Shutdown);
-    let _ = thread.join();
+/// error propagates, rather than unwinding past a live thread.
+fn drain_schedulers(shards: &Shards, threads: Vec<JoinHandle<()>>) {
+    shards.broadcast(|| Command::Shutdown);
+    for t in threads {
+        let _ = t.join();
+    }
 }
 
 /// Locks the parking registry, riding through poisoning: the registry
@@ -494,23 +614,17 @@ fn build_session(
         .map_err(|e| e.to_string())
 }
 
-/// Runs [`scheduler_loop`] incarnations until one exits gracefully. A
-/// panic inside the loop (or a `CRASH` drill) kills that incarnation's
-/// sessions and frame channels — clients see a disconnect and reconnect
-/// with `RESUME` — but the command channel, engine, and parking registry
-/// all live here, outside the unwind, so the next incarnation picks them
-/// up immediately instead of leaving the accept loop talking to a dead
-/// receiver.
-fn supervisor_loop(
-    engine: &NeedleTail,
-    config: &ServerConfig,
-    cmd_rx: &Receiver<Command>,
-    stats: &ServerStats,
-    registry: &Arc<Mutex<ParkingRegistry>>,
-) {
+/// Runs one shard's [`scheduler_loop`] incarnations until one exits
+/// gracefully. A panic inside the loop (or a `CRASH` drill) kills that
+/// incarnation's sessions and frame channels — clients see a disconnect
+/// and reconnect with `RESUME` — but the command channel and everything in
+/// [`Shared`] live here, outside the unwind, so the next incarnation picks
+/// them up immediately instead of leaving the shard's connections talking
+/// to a dead receiver.
+fn supervisor_loop(shared: &Shared, cmd_rx: &Receiver<Command>) {
     loop {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            scheduler_loop(engine, config, cmd_rx, stats, registry)
+            scheduler_loop(shared, cmd_rx)
         }));
         match outcome {
             Ok(LoopExit::Shutdown) => break,
@@ -518,27 +632,28 @@ fn supervisor_loop(
                 // The incarnation's sessions died with it; their latest
                 // per-round checkpoints survive in the shared registry,
                 // so reconnecting clients resume from there.
-                stats.scheduler_restarts.fetch_add(1, Ordering::Relaxed);
+                shared
+                    .stats
+                    .scheduler_restarts
+                    .fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 }
 
-/// One scheduler-loop incarnation: owns the scheduler and every session;
-/// commands in, frame payloads out. Returns how it exited (see
-/// [`LoopExit`]); on [`LoopExit::Shutdown`] live sessions have been
-/// drained into the parking registry.
-fn scheduler_loop(
-    engine: &NeedleTail,
-    config: &ServerConfig,
-    cmd_rx: &Receiver<Command>,
-    stats: &ServerStats,
-    registry: &Arc<Mutex<ParkingRegistry>>,
-) -> LoopExit {
-    let mut sched = MultiQueryScheduler::new(config.policy);
-    if let Some(cap) = config.global_sample_budget {
-        sched = sched.with_global_sample_budget(cap);
-    }
+/// One scheduler-loop incarnation of a shard: owns its scheduler and every
+/// session pinned to it; commands in, frame payloads out. Returns how it
+/// exited (see [`LoopExit`]); on [`LoopExit::Shutdown`] live sessions have
+/// been drained into the parking registry.
+fn scheduler_loop(shared: &Shared, cmd_rx: &Receiver<Command>) -> LoopExit {
+    let Shared {
+        engine,
+        config,
+        stats,
+        registry,
+        ledger,
+    } = shared;
+    let mut sched = MultiQueryScheduler::new(config.policy).with_sample_ledger(Arc::clone(ledger));
     if let Some(cap) = config.session_memory_cap {
         sched = sched.with_session_memory_cap(cap);
     }
@@ -864,12 +979,12 @@ fn send_round(tx: &SyncSender<Vec<u8>>, payload: Vec<u8>, stats: &ServerStats) {
 /// The accept loop: capacity gate, then one thread per connection.
 fn accept_loop(
     listener: &TcpListener,
-    config: &ServerConfig,
-    cmd_tx: &Sender<Command>,
-    stats: &Arc<ServerStats>,
+    shared: &Arc<Shared>,
+    shards: &Arc<Shards>,
     shutdown: &Arc<AtomicBool>,
     client_threads: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
+    let (config, stats) = (&shared.config, &shared.stats);
     let mut next_client: u64 = 0;
     for stream in listener.incoming() {
         if shutdown.load(Ordering::SeqCst) {
@@ -884,15 +999,16 @@ fn accept_loop(
         stats.active_clients.fetch_add(1, Ordering::Relaxed);
         next_client += 1;
         let client = next_client;
-        let cmd_tx = cmd_tx.clone();
-        let client_stats = Arc::clone(stats);
+        let (client_shared, client_shards) = (Arc::clone(shared), Arc::clone(shards));
         let shutdown = Arc::clone(shutdown);
-        let config = config.clone();
         let spawned = std::thread::Builder::new()
             .name(format!("rapidviz-client-{client}"))
             .spawn(move || {
-                client_loop(stream, client, &config, &cmd_tx, &client_stats, &shutdown);
-                client_stats.active_clients.fetch_sub(1, Ordering::Relaxed);
+                client_loop(stream, client, &client_shared, &client_shards, &shutdown);
+                client_shared
+                    .stats
+                    .active_clients
+                    .fetch_sub(1, Ordering::Relaxed);
             });
         let Ok(handle) = spawned else {
             // Out of threads: shed this connection (dropping the stream
@@ -903,7 +1019,7 @@ fn accept_loop(
         };
         let mut threads = client_threads
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+            .unwrap_or_else(PoisonError::into_inner);
         // Opportunistically reap finished threads so the list stays small
         // on long-lived servers.
         threads.retain(|t| !t.is_finished());
@@ -923,17 +1039,19 @@ fn reject_over_capacity(mut stream: TcpStream, config: &ServerConfig, stats: &Se
 }
 
 /// One connection's lifecycle: read a command line, dispatch, stream the
-/// reply frames, repeat until EOF / error / shutdown. Never panics on
-/// malformed input — the worst a hostile peer gets is an error frame and
-/// a close.
+/// reply frames, repeat until EOF / error / shutdown. Each command that
+/// opens a reply stream goes to the shard [`Shards::place`] picks, and a
+/// disconnect mid-stream is reported to that same shard, which holds the
+/// session. Never panics on malformed input — the worst a hostile peer
+/// gets is an error frame and a close.
 fn client_loop(
     stream: TcpStream,
     client: u64,
-    config: &ServerConfig,
-    cmd_tx: &Sender<Command>,
-    stats: &ServerStats,
+    shared: &Shared,
+    shards: &Shards,
     shutdown: &AtomicBool,
 ) {
+    let (config, stats) = (&shared.config, &*shared.stats);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let _ = stream.set_write_timeout(Some(config.write_timeout));
@@ -964,19 +1082,20 @@ fn client_loop(
         }
         if line == "STATS" {
             let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(1);
-            if cmd_tx.send(Command::Stats { tx }).is_err() {
-                break;
-            }
-            if !pump_frames(&mut writer, &rx, stats, shutdown) {
+            let shard = shards.place();
+            let answered = shards.send(shard, Command::Stats { tx })
+                && pump_frames(&mut writer, &rx, stats, shutdown);
+            shards.leave(shard);
+            if !answered {
                 break;
             }
             continue;
         }
         if line == "CRASH" {
             if config.enable_crash {
-                // Recovery drill: kill the current scheduler-loop
-                // incarnation and close this connection.
-                let _ = cmd_tx.send(Command::Crash);
+                // Recovery drill: kill every shard's current
+                // scheduler-loop incarnation and close this connection.
+                shards.broadcast(|| Command::Crash);
                 break;
             }
             stats.sessions_rejected.fetch_add(1, Ordering::Relaxed);
@@ -1010,13 +1129,16 @@ fn client_loop(
                 break;
             }
         };
-        if cmd_tx.send(command).is_err() {
-            break;
-        }
-        if !pump_frames(&mut writer, &rx, stats, shutdown) {
+        let shard = shards.place();
+        let sent = shards.send(shard, command);
+        let answered = sent && pump_frames(&mut writer, &rx, stats, shutdown);
+        if sent && !answered {
             // Disconnect (or shutdown) raced the stream; make sure the
             // slot is parked or reclaimed.
-            let _ = cmd_tx.send(Command::Cancel { client });
+            shards.send(shard, Command::Cancel { client });
+        }
+        shards.leave(shard);
+        if !answered {
             break;
         }
     }
@@ -1078,16 +1200,35 @@ mod tests {
         NeedleTail::new(table, &["name"]).expect("flight engine builds")
     }
 
+    /// What [`Server::start_sharded`] hands its shards, over [`engine`].
+    fn shared(config: ServerConfig) -> Arc<Shared> {
+        Arc::new(Shared {
+            engine: engine(),
+            ledger: Arc::new(SampleLedger::new(config.global_sample_budget)),
+            registry: Arc::new(Mutex::new(ParkingRegistry::new(config.park_ttl))),
+            stats: Arc::default(),
+            config,
+        })
+    }
+
+    /// Starts one shard's supervisor on `cmd_rx`.
+    fn spawn_supervisor(shared: &Arc<Shared>, cmd_rx: Receiver<Command>) -> JoinHandle<()> {
+        let shared = Arc::clone(shared);
+        std::thread::Builder::new()
+            .name("rapidviz-sched".into())
+            .spawn(move || supervisor_loop(&shared, &cmd_rx))
+            .expect("scheduler thread spawns")
+    }
+
     /// Pins the half-started-server cleanup: when the accept thread fails
     /// to spawn after the scheduler thread is already running (the exact
-    /// shape of the `start_shared` error path), `drain_scheduler` must
+    /// shape of the `start_sharded` error path), `drain_schedulers` must
     /// drain-and-join — and draining must park any session the scheduler
     /// already holds, not strand or cancel it.
     #[test]
     fn drain_scheduler_parks_active_sessions_on_partial_start() {
-        let config = ServerConfig::default();
-        let registry = Arc::new(Mutex::new(ParkingRegistry::new(config.park_ttl)));
-        let stats = Arc::new(ServerStats::default());
+        let shared = shared(ServerConfig::default());
+        let (stats, registry) = (&shared.stats, &shared.registry);
         let (cmd_tx, cmd_rx) = mpsc::channel::<Command>();
         // Order-determined, not timing-dependent: the admission and the
         // shutdown are both queued before the supervisor exists, so the
@@ -1103,17 +1244,8 @@ mod tests {
             })
             .expect("admit queued");
         cmd_tx.send(Command::Shutdown).expect("shutdown queued");
-        let thread = {
-            let stats = Arc::clone(&stats);
-            let config = config.clone();
-            let registry = Arc::clone(&registry);
-            let engine = engine();
-            std::thread::Builder::new()
-                .name("rapidviz-sched".into())
-                .spawn(move || supervisor_loop(&engine, &config, &cmd_rx, &stats, &registry))
-                .expect("scheduler thread spawns")
-        };
-        drain_scheduler(&cmd_tx, thread);
+        let thread = spawn_supervisor(&shared, cmd_rx);
+        drain_schedulers(&Shards::new(vec![cmd_tx]), vec![thread]);
 
         // The token announcement proves the session was live and durable.
         let first = rx.try_recv().expect("token frame was sent");
@@ -1124,7 +1256,7 @@ mod tests {
             "drain parked the active session"
         );
         assert_eq!(stats.sessions_cancelled.load(Ordering::Relaxed), 0);
-        let reg = lock_registry(&registry);
+        let reg = lock_registry(registry);
         assert_eq!(reg.len(), 1, "registry holds the parked checkpoint");
         assert!(reg.bytes() > 0);
     }
@@ -1204,22 +1336,257 @@ mod tests {
     /// The drain must also join cleanly when the scheduler holds nothing.
     #[test]
     fn drain_scheduler_is_clean_on_an_idle_scheduler() {
-        let config = ServerConfig::default();
-        let registry = Arc::new(Mutex::new(ParkingRegistry::new(config.park_ttl)));
-        let stats = Arc::new(ServerStats::default());
+        let shared = shared(ServerConfig::default());
         let (cmd_tx, cmd_rx) = mpsc::channel::<Command>();
-        let thread = {
-            let stats = Arc::clone(&stats);
-            let config = config.clone();
-            let registry = Arc::clone(&registry);
-            let engine = engine();
-            std::thread::Builder::new()
-                .name("rapidviz-sched".into())
-                .spawn(move || supervisor_loop(&engine, &config, &cmd_rx, &stats, &registry))
-                .expect("scheduler thread spawns")
-        };
-        drain_scheduler(&cmd_tx, thread);
-        assert!(lock_registry(&registry).is_empty());
-        assert_eq!(stats.sessions_parked.load(Ordering::Relaxed), 0);
+        let thread = spawn_supervisor(&shared, cmd_rx);
+        drain_schedulers(&Shards::new(vec![cmd_tx]), vec![thread]);
+        assert!(lock_registry(&shared.registry).is_empty());
+        assert_eq!(shared.stats.sessions_parked.load(Ordering::Relaxed), 0);
+    }
+
+    /// The tests below start servers with explicit shard counts, so they
+    /// cover sharding on any host.
+    mod sharded {
+        use super::*;
+        use crate::client::{QueryRun, WireClient};
+        use crate::protocol::WireRound;
+        use rapidviz::needletail::{ColumnDef, DataType, Schema, TableBuilder, Value};
+        use rapidviz::Aggregate;
+
+        /// Two groups of exactly 2,000 rows, so their normalized counts tie.
+        fn tied_engine() -> NeedleTail {
+            let mut b = TableBuilder::new(Schema::new(vec![
+                ColumnDef::new("g", DataType::Str),
+                ColumnDef::new("v", DataType::Float),
+            ]));
+            for i in 0..4_000u32 {
+                let g = if i % 2 == 0 { "a" } else { "b" };
+                b.push_row(vec![g.into(), Value::Float(f64::from(i % 100))]);
+            }
+            NeedleTail::new(b.finish(), &["g"]).expect("tied engine builds")
+        }
+
+        /// COUNT over the tie at δ = 1e-9 with no sample cap: still running
+        /// whenever a test interrupts it, except with probability ≤ 1e-9.
+        fn endless(seed: u64) -> QueryRequest {
+            let mut req = QueryRequest::avg("g", "v", seed);
+            req.aggregate = Aggregate::Count;
+            req.delta = Some(1e-9);
+            req.samples_per_round = Some(8);
+            req
+        }
+
+        fn start(shards: usize, config: ServerConfig) -> ServerHandle {
+            let config = ServerConfig {
+                frame_queue: 4_096,
+                per_client_max_samples: u64::MAX,
+                ..config
+            };
+            let registry = Arc::new(Mutex::new(ParkingRegistry::new(config.park_ttl)));
+            Server::start_sharded(tied_engine(), config, registry, shards).expect("server binds")
+        }
+
+        fn connect(handle: &ServerHandle) -> WireClient {
+            WireClient::connect(handle.local_addr(), Duration::from_secs(30))
+                .expect("client connects")
+        }
+
+        /// Reply streams in flight per shard.
+        fn streams(handle: &ServerHandle) -> Vec<u64> {
+            handle.shards.streams.lock().expect("unpoisoned").clone()
+        }
+
+        /// Polls `done` every 10 ms, for at most 10 s.
+        fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+            for _ in 0..1_000 {
+                if done() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            panic!("timed out waiting until {what}");
+        }
+
+        /// Reads the token and `rounds` round frames of a live stream.
+        fn token_and_rounds(client: &mut WireClient, rounds: usize) -> (u64, Vec<WireRound>) {
+            let (mut token, mut seen) = (None, Vec::new());
+            while token.is_none() || seen.len() < rounds {
+                match client.next_frame().expect("frame decodes") {
+                    Some(Frame::Parked { token: t }) => token = Some(t),
+                    Some(Frame::Round(r)) => seen.push(r),
+                    other => panic!("the session must keep streaming, got {other:?}"),
+                }
+            }
+            (token.expect("token announced"), seen)
+        }
+
+        /// Connects and starts [`endless`]`(seed)`, returning the client once
+        /// its token and first round have arrived.
+        fn stream(handle: &ServerHandle, seed: u64) -> WireClient {
+            let mut client = connect(handle);
+            client.send_request(&endless(seed)).expect("request sent");
+            token_and_rounds(&mut client, 1);
+            client
+        }
+
+        #[test]
+        fn resume_on_another_shard_continues_bit_identically() {
+            let handle = start(2, ServerConfig::default());
+            let blocker = stream(&handle, 4);
+            let mut first = connect(&handle);
+            first.send_request(&endless(5)).expect("request sent");
+            let (token, before) = token_and_rounds(&mut first, 2);
+            assert_eq!(streams(&handle), [1, 1], "the session runs on shard 1");
+            drop(first);
+            wait_until("shard 1 empties", || streams(&handle) == [1, 0]);
+            drop(blocker);
+            wait_until("both sessions park", || {
+                handle.stats().sessions_parked.load(Ordering::Relaxed) == 2
+                    && streams(&handle) == [0, 0]
+            });
+
+            // Both shards are idle, so the resume lands on shard 0.
+            let mut second = connect(&handle);
+            second
+                .send_line(&format!("RESUME token={token}"))
+                .expect("resume sent");
+            let (again, after) = token_and_rounds(&mut second, 3);
+            assert_eq!(streams(&handle), [1, 0], "the session resumed on shard 0");
+            assert_eq!(again, token, "the token survives the resume");
+            assert!(after[0].round > before[1].round);
+
+            let engine = tied_engine();
+            let mut local = VizQuery::new(&engine)
+                .group_by("g")
+                .count("v")
+                .delta(1e-9)
+                .samples_per_round(8)
+                .max_samples(u64::MAX)
+                .start(StdRng::seed_from_u64(5))
+                .expect("session starts");
+            for wire in before.iter().chain(&after) {
+                let update = loop {
+                    let update = local.step();
+                    if update.round >= wire.round {
+                        break update;
+                    }
+                };
+                assert_eq!(update.round, wire.round);
+                assert_eq!(update.total_samples, wire.total_samples);
+                let bits = |e: &[f64]| e.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&update.snapshot.estimates),
+                    bits(&wire.snapshot.estimates),
+                    "round {} diverged across shards",
+                    wire.round
+                );
+            }
+            handle.shutdown();
+        }
+
+        #[test]
+        fn a_crash_drill_from_one_shard_restarts_every_shard() {
+            let handle = start(
+                3,
+                ServerConfig {
+                    enable_crash: true,
+                    ..ServerConfig::default()
+                },
+            );
+            let mut victims = [stream(&handle, 0), stream(&handle, 1)];
+            assert_eq!(streams(&handle), [1, 1, 0]);
+            connect(&handle).send_line("CRASH").expect("crash sent");
+            for victim in &mut victims {
+                while let Ok(Some(frame)) = victim.next_frame() {
+                    assert!(
+                        matches!(frame, Frame::Round(_)),
+                        "a crash ends the stream without a terminal frame"
+                    );
+                }
+            }
+            let stats = handle.stats();
+            wait_until("every shard restarted", || {
+                stats.scheduler_restarts.load(Ordering::Relaxed) == 3
+            });
+            assert_eq!(stats.sessions_crashed.load(Ordering::Relaxed), 2);
+            // Every restarted shard serves: two streams hold shards 0 and
+            // 1, so the query lands on shard 2.
+            let _held = [stream(&handle, 2), stream(&handle, 3)];
+            let mut short = QueryRequest::avg("g", "v", 9);
+            short.max_samples = Some(200);
+            let run = connect(&handle).run_query(&short).expect("fresh query");
+            assert!(run.answer.is_some());
+            assert_eq!(stats.scheduler_restarts.load(Ordering::Relaxed), 3);
+            handle.shutdown();
+        }
+
+        #[test]
+        fn stats_from_any_shard_see_every_shards_admissions() {
+            let handle = start(2, ServerConfig::default());
+            let _on_shard_0 = stream(&handle, 1);
+            // Shard 0 holds a stream, so this STATS is answered by shard 1.
+            let stats = connect(&handle).stats().expect("stats round trip");
+            assert_eq!(stats.sessions_admitted, 1);
+            // The reply can reach the client before its stream is counted
+            // out.
+            wait_until("the STATS stream ends", || streams(&handle) == [1, 0]);
+            let _on_shard_1 = stream(&handle, 2);
+            assert_eq!(streams(&handle), [1, 1]);
+            // A tie: shard 0 answers, and sees shard 1's admission.
+            let stats = connect(&handle).stats().expect("stats round trip");
+            assert_eq!(stats.sessions_admitted, 2);
+            handle.shutdown();
+        }
+
+        #[test]
+        fn placement_balances_streams_across_shards() {
+            let handle = start(2, ServerConfig::default());
+            let first = stream(&handle, 1);
+            let _second = stream(&handle, 2);
+            assert_eq!(streams(&handle), [1, 1], "two streams, two shards");
+            let _third = stream(&handle, 3);
+            assert_eq!(streams(&handle), [2, 1], "ties go to the lowest index");
+            drop(first);
+            wait_until("the first stream ends", || streams(&handle) == [1, 1]);
+            // A connection that stays open between queries holds no shard.
+            let mut idle = connect(&handle);
+            idle.stats().expect("stats round trip");
+            wait_until("the STATS stream ends", || streams(&handle) == [1, 1]);
+            let _fourth = stream(&handle, 4);
+            assert_eq!(streams(&handle), [2, 1]);
+            let _fifth = stream(&handle, 5);
+            assert_eq!(streams(&handle), [2, 2]);
+            handle.shutdown();
+        }
+
+        #[test]
+        fn a_crash_drill_keeps_the_global_budget_spent() {
+            let handle = start(
+                2,
+                ServerConfig {
+                    enable_crash: true,
+                    global_sample_budget: Some(2_000),
+                    ..ServerConfig::default()
+                },
+            );
+            let drawn = |run: &QueryRun| -> u64 {
+                let answer = run.answer.as_ref().expect("best-effort answer");
+                assert_ne!(answer.outcome, StepOutcome::Converged);
+                answer.samples_per_group.iter().sum()
+            };
+            let spent = connect(&handle).run_query(&endless(1)).expect("runs");
+            assert!(drawn(&spent) >= 1_000, "the session drew the budget down");
+
+            connect(&handle).send_line("CRASH").expect("crash sent");
+            wait_until("every shard restarted", || {
+                handle.stats().scheduler_restarts.load(Ordering::Relaxed) == 2
+            });
+            // The restarted shards still see the budget spent: a new
+            // session gets its best-effort answer after the bootstrap
+            // draws alone.
+            let late = connect(&handle).run_query(&endless(2)).expect("runs");
+            assert!(drawn(&late) < 100, "the crash reset the global budget");
+            handle.shutdown();
+        }
     }
 }

@@ -6,7 +6,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rapidviz::needletail::NeedleTail;
+use rapidviz::needletail::{ColumnDef, DataType, NeedleTail, Schema, TableBuilder, Value};
+use rapidviz::Aggregate;
 use rapidviz_datagen::FlightModel;
 use rapidviz_serve::{
     ErrorCode, Frame, QueryRequest, Server, ServerConfig, ServerHandle, WireClient,
@@ -27,6 +28,30 @@ fn engine() -> NeedleTail {
 
 fn start_server(config: ServerConfig) -> ServerHandle {
     Server::start(engine(), config).expect("server binds")
+}
+
+/// Two groups of exactly 5,000 rows each, so their normalized counts tie.
+fn tied_engine() -> NeedleTail {
+    let mut b = TableBuilder::new(Schema::new(vec![
+        ColumnDef::new("g", DataType::Str),
+        ColumnDef::new("v", DataType::Float),
+    ]));
+    for i in 0..10_000u32 {
+        let g = if i % 2 == 0 { "a" } else { "b" };
+        b.push_row(vec![g.into(), Value::Float(f64::from(i % 100))]);
+    }
+    NeedleTail::new(b.finish(), &["g"]).expect("tied engine builds")
+}
+
+/// COUNT over [`tied_engine`]'s tie at δ = 1e-9, uncapped on a server with
+/// an unbounded per-client ceiling: the session is still running whenever
+/// its client vanishes, except with probability at most 1e-9.
+fn endless_request(seed: u64) -> QueryRequest {
+    let mut req = QueryRequest::avg("g", "v", seed);
+    req.aggregate = Aggregate::Count;
+    req.delta = Some(1e-9);
+    req.samples_per_round = Some(8);
+    req
 }
 
 fn connect(handle: &ServerHandle) -> WireClient {
@@ -56,7 +81,8 @@ fn assert_no_leaked_slots(handle: &ServerHandle) {
 }
 
 /// Unrefused, a zero sample ceiling would kill the scheduler thread on the
-/// first query, and a zero TTL or byte cap would panic inside `start`.
+/// first query, a zero TTL or byte cap would panic inside `start`, and a
+/// zero global budget would panic inside it too.
 #[test]
 fn non_positive_config_fields_are_refused_at_start() {
     for bad in [
@@ -70,6 +96,10 @@ fn non_positive_config_fields_are_refused_at_start() {
         },
         ServerConfig {
             park_byte_cap: Some(0),
+            ..ServerConfig::default()
+        },
+        ServerConfig {
+            global_sample_budget: Some(0),
             ..ServerConfig::default()
         },
     ] {
@@ -275,17 +305,18 @@ fn stats_command_survives_byte_at_a_time_writes() {
 
 #[test]
 fn disconnect_mid_stream_parks_without_panic_or_leak() {
-    let handle = start_server(ServerConfig::default());
+    let config = ServerConfig {
+        per_client_max_samples: u64::MAX,
+        ..ServerConfig::default()
+    };
+    let handle = Server::start(tied_engine(), config).expect("server binds");
     for seed in 0..4u64 {
         let mut client = connect(&handle);
-        let mut req = QueryRequest::avg("name", "arr_delay", seed);
-        // A long-running query so the disconnect lands mid-stream even in
-        // release builds: the inflated bound keeps the intervals too wide
-        // to certify, so the session cannot converge within milliseconds.
-        req.max_samples = Some(100_000);
-        req.samples_per_round = Some(8);
-        req.bound = Some(5_000.0);
-        client.send_request(&req).expect("request sent");
+        // A session that cannot end first, so the disconnect lands
+        // mid-stream however the server's threads are scheduled.
+        client
+            .send_request(&endless_request(seed))
+            .expect("request sent");
         // Read a couple of frames to be sure the session is live, then
         // vanish.
         for _ in 0..2 {
@@ -296,13 +327,14 @@ fn disconnect_mid_stream_parks_without_panic_or_leak() {
     assert_no_leaked_slots(&handle);
     // Long-running durable sessions park on disconnect (resumable for
     // the TTL) instead of being cancelled outright.
-    assert!(
-        handle.stats().sessions_parked.load(Ordering::Relaxed) >= 1,
+    assert_eq!(
+        handle.stats().sessions_parked.load(Ordering::Relaxed),
+        4,
         "disconnected durable sessions should park"
     );
     // The server still serves new work afterwards.
     let mut client = connect(&handle);
-    let mut req = QueryRequest::avg("name", "elapsed", 99);
+    let mut req = QueryRequest::avg("g", "v", 99);
     req.max_samples = Some(200);
     let run = client.run_query(&req).expect("query after disconnects");
     assert!(run.answer.is_some());

@@ -63,6 +63,6 @@ pub use rapidviz_needletail as needletail;
 pub use rapidviz_stats as stats;
 pub use scheduler::{
     MultiQueryScheduler, ParkError, ParkingRegistry, ParkingStats, QueryId, RunOutcome,
-    SchedulePolicy, SchedulerEvent, SessionStats,
+    SampleLedger, SchedulePolicy, SchedulerEvent, SessionStats,
 };
 pub use session::{PlanCacheStats, QuerySession, RoundUpdate};

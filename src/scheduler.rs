@@ -16,7 +16,10 @@
 //!   ([`MultiQueryScheduler::with_global_sample_budget`]) — the multi-query
 //!   analogue of a session's own `max_samples`, checked before every
 //!   quantum, so the whole workload stops within one round's worth of
-//!   draws of the cap;
+//!   draws of the cap. The draws are charged to a [`SampleLedger`], which
+//!   several schedulers can share
+//!   ([`MultiQueryScheduler::with_sample_ledger`]) to hold one budget
+//!   across threads;
 //! * **per-session memory accounting** — after every quantum the session's
 //!   [`QuerySession::approx_bytes`] is charged to its [`SessionStats`]
 //!   (current and peak), and an optional cap
@@ -96,8 +99,64 @@ use rapidviz_core::clock::{Clock, SystemClock};
 use rapidviz_core::{Snapshot, StepOutcome};
 use rapidviz_needletail::NeedleTail;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The draws charged against a global sample budget: an optional cap plus
+/// an atomic count of charged samples.
+///
+/// A [`MultiQueryScheduler`] charges a session's bootstrap draws when it
+/// admits it and each quantum's new draws after the quantum; finishing or
+/// parking a session refunds nothing, and [`MultiQueryScheduler::unpark`]
+/// refunds the resumed session's earlier draws just before re-admission
+/// charges them again, so a park/resume cycle is charged once. Schedulers
+/// on different threads that share one ledger
+/// ([`MultiQueryScheduler::with_sample_ledger`]) share one budget, and a
+/// ledger that outlives a scheduler keeps its draws charged for the next
+/// one. Each scheduler checks the cap before each of its quanta, so N
+/// schedulers sharing a ledger overshoot it by at most one round each.
+#[derive(Debug, Default)]
+pub struct SampleLedger {
+    cap: Option<u64>,
+    charged: AtomicU64,
+}
+
+impl SampleLedger {
+    /// A ledger with the given cap (`None`: count draws, stop nothing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap == Some(0)`.
+    #[must_use]
+    pub fn new(cap: Option<u64>) -> Self {
+        assert!(cap != Some(0), "global sample budget must be positive");
+        Self {
+            cap,
+            charged: AtomicU64::new(0),
+        }
+    }
+
+    /// Samples charged so far.
+    fn charged(&self) -> u64 {
+        self.charged.load(Ordering::Relaxed)
+    }
+
+    fn charge(&self, samples: u64) {
+        self.charged.fetch_add(samples, Ordering::Relaxed);
+    }
+
+    /// Takes back `samples`, saturating at zero: a ledger that never saw
+    /// the session (a fresh process) conservatively re-charges its
+    /// history.
+    fn refund(&self, samples: u64) {
+        let _ = self
+            .charged
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
+                Some(c.saturating_sub(samples))
+            });
+    }
+}
 
 /// Identifies one admitted session within a scheduler (assigned in
 /// admission order, unique for the scheduler's lifetime).
@@ -262,15 +321,6 @@ impl Slot {
         self.active_count.max(1) as i64
     }
 
-    /// Lifetime samples this slot has drawn (tracked stats once the
-    /// session itself is gone).
-    fn total_samples(&self) -> u64 {
-        match &self.session {
-            Some(session) => session.total_samples(),
-            None => self.stats.total_samples,
-        }
-    }
-
     /// The slot's best current answer, consuming it. `None` only if the
     /// slot invariant (exactly one of `session` / `answer` is set) has
     /// been breached — callers degrade gracefully rather than abort a
@@ -296,13 +346,12 @@ pub struct MultiQueryScheduler {
     policy: SchedulePolicy,
     slots: Vec<Slot>,
     next_id: u64,
-    global_sample_budget: Option<u64>,
+    /// Every draw of every session this scheduler has held, finished-out
+    /// ones included (removing a session refunds nothing), and the global
+    /// budget's cap.
+    ledger: Arc<SampleLedger>,
     max_session_bytes: Option<usize>,
     global_exhausted: bool,
-    /// Samples drawn by sessions already finished out — the global budget
-    /// charges the scheduler's whole lifetime, so removing a finished
-    /// session must not refund its draws.
-    retired_samples: u64,
     /// Sum of [`Slot::weight`] over runnable slots, maintained
     /// incrementally (admission, per-step weight delta, eviction,
     /// removal) so the fair-share selection does not recompute it with an
@@ -318,7 +367,7 @@ impl std::fmt::Debug for MultiQueryScheduler {
         f.debug_struct("MultiQueryScheduler")
             .field("policy", &self.policy)
             .field("sessions", &self.slots.len())
-            .field("global_sample_budget", &self.global_sample_budget)
+            .field("global_sample_budget", &self.ledger.cap)
             .field("max_session_bytes", &self.max_session_bytes)
             .field("global_exhausted", &self.global_exhausted)
             .finish_non_exhaustive()
@@ -334,10 +383,9 @@ impl MultiQueryScheduler {
             policy,
             slots: Vec::new(),
             next_id: 0,
-            global_sample_budget: None,
+            ledger: Arc::default(),
             max_session_bytes: None,
             global_exhausted: false,
-            retired_samples: 0,
             runnable_weight: 0,
             pending: VecDeque::new(),
         }
@@ -347,15 +395,25 @@ impl MultiQueryScheduler {
     /// scheduler's lifetime** (finishing a session out does not refund its
     /// draws). Checked before every quantum, so the workload stops within
     /// one round's draws of the cap; sessions already admitted keep their
-    /// best-effort answers.
+    /// best-effort answers. The budget is a private [`SampleLedger`]; to
+    /// share one budget between schedulers, use
+    /// [`MultiQueryScheduler::with_sample_ledger`].
     ///
     /// # Panics
     ///
     /// Panics if `cap == 0`.
     #[must_use]
-    pub fn with_global_sample_budget(mut self, cap: u64) -> Self {
-        assert!(cap > 0, "global sample budget must be positive");
-        self.global_sample_budget = Some(cap);
+    pub fn with_global_sample_budget(self, cap: u64) -> Self {
+        self.with_sample_ledger(Arc::new(SampleLedger::new(Some(cap))))
+    }
+
+    /// Charges every draw to `ledger` and stops at its cap, if it has one.
+    /// Schedulers sharing a ledger share its budget: each stops once the
+    /// draws of all of them reach the cap. Call it before admitting: draws
+    /// charged to the previous ledger stay there.
+    #[must_use]
+    pub fn with_sample_ledger(mut self, ledger: Arc<SampleLedger>) -> Self {
+        self.ledger = ledger;
         self
     }
 
@@ -400,6 +458,7 @@ impl MultiQueryScheduler {
             planning: session.planning_stats(),
             checkpoint_bytes: 0,
         };
+        self.ledger.charge(stats.total_samples);
         let runnable = !session.is_finished();
         let slot = Slot {
             id,
@@ -451,11 +510,12 @@ impl MultiQueryScheduler {
     }
 
     /// Total samples drawn over the scheduler's lifetime: all held
-    /// sessions plus sessions already finished out. This is the figure the
+    /// sessions plus sessions already finished out, plus the draws of any
+    /// other scheduler sharing its [`SampleLedger`]. This is the figure the
     /// global sample budget is checked against.
     #[must_use]
     pub fn total_samples(&self) -> u64 {
-        self.retired_samples + self.slots.iter().map(Slot::total_samples).sum::<u64>()
+        self.ledger.charged()
     }
 
     /// Whether the global sample budget has tripped.
@@ -484,8 +544,8 @@ impl MultiQueryScheduler {
         if let Some(event) = self.pending.pop_front() {
             return event;
         }
-        if let Some(cap) = self.global_sample_budget {
-            let total = self.total_samples();
+        if let Some(cap) = self.ledger.cap {
+            let total = self.ledger.charged();
             if total >= cap {
                 self.global_exhausted = true;
                 return if self.slots.iter().any(Slot::runnable) {
@@ -515,8 +575,11 @@ impl MultiQueryScheduler {
             return self.poll();
         };
         let update = session.step();
+        let drawn = session.total_samples();
+        self.ledger
+            .charge(drawn.saturating_sub(slot.stats.total_samples));
         slot.stats.steps += 1;
-        slot.stats.total_samples = session.total_samples();
+        slot.stats.total_samples = drawn;
         slot.stats.outcome = update.outcome;
         let bytes = session.approx_bytes();
         let terminal = session.is_finished();
@@ -596,7 +659,6 @@ impl MultiQueryScheduler {
         if slot.runnable {
             self.runnable_weight -= slot.weight();
         }
-        self.retired_samples += slot.total_samples();
         self.pending
             .retain(|e| !matches!(e, SchedulerEvent::MemoryEvicted { id: eid, .. } if *eid == id));
         slot.into_answer()
@@ -674,7 +736,6 @@ impl MultiQueryScheduler {
         if slot.runnable {
             self.runnable_weight -= slot.weight();
         }
-        self.retired_samples += slot.total_samples();
         self.pending
             .retain(|e| !matches!(e, SchedulerEvent::MemoryEvicted { id: eid, .. } if *eid == id));
         Ok(token)
@@ -708,11 +769,12 @@ impl MultiQueryScheduler {
     /// [`QuerySession::checkpoint`]); its wall-clock budget restarts from
     /// the remaining time captured at park.
     ///
-    /// Samples the session drew before parking were retired at park time;
-    /// they are un-retired here so re-admission does not charge them to
-    /// the global budget twice. On a scheduler that never saw the session
-    /// (a crash-restarted server) the subtraction saturates at zero and
-    /// the historical draws are conservatively re-charged.
+    /// Samples the session drew before parking stay charged to the
+    /// [`SampleLedger`]; they are refunded here, just before re-admission
+    /// charges them again, so they count once — whichever scheduler
+    /// sharing the ledger parked the session. On a ledger that never saw
+    /// the session (a fresh process) the refund saturates at zero and the
+    /// historical draws are conservatively re-charged.
     ///
     /// # Errors
     ///
@@ -732,7 +794,7 @@ impl MultiQueryScheduler {
         let session = QuerySession::resume_with_clock(engine, &checkpoint, registry.clock())
             .map_err(ParkError::Checkpoint)?;
         let _ = registry.take(token);
-        self.retired_samples = self.retired_samples.saturating_sub(session.total_samples());
+        self.ledger.refund(session.total_samples());
         Ok(self.admit(session))
     }
 
@@ -1541,6 +1603,55 @@ mod tests {
                 before,
                 "resuming un-retires exactly the parked draws"
             );
+        }
+
+        #[test]
+        fn a_shared_ledger_charges_a_session_moved_between_schedulers_once() {
+            let engine = engine();
+            let ledger = Arc::new(SampleLedger::new(Some(1_000_000)));
+            let mut registry = ParkingRegistry::new(Duration::from_secs(60));
+            let mut a = MultiQueryScheduler::new(SchedulePolicy::FairShare)
+                .with_sample_ledger(Arc::clone(&ledger));
+            let mut b = MultiQueryScheduler::new(SchedulePolicy::FairShare)
+                .with_sample_ledger(Arc::clone(&ledger));
+            let moved = a.admit(session(&engine, 9));
+            b.admit(session(&engine, 10));
+            for _ in 0..3 {
+                a.poll();
+                b.poll();
+            }
+            let before = ledger.charged();
+            assert_eq!(a.total_samples(), before, "both schedulers read one ledger");
+            assert_eq!(b.total_samples(), before);
+            let token = a.park(moved, &mut registry).unwrap();
+            b.unpark(&mut registry, token, &engine).unwrap();
+            assert_eq!(
+                ledger.charged(),
+                before,
+                "the moved session is charged once"
+            );
+            b.poll();
+            assert!(ledger.charged() > before, "its next round is charged on b");
+        }
+
+        #[test]
+        fn a_ledger_outliving_its_scheduler_keeps_the_budget_spent() {
+            let engine = engine();
+            let ledger = Arc::new(SampleLedger::new(Some(50)));
+            let mut first = MultiQueryScheduler::new(SchedulePolicy::FairShare)
+                .with_sample_ledger(Arc::clone(&ledger));
+            first.admit(session(&engine, 4));
+            assert_eq!(first.run(|_| {}), RunOutcome::GlobalBudgetExhausted);
+            let spent = ledger.charged();
+            drop(first);
+            // A successor on the same ledger (a restarted scheduler loop)
+            // starts with the budget already spent.
+            let mut second = MultiQueryScheduler::new(SchedulePolicy::FairShare)
+                .with_sample_ledger(Arc::clone(&ledger));
+            let late = second.admit(session(&engine, 5));
+            assert_eq!(second.run(|_| {}), RunOutcome::GlobalBudgetExhausted);
+            assert_eq!(second.stats(late).unwrap().steps, 0);
+            assert!(ledger.charged() >= spent);
         }
     }
 }

@@ -336,6 +336,36 @@ fn warm_plan_calls_allocate_no_table_sized_memory() {
 }
 
 #[test]
+fn dense_pair_boolean_ops_allocate_only_their_result() {
+    // AND/OR of two dense bitmaps reads both operands in place: the only
+    // memory acquired is the result's word vector and its two rank
+    // directories, never a copy of an operand.
+    let len = 1_000_000u64;
+    let evens: Vec<u64> = (0..len).step_by(2).collect();
+    let thirds: Vec<u64> = (0..len).step_by(3).collect();
+    let a = Bitmap::from_sorted_positions(&evens, len);
+    let b = Bitmap::from_sorted_positions(&thirds, len);
+    for (name, op) in [
+        ("and", Bitmap::and as fn(&Bitmap, &Bitmap) -> Bitmap),
+        ("or", Bitmap::or),
+    ] {
+        let mut result = None;
+        let bytes = alloc_bytes_during(|| {
+            let allocs = allocations_during(|| result = Some(op(&a, &b)));
+            assert!(allocs <= 3, "dense {name} made {allocs} allocations");
+        });
+        let result = result.expect("ran");
+        assert!(matches!(result, Bitmap::Dense(_)));
+        assert!(
+            bytes <= result.heap_bytes() as u64,
+            "dense {name} requested {bytes} bytes for a {}-byte result",
+            result.heap_bytes()
+        );
+    }
+    assert_eq!(a.and(&b).count_ones(), len.div_ceil(6));
+}
+
+#[test]
 fn engine_group_handle_batches_are_allocation_free_at_steady_state() {
     let mut b = TableBuilder::new(Schema::new(vec![
         ColumnDef::new("g", DataType::Str),
