@@ -1,7 +1,8 @@
 //! Golden stdout of the experiments that print a run's per-round state:
 //! Table 1 (the IFOCUS interval trace, at two seeds) and Figures 5c/6a
 //! (active groups and mis-ordered pairs against samples drawn, quick
-//! scale). Every number printed is a pure function of the seed, so a
+//! scale), and of the §6 comparison (the Bernstein, trend, top-3 and
+//! mistakes variants against full IFOCUS, quick scale). Every number printed is a pure function of the seed, so a
 //! change to how those rows are collected that moves one round, one
 //! interval endpoint or one sample count fails here byte for byte.
 
@@ -70,4 +71,20 @@ fn fig5c_6a_quick_is_pinned() {
  incorrect pairs near 0 long before termination)
 ";
     assert_eq!(experiments(&["fig5c", "--quick"]), golden);
+}
+
+#[test]
+fn extensions_quick_is_pinned() {
+    let golden = r"
+=== extensions: §6 variants vs full IFOCUS (truncnorm, k=12, shared dataset) ===
+variant                 avg samples        vs full
+ifocus (full)                201980         100.0%
+trends (adjacent)             34292          17.0%
+top-3                         25388          12.6%
+mistakes 5%                  186070          92.1%
+bernstein                    168688          83.5%
+(expect: every weaker-guarantee variant below full IFOCUS;
+ bernstein far below on this low-variance workload)
+";
+    assert_eq!(experiments(&["extensions", "--quick"]), golden);
 }

@@ -325,8 +325,8 @@ impl AlgorithmStepper for FocusStepper {
 mod tests {
     use super::*;
     use crate::extensions::{
-        IFocusGraph, IFocusMistakes, IFocusPartial, IFocusSum1, IFocusSum2, IFocusTopT,
-        IFocusTrends, IFocusValues, VecSizedGroup,
+        IFocusBernstein, IFocusGraph, IFocusMistakes, IFocusPartial, IFocusSum1, IFocusSum2,
+        IFocusTopT, IFocusTrends, IFocusValues, VecSizedGroup,
     };
     use crate::group::VecGroup;
     use crate::{IFocus, RoundRobin};
@@ -360,10 +360,15 @@ mod tests {
             .map(|i| VecSizedGroup::new(format!("g{i}"), vec![50.0; 100], 1.0))
             .collect();
         let sum2 = IFocusSum2::new(config).run(&mut sized, &mut rng());
+        // The m = 1 Bernstein width of a zero-variance group is
+        // 3·c·ln(3/δ₁) ≈ 1,707 for c = 100, δ = 0.05, k = 3; r/4 = 2,000.
+        let bernstein_config = AlgoConfig::new(100.0, 0.05).with_resolution(8_000.0);
+        let bernstein = IFocusBernstein::new(bernstein_config).run(&mut tied(), &mut rng());
         for (name, result) in [
             ("ifocus", ifocus),
             ("roundrobin", roundrobin),
             ("sum2", sum2),
+            ("bernstein", bernstein),
         ] {
             assert_eq!(result.rounds, 1, "{name}");
             assert_eq!(result.samples_per_group, [1, 1, 1], "{name}");

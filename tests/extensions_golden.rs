@@ -1,19 +1,23 @@
 //! Fixed-seed golden digests for the §6 extensions whose other tests only
 //! check the ordering (the Bernstein variant, multi-aggregate, top-t and
-//! value accuracy) and for every algorithm that runs the shared IFOCUS
-//! round (IFOCUS, ROUNDROBIN, SUM with known and unknown sizes, partial
-//! results, trends, graph, mistakes). Each digest folds every estimate's
-//! `to_bits`, the per-group sample counts, the round counter and the
-//! truncation flag, so a refactor of their round loops or deactivation
-//! fixpoints that moves one draw or one bit fails here.
+//! value accuracy), for IREFINE, and for every algorithm that runs the
+//! shared IFOCUS round (IFOCUS, ROUNDROBIN, SUM with known and unknown
+//! sizes, partial results, trends, graph, mistakes). Each digest folds
+//! every estimate's `to_bits`, the per-group sample counts, the round
+//! counter and the truncation flag, so a refactor of their round loops or
+//! deactivation fixpoints that moves one draw or one bit fails here. The
+//! stepped digests fold every round's snapshot intervals as well, so a
+//! change to how a confidence width is computed fails too.
 
 use rand::{Rng, SeedableRng};
 use rapidviz::core::extensions::{
     IFocusBernstein, IFocusGraph, IFocusMistakes, IFocusMultiAggregate, IFocusPartial, IFocusSum1,
-    IFocusSum2, IFocusTopT, IFocusTrends, IFocusValues, MultiAggregateResult, VecPairGroup,
-    VecSizedGroup,
+    IFocusSum2, IFocusSum2Stepper, IFocusTopT, IFocusTrends, IFocusValues, MultiAggregateResult,
+    VecPairGroup, VecSizedGroup,
 };
-use rapidviz::core::{AlgoConfig, IFocus, RoundRobin, RunResult, SamplingMode};
+use rapidviz::core::{
+    AlgoConfig, AlgorithmStepper, IFocus, IRefine, RoundRobin, RunResult, SamplingMode, Snapshot,
+};
 use rapidviz::datagen::VecGroup;
 use rapidviz::needletail::codec::fnv1a64;
 
@@ -158,15 +162,17 @@ fn rng(seed: u64) -> rand::rngs::StdRng {
 
 #[test]
 fn bernstein_runs_are_pinned() {
-    let got: Vec<u64> = configs()
-        .into_iter()
-        .map(|c| run_digest(&IFocusBernstein::new(c).run(&mut narrow_groups(2000), &mut rng(2001))))
-        .collect();
-    // Always with replacement, so the two sampling modes agree.
+    let got =
+        round_digests(|c| IFocusBernstein::new(c).run(&mut narrow_groups(2000), &mut rng(2001)));
+    // Always with replacement, so the two sampling modes agree; one draw a
+    // round whatever `samples_per_round` says, so the batched fifth equals
+    // the first.
     let golden = [
         0x592b_0aae_e96b_159b,
         0x592b_0aae_e96b_159b,
         0xcbaf_c124_f1f8_b4b3,
+        0x33c7_8989_2977_4ab8,
+        0x592b_0aae_e96b_159b,
     ];
     assert_eq!(got, golden, "got {got:#018x?}");
 }
@@ -374,6 +380,122 @@ fn mistakes_runs_are_pinned() {
         0x67d1_5629_92ff_f7cf,
         0x3a3f_4c61_a70e_dd84,
         0x67d1_5629_92ff_f7cf,
+    ];
+    assert_eq!(got, golden, "got {got:#018x?}");
+}
+
+#[test]
+fn irefine_runs_are_pinned() {
+    let got = round_digests(|c| IRefine::new(c).run(&mut two_point_groups(2120), &mut rng(2121)));
+    // The phase cap is `min(max_rounds, 200)`, which the 500-round cap
+    // leaves alone, and a phase sizes its own top-up whatever
+    // `samples_per_round` says: the last two equal the first.
+    let golden = [
+        0x43f6_0a38_0c81_4395,
+        0xf03d_fbd8_cab1_61b3,
+        0x617f_1541_72aa_da15,
+        0x43f6_0a38_0c81_4395,
+        0x43f6_0a38_0c81_4395,
+    ];
+    assert_eq!(got, golden, "got {got:#018x?}");
+}
+
+/// Digest of the snapshot after `start` and after every round: each
+/// interval's `lo`/`hi` bits (frozen and exhausted ones included) and the
+/// active flags. `step` advances one round and says whether the run goes on.
+fn snapshot_digest<S>(
+    mut stepper: S,
+    mut step: impl FnMut(&mut S) -> bool,
+    snapshot: impl Fn(&S) -> Snapshot,
+) -> u64 {
+    let mut bytes = Vec::new();
+    let mut fold = |snap: Snapshot| {
+        for iv in &snap.intervals {
+            bytes.extend_from_slice(&iv.lo.to_bits().to_le_bytes());
+            bytes.extend_from_slice(&iv.hi.to_bits().to_le_bytes());
+        }
+        bytes.extend(snap.active.iter().map(|&a| u8::from(a)));
+    };
+    fold(snapshot(&stepper));
+    let mut running = true;
+    while running {
+        running = step(&mut stepper);
+        fold(snapshot(&stepper));
+    }
+    fnv1a64(&bytes)
+}
+
+/// One [`snapshot_digest`] per [`round_configs`] entry of a stepper that
+/// implements [`AlgorithmStepper`], over [`two_point_groups`].
+fn stepped_digests<S: AlgorithmStepper>(
+    seed: u64,
+    start: impl Fn(AlgoConfig, &mut [VecGroup], &mut rand::rngs::StdRng) -> S,
+) -> Vec<u64> {
+    round_configs()
+        .into_iter()
+        .map(|c| {
+            let mut groups = two_point_groups(seed);
+            let mut run_rng = rng(seed + 1);
+            let stepper = start(c, &mut groups, &mut run_rng);
+            let step = |s: &mut S| s.step(&mut groups, &mut run_rng).is_running();
+            snapshot_digest(stepper, step, S::snapshot)
+        })
+        .collect()
+}
+
+#[test]
+fn stepped_snapshots_are_pinned() {
+    let ifocus = stepped_digests(2130, |c, g, r| IFocus::new(c).start(g, r));
+    let roundrobin = stepped_digests(2140, |c, g, r| RoundRobin::new(c).start(g, r));
+    let sum1 = stepped_digests(2150, |c, g, r| {
+        // The resolution is in sum space: scale it by the group size.
+        let c = match c.resolution {
+            Some(r) => c.with_resolution(r * 30_000.0),
+            None => c,
+        };
+        IFocusSum1::new(c).start(g, r)
+    });
+    let sum2: Vec<u64> = round_configs()
+        .into_iter()
+        .map(|c| {
+            let mut groups = sized_groups(2160);
+            let mut run_rng = rng(2161);
+            let stepper = IFocusSum2::new(c).start(&mut groups, &mut run_rng);
+            let step = |s: &mut IFocusSum2Stepper| s.step(&mut groups, &mut run_rng).is_running();
+            snapshot_digest(stepper, step, IFocusSum2Stepper::snapshot)
+        })
+        .collect();
+    let got = [ifocus, roundrobin, sum1, sum2];
+    let golden = [
+        [
+            0xb708_5e34_8adb_7623,
+            0x9e59_3b1d_7758_6fa6,
+            0x56ac_a27f_6191_90eb,
+            0x6272_21c8_9cae_ac47,
+            0xf934_a0c3_3e40_80d6,
+        ],
+        [
+            0xa181_847b_1a60_587d,
+            0x95e6_8442_01ec_4fa2,
+            0x2624_0a76_54e1_0948,
+            0x872d_03a1_aa7e_fbe0,
+            0x461f_a567_65e3_4f4c,
+        ],
+        [
+            0xd76c_6470_0885_2ffe,
+            0x5440_b850_a0e9_1452,
+            0xa86b_a7b2_3600_f732,
+            0x9ff1_5897_344f_a816,
+            0x53ef_6b7e_8576_97e2,
+        ],
+        // Algorithm 5 always samples with replacement: second equals first.
+        [
+            0xf167_8a53_347e_9520,
+            0xf167_8a53_347e_9520,
+            0xcfd1_53aa_5751_70a5,
+            0x30a9_17ce_374c_fbf6,
+            0x050c_b923_f421_c6b8,
+        ],
     ];
     assert_eq!(got, golden, "got {got:#018x?}");
 }
