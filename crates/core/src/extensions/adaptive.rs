@@ -1,29 +1,23 @@
-//! Variance-adaptive IFOCUS (empirical-Bernstein schedule).
+//! Variance-adaptive IFOCUS (empirical-Bernstein widths).
 //!
 //! An extension beyond the paper (invited by its §3.6 theory remarks on
-//! Bernstein-type bounds): identical round structure to IFOCUS, but the
-//! per-group confidence half-width comes from the anytime **empirical
-//! Bernstein** bound, which pays for the *observed* group variance instead
-//! of the worst case `c²/4`. On low-variance workloads (the `truncnorm`
-//! family has σ ≤ 10 on a range of 100) groups separate after a small
-//! fraction of the samples Hoeffding needs.
+//! Bernstein-type bounds): the IFOCUS round, but each group's half-width
+//! comes from the anytime **empirical Bernstein** bound, which pays for the
+//! *observed* group variance instead of the worst case `c²/4`. On
+//! low-variance workloads (`truncnorm` has σ ≤ 10 on a range of 100) groups
+//! separate after a fraction of the samples Hoeffding needs. The overlap
+//! test then compares heterogeneous intervals, like Algorithm 4's. Sampling
+//! is with replacement, as the inequality is stated for i.i.d. draws.
 //!
-//! Because widths are per-group (they depend on each group's variance),
-//! the overlap test uses heterogeneous intervals, like Algorithm 4's.
-//! Sampling is with replacement (the empirical Bernstein inequality is
-//! stated for i.i.d. draws); a finite-population refinement would only
-//! tighten it.
-//!
-//! Outside [`crate::focus`]'s one round, whose state holds one ε per round:
-//! this loop keeps a Welford variance and a width per *group* (ROADMAP
-//! item 8's `Bound` axis, not a rule). Library-only reference, eager `run`.
+//! It is [`crate::focus`]'s round under the full-order rule with the round
+//! state's Bernstein width, one draw a round. Library-only, eager `run`.
 
-use crate::config::AlgoConfig;
+use crate::config::{AlgoConfig, ReactivationPolicy};
+use crate::focus::{FocusStepper, Rule, Width};
 use crate::group::GroupSource;
 use crate::result::RunResult;
-use crate::state::FixpointScratch;
 use rand::RngCore;
-use rapidviz_stats::{BernsteinSchedule, Interval, SamplingMode, WelfordVariance};
+use rapidviz_stats::SamplingMode;
 
 /// IFOCUS with the empirical-Bernstein anytime schedule.
 #[derive(Debug, Clone)]
@@ -32,8 +26,9 @@ pub struct IFocusBernstein {
 }
 
 impl IFocusBernstein {
-    /// Creates the algorithm (uses `c`, `δ`, `resolution`, and the round
-    /// caps from the config; κ/heuristic options do not apply).
+    /// Creates the algorithm. Only `c`, `δ`, `resolution` and the round cap
+    /// apply: it samples with replacement, one draw per active group a
+    /// round, and never reactivates a group.
     #[must_use]
     pub fn new(config: AlgoConfig) -> Self {
         Self { config }
@@ -45,65 +40,18 @@ impl IFocusBernstein {
     ///
     /// Panics if `groups` is empty.
     pub fn run<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RunResult {
-        assert!(!groups.is_empty(), "need at least one group");
-        let k = groups.len();
-        let schedule = BernsteinSchedule::new(self.config.c, self.config.delta, k);
-        let labels: Vec<String> = groups.iter().map(GroupSource::label).collect();
-        let mut stats = vec![WelfordVariance::new(); k];
-        let mut active = vec![true; k];
-        let mut samples = vec![0u64; k];
-        let mut m = 1u64;
-        let mut truncated = false;
-        let resolution_eps = self.config.resolution_epsilon();
-        let mut fix = FixpointScratch::default();
-
-        for (i, group) in groups.iter_mut().enumerate() {
-            if let Some(x) = group.sample(rng, SamplingMode::WithReplacement) {
-                stats[i].push(x);
-                samples[i] += 1;
-            }
-        }
-        loop {
-            let eps_of = |i: usize| {
-                let var = stats[i].population_variance().unwrap_or(0.0);
-                schedule.half_width(stats[i].count().max(1), var)
-            };
-            // Resolution cut-off: every active width below r/4.
-            if let Some(thresh) = resolution_eps {
-                if (0..k).filter(|&i| active[i]).all(|i| eps_of(i) < thresh) {
-                    active.iter_mut().for_each(|a| *a = false);
-                }
-            }
-            // Fixpoint deactivation with per-group widths.
-            while fix.separate(&active, |i| Interval::centered(stats[i].mean(), eps_of(i))) {
-                for &i in &fix.remove {
-                    active[i] = false;
-                }
-            }
-            if !active.iter().any(|&a| a) {
-                break;
-            }
-            if m >= self.config.max_rounds {
-                truncated = true;
-                break;
-            }
-            m += 1;
-            for i in 0..k {
-                if active[i] {
-                    if let Some(x) = groups[i].sample(rng, SamplingMode::WithReplacement) {
-                        stats[i].push(x);
-                        samples[i] += 1;
-                    }
-                }
-            }
-        }
-        RunResult {
-            labels,
-            estimates: stats.iter().map(WelfordVariance::mean).collect(),
-            samples_per_group: samples,
-            rounds: m,
-            truncated,
-        }
+        let config = AlgoConfig {
+            mode: SamplingMode::WithReplacement,
+            reactivation: ReactivationPolicy::Never,
+            ..self.config.clone()
+        };
+        FocusStepper::run(
+            &config,
+            Rule::FullOrder,
+            Width::empirical_bernstein,
+            groups,
+            rng,
+        )
     }
 }
 

@@ -9,7 +9,7 @@
 //! with the path graph; a choropleth supplies its region-adjacency edges.
 
 use crate::config::AlgoConfig;
-use crate::focus::{FocusStepper, Rule};
+use crate::focus::{FocusStepper, Rule, Width};
 use crate::group::GroupSource;
 use crate::result::RunResult;
 use rand::RngCore;
@@ -73,7 +73,7 @@ impl IFocusGraph {
             assert!(a < k && b < k, "edge ({a}, {b}) out of range for k={k}");
         }
         let rule = Rule::neighbours(self.edges.clone());
-        FocusStepper::run(&self.config, rule, groups, rng)
+        FocusStepper::run(&self.config, rule, Width::anytime, groups, rng)
     }
 }
 

@@ -7,7 +7,7 @@
 //! as that fraction reaches `1 − γ`, abandoning the hardest comparisons.
 
 use crate::config::AlgoConfig;
-use crate::focus::{FocusStepper, Rule};
+use crate::focus::{FocusStepper, Rule, Width};
 use crate::group::GroupSource;
 use crate::result::RunResult;
 use rand::RngCore;
@@ -39,7 +39,7 @@ impl IFocusMistakes {
     /// Panics if `groups` is empty.
     pub fn run<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RunResult {
         let rule = Rule::Mistakes { gamma: self.gamma };
-        FocusStepper::run(&self.config, rule, groups, rng)
+        FocusStepper::run(&self.config, rule, Width::anytime, groups, rng)
     }
 }
 
@@ -115,7 +115,7 @@ mod tests {
         let mut groups = two_point_groups(&means, 400_000, 92);
         let mut rng = rand::rngs::StdRng::seed_from_u64(93);
         let rule = Rule::Mistakes { gamma: 0.11 };
-        let mut stepper = FocusStepper::start(&config, rule, &mut groups, &mut rng);
+        let mut stepper = FocusStepper::start(&config, rule, Width::anytime, &mut groups, &mut rng);
         let mut before = stepper.snapshot();
         while stepper.step_any(&mut groups, &mut rng).is_running() {
             before = stepper.snapshot();

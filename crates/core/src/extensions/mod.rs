@@ -14,10 +14,11 @@
 //! * [`sum`] — §6.3.1/§6.3.2: `SUM` with known sizes \[Algorithm 4,
 //!   `ScaledSum`\], unknown sizes and `COUNT` \[Algorithm 5, `FullOrder`
 //!   over the `x·z` stream\].
-//! * [`adaptive`], [`multi`] (§6.3.5, two aggregates — Problem 8) and
-//!   [`noindex`] (§6.3.6, no index on the group-by attribute — Problem 9)
-//!   keep a loop of their own as library-only references; each module doc
-//!   says why.
+//! * [`adaptive`] — variance-adaptive IFOCUS \[`FullOrder` with the
+//!   empirical-Bernstein width\].
+//! * [`multi`] (§6.3.5, two aggregates — Problem 8) and [`noindex`]
+//!   (§6.3.6, no index on the group-by attribute — Problem 9) keep a loop
+//!   of their own as library-only references; each module doc says why.
 //!
 //! Selection predicates (§6.3.3) and multiple group-bys (§6.3.4) change
 //! *which rows are eligible*, not the algorithm, and are provided by the

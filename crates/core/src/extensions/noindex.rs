@@ -20,8 +20,9 @@
 
 use crate::config::AlgoConfig;
 use crate::result::RunResult;
+use crate::state::FixpointScratch;
 use rand::RngCore;
-use rapidviz_stats::{Interval, IntervalSet, RunningMean};
+use rapidviz_stats::{Interval, RunningMean};
 
 /// A relation we can only sample whole rows from: each draw yields
 /// `(group index, measure value)`.
@@ -135,6 +136,7 @@ impl NoIndexSampler {
         let resolution_eps = self.config.resolution_epsilon();
         // Check termination every `check_stride` rows: each check is O(k log k).
         let check_stride = (k as u64).max(16);
+        let mut fix = FixpointScratch::default();
 
         loop {
             // Draw a batch of rows.
@@ -161,12 +163,8 @@ impl NoIndexSampler {
                     break;
                 }
             }
-            let set = IntervalSet::new(
-                (0..k)
-                    .map(|i| Interval::centered(estimates[i].mean(), eps_of(i)))
-                    .collect(),
-            );
-            if (0..k).all(|i| !set.member_overlaps_others(i)) {
+            fix.build_full(k, |i| Interval::centered(estimates[i].mean(), eps_of(i)));
+            if (0..k).all(|i| !fix.full_overlaps_others(i)) {
                 break;
             }
             if rows_drawn >= self.config.max_rounds {

@@ -21,7 +21,7 @@ use crate::focus::{FocusStepper, Rule};
 use crate::group::GroupSource;
 use crate::result::RunResult;
 use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
-use crate::state::FocusState;
+use crate::state::{FocusState, Width};
 use rand::RngCore;
 use rapidviz_stats::SamplingMode;
 
@@ -52,7 +52,7 @@ impl IFocusSum1 {
         groups: &mut [G],
         rng: &mut dyn RngCore,
     ) -> IFocusSum1Stepper {
-        FocusStepper::start(&self.config, Rule::ScaledSum, groups, rng)
+        FocusStepper::start(&self.config, Rule::ScaledSum, Width::anytime, groups, rng)
     }
 
     /// Runs over the groups; estimates are group **sums** `ν_i ≈ σ_i` —
@@ -289,7 +289,8 @@ impl IFocusSum2 {
             ..self.config.clone()
         };
         let labels = groups.iter().map(SizedGroupSource::label).collect();
-        let mut state = FocusState::new(&config, labels, vec![u64::MAX; groups.len()]);
+        let width = Width::anytime(&config, groups.len());
+        let mut state = FocusState::new(&config, width, labels, vec![u64::MAX; groups.len()]);
         for (i, group) in groups.iter_mut().enumerate() {
             if let Some((x, z)) = group.sample_with_size(rng) {
                 state.estimates[i].push(x * z);
@@ -423,7 +424,16 @@ mod tests {
     use crate::group::VecGroup;
     use crate::ordering::is_correctly_ordered;
     use rand::{Rng, SeedableRng};
-    use rapidviz_stats::{EpsilonSchedule, Interval, IntervalSet, RunningMean};
+    use rapidviz_stats::{EpsilonSchedule, Interval, IntervalSetScratch, RunningMean};
+
+    /// A fresh interval set over `members`, as the pre-scratch loops built
+    /// on every fixpoint pass.
+    fn fresh_set(members: impl Iterator<Item = Interval>) -> IntervalSetScratch {
+        let mut set = IntervalSetScratch::new();
+        members.for_each(|member| set.push(member));
+        set.build();
+        set
+    }
 
     fn two_point_values(mean: f64, n: usize, rng: &mut impl Rng) -> Vec<f64> {
         (0..n)
@@ -574,11 +584,10 @@ mod tests {
                     if members.is_empty() {
                         break;
                     }
-                    let set = IntervalSet::new(
+                    let set = fresh_set(
                         members
                             .iter()
-                            .map(|&i| Interval::centered(estimates[i].mean(), eps))
-                            .collect(),
+                            .map(|&i| Interval::centered(estimates[i].mean(), eps)),
                     );
                     let to_remove: Vec<usize> = members
                         .iter()
@@ -671,31 +680,32 @@ mod tests {
         );
     }
 
-    /// The pre-stepper Algorithm 4 loop, verbatim (per-iteration member /
-    /// removal vectors and a fresh `IntervalSet` per fixpoint pass, as the
-    /// blocking implementation had before the scratch arena). Guards the
-    /// acceptance criterion that the refactor is byte-identical.
+    /// The pre-stepper Algorithm 4 loop (per-iteration member / removal
+    /// vectors and a fresh interval set per fixpoint pass, as the blocking
+    /// implementation had before the scratch arena, and its own anytime ε
+    /// over the active groups). Guards the acceptance criterion that the
+    /// refactor is byte-identical.
     fn reference_sum1(
         config: &AlgoConfig,
         groups: &mut [VecGroup],
         rng: &mut dyn RngCore,
     ) -> RunResult {
+        fn epsilon(state: &FocusState) -> f64 {
+            let active = (0..state.k()).filter(|&i| state.active[i]);
+            let n_max = active.map(|i| state.sizes[i]).max().unwrap_or(1);
+            state.config.schedule(state.k()).half_width(state.m, n_max)
+        }
         fn deactivate_scaled(state: &mut FocusState, sizes: &[u64]) {
-            let eps_base = state.epsilon();
+            let eps_base = epsilon(state);
             loop {
                 let members: Vec<usize> = (0..state.k()).filter(|&i| state.active[i]).collect();
                 if members.is_empty() {
                     break;
                 }
-                let set = IntervalSet::new(
-                    members
-                        .iter()
-                        .map(|&i| {
-                            let scale = sizes[i] as f64;
-                            Interval::centered(state.estimates[i].mean() * scale, eps_base * scale)
-                        })
-                        .collect(),
-                );
+                let set = fresh_set(members.iter().map(|&i| {
+                    let scale = sizes[i] as f64;
+                    Interval::centered(state.estimates[i].mean() * scale, eps_base * scale)
+                }));
                 let to_remove: Vec<usize> = members
                     .iter()
                     .enumerate()
@@ -706,11 +716,11 @@ mod tests {
                     break;
                 }
                 for i in to_remove {
-                    state.deactivate(i, eps_base);
+                    state.active[i] = false;
                 }
             }
         }
-        let mut state = FocusState::initialize(config, groups, rng);
+        let mut state = FocusState::initialize(config, Width::anytime, groups, rng);
         let sizes = state.sizes.clone();
         deactivate_scaled(&mut state, &sizes);
         while state.any_active() {
@@ -724,7 +734,7 @@ mod tests {
                     state.draw(i, &mut groups[i], rng);
                 }
             }
-            let eps_base = state.epsilon();
+            let eps_base = epsilon(&state);
             let max_scaled = sizes
                 .iter()
                 .zip(&state.active)

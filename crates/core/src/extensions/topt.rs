@@ -10,7 +10,7 @@
 //! overlap rule restricted to other still-relevant groups.
 
 use crate::config::AlgoConfig;
-use crate::focus::{FocusStepper, Rule};
+use crate::focus::{FocusStepper, Rule, Width};
 use crate::group::GroupSource;
 use crate::result::RunResult;
 use rand::RngCore;
@@ -97,7 +97,7 @@ impl IFocusTopT {
             direction: self.direction,
             ruled_out: vec![false; groups.len()],
         };
-        FocusStepper::run(&self.config, rule, groups, rng)
+        FocusStepper::run(&self.config, rule, Width::anytime, groups, rng)
     }
 }
 

@@ -9,7 +9,7 @@
 //! sampling, never reduce it.
 
 use crate::config::AlgoConfig;
-use crate::focus::{FocusStepper, Rule};
+use crate::focus::{FocusStepper, Rule, Width};
 use crate::group::GroupSource;
 use crate::result::RunResult;
 use rand::RngCore;
@@ -39,7 +39,13 @@ impl IFocusValues {
     ///
     /// Panics if `groups` is empty.
     pub fn run<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RunResult {
-        FocusStepper::run(&self.config, Rule::Values { d: self.d }, groups, rng)
+        FocusStepper::run(
+            &self.config,
+            Rule::Values { d: self.d },
+            Width::anytime,
+            groups,
+            rng,
+        )
     }
 }
 

@@ -9,20 +9,23 @@
 //! which groups draw, when the whole run is cut off, the deactivation
 //! test, and (for SUM) the sum-space view of snapshots and results. The
 //! crate root and [`crate::extensions`] list which rule each public type is.
+//! How wide each group's interval is — the anytime ε, or the Bernstein
+//! variant's per-group empirical-Bernstein width — is the state's `Width`.
 //!
 //! Three rules take the batched round of [`AlgorithmStepper::step`], which
 //! draws `samples_per_round` from each drawing group in one `draw_batch`
 //! call: IFOCUS (`FullOrder`), ROUNDROBIN (`EveryGroup`) and Algorithm 4
 //! (`ScaledSum`). Algorithm 5 batches its `(x, z)` draws the same way in
 //! its own stepper. The anytime ε holds for every `m` at once, so testing
-//! only every `b`-th `m` keeps the 1−δ guarantee. The eager §6 variants run
-//! the per-draw [`FocusStepper::step_any`].
+//! only every `b`-th `m` keeps the 1−δ guarantee. The eager §6 variants and
+//! the Bernstein variant run the per-draw [`FocusStepper::step_any`].
 
 use crate::config::AlgoConfig;
 use crate::group::GroupSource;
 use crate::result::RunResult;
 use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
-use crate::state::FocusState;
+pub(crate) use crate::state::Width;
+use crate::state::{FocusState, WidthOf};
 use rand::RngCore;
 use rapidviz_stats::Interval;
 
@@ -78,14 +81,13 @@ impl Rule {
     /// Whether a finished round ends the run outright: the resolution
     /// relaxation (`ε_m < r/4`; SUM compares the largest `|S_i|·ε`; the
     /// value requirement replaces it), or nothing left to draw.
-    fn cut_off(&self, state: &FocusState) -> bool {
+    fn cut_off(&self, state: &mut FocusState) -> bool {
         let resolved = match self {
             Rule::Values { .. } => false,
             Rule::ScaledSum => state.config.resolution_epsilon().is_some_and(|thresh| {
-                let eps = state.epsilon();
-                let active_sizes = state.sizes.iter().zip(&state.active).filter(|(_, &a)| a);
-                let widest = active_sizes.map(|(&n, _)| n as f64 * eps);
-                widest.fold(0.0f64, f64::max) < thresh
+                state.read_widths();
+                let below = |i: usize| state.sizes[i] as f64 * state.live[i] < thresh;
+                (0..state.k()).all(|i| !state.active[i] || below(i))
             }),
             _ => state.resolution_reached(),
         };
@@ -104,10 +106,10 @@ impl Rule {
             Rule::ScaledSum => {
                 // Intervals `[|S_i|·(ν_i − ε), |S_i|·(ν_i + ε)]`
                 // (Algorithm 4 lines 6–7, 11–13).
-                let eps = state.epsilon();
-                state.separate(eps, |s, i| {
+                state.read_widths();
+                state.separate(|s, i| {
                     let scale = s.sizes[i] as f64;
-                    Interval::centered(s.estimates[i].mean() * scale, eps * scale)
+                    Interval::centered(s.estimates[i].mean() * scale, s.live[i] * scale)
                 });
             }
             Rule::TopT {
@@ -115,9 +117,9 @@ impl Rule {
                 direction,
                 ruled_out,
             } => {
-                let eps = state.epsilon();
+                state.read_widths();
                 let k = state.k();
-                let intervals: Vec<Interval> = (0..k).map(|i| state.interval(i, eps)).collect();
+                let intervals: Vec<Interval> = (0..k).map(|i| state.interval(i)).collect();
                 // A group is certainly out when >= t intervals sit strictly
                 // on the winning side of it (above for top-t, below for
                 // bottom-t); it stops being a comparison target for good.
@@ -128,18 +130,18 @@ impl Rule {
                     };
                     if !ruled_out[i] && (0..k).filter(|&j| j != i).filter(better).count() >= *t {
                         ruled_out[i] = true;
-                        state.deactivate(i, eps);
+                        state.deactivate(i);
                     }
                 }
                 // Contenders follow the overlap rule among contenders —
                 // exactly the active groups.
-                state.separate_means(eps);
+                state.separate(FocusState::interval);
             }
             Rule::Neighbours { edges, resolved } => {
-                let eps = state.epsilon();
+                state.read_widths();
                 let mut has_open_edge = vec![false; state.k()];
                 for (done, &(a, b)) in resolved.iter_mut().zip(edges.iter()) {
-                    *done = *done || !state.interval(a, eps).overlaps(&state.interval(b, eps));
+                    *done = *done || !state.interval(a).overlaps(&state.interval(b));
                     if !*done {
                         has_open_edge[a] = true;
                         has_open_edge[b] = true;
@@ -147,7 +149,7 @@ impl Rule {
                 }
                 for (i, open) in has_open_edge.into_iter().enumerate() {
                     if !open {
-                        state.deactivate(i, eps);
+                        state.deactivate(i);
                     }
                 }
             }
@@ -168,9 +170,9 @@ impl Rule {
             }
             Rule::Values { d } => {
                 // While `ε ≥ d/2` nobody may deactivate.
-                let eps = state.epsilon();
-                if eps < *d / 2.0 {
-                    state.separate_means(eps);
+                state.read_widths();
+                if (0..state.k()).all(|i| !state.active[i] || state.live[i] < *d / 2.0) {
+                    state.separate(FocusState::interval);
                 }
             }
         }
@@ -193,6 +195,7 @@ impl FocusStepper {
     pub(crate) fn start<G: GroupSource>(
         config: &AlgoConfig,
         rule: Rule,
+        width: WidthOf,
         groups: &mut [G],
         rng: &mut dyn RngCore,
     ) -> Self {
@@ -200,7 +203,7 @@ impl FocusStepper {
         // rules on it: only IFOCUS, ROUNDROBIN and Algorithm 5 honour the
         // resolution cut-off at the bootstrap round.
         let honours_resolution = matches!(rule, Rule::FullOrder | Rule::EveryGroup);
-        let state = FocusState::initialize(config, groups, rng);
+        let state = FocusState::initialize(config, width, groups, rng);
         Self::begin(state, rule, honours_resolution)
     }
 
@@ -218,10 +221,11 @@ impl FocusStepper {
     pub(crate) fn run<G: GroupSource>(
         config: &AlgoConfig,
         rule: Rule,
+        width: WidthOf,
         groups: &mut [G],
         rng: &mut dyn RngCore,
     ) -> RunResult {
-        let mut stepper = Self::start(config, rule, groups, rng);
+        let mut stepper = Self::start(config, rule, width, groups, rng);
         while stepper.step_any(groups, rng).is_running() {}
         stepper.finish()
     }
@@ -234,7 +238,7 @@ impl FocusStepper {
             return terminal;
         }
         draw(&mut self.state);
-        let stop = self.rule.cut_off(&self.state);
+        let stop = self.rule.cut_off(&mut self.state);
         self.settle(stop);
         if self.state.any_active() {
             StepOutcome::Running
@@ -244,13 +248,14 @@ impl FocusStepper {
     }
 
     /// Ends a round: everything deactivates on `stop`, otherwise the rule
-    /// decides.
+    /// decides; then a read over the groups left gives the snapshot's.
     fn settle(&mut self, stop: bool) {
         if stop {
             self.state.deactivate_all();
         } else {
             self.rule.deactivate(&mut self.state);
         }
+        self.state.read_widths();
     }
 
     /// The per-draw round: one `sample()` per drawing group,

@@ -20,7 +20,7 @@
 //! optimal up to the `log log` term by the Theorem 3.8 lower bound.
 
 use crate::config::AlgoConfig;
-use crate::focus::{FocusStepper, Rule};
+use crate::focus::{FocusStepper, Rule, Width};
 use crate::group::GroupSource;
 use crate::result::RunResult;
 use crate::runner::AlgorithmStepper;
@@ -70,7 +70,7 @@ impl IFocus {
     ///
     /// Panics if `groups` is empty.
     pub fn start<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> IFocusStepper {
-        FocusStepper::start(&self.config, Rule::FullOrder, groups, rng)
+        FocusStepper::start(&self.config, Rule::FullOrder, Width::anytime, groups, rng)
     }
 
     /// Runs IFOCUS over the groups to completion — a thin loop over
@@ -353,7 +353,7 @@ mod tests {
         groups: &mut [VecGroup],
         rng: &mut rand::rngs::StdRng,
     ) -> crate::result::RunResult {
-        let mut state = FocusState::initialize(config, groups, rng);
+        let mut state = FocusState::initialize(config, Width::anytime, groups, rng);
         if state.resolution_reached() {
             state.deactivate_all();
         } else {

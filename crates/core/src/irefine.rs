@@ -31,13 +31,18 @@
 //!   population size is *saturated*: the estimate is exact, the group
 //!   retires, and the per-group cost is bounded by `n_i`. This keeps
 //!   adversarial equal-mean inputs terminating.
+//! * It keeps a phase of its own rather than running [`crate::focus`]'s
+//!   round: its estimate is `sum / count`, not a running mean (folding it
+//!   would move answer bits); it has no bootstrap draw; and its targets
+//!   are per group, with line 10 testing overlap against *any* group.
 
 use crate::config::AlgoConfig;
 use crate::group::GroupSource;
 use crate::result::RunResult;
 use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
+use crate::state::FixpointScratch;
 use rand::RngCore;
-use rapidviz_stats::{hoeffding_sample_size, Interval, IntervalSet, SamplingMode};
+use rapidviz_stats::{hoeffding_sample_size, Interval, SamplingMode};
 
 /// The IREFINE algorithm (and IREFINE-R with a resolution configured).
 #[derive(Debug, Clone)]
@@ -87,6 +92,7 @@ impl IRefine {
             phase: 0,
             truncated: false,
             batch_buf: Vec::new(),
+            fix: FixpointScratch::default(),
             // Each phase halves ε; ~60 phases reach f64 resolution. Anything
             // deeper means adversarial input; respect max_rounds too.
             phase_cap: self.config.max_rounds.min(200),
@@ -124,6 +130,7 @@ pub struct IRefineStepper {
     phase: u64,
     truncated: bool,
     batch_buf: Vec<f64>,
+    fix: FixpointScratch,
     phase_cap: u64,
 }
 
@@ -200,14 +207,12 @@ impl AlgorithmStepper for IRefineStepper {
             }
         }
         // Line 10: recompute activity against every group's interval.
-        let set = IntervalSet::new(
-            (0..k)
-                .map(|i| Interval::centered(self.estimates[i], self.eps[i]))
-                .collect(),
-        );
+        let (estimates, eps) = (&self.estimates, &self.eps);
+        self.fix
+            .build_full(k, |i| Interval::centered(estimates[i], eps[i]));
         for i in 0..k {
             if self.active[i] {
-                self.active[i] = set.member_overlaps_others(i);
+                self.active[i] = self.fix.full_overlaps_others(i);
             }
         }
         if self.active.iter().any(|&a| a) {
@@ -248,6 +253,7 @@ impl AlgorithmStepper for IRefineStepper {
             + self.samples.capacity() * size_of::<u64>()
             + self.cumulative.capacity() * size_of::<(u64, f64)>()
             + self.batch_buf.capacity() * size_of::<f64>()
+            + self.fix.approx_bytes()
     }
 
     fn finish(self) -> RunResult {
@@ -453,14 +459,11 @@ mod tests {
                     active[i] = false;
                 }
             }
-            let set = IntervalSet::new(
-                (0..k)
-                    .map(|i| Interval::centered(estimates[i], eps[i]))
-                    .collect(),
-            );
+            let mut set = FixpointScratch::default();
+            set.build_full(k, |i| Interval::centered(estimates[i], eps[i]));
             for i in 0..k {
                 if active[i] {
-                    active[i] = set.member_overlaps_others(i);
+                    active[i] = set.full_overlaps_others(i);
                 }
             }
         }

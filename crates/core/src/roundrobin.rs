@@ -12,7 +12,7 @@
 //! `Σ_i m_i` — the gap the paper's Figure 3a quantifies.
 
 use crate::config::AlgoConfig;
-use crate::focus::{FocusStepper, Rule};
+use crate::focus::{FocusStepper, Rule, Width};
 use crate::group::GroupSource;
 use crate::result::RunResult;
 use crate::runner::AlgorithmStepper;
@@ -49,7 +49,7 @@ impl RoundRobin {
         groups: &mut [G],
         rng: &mut dyn RngCore,
     ) -> RoundRobinStepper {
-        FocusStepper::start(&self.config, Rule::EveryGroup, groups, rng)
+        FocusStepper::start(&self.config, Rule::EveryGroup, Width::anytime, groups, rng)
     }
 
     /// Runs ROUNDROBIN over the groups to completion — a thin loop over
@@ -172,7 +172,7 @@ mod tests {
         groups: &mut [VecGroup],
         rng: &mut rand::rngs::StdRng,
     ) -> crate::result::RunResult {
-        let mut state = FocusState::initialize(config, groups, rng);
+        let mut state = FocusState::initialize(config, Width::anytime, groups, rng);
         if state.resolution_reached() {
             state.deactivate_all();
         } else {

@@ -1,41 +1,42 @@
 //! The one IFOCUS round state.
 //!
 //! [`FocusState`] is the round state of every algorithm whose estimator is
-//! a per-group running mean under the shared anytime ε: IFOCUS, ROUNDROBIN,
-//! SUM with known sizes (Algorithm 4), SUM/COUNT with unknown sizes
-//! (Algorithm 5 — IFOCUS over the i.i.d. product stream `x·z`), and the
-//! trends, graph, top-t, mistakes, values and partial-results variants. It
-//! holds the running means, the round counter `m`, the active flags and the
-//! frozen intervals of deactivated groups, and supplies the round prologue
+//! a per-group running mean: IFOCUS, ROUNDROBIN, SUM with known sizes
+//! (Algorithm 4), SUM/COUNT with unknown sizes (Algorithm 5 — IFOCUS over
+//! the i.i.d. product stream `x·z`), the Bernstein variant, and the trends,
+//! graph, top-t, mistakes, values and partial-results variants. It holds
+//! the running means, the round counter `m`, the active flags and each
+//! group's [`Width`], and supplies the round prologue
 //! ([`FocusState::begin_round`]), the draw, the deactivation fixpoint
-//! ([`FocusState::separate`]) and the snapshot; those algorithms differ
-//! only in *who gets sampled* each round and *which intervals must
-//! separate* — the [`crate::focus::Rule`] the one round in
-//! [`crate::focus`] is parameterised by. It keeps no per-round record: a
-//! caller that wants one (Table 1, Figures 5c/6a) observes the snapshot
-//! after each step.
+//! ([`FocusState::separate`]) and the snapshot; the [`crate::focus::Rule`]
+//! decides who draws and which intervals must separate. A caller that
+//! wants a per-round record (Table 1, Figures 5c/6a) observes snapshots.
 //!
-//! [`FixpointScratch::separate`] is the only implementation of the
-//! deactivation fixpoint (Algorithm 1 lines 10–12) in this crate. The three
-//! algorithms with a different estimator — IREFINE (per-phase Hoeffding
-//! targets), the Bernstein variant (Welford variance) and multi-aggregate
-//! (two means per group) — keep their own state; the latter two iterate the
-//! same scratch, while IREFINE and the no-index sampler run a single
-//! all-groups overlap check per round, which is not a fixpoint.
+//! Widths are read ([`FocusState::read_widths`]) before each deactivation
+//! test, at [`FocusState::deactivate_all`] and when a round ends (what the
+//! snapshot shows), each over the active set of that moment; an interval
+//! freezes at the last read.
+//!
+//! [`FixpointScratch::separate`] is the crate's only deactivation fixpoint
+//! (Algorithm 1 lines 10–12); multi-aggregate (two means per group)
+//! iterates it in a loop of its own. IREFINE and the no-index sampler run
+//! one all-groups overlap check per round ([`FixpointScratch::build_full`]).
 
 use crate::config::{AlgoConfig, ReactivationPolicy};
 use crate::group::GroupSource;
 use crate::result::RunResult;
 use crate::runner::{Snapshot, StepOutcome};
 use rand::RngCore;
-use rapidviz_stats::{EpsilonSchedule, Interval, IntervalSetScratch, RunningMean};
+use rapidviz_stats::{
+    BernsteinSchedule, EpsilonSchedule, Interval, IntervalSetScratch, RunningMean,
+};
 
 /// Reusable buffers for the deactivation fixpoint: the active-member index
 /// list, the interval set, and the per-iteration removal list are all
 /// rebuilt in place, so a warmed scratch makes the whole fixpoint
 /// allocation-free (the same arena discipline as the samplers'
-/// `BatchScratch`). Owned by [`FocusState`]; the Bernstein and
-/// multi-aggregate loops hold one of their own.
+/// `BatchScratch`). Owned by [`FocusState`]; the multi-aggregate loop,
+/// IREFINE and the no-index sampler hold one of their own.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FixpointScratch {
     /// Indices of currently active groups, rebuilt per iteration.
@@ -78,8 +79,9 @@ impl FixpointScratch {
     }
 
     /// Rebuilds the interval set over **all** `k` groups (the reactivation
-    /// policy (b) test, which probes every group rather than iterating a
-    /// fixpoint over the active subset).
+    /// policy (b) test, IREFINE's line 10 and the no-index stopping test,
+    /// which probe every group rather than iterating a fixpoint over the
+    /// active subset).
     pub(crate) fn build_full(&mut self, k: usize, interval_of: impl Fn(usize) -> Interval) {
         self.set.begin();
         for i in 0..k {
@@ -103,10 +105,53 @@ impl FixpointScratch {
     }
 }
 
+/// How wide each group's confidence interval is.
+#[derive(Debug)]
+pub(crate) enum Width {
+    /// Algorithm 1 line 6's ε at round `m` and largest active size `N`.
+    Anytime(EpsilonSchedule),
+    /// Each group's empirical-Bernstein width at its own sample count and
+    /// variance; `m2[i]` is group `i`'s sum of squared deviations.
+    EmpiricalBernstein {
+        schedule: BernsteinSchedule,
+        m2: Vec<f64>,
+    },
+}
+
+/// A [`Width`] for `k` groups under a run's configuration.
+pub(crate) type WidthOf = fn(&AlgoConfig, usize) -> Width;
+
+impl Width {
+    pub(crate) fn anytime(config: &AlgoConfig, k: usize) -> Self {
+        Width::Anytime(config.schedule(k))
+    }
+
+    pub(crate) fn empirical_bernstein(config: &AlgoConfig, k: usize) -> Self {
+        let schedule = BernsteinSchedule::new(config.c, config.delta, k);
+        Width::EmpiricalBernstein {
+            schedule,
+            m2: vec![0.0; k],
+        }
+    }
+
+    /// Folds drawn values into group `i`'s running mean and, for Bernstein,
+    /// its `m2` (Welford's update, so the mean keeps its bits).
+    fn push(&mut self, i: usize, estimate: &mut RunningMean, xs: &[f64]) {
+        let Width::EmpiricalBernstein { m2, .. } = self else {
+            return estimate.push_batch(xs);
+        };
+        for &x in xs {
+            let before = estimate.mean();
+            estimate.push(x);
+            m2[i] += (x - before) * (x - estimate.mean());
+        }
+    }
+}
+
 /// Round-loop state over `k` groups.
 #[derive(Debug)]
 pub(crate) struct FocusState {
-    pub(crate) schedule: EpsilonSchedule,
+    width: Width,
     pub(crate) config: AlgoConfig,
     pub(crate) labels: Vec<String>,
     pub(crate) sizes: Vec<u64>,
@@ -115,8 +160,10 @@ pub(crate) struct FocusState {
     /// Groups whose population is exhausted (without replacement): their
     /// estimate equals the exact group mean and cannot change.
     pub(crate) exhausted: Vec<bool>,
-    /// ε at the moment each group deactivated (its frozen interval).
-    pub(crate) frozen_eps: Vec<f64>,
+    /// Every group's half-width at the last [`Self::read_widths`].
+    pub(crate) live: Vec<f64>,
+    /// Each group's half-width when it deactivated (its frozen interval).
+    frozen: Vec<f64>,
     pub(crate) samples: Vec<u64>,
     /// Round counter `m` (samples per still-active group so far).
     pub(crate) m: u64,
@@ -133,12 +180,13 @@ impl FocusState {
     /// group — Algorithm 1 lines 1–3).
     pub(crate) fn initialize<G: GroupSource>(
         config: &AlgoConfig,
+        width: WidthOf,
         groups: &mut [G],
         rng: &mut dyn RngCore,
     ) -> Self {
         let labels = groups.iter().map(GroupSource::label).collect();
         let sizes = groups.iter().map(GroupSource::len).collect();
-        let mut state = Self::new(config, labels, sizes);
+        let mut state = Self::new(config, width(config, groups.len()), labels, sizes);
         for (i, group) in groups.iter_mut().enumerate() {
             state.draw(i, group, rng);
         }
@@ -151,18 +199,24 @@ impl FocusState {
     /// # Panics
     ///
     /// Panics if `labels` is empty.
-    pub(crate) fn new(config: &AlgoConfig, labels: Vec<String>, sizes: Vec<u64>) -> Self {
+    pub(crate) fn new(
+        config: &AlgoConfig,
+        width: Width,
+        labels: Vec<String>,
+        sizes: Vec<u64>,
+    ) -> Self {
         assert!(!labels.is_empty(), "need at least one group");
         let k = labels.len();
         Self {
-            schedule: config.schedule(k),
+            width,
             config: config.clone(),
             labels,
             sizes,
             estimates: vec![RunningMean::new(); k],
             active: vec![true; k],
             exhausted: vec![false; k],
-            frozen_eps: vec![f64::INFINITY; k],
+            live: vec![f64::INFINITY; k],
+            frozen: vec![f64::INFINITY; k],
             samples: vec![0; k],
             m: 1,
             truncated: false,
@@ -197,12 +251,10 @@ impl FocusState {
     pub(crate) fn draw<G: GroupSource>(&mut self, i: usize, group: &mut G, rng: &mut dyn RngCore) {
         match group.sample(rng, self.config.mode) {
             Some(x) => {
-                self.estimates[i].push(x);
+                self.width.push(i, &mut self.estimates[i], &[x]);
                 self.samples[i] += 1;
             }
-            None => {
-                self.exhausted[i] = true;
-            }
+            None => self.exhausted[i] = true,
         }
     }
 
@@ -219,20 +271,16 @@ impl FocusState {
     ) {
         self.scratch.clear();
         let got = group.draw_batch(n, rng, self.config.mode, &mut self.scratch);
-        self.estimates[i].push_batch(&self.scratch);
+        self.width.push(i, &mut self.estimates[i], &self.scratch);
         self.samples[i] += got;
         if got < n {
             self.exhausted[i] = true;
         }
     }
 
-    /// Draws this round's batch from every group the selection admits, in
-    /// group order (the IFOCUS / ROUNDROBIN / partial-results hot loops all
-    /// come through here).
-    ///
-    /// With `include_inactive` false only active, unexhausted groups draw
-    /// (IFOCUS semantics); with it true every unexhausted group draws
-    /// (ROUNDROBIN semantics).
+    /// Draws this round's batch from every unexhausted group, in group
+    /// order: the active ones (IFOCUS), or all of them with
+    /// `include_inactive` (ROUNDROBIN). The batched hot loops come here.
     pub(crate) fn draw_round_selected<G: GroupSource>(
         &mut self,
         include_inactive: bool,
@@ -247,100 +295,87 @@ impl FocusState {
         }
     }
 
-    /// Largest population among currently active groups (the `N` of the
-    /// ε formula); falls back to the global max when nothing is active.
-    pub(crate) fn n_max_active(&self) -> u64 {
-        let active_max = self
-            .sizes
-            .iter()
-            .zip(&self.active)
-            .filter(|(_, &a)| a)
-            .map(|(&n, _)| n)
-            .max();
-        active_max.unwrap_or_else(|| self.sizes.iter().copied().max().unwrap_or(1))
+    /// Reads every group's live half-width, the one place one is computed:
+    /// the anytime ε takes `N` over the active groups (all when none is);
+    /// Bernstein, the group's own count (at least 1) and variance (0 if none).
+    pub(crate) fn read_widths(&mut self) {
+        match &self.width {
+            Width::Anytime(schedule) => {
+                let active = (0..self.k()).filter(|&i| self.active[i]);
+                let n_max = active.map(|i| self.sizes[i]).max();
+                let all = || self.sizes.iter().copied().max().unwrap_or(1);
+                let eps = schedule.half_width(self.m, n_max.unwrap_or_else(all));
+                self.live.fill(eps);
+            }
+            Width::EmpiricalBernstein { schedule, m2 } => {
+                for (i, estimate) in self.estimates.iter().enumerate() {
+                    let n = estimate.count();
+                    let variance = if n > 0 { m2[i] / n as f64 } else { 0.0 };
+                    self.live[i] = schedule.half_width(n.max(1), variance);
+                }
+            }
+        }
     }
 
-    /// The anytime ε at the current round.
-    pub(crate) fn epsilon(&self) -> f64 {
-        self.schedule.half_width(self.m, self.n_max_active())
-    }
-
-    /// Current confidence interval of group `i`: live ε while active, frozen
-    /// ε after deactivation (Table 1 renders both).
-    pub(crate) fn interval(&self, i: usize, eps_now: f64) -> Interval {
-        let eps = if self.active[i] {
-            eps_now
-        } else if self.exhausted[i] {
-            // Exhausted estimates are exact.
+    /// Group `i`'s interval: live (as of the last read) while active,
+    /// frozen once deactivated, zero-width once exhausted (exact).
+    pub(crate) fn interval(&self, i: usize) -> Interval {
+        let frozen = if self.exhausted[i] {
             0.0
         } else {
-            // Frozen at deactivation time.
-            self.frozen_eps[i]
+            self.frozen[i]
         };
+        let eps = if self.active[i] { self.live[i] } else { frozen };
         Interval::centered(self.estimates[i].mean(), eps)
     }
 
-    /// Deactivates group `i`, freezing its interval at the given ε.
-    pub(crate) fn deactivate(&mut self, i: usize, eps_now: f64) {
+    /// Deactivates group `i`, freezing its interval at the last read.
+    pub(crate) fn deactivate(&mut self, i: usize) {
         if self.active[i] {
             self.active[i] = false;
-            self.frozen_eps[i] = eps_now;
+            self.frozen[i] = self.live[i];
         }
     }
 
     /// The deactivation fixpoint (Algorithm 1 lines 10–12): while some
     /// active group's `interval_of` is disjoint from every *other active*
-    /// group's, deactivate it with its interval frozen at `eps_now`, so
-    /// cascaded separations resolve within the round.
+    /// group's, deactivate it, so cascaded separations resolve within the
+    /// round. The widths stay those of the last read throughout.
     ///
     /// Every iteration rebuilds its member list and interval set in the
     /// state's reusable [`FixpointScratch`] — zero steady-state heap
     /// allocation (verified by the `alloc_free` integration tests).
-    pub(crate) fn separate(
-        &mut self,
-        eps_now: f64,
-        interval_of: impl Fn(&Self, usize) -> Interval,
-    ) {
+    pub(crate) fn separate(&mut self, interval_of: impl Fn(&Self, usize) -> Interval) {
         let mut fix = std::mem::take(&mut self.fix);
         while fix.separate(&self.active, |i| interval_of(self, i)) {
             for &i in &fix.remove {
-                self.deactivate(i, eps_now);
+                self.deactivate(i);
             }
         }
         self.fix = fix;
     }
 
-    /// [`Self::separate`] over the plain intervals `ν_i ± eps_now`.
-    pub(crate) fn separate_means(&mut self, eps_now: f64) {
-        self.separate(eps_now, |s, i| {
-            Interval::centered(s.estimates[i].mean(), eps_now)
-        });
-    }
-
-    /// Standard IFOCUS deactivation: [`Self::separate_means`] at the current
-    /// ε. Under [`ReactivationPolicy::Allow`], activity is instead
-    /// recomputed from scratch over all non-exhausted groups (§3.1 option
-    /// (b)).
+    /// Standard IFOCUS deactivation: a read, then [`Self::separate`] over
+    /// the plain intervals `ν_i ± ε_i`. Under [`ReactivationPolicy::Allow`],
+    /// activity is instead recomputed from scratch over all non-exhausted
+    /// groups (§3.1 option (b)).
     pub(crate) fn standard_deactivation(&mut self) {
-        let eps_now = self.epsilon();
+        self.read_widths();
         match self.config.reactivation {
-            ReactivationPolicy::Never => self.separate_means(eps_now),
+            ReactivationPolicy::Never => self.separate(Self::interval),
             ReactivationPolicy::Allow => {
                 let mut fix = std::mem::take(&mut self.fix);
                 // Recompute overlap among every group (frozen estimates for
-                // previously inactive ones, live ε for all).
+                // previously inactive ones, live widths for all).
                 fix.build_full(self.k(), |i| {
-                    Interval::centered(self.estimates[i].mean(), eps_now)
+                    Interval::centered(self.estimates[i].mean(), self.live[i])
                 });
                 for i in 0..self.k() {
-                    let overlapping = fix.full_overlaps_others(i);
-                    if self.exhausted[i] {
-                        // Exhausted estimates cannot improve; keep inactive.
-                        self.deactivate(i, eps_now);
-                    } else if overlapping {
+                    // Exhausted estimates cannot improve; they stay inactive.
+                    if !self.exhausted[i] && fix.full_overlaps_others(i) {
                         self.active[i] = true;
                     } else {
-                        self.deactivate(i, eps_now);
+                        self.deactivate(i);
                     }
                 }
                 self.fix = fix;
@@ -348,34 +383,29 @@ impl FocusState {
         }
     }
 
-    /// Deactivates everything (resolution cut-off or exhaustion).
+    /// Deactivates everything at a fresh read (cut-off or exhaustion).
     pub(crate) fn deactivate_all(&mut self) {
-        let eps_now = self.epsilon();
+        self.read_widths();
         for i in 0..self.k() {
-            self.deactivate(i, eps_now);
+            self.deactivate(i);
         }
     }
 
-    /// Whether the resolution relaxation allows stopping now (`ε_m < r/4`).
-    pub(crate) fn resolution_reached(&self) -> bool {
-        self.config
-            .resolution_epsilon()
-            .is_some_and(|thresh| self.epsilon() < thresh)
+    /// Whether the resolution relaxation allows stopping now: every active
+    /// width of a fresh read below `r/4`.
+    pub(crate) fn resolution_reached(&mut self) -> bool {
+        let Some(thresh) = self.config.resolution_epsilon() else {
+            return false;
+        };
+        self.read_widths();
+        (0..self.k()).all(|i| !self.active[i] || self.live[i] < thresh)
     }
 
     /// True when every active group is exhausted — no further sampling can
     /// change any estimate, so the run must stop.
     pub(crate) fn all_active_exhausted(&self) -> bool {
-        let mut any_active = false;
-        for i in 0..self.k() {
-            if self.active[i] {
-                any_active = true;
-                if !self.exhausted[i] {
-                    return false;
-                }
-            }
-        }
-        any_active
+        let exhausted = |i: usize| !self.active[i] || self.exhausted[i];
+        self.any_active() && (0..self.k()).all(exhausted)
     }
 
     /// Every group exhausted (ROUNDROBIN keeps sampling inactive groups, so
@@ -412,21 +442,21 @@ impl FocusState {
             + self.estimates.capacity() * size_of::<RunningMean>()
             + self.active.capacity() * size_of::<bool>()
             + self.exhausted.capacity() * size_of::<bool>()
-            + self.frozen_eps.capacity() * size_of::<f64>()
+            + self.live.capacity() * size_of::<f64>()
+            + self.frozen.capacity() * size_of::<f64>()
             + self.samples.capacity() * size_of::<u64>()
             + self.scratch.capacity() * size_of::<f64>()
             + self.fix.approx_bytes()
     }
 
     /// A point-in-time view for the resumable stepping API: estimates,
-    /// intervals (live ε for active groups, frozen for certified ones),
-    /// active flags, and sample counts.
+    /// intervals (as of the read that ended the round), active flags, and
+    /// sample counts.
     pub(crate) fn snapshot(&self) -> Snapshot {
-        let eps_now = self.epsilon();
         Snapshot {
             labels: self.labels.clone(),
             estimates: self.estimates.iter().map(RunningMean::mean).collect(),
-            intervals: (0..self.k()).map(|i| self.interval(i, eps_now)).collect(),
+            intervals: (0..self.k()).map(|i| self.interval(i)).collect(),
             active: self.active.clone(),
             samples_per_group: self.samples.clone(),
             rounds: self.m,
@@ -443,5 +473,26 @@ impl FocusState {
             rounds: self.m,
             truncated: self.truncated,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_bernstein_width_keeps_m2_beside_an_unchanged_mean() {
+        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
+        let mut width = Width::empirical_bernstein(&AlgoConfig::new(10.0, 0.05), 2);
+        let (mut mean, mut plain) = (RunningMean::new(), RunningMean::new());
+        width.push(1, &mut mean, &xs[..3]);
+        width.push(1, &mut mean, &xs[3..]);
+        plain.push_batch(&xs);
+        assert_eq!(mean, plain, "the mean keeps its bits");
+        let Width::EmpiricalBernstein { m2, .. } = &width else {
+            unreachable!()
+        };
+        // Population variance 4 over 8 values; group 0 drew nothing.
+        assert_eq!(m2, &[0.0, 32.0]);
     }
 }

@@ -14,13 +14,21 @@
 //! For low-variance groups (e.g. the `truncnorm` family with σ ≪ c) this
 //! is dramatically tighter than Hoeffding once `m` is moderate, so an
 //! IFOCUS configured with a Bernstein schedule deactivates low-variance
-//! groups much sooner. The anytime extension uses the same geometric-epoch
-//! union bound as [`crate::schedule::EpsilonSchedule`] (Theorem 3.2's
-//! argument is agnostic to which fixed-`m` bound it stretches), spending
-//! `δ_m = δ·6/(π²·(log₂ m + 1)²)` on epoch `⌈log₂ m⌉`.
+//! groups much sooner.
 //!
-//! This is an *extension*, off by default; the ablation benches compare it
-//! against the paper's Hoeffding-based schedule.
+//! The anytime extension ([`BernsteinSchedule`]) splits `δ` evenly over the
+//! `k` groups and, within a group, over geometric epochs: every `m` in
+//! epoch `e = ⌊log₂ m⌋ + 1` (so `2^(e−1) ≤ m < 2^e`) is tested at
+//! `δ_e = δ·6/(π²·e²·k)`, and `Σ_e 6/(π²·e²) = 1`. Like Theorem 3.2's
+//! argument for [`crate::schedule::EpsilonSchedule`], this covers every `m`
+//! at once only if the bound holds *simultaneously for all `m` within an
+//! epoch* — a maximal empirical-Bernstein inequality. Theorem 3.2 has a
+//! maximal Hoeffding–Serfling inequality (Lemma 2) for this step; nothing
+//! in this crate proves the Bernstein counterpart, so the anytime claim
+//! rests on that assumption until it is discharged.
+//!
+//! This is an *extension*, off by default; `experiments extensions`
+//! compares it against the paper's Hoeffding-based schedule.
 
 /// Fixed-`m` empirical Bernstein half-width at confidence `1 − δ` for
 /// values in `[0, c]` with observed sample variance `variance`.
@@ -39,9 +47,10 @@ pub fn empirical_bernstein_half_width(m: u64, variance: f64, delta: f64, c: f64)
     (2.0 * variance * log_term / mf).sqrt() + 3.0 * c * log_term / mf
 }
 
-/// Anytime empirical Bernstein schedule: valid simultaneously for all
-/// rounds `m ≥ 1` with total failure probability `δ`, by spending
-/// `δ·6/(π²·e²)` on epoch `e = ⌊log₂ m⌋ + 1`.
+/// Anytime empirical Bernstein schedule for `k` groups: spends
+/// `δ·6/(π²·e²·k)` on epoch `e = ⌊log₂ m⌋ + 1`, which covers every round
+/// `m ≥ 1` of every group with total failure probability `δ` under the
+/// maximal-inequality assumption in the module docs.
 #[derive(Debug, Clone)]
 pub struct BernsteinSchedule {
     c: f64,

@@ -2,10 +2,9 @@
 //!
 //! [`RunningMean`] implements the incremental update of Algorithm 1 line 9,
 //! `ν ← (m−1)/m·ν + x/m`, in the standard numerically stable form
-//! `ν ← ν + (x − ν)/m`. [`WelfordVariance`] extends it with Welford's
-//! single-pass variance (used by diagnostics and the data-difficulty
-//! reports), and [`Extrema`] tracks the observed range, which lets callers
-//! sanity-check the `[0, c]` boundedness assumption at run time.
+//! `ν ← ν + (x − ν)/m`, and [`Extrema`] tracks the observed range, which
+//! lets callers sanity-check the `[0, c]` boundedness assumption at run
+//! time.
 
 /// Incrementally maintained sample mean.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -74,77 +73,6 @@ impl RunningMean {
         let total = self.count + other.count;
         let w = other.count as f64 / total as f64;
         self.mean += (other.mean - self.mean) * w;
-        self.count = total;
-    }
-}
-
-/// Welford's single-pass mean/variance estimator.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct WelfordVariance {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl WelfordVariance {
-    /// An empty estimator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Incorporates one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Current mean.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (`M2/n`); `None` with no observations.
-    #[must_use]
-    pub fn population_variance(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.m2 / self.count as f64)
-    }
-
-    /// Sample variance (`M2/(n−1)`); `None` with fewer than two observations.
-    #[must_use]
-    pub fn sample_variance(&self) -> Option<f64> {
-        (self.count > 1).then(|| self.m2 / (self.count - 1) as f64)
-    }
-
-    /// Sample standard deviation.
-    #[must_use]
-    pub fn sample_std(&self) -> Option<f64> {
-        self.sample_variance().map(f64::sqrt)
-    }
-
-    /// Merges another estimator (Chan et al. parallel combination).
-    pub fn merge(&mut self, other: &WelfordVariance) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64) * (other.count as f64) / total as f64;
-        self.mean += delta * other.count as f64 / total as f64;
         self.count = total;
     }
 }
@@ -281,79 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn welford_matches_naive() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = WelfordVariance::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-        assert!((w.mean() - mean).abs() < 1e-12);
-        assert!((w.population_variance().unwrap() - var).abs() < 1e-12);
-        assert!(
-            (w.sample_variance().unwrap() - var * xs.len() as f64 / (xs.len() - 1) as f64).abs()
-                < 1e-12
-        );
-    }
-
-    #[test]
-    fn welford_mean_is_bit_equal_to_running_mean() {
-        // Both update `mean += (x - mean) / n` with the same two f64
-        // operations, so a width that needs a variance can keep `m2` beside
-        // the existing mean instead of a second mean.
-        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
-        let (mut rm, mut w) = (RunningMean::new(), WelfordVariance::new());
-        for i in 0..20_000_u32 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let unit = (state >> 11) as f64 / (1_u64 << 53) as f64;
-            let x = match i % 4 {
-                0 => unit,
-                1 => -1e9 * unit,
-                2 => 1e-300 * unit,
-                _ => f64::from(i % 7) * 1e12,
-            };
-            rm.push(x);
-            w.push(x);
-            assert_eq!(w.mean().to_bits(), rm.mean().to_bits(), "push {i}");
-        }
-    }
-
-    #[test]
-    fn welford_degenerate_counts() {
-        let mut w = WelfordVariance::new();
-        assert_eq!(w.population_variance(), None);
-        w.push(3.0);
-        assert_eq!(w.population_variance(), Some(0.0));
-        assert_eq!(w.sample_variance(), None);
-    }
-
-    #[test]
-    fn welford_merge_matches_pooled() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = WelfordVariance::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut left = WelfordVariance::new();
-        let mut right = WelfordVariance::new();
-        for &x in &xs[..37] {
-            left.push(x);
-        }
-        for &x in &xs[37..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!(
-            (left.population_variance().unwrap() - whole.population_variance().unwrap()).abs()
-                < 1e-9
-        );
-    }
-
-    #[test]
     fn extrema_basic() {
         let mut e = Extrema::new();
         assert_eq!(e.min(), None);
@@ -392,32 +247,6 @@ mod proptests {
             }
             let naive = xs.iter().sum::<f64>() / xs.len() as f64;
             prop_assert!((rm.mean() - naive).abs() < 1e-6 * (1.0 + naive.abs()));
-        }
-
-        #[test]
-        fn merge_equals_sequential(
-            xs in proptest::collection::vec(-1e3f64..1e3, 1..100),
-            split in 0usize..100,
-        ) {
-            let split = split.min(xs.len());
-            let mut seq = WelfordVariance::new();
-            for &x in &xs {
-                seq.push(x);
-            }
-            let mut a = WelfordVariance::new();
-            let mut b = WelfordVariance::new();
-            for &x in &xs[..split] {
-                a.push(x);
-            }
-            for &x in &xs[split..] {
-                b.push(x);
-            }
-            a.merge(&b);
-            prop_assert!((a.mean() - seq.mean()).abs() < 1e-7);
-            prop_assert!(
-                (a.population_variance().unwrap() - seq.population_variance().unwrap()).abs()
-                    < 1e-6
-            );
         }
 
         #[test]

@@ -3,9 +3,9 @@
 //! The active-set test of Algorithm 1 (line 11) asks whether the confidence
 //! interval of group `i` intersects the union of the confidence intervals of
 //! all *other* active groups. [`Interval`] provides the pointwise operations
-//! and [`IntervalSet`] answers that union-overlap query in `O(log n)` per
-//! probe after an `O(n log n)` build, which keeps the per-round bookkeeping
-//! cost at `O(k log k)` as analyzed in §3.4 of the paper.
+//! and [`IntervalSetScratch`] answers that union-overlap query in `O(log n)`
+//! per probe after an `O(n log n)` build, which keeps the per-round
+//! bookkeeping cost at `O(k log k)` as analyzed in §3.4 of the paper.
 
 /// A closed interval `[lo, hi]` on the real line.
 ///
@@ -100,27 +100,6 @@ impl Interval {
     }
 }
 
-/// A set of intervals supporting fast "does this interval hit any member
-/// other than one excluded index?" queries.
-///
-/// Internally the member intervals are sorted by lower endpoint together with
-/// a prefix/suffix decomposition of maxima/minima so that the exclusion query
-/// runs in `O(log n)`:
-///
-/// for a probe `q` and excluded member `x`, `q` overlaps some member `!= x`
-/// iff there exists `j != x` with `lo_j <= q.hi` and `hi_j >= q.lo`. We answer
-/// this with two passes over the sorted order using precomputed prefix maxima
-/// of `hi` (members starting at or below `q.hi`), skipping `x` via
-/// second-best tracking.
-///
-/// Hot loops that rebuild the set every iteration (the algorithms'
-/// deactivation fixpoints) should hold an [`IntervalSetScratch`] instead:
-/// same queries, but rebuilding reuses the internal buffers.
-#[derive(Debug, Clone)]
-pub struct IntervalSet {
-    scratch: IntervalSetScratch,
-}
-
 /// Best and second-best `(hi, index)` pairs for the exclusion trick.
 #[derive(Debug, Clone, Copy)]
 struct BestPair {
@@ -129,11 +108,21 @@ struct BestPair {
     second_val: f64,
 }
 
-/// A reusable [`IntervalSet`] builder: `begin` / `push` / `build`, then the
-/// same overlap queries, with every internal buffer (members, sort order,
-/// prefix maxima) retained across rebuilds so a warmed scratch performs
-/// **zero heap allocation** per rebuild. This is what the per-round
-/// deactivation fixpoints of the IFOCUS family iterate on.
+/// A set of intervals supporting fast "does this interval hit any member
+/// other than one excluded index?" queries, built `begin` / `push` /
+/// `build` and rebuilt in place.
+///
+/// Internally the member intervals are sorted by lower endpoint together
+/// with prefix maxima of `hi`, so that the exclusion query runs in
+/// `O(log n)`: for a probe `q` and excluded member `x`, `q` overlaps some
+/// member `!= x` iff there exists `j != x` with `lo_j <= q.hi` and
+/// `hi_j >= q.lo`, answered from the prefix of members starting at or
+/// below `q.hi`, skipping `x` via second-best tracking.
+///
+/// Every internal buffer (members, sort order, prefix maxima) is retained
+/// across rebuilds, so a warmed scratch performs **zero heap allocation**
+/// per rebuild. This is what the per-round deactivation fixpoints of the
+/// IFOCUS family iterate on.
 #[derive(Debug, Clone, Default)]
 pub struct IntervalSetScratch {
     /// Member intervals in insertion order (index-addressable).
@@ -262,69 +251,20 @@ impl IntervalSetScratch {
     }
 }
 
-impl IntervalSet {
-    /// Builds the set from the given member intervals.
-    #[must_use]
-    pub fn new(members: Vec<Interval>) -> Self {
-        let mut scratch = IntervalSetScratch {
-            members,
-            by_lo: Vec::new(),
-            prefix_best: Vec::new(),
-        };
-        scratch.build();
-        Self { scratch }
-    }
-
-    /// Number of member intervals.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.scratch.len()
-    }
-
-    /// Whether the set has no members.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.scratch.is_empty()
-    }
-
-    /// Returns the member at `idx`.
-    #[must_use]
-    pub fn member(&self, idx: usize) -> Interval {
-        self.scratch.member(idx)
-    }
-
-    /// Does `probe` overlap any member whose index differs from `exclude`?
-    ///
-    /// Pass `exclude = usize::MAX` (or any out-of-range index) to test
-    /// against every member. Runs in `O(log n)`.
-    #[must_use]
-    pub fn overlaps_any_excluding(&self, probe: &Interval, exclude: usize) -> bool {
-        self.scratch.overlaps_any_excluding(probe, exclude)
-    }
-
-    /// Does member `idx` overlap any *other* member of the set?
-    ///
-    /// This is exactly the activity test of Algorithm 1 line 11.
-    #[must_use]
-    pub fn member_overlaps_others(&self, idx: usize) -> bool {
-        self.scratch.member_overlaps_others(idx)
-    }
-
-    /// Indices of all members that overlap at least one other member.
-    #[must_use]
-    pub fn overlapping_members(&self) -> Vec<usize> {
-        (0..self.len())
-            .filter(|&i| self.member_overlaps_others(i))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn iv(lo: f64, hi: f64) -> Interval {
         Interval::new(lo, hi)
+    }
+
+    /// A freshly built set over `members`.
+    pub(super) fn set_of(members: &[Interval]) -> IntervalSetScratch {
+        let mut set = IntervalSetScratch::new();
+        members.iter().for_each(|&member| set.push(member));
+        set.build();
+        set
     }
 
     #[test]
@@ -414,7 +354,7 @@ mod tests {
     #[test]
     fn interval_set_matches_naive_small() {
         let members = vec![iv(0.0, 1.0), iv(0.5, 2.0), iv(3.0, 4.0), iv(4.0, 5.0)];
-        let set = IntervalSet::new(members.clone());
+        let set = set_of(&members);
         for exclude in 0..=members.len() {
             for probe in &[iv(0.0, 0.4), iv(0.9, 3.1), iv(6.0, 7.0), iv(4.5, 4.6)] {
                 assert_eq!(
@@ -429,7 +369,7 @@ mod tests {
     #[test]
     fn member_overlaps_others_basic() {
         // Groups 0/1 overlap each other; 2 is isolated; 3/4 touch.
-        let set = IntervalSet::new(vec![
+        let set = set_of(&[
             iv(0.0, 1.0),
             iv(0.5, 1.5),
             iv(10.0, 11.0),
@@ -441,25 +381,24 @@ mod tests {
         assert!(!set.member_overlaps_others(2));
         assert!(set.member_overlaps_others(3), "tangency counts as overlap");
         assert!(set.member_overlaps_others(4));
-        assert_eq!(set.overlapping_members(), vec![0, 1, 3, 4]);
     }
 
     #[test]
     fn singleton_set_never_overlaps() {
-        let set = IntervalSet::new(vec![iv(0.0, 100.0)]);
+        let set = set_of(&[iv(0.0, 100.0)]);
         assert!(!set.member_overlaps_others(0));
     }
 
     #[test]
     fn empty_set() {
-        let set = IntervalSet::new(vec![]);
+        let set = set_of(&[]);
         assert!(set.is_empty());
         assert!(!set.overlaps_any_excluding(&iv(0.0, 1.0), usize::MAX));
     }
 
     #[test]
     fn duplicate_intervals_overlap_each_other() {
-        let set = IntervalSet::new(vec![iv(1.0, 2.0), iv(1.0, 2.0)]);
+        let set = set_of(&[iv(1.0, 2.0), iv(1.0, 2.0)]);
         assert!(set.member_overlaps_others(0));
         assert!(set.member_overlaps_others(1));
     }
@@ -481,7 +420,7 @@ mod tests {
                 scratch.push(m);
             }
             scratch.build();
-            let fresh = IntervalSet::new(members.clone());
+            let fresh = set_of(&members);
             assert_eq!(scratch.len(), fresh.len());
             for i in 0..members.len() {
                 assert_eq!(
@@ -496,6 +435,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::set_of;
     use super::*;
     use proptest::prelude::*;
 
@@ -527,7 +467,7 @@ mod proptests {
             probe in arb_interval(),
             exclude in 0usize..30,
         ) {
-            let set = IntervalSet::new(members.clone());
+            let set = set_of(&members);
             let naive = members
                 .iter()
                 .enumerate()
@@ -539,7 +479,7 @@ mod proptests {
         fn member_query_matches_naive(
             members in proptest::collection::vec(arb_interval(), 1..24),
         ) {
-            let set = IntervalSet::new(members.clone());
+            let set = set_of(&members);
             for i in 0..members.len() {
                 let naive = members
                     .iter()

@@ -17,7 +17,9 @@
 //!   with/without-replacement modes, and the heuristic shrink factor studied
 //!   in Figures 5a/5b.
 //! * [`estimators`] — numerically careful running estimators: running mean
-//!   (the `ν_i` update of Algorithm 1 line 9), Welford variance, extrema.
+//!   (the `ν_i` update of Algorithm 1 line 9) and extrema.
+//! * [`bernstein`] — the empirical-Bernstein half-width and its anytime
+//!   schedule, the variance-adaptive alternative to [`schedule`].
 //!
 //! All bounds here treat values in a bounded range `[0, c]`; the algorithms
 //! pass `c` explicitly (the paper's boundedness assumption, §2.1).
@@ -37,8 +39,8 @@ pub mod schedule;
 pub mod serfling;
 
 pub use bernstein::{empirical_bernstein_half_width, BernsteinSchedule};
-pub use estimators::{Extrema, RunningMean, WelfordVariance};
+pub use estimators::{Extrema, RunningMean};
 pub use hoeffding::{hoeffding_deviation_probability, hoeffding_half_width, hoeffding_sample_size};
-pub use interval::{Interval, IntervalSet, IntervalSetScratch};
+pub use interval::{Interval, IntervalSetScratch};
 pub use schedule::{EpsilonSchedule, SamplingMode};
 pub use serfling::{serfling_half_width, serfling_sampling_fraction_factor};

@@ -148,6 +148,16 @@ impl<'a> VizQuery<'a> {
     /// and returns best-effort
     /// estimates flagged as truncated.
     ///
+    /// A round that starts under the cap runs to its end, so a run can
+    /// overshoot by one round. For IFOCUS, ROUNDROBIN and SUM that is at
+    /// most one batch per group, and the batch is clamped to `⌈cap / k⌉`
+    /// (see [`VizQuery::samples_per_round`]). An IREFINE round is a whole
+    /// phase, and each phase's target is a little over 4× the previous one
+    /// (`ε_i` and `δ_i` both halve), so IREFINE can end several times past
+    /// the cap: on three 100,000-row two-point groups (means 40, 45 and 60,
+    /// `c` = 100), a cap of 1,000 draws 2,904 samples and a cap of 3,000
+    /// draws 9,420, where IFOCUS draws 1,002 and 3,000.
+    ///
     /// # Panics
     ///
     /// Panics if `cap == 0`.

@@ -4,6 +4,8 @@
 //! facade, serving, simulation or bench layers; dev-dependencies are exempt,
 //! as cargo permits dev-only cycles. Within one crate, the `crate::<module>`
 //! references between top-level modules (not the crate root) form no cycle.
+//! And the IFOCUS round is written once: `crates/core/src` calls
+//! `begin_round(` at exactly one non-test site.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -67,16 +69,19 @@ fn parse_manifest(text: &str) -> (String, Vec<String>) {
     (name, deps)
 }
 
-/// The top-level modules a file names through `crate::` paths, read from
-/// its non-comment lines above the first `#[cfg(test)]`. The lines are
-/// joined first, so a `use crate::{…};` spanning several lines reads whole.
-fn module_refs(source: &str) -> BTreeSet<String> {
+/// A file's non-comment lines above its first `#[cfg(test)]`, trimmed at
+/// the start.
+fn code_lines(source: &str) -> impl Iterator<Item = &str> {
     let lines = source.lines().map(str::trim_start);
-    let code: Vec<&str> = lines
-        .take_while(|l| !l.starts_with("#[cfg(test)]"))
-        .filter(|l| !l.starts_with("//"))
-        .collect();
-    let code = code.join(" ");
+    let code = lines.take_while(|l| !l.starts_with("#[cfg(test)]"));
+    code.filter(|l| !l.starts_with("//"))
+}
+
+/// The top-level modules a file names through `crate::` paths, read from
+/// its [`code_lines`]. The lines are joined first, so a `use crate::{…};`
+/// spanning several lines reads whole.
+fn module_refs(source: &str) -> BTreeSet<String> {
+    let code = code_lines(source).collect::<Vec<_>>().join(" ");
     let ident = |s: &str| -> String {
         let word = |c: &char| c.is_alphanumeric() || *c == '_';
         s.trim_start().chars().take_while(word).collect()
@@ -110,22 +115,31 @@ fn module_refs(source: &str) -> BTreeSet<String> {
     refs
 }
 
+/// Every `.rs` file under `dir`, at any depth.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let (mut files, mut dirs) = (Vec::new(), vec![dir.to_path_buf()]);
+    while let Some(dir) = dirs.pop() {
+        for path in fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    files
+}
+
 /// The `crate::` reference graph between a crate's top-level modules.
 /// `src/lib.rs`, `src/main.rs` and `src/bin/` are not modules of the library.
 fn module_graph(src: &Path) -> Graph {
-    let (mut graph, mut dirs) = (Graph::new(), vec![src.to_path_buf()]);
-    while let Some(dir) = dirs.pop() {
-        for path in fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
-            let top = path.strip_prefix(src).unwrap().components().next().unwrap();
-            let module = top.as_os_str().to_str().unwrap().trim_end_matches(".rs");
-            if path.is_dir() {
-                dirs.push(path);
-            } else if path.extension().is_some_and(|e| e == "rs")
-                && !matches!(module, "lib" | "main" | "bin")
-            {
-                let refs = module_refs(&fs::read_to_string(&path).unwrap());
-                graph.entry(module.to_owned()).or_default().extend(refs);
-            }
+    let mut graph = Graph::new();
+    for path in rust_files(src) {
+        let top = path.strip_prefix(src).unwrap().components().next().unwrap();
+        let module = top.as_os_str().to_str().unwrap().trim_end_matches(".rs");
+        if !matches!(module, "lib" | "main" | "bin") {
+            let refs = module_refs(&fs::read_to_string(&path).unwrap());
+            graph.entry(module.to_owned()).or_default().extend(refs);
         }
     }
     let modules: BTreeSet<String> = graph.keys().cloned().collect();
@@ -194,4 +208,21 @@ fn the_checks_read_use_groups_and_find_cycles() {
     assert!(cyclic_core(&graph_of(&["a: b c", "b: c", "c:"])).is_empty());
     let cycle = graph_of(&["a: b", "b: c", "c: b d", "d:"]);
     assert_eq!(cyclic_core(&cycle), ["b", "c"]);
+}
+
+#[test]
+fn the_ifocus_round_has_one_begin_round_call_site() {
+    let core = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src");
+    let mut sites = Vec::new();
+    for path in rust_files(&core) {
+        let source = fs::read_to_string(&path).unwrap();
+        let calls = code_lines(&source)
+            .filter(|l| l.contains("begin_round(") && !l.contains("fn begin_round"));
+        sites.extend(calls.map(|l| format!("{}: {l}", path.display())));
+    }
+    assert_eq!(
+        sites.len(),
+        1,
+        "non-test `begin_round(` call sites: {sites:#?}"
+    );
 }
