@@ -24,8 +24,8 @@ use crate::config::AlgoConfig;
 use crate::group::GroupSource;
 use crate::result::RunResult;
 use crate::runner::{AlgorithmStepper, Snapshot, StepOutcome};
+use crate::state::FocusState;
 pub(crate) use crate::state::Width;
-use crate::state::{FocusState, WidthOf};
 use rand::RngCore;
 use rapidviz_stats::Interval;
 
@@ -195,7 +195,7 @@ impl FocusStepper {
     pub(crate) fn start<G: GroupSource>(
         config: &AlgoConfig,
         rule: Rule,
-        width: WidthOf,
+        width: fn(&AlgoConfig, usize) -> Width,
         groups: &mut [G],
         rng: &mut dyn RngCore,
     ) -> Self {
@@ -221,7 +221,7 @@ impl FocusStepper {
     pub(crate) fn run<G: GroupSource>(
         config: &AlgoConfig,
         rule: Rule,
-        width: WidthOf,
+        width: fn(&AlgoConfig, usize) -> Width,
         groups: &mut [G],
         rng: &mut dyn RngCore,
     ) -> RunResult {

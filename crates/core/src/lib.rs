@@ -40,10 +40,9 @@
 //! value accuracy, partial results, `SUM` (known and unknown group sizes),
 //! `COUNT`, multiple aggregates, and the no-index setting — all but the
 //! last two as further rules over that one round ([`extensions`] names
-//! each), as is a variance-adaptive variant that only changes the interval
-//! width. Selection predicates and multiple group-bys are handled in the
-//! storage layer (`rapidviz-needletail`) since they only change which rows
-//! are eligible.
+//! each), as is a variance-adaptive variant of the interval width.
+//! Selection predicates and multiple group-bys are handled in the storage
+//! layer (`rapidviz-needletail`) since they only change eligible rows.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

@@ -118,9 +118,6 @@ pub(crate) enum Width {
     },
 }
 
-/// A [`Width`] for `k` groups under a run's configuration.
-pub(crate) type WidthOf = fn(&AlgoConfig, usize) -> Width;
-
 impl Width {
     pub(crate) fn anytime(config: &AlgoConfig, k: usize) -> Self {
         Width::Anytime(config.schedule(k))
@@ -136,6 +133,7 @@ impl Width {
 
     /// Folds drawn values into group `i`'s running mean and, for Bernstein,
     /// its `m2` (Welford's update, so the mean keeps its bits).
+    #[inline]
     fn push(&mut self, i: usize, estimate: &mut RunningMean, xs: &[f64]) {
         let Width::EmpiricalBernstein { m2, .. } = self else {
             return estimate.push_batch(xs);
@@ -162,6 +160,8 @@ pub(crate) struct FocusState {
     pub(crate) exhausted: Vec<bool>,
     /// Every group's half-width at the last [`Self::read_widths`].
     pub(crate) live: Vec<f64>,
+    /// `(m, N)` of the last anytime read: a read at the same pair is free.
+    read_at: (u64, u64),
     /// Each group's half-width when it deactivated (its frozen interval).
     frozen: Vec<f64>,
     pub(crate) samples: Vec<u64>,
@@ -180,7 +180,7 @@ impl FocusState {
     /// group — Algorithm 1 lines 1–3).
     pub(crate) fn initialize<G: GroupSource>(
         config: &AlgoConfig,
-        width: WidthOf,
+        width: fn(&AlgoConfig, usize) -> Width,
         groups: &mut [G],
         rng: &mut dyn RngCore,
     ) -> Self {
@@ -216,6 +216,7 @@ impl FocusState {
             active: vec![true; k],
             exhausted: vec![false; k],
             live: vec![f64::INFINITY; k],
+            read_at: (0, 0),
             frozen: vec![f64::INFINITY; k],
             samples: vec![0; k],
             m: 1,
@@ -302,10 +303,12 @@ impl FocusState {
         match &self.width {
             Width::Anytime(schedule) => {
                 let active = (0..self.k()).filter(|&i| self.active[i]);
-                let n_max = active.map(|i| self.sizes[i]).max();
                 let all = || self.sizes.iter().copied().max().unwrap_or(1);
-                let eps = schedule.half_width(self.m, n_max.unwrap_or_else(all));
-                self.live.fill(eps);
+                let n_max = active.map(|i| self.sizes[i]).max().unwrap_or_else(all);
+                if self.read_at != (self.m, n_max) {
+                    self.read_at = (self.m, n_max);
+                    self.live.fill(schedule.half_width(self.m, n_max));
+                }
             }
             Width::EmpiricalBernstein { schedule, m2 } => {
                 for (i, estimate) in self.estimates.iter().enumerate() {
