@@ -45,13 +45,8 @@ impl IFocusBernstein {
             reactivation: ReactivationPolicy::Never,
             ..self.config.clone()
         };
-        FocusStepper::run(
-            &config,
-            Rule::FullOrder,
-            Width::empirical_bernstein,
-            groups,
-            rng,
-        )
+        let width = Width::empirical_bernstein;
+        FocusStepper::run(&config, Rule::FullOrder, width, groups, rng)
     }
 }
 
