@@ -1351,28 +1351,31 @@ mod tests {
         use crate::client::{QueryRun, WireClient};
         use crate::protocol::WireRound;
         use rapidviz::needletail::{ColumnDef, DataType, Schema, TableBuilder, Value};
-        use rapidviz::Aggregate;
 
-        /// Two groups of exactly 2,000 rows, so their normalized counts tie.
+        /// Two groups of 2^19 rows each, holding the same multiset of
+        /// values in `0..100`, so their means tie exactly.
         fn tied_engine() -> NeedleTail {
             let mut b = TableBuilder::new(Schema::new(vec![
                 ColumnDef::new("g", DataType::Str),
                 ColumnDef::new("v", DataType::Float),
             ]));
-            for i in 0..4_000u32 {
+            for i in 0..1u32 << 20 {
                 let g = if i % 2 == 0 { "a" } else { "b" };
-                b.push_row(vec![g.into(), Value::Float(f64::from(i % 100))]);
+                b.push_row(vec![g.into(), Value::Float(f64::from((i / 2) % 100))]);
             }
             NeedleTail::new(b.finish(), &["g"]).expect("tied engine builds")
         }
 
-        /// COUNT over the tie at δ = 1e-9 with no sample cap: still running
-        /// whenever a test interrupts it, except with probability ≤ 1e-9.
+        /// AVG over the tie at δ = 1e-9, one sample per group and round,
+        /// with no sample cap. Except with probability ≤ 1e-9 it runs
+        /// until both groups are drawn out, at round 524,288 (about 1.7 s
+        /// of uninterrupted stepping for a release build on a 2-core
+        /// x86-64 host), so it is still running whenever a test
+        /// interrupts it.
         fn endless(seed: u64) -> QueryRequest {
             let mut req = QueryRequest::avg("g", "v", seed);
-            req.aggregate = Aggregate::Count;
             req.delta = Some(1e-9);
-            req.samples_per_round = Some(8);
+            req.samples_per_round = Some(1);
             req
         }
 
@@ -1458,9 +1461,9 @@ mod tests {
             let engine = tied_engine();
             let mut local = VizQuery::new(&engine)
                 .group_by("g")
-                .count("v")
+                .avg("v")
                 .delta(1e-9)
-                .samples_per_round(8)
+                .samples_per_round(1)
                 .max_samples(u64::MAX)
                 .start(StdRng::seed_from_u64(5))
                 .expect("session starts");

@@ -12,7 +12,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rapidviz::needletail::{ColumnDef, DataType, NeedleTail, Schema, TableBuilder, Value};
-use rapidviz::{Aggregate, ParkingRegistry, SimulatedClock, StepOutcome, VizQuery};
+use rapidviz::{ParkingRegistry, SimulatedClock, StepOutcome, VizQuery};
 use rapidviz_serve::{
     ErrorCode, Frame, QueryRequest, RetryPolicy, Server, ServerConfig, ServerHandle, WireClient,
     WireRound,
@@ -21,18 +21,19 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Two groups of exactly 5,000 rows each, so their normalized counts tie
-/// at 0.5. A COUNT session over them separates the two only if one
-/// interval misses its true count, which happens with probability at most
-/// δ over the whole run (with replacement, so nothing exhausts either).
+/// Two groups of 2^19 rows each, holding the same multiset of values in
+/// `0..100`, so their means tie exactly. An AVG session over them
+/// separates the two only if one interval misses its true mean, which
+/// happens with probability at most δ over the whole run; otherwise it
+/// ends only once both groups are drawn out (see [`endless_request`]).
 fn engine() -> NeedleTail {
     let mut b = TableBuilder::new(Schema::new(vec![
         ColumnDef::new("g", DataType::Str),
         ColumnDef::new("v", DataType::Float),
     ]));
-    for i in 0..10_000u32 {
+    for i in 0..1u32 << 20 {
         let g = if i % 2 == 0 { "a" } else { "b" };
-        b.push_row(vec![g.into(), Value::Float(f64::from(i % 100))]);
+        b.push_row(vec![g.into(), Value::Float(f64::from((i / 2) % 100))]);
     }
     NeedleTail::new(b.finish(), &["g"]).expect("tied engine builds")
 }
@@ -55,14 +56,17 @@ fn connect(handle: &ServerHandle) -> WireClient {
     WireClient::connect(handle.local_addr(), Duration::from_secs(30)).expect("client connects")
 }
 
-/// COUNT over the tie at δ = 1e-9, with no sample cap under
-/// [`durable_config`]: the session is still running whenever a
-/// disconnect, crash or drain lands, except with probability at most 1e-9.
+/// AVG over the tie at δ = 1e-9, one sample per group and round, with no
+/// sample cap under [`durable_config`]. Except with probability at most
+/// 1e-9 it runs until both groups are drawn out, at round 524,288: about
+/// 1.7 s of uninterrupted stepping for a release build on a 2-core x86-64
+/// host, far longer than any disconnect, crash or drain here takes to land.
+/// One sample per round makes each row cost a whole round, which is what
+/// stretches the run.
 fn endless_request(seed: u64) -> QueryRequest {
     let mut req = QueryRequest::avg("g", "v", seed);
-    req.aggregate = Aggregate::Count;
     req.delta = Some(1e-9);
-    req.samples_per_round = Some(8);
+    req.samples_per_round = Some(1);
     req
 }
 
@@ -76,9 +80,9 @@ fn assert_matches_uninterrupted(rounds: &[WireRound], seed: u64) {
     let engine = engine();
     let mut session = VizQuery::new(&engine)
         .group_by("g")
-        .count("v")
+        .avg("v")
         .delta(1e-9)
-        .samples_per_round(8)
+        .samples_per_round(1)
         .max_samples(u64::MAX)
         .start(StdRng::seed_from_u64(seed))
         .expect("session starts");

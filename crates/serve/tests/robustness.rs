@@ -7,7 +7,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rapidviz::needletail::{ColumnDef, DataType, NeedleTail, Schema, TableBuilder, Value};
-use rapidviz::Aggregate;
 use rapidviz_datagen::FlightModel;
 use rapidviz_serve::{
     ErrorCode, Frame, QueryRequest, Server, ServerConfig, ServerHandle, WireClient,
@@ -30,27 +29,30 @@ fn start_server(config: ServerConfig) -> ServerHandle {
     Server::start(engine(), config).expect("server binds")
 }
 
-/// Two groups of exactly 5,000 rows each, so their normalized counts tie.
+/// Two groups of 2^19 rows each, holding the same multiset of values in
+/// `0..100`, so their means tie exactly.
 fn tied_engine() -> NeedleTail {
     let mut b = TableBuilder::new(Schema::new(vec![
         ColumnDef::new("g", DataType::Str),
         ColumnDef::new("v", DataType::Float),
     ]));
-    for i in 0..10_000u32 {
+    for i in 0..1u32 << 20 {
         let g = if i % 2 == 0 { "a" } else { "b" };
-        b.push_row(vec![g.into(), Value::Float(f64::from(i % 100))]);
+        b.push_row(vec![g.into(), Value::Float(f64::from((i / 2) % 100))]);
     }
     NeedleTail::new(b.finish(), &["g"]).expect("tied engine builds")
 }
 
-/// COUNT over [`tied_engine`]'s tie at δ = 1e-9, uncapped on a server with
-/// an unbounded per-client ceiling: the session is still running whenever
-/// its client vanishes, except with probability at most 1e-9.
+/// AVG over [`tied_engine`]'s tie at δ = 1e-9, one sample per group and
+/// round, uncapped on a server with an unbounded per-client ceiling.
+/// Except with probability at most 1e-9 it runs until both groups are
+/// drawn out, at round 524,288 (about 1.7 s of uninterrupted stepping for
+/// a release build on a 2-core x86-64 host), so it is still running
+/// whenever its client vanishes.
 fn endless_request(seed: u64) -> QueryRequest {
     let mut req = QueryRequest::avg("g", "v", seed);
-    req.aggregate = Aggregate::Count;
     req.delta = Some(1e-9);
-    req.samples_per_round = Some(8);
+    req.samples_per_round = Some(1);
     req
 }
 

@@ -582,3 +582,94 @@ fn session_iterator_terminates_after_terminal_update() {
     assert_eq!(session.step().outcome, StepOutcome::Converged);
     assert!(session.is_finished());
 }
+
+/// 20k rows over two attributes: three airlines with separated delay
+/// rates, two origins.
+fn two_attribute_engine() -> NeedleTail {
+    let mut b = TableBuilder::new(Schema::new(vec![
+        ColumnDef::new("name", DataType::Str),
+        ColumnDef::new("origin", DataType::Str),
+        ColumnDef::new("delay", DataType::Float),
+    ]));
+    let mut rng = StdRng::seed_from_u64(15);
+    for _ in 0..20_000 {
+        let (name, mu) = [("AA", 60.0), ("JB", 20.0), ("UA", 85.0)][rng.gen_range(0..3)];
+        let origin = ["BOS", "SFO"][rng.gen_range(0..2)];
+        let delay = if rng.gen_bool(mu / 100.0) { 100.0 } else { 0.0 };
+        b.push_row(vec![name.into(), origin.into(), Value::Float(delay)]);
+    }
+    NeedleTail::new(b.finish(), &["name"]).unwrap()
+}
+
+/// `fnv1a64` over every round a session streams: the outcome, the round
+/// and sample counters, every estimate and interval endpoint as bits, the
+/// active set, the per-group samples and the newly certified groups.
+fn session_digest(mut session: rapidviz::QuerySession) -> u64 {
+    let mut bytes = Vec::new();
+    for update in session.by_ref() {
+        bytes.push(update.outcome.code());
+        bytes.extend_from_slice(&update.round.to_le_bytes());
+        bytes.extend_from_slice(&update.total_samples.to_le_bytes());
+        let snap = &update.snapshot;
+        for (e, iv) in snap.estimates.iter().zip(&snap.intervals) {
+            for x in [e, &iv.lo, &iv.hi] {
+                bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+        }
+        bytes.extend(snap.active.iter().map(|&a| u8::from(a)));
+        for m in &snap.samples_per_group {
+            bytes.extend_from_slice(&m.to_le_bytes());
+        }
+        for &g in &update.newly_certified {
+            bytes.extend_from_slice(&(g as u64).to_le_bytes());
+        }
+    }
+    rapidviz::needletail::codec::fnv1a64(&bytes)
+}
+
+/// Every round of AVG and SUM sessions, unfiltered, filtered and grouped
+/// by two attributes, at one and at 256 samples per round, is pinned: a
+/// change to planning, sampling or the session layer that moves one bit
+/// of an AVG or SUM stream fails here.
+#[test]
+fn avg_and_sum_session_rounds_are_pinned() {
+    let engine = two_attribute_engine();
+    let mut got = Vec::new();
+    for (a, sum) in [false, true].into_iter().enumerate() {
+        for shape in 0..3u64 {
+            for spr in [1, 256] {
+                let mut q = VizQuery::new(&engine).group_by("name");
+                q = match shape {
+                    0 => q,
+                    1 => q.filter(Predicate::eq("origin", "BOS")),
+                    _ => q.group_by("origin"),
+                };
+                q = if sum { q.sum("delay") } else { q.avg("delay") };
+                let seed = 3_000 + 100 * a as u64 + 10 * shape + spr % 7;
+                let session = q
+                    .resolution_pct(5.0)
+                    .samples_per_round(spr)
+                    .max_samples(40_000)
+                    .start(StdRng::seed_from_u64(seed))
+                    .unwrap();
+                got.push(session_digest(session));
+            }
+        }
+    }
+    // AVG, then SUM; unfiltered, filtered, two attributes; spr 1, 256.
+    let golden: [u64; 12] = [
+        0x1bc0_5884_5672_7cce,
+        0xdf94_7482_6bb8_60ad,
+        0xccc6_32e5_5d3c_f6f2,
+        0x5e6f_6295_2174_6a14,
+        0xfd69_2509_a9bb_8d3d,
+        0x0ca5_e037_f9ab_da6b,
+        0x022c_f5ff_772a_4706,
+        0xa2bb_ecb5_ba49_8254,
+        0x5a2b_57b9_df73_d21f,
+        0x11d1_de99_d79b_be33,
+        0x75fa_7434_ed43_2460,
+        0xf9b7_fd0e_0b52_43da,
+    ];
+    assert_eq!(got, golden, "got {got:#x?}");
+}
