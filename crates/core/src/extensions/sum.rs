@@ -15,6 +15,11 @@
 //! * **`COUNT` ([`ifocus_count`]).** Trivial with known sizes; with unknown
 //!   sizes, run the same loop on the `z` stream alone (values in `[0, 1]`,
 //!   so the schedule uses `c = 1`), yielding normalized counts `s_i`.
+//!
+//! A bitmap index knows every group's size, so the `rapidviz` serving path
+//! answers `COUNT` exactly from the index and `SUM` with Algorithm 4;
+//! Algorithm 5 and [`ifocus_count`] remain the library reference for §6.3.2,
+//! for sources whose group sizes are unknown.
 
 use crate::config::{AlgoConfig, ReactivationPolicy};
 use crate::focus::{FocusStepper, Rule};

@@ -12,7 +12,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rapidviz::needletail::{ColumnDef, DataType, NeedleTail, Schema, TableBuilder, Value};
-use rapidviz::{ParkingRegistry, SimulatedClock, StepOutcome, VizQuery};
+use rapidviz::{ParkingRegistry, SessionCheckpoint, SimulatedClock, StepOutcome, VizQuery};
 use rapidviz_serve::{
     ErrorCode, Frame, QueryRequest, RetryPolicy, Server, ServerConfig, ServerHandle, WireClient,
     WireRound,
@@ -312,6 +312,40 @@ fn unknown_or_zero_tokens_get_structured_errors() {
         Some(Frame::Error { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
         other => panic!("expected malformed error, got {other:?}"),
     }
+    handle.shutdown();
+}
+
+/// A v2 checkpoint of a sampled COUNT session over [`engine`] (three steps
+/// of `count("v")` at δ = 1e-9 and 8 samples per round, seed 78), as the
+/// size-estimating COUNT path wrote it: 50 samples drawn.
+const SAMPLED_COUNT_RECIPE: &str = "5256434b02000000010000000100000067010000007602000095d626e8\
+    0b2e113e0000010800000000000000009c64e2df31ba095727ea2b825e54c19cfb377fa68d9307198590f9e1\
+    8766619d03000000000000000200000000000000320000000000000000000000";
+
+#[test]
+fn resuming_a_stale_sampled_count_token_gets_an_error_frame() {
+    let hex = SAMPLED_COUNT_RECIPE;
+    let bytes: Vec<u8> = (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digits"))
+        .collect();
+    let stale = SessionCheckpoint::from_bytes(&bytes).expect("a well-formed v2 recipe");
+    let registry = Arc::new(Mutex::new(ParkingRegistry::new(Duration::from_secs(120))));
+    let token = registry
+        .lock()
+        .expect("unpoisoned")
+        .park(stale)
+        .expect("the registry takes it");
+    let handle = Server::start_shared(engine(), durable_config(), registry).expect("server binds");
+
+    // COUNT now draws nothing, so the recipe cannot replay: the resume
+    // fails closed with a structured error, and no scheduler dies.
+    let run = connect(&handle).resume(token).expect("error round-trips");
+    assert!(run.answer.is_none());
+    let (code, message) = run.error.expect("structured error frame");
+    assert_eq!(code, ErrorCode::InvalidQuery);
+    assert!(message.contains("does not replay"), "{message}");
+    assert_eq!(handle.stats().scheduler_restarts.load(Ordering::Relaxed), 0);
     handle.shutdown();
 }
 

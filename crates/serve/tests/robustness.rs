@@ -7,9 +7,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rapidviz::needletail::{ColumnDef, DataType, NeedleTail, Schema, TableBuilder, Value};
+use rapidviz::{StepOutcome, VizQuery};
 use rapidviz_datagen::FlightModel;
 use rapidviz_serve::{
-    ErrorCode, Frame, QueryRequest, Server, ServerConfig, ServerHandle, WireClient,
+    ErrorCode, FilterSpec, Frame, QueryRequest, Server, ServerConfig, ServerHandle, WireClient,
 };
 use std::io::Write;
 use std::net::TcpStream;
@@ -148,20 +149,36 @@ fn malformed_request_lines_get_structured_errors() {
 }
 
 #[test]
-fn count_with_a_filter_is_rejected_not_answered_unfiltered() {
+fn count_with_a_filter_is_answered_over_the_filtered_rows() {
     let handle = start_server(ServerConfig::default());
-    let mut client = connect(&handle);
-    client
-        .send_line("QUERY group=name agg=count measure=elapsed seed=1 filter=eq:name:AA")
-        .expect("line sent");
-    match client.next_frame().expect("server answers") {
-        Some(Frame::Error { code, message }) => {
-            assert_eq!(code, ErrorCode::InvalidQuery);
-            assert!(message.contains(".filter()"), "{message}");
-        }
-        other => panic!("expected an InvalidQuery error frame, got {other:?}"),
+    let filter = FilterSpec::In("name".into(), vec!["AA".into(), "UA".into()]);
+    let mut req = QueryRequest::avg("name", "elapsed", 1);
+    req.aggregate = rapidviz::Aggregate::Count;
+    req.filter = Some(filter.clone());
+    let run = connect(&handle).run_query(&req).expect("query runs");
+    let answer = run.answer.expect("COUNT answers");
+    assert_eq!(answer.outcome, StepOutcome::Converged);
+    assert_eq!(answer.samples_per_group, [0, 0], "COUNT draws nothing");
+
+    // Bit-identical to the in-process answer, which is each filtered
+    // group's row count over the relation's row count.
+    let engine = engine();
+    let filter = filter.to_predicate();
+    let local = VizQuery::new(&engine)
+        .group_by("name")
+        .count("elapsed")
+        .filter(filter.clone())
+        .execute(&mut StdRng::seed_from_u64(1))
+        .expect("in-process COUNT");
+    assert_eq!(answer.labels, local.result.labels);
+    let bits = |e: &[f64]| e.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&answer.estimates), bits(&local.result.estimates));
+    let scanned = engine.scan("name", "elapsed", &filter).expect("scan");
+    for g in scanned.into_iter().filter(|g| g.count > 0) {
+        let i = answer.labels.iter().position(|l| *l == g.group.to_string());
+        let estimate = answer.estimates[i.expect("scanned group answered")];
+        assert_eq!(estimate, g.count as f64 / ROWS as f64);
     }
-    assert_eq!(handle.stats().sessions_admitted.load(Ordering::Relaxed), 0);
     handle.shutdown();
 }
 
@@ -213,7 +230,7 @@ fn filter_on_a_missing_column_is_rejected_without_a_scheduler_restart() {
 #[test]
 fn hostile_round_size_is_clamped_to_the_sample_budget() {
     let handle = start_server(ServerConfig::default());
-    for agg in ["avg", "sum", "count"] {
+    for agg in ["avg", "sum"] {
         let mut client = connect(&handle);
         client
             .send_line(&format!(

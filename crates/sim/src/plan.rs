@@ -81,7 +81,7 @@ pub enum QueryKind {
     Avg(AlgorithmChoice),
     /// `SUM(v)` (Algorithm 4, known group sizes).
     Sum,
-    /// `COUNT` (Algorithm 5 reduction, unknown group sizes).
+    /// `COUNT`, read from the plan.
     Count,
 }
 
@@ -146,10 +146,9 @@ pub struct QuerySpec {
     pub seed: u64,
     /// Aggregate + algorithm.
     pub kind: QueryKind,
-    /// Selection predicate, if any (never for `COUNT` — the sized-handle
-    /// path has no predicate support).
+    /// Selection predicate, if any.
     pub predicate: Option<PredSpec>,
-    /// Whether to group by `(g, g2)` instead of `g` (AVG/SUM only).
+    /// Whether to group by `(g, g2)` instead of `g`.
     pub multi_group: bool,
     /// Failure probability δ.
     pub delta: f64,
@@ -291,9 +290,8 @@ fn query_spec(rng: &mut StdRng) -> QuerySpec {
         5 | 6 => QueryKind::Sum,
         _ => QueryKind::Count,
     };
-    let is_count = kind == QueryKind::Count;
     let is_scan = kind == QueryKind::Avg(AlgorithmChoice::ExactScan);
-    let predicate = if is_count || rng.gen_bool(0.45) {
+    let predicate = if rng.gen_bool(0.45) {
         None
     } else if rng.gen_bool(0.5) {
         Some(PredSpec::FilterEq(rng.gen_range(0..3)))
@@ -306,7 +304,7 @@ fn query_spec(rng: &mut StdRng) -> QuerySpec {
             swapped: rng.gen_bool(0.5),
         })
     };
-    let multi_group = !is_count && rng.gen_bool(0.2);
+    let multi_group = rng.gen_bool(0.2);
     // SCAN terminates in k rounds on its own; everything else gets a cap
     // so episode length stays bounded regardless of convergence.
     let max_samples = if is_scan && rng.gen_bool(0.5) {
@@ -334,7 +332,8 @@ fn query_spec(rng: &mut StdRng) -> QuerySpec {
         samples_per_round: rng.gen_range(1..=6),
         max_samples,
         time_budget,
-        bound: if is_count {
+        // COUNT rejects a value bound: it answers on the [0, 1] scale.
+        bound: if kind == QueryKind::Count {
             None
         } else {
             rng.gen_bool(0.7).then_some(100.0)

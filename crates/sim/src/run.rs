@@ -719,7 +719,7 @@ fn build_session(
         QueryKind::Sum => q.group_by("g").sum("v"),
         QueryKind::Count => q.group_by("g").count("v"),
     };
-    if spec.multi_group && spec.kind != QueryKind::Count {
+    if spec.multi_group {
         q = q.group_by("g2");
     }
     if let Some(pred) = &spec.predicate {

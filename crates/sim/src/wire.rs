@@ -56,7 +56,7 @@ pub enum WireKind {
     Avg(AlgorithmChoice),
     /// `SUM(v)`.
     Sum,
-    /// `COUNT` (no predicate — the sized-handle path has none).
+    /// `COUNT`, read from the plan.
     Count,
 }
 
@@ -73,7 +73,7 @@ pub struct WireQuerySpec {
     /// overridden. Durable scripts inflate it so certification cannot end
     /// the session before its scripted interruption lands.
     pub bound: Option<f64>,
-    /// Group by `(g, g2)` instead of `g` (AVG/SUM only).
+    /// Group by `(g, g2)` instead of `g`.
     pub multi_group: bool,
     /// Samples per round.
     pub samples_per_round: u64,
@@ -298,23 +298,19 @@ fn scripted_query(rng: &mut StdRng) -> WireQuerySpec {
         4 => WireKind::Sum,
         _ => WireKind::Count,
     };
-    let filter = if matches!(kind, WireKind::Count) {
-        None
-    } else {
-        match rng.gen_range(0..3u32) {
-            0 => None,
-            1 => Some(FilterSpec::Eq(
+    let filter = match rng.gen_range(0..3u32) {
+        0 => None,
+        1 => Some(FilterSpec::Eq(
+            "f".into(),
+            format!("f{}", rng.gen_range(0..3)),
+        )),
+        _ => {
+            let a = rng.gen_range(0..3u32);
+            let b = (a + 1 + rng.gen_range(0..2u32)) % 3;
+            Some(FilterSpec::In(
                 "f".into(),
-                format!("f{}", rng.gen_range(0..3)),
-            )),
-            _ => {
-                let a = rng.gen_range(0..3u32);
-                let b = (a + 1 + rng.gen_range(0..2u32)) % 3;
-                Some(FilterSpec::In(
-                    "f".into(),
-                    vec![format!("f{a}"), format!("f{b}")],
-                ))
-            }
+                vec![format!("f{a}"), format!("f{b}")],
+            ))
         }
     };
     WireQuerySpec {
@@ -322,7 +318,7 @@ fn scripted_query(rng: &mut StdRng) -> WireQuerySpec {
         kind,
         filter,
         bound: None,
-        multi_group: !matches!(kind, WireKind::Count) && rng.gen_bool(0.25),
+        multi_group: rng.gen_bool(0.25),
         samples_per_round: rng.gen_range(4..=32),
         max_samples: rng.gen_range(200..=2_000),
     }
@@ -330,7 +326,8 @@ fn scripted_query(rng: &mut StdRng) -> WireQuerySpec {
 
 /// Reshapes a query so a scripted interruption reliably lands mid-stream.
 /// Three levers: a sampling kind that cannot finish in one pass (exact
-/// scans and the sized COUNT path cover these tiny tables immediately),
+/// scans cover these tiny tables immediately, and COUNT is read from the
+/// plan in one round without drawing),
 /// an inflated value bound so certification cannot end the session early,
 /// and a budget of many small rounds.
 fn make_durable(query: &mut WireQuerySpec, rng: &mut StdRng) {

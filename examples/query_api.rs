@@ -93,15 +93,15 @@ fn main() {
     }
     print!("{}", answer.to_bar_chart(40));
 
-    // 4. COUNT with unknown group sizes (§6.3.2): normalized fractions of
-    //    the relation per airline, from the size-estimate stream alone.
+    // 4. COUNT, read from the plan: the bitmap index knows every
+    //    airline's size, so the normalized fractions are exact and no
+    //    sample is drawn (§6.3.2's estimator is in `sum_aggregates`).
     let answer = VizQuery::new(&engine)
         .group_by("name")
         .count("arr_delay")
-        .resolution_pct(2.0)
         .execute(&mut run_rng)
         .expect("query runs");
-    println!("\nCOUNT BY name (normalized fractions, unknown group sizes):");
+    println!("\nCOUNT BY name (exact normalized fractions):");
     for (label, est) in answer.result.ranked().into_iter().rev().take(4) {
         println!("  {label:<4} {est:.3}");
     }

@@ -6,9 +6,8 @@
 //! [`GroupHandle`] into a `GroupSource` the IFOCUS family can run on.
 
 use rand::RngCore;
-use rapidviz_core::extensions::SizedGroupSource;
 use rapidviz_core::{GroupSource, SamplingMode};
-use rapidviz_needletail::{GroupHandle, SizedGroupHandle};
+use rapidviz_needletail::GroupHandle;
 
 /// A NEEDLETAIL group handle viewed as an algorithm group source.
 #[derive(Debug, Clone)]
@@ -90,71 +89,6 @@ impl GroupSource for NeedletailGroup {
     }
 }
 
-/// A NEEDLETAIL size-estimating handle viewed as an algorithm
-/// [`SizedGroupSource`] — the storage-backed input to the
-/// unknown-group-size `SUM`/`COUNT` algorithms (Algorithm 5). Batched
-/// draws resolve through one sorted `select_many` sweep of the group
-/// bitmap via [`SizedGroupHandle::sample_batch_with_size`], with RNG
-/// consumption identical to single draws.
-#[derive(Debug, Clone)]
-pub struct SizedNeedletailGroup {
-    handle: SizedGroupHandle,
-}
-
-impl SizedNeedletailGroup {
-    /// Wraps an engine sized handle.
-    #[must_use]
-    pub fn new(handle: SizedGroupHandle) -> Self {
-        Self { handle }
-    }
-
-    /// The wrapped handle.
-    #[must_use]
-    pub fn handle(&self) -> &SizedGroupHandle {
-        &self.handle
-    }
-}
-
-impl SizedGroupSource for SizedNeedletailGroup {
-    fn label(&self) -> String {
-        self.handle.label().to_string()
-    }
-
-    fn sample_with_size(&mut self, rng: &mut dyn RngCore) -> Option<(f64, f64)> {
-        self.handle.sample_with_size(rng)
-    }
-
-    fn sample_with_size_batch(
-        &mut self,
-        n: u64,
-        rng: &mut dyn RngCore,
-        out: &mut Vec<(f64, f64)>,
-    ) -> u64 {
-        let n = usize::try_from(n).unwrap_or(usize::MAX);
-        self.handle.sample_batch_with_size(n, rng, out) as u64
-    }
-}
-
-/// Builds [`SizedNeedletailGroup`]s for every group of a
-/// `GROUP BY group_col` query estimating `SUM(agg_col)`/`COUNT` with
-/// unknown group sizes over `engine`.
-///
-/// # Errors
-///
-/// Propagates engine errors (missing columns, unindexed group column,
-/// non-numeric aggregate).
-pub fn query_sized_groups(
-    engine: &rapidviz_needletail::NeedleTail,
-    group_col: &str,
-    agg_col: &str,
-) -> Result<Vec<SizedNeedletailGroup>, rapidviz_needletail::EngineError> {
-    Ok(engine
-        .sized_group_handles(group_col, agg_col)?
-        .into_iter()
-        .map(SizedNeedletailGroup::new)
-        .collect())
-}
-
 /// Builds [`NeedletailGroup`]s (with exact means precomputed) for every
 /// group of a `GROUP BY group_col` / `AVG(agg_col)` query over `engine`,
 /// restricted to rows satisfying `predicate`.
@@ -219,10 +153,33 @@ mod tests {
             .is_some());
     }
 
+    /// The engine's size-estimating handle as an Algorithm 5 source, with
+    /// batched draws through one sorted `select_many` sweep.
+    struct Sized(rapidviz_needletail::SizedGroupHandle);
+
+    impl rapidviz_core::extensions::SizedGroupSource for Sized {
+        fn label(&self) -> String {
+            self.0.label().to_string()
+        }
+
+        fn sample_with_size(&mut self, rng: &mut dyn RngCore) -> Option<(f64, f64)> {
+            self.0.sample_with_size(rng)
+        }
+
+        fn sample_with_size_batch(
+            &mut self,
+            n: u64,
+            rng: &mut dyn RngCore,
+            out: &mut Vec<(f64, f64)>,
+        ) -> u64 {
+            self.0.sample_batch_with_size(n as usize, rng, out) as u64
+        }
+    }
+
     #[test]
     fn sized_adapter_runs_algorithm_5_end_to_end() {
         use rand::Rng;
-        use rapidviz_core::extensions::IFocusSum2;
+        use rapidviz_core::extensions::{IFocusSum2, SizedGroupSource};
         use rapidviz_core::AlgoConfig;
 
         // Two groups with clearly separated normalized sums:
@@ -242,7 +199,12 @@ mod tests {
             b.push_row(vec![name.into(), v.into()]);
         }
         let engine = NeedleTail::new(b.finish(), &["g"]).unwrap();
-        let mut groups = query_sized_groups(&engine, "g", "v").unwrap();
+        let mut groups: Vec<Sized> = engine
+            .sized_group_handles("g", "v")
+            .unwrap()
+            .into_iter()
+            .map(Sized)
+            .collect();
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].label(), "big");
         let algo = IFocusSum2::new(

@@ -74,6 +74,14 @@
 //! additive, bumps it. Checkpoints are short-lived (they live in the
 //! serving layer's parking registry under a TTL), so no cross-version
 //! migration is attempted.
+//!
+//! A change to what a recipe replays does not bump the version; the replay
+//! checksum fails it closed instead. `COUNT` once sampled §6.3.2's size
+//! estimates and is now read from the plan without drawing, so a v2 recipe
+//! of a `COUNT` session written while it sampled (a non-zero sample count)
+//! no longer replays: [`QuerySession::resume`](crate::QuerySession::resume)
+//! refuses it with [`CheckpointError::Mismatch`], and the server answers a
+//! `RESUME` of such a token with an error frame.
 
 use rapidviz_core::StepOutcome;
 use rapidviz_needletail::codec::{CodecError, Dec, Enc};
@@ -107,16 +115,18 @@ pub enum Aggregate {
     Avg = 0,
     /// `SUM(measure)` with known group sizes — Algorithm 4.
     Sum = 1,
-    /// `COUNT` with unknown group sizes — the §6.3.2 reduction of
-    /// Algorithm 5 to the size-estimate stream. Estimates are **normalized
-    /// counts** `s_i ∈ [0, 1]` (each group's fraction of the relation);
-    /// multiply by the relation size for absolute counts.
+    /// `COUNT`, read from the plan: the index knows each group's size, so
+    /// estimates are the exact **normalized counts** `s_i ∈ [0, 1]` (each
+    /// group's rows under the filter over the relation's rows; multiply by
+    /// the relation size for absolute counts), no sample is drawn, and the
+    /// first round certifies every group. Equal counts certify as a tie,
+    /// not an order.
     Count = 2,
 }
 
-/// Which ordering algorithm drives an `AVG` query. `SUM`/`COUNT` queries
-/// have dedicated algorithms (4 and 5) and reject an override. The
-/// discriminant is the checkpoint byte.
+/// Which ordering algorithm drives an `AVG` query. `SUM` has a dedicated
+/// algorithm (4), `COUNT` is read from the index, and both reject an
+/// override. The discriminant is the checkpoint byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AlgorithmChoice {
     /// IFOCUS (Algorithm 1) — the paper's primary contribution and the
@@ -523,8 +533,8 @@ mod tests {
         }
     }
 
-    /// One recipe per session-reachable stepper kind — the four `AVG`
-    /// algorithms, `SUM` (Algorithm 4) and `COUNT` (Algorithm 5).
+    /// One recipe per session-reachable engine kind — the four `AVG`
+    /// algorithms, `SUM` (Algorithm 4) and the exact `COUNT`.
     fn every_kind() -> Vec<SessionCheckpoint> {
         use AlgorithmChoice::{ExactScan, IFocus, IRefine, RoundRobin};
         [

@@ -53,7 +53,7 @@ pub mod query;
 pub mod scheduler;
 pub mod session;
 
-pub use adapter::{query_groups, query_sized_groups, NeedletailGroup, SizedNeedletailGroup};
+pub use adapter::{query_groups, NeedletailGroup};
 pub use checkpoint::{CheckpointError, QuerySpec, SessionCheckpoint};
 pub use query::{Aggregate, AlgorithmChoice, QueryAnswer, VizQuery};
 pub use rapidviz_core as core;

@@ -21,12 +21,12 @@
 //! assert_eq!(answer.ranked_labels(), vec!["JB", "AA", "UA"]);
 //! ```
 
-use crate::adapter::{NeedletailGroup, SizedNeedletailGroup};
+use crate::adapter::NeedletailGroup;
 use crate::checkpoint::QuerySpec;
-use crate::session::{PlanCacheStats, QuerySession, SessionCore, SessionEngine};
+use crate::session::{ExactCount, PlanCacheStats, QuerySession, SessionCore, SessionEngine};
 use rand::RngCore;
 use rapidviz_core::clock::{Clock, SystemClock};
-use rapidviz_core::extensions::{count_config, CountSource, IFocusSum1, IFocusSum2};
+use rapidviz_core::extensions::IFocusSum1;
 use rapidviz_core::{AlgoConfig, ExactScan, GroupSource, IFocus, IRefine, RoundRobin};
 use rapidviz_needletail::{EngineError, NeedleTail, Predicate};
 use std::sync::Arc;
@@ -98,16 +98,14 @@ impl<'a> VizQuery<'a> {
         self
     }
 
-    /// Sets the aggregate to `COUNT` with **unknown** group sizes: the
-    /// engine's size-estimating samplers feed the §6.3.2 reduction of
-    /// Algorithm 5, and estimates are normalized counts `s_i ∈ [0, 1]`.
-    /// `column` names any indexed numeric column — the sampling machinery
-    /// draws through it, but only the size-estimate stream is consumed.
-    ///
-    /// Tip: near-tied group sizes never separate under exact ordering
-    /// (the `z` stream is i.i.d. and never exhausts); set a resolution
-    /// ([`VizQuery::resolution_pct`], interpreted on the `[0, 1]` count
-    /// scale) or a session budget to bound such runs.
+    /// Sets the aggregate to `COUNT`, read from the plan: the bitmap index
+    /// already holds every group's size under the filter, so estimates are
+    /// the exact normalized counts `s_i ∈ [0, 1]` (group rows over the
+    /// relation's rows) and no sample is drawn. `column` names any numeric
+    /// column; it is validated like a measure but never read. The session
+    /// takes one round, which certifies every group at once. Groups with
+    /// equal counts certify as a tie: their point intervals coincide, and
+    /// the order a display puts them in claims nothing.
     #[must_use]
     pub fn count(mut self, column: impl Into<String>) -> Self {
         self.spec.measure = column.into();
@@ -116,7 +114,7 @@ impl<'a> VizQuery<'a> {
     }
 
     /// Overrides the ordering algorithm for `AVG` queries (default:
-    /// IFOCUS). `SUM`/`COUNT` queries reject non-default overrides at
+    /// IFOCUS). `SUM` and `COUNT` queries reject non-default overrides at
     /// execution time.
     #[must_use]
     pub fn algorithm(mut self, algorithm: AlgorithmChoice) -> Self {
@@ -327,109 +325,60 @@ impl<'a> VizQuery<'a> {
             (None, Some(t)) => Some(self.clock.now() + t),
             (None, None) => None,
         };
+        if spec.aggregate == Aggregate::Count && spec.bound.is_some() {
+            // Rejected rather than ignored, for the same loudness as the
+            // algorithm-override check below.
+            return Err(EngineError::Unsupported(
+                "COUNT answers normalized fractions on the fixed [0, 1] scale; \
+                 .bound() does not apply"
+                    .into(),
+            ));
+        }
         // Bracket planning with engine metrics snapshots so the session
         // records how the planning caches treated this query (the
         // observability a serving layer keys on).
         let metrics_before = self.engine.metrics().snapshot();
-        let (engine, population): (Box<dyn SessionEngine>, u64) = match spec.aggregate {
-            Aggregate::Avg | Aggregate::Sum => {
-                let handles = if spec.group_by.len() == 1 {
-                    self.engine
-                        .group_handles(&spec.group_by[0], measure, &spec.predicate)?
-                } else {
-                    let cols: Vec<&str> = spec.group_by.iter().map(String::as_str).collect();
-                    self.engine
-                        .group_handles_multi(&cols, measure, &spec.predicate)?
-                };
-                let mut groups: Vec<NeedletailGroup> =
-                    handles.into_iter().map(NeedletailGroup::new).collect();
-                let c = match spec.bound {
-                    Some(c) => c,
-                    None => self.infer_bound(measure)?,
-                };
-                let mut config = AlgoConfig::new(c, spec.delta);
-                if let Some(frac) = spec.resolution_fraction {
-                    config = config.with_resolution(c * frac);
-                }
-                if let Some(batch) = round_size(spec, groups.len()) {
-                    config = config.with_samples_per_round(batch);
-                }
-                let population = groups.iter().map(GroupSource::len).sum();
-                let engine: Box<dyn SessionEngine> = match (spec.aggregate, spec.algorithm) {
-                    (Aggregate::Avg, AlgorithmChoice::IFocus) => {
-                        Box::new((IFocus::new(config).start(&mut groups, rng), groups))
-                    }
-                    (Aggregate::Avg, AlgorithmChoice::IRefine) => {
-                        Box::new((IRefine::new(config).start(&mut groups, rng), groups))
-                    }
-                    (Aggregate::Avg, AlgorithmChoice::RoundRobin) => {
-                        Box::new((RoundRobin::new(config).start(&mut groups, rng), groups))
-                    }
-                    (Aggregate::Avg, AlgorithmChoice::ExactScan) => {
-                        Box::new((ExactScan::new(config).start(&mut groups, rng), groups))
-                    }
-                    (Aggregate::Sum, AlgorithmChoice::IFocus) => {
-                        Box::new((IFocusSum1::new(config).start(&mut groups, rng), groups))
-                    }
-                    (Aggregate::Sum, other) => {
-                        return Err(EngineError::Unsupported(format!(
-                            "SUM uses its dedicated Algorithm 4; cannot override with {other:?}"
-                        )));
-                    }
-                    (Aggregate::Count, _) => unreachable!("handled in the outer match"),
-                };
-                (engine, population)
+        let handles = if spec.group_by.len() == 1 {
+            self.engine
+                .group_handles(&spec.group_by[0], measure, &spec.predicate)?
+        } else {
+            let cols: Vec<&str> = spec.group_by.iter().map(String::as_str).collect();
+            self.engine
+                .group_handles_multi(&cols, measure, &spec.predicate)?
+        };
+        let mut groups: Vec<NeedletailGroup> =
+            handles.into_iter().map(NeedletailGroup::new).collect();
+        let population = groups.iter().map(GroupSource::len).sum();
+        let k = groups.len();
+        let config = || self.config(k);
+        let engine: Box<dyn SessionEngine> = match (spec.aggregate, spec.algorithm) {
+            (Aggregate::Count, AlgorithmChoice::IFocus) => {
+                Box::new(ExactCount::new(&groups, self.engine.table().row_count()))
             }
-            Aggregate::Count => {
-                if spec.bound.is_some() {
-                    // Rejected rather than ignored, for the same loudness
-                    // as the algorithm-override check below.
-                    return Err(EngineError::Unsupported(
-                        "COUNT estimates normalized fractions on the fixed [0, 1] scale; \
-                         .bound() does not apply"
-                            .into(),
-                    ));
-                }
-                if spec.algorithm != AlgorithmChoice::IFocus {
-                    return Err(EngineError::Unsupported(format!(
-                        "COUNT uses its dedicated Algorithm 5 reduction; cannot override with {:?}",
-                        spec.algorithm
-                    )));
-                }
-                if spec.group_by.len() != 1 {
-                    return Err(EngineError::Unsupported(
-                        "COUNT supports a single group-by attribute".into(),
-                    ));
-                }
-                if spec.predicate != Predicate::True {
-                    // The size-estimating handles sample the whole
-                    // relation; answering anyway would be a confident
-                    // statement about the unfiltered table.
-                    return Err(EngineError::Unsupported(
-                        "COUNT samples the whole relation through its size-estimating handles; \
-                         .filter() does not apply"
-                            .into(),
-                    ));
-                }
-                let handles = self
-                    .engine
-                    .sized_group_handles(&spec.group_by[0], measure)?;
-                let mut groups: Vec<CountSource<SizedNeedletailGroup>> = handles
-                    .into_iter()
-                    .map(|h| CountSource::new(SizedNeedletailGroup::new(h)))
-                    .collect();
-                let population = groups.iter().map(|g| g.inner().handle().eligible()).sum();
-                // The z stream lives in [0, 1], so c = 1 and the resolution
-                // fraction applies directly on the normalized-count scale.
-                let mut config = AlgoConfig::new(1.0, spec.delta);
-                if let Some(frac) = spec.resolution_fraction {
-                    config = config.with_resolution(frac);
-                }
-                if let Some(batch) = round_size(spec, groups.len()) {
-                    config = config.with_samples_per_round(batch);
-                }
-                let stepper = IFocusSum2::new(count_config(&config)).start(&mut groups, rng);
-                (Box::new((stepper, groups)), population)
+            (Aggregate::Avg, AlgorithmChoice::IFocus) => {
+                Box::new((IFocus::new(config()?).start(&mut groups, rng), groups))
+            }
+            (Aggregate::Avg, AlgorithmChoice::IRefine) => {
+                Box::new((IRefine::new(config()?).start(&mut groups, rng), groups))
+            }
+            (Aggregate::Avg, AlgorithmChoice::RoundRobin) => {
+                Box::new((RoundRobin::new(config()?).start(&mut groups, rng), groups))
+            }
+            (Aggregate::Avg, AlgorithmChoice::ExactScan) => {
+                Box::new((ExactScan::new(config()?).start(&mut groups, rng), groups))
+            }
+            (Aggregate::Sum, AlgorithmChoice::IFocus) => {
+                Box::new((IFocusSum1::new(config()?).start(&mut groups, rng), groups))
+            }
+            (Aggregate::Sum, other) => {
+                return Err(EngineError::Unsupported(format!(
+                    "SUM uses its dedicated Algorithm 4; cannot override with {other:?}"
+                )));
+            }
+            (Aggregate::Count, other) => {
+                return Err(EngineError::Unsupported(format!(
+                    "COUNT is read from the index; cannot override with {other:?}"
+                )));
             }
         };
         let planning = PlanCacheStats::delta(&metrics_before, &self.engine.metrics().snapshot());
@@ -441,6 +390,25 @@ impl<'a> VizQuery<'a> {
             Arc::clone(&self.clock),
             planning,
         ))
+    }
+
+    /// The sampling algorithms' configuration over `k` planned groups: the
+    /// bound (given or inferred), `δ`, the resolution on that bound's scale
+    /// and the round size.
+    fn config(&self, k: usize) -> Result<AlgoConfig, EngineError> {
+        let spec = &self.spec;
+        let c = match spec.bound {
+            Some(c) => c,
+            None => self.infer_bound(&spec.measure)?,
+        };
+        let mut config = AlgoConfig::new(c, spec.delta);
+        if let Some(frac) = spec.resolution_fraction {
+            config = config.with_resolution(c * frac);
+        }
+        if let Some(batch) = round_size(spec, k) {
+            config = config.with_samples_per_round(batch);
+        }
+        Ok(config)
     }
 
     /// Infers `c` from the measure column's observed maximum (padded 10%),
@@ -568,18 +536,31 @@ mod tests {
 
     #[test]
     fn count_rejects_a_filter_instead_of_ignoring_it() {
+        // The filter is honoured, not ignored: each estimate is the group's
+        // filtered row count over the whole relation's row count.
         let engine = engine();
-        let query = VizQuery::new(&engine).group_by("name").count("delay");
+        let bos = Predicate::eq("origin", "BOS");
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-        assert!(query.clone().resolution_pct(5.0).execute(&mut rng).is_ok());
-        let err = query
-            .filter(Predicate::eq("origin", "BOS"))
+        let answer = VizQuery::new(&engine)
+            .group_by("name")
+            .count("delay")
+            .filter(bos.clone())
             .execute(&mut rng)
-            .unwrap_err();
-        assert!(
-            matches!(&err, EngineError::Unsupported(msg) if msg.contains(".filter()")),
-            "expected Unsupported about the filter, got {err:?}"
-        );
+            .unwrap();
+        let rows = engine.table().row_count() as f64;
+        let scanned = engine.scan("name", "delay", &bos).unwrap();
+        assert_eq!(answer.result.labels.len(), scanned.len());
+        for g in scanned {
+            let i = answer
+                .result
+                .labels
+                .iter()
+                .position(|l| *l == g.group.to_string())
+                .unwrap();
+            assert_eq!(answer.result.estimates[i], g.count as f64 / rows);
+        }
+        let total: f64 = answer.result.estimates.iter().sum();
+        assert!(total > 0.4 && total < 0.6, "about half the rows are BOS");
     }
 
     #[test]

@@ -53,14 +53,14 @@
 
 use rand::RngCore;
 use rapidviz_core::clock::{Clock, SystemClock};
-use rapidviz_core::extensions::{CountSource, IFocusSum2Stepper};
 use rapidviz_core::runner::AlgorithmStepper;
-use rapidviz_core::{viz, RunResult, Snapshot, StepOutcome};
+use rapidviz_core::{viz, GroupSource, RunResult, Snapshot, StepOutcome};
 use rapidviz_needletail::NeedleTail;
+use rapidviz_stats::Interval;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::adapter::{NeedletailGroup, SizedNeedletailGroup};
+use crate::adapter::NeedletailGroup;
 use crate::checkpoint::{CheckpointError, QuerySpec, SessionCheckpoint};
 
 /// A stepper paired with the groups it samples — what a session drives,
@@ -98,27 +98,74 @@ impl<S: AlgorithmStepper + std::fmt::Debug> SessionEngine for (S, Vec<Needletail
     }
 }
 
-/// Algorithm 5 over size-estimating handles wrapped in the COUNT rewrite;
-/// its sources are not `GroupSource`s, so it stands outside the trait.
-impl SessionEngine for (IFocusSum2Stepper, Vec<CountSource<SizedNeedletailGroup>>) {
-    fn step(&mut self, rng: &mut dyn RngCore) -> StepOutcome {
-        self.0.step(&mut self.1, rng)
+/// COUNT read from the plan. A bitmap index knows every group's size: group
+/// i's estimate is its eligible-row count (the popcount of group ∧ filter)
+/// over the relation's row count, exact, with a point interval, and the
+/// session draws nothing. Every group stays active until the first step,
+/// which certifies them all at once and converges, so a COUNT session
+/// streams one terminal round like any other session. Groups with equal
+/// counts certify as a tie: their point intervals coincide, and the order
+/// a display puts them in claims nothing.
+#[derive(Debug)]
+pub(crate) struct ExactCount {
+    labels: Vec<String>,
+    estimates: Vec<f64>,
+    certified: bool,
+}
+
+impl ExactCount {
+    pub(crate) fn new(groups: &[NeedletailGroup], rows: u64) -> Self {
+        Self {
+            labels: groups.iter().map(GroupSource::label).collect(),
+            estimates: groups
+                .iter()
+                .map(|g| g.len() as f64 / rows as f64)
+                .collect(),
+            certified: false,
+        }
+    }
+}
+
+impl SessionEngine for ExactCount {
+    fn step(&mut self, _rng: &mut dyn RngCore) -> StepOutcome {
+        self.certified = true;
+        StepOutcome::Converged
     }
 
     fn snapshot(&self) -> Snapshot {
-        self.0.snapshot()
+        let k = self.estimates.len();
+        Snapshot {
+            labels: self.labels.clone(),
+            estimates: self.estimates.clone(),
+            intervals: self
+                .estimates
+                .iter()
+                .map(|&e| Interval::new(e, e))
+                .collect(),
+            active: vec![!self.certified; k],
+            samples_per_group: vec![0; k],
+            rounds: 0,
+            truncated: false,
+        }
     }
 
     fn total_samples(&self) -> u64 {
-        self.0.total_samples()
+        0
     }
 
     fn approx_bytes(&self) -> usize {
-        self.0.approx_bytes()
+        self.snapshot().approx_bytes()
     }
 
     fn finish(self: Box<Self>) -> RunResult {
-        self.0.finish()
+        let k = self.estimates.len();
+        RunResult {
+            labels: self.labels,
+            estimates: self.estimates,
+            samples_per_group: vec![0; k],
+            rounds: 0,
+            truncated: false,
+        }
     }
 }
 

@@ -388,6 +388,28 @@ fn recipes_that_do_not_replay_are_refused() {
     assert_refused(&engine, &wrong_outcome, "replay ends");
 }
 
+/// A v2 checkpoint of a sampled COUNT session over [`engine`] (three steps
+/// of `count("delay")` at 5 % resolution and 16 samples per round, seed
+/// 42), as the size-estimating COUNT path wrote it: 147 samples drawn.
+const SAMPLED_COUNT_RECIPE: &str = "5256434b0200000001000000040000006e616d650500000064656c6179\
+    0200009a9999999999a93f019a9999999999a93f0001100000000000000000956eeb2f2632d7bd03f166b2\
+    33e3ef28529f0f135767524794e34a0effe11c5803000000000000000300000000000000930000000000000000\
+    000000";
+
+#[test]
+fn stale_sampled_count_recipes_are_refused() {
+    let hex = SAMPLED_COUNT_RECIPE;
+    let bytes: Vec<u8> = (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect();
+    let stale = SessionCheckpoint::from_bytes(&bytes).expect("a well-formed v2 recipe");
+    assert_eq!((stale.steps, stale.total_samples), (3, 147));
+    // COUNT is now read from the plan and draws nothing, so the recipe
+    // cannot replay: it fails closed instead of resuming a different run.
+    assert_refused(&engine(), &stale, "the run ends after 1 steps");
+}
+
 #[test]
 fn checkpoint_size_does_not_grow_with_samples_drawn() {
     // Without-replacement AVG: the sampler's swap map grows with every

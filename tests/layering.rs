@@ -4,8 +4,10 @@
 //! facade, serving, simulation or bench layers; dev-dependencies are exempt,
 //! as cargo permits dev-only cycles. Within one crate, the `crate::<module>`
 //! references between top-level modules (not the crate root) form no cycle.
-//! And the IFOCUS round is written once: `crates/core/src` calls
-//! `begin_round(` at exactly one non-test site.
+//! The IFOCUS round is written once: `crates/core/src` calls
+//! `begin_round(` at exactly one non-test site. And the facade's serving
+//! path reads COUNT from the plan: no non-test line under `src/` names the
+//! §6.3.2 size-estimating machinery.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -225,4 +227,25 @@ fn the_ifocus_round_has_one_begin_round_call_site() {
         1,
         "non-test `begin_round(` call sites: {sites:#?}"
     );
+}
+
+#[test]
+fn the_serving_path_reads_count_from_the_plan() {
+    // §6.3.2's unknown-size COUNT machinery stays a library reference: no
+    // non-test line of the facade crate names it.
+    const SIZE_ESTIMATING: [&str; 5] = [
+        "IFocusSum2",
+        "CountSource",
+        "count_config",
+        "sized_group_handles",
+        "SizedNeedletailGroup",
+    ];
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut uses = Vec::new();
+    for path in rust_files(&src) {
+        let source = fs::read_to_string(&path).unwrap();
+        let named = code_lines(&source).filter(|l| SIZE_ESTIMATING.iter().any(|n| l.contains(n)));
+        uses.extend(named.map(|l| format!("{}: {l}", path.display())));
+    }
+    assert!(uses.is_empty(), "non-test uses under src/: {uses:#?}");
 }

@@ -149,37 +149,42 @@ fn clearing_caches_mid_stream_does_not_perturb_results() {
 #[test]
 fn planning_stats_distinguish_cold_from_warm_sessions() {
     let shared = engine();
-    let start = |e: &NeedleTail, seed: u64| {
-        VizQuery::new(e)
-            .group_by("name")
-            .avg("delay")
-            .bound(100.0)
-            .filter(Predicate::eq("origin", "BOS"))
-            .max_samples(2_000)
-            .start(StdRng::seed_from_u64(seed))
-            .unwrap()
-    };
+    for count in [false, true] {
+        let start = |e: &NeedleTail, seed: u64| {
+            let q = VizQuery::new(e)
+                .group_by("name")
+                .filter(Predicate::eq("origin", "BOS"))
+                .max_samples(2_000);
+            let q = if count {
+                q.count("delay")
+            } else {
+                q.avg("delay").bound(100.0)
+            };
+            q.start(StdRng::seed_from_u64(seed)).unwrap()
+        };
+        shared.clear_plan_caches();
 
-    // Cold: the group plan is built from scratch — a miss, no full warmth.
-    let cold = start(&shared, 1).planning_stats();
-    assert!(cold.plan_misses >= 1, "cold plan should miss: {cold:?}");
-    assert!(!cold.fully_warm());
+        // Cold: the group plan is built from scratch — a miss, no full warmth.
+        let cold = start(&shared, 1).planning_stats();
+        assert!(cold.plan_misses >= 1, "cold plan should miss: {cold:?}");
+        assert!(!cold.fully_warm());
 
-    // Warm repeat: every planning structure comes out of the caches.
-    let warm = start(&shared, 2).planning_stats();
-    assert!(warm.plan_hits >= 1, "warm repeat should hit: {warm:?}");
-    assert_eq!(warm.plan_misses, 0, "{warm:?}");
-    assert!(warm.fully_warm(), "{warm:?}");
+        // Warm repeat: every planning structure comes out of the caches.
+        let warm = start(&shared, 2).planning_stats();
+        assert!(warm.plan_hits >= 1, "warm repeat should hit: {warm:?}");
+        assert_eq!(warm.plan_misses, 0, "{warm:?}");
+        assert!(warm.fully_warm(), "{warm:?}");
 
-    // The same stats surface through the scheduler's per-session view.
-    let mut sched = MultiQueryScheduler::new(SchedulePolicy::FairShare);
-    let id = sched.admit(start(&shared, 3));
-    let stats = sched.stats(id).unwrap();
-    assert!(stats.planning.fully_warm(), "{:?}", stats.planning);
+        // The same stats surface through the scheduler's per-session view.
+        let mut sched = MultiQueryScheduler::new(SchedulePolicy::FairShare);
+        let id = sched.admit(start(&shared, 3));
+        let stats = sched.stats(id).unwrap();
+        assert!(stats.planning.fully_warm(), "{:?}", stats.planning);
 
-    // Clearing the caches makes the next session plan cold again.
-    shared.clear_plan_caches();
-    let recold = start(&shared, 4).planning_stats();
-    assert!(recold.plan_misses >= 1, "{recold:?}");
-    assert!(!recold.fully_warm());
+        // Clearing the caches makes the next session plan cold again.
+        shared.clear_plan_caches();
+        let recold = start(&shared, 4).planning_stats();
+        assert!(recold.plan_misses >= 1, "{recold:?}");
+        assert!(!recold.fully_warm());
+    }
 }

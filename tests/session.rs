@@ -4,7 +4,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rapidviz::core::extensions::{ifocus_count, IFocusSum1};
+use rapidviz::core::extensions::IFocusSum1;
 use rapidviz::core::{AlgoConfig, IFocus, RunResult, StepOutcome};
 use rapidviz::datagen::FlightModel;
 use rapidviz::needletail::{
@@ -74,15 +74,6 @@ fn reference_execute_sum(engine: &NeedleTail, rng: &mut StdRng) -> RunResult {
     IFocusSum1::new(config).run(&mut groups, rng)
 }
 
-/// The COUNT reference: the blocking §6.3.2 helper over the engine's
-/// size-estimating handles (itself regression-tested in core against a
-/// verbatim pre-refactor Algorithm-5 loop).
-fn reference_execute_count(engine: &NeedleTail, rng: &mut StdRng) -> RunResult {
-    let mut groups = rapidviz::query_sized_groups(engine, "name", "delay").unwrap();
-    let config = AlgoConfig::new(1.0, 0.05).with_resolution(0.02);
-    ifocus_count(&config, &mut groups, rng)
-}
-
 #[test]
 fn execute_avg_matches_pre_refactor_reference() {
     let engine = engine();
@@ -110,20 +101,62 @@ fn execute_sum_matches_pre_refactor_reference() {
     assert_same_run(&answer.result, &reference);
 }
 
+/// COUNT is read from the plan: every estimate is, to the bit, the group's
+/// row count as a full scan reports it over the table's row count, for
+/// unfiltered, filtered and two-attribute queries. The session draws
+/// nothing and streams one terminal round that certifies every group.
 #[test]
 fn execute_count_matches_reference_loop() {
-    let engine = engine();
-    let answer = VizQuery::new(&engine)
-        .group_by("name")
-        .count("delay")
-        .resolution_pct(2.0)
-        .execute(&mut StdRng::seed_from_u64(44))
-        .unwrap();
-    let reference = reference_execute_count(&engine, &mut StdRng::seed_from_u64(44));
-    assert_same_run(&answer.result, &reference);
-    // Roughly equal thirds of the relation.
-    for est in &answer.result.estimates {
-        assert!((est - 1.0 / 3.0).abs() < 0.1, "normalized count {est}");
+    let engine = two_attribute_engine();
+    let rows = engine.table().row_count() as f64;
+    let scan = |predicate: &Predicate, suffix: &str| -> Vec<(String, u64)> {
+        engine
+            .scan("name", "delay", predicate)
+            .unwrap()
+            .into_iter()
+            .map(|g| (format!("{}{suffix}", g.group), g.count))
+            .collect()
+    };
+    let bos = Predicate::eq("origin", "BOS");
+    let base = VizQuery::new(&engine).group_by("name");
+    let cases = [
+        (base.clone(), scan(&Predicate::True, "")),
+        (base.clone().filter(bos.clone()), scan(&bos, "")),
+        (base.group_by("origin"), {
+            let mut cells = scan(&bos, "|BOS");
+            cells.extend(scan(&Predicate::eq("origin", "SFO"), "|SFO"));
+            cells
+        }),
+    ];
+    for (query, reference) in cases {
+        let query = query.count("delay");
+        let answer = query.execute(&mut StdRng::seed_from_u64(44)).unwrap();
+        assert!(answer.converged());
+        assert_eq!(answer.result.total_samples(), 0);
+        assert_eq!(answer.result.labels.len(), reference.len());
+        for (label, count) in &reference {
+            let i = answer
+                .result
+                .labels
+                .iter()
+                .position(|l| l == label)
+                .unwrap();
+            assert_eq!(
+                answer.result.estimates[i].to_bits(),
+                (*count as f64 / rows).to_bits(),
+                "{label}"
+            );
+        }
+
+        let mut session = query.start(StdRng::seed_from_u64(44)).unwrap();
+        let updates: Vec<_> = session.by_ref().collect();
+        assert_eq!(updates.len(), 1, "one terminal round");
+        let update = &updates[0];
+        assert_eq!(update.outcome, StepOutcome::Converged);
+        assert_eq!(update.total_samples, 0);
+        let every: Vec<usize> = (0..reference.len()).collect();
+        assert_eq!(update.newly_certified, every);
+        assert_same_run(&session.finish().result, &answer.result);
     }
 }
 
@@ -431,13 +464,6 @@ fn unsupported_combinations_error_cleanly() {
         .algorithm(AlgorithmChoice::RoundRobin)
         .execute(&mut rng)
         .is_err());
-    // COUNT is single-attribute.
-    assert!(VizQuery::new(&engine)
-        .group_by("name")
-        .group_by("name")
-        .count("delay")
-        .execute(&mut rng)
-        .is_err());
     // COUNT lives on the fixed [0, 1] scale: a value bound is rejected
     // loudly instead of silently ignored.
     assert!(VizQuery::new(&engine)
@@ -520,9 +546,9 @@ fn post_terminal_steps_after_budget_exhaustion_are_frozen_too() {
 
 #[test]
 fn tiny_population_fraction_is_clamped_to_one() {
-    // COUNT draws with replacement: on a 30-row table a 200-sample budget
-    // draws far more samples than there are rows, which used to push
-    // fraction_sampled past 1.0. It must clamp (and stay monotone).
+    // On a 30-row table a 200-sample budget outlasts the data: the session
+    // draws every row, and fraction_sampled must reach exactly 1.0 without
+    // ever passing it (and stay monotone on the way).
     let mut b = TableBuilder::new(Schema::new(vec![
         ColumnDef::new("name", DataType::Str),
         ColumnDef::new("delay", DataType::Float),
@@ -534,7 +560,8 @@ fn tiny_population_fraction_is_clamped_to_one() {
     let engine = NeedleTail::new(b.finish(), &["name"]).unwrap();
     let mut session = VizQuery::new(&engine)
         .group_by("name")
-        .count("delay")
+        .avg("delay")
+        .samples_per_round(4)
         .max_samples(200)
         .start(StdRng::seed_from_u64(23))
         .unwrap();
@@ -552,9 +579,9 @@ fn tiny_population_fraction_is_clamped_to_one() {
             break update.outcome;
         }
     };
-    assert_eq!(outcome, StepOutcome::BudgetExhausted);
-    // More samples than rows were drawn, and every reading is clamped.
-    assert!(session.total_samples() > session.population());
+    assert_eq!(outcome, StepOutcome::Converged);
+    // Every row was drawn, and every reading is clamped.
+    assert_eq!(session.total_samples(), session.population());
     assert_eq!(session.fraction_sampled(), 1.0);
     let answer = session.finish();
     assert_eq!(answer.fraction_sampled(), 1.0, "answer-side clamp too");
