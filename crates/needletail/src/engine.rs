@@ -240,12 +240,6 @@ impl NeedleTail {
         self.faults = Some(injector);
     }
 
-    /// Removes any installed fault injector (handles built afterwards read
-    /// fault-free).
-    pub fn clear_fault_injector(&mut self) {
-        self.faults = None;
-    }
-
     /// The observed maximum of a numeric column (`None` for string
     /// columns, unknown columns, and empty tables). The first request for
     /// a column pays one sequential scan; the result is cached in the

@@ -10,7 +10,6 @@
 use rapidviz::needletail::codec::{CodecError, Dec, Enc};
 use rapidviz::needletail::Predicate;
 use rapidviz::{Aggregate, AlgorithmChoice, QueryAnswer, RoundUpdate, StepOutcome};
-use rapidviz_stats::Interval;
 use std::io::{Read, Write};
 
 /// Upper bound on one request line, bytes (LF included). Longer lines are
@@ -821,13 +820,6 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Frame>> {
     Frame::decode(&payload)
         .map(Some)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
-
-/// Converts a [`rapidviz::Snapshot`] interval list into wire pairs (used
-/// by tests comparing wire rounds against in-process updates).
-#[must_use]
-pub fn intervals_to_pairs(intervals: &[Interval]) -> Vec<(f64, f64)> {
-    intervals.iter().map(|i| (i.lo, i.hi)).collect()
 }
 
 /// Why [`read_line`] gave up on a line.
