@@ -350,7 +350,21 @@ impl<'a> VizQuery<'a> {
             handles.into_iter().map(NeedletailGroup::new).collect();
         let population = groups.iter().map(GroupSource::len).sum();
         let k = groups.len();
-        let config = || self.config(k);
+        // Only the sampling algorithms need `c`, so COUNT never infers it.
+        let config = || -> Result<AlgoConfig, EngineError> {
+            let c = match spec.bound {
+                Some(c) => c,
+                None => self.infer_bound(measure)?,
+            };
+            let mut config = AlgoConfig::new(c, spec.delta);
+            if let Some(frac) = spec.resolution_fraction {
+                config = config.with_resolution(c * frac);
+            }
+            if let Some(batch) = round_size(spec, k) {
+                config = config.with_samples_per_round(batch);
+            }
+            Ok(config)
+        };
         let engine: Box<dyn SessionEngine> = match (spec.aggregate, spec.algorithm) {
             (Aggregate::Count, AlgorithmChoice::IFocus) => {
                 Box::new(ExactCount::new(&groups, self.engine.table().row_count()))
@@ -390,25 +404,6 @@ impl<'a> VizQuery<'a> {
             Arc::clone(&self.clock),
             planning,
         ))
-    }
-
-    /// The sampling algorithms' configuration over `k` planned groups: the
-    /// bound (given or inferred), `δ`, the resolution on that bound's scale
-    /// and the round size.
-    fn config(&self, k: usize) -> Result<AlgoConfig, EngineError> {
-        let spec = &self.spec;
-        let c = match spec.bound {
-            Some(c) => c,
-            None => self.infer_bound(&spec.measure)?,
-        };
-        let mut config = AlgoConfig::new(c, spec.delta);
-        if let Some(frac) = spec.resolution_fraction {
-            config = config.with_resolution(c * frac);
-        }
-        if let Some(batch) = round_size(spec, k) {
-            config = config.with_samples_per_round(batch);
-        }
-        Ok(config)
     }
 
     /// Infers `c` from the measure column's observed maximum (padded 10%),

@@ -98,14 +98,12 @@ impl<S: AlgorithmStepper + std::fmt::Debug> SessionEngine for (S, Vec<Needletail
     }
 }
 
-/// COUNT read from the plan. A bitmap index knows every group's size: group
-/// i's estimate is its eligible-row count (the popcount of group ∧ filter)
-/// over the relation's row count, exact, with a point interval, and the
-/// session draws nothing. Every group stays active until the first step,
-/// which certifies them all at once and converges, so a COUNT session
-/// streams one terminal round like any other session. Groups with equal
-/// counts certify as a tie: their point intervals coincide, and the order
-/// a display puts them in claims nothing.
+/// COUNT read from the plan (see [`crate::VizQuery::count`]): group i's
+/// estimate is its eligible-row count (the popcount of group ∧ filter)
+/// over the relation's row count, with a point interval and no sample.
+/// Every group stays active until the first step, which certifies them all
+/// and converges, so a COUNT session streams one terminal round like any
+/// other session.
 #[derive(Debug)]
 pub(crate) struct ExactCount {
     labels: Vec<String>,
