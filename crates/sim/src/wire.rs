@@ -327,9 +327,9 @@ fn scripted_query(rng: &mut StdRng) -> WireQuerySpec {
 /// Reshapes a query so a scripted interruption reliably lands mid-stream.
 /// Three levers: a sampling kind that cannot finish in one pass (exact
 /// scans cover these tiny tables immediately, and COUNT is read from the
-/// plan in one round without drawing),
-/// an inflated value bound so certification cannot end the session early,
-/// and a budget of many small rounds.
+/// plan in one round without drawing), an inflated value bound so
+/// certification cannot end the session early, and a budget of many small
+/// rounds.
 fn make_durable(query: &mut WireQuerySpec, rng: &mut StdRng) {
     query.kind = match rng.gen_range(0..4u32) {
         0 => WireKind::Avg(AlgorithmChoice::IFocus),
