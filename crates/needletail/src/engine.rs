@@ -159,11 +159,19 @@ fn lock<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
 /// under a new group-by pays one predicate evaluation, which is small
 /// beside the per-group intersections it pays anyway.
 ///
-/// Filtered plans choose between a fused word-AND materialization and a
-/// sorted-position intersection view per group by selectivity: below one
+/// Groups of the clustered column (the first indexed one, see
+/// [`NeedleTail::new`]) are row ranges, so they plan without any
+/// intersection: each is a [`RowSet::Window`] over the ranks
+/// `rank(s_g)..rank(e_g)` of one shared bitmap (the predicate's, or the
+/// all-rows bitmap unfiltered). A cold plan costs two `rank` calls per
+/// group and copies nothing.
+///
+/// Group-bys on other columns, and composite cells, intersect each group
+/// with the predicate and choose between a fused word-AND materialization
+/// and a sorted-position intersection view by selectivity: below one
 /// eligible row per 64 rows of table (`VIEW_CUTOVER_DENSITY`) the view is
 /// smaller *and* faster to build and select from; above it the fused
-/// word-AND wins. Both views expose identical row sets, and
+/// word-AND wins. Every shape exposes the same row set, and
 /// cached plans share the very sets the cold plan built, so **fixed-seed
 /// results are byte-identical cold or warm** — regression-tested in
 /// `tests/plan_cache.rs`.
@@ -174,6 +182,9 @@ fn lock<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct NeedleTail {
     table: Arc<Table>,
     indexes: HashMap<String, BitmapIndex>,
+    /// The column the rows are clustered by (the first indexed one): each
+    /// of its groups is one row range (see [`NeedleTail::new`]).
+    clustered: Option<String>,
     metrics: Arc<Metrics>,
     /// Per-column observed maxima (schema order; `None` for string columns
     /// and empty tables), each computed lazily on its first
@@ -197,16 +208,45 @@ pub struct NeedleTail {
 }
 
 impl NeedleTail {
-    /// Loads a table and builds bitmap indexes over `indexed_columns`.
+    /// Loads a table, clusters its rows by the first indexed column, and
+    /// builds bitmap indexes over `indexed_columns`.
+    ///
+    /// # Row ids are engine-internal
+    ///
+    /// Every column is stably reordered by `indexed_columns[0]` (string
+    /// values ranged in dictionary order, numeric ones ascending), so each
+    /// group `g` of that column becomes one row range `[s_g, e_g)` whose
+    /// `r`-th row is the `r`-th row of `g` in the loaded order, with the
+    /// same values. Row ids in [`NeedleTail::table`], the indexes, the
+    /// samplers and a [`FaultInjector`]'s `(site, row)` decisions all
+    /// refer to this clustered order, not to the order the table was
+    /// built in. With no indexed column the rows stay as loaded.
+    ///
+    /// Group-bys on the clustered column draw exactly what they drew
+    /// before clustering, filtered or not: rank `r` of a group (or of a
+    /// filtered group, or of a composite cell led by that column) still
+    /// resolves to the same original row. A group-by on any other column
+    /// sees its rows in a different order, so its fixed-seed draws differ,
+    /// but not their distribution: the map from a group's rank to its row
+    /// is a fixed bijection, chosen when the engine is built, before any
+    /// draw and independently of the RNG. A uniform rank through a fixed
+    /// bijection is a uniform row, so with or without replacement the
+    /// sampled values have the same distribution over the same multiset
+    /// of group values, and every confidence bound holds unchanged.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::NoSuchColumn`] if an index target is missing.
-    pub fn new(table: Table, indexed_columns: &[&str]) -> Result<Self, EngineError> {
+    pub fn new(mut table: Table, indexed_columns: &[&str]) -> Result<Self, EngineError> {
+        let mut positions = Vec::with_capacity(indexed_columns.len());
         for col in indexed_columns {
-            if table.schema().column_index(col).is_none() {
-                return Err(EngineError::NoSuchColumn((*col).to_owned()));
+            match table.schema().column_index(col) {
+                Some(idx) => positions.push(idx),
+                None => return Err(EngineError::NoSuchColumn((*col).to_owned())),
             }
+        }
+        if let Some(&first) = positions.first() {
+            table.cluster_by(first);
         }
         let indexes = indexed_columns
             .iter()
@@ -218,6 +258,7 @@ impl NeedleTail {
         Ok(Self {
             table: Arc::new(table),
             indexes,
+            clustered: indexed_columns.first().map(|c| (*c).to_owned()),
             metrics: Arc::new(Metrics::new()),
             column_maxima,
             plans: Mutex::new(LruCache::new(PLAN_CACHE_CAPACITY)),
@@ -261,7 +302,8 @@ impl NeedleTail {
         })
     }
 
-    /// The underlying table.
+    /// The underlying table, its rows clustered by the first indexed
+    /// column: row ids are engine-internal (see [`NeedleTail::new`]).
     #[must_use]
     pub fn table(&self) -> &Table {
         &self.table
@@ -407,6 +449,35 @@ impl NeedleTail {
         }
     }
 
+    /// The clustered column's groups as rank windows: group `g` is the row
+    /// range `[s, e)`, so its rows under the filter are the filter's ones
+    /// of rank `rank(s)..rank(e)`, and unfiltered they are those of the
+    /// all-rows bitmap. Two `rank` calls per group; nothing is copied.
+    /// Groups the filter empties are dropped.
+    fn window_groups(
+        &self,
+        index: &BitmapIndex,
+        filter: Option<Arc<Bitmap>>,
+    ) -> Vec<(Value, RowSet)> {
+        let bits = filter.unwrap_or_else(|| self.predicate_bitmap(&Predicate::True));
+        let mut groups = Vec::with_capacity(index.distinct_count());
+        for value in index.values() {
+            let Some((start, len)) = index
+                .bitmap_for(&value)
+                .and_then(|rows| Some((rows.select(0)?, rows.count_ones())))
+            else {
+                continue;
+            };
+            let first = bits.rank(start);
+            let count = bits.rank(start + len) - first;
+            if count > 0 {
+                let bits = Arc::clone(&bits);
+                groups.push((value, RowSet::Window { bits, first, count }));
+            }
+        }
+        groups
+    }
+
     /// Validates that `agg_col` exists and is numeric, returning its
     /// schema position.
     fn numeric_column(&self, agg_col: &str) -> Result<usize, EngineError> {
@@ -448,7 +519,9 @@ impl NeedleTail {
     /// Plans are served from the engine's caches (see the
     /// [planning-caches](NeedleTail#planning-caches) docs): repeat queries
     /// skip predicate evaluation and per-group intersection entirely, and
-    /// unfiltered queries share the index's own bitmaps zero-copy. Handles
+    /// unfiltered queries share bitmaps zero-copy (the clustered column's
+    /// groups are windows of the all-rows bitmap, other columns' groups
+    /// their own index bitmaps). Handles
     /// from a cached plan draw **byte-identical** fixed-seed sample
     /// streams to cold-planned ones.
     ///
@@ -475,6 +548,9 @@ impl NeedleTail {
                 .get(group_col)
                 .ok_or_else(|| EngineError::NotIndexed(group_col.to_owned()))?;
             let pred_bitmap = self.plan_filter(predicate)?;
+            if self.clustered.as_deref() == Some(group_col) {
+                return Ok(self.window_groups(index, pred_bitmap));
+            }
             let mut groups = Vec::with_capacity(index.distinct_count());
             for value in index.values() {
                 #[expect(clippy::expect_used, reason = "values() lists only present keys")]
@@ -950,6 +1026,45 @@ mod tests {
     }
 
     #[test]
+    fn rows_are_clustered_by_the_first_indexed_column_only() {
+        let order = |engine: &NeedleTail| -> Vec<(String, f64)> {
+            let t = engine.table();
+            (0..t.row_count())
+                .map(|r| (t.value(r, 0).to_string(), t.float_value(r, 1)))
+                .collect()
+        };
+        // No index, no reorder.
+        let loaded = order(&NeedleTail::new(flights(), &[]).unwrap());
+        assert_eq!(
+            loaded[..3],
+            [
+                ("AA".into(), 10.0),
+                ("AA".into(), 20.0),
+                ("JB".into(), 40.0)
+            ]
+        );
+        // Clustered by name: each airline's delays in loaded order, airlines
+        // in first-appearance order.
+        let engine = NeedleTail::new(flights(), &["name"]).unwrap();
+        let mut expect = Vec::new();
+        for name in ["AA", "JB", "UA"] {
+            expect.extend(loaded.iter().filter(|(n, _)| n == name).cloned());
+        }
+        assert_eq!(order(&engine), expect);
+        // Every index bitmap of the clustered column is one run.
+        let index = engine.index("name").unwrap();
+        for value in index.values() {
+            let rows = index.bitmap_for(&value).unwrap();
+            let start = rows.select(0).unwrap();
+            assert_eq!(rows.rank(start + rows.count_ones()), rows.count_ones());
+            assert_eq!(
+                rows.select(rows.count_ones() - 1),
+                Some(start + rows.count_ones() - 1)
+            );
+        }
+    }
+
+    #[test]
     fn builder_rejects_missing_index_column() {
         let err = NeedleTail::new(flights(), &["nope"]).unwrap_err();
         assert_eq!(err, EngineError::NoSuchColumn("nope".to_owned()));
@@ -1272,21 +1387,39 @@ mod tests {
     }
 
     #[test]
-    fn unfiltered_handles_share_index_bitmaps_zero_copy() {
-        let engine = NeedleTail::new(skewed(), &["name"]).unwrap();
+    fn unfiltered_handles_share_bitmaps_zero_copy() {
+        let engine = NeedleTail::new(skewed(), &["name", "year"]).unwrap();
+        // The clustered column's groups are windows of the all-rows bitmap.
+        let all_rows = engine.predicate_bitmap(&Predicate::True);
         let handles = engine
             .group_handles("name", "delay", &Predicate::True)
             .unwrap();
-        let index = engine.index("name").unwrap();
+        let mut next = 0;
         for h in &handles {
+            match h.sampler.rows() {
+                RowSet::Window { bits, first, count } => {
+                    assert!(Arc::ptr_eq(bits, &all_rows), "windows share all rows");
+                    assert_eq!(*count, h.len());
+                    let range = engine.index("name").unwrap().bitmap_for(h.label()).unwrap();
+                    assert_eq!(range.select(0), Some(*first), "group {}", h.label());
+                    next += count;
+                }
+                other => panic!("expected a window, got {other:?}"),
+            }
+        }
+        assert_eq!(next, engine.table().row_count());
+        // Other columns' handles alias their index bitmaps.
+        let index = engine.index("year").unwrap();
+        for h in &engine
+            .group_handles("year", "delay", &Predicate::True)
+            .unwrap()
+        {
             let shared = index.shared_bitmap_for(h.label()).unwrap();
             match h.sampler.rows() {
-                crate::sampler::RowSet::Bitmap(bm) => {
-                    assert!(
-                        Arc::ptr_eq(bm, shared),
-                        "True-predicate handles must alias the index bitmap"
-                    );
-                }
+                RowSet::Bitmap(bm) => assert!(
+                    Arc::ptr_eq(bm, shared),
+                    "True-predicate handles must alias the index bitmap"
+                ),
                 other => panic!("expected shared bitmap, got {other:?}"),
             }
         }

@@ -22,6 +22,11 @@
 //! hashes the row id against a seed, so the same rows fail no matter who
 //! else is sampling, and RNG consumption is untouched (the draw happens
 //! first; only the materialized value is withheld).
+//!
+//! The `row` an injector sees is the engine's internal row id: the engine
+//! clusters the table by its first indexed column when it is built (see
+//! [`NeedleTail::new`](crate::NeedleTail::new)), so `(site, row)` names a
+//! row of the clustered order, not a position in the table as loaded.
 
 use std::fmt;
 

@@ -84,7 +84,7 @@ use std::sync::Arc;
 /// The eligible-row set a sampler draws from — the zero-copy layer behind
 /// the engine's plan cache.
 ///
-/// Two shapes:
+/// Three shapes:
 ///
 /// * [`RowSet::Bitmap`] — a full bitmap behind an [`Arc`]: the group's own
 ///   index bitmap (shared pointer-for-pointer between every handle and
@@ -97,8 +97,14 @@ use std::sync::Arc;
 ///   table-length bitmap. `select(k)` degenerates to `positions[k]` — O(1),
 ///   faster than any rank directory — and the memory cost scales with the
 ///   filtered group, not the table.
+/// * [`RowSet::Window`] — a **rank window** of a shared bitmap: its ones
+///   of rank `first..first + count`. When a group's rows are one row range
+///   `[s, e)` (the engine clusters its table by the first indexed column),
+///   the group's rows under a filter are exactly the filter bitmap's ranks
+///   `rank(s)..rank(e)`, so the plan costs two `rank` calls and copies
+///   nothing; `select(k)` is the bitmap's `select(first + k)`.
 ///
-/// Both shapes describe the same abstract set of row ids, so a sampler is
+/// Every shape describes an abstract set of row ids, so a sampler is
 /// oblivious to which it got: for a fixed seed the drawn row stream is
 /// identical (the RNG consumes ranks in `0..count_ones()` either way and
 /// `select` agrees by construction).
@@ -114,6 +120,15 @@ pub enum RowSet {
         /// Number of addressable rows (the table length).
         universe: u64,
     },
+    /// The ones of `bits` whose rank lies in `first..first + count`.
+    Window {
+        /// The shared bitmap the window ranges over.
+        bits: Arc<Bitmap>,
+        /// Rank (in `bits`) of the window's first row.
+        first: u64,
+        /// Number of rows in the window (`first + count <= bits.count_ones()`).
+        count: u64,
+    },
 }
 
 impl RowSet {
@@ -127,7 +142,7 @@ impl RowSet {
     #[must_use]
     pub fn len(&self) -> u64 {
         match self {
-            RowSet::Bitmap(bm) => bm.len(),
+            RowSet::Bitmap(bm) | RowSet::Window { bits: bm, .. } => bm.len(),
             RowSet::Positions { universe, .. } => *universe,
         }
     }
@@ -144,6 +159,7 @@ impl RowSet {
         match self {
             RowSet::Bitmap(bm) => bm.count_ones(),
             RowSet::Positions { positions, .. } => positions.len() as u64,
+            RowSet::Window { count, .. } => *count,
         }
     }
 
@@ -153,6 +169,9 @@ impl RowSet {
         match self {
             RowSet::Bitmap(bm) => bm.get(pos),
             RowSet::Positions { positions, .. } => positions.binary_search(&pos).is_ok(),
+            RowSet::Window { bits, first, count } => {
+                bits.get(pos) && (*first..first + count).contains(&bits.rank(pos))
+            }
         }
     }
 
@@ -162,13 +181,17 @@ impl RowSet {
         match self {
             RowSet::Bitmap(bm) => bm.select(k),
             RowSet::Positions { positions, .. } => positions.get(k as usize).copied(),
+            RowSet::Window { bits, first, count } => {
+                (k < *count).then(|| bits.select(first + k)).flatten()
+            }
         }
     }
 
     /// Resolves a **sorted** batch of ranks, appending each `k`-th eligible
     /// row to `out` in input order (the contract of
     /// [`Bitmap::select_many`]; the positions view resolves each rank by
-    /// direct indexing).
+    /// direct indexing). A window copies the ranks to shift them; the
+    /// sampler's batch path shifts them in its own scratch instead.
     ///
     /// # Panics
     ///
@@ -186,24 +209,50 @@ impl RowSet {
                 }
                 out.extend(sorted_ks.iter().map(|&k| positions[k as usize]));
             }
+            RowSet::Window { .. } => self.select_many_in_place(&mut sorted_ks.to_vec(), out),
         }
     }
 
-    /// Iterator over the eligible row ids, ascending.
+    /// [`Self::select_many`] over ranks the call may overwrite: a window
+    /// shifts them in place into its bitmap's rank space, so resolving a
+    /// batch allocates nothing.
+    fn select_many_in_place(&self, sorted_ks: &mut [u64], out: &mut Vec<u64>) {
+        let RowSet::Window { bits, first, count } = self else {
+            return self.select_many(sorted_ks, out);
+        };
+        if let Some(&last) = sorted_ks.last() {
+            assert!(
+                last < *count,
+                "select_many rank out of range (count_ones {count})"
+            );
+        }
+        for k in sorted_ks.iter_mut() {
+            *k += first;
+        }
+        bits.select_many(sorted_ks, out);
+    }
+
+    /// Iterator over the eligible row ids, ascending. A window resolves
+    /// each rank with one `select` (a verification path, not a hot one).
     pub fn iter_ones(&self) -> Box<dyn Iterator<Item = u64> + '_> {
         match self {
             RowSet::Bitmap(bm) => bm.iter_ones(),
             RowSet::Positions { positions, .. } => Box::new(positions.iter().copied()),
+            RowSet::Window { bits, first, count } => {
+                Box::new((*first..first + count).filter_map(|k| bits.select(k)))
+            }
         }
     }
 
     /// Approximate heap bytes of this view's own storage (shared storage
-    /// is counted once per underlying allocation, not per clone).
+    /// is counted once per underlying allocation, not per clone). A window
+    /// owns nothing: its bitmap is the plan's shared filter.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         match self {
             RowSet::Bitmap(bm) => bm.heap_bytes(),
             RowSet::Positions { positions, .. } => positions.len() * 8,
+            RowSet::Window { .. } => 0,
         }
     }
 }
@@ -417,8 +466,9 @@ impl BitmapSampler {
 
 /// Resolves the draw-order ranks staged in `scratch.keys` against `bits`
 /// via one sorted `select_many` sweep, appending positions to `out` in the
-/// original draw order. All intermediate state lives in `scratch`, so a
-/// warm scratch makes this allocation-free (provided `out` has capacity).
+/// original draw order. All intermediate state lives in `scratch` (a
+/// window shifts the sorted ranks there), so a warm scratch makes this
+/// allocation-free (provided `out` has capacity).
 ///
 /// When ranks and batch size fit (rank < 2^44, batch < 2^20 — any realistic
 /// workload), rank and draw index are packed into a single `u64`
@@ -450,7 +500,7 @@ fn resolve_in_draw_order(bits: &RowSet, scratch: &mut BatchScratch, out: &mut Ve
         sorted.clear();
         sorted.extend(keys.iter().map(|&p| p >> IDX_BITS));
         positions.clear();
-        bits.select_many(sorted, positions);
+        bits.select_many_in_place(sorted, positions);
         out.resize(base + n, 0);
         let idx_mask = (1u64 << IDX_BITS) - 1;
         for (&packed, &pos) in keys.iter().zip(positions.iter()) {
@@ -463,7 +513,7 @@ fn resolve_in_draw_order(bits: &RowSet, scratch: &mut BatchScratch, out: &mut Ve
         sorted.clear();
         sorted.extend(pairs.iter().map(|&(r, _)| r));
         positions.clear();
-        bits.select_many(sorted, positions);
+        bits.select_many_in_place(sorted, positions);
         out.resize(base + n, 0);
         for (&(_, idx), &pos) in pairs.iter().zip(positions.iter()) {
             out[base + idx as usize] = pos;
@@ -1035,6 +1085,46 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "out of range")]
+    fn rowset_window_select_many_rejects_oob_rank() {
+        let set = RowSet::Window {
+            bits: Arc::new(Bitmap::ones(10)),
+            first: 3,
+            count: 2,
+        };
+        let mut out = Vec::new();
+        set.select_many(&[0, 2], &mut out);
+    }
+
+    #[test]
+    fn window_view_replays_bitmap_sampler_stream() {
+        // The window over ranks 100..400 of a bitmap is the bitmap of those
+        // rows: a sampler over either draws the same rows, batched or not.
+        let all: Vec<u64> = (0..1000).map(|i| i * 3 + 1).collect();
+        let bits = Arc::new(bitmap(&all, 3000));
+        let mut over_bitmap = BitmapSampler::new(bitmap(&all[100..400], 3000));
+        let mut over_window = BitmapSampler::from_rows(RowSet::Window {
+            bits,
+            first: 100,
+            count: 300,
+        });
+        let mut rng_a = rand::rngs::StdRng::seed_from_u64(71);
+        let mut rng_b = rand::rngs::StdRng::seed_from_u64(71);
+        let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+        over_bitmap.sample_batch_with_replacement(97, &mut rng_a, &mut out_a);
+        over_window.sample_batch_with_replacement(97, &mut rng_b, &mut out_b);
+        over_bitmap.sample_batch_without_replacement(120, &mut rng_a, &mut out_a);
+        over_window.sample_batch_without_replacement(120, &mut rng_b, &mut out_b);
+        assert_eq!(out_a, out_b);
+        for _ in 0..50 {
+            assert_eq!(
+                over_bitmap.sample_without_replacement(&mut rng_a),
+                over_window.sample_without_replacement(&mut rng_b)
+            );
+        }
+    }
+
+    #[test]
     fn batch_with_replacement_roughly_uniform() {
         let positions: Vec<u64> = (0..10).map(|i| i * 3).collect();
         let mut s = BitmapSampler::new(bitmap(&positions, 30));
@@ -1172,6 +1262,60 @@ mod proptests {
             let mut tmp = Vec::new();
             radix_sort_u64(&mut keys, &mut tmp);
             prop_assert_eq!(keys, expected);
+        }
+
+        /// A rank window over `[s, e)` of a dense or RLE bitmap is the
+        /// bitmap's ones inside the row range: every query agrees with
+        /// intersecting the bitmap with the range.
+        #[test]
+        fn window_matches_range_intersection(
+            positions in proptest::collection::btree_set(0u64..3000, 0..200),
+            len_extra in 1u64..200,
+            cut_a in 0u64..3200,
+            cut_b in 0u64..3200,
+            seed in 0u64..1000,
+        ) {
+            let positions: Vec<u64> = positions.into_iter().collect();
+            let len = positions.last().map_or(0, |&p| p + 1) + len_extra;
+            let (s, e) = (cut_a.min(cut_b) % (len + 1), cut_a.max(cut_b) % (len + 1));
+            let (s, e) = (s.min(e), s.max(e));
+            let dense = Bitmap::from_sorted_positions(&positions, len);
+            let range: Vec<u64> = (s..e).collect();
+            let range = Bitmap::from_sorted_positions(&range, len);
+            for bits in [dense.clone(), Bitmap::Rle(dense.to_rle())] {
+                let mut expect = Vec::new();
+                bits.intersect_positions(&range, &mut expect);
+                let first = bits.rank(s);
+                let window = RowSet::Window {
+                    count: bits.rank(e) - first,
+                    bits: Arc::new(bits),
+                    first,
+                };
+                prop_assert_eq!(window.len(), len);
+                prop_assert_eq!(window.count_ones(), expect.len() as u64);
+                prop_assert_eq!(window.iter_ones().collect::<Vec<_>>(), expect.clone());
+                for (k, &p) in expect.iter().enumerate() {
+                    prop_assert_eq!(window.select(k as u64), Some(p));
+                }
+                prop_assert_eq!(window.select(expect.len() as u64), None);
+                for pos in 0..len {
+                    prop_assert_eq!(window.get(pos), expect.binary_search(&pos).is_ok());
+                }
+                if !expect.is_empty() {
+                    let n = expect.len() as u64;
+                    let mut ks: Vec<u64> = (0..40)
+                        .map(|i| seed.wrapping_mul(i * 2 + 1).wrapping_add(i * i) % n)
+                        .collect();
+                    ks.sort_unstable();
+                    let want: Vec<u64> = ks.iter().map(|&k| expect[k as usize]).collect();
+                    let mut out = Vec::new();
+                    window.select_many(&ks, &mut out);
+                    prop_assert_eq!(&out, &want);
+                    out.clear();
+                    window.select_many_in_place(&mut ks, &mut out);
+                    prop_assert_eq!(&out, &want);
+                }
+            }
         }
 
         /// Batched size-estimating draws replay the single-draw (row, z)

@@ -8,6 +8,7 @@
 
 use crate::schema::{DataType, Schema};
 use crate::value::Value;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Physical column storage.
@@ -30,6 +31,49 @@ impl ColumnData {
             ColumnData::Str { codes, .. } => codes.len(),
         }
     }
+
+    /// This column with row `i` moved to the next free slot of its group
+    /// `ordinals[i]`; `starts[g]` is group `g`'s first slot.
+    fn scattered(&self, ordinals: &[u32], starts: &[usize]) -> ColumnData {
+        match self {
+            ColumnData::Int(v) => ColumnData::Int(scatter(v, ordinals, starts)),
+            ColumnData::Float(v) => ColumnData::Float(scatter(v, ordinals, starts)),
+            ColumnData::Str { codes, dict } => ColumnData::Str {
+                codes: scatter(codes, ordinals, starts),
+                dict: dict.clone(),
+            },
+        }
+    }
+}
+
+/// One pass of a counting sort: `src[i]` goes to the next free slot of
+/// group `ordinals[i]`, so rows keep their relative order inside a group.
+fn scatter<T: Copy + Default>(src: &[T], ordinals: &[u32], starts: &[usize]) -> Vec<T> {
+    let mut next = starts.to_vec();
+    let mut out = vec![T::default(); src.len()];
+    for (&x, &g) in src.iter().zip(ordinals) {
+        out[next[g as usize]] = x;
+        next[g as usize] += 1;
+    }
+    out
+}
+
+/// Each value's position among the sorted distinct values of `values`.
+#[expect(
+    clippy::expect_used,
+    reason = "row ordinals, like string codes, fit u32"
+)]
+fn sorted_ordinals<T: Copy>(values: &[T], cmp: impl Fn(&T, &T) -> Ordering) -> Vec<u32> {
+    let mut distinct = values.to_vec();
+    distinct.sort_unstable_by(&cmp);
+    distinct.dedup_by(|a, b| cmp(a, b) == Ordering::Equal);
+    values
+        .iter()
+        .map(|x| {
+            let g = distinct.partition_point(|d| cmp(d, x) == Ordering::Less);
+            u32::try_from(g).expect("distinct values fit u32")
+        })
+        .collect()
 }
 
 /// An immutable, fully loaded relation.
@@ -138,6 +182,45 @@ impl Table {
             #[expect(clippy::panic, reason = "`# Panics`; callers check the type first")]
             _ => panic!("column {col_idx} is not a string column"),
         }
+    }
+
+    /// Stably reorders every column's rows by column `col_idx`, so each of
+    /// its distinct values owns one contiguous row range holding its rows
+    /// in their original relative order. String values are ranged by
+    /// dictionary code (first-appearance order), numeric ones by ascending
+    /// value (`f64::total_cmp`, which keeps `-0.0` apart from `0.0` as the
+    /// index does). A counting sort: one column is rewritten at a time, so
+    /// the scratch is one column (plus the group ordinals of a numeric
+    /// key), never a second table.
+    pub(crate) fn cluster_by(&mut self, col_idx: usize) {
+        let key = std::mem::replace(&mut self.columns[col_idx], ColumnData::Int(Vec::new()));
+        let numeric;
+        let ordinals: &[u32] = match &key {
+            ColumnData::Str { codes, .. } => codes,
+            ColumnData::Int(v) => {
+                numeric = sorted_ordinals(v, i64::cmp);
+                &numeric
+            }
+            ColumnData::Float(v) => {
+                numeric = sorted_ordinals(v, f64::total_cmp);
+                &numeric
+            }
+        };
+        let groups = ordinals.iter().max().map_or(0, |&g| g as usize + 1);
+        let mut starts = vec![0usize; groups];
+        for &g in ordinals {
+            starts[g as usize] += 1;
+        }
+        let mut next = 0;
+        for slot in &mut starts {
+            (*slot, next) = (next, next + *slot);
+        }
+        for (i, column) in self.columns.iter_mut().enumerate() {
+            if i != col_idx {
+                *column = column.scattered(ordinals, &starts);
+            }
+        }
+        self.columns[col_idx] = key.scattered(ordinals, &starts);
     }
 
     /// All distinct values appearing in a column, in first-appearance order
@@ -317,6 +400,95 @@ mod tests {
         // str(4) + float(8) + int(8) = 20.
         assert_eq!(t.row_bytes(), 20);
         assert_eq!(t.total_bytes(), 60);
+    }
+
+    /// Every row as a vector of values.
+    fn rows(t: &Table) -> Vec<Vec<Value>> {
+        (0..t.row_count())
+            .map(|r| (0..t.schema().arity()).map(|c| t.value(r, c)).collect())
+            .collect()
+    }
+
+    /// Asserts `after` is `before` stably regrouped by column `key`: each
+    /// key value's rows are contiguous, in `before`'s relative order, and
+    /// the groups come in `order`.
+    fn assert_clustered(before: &[Vec<Value>], after: &[Vec<Value>], key: usize, order: &[Value]) {
+        let mut expect = Vec::new();
+        for v in order {
+            expect.extend(before.iter().filter(|row| &row[key] == v).cloned());
+        }
+        assert_eq!(expect.len(), before.len(), "order lists every key value");
+        assert_eq!(after, expect.as_slice());
+    }
+
+    /// Three interleaved groups under every key type, with a payload that
+    /// records each row's original position.
+    fn interleaved() -> Table {
+        let mut b = TableBuilder::new(Schema::new(vec![
+            ColumnDef::new("s", DataType::Str),
+            ColumnDef::new("i", DataType::Int),
+            ColumnDef::new("f", DataType::Float),
+            ColumnDef::new("pos", DataType::Int),
+        ]));
+        for pos in 0..40i64 {
+            let g = (pos * 7 + pos / 3) % 3;
+            let s = ["JB", "AA", "UA"][g as usize];
+            let f = [2.5, -0.0, -1.0][g as usize];
+            b.push_row(vec![
+                s.into(),
+                Value::Int(10 - g),
+                f.into(),
+                Value::Int(pos),
+            ]);
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn clustering_by_a_string_column_ranges_groups_in_dictionary_order() {
+        let mut t = interleaved();
+        let before = rows(&t);
+        let dict: Vec<Value> = t
+            .str_dict(0)
+            .iter()
+            .map(|s| Value::Str(s.clone()))
+            .collect();
+        t.cluster_by(0);
+        assert_clustered(&before, &rows(&t), 0, &dict);
+        assert_eq!(t.row_count(), 40);
+        assert_eq!(t.str_dict(0).len(), 3, "the dictionary is unchanged");
+    }
+
+    #[test]
+    fn clustering_by_a_numeric_column_ranges_groups_in_ascending_order() {
+        for (key, order) in [
+            (1, vec![Value::Int(8), Value::Int(9), Value::Int(10)]),
+            (
+                2,
+                vec![Value::Float(-1.0), Value::Float(-0.0), Value::Float(2.5)],
+            ),
+        ] {
+            let mut t = interleaved();
+            let before = rows(&t);
+            t.cluster_by(key);
+            assert_clustered(&before, &rows(&t), key, &order);
+        }
+    }
+
+    #[test]
+    fn clustering_an_empty_or_single_group_table_changes_nothing() {
+        let mut empty = TableBuilder::new(flights_schema()).finish();
+        empty.cluster_by(0);
+        empty.cluster_by(2);
+        assert_eq!(empty.row_count(), 0);
+        let mut b = TableBuilder::new(flights_schema());
+        for (d, y) in [(3.0, 2001), (1.0, 2002), (2.0, 2003)] {
+            b.push_row(vec!["AA".into(), d.into(), Value::Int(y)]);
+        }
+        let mut one = b.finish();
+        let before = rows(&one);
+        one.cluster_by(0);
+        assert_eq!(rows(&one), before);
     }
 
     #[test]

@@ -335,30 +335,30 @@ fn other_column_group_runs_are_pinned() {
         "origin, year, (origin, year)",
         &got,
         &[
-            0xf8aea414bab44e76,
-            0x76554e47a3d622ff,
-            0x3a512da4dff953bf,
-            0x1d642f44109896d9,
-            0x56d87a69f380f851,
-            0x82bd63deffeaeaca,
-            0x0a38fe49a96e0d31,
-            0xdb223ce414d87a72,
-            0xc5902f7805773a06,
-            0x8c96199c7f66676d,
-            0x88695b57a340756d,
-            0x96ce44f6c9fb0c58,
-            0x5e5dbb3a84a0181d,
-            0xad01d94822de6620,
-            0x933fde6bdebf507a,
-            0x72c128d8c3481f64,
-            0x04dfb75ad475400f,
-            0x7a7d5f7ea878747c,
-            0xe1cd33bcbd2313c5,
-            0x9fc0fc5df45dc6f3,
-            0x162b099ec8be0bf1,
-            0x314e95fa8ea7ae90,
-            0xaaf45a665ff4c1d5,
-            0x6e03e5ab293e9d87,
+            0xc122fe6aedaf54a2,
+            0x0067a40c523d04d5,
+            0xa57bcb3cbb3893db,
+            0xc864367de9504c22,
+            0x4a0dbb638e44f951,
+            0xdeae3ca39a6e9557,
+            0x25d3d896c8bbb38b,
+            0x3e6def59de7ca34a,
+            0x05c6eee0eaa9c603,
+            0x1e6d78b57d4ea5b0,
+            0xb4b271deee920fa9,
+            0x4f8d6028f7e3a9c7,
+            0x0c5e17a2c90f18d9,
+            0x495154a6b3f5421f,
+            0xcf2728c22614c54b,
+            0x8851439037d00849,
+            0x9f20911d2af11fcb,
+            0x1652b7ba36e35a52,
+            0xe587f54597935545,
+            0x2233b7a806313d18,
+            0x2229b55ffa92e2bb,
+            0x126b99e46efe598d,
+            0x9f41463b9d82e5b2,
+            0x985217d276372c4c,
         ],
     );
 }
@@ -408,7 +408,7 @@ fn algorithm_5_size_probes_are_pinned() {
     assert_pinned(
         "Algorithm 5",
         &got,
-        &[0xbbf0cf54ff1be3e2, 0x2c80e8c8a2c4b209],
+        &[0x90226ead9d23afb7, 0xcfee962964b5ec22],
     );
 }
 
@@ -430,6 +430,6 @@ fn fault_injected_runs_are_pinned() {
             )
         })
         .collect();
-    assert_pinned("faults", &got, &[0x191caeab3b20d22c, 0x0de6b067b5f051e5]);
+    assert_pinned("faults", &got, &[0x803200446a4f7824, 0xcbe3cddf28d844ea]);
     assert!(engine.metrics().snapshot().faulted_reads > 0);
 }
