@@ -392,3 +392,51 @@ fn engine_group_handle_batches_are_allocation_free_at_steady_state() {
     });
     assert_eq!(allocs, 0, "engine batch path must not allocate");
 }
+
+#[test]
+fn filtered_clustered_group_batches_are_allocation_free_at_steady_state() {
+    // `g` is the first indexed column, so a filtered `g` group is a rank
+    // window of the filter's bitmap; resolving a batch shifts its ranks in
+    // the sampler's scratch instead of a fresh buffer.
+    let mut b = TableBuilder::new(Schema::new(vec![
+        ColumnDef::new("g", DataType::Str),
+        ColumnDef::new("f", DataType::Str),
+        ColumnDef::new("v", DataType::Float),
+    ]));
+    for i in 0..60_000u32 {
+        let name = if i % 3 == 0 { "a" } else { "b" };
+        let f = if i % 5 < 2 { "x" } else { "y" };
+        b.push_row(vec![name.into(), f.into(), f64::from(i % 97).into()]);
+    }
+    let engine = NeedleTail::new(b.finish(), &["g", "f"]).unwrap();
+    let filter = Predicate::eq("f", "x");
+    let mut rng = StdRng::seed_from_u64(6);
+    let mut out = Vec::new();
+    for mode in [
+        SamplingMode::WithReplacement,
+        SamplingMode::WithoutReplacement,
+    ] {
+        let mut handles = engine.group_handles("g", "v", &filter).unwrap();
+        let handle = &mut handles[0];
+        let mut draw = |handle: &mut rapidviz::needletail::GroupHandle, n: usize| {
+            out.clear();
+            match mode {
+                SamplingMode::WithReplacement => {
+                    handle.sample_batch_with_replacement(n, &mut rng, &mut out)
+                }
+                SamplingMode::WithoutReplacement => {
+                    handle.sample_batch_without_replacement(n, &mut rng, &mut out)
+                }
+            }
+        };
+        // A large first batch grows the scratch, the output buffer and
+        // (without replacement) the swap map past what follows.
+        assert_eq!(draw(handle, 4_000), 4_000);
+        let allocs = allocations_during(|| {
+            for _ in 0..10 {
+                assert_eq!(draw(handle, 256), 256);
+            }
+        });
+        assert_eq!(allocs, 0, "{mode:?} window batches must not allocate");
+    }
+}
