@@ -107,8 +107,8 @@ pub mod wire;
 
 pub use minimize::minimize;
 pub use plan::{
-    episode_plan, EpisodePlan, PredSpec, QueryKind, QuerySpec, ScheduledEvent, SimEvent, TableSpec,
-    TimeBudget,
+    episode_plan, EpisodePlan, GroupBy, PredSpec, QueryKind, QuerySpec, ScheduledEvent, SimEvent,
+    TableSpec, TimeBudget,
 };
 pub use run::{run_episode, EpisodeOptions, Failure, Mutation, Report};
 pub use wire::{

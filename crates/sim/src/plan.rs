@@ -85,6 +85,46 @@ pub enum QueryKind {
     Count,
 }
 
+/// The columns a generated query groups by. The engine clusters its rows
+/// by `g`, its first indexed column, so `g` groups (and `(g, g2)` cells,
+/// whose rows follow `g`'s) keep the draws they had before clustering;
+/// `g2` alone is grouped the way every other column is, through per-group
+/// intersections over rows the clustering moved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GroupBy {
+    /// `g`.
+    G,
+    /// `(g, g2)`.
+    GThenG2,
+    /// `g2`.
+    G2,
+}
+
+impl GroupBy {
+    /// The group-by column list.
+    #[must_use]
+    pub fn columns(self) -> &'static [&'static str] {
+        match self {
+            GroupBy::G => &["g"],
+            GroupBy::GThenG2 => &["g", "g2"],
+            GroupBy::G2 => &["g2"],
+        }
+    }
+
+    /// Draws a group-by: `(g, g2)` with probability `multi`, `g2` alone
+    /// with probability `other`, else `g`.
+    pub(crate) fn draw(rng: &mut impl Rng, multi: f64, other: f64) -> Self {
+        let u: f64 = rng.gen_range(0.0..1.0);
+        if u < multi {
+            GroupBy::GThenG2
+        } else if u < multi + other {
+            GroupBy::G2
+        } else {
+            GroupBy::G
+        }
+    }
+}
+
 /// A selection predicate, in "spelling" form: distinct spellings of the
 /// same selection share a canonical key, so episodes exercise warm plan
 /// cache hits.
@@ -148,8 +188,8 @@ pub struct QuerySpec {
     pub kind: QueryKind,
     /// Selection predicate, if any.
     pub predicate: Option<PredSpec>,
-    /// Whether to group by `(g, g2)` instead of `g`.
-    pub multi_group: bool,
+    /// The group-by columns.
+    pub group_by: GroupBy,
     /// Failure probability δ.
     pub delta: f64,
     /// Resolution relaxation, in percent of the value range.
@@ -304,7 +344,7 @@ fn query_spec(rng: &mut StdRng) -> QuerySpec {
             swapped: rng.gen_bool(0.5),
         })
     };
-    let multi_group = rng.gen_bool(0.2);
+    let group_by = GroupBy::draw(rng, 0.2, 0.15);
     // SCAN terminates in k rounds on its own; everything else gets a cap
     // so episode length stays bounded regardless of convergence.
     let max_samples = if is_scan && rng.gen_bool(0.5) {
@@ -324,7 +364,7 @@ fn query_spec(rng: &mut StdRng) -> QuerySpec {
         seed: rng.next_u64(),
         kind,
         predicate,
-        multi_group,
+        group_by,
         delta: *[0.05, 0.1, 0.2]
             .get(rng.gen_range(0..3usize))
             .expect("index in range"),

@@ -714,14 +714,14 @@ fn build_session(
     spec: &QuerySpec,
 ) -> Result<QuerySession, EngineError> {
     let mut q = VizQuery::new(engine).clock(Arc::new(clock.clone()));
-    q = match spec.kind {
-        QueryKind::Avg(alg) => q.group_by("g").avg("v").algorithm(alg),
-        QueryKind::Sum => q.group_by("g").sum("v"),
-        QueryKind::Count => q.group_by("g").count("v"),
-    };
-    if spec.multi_group {
-        q = q.group_by("g2");
+    for col in spec.group_by.columns() {
+        q = q.group_by(*col);
     }
+    q = match spec.kind {
+        QueryKind::Avg(alg) => q.avg("v").algorithm(alg),
+        QueryKind::Sum => q.sum("v"),
+        QueryKind::Count => q.count("v"),
+    };
     if let Some(pred) = &spec.predicate {
         q = q.filter(pred.build());
     }

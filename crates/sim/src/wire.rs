@@ -37,7 +37,7 @@
 //! Failures print the standard `SIM_SEED=<u64> POLICY=Wire` repro line:
 //! the seed fully determines the episode.
 
-use crate::plan::TableSpec;
+use crate::plan::{GroupBy, TableSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rapidviz::needletail::NeedleTail;
@@ -73,8 +73,8 @@ pub struct WireQuerySpec {
     /// overridden. Durable scripts inflate it so certification cannot end
     /// the session before its scripted interruption lands.
     pub bound: Option<f64>,
-    /// Group by `(g, g2)` instead of `g`.
-    pub multi_group: bool,
+    /// The group-by columns.
+    pub group_by: GroupBy,
     /// Samples per round.
     pub samples_per_round: u64,
     /// Session sample cap (always set — bounds episode length).
@@ -86,9 +86,12 @@ impl WireQuerySpec {
     #[must_use]
     pub fn to_request(&self) -> QueryRequest {
         let mut req = QueryRequest::avg("g", "v", self.seed);
-        if self.multi_group {
-            req.group_by.push("g2".to_owned());
-        }
+        req.group_by = self
+            .group_by
+            .columns()
+            .iter()
+            .map(|c| (*c).to_owned())
+            .collect();
         match self.kind {
             WireKind::Avg(algo) => {
                 req.aggregate = rapidviz::Aggregate::Avg;
@@ -107,9 +110,9 @@ impl WireQuerySpec {
     /// Executes the same query in-process against `engine` and returns
     /// the answer for byte-comparison.
     fn execute_in_process(&self, engine: &NeedleTail) -> rapidviz::QueryAnswer {
-        let mut q = VizQuery::new(engine).group_by("g");
-        if self.multi_group {
-            q = q.group_by("g2");
+        let mut q = VizQuery::new(engine);
+        for col in self.group_by.columns() {
+            q = q.group_by(*col);
         }
         q = match self.kind {
             WireKind::Avg(algo) => q.avg("v").algorithm(algo),
@@ -318,7 +321,7 @@ fn scripted_query(rng: &mut StdRng) -> WireQuerySpec {
         kind,
         filter,
         bound: None,
-        multi_group: rng.gen_bool(0.25),
+        group_by: GroupBy::draw(rng, 0.25, 0.15),
         samples_per_round: rng.gen_range(4..=32),
         max_samples: rng.gen_range(200..=2_000),
     }
