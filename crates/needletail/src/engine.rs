@@ -238,14 +238,15 @@ impl NeedleTail {
     ///
     /// Returns [`EngineError::NoSuchColumn`] if an index target is missing.
     pub fn new(mut table: Table, indexed_columns: &[&str]) -> Result<Self, EngineError> {
-        let mut positions = Vec::with_capacity(indexed_columns.len());
         for col in indexed_columns {
-            match table.schema().column_index(col) {
-                Some(idx) => positions.push(idx),
-                None => return Err(EngineError::NoSuchColumn((*col).to_owned())),
+            if table.schema().column_index(col).is_none() {
+                return Err(EngineError::NoSuchColumn((*col).to_owned()));
             }
         }
-        if let Some(&first) = positions.first() {
+        if let Some(first) = indexed_columns
+            .first()
+            .and_then(|col| table.schema().column_index(col))
+        {
             table.cluster_by(first);
         }
         let indexes = indexed_columns
