@@ -1,21 +1,30 @@
-//! Dense bitvector with a two-level superblock rank directory.
+//! Rank/select bitmaps — NEEDLETAIL's index primitive.
+//!
+//! There is one representation, [`Bitmap`]: a plain `u64`-word bitvector
+//! with a superblock rank directory, giving `O(1)` rank and `O(log n)`
+//! select. This is the "hierarchically organized" bitmap of §4: finding the
+//! `j`-th matching tuple costs a binary search over superblocks
+//! (logarithmic in the number of records) plus a bounded word scan. A
+//! bitmap costs `len / 8` bytes of words plus an eighth of that for its
+//! rank directory (one `u64` per 512 bits), whatever it holds; filters
+//! combine by word-parallel AND/OR/NOT.
 //!
 //! Layout: bits are packed little-endian into `u64` words; every
-//! [`WORDS_PER_SUPERBLOCK`] words a cumulative one-count is recorded, and an
-//! upper directory summarizes every [`SUPERBLOCKS_PER_L2`]-th superblock
+//! `WORDS_PER_SUPERBLOCK` words a cumulative one-count is recorded, and an
+//! upper directory summarizes every `SUPERBLOCKS_PER_L2`-th superblock
 //! (the "hierarchical" organization §4 describes). `rank` reads one
 //! directory entry plus at most a superblock of words. `select` binary
 //! searches the small upper directory and then a 64-entry superblock
 //! window, then resolves within one word by branch-free broadword
-//! arithmetic ([`select_in_word`]).
+//! arithmetic (`select_in_word`).
 //!
 //! ## The staged batch
 //!
 //! On a bitmap larger than the cache a select is two dependent misses — a
 //! line of the superblock directory, then the line of words it points at —
 //! and almost nothing else, so what a batch costs is decided by how many of
-//! those misses wait on each other. [`DenseBitmap::select_many`] therefore
-//! resolves a sorted batch [`SELECT_CHUNK`] ranks at a time, in two stages:
+//! those misses wait on each other. [`Bitmap::select_many`] therefore
+//! resolves a sorted batch `SELECT_CHUNK` ranks at a time, in two stages:
 //!
 //! 1. every rank's **superblock**. The upper directory is small enough to
 //!    stay cache-resident and is walked by one monotone cursor; the 64-entry
@@ -23,7 +32,7 @@
 //!    previous rank's answer, so the window probes of different ranks are
 //!    independent loads. A rank inside the previous rank's superblock skips
 //!    the search (the clustered case).
-//! 2. every rank's **word scan** ([`DenseBitmap::select_in_superblock`],
+//! 2. every rank's **word scan** (`Bitmap::select_in_superblock`,
 //!    the same helper `select` ends in). Each scan needs only its own
 //!    superblock index from stage 1, so the word lines are independent too.
 //!
@@ -38,13 +47,13 @@ const WORDS_PER_SUPERBLOCK: usize = 8;
 const BITS_PER_SUPERBLOCK: u64 = (WORDS_PER_SUPERBLOCK as u64) * 64;
 /// Superblocks summarized per upper-directory block (32768 bits each).
 const SUPERBLOCKS_PER_L2: usize = 64;
-/// Ranks [`DenseBitmap::select_many`] stages together: enough independent
+/// Ranks [`Bitmap::select_many`] stages together: enough independent
 /// misses to fill the core's load queue, few enough that the staging buffer
 /// is a 256-byte stack array.
 const SELECT_CHUNK: usize = 32;
 
-/// A dense bitvector over positions `0..len` with `O(1)` rank and
-/// `O(log n)` select.
+/// A bitmap over tuple positions `0..len`: a dense bitvector with `O(1)`
+/// rank and `O(log n)` select.
 ///
 /// The rank directory is two-level (the hierarchical organization §4
 /// describes): `super_ranks` records cumulative ones every 512 bits, and
@@ -53,7 +62,7 @@ const SELECT_CHUNK: usize = 32;
 /// multi-hundred-million-row bitmaps) and then only a 64-entry window of
 /// the lower one — bounding the cache lines a cold select touches.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DenseBitmap {
+pub struct Bitmap {
     len: u64,
     words: Vec<u64>,
     /// `super_ranks[s]` = number of ones in words `[0, s*WORDS_PER_SUPERBLOCK)`.
@@ -64,7 +73,7 @@ pub struct DenseBitmap {
     count_ones: u64,
 }
 
-impl DenseBitmap {
+impl Bitmap {
     /// An all-zeros bitmap of the given length.
     #[must_use]
     pub fn zeros(len: u64) -> Self {
@@ -318,7 +327,7 @@ impl DenseBitmap {
     ///
     /// Panics if lengths differ.
     #[must_use]
-    pub fn and(&self, other: &DenseBitmap) -> DenseBitmap {
+    pub fn and(&self, other: &Bitmap) -> Bitmap {
         assert_eq!(self.len, other.len, "bitmap lengths must match");
         let words = self
             .words
@@ -337,7 +346,7 @@ impl DenseBitmap {
     /// # Panics
     ///
     /// Panics if lengths differ.
-    pub fn intersect_positions(&self, other: &DenseBitmap, out: &mut Vec<u64>) {
+    pub fn intersect_positions(&self, other: &Bitmap, out: &mut Vec<u64>) {
         assert_eq!(self.len, other.len, "bitmap lengths must match");
         for (wi, (a, b)) in self.words.iter().zip(&other.words).enumerate() {
             let word = a & b;
@@ -355,7 +364,7 @@ impl DenseBitmap {
     ///
     /// Panics if lengths differ.
     #[must_use]
-    pub fn or(&self, other: &DenseBitmap) -> DenseBitmap {
+    pub fn or(&self, other: &Bitmap) -> Bitmap {
         assert_eq!(self.len, other.len, "bitmap lengths must match");
         let words = self
             .words
@@ -368,7 +377,7 @@ impl DenseBitmap {
 
     /// Bitwise NOT within `0..len`.
     #[must_use]
-    pub fn not(&self) -> DenseBitmap {
+    pub fn not(&self) -> Bitmap {
         let words = self.words.iter().map(|w| !w).collect();
         Self::from_words(words, self.len)
     }
@@ -385,16 +394,6 @@ impl DenseBitmap {
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         (self.words.len() + self.super_ranks.len() + self.l2_ranks.len()) * 8
-    }
-
-    /// Heap bytes a dense bitmap of length `len` would occupy (used by
-    /// [`super::Bitmap::optimize`] without materializing).
-    #[must_use]
-    pub fn projected_heap_bytes(len: u64) -> usize {
-        let words = Self::word_count(len);
-        let n_super = words.div_ceil(WORDS_PER_SUPERBLOCK);
-        let l2 = n_super.div_ceil(SUPERBLOCKS_PER_L2) + 1;
-        (words + n_super + 1 + l2) * 8
     }
 }
 
@@ -506,7 +505,7 @@ mod tests {
 
     #[test]
     fn empty_bitmap() {
-        let bm = DenseBitmap::zeros(0);
+        let bm = Bitmap::zeros(0);
         assert!(bm.is_empty());
         assert_eq!(bm.count_ones(), 0);
         assert_eq!(bm.select(0), None);
@@ -515,7 +514,7 @@ mod tests {
 
     #[test]
     fn ones_masks_tail() {
-        let bm = DenseBitmap::ones(70);
+        let bm = Bitmap::ones(70);
         assert_eq!(bm.count_ones(), 70);
         assert_eq!(bm.rank(70), 70);
         assert_eq!(bm.select(69), Some(69));
@@ -526,7 +525,7 @@ mod tests {
     fn rank_across_superblocks() {
         // Set one bit per 100 positions over 3000 bits (spans superblocks).
         let positions: Vec<u64> = (0..30).map(|i| i * 100).collect();
-        let bm = DenseBitmap::from_sorted_positions(&positions, 3000);
+        let bm = Bitmap::from_sorted_positions(&positions, 3000);
         for p in 0..=3000u64 {
             let expected = positions.iter().filter(|&&q| q < p).count() as u64;
             assert_eq!(bm.rank(p), expected, "rank({p})");
@@ -536,7 +535,7 @@ mod tests {
     #[test]
     fn select_brute_force_agreement() {
         let positions: Vec<u64> = vec![0, 1, 63, 64, 127, 128, 511, 512, 513, 1023, 2040];
-        let bm = DenseBitmap::from_sorted_positions(&positions, 2048);
+        let bm = Bitmap::from_sorted_positions(&positions, 2048);
         for (k, &p) in positions.iter().enumerate() {
             assert_eq!(bm.select(k as u64), Some(p));
         }
@@ -546,7 +545,7 @@ mod tests {
     #[test]
     fn from_bools_roundtrip() {
         let bits: Vec<bool> = (0..300).map(|i| i % 3 == 0).collect();
-        let bm = DenseBitmap::from_bools(&bits);
+        let bm = Bitmap::from_bools(&bits);
         for (i, &b) in bits.iter().enumerate() {
             assert_eq!(bm.get(i as u64), b);
         }
@@ -555,18 +554,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn rejects_unsorted_positions() {
-        let _ = DenseBitmap::from_sorted_positions(&[5, 5], 10);
+        let _ = Bitmap::from_sorted_positions(&[5, 5], 10);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_oob_position() {
-        let _ = DenseBitmap::from_sorted_positions(&[10], 10);
+        let _ = Bitmap::from_sorted_positions(&[10], 10);
     }
 
     #[test]
     fn not_respects_length() {
-        let bm = DenseBitmap::from_sorted_positions(&[0, 5], 10);
+        let bm = Bitmap::from_sorted_positions(&[0, 5], 10);
         let inv = bm.not();
         assert_eq!(inv.count_ones(), 8);
         assert_eq!(inv.len(), 10);
@@ -596,7 +595,7 @@ mod tests {
         // Clustered + sparse ones across several superblocks.
         let mut positions: Vec<u64> = (100..400).collect();
         positions.extend((0..40).map(|i| 1000 + i * 97));
-        let bm = DenseBitmap::from_sorted_positions(&positions, 8192);
+        let bm = Bitmap::from_sorted_positions(&positions, 8192);
         let n = bm.count_ones();
         // All ranks at once.
         let ks: Vec<u64> = (0..n).collect();
@@ -630,7 +629,7 @@ mod tests {
         };
         for one_in in [2u64, 14, 400] {
             let positions: Vec<u64> = (0..len).filter(|_| next() % one_in == 0).collect();
-            let bm = DenseBitmap::from_sorted_positions(&positions, len);
+            let bm = Bitmap::from_sorted_positions(&positions, len);
             let n = bm.count_ones();
             assert!(bm.l2_ranks.len() > 3 && n >= 100);
             for batch in [1usize, 31, 32, 33, 64, 65, 4096] {
@@ -659,7 +658,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn select_many_rejects_oob_rank() {
-        let bm = DenseBitmap::from_sorted_positions(&[3, 9], 16);
+        let bm = Bitmap::from_sorted_positions(&[3, 9], 16);
         let mut out = Vec::new();
         bm.select_many(&[0, 2], &mut out);
     }
@@ -667,7 +666,163 @@ mod tests {
     #[test]
     fn iter_ones_matches_positions() {
         let positions: Vec<u64> = vec![3, 64, 65, 100, 511, 700];
-        let bm = DenseBitmap::from_sorted_positions(&positions, 701);
+        let bm = Bitmap::from_sorted_positions(&positions, 701);
         assert_eq!(bm.iter_ones().collect::<Vec<_>>(), positions);
+    }
+
+    #[test]
+    fn queries_agree_with_positions() {
+        let pos = vec![0, 3, 4, 63, 64, 65, 200, 511, 512, 999];
+        let bm = Bitmap::from_sorted_positions(&pos, 1000);
+        assert_eq!(bm.len(), 1000);
+        assert_eq!(bm.count_ones(), pos.len() as u64);
+        for (k, &p) in pos.iter().enumerate() {
+            assert!(bm.get(p), "bit {p} should be set");
+            assert_eq!(bm.select(k as u64), Some(p));
+            assert_eq!(bm.rank(p), k as u64);
+        }
+        assert_eq!(bm.select(pos.len() as u64), None);
+        assert!(!bm.get(1));
+        assert_eq!(bm.iter_ones().collect::<Vec<_>>(), pos);
+    }
+
+    #[test]
+    fn boolean_algebra_matches_naive() {
+        let a_pos = vec![1, 2, 3, 10, 50, 63, 64, 99];
+        let b_pos = vec![2, 3, 7, 50, 65, 98, 99];
+        let len = 100;
+        let a = Bitmap::from_sorted_positions(&a_pos, len);
+        let b = Bitmap::from_sorted_positions(&b_pos, len);
+        let and = a.and(&b);
+        let or = a.or(&b);
+        let not_a = a.not();
+        for p in 0..len {
+            let (ba, bb) = (a_pos.contains(&p), b_pos.contains(&p));
+            assert_eq!(and.get(p), ba && bb, "and at {p}");
+            assert_eq!(or.get(p), ba || bb, "or at {p}");
+            assert_eq!(not_a.get(p), !ba, "not at {p}");
+        }
+    }
+
+    #[test]
+    fn zeros_and_ones() {
+        let z = Bitmap::zeros(77);
+        let o = Bitmap::ones(77);
+        assert_eq!(z.count_ones(), 0);
+        assert_eq!(o.count_ones(), 77);
+        assert_eq!(z.select(0), None);
+        assert_eq!(o.select(76), Some(76));
+        assert_eq!(o.select(77), None);
+        assert_eq!(z.not().count_ones(), 77);
+    }
+
+    #[test]
+    #[should_panic(expected = "lengths")]
+    fn and_rejects_length_mismatch() {
+        let a = Bitmap::zeros(10);
+        let b = Bitmap::zeros(11);
+        let _ = a.and(&b);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    prop_compose! {
+        fn arb_positions(max_len: u64)
+            (len in 1..max_len)
+            (positions in proptest::collection::btree_set(0..len, 0..128), len in Just(len))
+            -> (Vec<u64>, u64)
+        {
+            (positions.into_iter().collect(), len)
+        }
+    }
+
+    /// A second position set derived deterministically from the first.
+    fn shifted(positions: &[u64], seed: u64, len: u64) -> Vec<u64> {
+        positions
+            .iter()
+            .map(|p| (p + seed) % len)
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn rank_select_roundtrip((pos, len) in arb_positions(5000)) {
+            let bm = Bitmap::from_sorted_positions(&pos, len);
+            for (k, &p) in pos.iter().enumerate() {
+                prop_assert_eq!(bm.select(k as u64), Some(p));
+                prop_assert_eq!(bm.rank(p), k as u64);
+                prop_assert_eq!(bm.rank(p + 1), k as u64 + 1);
+            }
+        }
+
+        #[test]
+        fn algebra_matches_set_operations(
+            (a_pos, len) in arb_positions(2000),
+            seed in 0u64..1000,
+        ) {
+            let b_pos = shifted(&a_pos, seed, len);
+            let a = Bitmap::from_sorted_positions(&a_pos, len);
+            let b = Bitmap::from_sorted_positions(&b_pos, len);
+            let (a_set, b_set): (BTreeSet<u64>, BTreeSet<u64>) =
+                (a_pos.iter().copied().collect(), b_pos.iter().copied().collect());
+            prop_assert_eq!(
+                a.and(&b).iter_ones().collect::<Vec<_>>(),
+                a_set.intersection(&b_set).copied().collect::<Vec<_>>()
+            );
+            prop_assert_eq!(
+                a.or(&b).iter_ones().collect::<Vec<_>>(),
+                a_set.union(&b_set).copied().collect::<Vec<_>>()
+            );
+        }
+
+        #[test]
+        fn select_many_agrees_with_select((pos, len) in arb_positions(5000), seed in 0u64..1000) {
+            let bm = Bitmap::from_sorted_positions(&pos, len);
+            let n = bm.count_ones();
+            if n > 0 {
+                // A deterministic pseudo-random sorted batch with repeats.
+                let mut ks: Vec<u64> = (0..48)
+                    .map(|i| (seed.wrapping_mul(i * 2 + 1).wrapping_add(i * i)) % n)
+                    .collect();
+                ks.sort_unstable();
+                let mut out = Vec::new();
+                bm.select_many(&ks, &mut out);
+                let expect: Vec<u64> = ks.iter().map(|&k| bm.select(k).unwrap()).collect();
+                prop_assert_eq!(&out, &expect);
+            }
+        }
+
+        #[test]
+        fn intersection_agrees_with_materialized_and(
+            (a_pos, len) in arb_positions(2000),
+            seed in 0u64..1000,
+        ) {
+            let b_pos = shifted(&a_pos, seed, len);
+            let a = Bitmap::from_sorted_positions(&a_pos, len);
+            let b = Bitmap::from_sorted_positions(&b_pos, len);
+            let and = a.and(&b);
+            let mut out = Vec::new();
+            a.intersect_positions(&b, &mut out);
+            prop_assert_eq!(out.len() as u64, and.count_ones());
+            prop_assert_eq!(out, and.iter_ones().collect::<Vec<_>>());
+        }
+
+        #[test]
+        fn not_is_involution((pos, len) in arb_positions(2000)) {
+            let bm = Bitmap::from_sorted_positions(&pos, len);
+            let back = bm.not().not();
+            prop_assert_eq!(
+                bm.iter_ones().collect::<Vec<_>>(),
+                back.iter_ones().collect::<Vec<_>>()
+            );
+            prop_assert_eq!(bm.not().count_ones(), len - pos.len() as u64);
+        }
     }
 }

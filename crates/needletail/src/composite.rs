@@ -7,7 +7,7 @@
 //! intersecting two single-attribute bitmaps per probe, but built in one
 //! pass and probed in one lookup.
 
-use crate::bitmap::{Bitmap, DenseBitmap};
+use crate::bitmap::Bitmap;
 use crate::table::Table;
 use crate::value::Value;
 use std::collections::BTreeMap;
@@ -22,6 +22,11 @@ type Key = Vec<String>;
 /// A bitmap index over a tuple of columns. Per-cell bitmaps are held
 /// behind [`Arc`] so plan cache entries and samplers share them zero-copy
 /// (see [`crate::index::BitmapIndex`]).
+///
+/// Memory: one dense [`Bitmap`] per non-empty cell, each about `rows / 8`
+/// bytes plus its rank directory (an eighth more), so `k` cells cost about
+/// `k · rows · 9/64` bytes — the product of the columns' cardinalities
+/// bounds `k`, which is why the engine retains only a few composites.
 #[derive(Debug, Clone)]
 pub struct CompositeIndex {
     columns: Vec<String>,
@@ -62,7 +67,7 @@ impl CompositeIndex {
         let entries = positions
             .into_iter()
             .map(|(key, (values, rows))| {
-                let bm = Bitmap::Dense(DenseBitmap::from_sorted_positions(&rows, len)).optimize();
+                let bm = Bitmap::from_sorted_positions(&rows, len);
                 (key, (values, Arc::new(bm)))
             })
             .collect();

@@ -160,11 +160,11 @@ fn lock<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
 /// beside the per-group intersections it pays anyway.
 ///
 /// Groups of the clustered column (the first indexed one, see
-/// [`NeedleTail::new`]) are row ranges, so they plan without any
-/// intersection: each is a [`RowSet::Window`] over the ranks
-/// `rank(s_g)..rank(e_g)` of one shared bitmap (the predicate's, or the
-/// all-rows bitmap unfiltered). A cold plan costs two `rank` calls per
-/// group and copies nothing.
+/// [`NeedleTail::new`]) are row ranges `[s_g, e_g)`, so they plan without
+/// any intersection. Unfiltered, each is that [`RowSet::Range`]; under a
+/// filter, each is a [`RowSet::Window`] over the ranks
+/// `rank(s_g)..rank(e_g)` of the one shared predicate bitmap. A cold plan
+/// costs at most two `rank` calls per group and copies nothing.
 ///
 /// Group-bys on other columns, and composite cells, intersect each group
 /// with the predicate and choose between a fused word-AND materialization
@@ -198,9 +198,6 @@ pub struct NeedleTail {
     plans: Mutex<LruCache<PlanKey, Arc<CachedPlan>>>,
     /// Composite (multi-attribute) indexes by column list.
     composites: Mutex<LruCache<Vec<String>, Arc<CompositeIndex>>>,
-    /// The all-rows bitmap [`NeedleTail::predicate_bitmap`] returns for
-    /// [`Predicate::True`], built once per engine.
-    all_rows: std::sync::OnceLock<Arc<Bitmap>>,
     /// Fault injector consulted on every sampled-row read (see
     /// [`crate::fault`]). Captured by handles at build time, so installing
     /// or clearing an injector affects only handles built afterwards.
@@ -264,7 +261,6 @@ impl NeedleTail {
             column_maxima,
             plans: Mutex::new(LruCache::new(PLAN_CACHE_CAPACITY)),
             composites: Mutex::new(LruCache::new(COMPOSITE_CACHE_CAPACITY)),
-            all_rows: std::sync::OnceLock::new(),
             faults: None,
         })
     }
@@ -328,11 +324,12 @@ impl NeedleTail {
         &self.indexes
     }
 
-    /// Evaluates `predicate` to a shared eligibility bitmap. `True` and a
-    /// bare equality atom on an indexed column are served zero-copy (the
-    /// engine's all-rows bitmap, the index's own bitmap); anything else is
-    /// evaluated afresh — planning caches whole plans instead (see the
-    /// [planning-caches](#planning-caches) docs).
+    /// Evaluates `predicate` to a shared eligibility bitmap. A bare
+    /// equality atom on an indexed column is served zero-copy (the index's
+    /// own bitmap); anything else, `True` included (a fresh all-ones
+    /// bitmap), is evaluated afresh — planning caches whole plans instead
+    /// (see the [planning-caches](#planning-caches) docs) and plans `True`
+    /// without a bitmap.
     ///
     /// # Panics
     ///
@@ -340,12 +337,6 @@ impl NeedleTail {
     /// range to an unindexed string column.
     #[must_use]
     pub fn predicate_bitmap(&self, predicate: &Predicate) -> Arc<Bitmap> {
-        if matches!(predicate, Predicate::True) {
-            return Arc::clone(
-                self.all_rows
-                    .get_or_init(|| Arc::new(Bitmap::ones(self.table.row_count()))),
-            );
-        }
         if let Predicate::Eq(col, value) = predicate {
             if let Some(shared) = self
                 .indexes
@@ -450,17 +441,16 @@ impl NeedleTail {
         }
     }
 
-    /// The clustered column's groups as rank windows: group `g` is the row
-    /// range `[s, e)`, so its rows under the filter are the filter's ones
-    /// of rank `rank(s)..rank(e)`, and unfiltered they are those of the
-    /// all-rows bitmap. Two `rank` calls per group; nothing is copied.
-    /// Groups the filter empties are dropped.
-    fn window_groups(
+    /// The clustered column's groups: group `g` is the row range `[s, e)`,
+    /// a [`RowSet::Range`] unfiltered. Under a filter its rows are the
+    /// filter's ones of rank `rank(s)..rank(e)`, a [`RowSet::Window`]: two
+    /// `rank` calls per group, nothing copied. Groups the filter empties are
+    /// dropped.
+    fn clustered_groups(
         &self,
         index: &BitmapIndex,
-        filter: Option<Arc<Bitmap>>,
+        filter: Option<&Arc<Bitmap>>,
     ) -> Vec<(Value, RowSet)> {
-        let bits = filter.unwrap_or_else(|| self.predicate_bitmap(&Predicate::True));
         let mut groups = Vec::with_capacity(index.distinct_count());
         for value in index.values() {
             let Some((start, len)) = index
@@ -469,12 +459,23 @@ impl NeedleTail {
             else {
                 continue;
             };
-            let first = bits.rank(start);
-            let count = bits.rank(start + len) - first;
-            if count > 0 {
-                let bits = Arc::clone(&bits);
-                groups.push((value, RowSet::Window { bits, first, count }));
-            }
+            let rows = match filter {
+                None => RowSet::Range {
+                    start,
+                    count: len,
+                    universe: self.table.row_count(),
+                },
+                Some(bits) => {
+                    let first = bits.rank(start);
+                    let count = bits.rank(start + len) - first;
+                    if count == 0 {
+                        continue;
+                    }
+                    let bits = Arc::clone(bits);
+                    RowSet::Window { bits, first, count }
+                }
+            };
+            groups.push((value, rows));
         }
         groups
     }
@@ -520,9 +521,9 @@ impl NeedleTail {
     /// Plans are served from the engine's caches (see the
     /// [planning-caches](NeedleTail#planning-caches) docs): repeat queries
     /// skip predicate evaluation and per-group intersection entirely, and
-    /// unfiltered queries share bitmaps zero-copy (the clustered column's
-    /// groups are windows of the all-rows bitmap, other columns' groups
-    /// their own index bitmaps). Handles
+    /// unfiltered queries copy nothing (the clustered column's groups are
+    /// row ranges, other columns' groups share their own index bitmaps).
+    /// Handles
     /// from a cached plan draw **byte-identical** fixed-seed sample
     /// streams to cold-planned ones.
     ///
@@ -550,7 +551,7 @@ impl NeedleTail {
                 .ok_or_else(|| EngineError::NotIndexed(group_col.to_owned()))?;
             let pred_bitmap = self.plan_filter(predicate)?;
             if self.clustered.as_deref() == Some(group_col) {
-                return Ok(self.window_groups(index, pred_bitmap));
+                return Ok(self.clustered_groups(index, pred_bitmap.as_ref()));
             }
             let mut groups = Vec::with_capacity(index.distinct_count());
             for value in index.values() {
@@ -1390,25 +1391,33 @@ mod tests {
     #[test]
     fn unfiltered_handles_share_bitmaps_zero_copy() {
         let engine = NeedleTail::new(skewed(), &["name", "year"]).unwrap();
-        // The clustered column's groups are windows of the all-rows bitmap.
-        let all_rows = engine.predicate_bitmap(&Predicate::True);
+        // The clustered column's groups are row ranges that tile the table.
         let handles = engine
             .group_handles("name", "delay", &Predicate::True)
             .unwrap();
-        let mut next = 0;
+        let mut ranges = Vec::new();
         for h in &handles {
             match h.sampler.rows() {
-                RowSet::Window { bits, first, count } => {
-                    assert!(Arc::ptr_eq(bits, &all_rows), "windows share all rows");
-                    assert_eq!(*count, h.len());
-                    let range = engine.index("name").unwrap().bitmap_for(h.label()).unwrap();
-                    assert_eq!(range.select(0), Some(*first), "group {}", h.label());
-                    next += count;
+                &RowSet::Range {
+                    start,
+                    count,
+                    universe,
+                } => {
+                    assert_eq!(universe, engine.table().row_count());
+                    assert_eq!(count, h.len());
+                    let rows = engine.index("name").unwrap().bitmap_for(h.label()).unwrap();
+                    assert_eq!(rows.select(0), Some(start), "group {}", h.label());
+                    ranges.push((start, count));
                 }
-                other => panic!("expected a window, got {other:?}"),
+                other => panic!("expected a range, got {other:?}"),
             }
         }
-        assert_eq!(next, engine.table().row_count());
+        ranges.sort_unstable();
+        let end = ranges.iter().fold(0, |next, &(start, count)| {
+            assert_eq!(start, next, "ranges tile the table");
+            start + count
+        });
+        assert_eq!(end, engine.table().row_count());
         // Other columns' handles alias their index bitmaps.
         let index = engine.index("year").unwrap();
         for h in &engine

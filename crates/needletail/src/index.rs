@@ -3,10 +3,10 @@
 //! "For every value of every attribute in the relation that is indexed, the
 //! bitmap index records a 1 at location i when the i-th tuple matches the
 //! value for that attribute" (§4). [`BitmapIndex`] is exactly that: a sorted
-//! map from distinct attribute value to a (representation-optimized)
-//! [`Bitmap`], supporting equality probes and ordered range unions.
+//! map from distinct attribute value to a [`Bitmap`], supporting equality
+//! probes and ordered range unions.
 
-use crate::bitmap::{Bitmap, DenseBitmap};
+use crate::bitmap::Bitmap;
 use crate::schema::DataType;
 use crate::table::Table;
 use crate::value::Value;
@@ -45,6 +45,12 @@ impl ValueKey {
 
 /// A bitmap index over one column of a table.
 ///
+/// Memory: one dense [`Bitmap`] per distinct value, each about `rows / 8`
+/// bytes plus its rank directory (an eighth more), however few rows the
+/// value matches — so `d` distinct values cost about `d · rows · 9/64`
+/// bytes ([`BitmapIndex::heap_bytes`]). High-cardinality columns are
+/// expensive to index.
+///
 /// Per-value bitmaps are held behind [`Arc`] so the engine can hand them
 /// to samplers, predicate evaluations, and plan cache entries **zero-copy**
 /// — an unfiltered `GROUP BY` query clones pointers, never table-sized
@@ -59,8 +65,7 @@ pub struct BitmapIndex {
 }
 
 impl BitmapIndex {
-    /// Builds the index over `column` of `table` in one pass, then
-    /// compresses each per-value bitmap into its smaller representation.
+    /// Builds the index over `column` of `table` in one pass.
     ///
     /// # Panics
     ///
@@ -104,7 +109,7 @@ impl BitmapIndex {
             .into_iter()
             .filter(|(_, (_, rows))| !rows.is_empty())
             .map(|(key, (value, rows))| {
-                let bm = Bitmap::Dense(DenseBitmap::from_sorted_positions(&rows, len)).optimize();
+                let bm = Bitmap::from_sorted_positions(&rows, len);
                 (key, (value, Arc::new(bm)))
             })
             .collect();
@@ -170,15 +175,13 @@ impl BitmapIndex {
     }
 
     /// OR of all bitmaps for numeric values in `[lo, hi]` (inclusive,
-    /// either side optional). Strings are not range-indexable here.
+    /// either side optional; a NaN bound selects nothing, as it does on the
+    /// scan path). Strings are not range-indexable here.
     #[must_use]
     pub fn range_bitmap(&self, lo: Option<f64>, hi: Option<f64>) -> Bitmap {
         let mut acc: Option<Bitmap> = None;
         for (value, bm) in self.entries.values() {
-            let Some(numeric) = value.as_f64() else {
-                continue;
-            };
-            if lo.is_some_and(|l| numeric < l) || hi.is_some_and(|h| numeric > h) {
+            if !value.as_f64().is_some_and(|x| in_range(x, lo, hi)) {
                 continue;
             }
             acc = Some(match acc {
@@ -194,6 +197,15 @@ impl BitmapIndex {
     pub fn heap_bytes(&self) -> usize {
         self.entries.values().map(|(_, bm)| bm.heap_bytes()).sum()
     }
+}
+
+/// Whether `x` lies in `[lo, hi]` (either side optional) — the one range
+/// test both the index ([`BitmapIndex::range_bitmap`]) and the row scan
+/// ([`crate::predicate::Predicate::matches_row`]) apply, so the two paths
+/// agree on every bound. A NaN bound admits no value.
+#[must_use]
+pub(crate) fn in_range(x: f64, lo: Option<f64>, hi: Option<f64>) -> bool {
+    lo.is_none_or(|l| x >= l) && hi.is_none_or(|h| x <= h)
 }
 
 #[cfg(test)]

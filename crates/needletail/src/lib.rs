@@ -8,19 +8,20 @@
 //! **hierarchical bitmap indexes** over the indexed attributes: for every
 //! distinct value of an indexed attribute there is a bitmap with a `1` at
 //! position `i` iff tuple `i` matches. A two-level rank/select acceleration
-//! structure ([`bitmap::DenseBitmap`]) lets the engine fetch the `j`-th
-//! matching tuple — and therefore a *uniformly random* matching tuple — in
-//! `O(log n)` time, which is the constant-per-sample retrieval guarantee the
-//! paper's cost model assumes (§2.3 footnote 1). Bitmaps compress well; an
-//! RLE representation ([`bitmap::RleBitmap`]) is provided with full boolean
-//! algebra and is chosen automatically when it is smaller.
+//! structure ([`Bitmap`], the one bitmap representation: dense words plus a
+//! rank directory) lets the engine fetch the `j`-th matching tuple — and
+//! therefore a *uniformly random* matching tuple — in `O(log n)` time, which
+//! is the constant-per-sample retrieval guarantee the paper's cost model
+//! assumes (§2.3 footnote 1). Filters combine by word-parallel AND/OR/NOT.
+//! The engine clusters its rows by the first indexed column, so an
+//! unfiltered group of that column is a plain row range and needs no bitmap
+//! at all ([`RowSet::Range`]).
 //!
 //! Components:
 //!
 //! * [`value`] / [`schema`] / [`table`] — typed values, schemas, and the
 //!   in-memory row store (dictionary-encoded strings).
-//! * [`bitmap`] — dense (rank/select) and RLE compressed bitmaps with
-//!   boolean algebra, plus conversions.
+//! * [`bitmap`] — the rank/select bitmap with boolean algebra.
 //! * [`index`] — the per-attribute value → bitmap index.
 //! * [`predicate`] — ad-hoc selection predicates (`WHERE`-clauses, §6.3.3)
 //!   evaluated to bitmaps through the indexes (or by scanning when an
@@ -74,7 +75,7 @@ pub mod table;
 pub mod u64map;
 pub mod value;
 
-pub use bitmap::{Bitmap, DenseBitmap, RleBitmap};
+pub use bitmap::Bitmap;
 pub use composite::CompositeIndex;
 pub use csv::{read_csv, CsvError, CsvOptions};
 pub use disk::SimulatedDisk;

@@ -8,8 +8,8 @@
 //! ([`Predicate::matches_row`]) is provided for testing and for the scan
 //! baseline.
 
-use crate::bitmap::{Bitmap, DenseBitmap};
-use crate::index::BitmapIndex;
+use crate::bitmap::Bitmap;
+use crate::index::{in_range, BitmapIndex};
 use crate::table::Table;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -105,7 +105,10 @@ impl Predicate {
         Predicate::Not(Box::new(self))
     }
 
-    /// Row-level evaluation (oracle path; used by tests and SCAN).
+    /// Row-level evaluation (oracle path; used by tests and SCAN). Values
+    /// compare as the indexes key them (floats by bit pattern, so `-0.0`
+    /// and `0.0` are different values) and ranges use the index's range
+    /// test, so this agrees with [`Predicate::evaluate`] on every row.
     ///
     /// # Panics
     ///
@@ -117,12 +120,12 @@ impl Predicate {
             Predicate::True => true,
             Predicate::Eq(col, value) => {
                 let idx = column_index(table, col);
-                table.value(row, idx) == *value
+                table.value(row, idx).same_key(value)
             }
             Predicate::In(col, values) => {
                 let idx = column_index(table, col);
                 let v = table.value(row, idx);
-                values.contains(&v)
+                values.iter().any(|value| v.same_key(value))
             }
             Predicate::Range { column, lo, hi } => {
                 let idx = column_index(table, column);
@@ -131,7 +134,7 @@ impl Predicate {
                     .value(row, idx)
                     .as_f64()
                     .unwrap_or_else(|| panic!("range predicate on non-numeric column {column:?}"));
-                lo.is_none_or(|l| x >= l) && hi.is_none_or(|h| x <= h)
+                in_range(x, *lo, *hi)
             }
             Predicate::And(a, b) => a.matches_row(table, row) && b.matches_row(table, row),
             Predicate::Or(a, b) => a.matches_row(table, row) || b.matches_row(table, row),
@@ -190,7 +193,7 @@ impl Predicate {
         let bits: Vec<bool> = (0..table.row_count())
             .map(|row| self.matches_row(table, row))
             .collect();
-        Bitmap::Dense(DenseBitmap::from_bools(&bits))
+        Bitmap::from_bools(&bits)
     }
 
     /// A canonical, hashable key for this predicate — the predicate half
@@ -421,11 +424,40 @@ mod tests {
             Predicate::ge("delay", 20.0),
             Predicate::le("delay", 15.0),
             Predicate::between("delay", 12.0, 40.0),
+            Predicate::ge("delay", f64::NAN),
+            Predicate::le("delay", f64::NAN),
+            Predicate::between("delay", f64::NAN, f64::NAN),
         ] {
             assert_paths_agree(&p, &t);
         }
         let high = Predicate::ge("delay", 30.0).evaluate(&t, &indexed(&t, &["delay"]));
         assert_eq!(high.iter_ones().collect::<Vec<_>>(), vec![0, 3]);
+    }
+
+    #[test]
+    fn signed_zeros_are_distinct_values_on_both_paths() {
+        let mut b = TableBuilder::new(Schema::new(vec![
+            ColumnDef::new("name", DataType::Str),
+            ColumnDef::new("delay", DataType::Float),
+        ]));
+        for (n, d) in [("AA", -0.0), ("JB", 0.0), ("AA", 1.0), ("UA", -0.0)] {
+            b.push_row(vec![n.into(), d.into()]);
+        }
+        let t = b.finish();
+        for p in [
+            Predicate::eq("delay", 0.0),
+            Predicate::eq("delay", -0.0),
+            Predicate::is_in("delay", [0.0]),
+            Predicate::is_in("delay", [-0.0, 1.0]),
+            Predicate::eq("delay", 0.0).not(),
+            Predicate::ge("delay", 0.0),
+            Predicate::le("delay", -0.0),
+        ] {
+            assert_paths_agree(&p, &t);
+        }
+        // A filter on the `0` label selects exactly that group's one row.
+        let zero = Predicate::eq("delay", 0.0).evaluate(&t, &HashMap::new());
+        assert_eq!(zero.iter_ones().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]

@@ -84,8 +84,11 @@ use std::sync::Arc;
 /// The eligible-row set a sampler draws from — the zero-copy layer behind
 /// the engine's plan cache.
 ///
-/// Three shapes:
+/// Four shapes:
 ///
+/// * [`RowSet::Range`] — a **row range** `[start, start + count)`: an
+///   unfiltered group of the column the engine clusters its table by (the
+///   first indexed one). `select(k)` is `start + k`; nothing is stored.
 /// * [`RowSet::Bitmap`] — a full bitmap behind an [`Arc`]: the group's own
 ///   index bitmap (shared pointer-for-pointer between every handle and
 ///   cache entry that needs it), an evaluated predicate bitmap, or a
@@ -98,11 +101,10 @@ use std::sync::Arc;
 ///   faster than any rank directory — and the memory cost scales with the
 ///   filtered group, not the table.
 /// * [`RowSet::Window`] — a **rank window** of a shared bitmap: its ones
-///   of rank `first..first + count`. When a group's rows are one row range
-///   `[s, e)` (the engine clusters its table by the first indexed column),
-///   the group's rows under a filter are exactly the filter bitmap's ranks
-///   `rank(s)..rank(e)`, so the plan costs two `rank` calls and copies
-///   nothing; `select(k)` is the bitmap's `select(first + k)`.
+///   of rank `first..first + count`. A clustered group is one row range
+///   `[s, e)`, so its rows under a filter are exactly the filter bitmap's
+///   ranks `rank(s)..rank(e)`: the plan costs two `rank` calls and copies
+///   nothing, and `select(k)` is the bitmap's `select(first + k)`.
 ///
 /// Every shape describes an abstract set of row ids, so a sampler is
 /// oblivious to which it got: for a fixed seed the drawn row stream is
@@ -110,6 +112,15 @@ use std::sync::Arc;
 /// `select` agrees by construction).
 #[derive(Debug, Clone)]
 pub enum RowSet {
+    /// The rows `start..start + count` of a table of `universe` rows.
+    Range {
+        /// The range's first row.
+        start: u64,
+        /// Number of rows in the range (`start + count <= universe`).
+        count: u64,
+        /// Number of addressable rows (the table length).
+        universe: u64,
+    },
     /// A whole (possibly shared) bitmap over the table's rows.
     Bitmap(Arc<Bitmap>),
     /// Sorted eligible row ids of a selective intersection, plus the
@@ -143,7 +154,7 @@ impl RowSet {
     pub fn len(&self) -> u64 {
         match self {
             RowSet::Bitmap(bm) | RowSet::Window { bits: bm, .. } => bm.len(),
-            RowSet::Positions { universe, .. } => *universe,
+            RowSet::Range { universe, .. } | RowSet::Positions { universe, .. } => *universe,
         }
     }
 
@@ -159,7 +170,7 @@ impl RowSet {
         match self {
             RowSet::Bitmap(bm) => bm.count_ones(),
             RowSet::Positions { positions, .. } => positions.len() as u64,
-            RowSet::Window { count, .. } => *count,
+            RowSet::Range { count, .. } | RowSet::Window { count, .. } => *count,
         }
     }
 
@@ -167,6 +178,7 @@ impl RowSet {
     #[must_use]
     pub fn get(&self, pos: u64) -> bool {
         match self {
+            RowSet::Range { start, count, .. } => (*start..start + count).contains(&pos),
             RowSet::Bitmap(bm) => bm.get(pos),
             RowSet::Positions { positions, .. } => positions.binary_search(&pos).is_ok(),
             RowSet::Window { bits, first, count } => {
@@ -179,6 +191,7 @@ impl RowSet {
     #[must_use]
     pub fn select(&self, k: u64) -> Option<u64> {
         match self {
+            RowSet::Range { start, count, .. } => (k < *count).then(|| start + k),
             RowSet::Bitmap(bm) => bm.select(k),
             RowSet::Positions { positions, .. } => positions.get(k as usize).copied(),
             RowSet::Window { bits, first, count } => {
@@ -189,24 +202,26 @@ impl RowSet {
 
     /// Resolves a **sorted** batch of ranks, appending each `k`-th eligible
     /// row to `out` in input order (the contract of
-    /// [`Bitmap::select_many`]; the positions view resolves each rank by
-    /// direct indexing). A window copies the ranks to shift them; the
-    /// sampler's batch path shifts them in its own scratch instead.
+    /// [`Bitmap::select_many`]; a range adds its start to each rank, the
+    /// positions view indexes directly). A window copies the ranks to shift
+    /// them; the sampler's batch path shifts them in its own scratch
+    /// instead.
     ///
     /// # Panics
     ///
     /// Panics if any rank is `>= count_ones()`.
     pub fn select_many(&self, sorted_ks: &[u64], out: &mut Vec<u64>) {
+        if let Some(&last) = sorted_ks.last() {
+            assert!(
+                last < self.count_ones(),
+                "select_many rank out of range (count_ones {})",
+                self.count_ones()
+            );
+        }
         match self {
+            RowSet::Range { start, .. } => out.extend(sorted_ks.iter().map(|&k| start + k)),
             RowSet::Bitmap(bm) => bm.select_many(sorted_ks, out),
             RowSet::Positions { positions, .. } => {
-                if let Some(&last) = sorted_ks.last() {
-                    assert!(
-                        last < positions.len() as u64,
-                        "select_many rank out of range (count_ones {})",
-                        positions.len()
-                    );
-                }
                 out.extend(sorted_ks.iter().map(|&k| positions[k as usize]));
             }
             RowSet::Window { .. } => self.select_many_in_place(&mut sorted_ks.to_vec(), out),
@@ -236,7 +251,8 @@ impl RowSet {
     /// each rank with one `select` (a verification path, not a hot one).
     pub fn iter_ones(&self) -> Box<dyn Iterator<Item = u64> + '_> {
         match self {
-            RowSet::Bitmap(bm) => bm.iter_ones(),
+            RowSet::Range { start, count, .. } => Box::new(*start..start + count),
+            RowSet::Bitmap(bm) => Box::new(bm.iter_ones()),
             RowSet::Positions { positions, .. } => Box::new(positions.iter().copied()),
             RowSet::Window { bits, first, count } => {
                 Box::new((*first..first + count).filter_map(|k| bits.select(k)))
@@ -245,14 +261,15 @@ impl RowSet {
     }
 
     /// Approximate heap bytes of this view's own storage (shared storage
-    /// is counted once per underlying allocation, not per clone). A window
-    /// owns nothing: its bitmap is the plan's shared filter.
+    /// is counted once per underlying allocation, not per clone). A range
+    /// stores nothing, and a window owns nothing: its bitmap is the plan's
+    /// shared filter.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         match self {
             RowSet::Bitmap(bm) => bm.heap_bytes(),
             RowSet::Positions { positions, .. } => positions.len() * 8,
-            RowSet::Window { .. } => 0,
+            RowSet::Range { .. } | RowSet::Window { .. } => 0,
         }
     }
 }
@@ -1264,9 +1281,10 @@ mod proptests {
             prop_assert_eq!(keys, expected);
         }
 
-        /// A rank window over `[s, e)` of a dense or RLE bitmap is the
-        /// bitmap's ones inside the row range: every query agrees with
-        /// intersecting the bitmap with the range.
+        /// A rank window over `[s, e)` of a bitmap is the bitmap's ones
+        /// inside the row range, and the range `[s, e)` itself is every row
+        /// in it: every query agrees with intersecting the bitmap (or the
+        /// all-rows bitmap) with the range.
         #[test]
         fn window_matches_range_intersection(
             positions in proptest::collection::btree_set(0u64..3000, 0..200),
@@ -1279,27 +1297,39 @@ mod proptests {
             let len = positions.last().map_or(0, |&p| p + 1) + len_extra;
             let (s, e) = (cut_a.min(cut_b) % (len + 1), cut_a.max(cut_b) % (len + 1));
             let (s, e) = (s.min(e), s.max(e));
-            let dense = Bitmap::from_sorted_positions(&positions, len);
             let range: Vec<u64> = (s..e).collect();
             let range = Bitmap::from_sorted_positions(&range, len);
-            for bits in [dense.clone(), Bitmap::Rle(dense.to_rle())] {
+            let rows = |set: &Bitmap| {
                 let mut expect = Vec::new();
-                bits.intersect_positions(&range, &mut expect);
-                let first = bits.rank(s);
-                let window = RowSet::Window {
-                    count: bits.rank(e) - first,
-                    bits: Arc::new(bits),
-                    first,
-                };
-                prop_assert_eq!(window.len(), len);
-                prop_assert_eq!(window.count_ones(), expect.len() as u64);
-                prop_assert_eq!(window.iter_ones().collect::<Vec<_>>(), expect.clone());
+                set.intersect_positions(&range, &mut expect);
+                expect
+            };
+            let bits = Bitmap::from_sorted_positions(&positions, len);
+            let first = bits.rank(s);
+            let cases = [
+                (
+                    rows(&bits),
+                    RowSet::Window {
+                        count: bits.rank(e) - first,
+                        bits: Arc::new(bits),
+                        first,
+                    },
+                ),
+                (
+                    rows(&Bitmap::ones(len)),
+                    RowSet::Range { start: s, count: e - s, universe: len },
+                ),
+            ];
+            for (expect, set) in cases {
+                prop_assert_eq!(set.len(), len);
+                prop_assert_eq!(set.count_ones(), expect.len() as u64);
+                prop_assert_eq!(set.iter_ones().collect::<Vec<_>>(), expect.clone());
                 for (k, &p) in expect.iter().enumerate() {
-                    prop_assert_eq!(window.select(k as u64), Some(p));
+                    prop_assert_eq!(set.select(k as u64), Some(p));
                 }
-                prop_assert_eq!(window.select(expect.len() as u64), None);
+                prop_assert_eq!(set.select(expect.len() as u64), None);
                 for pos in 0..len {
-                    prop_assert_eq!(window.get(pos), expect.binary_search(&pos).is_ok());
+                    prop_assert_eq!(set.get(pos), expect.binary_search(&pos).is_ok());
                 }
                 if !expect.is_empty() {
                     let n = expect.len() as u64;
@@ -1309,10 +1339,10 @@ mod proptests {
                     ks.sort_unstable();
                     let want: Vec<u64> = ks.iter().map(|&k| expect[k as usize]).collect();
                     let mut out = Vec::new();
-                    window.select_many(&ks, &mut out);
+                    set.select_many(&ks, &mut out);
                     prop_assert_eq!(&out, &want);
                     out.clear();
-                    window.select_many_in_place(&mut ks, &mut out);
+                    set.select_many_in_place(&mut ks, &mut out);
                     prop_assert_eq!(&out, &want);
                 }
             }

@@ -27,6 +27,17 @@ impl Value {
         }
     }
 
+    /// Equality as the indexes key values: floats compare by bit pattern,
+    /// so `-0.0` and `0.0` are distinct values (as they are distinct index
+    /// entries and group-by labels), and a NaN equals no stored value.
+    #[must_use]
+    pub(crate) fn same_key(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+            _ => self == other,
+        }
+    }
+
     /// The string view; `None` for numerics.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {

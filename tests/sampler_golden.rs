@@ -45,9 +45,9 @@ fn dense_positions() -> (Vec<u64>, u64) {
     (positions, len)
 }
 
-/// Runs of 1–200 ones separated by gaps of 1–3 000 zeros: what a clustered
-/// group-by column seals to.
-fn rle_positions() -> (Vec<u64>, u64) {
+/// Runs of 1–200 ones separated by gaps of 1–3 000 zeros: the shape of a
+/// group-by column clustered by another column.
+fn run_positions() -> (Vec<u64>, u64) {
     let len = 500_000u64;
     let mut next = lcg(0xD1B5_4A32_D192_ED03);
     let mut positions = Vec::new();
@@ -66,13 +66,11 @@ fn rle_positions() -> (Vec<u64>, u64) {
 /// The three eligible-row shapes a sampler draws from.
 fn row_sets() -> [RowSet; 3] {
     let (dense, dense_len) = dense_positions();
-    let (runs, runs_len) = rle_positions();
-    let rle = Bitmap::from_sorted_positions(&runs, runs_len).optimize();
-    assert!(matches!(rle, Bitmap::Rle(_)), "fixture must seal to RLE");
+    let (runs, runs_len) = run_positions();
     let view = dense.iter().copied().step_by(3).collect();
     [
         RowSet::from_bitmap(Bitmap::from_sorted_positions(&dense, dense_len)),
-        RowSet::from_bitmap(rle),
+        RowSet::from_bitmap(Bitmap::from_sorted_positions(&runs, runs_len)),
         RowSet::Positions {
             positions: Arc::new(view),
             universe: dense_len,
@@ -240,10 +238,10 @@ fn size_estimate_batches_are_pinned() {
 #[test]
 fn select_many_outputs_are_pinned() {
     let (dense, dense_len) = dense_positions();
-    let (runs, runs_len) = rle_positions();
+    let (runs, runs_len) = run_positions();
     let bitmaps = [
         Bitmap::from_sorted_positions(&dense, dense_len),
-        Bitmap::from_sorted_positions(&runs, runs_len).optimize(),
+        Bitmap::from_sorted_positions(&runs, runs_len),
     ];
     let got: Vec<u64> = bitmaps
         .iter()
