@@ -240,11 +240,7 @@ impl FocusStepper {
         draw(&mut self.state);
         let stop = self.rule.cut_off(&mut self.state);
         self.settle(stop);
-        if self.state.any_active() {
-            StepOutcome::Running
-        } else {
-            StepOutcome::Converged
-        }
+        self.state.outcome()
     }
 
     /// Ends a round: everything deactivates on `stop`, otherwise the rule

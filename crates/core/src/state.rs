@@ -28,7 +28,7 @@ use crate::result::RunResult;
 use crate::runner::{Snapshot, StepOutcome};
 use rand::RngCore;
 use rapidviz_stats::{
-    BernsteinSchedule, EpsilonSchedule, Interval, IntervalSetScratch, RunningMean,
+    BernsteinSchedule, EpsilonSchedule, Interval, IntervalSetScratch, RunningMean, SamplingMode,
 };
 
 /// Reusable buffers for the deactivation fixpoint: the active-member index
@@ -155,8 +155,9 @@ pub(crate) struct FocusState {
     pub(crate) sizes: Vec<u64>,
     pub(crate) estimates: Vec<RunningMean>,
     pub(crate) active: Vec<bool>,
-    /// Groups whose population is exhausted (without replacement): their
-    /// estimate equals the exact group mean and cannot change.
+    /// Groups that draw no more: the source came up short. Only a group
+    /// that ran dry ([`Self::ran_dry`]) holds its exact mean; one stopped
+    /// by a dropped read keeps a width and marks the run truncated.
     pub(crate) exhausted: Vec<bool>,
     /// Every group's half-width at the last [`Self::read_widths`].
     pub(crate) live: Vec<f64>,
@@ -227,12 +228,12 @@ impl FocusState {
     }
 
     /// The prologue of every round: `Some(terminal)` without touching `m`
-    /// when nothing is active (converged) or the round cap is reached
-    /// (flagged truncated); otherwise advances `m` by `batch` and returns
-    /// `None` — draw, deactivate, report.
+    /// when nothing is active ([`Self::outcome`]) or the round cap is
+    /// reached (flagged truncated); otherwise advances `m` by `batch` and
+    /// returns `None` — draw, deactivate, report.
     pub(crate) fn begin_round(&mut self, batch: u64) -> Option<StepOutcome> {
         if !self.any_active() {
-            return Some(StepOutcome::Converged);
+            return Some(self.outcome());
         }
         if self.m >= self.config.max_rounds {
             self.truncated = true;
@@ -242,27 +243,39 @@ impl FocusState {
         None
     }
 
+    /// How a round ends: running while a group is active, then converged
+    /// unless the run is truncated (a dropped read stopped a group).
+    pub(crate) fn outcome(&self) -> StepOutcome {
+        if self.any_active() {
+            StepOutcome::Running
+        } else if self.truncated {
+            StepOutcome::BudgetExhausted
+        } else {
+            StepOutcome::Converged
+        }
+    }
+
     /// Number of groups.
     pub(crate) fn k(&self) -> usize {
         self.active.len()
     }
 
-    /// Draws one sample from group `i` into its running mean; marks the
-    /// group exhausted when a without-replacement source runs dry.
+    /// Draws one sample from group `i` into its running mean; stops the
+    /// group when the source comes up short ([`Self::stop`]).
     pub(crate) fn draw<G: GroupSource>(&mut self, i: usize, group: &mut G, rng: &mut dyn RngCore) {
         match group.sample(rng, self.config.mode) {
             Some(x) => {
                 self.width.push(i, &mut self.estimates[i], &[x]);
                 self.samples[i] += 1;
             }
-            None => self.exhausted[i] = true,
+            None => self.stop(i),
         }
     }
 
     /// Draws a batch of `n` samples from group `i` through its
-    /// [`GroupSource::draw_batch`] hook (one call instead of `n`); marks the
-    /// group exhausted when the source comes up short. Identical in effect
-    /// and RNG consumption to `n` repeated [`Self::draw`] calls.
+    /// [`GroupSource::draw_batch`] hook (one call instead of `n`); stops the
+    /// group when the source comes up short. Identical in effect and RNG
+    /// consumption to `n` repeated [`Self::draw`] calls.
     pub(crate) fn draw_batch<G: GroupSource>(
         &mut self,
         i: usize,
@@ -275,8 +288,22 @@ impl FocusState {
         self.width.push(i, &mut self.estimates[i], &self.scratch);
         self.samples[i] += got;
         if got < n {
-            self.exhausted[i] = true;
+            self.stop(i);
         }
+    }
+
+    /// Group `i` draws no more. Unless it ran dry, a read was dropped
+    /// (a fault injector withheld it): the run is truncated.
+    fn stop(&mut self, i: usize) {
+        self.exhausted[i] = true;
+        self.truncated |= !self.ran_dry(i);
+    }
+
+    /// Whether group `i` ran dry: every row drawn without replacement (or
+    /// none to draw), so its estimate is the exact group mean.
+    pub(crate) fn ran_dry(&self, i: usize) -> bool {
+        let every_row = self.samples[i] >= self.sizes[i];
+        every_row && (self.sizes[i] == 0 || self.config.mode == SamplingMode::WithoutReplacement)
     }
 
     /// Draws this round's batch from every unexhausted group, in group
@@ -297,8 +324,10 @@ impl FocusState {
     }
 
     /// Reads every group's live half-width, the one place one is computed:
-    /// the anytime ε takes `N` over the active groups (all when none is);
-    /// Bernstein, the group's own count (at least 1) and variance (0 if none).
+    /// the anytime ε takes `N` over the active groups (all when none is),
+    /// and a group stopped short no narrower than ε at the samples it
+    /// delivered; Bernstein, the group's own count (at least 1) and
+    /// variance (0 if none).
     pub(crate) fn read_widths(&mut self) {
         match &self.width {
             Width::Anytime(schedule) => {
@@ -308,6 +337,14 @@ impl FocusState {
                 if self.read_at != (self.m, n_max) {
                     self.read_at = (self.m, n_max);
                     self.live.fill(schedule.half_width(self.m, n_max));
+                }
+                if self.truncated {
+                    for i in 0..self.k() {
+                        if self.exhausted[i] && !self.ran_dry(i) {
+                            let delivered = schedule.half_width(self.samples[i].max(1), n_max);
+                            self.live[i] = self.live[i].max(delivered);
+                        }
+                    }
                 }
             }
             Width::EmpiricalBernstein { schedule, m2 } => {
@@ -321,9 +358,9 @@ impl FocusState {
     }
 
     /// Group `i`'s interval: live (as of the last read) while active,
-    /// frozen once deactivated, zero-width once exhausted (exact).
+    /// frozen once deactivated, zero-width once it ran dry (exact).
     pub(crate) fn interval(&self, i: usize) -> Interval {
-        let frozen = if self.exhausted[i] {
+        let frozen = if self.exhausted[i] && self.ran_dry(i) {
             0.0
         } else {
             self.frozen[i]

@@ -188,3 +188,52 @@ fn metrics_account_for_algorithm_samples() {
         "engine-side sample accounting must equal the algorithm's"
     );
 }
+
+#[test]
+fn a_dropped_read_never_certifies_a_group_as_exact() {
+    // Two groups of 20,000 rows with near-equal means, 5 % of reads
+    // dropped. A group the fault injector stops early is not exact: it
+    // keeps at least the width the schedule grants for the samples it
+    // delivered, and the run ends truncated instead of converged.
+    use rapidviz::needletail::{ColumnDef, DataType, Schema, SeededFaults, TableBuilder};
+    use rapidviz::stats::EpsilonSchedule;
+    use rapidviz::{StepOutcome, VizQuery};
+    let mut b = TableBuilder::new(Schema::new(vec![
+        ColumnDef::new("g", DataType::Str),
+        ColumnDef::new("v", DataType::Float),
+    ]));
+    for i in 0..40_000u32 {
+        let g = if i % 2 == 0 { "a" } else { "b" };
+        b.push_row(vec![g.into(), f64::from(i % 100).into()]);
+    }
+    let mut engine = NeedleTail::new(b.finish(), &["g"]).expect("engine builds");
+    engine.set_fault_injector(std::sync::Arc::new(SeededFaults::new(7, 0.05)));
+    let schedule = EpsilonSchedule::new(100.0, 0.05, 2);
+    for spr in [1, 64] {
+        let mut session = VizQuery::new(&engine)
+            .group_by("g")
+            .avg("v")
+            .bound(100.0)
+            .samples_per_round(spr)
+            .start(rand::rngs::StdRng::seed_from_u64(5))
+            .unwrap();
+        let outcome = loop {
+            let update = session.step();
+            if !update.outcome.is_running() {
+                break update.outcome;
+            }
+        };
+        let snap = session.snapshot();
+        assert_eq!(outcome, StepOutcome::BudgetExhausted, "spr {spr}");
+        assert!(snap.truncated, "spr {spr}");
+        for (iv, &n) in snap.intervals.iter().zip(&snap.samples_per_group) {
+            assert!(n < 20_000, "spr {spr}: no group ran dry");
+            let granted = schedule.half_width(n, 20_000);
+            assert!(
+                iv.width() / 2.0 >= granted,
+                "spr {spr}: half-width {} after {n} samples, schedule grants {granted}",
+                iv.width() / 2.0
+            );
+        }
+    }
+}

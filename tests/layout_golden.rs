@@ -430,6 +430,6 @@ fn fault_injected_runs_are_pinned() {
             )
         })
         .collect();
-    assert_pinned("faults", &got, &[0x803200446a4f7824, 0xcbe3cddf28d844ea]);
+    assert_pinned("faults", &got, &[0x803201446a4f79d7, 0xcbe3cedf28d8469d]);
     assert!(engine.metrics().snapshot().faulted_reads > 0);
 }
