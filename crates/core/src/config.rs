@@ -2,27 +2,14 @@
 
 use rapidviz_stats::{EpsilonSchedule, SamplingMode};
 
-/// What to do when an inactive group's interval begins overlapping again
-/// because another group's estimate moved (the corner case discussed after
-/// Algorithm 1 in §3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReactivationPolicy {
-    /// Option (a): groups never return to the active set. This preserves the
-    /// optimality guarantees and is the paper's (and our) default.
-    #[default]
-    Never,
-    /// Option (b): inactive groups may be re-activated. Sound but forfeits
-    /// the sample-complexity optimality proof; exposed for the ablation
-    /// benchmarks.
-    Allow,
-}
-
 /// Shared configuration for every algorithm in this crate.
 ///
 /// `c` and `δ` are the two parameters Problem 1 requires; everything else
-/// defaults to the paper's experimental choices (`κ = 1`, sampling without
-/// replacement, no resolution relaxation, no heuristic shrinking,
-/// reactivation policy (a)).
+/// defaults to the paper's experimental choices (sampling without
+/// replacement, no resolution relaxation, no heuristic shrinking). The
+/// anytime schedule's epoch base is the paper's `κ = 1`, and a deactivated
+/// group never returns to the active set (§3.1's option (a), which keeps
+/// the sample-complexity optimality proof).
 #[derive(Debug, Clone)]
 pub struct AlgoConfig {
     /// Upper bound `c` on any individual value (values live in `[0, c]`).
@@ -32,15 +19,11 @@ pub struct AlgoConfig {
     /// Minimum resolution `r` (Problem 2). `None` = exact ordering
     /// (Problem 1); `Some(r)` stops refining once `ε_m < r/4`.
     pub resolution: Option<f64>,
-    /// Epoch base `κ ≥ 1` of the anytime schedule (footnote †; paper uses 1).
-    pub kappa: f64,
     /// With or without replacement (§3.6).
     pub mode: SamplingMode,
     /// Heuristic confidence-shrink factor `h ≥ 1` (Figures 5a/5b). `1.0`
     /// (no shrinking) preserves the correctness guarantee.
     pub heuristic_factor: f64,
-    /// Reactivation policy for the §3.1 corner case.
-    pub reactivation: ReactivationPolicy,
     /// Hard cap on rounds, as a runaway guard for with-replacement runs on
     /// adversarial data. `u64::MAX` = no cap. Without replacement the
     /// schedule's exhaustion collapse bounds rounds by `max_i n_i` already.
@@ -73,10 +56,8 @@ impl AlgoConfig {
             c,
             delta,
             resolution: None,
-            kappa: 1.0,
             mode: SamplingMode::WithoutReplacement,
             heuristic_factor: 1.0,
-            reactivation: ReactivationPolicy::Never,
             max_rounds: u64::MAX,
             max_samples_per_group: u64::MAX,
             samples_per_round: 1,
@@ -110,21 +91,6 @@ impl AlgoConfig {
         self
     }
 
-    /// Sets the epoch base κ (≥ 1).
-    #[must_use]
-    pub fn with_kappa(mut self, kappa: f64) -> Self {
-        assert!(kappa >= 1.0, "kappa must be >= 1");
-        self.kappa = kappa;
-        self
-    }
-
-    /// Sets the reactivation policy.
-    #[must_use]
-    pub fn with_reactivation(mut self, policy: ReactivationPolicy) -> Self {
-        self.reactivation = policy;
-        self
-    }
-
     /// Caps the number of rounds.
     #[must_use]
     pub fn with_max_rounds(mut self, cap: u64) -> Self {
@@ -150,14 +116,7 @@ impl AlgoConfig {
     /// Builds the ε-schedule this configuration induces for `k` groups.
     #[must_use]
     pub fn schedule(&self, k: usize) -> EpsilonSchedule {
-        EpsilonSchedule::with_options(
-            self.c,
-            self.delta,
-            k,
-            self.kappa,
-            self.mode,
-            self.heuristic_factor,
-        )
+        EpsilonSchedule::with_options(self.c, self.delta, k, self.mode, self.heuristic_factor)
     }
 
     /// The ε threshold below which the resolution relaxation allows
@@ -175,10 +134,8 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = AlgoConfig::new(100.0, 0.05);
-        assert_eq!(c.kappa, 1.0);
         assert_eq!(c.mode, SamplingMode::WithoutReplacement);
         assert_eq!(c.heuristic_factor, 1.0);
-        assert_eq!(c.reactivation, ReactivationPolicy::Never);
         assert_eq!(c.resolution, None);
         assert_eq!(c.resolution_epsilon(), None);
     }
@@ -189,8 +146,6 @@ mod tests {
             .with_resolution(1.0)
             .with_mode(SamplingMode::WithReplacement)
             .with_heuristic_factor(2.0)
-            .with_kappa(1.5)
-            .with_reactivation(ReactivationPolicy::Allow)
             .with_max_rounds(1000);
         assert_eq!(c.resolution, Some(1.0));
         assert_eq!(c.resolution_epsilon(), Some(0.25));

@@ -12,7 +12,7 @@
 //! It is [`crate::focus`]'s round under the full-order rule with the round
 //! state's Bernstein width, one draw a round. Library-only, eager `run`.
 
-use crate::config::{AlgoConfig, ReactivationPolicy};
+use crate::config::AlgoConfig;
 use crate::focus::{FocusStepper, Rule, Width};
 use crate::group::GroupSource;
 use crate::result::RunResult;
@@ -28,7 +28,7 @@ pub struct IFocusBernstein {
 impl IFocusBernstein {
     /// Creates the algorithm. Only `c`, `δ`, `resolution` and the round cap
     /// apply: it samples with replacement, one draw per active group a
-    /// round, and never reactivates a group.
+    /// round.
     #[must_use]
     pub fn new(config: AlgoConfig) -> Self {
         Self { config }
@@ -42,7 +42,6 @@ impl IFocusBernstein {
     pub fn run<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RunResult {
         let config = AlgoConfig {
             mode: SamplingMode::WithReplacement,
-            reactivation: ReactivationPolicy::Never,
             ..self.config.clone()
         };
         let width = Width::empirical_bernstein;

@@ -21,7 +21,7 @@
 //! Algorithm 5 and [`ifocus_count`] remain the library reference for §6.3.2,
 //! for sources whose group sizes are unknown.
 
-use crate::config::{AlgoConfig, ReactivationPolicy};
+use crate::config::AlgoConfig;
 use crate::focus::{FocusStepper, Rule};
 use crate::group::GroupSource;
 use crate::result::RunResult;
@@ -286,11 +286,9 @@ impl IFocusSum2 {
     ) -> IFocusSum2Stepper {
         // The x·z products are i.i.d. by construction: no population to
         // exhaust (sizes `u64::MAX`), so ε has no without-replacement
-        // factor, and this loop never reactivates a group, whatever the
-        // caller's config says.
+        // factor, whatever the caller's config says.
         let config = AlgoConfig {
             mode: SamplingMode::WithReplacement,
-            reactivation: ReactivationPolicy::Never,
             ..self.config.clone()
         };
         let labels = groups.iter().map(SizedGroupSource::label).collect();
@@ -560,7 +558,6 @@ mod tests {
             config.c,
             config.delta,
             k,
-            config.kappa,
             SamplingMode::WithReplacement,
             config.heuristic_factor,
         );

@@ -94,7 +94,6 @@ pub type IFocusStepper = FocusStepper;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ReactivationPolicy;
     use crate::group::VecGroup;
     use crate::ordering::{is_correctly_ordered, is_correctly_ordered_with_resolution};
     use crate::runner::{Snapshot, StepOutcome};
@@ -292,17 +291,6 @@ mod tests {
             0,
             "ends with no active groups"
         );
-    }
-
-    #[test]
-    fn reactivation_allow_still_correct() {
-        let mut groups = two_point_groups(&[20.0, 50.0, 80.0], 20_000, 17);
-        let truths = true_means(&groups);
-        let algo =
-            IFocus::new(AlgoConfig::new(100.0, 0.05).with_reactivation(ReactivationPolicy::Allow));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(18);
-        let result = algo.run(&mut groups, &mut rng);
-        assert!(is_correctly_ordered(&result.estimates, &truths));
     }
 
     #[test]

@@ -66,7 +66,7 @@ mod state;
 pub mod viz;
 
 pub use clock::{Clock, SimulatedClock, SystemClock};
-pub use config::{AlgoConfig, ReactivationPolicy};
+pub use config::AlgoConfig;
 pub use group::GroupSource;
 pub use ifocus::{IFocus, IFocusStepper};
 pub use irefine::{IRefine, IRefineStepper};

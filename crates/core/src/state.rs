@@ -22,7 +22,7 @@
 //! iterates it in a loop of its own. IREFINE and the no-index sampler run
 //! one all-groups overlap check per round ([`FixpointScratch::build_full`]).
 
-use crate::config::{AlgoConfig, ReactivationPolicy};
+use crate::config::AlgoConfig;
 use crate::group::GroupSource;
 use crate::result::RunResult;
 use crate::runner::{Snapshot, StepOutcome};
@@ -78,10 +78,9 @@ impl FixpointScratch {
         !self.remove.is_empty()
     }
 
-    /// Rebuilds the interval set over **all** `k` groups (the reactivation
-    /// policy (b) test, IREFINE's line 10 and the no-index stopping test,
-    /// which probe every group rather than iterating a fixpoint over the
-    /// active subset).
+    /// Rebuilds the interval set over **all** `k` groups (IREFINE's line 10
+    /// and the no-index stopping test, which probe every group rather than
+    /// iterating a fixpoint over the active subset).
     pub(crate) fn build_full(&mut self, k: usize, interval_of: impl Fn(usize) -> Interval) {
         self.set.begin();
         for i in 0..k {
@@ -396,31 +395,10 @@ impl FocusState {
     }
 
     /// Standard IFOCUS deactivation: a read, then [`Self::separate`] over
-    /// the plain intervals `ν_i ± ε_i`. Under [`ReactivationPolicy::Allow`],
-    /// activity is instead recomputed from scratch over all non-exhausted
-    /// groups (§3.1 option (b)).
+    /// the plain intervals `ν_i ± ε_i`.
     pub(crate) fn standard_deactivation(&mut self) {
         self.read_widths();
-        match self.config.reactivation {
-            ReactivationPolicy::Never => self.separate(Self::interval),
-            ReactivationPolicy::Allow => {
-                let mut fix = std::mem::take(&mut self.fix);
-                // Recompute overlap among every group (frozen estimates for
-                // previously inactive ones, live widths for all).
-                fix.build_full(self.k(), |i| {
-                    Interval::centered(self.estimates[i].mean(), self.live[i])
-                });
-                for i in 0..self.k() {
-                    // Exhausted estimates cannot improve; they stay inactive.
-                    if !self.exhausted[i] && fix.full_overlaps_others(i) {
-                        self.active[i] = true;
-                    } else {
-                        self.deactivate(i);
-                    }
-                }
-                self.fix = fix;
-            }
-        }
+        self.separate(Self::interval);
     }
 
     /// Deactivates everything at a fresh read (cut-off or exhaustion).

@@ -13,7 +13,7 @@
 //!   the paper's Lemma 2.
 //! * [`schedule`] — the anytime (iterated-logarithm) ε-schedule of
 //!   Algorithm 1 line 6: a confidence-interval half-width that is
-//!   simultaneously valid over *all* rounds `m`, with the paper's `κ` knob,
+//!   simultaneously valid over *all* rounds `m`, at the paper's `κ = 1`,
 //!   with/without-replacement modes, and the heuristic shrink factor studied
 //!   in Figures 5a/5b.
 //! * [`estimators`] — numerically careful running estimators: running mean

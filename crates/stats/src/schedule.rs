@@ -19,11 +19,12 @@
 //!
 //! Paper-faithful details implemented here:
 //!
-//! * **κ knob.** Any `κ > 1` is admissible; the experiments use `κ = 1`,
-//!   under which `log_κ` degenerates, so (per the paper's footnote †) the
-//!   `log log_κ m` term falls back to `log(ln m)`. We additionally clamp the
-//!   iterated logarithm at zero from below so `m ∈ {1, 2}` yields a valid
-//!   (conservative) width rather than NaN.
+//! * **κ = 1.** The paper admits any epoch base `κ ≥ 1`; its experiments
+//!   use `κ = 1`, and so does this schedule. There `log_κ` degenerates, so
+//!   (per the paper's footnote †) the `log log_κ m` term falls back to
+//!   `log(ln m)`. We additionally clamp the iterated logarithm at zero from
+//!   below so `m ∈ {1, 2}` yields a valid (conservative) width rather than
+//!   NaN.
 //! * **Sampling mode.** Without replacement retains the Serfling factor
 //!   `1 − (m/κ − 1)/N`; with replacement drops it (§3.6), in which case the
 //!   schedule does not need the group sizes at all.
@@ -46,7 +47,7 @@ pub enum SamplingMode {
 
 /// The anytime ε-schedule of Algorithm 1 line 6.
 ///
-/// Construct once per query (it captures `c`, `δ`, `k`, `κ`, the sampling
+/// Construct once per query (it captures `c`, `δ`, `k`, the sampling
 /// mode, and the heuristic factor) and call [`EpsilonSchedule::half_width`]
 /// each round.
 ///
@@ -68,7 +69,6 @@ pub struct EpsilonSchedule {
     c: f64,
     delta: f64,
     k: usize,
-    kappa: f64,
     mode: SamplingMode,
     heuristic_factor: f64,
     /// Precomputed `ln(π²·k / (3δ))`.
@@ -85,28 +85,26 @@ impl EpsilonSchedule {
     /// Panics if `c <= 0`, `δ ∉ (0, 1)`, or `k == 0`.
     #[must_use]
     pub fn new(c: f64, delta: f64, k: usize) -> Self {
-        Self::with_options(c, delta, k, 1.0, SamplingMode::WithoutReplacement, 1.0)
+        Self::with_options(c, delta, k, SamplingMode::WithoutReplacement, 1.0)
     }
 
     /// Fully parameterized constructor.
     ///
     /// # Panics
     ///
-    /// Panics if `c <= 0`, `δ ∉ (0, 1)`, `k == 0`, `κ < 1`, or
+    /// Panics if `c <= 0`, `δ ∉ (0, 1)`, `k == 0`, or
     /// `heuristic_factor < 1`.
     #[must_use]
     pub fn with_options(
         c: f64,
         delta: f64,
         k: usize,
-        kappa: f64,
         mode: SamplingMode,
         heuristic_factor: f64,
     ) -> Self {
         assert!(c > 0.0, "range c must be positive");
         assert!(delta > 0.0 && delta < 1.0, "delta must lie in (0, 1)");
         assert!(k > 0, "need at least one group");
-        assert!(kappa >= 1.0, "kappa must be >= 1");
         assert!(
             heuristic_factor >= 1.0,
             "heuristic factor < 1 would widen intervals past the proof"
@@ -116,7 +114,6 @@ impl EpsilonSchedule {
             c,
             delta,
             k,
-            kappa,
             mode,
             heuristic_factor,
             delta_term,
@@ -141,12 +138,6 @@ impl EpsilonSchedule {
         self.k
     }
 
-    /// The epoch base `κ`.
-    #[must_use]
-    pub fn kappa(&self) -> f64 {
-        self.kappa
-    }
-
     /// The sampling mode.
     #[must_use]
     pub fn mode(&self) -> SamplingMode {
@@ -165,30 +156,17 @@ impl EpsilonSchedule {
         self.delta_term
     }
 
-    /// The iterated-logarithm term `ln(log_κ m)`, clamped at zero.
-    ///
-    /// With `κ = 1` the paper's footnote substitutes `ln(ln m)`; both the
-    /// inner and the outer logarithm are floored so early rounds produce a
-    /// finite, conservative value.
+    /// The iterated-logarithm term: `ln(ln m)` (the paper's footnote's
+    /// substitute for `ln(log_κ m)` at `κ = 1`), floored so early rounds
+    /// produce a finite, conservative value.
     #[must_use]
     pub fn loglog_term(&self, m: u64) -> f64 {
-        let m = m.max(1) as f64;
-        let inner = if self.kappa > 1.0 {
-            m.ln() / self.kappa.ln()
-        } else {
-            m.ln()
-        };
+        let inner = (m.max(1) as f64).ln();
         if inner <= 1.0 {
             0.0
         } else {
             inner.ln()
         }
-    }
-
-    /// The effective round count `m/κ` (the paper divides the sample count by
-    /// the epoch base; with `κ = 1` this is just `m`).
-    fn effective_m(&self, m: u64) -> f64 {
-        (m.max(1) as f64) / self.kappa
     }
 
     /// ε at round `m`, for largest active-group population `n_max`.
@@ -200,18 +178,14 @@ impl EpsilonSchedule {
     /// without-replacement schedule has exhausted the population.
     #[must_use]
     pub fn half_width(&self, m: u64, n_max: u64) -> f64 {
-        let m_eff = self.effective_m(m);
+        let m = m.max(1);
         let numerator = 2.0 * self.loglog_term(m) + self.delta_term;
         let factor = match self.mode {
             SamplingMode::WithReplacement => 1.0,
-            SamplingMode::WithoutReplacement => {
-                // 1 − (m/κ − 1)/N, clamped: reuse the Serfling factor with
-                // the effective round count.
-                let m_for_factor = m_eff.ceil().max(1.0) as u64;
-                serfling_sampling_fraction_factor(m_for_factor, n_max.max(1))
-            }
+            // 1 − (m − 1)/N, clamped: the Serfling factor.
+            SamplingMode::WithoutReplacement => serfling_sampling_fraction_factor(m, n_max.max(1)),
         };
-        let eps = self.c * (factor * numerator / (2.0 * m_eff)).sqrt();
+        let eps = self.c * (factor * numerator / (2.0 * m as f64)).sqrt();
         eps / self.heuristic_factor
     }
 
@@ -299,44 +273,9 @@ mod tests {
     }
 
     #[test]
-    fn loglog_with_kappa_above_one() {
-        let s =
-            EpsilonSchedule::with_options(1.0, 0.05, 10, 2.0, SamplingMode::WithReplacement, 1.0);
-        // log_2(1024) = 10, ln(10) ≈ 2.3026.
-        assert!((s.loglog_term(1024) - 10.0f64.ln()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn kappa_close_to_one_matches_kappa_one() {
-        // The paper's footnote: κ = 1.01 gives very similar results to κ = 1.
-        let s1 = EpsilonSchedule::new(1.0, 0.05, 10);
-        let s101 = EpsilonSchedule::with_options(
-            1.0,
-            0.05,
-            10,
-            1.01,
-            SamplingMode::WithoutReplacement,
-            1.0,
-        );
-        // log_{1.01} m ≈ 100·ln m inflates the (non-dominant) iterated-log
-        // term; the widths stay within a factor ~1.5, matching the paper's
-        // observation that κ = 1 vs κ ≈ 1 give very similar behaviour.
-        for &m in &[100u64, 10_000, 1_000_000] {
-            let a = s1.half_width(m, u64::MAX / 2);
-            let b = s101.half_width(m, u64::MAX / 2);
-            let ratio = b / a;
-            assert!(
-                (0.6..=1.6).contains(&ratio),
-                "m={m}: kappa 1 vs 1.01 diverged: {a} vs {b}"
-            );
-        }
-    }
-
-    #[test]
     fn without_replacement_never_wider_than_with() {
         let wo = EpsilonSchedule::new(1.0, 0.05, 10);
-        let wi =
-            EpsilonSchedule::with_options(1.0, 0.05, 10, 1.0, SamplingMode::WithReplacement, 1.0);
+        let wi = EpsilonSchedule::with_options(1.0, 0.05, 10, SamplingMode::WithReplacement, 1.0);
         for &m in &[1u64, 10, 100, 999] {
             assert!(wo.half_width(m, 1000) <= wi.half_width(m, 1000) + 1e-12);
         }
@@ -352,14 +291,8 @@ mod tests {
     #[test]
     fn heuristic_factor_divides_width() {
         let s1 = sched(0.05, 10);
-        let s4 = EpsilonSchedule::with_options(
-            1.0,
-            0.05,
-            10,
-            1.0,
-            SamplingMode::WithoutReplacement,
-            4.0,
-        );
+        let s4 =
+            EpsilonSchedule::with_options(1.0, 0.05, 10, SamplingMode::WithoutReplacement, 4.0);
         let (a, b) = (s1.half_width(100, 1 << 30), s4.half_width(100, 1 << 30));
         assert!((a / b - 4.0).abs() < 1e-9);
     }
@@ -389,8 +322,7 @@ mod tests {
 
     #[test]
     fn rounds_to_reach_finds_threshold() {
-        let s =
-            EpsilonSchedule::with_options(1.0, 0.05, 10, 1.0, SamplingMode::WithReplacement, 1.0);
+        let s = EpsilonSchedule::with_options(1.0, 0.05, 10, SamplingMode::WithReplacement, 1.0);
         let target = 0.01;
         let m = s
             .rounds_to_reach(target, u64::MAX, 1 << 40)
@@ -401,8 +333,7 @@ mod tests {
 
     #[test]
     fn rounds_to_reach_respects_cap() {
-        let s =
-            EpsilonSchedule::with_options(1.0, 0.05, 10, 1.0, SamplingMode::WithReplacement, 1.0);
+        let s = EpsilonSchedule::with_options(1.0, 0.05, 10, SamplingMode::WithReplacement, 1.0);
         assert_eq!(s.rounds_to_reach(1e-9, u64::MAX, 1000), None);
     }
 
@@ -413,8 +344,7 @@ mod tests {
         // over all rounds).
         let k = 10usize;
         let delta = 0.05;
-        let s =
-            EpsilonSchedule::with_options(1.0, delta, k, 1.0, SamplingMode::WithReplacement, 1.0);
+        let s = EpsilonSchedule::with_options(1.0, delta, k, SamplingMode::WithReplacement, 1.0);
         for &m in &[10u64, 100, 10_000] {
             let anytime = s.half_width(m, u64::MAX);
             let fixed = crate::hoeffding::hoeffding_half_width(m, delta / k as f64, 1.0);
@@ -428,14 +358,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "heuristic")]
     fn rejects_widening_heuristic() {
-        let _ = EpsilonSchedule::with_options(
-            1.0,
-            0.05,
-            10,
-            1.0,
-            SamplingMode::WithoutReplacement,
-            0.5,
-        );
+        let _ = EpsilonSchedule::with_options(1.0, 0.05, 10, SamplingMode::WithoutReplacement, 0.5);
     }
 }
 
@@ -466,7 +389,7 @@ mod proptests {
             k in 1usize..100,
         ) {
             let s = EpsilonSchedule::with_options(
-                1.0, delta, k, 1.0, SamplingMode::WithReplacement, 1.0,
+                1.0, delta, k, SamplingMode::WithReplacement, 1.0,
             );
             prop_assert!(s.half_width(m + 1, u64::MAX) <= s.half_width(m, u64::MAX) + 1e-15);
         }
@@ -481,7 +404,7 @@ mod proptests {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let delta = 0.1;
             let s = EpsilonSchedule::with_options(
-                1.0, delta, 1, 1.0, SamplingMode::WithReplacement, 1.0,
+                1.0, delta, 1, SamplingMode::WithReplacement, 1.0,
             );
             let p = 0.5;
             let trials = 60;
