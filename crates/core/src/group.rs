@@ -30,13 +30,20 @@ pub trait GroupSource {
     /// Draws one sample.
     ///
     /// * [`SamplingMode::WithReplacement`]: i.i.d. uniform member.
-    /// * [`SamplingMode::WithoutReplacement`]: next element of a uniformly
-    ///   random permutation; `None` once all `n_i` members are drawn.
+    /// * [`SamplingMode::WithoutReplacement`]: next element of a random
+    ///   permutation; `None` once all `n_i` members are drawn. In-memory
+    ///   sources shuffle uniformly (incremental Fisher–Yates); the
+    ///   NEEDLETAIL adapter draws in a *keyed pseudo-random permutation*
+    ///   order (`rapidviz_needletail::sampler`'s module docs state what the
+    ///   guarantee assumes of it).
     fn sample(&mut self, rng: &mut dyn RngCore, mode: SamplingMode) -> Option<f64>;
 
     /// Draws up to `n` samples in one call, appending them to `out` in draw
     /// order; returns the number appended (`< n` only when a
-    /// without-replacement source runs dry mid-batch).
+    /// without-replacement source runs dry mid-batch, or a storage read
+    /// is dropped). Without replacement the batch continues the same
+    /// permutation as [`Self::sample`]: for the NEEDLETAIL adapter, the
+    /// keyed pseudo-random permutation over ranks `drawn..drawn + n`.
     ///
     /// The default implementation loops [`Self::sample`], so every source
     /// is batch-capable with unchanged semantics. Sources backed by

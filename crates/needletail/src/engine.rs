@@ -798,8 +798,9 @@ impl GroupHandle {
         Some(self.table.float_value(row, self.agg_idx))
     }
 
-    /// Draws the next measure value of a random permutation of the group
-    /// (sampling without replacement); `None` once exhausted, or when an
+    /// Draws the next measure value of the group's keyed pseudo-random
+    /// permutation (sampling without replacement, see
+    /// [`crate::sampler`]); `None` once exhausted, or when an
     /// installed fault injector fails the sampled row's read.
     pub fn sample_without_replacement<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<f64> {
         let row = self.sampler.sample_without_replacement(rng)?;
@@ -882,7 +883,8 @@ impl GroupHandle {
         }
     }
 
-    /// Restarts the without-replacement permutation (a fresh shuffle).
+    /// Restarts the without-replacement permutation: the next draw keys a
+    /// fresh one.
     pub fn reset_permutation(&mut self) {
         self.sampler.reset();
     }

@@ -27,7 +27,8 @@
 //!   evaluated to bitmaps through the indexes (or by scanning when an
 //!   attribute is unindexed).
 //! * [`sampler`] — random tuple sampling over an eligibility bitmap, with or
-//!   without replacement, and the skip-based group-size estimator used by
+//!   without replacement (a keyed pseudo-random permutation whose state is
+//!   a key and a draw count), and the skip-based group-size estimator used by
 //!   the unknown-size `SUM` algorithm (§6.3.1, Algorithm 5). Single draws
 //!   and batched draws (one sorted `select_many` sweep per batch, resolved
 //!   through a reusable per-sampler scratch arena — allocation-free at
@@ -72,7 +73,6 @@ pub mod scan;
 pub mod schema;
 pub mod storage;
 pub mod table;
-pub mod u64map;
 pub mod value;
 
 pub use bitmap::Bitmap;

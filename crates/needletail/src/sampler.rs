@@ -8,10 +8,12 @@
 //!
 //! * **With replacement** — stateless: each draw is an independent uniform
 //!   pick among the eligible rows.
-//! * **Without replacement** — a *virtual Fisher–Yates shuffle*: the sampler
-//!   tracks only the swaps it has performed (a hash map of displaced slots),
-//!   so memory grows with the number of draws, not the group size, and every
-//!   eligible row is produced exactly once over the sampler's lifetime.
+//! * **Without replacement** — a *keyed pseudo-random permutation*: draw
+//!   `d` returns the eligible row of rank `π_K(d)`, where `π_K` is a
+//!   bijection on `[0, eligible)` keyed by one RNG word `K`. The sampler's
+//!   whole state is `(K, d)`, so memory does not grow with the draws, and
+//!   every eligible row is produced exactly once over the sampler's
+//!   lifetime.
 //!
 //! [`SizeEstimatingSampler`] additionally produces the unbiased group-size
 //! estimate `z` needed by the unknown-group-size `SUM` algorithm
@@ -26,7 +28,7 @@
 //! Both regimes also come in batch form —
 //! [`BitmapSampler::sample_batch_with_replacement`] and
 //! [`BitmapSampler::sample_batch_without_replacement`] — which generate all
-//! `n` random ranks first, resolve them through one sorted
+//! `n` ranks first, resolve them through one sorted
 //! [`Bitmap::select_many`] call, and then restore draw order. The batch
 //! paths consume the RNG identically to `n` single draws, so for a fixed
 //! seed they return the **same stream of rows** — batching is a pure
@@ -34,36 +36,40 @@
 //! [`SizeEstimatingSampler::sample_batch_with_size_estimate`] extends the
 //! same contract to Algorithm 5's `(row, z)` pairs.
 //!
-//! ## The staged shuffle
+//! ## The keyed permutation
 //!
-//! One Fisher–Yates draw is: pick a slot `j` in `drawn..eligible`, hand out
-//! what slot `j` holds, move what slot `drawn` holds into `j`, advance
-//! `drawn`. Its state lives in a [`SwapMap`] that a long run grows past the
-//! cache, so a draw costs the memory latency of the slots it probes — and a
-//! loop of draws pays those latencies one after another, because each draw's
-//! `j` comes out of the RNG only after the previous swap. The batch call
-//! breaks that chain into three stages:
+//! `π_K` is a small-domain Feistel network with cycle-walking (Black and
+//! Rogaway, "Ciphers with Arbitrary Finite Domains", CT-RSA 2002). A rank
+//! is split into two halves of the smallest power-of-two domain
+//! `2^b ≥ eligible`, unbalanced when `b` is odd so the domain stays under
+//! `2·eligible`. Each of six rounds XORs one half with a keyed SplitMix64
+//! finalizer of the other and swaps them; an output `≥ eligible` is
+//! enciphered again until it lands in range, fewer than two times per draw
+//! on average. Six rounds mix a domain of 256 ranks or more, but not a
+//! smaller one: with halves of one to three bits, (π_K(0), π_K(1)) stays
+//! measurably non-uniform even at twelve rounds. So `b` is at least 8, and
+//! a group of fewer than 256 rows walks up to `256 / eligible` times per
+//! draw, which its few draws afford. The round keys are expanded from `K`, which
+//! the sampler takes from the RNG at its first without-replacement draw,
+//! so with-replacement streams never see it. [`BitmapSampler::reset`]
+//! drops `K`: the next draw starts a fresh permutation.
 //!
-//! 1. **Draw every slot up front**: `j_i = gen_range(drawn + i..eligible)`
-//!    for the whole batch. This is exact, not approximate: `drawn` advances
-//!    by one per draw *whatever the table holds*, so the range of draw `i`
-//!    is known before any swap is applied, and the RNG is consumed word for
-//!    word (rejections included) as the one-at-a-time loop consumes it.
-//! 2. **Touch every `j_i`'s home slot** ([`SwapMap::touch`], after the
-//!    table has been reserved so no slot moves): plain loads that depend on
-//!    nothing but stage 1, folded into a `black_box`ed accumulator so they
-//!    are neither dropped nor ordered. Their cache lines are in flight
-//!    together. Losing this stage could cost speed, never an answer.
-//! 3. **Apply the swaps in draw order** through the private `swap_step` —
-//!    the same function the single-draw path calls, so the two cannot
-//!    drift. The step is two probe sequences: removing `drawn`'s entry *is*
-//!    the lookup of the displaced value, and replacing `j`'s entry *is* the
-//!    lookup of the chosen one. `drawn`'s home slot walks the table
-//!    sequentially (keys are homed at their low bits), so after stage 2
-//!    neither probe waits on memory.
-//!
-//! The swaps themselves stay strictly ordered — a batch may pick the same
-//! `j` twice, or pick `j == drawn` — only their memory traffic is hoisted.
+//! **What this assumes.** Hoeffding–Serfling is proved for a uniformly
+//! random permutation; `π_K` is one of at most `2^64` pseudo-random ones.
+//! The guarantee carries over when (1) the data is independent of `K` — `K`
+//! comes from the session RNG after the table exists, so no row order can
+//! depend on it — and (2) the round function is strong enough that no
+//! structured row order shows bias. (2) is an empirical claim. This
+//! module's tests check it at the permutation: a bijection on every domain
+//! up to 4,097 and around every power of two up to `2^24`, chi-square
+//! uniformity of `π_K(0)` and of `(π_K(0), π_K(1))` over many keys, and the
+//! hypergeometric mean and variance of the first draws from a group sorted
+//! by row id. `rapidviz-sim`'s calibration grid checks it at the answer:
+//! its without-replacement adversarial-order cells (values sorted by row
+//! id, periodic values of period 2 and 64, blocked values inside one
+//! contiguous row range, a Zipf-skewed group column) run IFOCUS and
+//! ROUNDROBIN sessions through this sampler and bound their mis-ordering
+//! rate by `δ`.
 //!
 //! ## The scratch arena
 //!
@@ -77,7 +83,6 @@
 //! sorts produce the identical resolve order (property-tested).
 
 use crate::bitmap::Bitmap;
-use crate::u64map::SwapMap;
 use rand::Rng;
 use std::sync::Arc;
 
@@ -297,18 +302,90 @@ pub struct BatchScratch {
     pairs: Vec<(u64, u64)>,
 }
 
+/// Rounds of the Feistel network behind the without-replacement order
+/// (module docs, *The keyed permutation*). Even, so the unbalanced halves
+/// end at the widths they started from.
+const FEISTEL_ROUNDS: usize = 6;
+
+/// The network's smallest domain is `2^MIN_DOMAIN_BITS` ranks.
+const MIN_DOMAIN_BITS: u32 = 8;
+
+/// The keyed bijection `π_K` on `[0, n)`: a Feistel network over `2^b ≥ n`
+/// ranks, cycle-walked back into range.
+#[derive(Debug, Clone, Copy)]
+struct Permutation {
+    /// Round keys, expanded from `K`.
+    keys: [u64; FEISTEL_ROUNDS],
+    /// The domain size `n`.
+    n: u64,
+    /// Widths of the high and low half at the first round (`high + low = b`).
+    high: u32,
+    low: u32,
+}
+
+impl Permutation {
+    fn new(key: u64, n: u64) -> Self {
+        let bits = (64 - n.saturating_sub(1).leading_zeros()).max(MIN_DOMAIN_BITS);
+        let mut state = key;
+        let keys = std::array::from_fn(|_| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            mix(state)
+        });
+        Self {
+            keys,
+            n,
+            high: bits.div_ceil(2),
+            low: bits / 2,
+        }
+    }
+
+    /// `π_K(i)` for `i < n`: encipher, and re-encipher while out of range.
+    #[inline]
+    fn rank(&self, i: u64) -> u64 {
+        let mut x = self.encipher(i);
+        while x >= self.n {
+            x = self.encipher(x);
+        }
+        x
+    }
+
+    /// One pass of the network over the power-of-two domain. Round `j`
+    /// maps halves `(l, r)` of widths `(wl, wr)` to `(r, l ^ F_j(r))` of
+    /// widths `(wr, wl)`.
+    #[inline]
+    fn encipher(&self, x: u64) -> u64 {
+        let mask = |w: u32| (1u64 << w) - 1;
+        let (mut wl, mut wr) = (self.high, self.low);
+        let (mut l, mut r) = (x >> wr, x & mask(wr));
+        for &key in &self.keys {
+            (l, r) = (r, l ^ (mix(r ^ key) & mask(wl)));
+            (wl, wr) = (wr, wl);
+        }
+        (l << wr) | r
+    }
+}
+
+/// SplitMix64's finalizer: a full-avalanche bijection on `u64`.
+#[inline]
+fn mix(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 /// Uniform random sampler over the set bits of a bitmap (or any
 /// [`RowSet`] view of one).
+///
+/// Without replacement, draw `d` is the row of rank `π_K(d)`, a keyed
+/// pseudo-random permutation (module docs, *The keyed permutation*, which
+/// state what the guarantee assumes of it: data independent of `K`, and a
+/// round function strong enough that no structured row order shows bias).
 #[derive(Debug, Clone)]
 pub struct BitmapSampler {
     bits: RowSet,
     eligible: u64,
-    /// Virtual Fisher–Yates state: logical position -> displaced value.
-    /// An open-addressed map homed at the key's low bits ([`SwapMap`]): the
-    /// default SipHash `HashMap` dominates without-replacement draw cost,
-    /// and these keys are internal ranks, never untrusted. Populations below
-    /// `u32::MAX` use 8-byte entries so long runs stay cache-resident.
-    swaps: SwapMap,
+    /// `π_K`, keyed at the first without-replacement draw.
+    order: Option<Permutation>,
     /// Draws made without replacement so far.
     drawn: u64,
     /// Reusable batch-resolution buffers (allocation-free steady state).
@@ -338,7 +415,7 @@ impl BitmapSampler {
         Self {
             bits,
             eligible,
-            swaps: SwapMap::for_population(eligible),
+            order: None,
             drawn: 0,
             scratch: BatchScratch::default(),
         }
@@ -372,31 +449,23 @@ impl BitmapSampler {
         self.bits.select(k)
     }
 
-    /// The next row of a uniformly random permutation of the eligible rows.
-    /// `None` once every eligible row has been produced.
+    /// The next row of the keyed pseudo-random permutation of the eligible
+    /// rows. `None` once every eligible row has been produced. The first
+    /// draw takes the key from `rng`; later draws consume no RNG words.
     pub fn sample_without_replacement<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<u64> {
         if self.drawn == self.eligible {
             return None;
         }
-        // Virtual Fisher–Yates over logical indices [drawn, eligible).
-        let j = rng.gen_range(self.drawn..self.eligible);
-        let chosen = self.swap_step(j);
-        self.bits.select(chosen)
+        let rank = self.order(rng).rank(self.drawn);
+        self.drawn += 1;
+        self.bits.select(rank)
     }
 
-    /// One Fisher–Yates swap: hands out the rank logical slot `j` holds,
-    /// moves what slot `drawn` holds into `j`, and retires slot `drawn`.
-    /// A slot without an entry holds its own index.
-    #[inline]
-    fn swap_step(&mut self, j: u64) -> u64 {
-        let displaced = self.swaps.remove(self.drawn).unwrap_or(self.drawn);
-        let chosen = if j == self.drawn {
-            displaced
-        } else {
-            self.swaps.replace(j, displaced).unwrap_or(j)
-        };
-        self.drawn += 1;
-        chosen
+    /// `π_K`, keyed from `rng` if no draw has keyed it yet.
+    fn order<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Permutation {
+        *self
+            .order
+            .get_or_insert_with(|| Permutation::new(rng.next_u64(), self.eligible))
     }
 
     /// Draws `n` rows with replacement in one batch, appending them to
@@ -428,12 +497,10 @@ impl BitmapSampler {
     /// in one batch, appending them to `out` in draw order; returns the
     /// number appended (`< n` once the population runs dry).
     ///
-    /// The virtual Fisher–Yates state advances exactly as under repeated
-    /// [`Self::sample_without_replacement`] calls and the RNG is consumed
-    /// identically, so for a fixed seed the appended rows are the same
-    /// stream. The batch is staged (module docs, *The staged shuffle*): all
-    /// slots drawn, all home slots touched, then the swaps in draw order,
-    /// then one [`Bitmap::select_many`] over the chosen ranks.
+    /// The batch is `π_K` over ranks `drawn..drawn + n`, resolved through
+    /// one [`Bitmap::select_many`] sweep; the RNG is consumed as by `n`
+    /// calls of [`Self::sample_without_replacement`] (the key, if this is
+    /// the first draw, and nothing else), so the rows are the same stream.
     pub fn sample_batch_without_replacement<R: Rng + ?Sized>(
         &mut self,
         n: usize,
@@ -444,40 +511,29 @@ impl BitmapSampler {
         if take == 0 {
             return 0;
         }
-        let (drawn, eligible) = (self.drawn, self.eligible);
-        let keys = &mut self.scratch.keys;
-        keys.clear();
-        keys.extend((0..take as u64).map(|i| rng.gen_range(drawn + i..eligible)));
-        self.swaps.reserve(take);
-        let touched = keys
-            .iter()
-            .fold(0u64, |acc, &j| acc.wrapping_add(self.swaps.touch(j)));
-        std::hint::black_box(touched);
-        for i in 0..take {
-            self.scratch.keys[i] = self.swap_step(self.scratch.keys[i]);
-        }
+        let order = self.order(rng);
+        let drawn = self.drawn;
+        self.scratch.keys.clear();
+        (self.scratch.keys).extend((drawn..drawn + take as u64).map(|d| order.rank(d)));
+        self.drawn += take as u64;
         resolve_in_draw_order(&self.bits, &mut self.scratch, out);
         take
     }
 
-    /// Resets the without-replacement permutation (a fresh shuffle).
+    /// Resets the without-replacement permutation: the next draw takes a
+    /// fresh key.
     pub fn reset(&mut self) {
-        self.swaps.clear();
+        self.order = None;
         self.drawn = 0;
     }
 
-    /// Captures the without-replacement permutation state: the number of
-    /// draws made so far plus every virtual Fisher–Yates swap entry,
-    /// **sorted by logical slot** so the result is independent of the swap
-    /// table's internal layout. A read-only view of how much state the
-    /// sampler carries (the stack benchmark reports swap-map occupancy
-    /// through it); the with-replacement path is stateless.
+    /// The without-replacement state in the shape the stack benchmark
+    /// reads: the number of draws made so far, and no entries. The keyed
+    /// permutation stores nothing per draw (its state is `(K, drawn)`), so
+    /// the list a swap table used to fill stays empty.
     #[must_use]
     pub fn permutation_state(&self) -> (u64, Vec<(u64, u64)>) {
-        let mut entries = Vec::with_capacity(self.swaps.len());
-        self.swaps.for_each_entry(|k, v| entries.push((k, v)));
-        entries.sort_unstable();
-        (self.drawn, entries)
+        (self.drawn, Vec::new())
     }
 }
 
@@ -704,10 +760,128 @@ impl SizeEstimatingSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn bitmap(positions: &[u64], len: u64) -> Bitmap {
         Bitmap::from_sorted_positions(positions, len)
+    }
+
+    /// Whether `π_K` maps `[0, n)` onto itself.
+    fn is_bijection(key: u64, n: u64) -> bool {
+        let pi = Permutation::new(key, n);
+        let mut seen = vec![false; n as usize];
+        (0..n).all(|i| {
+            let r = pi.rank(i);
+            r < n && !std::mem::replace(&mut seen[r as usize], true)
+        })
+    }
+
+    #[test]
+    fn the_keyed_permutation_is_a_bijection_on_every_small_domain() {
+        for n in 1..=4_097u64 {
+            for key in [0, n, 0x9e37_79b9_7f4a_7c15 ^ n] {
+                assert!(is_bijection(key, n), "n {n} key {key:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_keyed_permutation_is_a_bijection_around_every_power_of_two() {
+        for k in 1..=24u32 {
+            for n in [(1u64 << k) - 1, 1 << k, (1 << k) + 1] {
+                assert!(is_bijection(u64::from(k) << 40 | n, n), "n {n}");
+            }
+        }
+    }
+
+    /// Pearson's statistic of `counts` against a uniform expectation, and
+    /// the bound it must sit under: the mean `df` plus five standard
+    /// deviations `√(2·df)` (a tail far below 1e-5 for these `df`).
+    fn chi_square(counts: &[u64]) -> (f64, f64) {
+        let total: u64 = counts.iter().sum();
+        let expected = total as f64 / counts.len() as f64;
+        let stat = counts
+            .iter()
+            .map(|&c| (c as f64 - expected).powi(2) / expected)
+            .sum();
+        let df = (counts.len() - 1) as f64;
+        (stat, df + 5.0 * (2.0 * df).sqrt())
+    }
+
+    #[test]
+    fn first_ranks_are_uniform_over_keys() {
+        // π_K(0) over 60,000 keys, and the pair (π_K(0), π_K(1)) over
+        // 300,000 keys (≥ 74 expected per cell at n = 64); n = 5 and 300
+        // have an odd `b` before the floor of 256, and 300 after it.
+        for n in [3u64, 5, 10, 64, 300] {
+            let key = |i: u64| mix(i.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ n);
+            let mut first = vec![0u64; n as usize];
+            for i in 0..60_000 {
+                first[Permutation::new(key(i), n).rank(0) as usize] += 1;
+            }
+            let (stat, bound) = chi_square(&first);
+            assert!(stat < bound, "π_K(0), n {n}: chi-square {stat} ≥ {bound}");
+            if n > 64 {
+                continue;
+            }
+            let mut pairs = vec![0u64; (n * n) as usize];
+            for i in 0..300_000 {
+                let pi = Permutation::new(key(i), n);
+                pairs[(pi.rank(0) * n + pi.rank(1)) as usize] += 1;
+            }
+            // The diagonal is impossible for a bijection; test the rest.
+            assert!((0..n).all(|a| pairs[(a * n + a) as usize] == 0));
+            let off: Vec<u64> = (0..n * n)
+                .filter(|c| c / n != c % n)
+                .map(|c| pairs[c as usize])
+                .collect();
+            let (stat, bound) = chi_square(&off);
+            assert!(stat < bound, "pairs, n {n}: chi-square {stat} ≥ {bound}");
+        }
+    }
+
+    #[test]
+    fn first_draws_from_a_sorted_group_are_hypergeometric() {
+        // A group whose values are its row ids (so sorted by row id): the
+        // mean of the first m draws has the finite-population moments
+        // E = μ and Var = σ²/m · (N − m)/(N − 1). Over 20,000 keys the
+        // observed mean must sit within 4 standard errors of μ, and the
+        // observed variance within 6 % of the formula (about 4.2 standard
+        // errors of a variance estimate from 20,000 draws).
+        let n = 1_000u64;
+        let rows = RowSet::Range {
+            start: 0,
+            count: n,
+            universe: n,
+        };
+        let mu = (n - 1) as f64 / 2.0;
+        let sigma2 = (n * n - 1) as f64 / 12.0;
+        let keys = 20_000u32;
+        for m in [10usize, 100, 500] {
+            let mut out = Vec::with_capacity(m);
+            let means: Vec<f64> = (0..keys)
+                .map(|seed| {
+                    let mut s = BitmapSampler::from_rows(rows.clone());
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(u64::from(seed));
+                    out.clear();
+                    s.sample_batch_without_replacement(m, &mut rng, &mut out);
+                    out.iter().sum::<u64>() as f64 / m as f64
+                })
+                .collect();
+            let var = sigma2 / m as f64 * (n - m as u64) as f64 / (n - 1) as f64;
+            let observed = means.iter().sum::<f64>() / f64::from(keys);
+            let spread =
+                means.iter().map(|x| (x - observed).powi(2)).sum::<f64>() / f64::from(keys - 1);
+            let se = (var / f64::from(keys)).sqrt();
+            assert!(
+                (observed - mu).abs() < 4.0 * se,
+                "m {m}: mean {observed} vs {mu}"
+            );
+            assert!(
+                (spread / var - 1.0).abs() < 0.06,
+                "m {m}: variance {spread} vs {var}"
+            );
+        }
     }
 
     #[test]
@@ -796,15 +970,14 @@ mod tests {
     }
 
     #[test]
-    fn permutation_state_entries_are_sorted() {
+    fn permutation_state_reports_draws_and_no_entries() {
         let positions: Vec<u64> = (0..500).collect();
         let mut s = BitmapSampler::new(bitmap(&positions, 500));
         let mut rng = rand::rngs::StdRng::seed_from_u64(78);
         for _ in 0..120 {
             let _ = s.sample_without_replacement(&mut rng);
         }
-        let (_, entries) = s.permutation_state();
-        assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(s.permutation_state(), (120, Vec::new()));
     }
 
     #[test]
@@ -816,18 +989,22 @@ mod tests {
     }
 
     #[test]
-    fn swap_memory_bounded_by_draws() {
-        let positions: Vec<u64> = (0..10_000).collect();
-        let mut s = BitmapSampler::new(bitmap(&positions, 10_000));
+    fn the_key_is_the_only_rng_word_a_permutation_takes() {
+        // The first draw takes one word and the rest none, so the RNG
+        // leaves a whole run exactly one word ahead; `reset` takes another.
+        let positions: Vec<u64> = (0..1000).map(|i| i * 2).collect();
+        let mut s = BitmapSampler::new(bitmap(&positions, 2000));
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        for _ in 0..100 {
-            let _ = s.sample_without_replacement(&mut rng);
-        }
-        assert!(
-            s.swaps.len() <= 100,
-            "swap map grew past the number of draws: {}",
-            s.swaps.len()
-        );
+        let mut ahead = rng.clone();
+        let _ = ahead.next_u64();
+        let mut out = Vec::new();
+        s.sample_batch_without_replacement(300, &mut rng, &mut out);
+        while s.sample_without_replacement(&mut rng).is_some() {}
+        assert_eq!(rng.state(), ahead.state());
+        s.reset();
+        let _ = s.sample_without_replacement(&mut rng);
+        let _ = ahead.next_u64();
+        assert_eq!(rng.state(), ahead.state());
     }
 
     #[test]
@@ -940,13 +1117,10 @@ mod tests {
     }
 
     #[test]
-    fn staged_batches_equal_single_draws_on_every_tiny_population() {
+    fn batches_equal_single_draws_on_every_tiny_population() {
         // Populations of 1..=6 rows, every way of cutting the run into
         // batches (the last one asking for two rows more than are left),
-        // 300 seeds each. Small enough that the corners the staging must get
-        // right are the common case: a slot drawn twice in one batch, a draw
-        // of `j == drawn`, and a batch the population runs dry under.
-        let (mut repeated_j, mut j_is_drawn) = (0u32, 0u32);
+        // 300 seeds each: the same rows, and the same RNG words consumed.
         for eligible in 1..=6u64 {
             let positions: Vec<u64> = (0..eligible).map(|i| i * 5 + 1).collect();
             let fresh = BitmapSampler::new(bitmap(&positions, 40));
@@ -965,15 +1139,6 @@ mod tests {
                     let mut rng_s = rand::rngs::StdRng::seed_from_u64(seed);
                     let mut rng_b = rng_s.clone();
                     for &size in &sizes {
-                        // The slots this batch will draw, from a copy of
-                        // the generator.
-                        let mut peek = rng_b.clone();
-                        let js: Vec<u64> = (batched.drawn..eligible)
-                            .take(size)
-                            .map(|d| peek.gen_range(d..eligible))
-                            .collect();
-                        repeated_j += u32::from((1..js.len()).any(|i| js[..i].contains(&js[i])));
-                        j_is_drawn += u32::from((batched.drawn..).zip(&js).any(|(d, &j)| d == j));
                         let want: Vec<u64> = (0..size)
                             .map_while(|_| singles.sample_without_replacement(&mut rng_s))
                             .collect();
@@ -982,14 +1147,12 @@ mod tests {
                             batched.sample_batch_without_replacement(size, &mut rng_b, &mut got);
                         assert_eq!(n, got.len());
                         assert_eq!(got, want, "n {eligible} split {sizes:?} seed {seed}");
-                        assert_eq!(batched.permutation_state(), singles.permutation_state());
                         assert_eq!(rng_b.state(), rng_s.state(), "RNG words consumed");
                     }
                     assert_eq!(batched.remaining(), 0);
                 }
             }
         }
-        assert!(repeated_j > 1000 && j_is_drawn > 1000);
     }
 
     #[test]
@@ -1220,8 +1383,9 @@ mod proptests {
         }
 
         /// Batched draws replay the single-draw stream exactly, in both
-        /// regimes, for any bitmap/seed/batch split — so batching can never
-        /// change an algorithm's output for a fixed seed.
+        /// regimes, for any bitmap/seed/batch split, and without
+        /// replacement so do single draws mixed with batches — so batching
+        /// can never change an algorithm's output for a fixed seed.
         #[test]
         fn batch_equals_single_stream(
             positions in proptest::collection::btree_set(0u64..3000, 1..128),
@@ -1256,6 +1420,20 @@ mod proptests {
             let got = s2.sample_batch_without_replacement(n, &mut rng_b, &mut batched);
             prop_assert_eq!(got, take);
             prop_assert_eq!(&batched, &singles);
+
+            // Mixed: a single draw, then alternating batches of `n` and
+            // single draws, to exhaustion: the same stream again.
+            let mut s3 = BitmapSampler::new(Bitmap::from_sorted_positions(&positions, len));
+            let mut rng_c = rand::rngs::StdRng::seed_from_u64(seed ^ 0xABCD);
+            let mut all_singles: Vec<u64> = singles.clone();
+            all_singles.extend(std::iter::from_fn(|| s1.sample_without_replacement(&mut rng_a)));
+            let mut mixed = Vec::new();
+            while s3.remaining() > 0 {
+                mixed.extend(s3.sample_without_replacement(&mut rng_c));
+                s3.sample_batch_without_replacement(n, &mut rng_c, &mut mixed);
+            }
+            prop_assert_eq!(&mixed, &all_singles);
+            prop_assert_eq!(rng_c.state(), rng_a.state());
         }
 
         /// The LSD radix sort and the packed-u64 comparison sort order any

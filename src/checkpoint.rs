@@ -29,7 +29,7 @@
 //! metrics as such.
 //!
 //! **Excluded by design:** every piece of algorithm and sampler state
-//! (estimators, activity flags, ε bookkeeping, Fisher–Yates permutations —
+//! (estimators, activity flags, ε bookkeeping, permutation keys —
 //! all reproduced by the replay) and the engine's planning caches
 //! (group plans, composite indexes). Resume re-plans
 //! through the normal path, so a checkpoint taken on one server restores

@@ -691,8 +691,8 @@ impl QuerySession {
     /// Approximate resident bytes of the session's algorithm state
     /// (estimators, activity flags, scratch arenas) — the figure a
     /// multi-query scheduler charges to this session's memory account.
-    /// The storage layer's per-group samplers (bitmap copies, permutation
-    /// maps) are deliberately not counted: accounting covers the algorithm
+    /// The storage layer's per-group samplers (row sets, batch scratch)
+    /// are deliberately not counted: accounting covers the algorithm
     /// layer, whose footprint is what snapshots and round bookkeeping
     /// actually grow.
     #[must_use]

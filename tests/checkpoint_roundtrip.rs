@@ -412,14 +412,14 @@ fn stale_sampled_count_recipes_are_refused() {
 
 #[test]
 fn checkpoint_size_does_not_grow_with_samples_drawn() {
-    // Without-replacement AVG: the sampler's swap map grows with every
-    // draw, the recipe does not.
+    // Without-replacement AVG: the recipe does not grow with the draws
+    // (nor does the sampler, whose state is its key and draw count).
     let engine = engine();
     let mut session = VizQuery::new(&engine)
         .group_by("name")
         .avg("delay")
         .bound(100.0)
-        .samples_per_round(8)
+        .samples_per_round(4)
         .max_samples(1_200)
         .start(rand::rngs::StdRng::seed_from_u64(11))
         .unwrap();

@@ -187,14 +187,14 @@ fn first_column_group_runs_are_pinned() {
         "name",
         &grid(&engine, &["name"]),
         &[
-            0xb83908b0a577dc87,
-            0xbec510ab9c2c37e1,
-            0xfa439db482e6cd0c,
-            0xdd6e29823eb39a36,
-            0x6861baeb8a3c8672,
-            0xea146b00aa64110b,
-            0x3543a315db69b36e,
-            0x3da38e4845251ab3,
+            0x623d1f6b99b3ddab,
+            0x3ef1ad1f40027c1e,
+            0xd3af8b41c91e5305,
+            0x880dc4ac4d460183,
+            0xa4883537f0d3a473,
+            0x6d596a44bf51735b,
+            0x0c10f347c05b6386,
+            0x4eaa2da3472ad6a7,
             0x3bc0ba501f6a645d,
             0xc0b4c044b5812fef,
             0xf2112ab694c94976,
@@ -203,14 +203,14 @@ fn first_column_group_runs_are_pinned() {
             0x9347f56802c03e28,
             0xeadac3bd1295bd43,
             0x3f85b46d4f5ac4b6,
-            0xc4fbb2f455174f0c,
-            0x5a6d2c3c35b21826,
-            0xb03d814a54cd0537,
-            0xd4c45cfab58add61,
-            0x8c8993b6ad27521f,
-            0xc2178d882c75016b,
-            0x36de1247b7532896,
-            0x187c5957bee0f60d,
+            0x18b1e397812653b4,
+            0x8771ad6eaeacb4e8,
+            0x690cc199f3106a82,
+            0xc61908c5e9675dbd,
+            0xf39659a21cb783f7,
+            0xea7d0b091eab82fd,
+            0x08b04ae7ee4e22e0,
+            0xae9b6ac9dff2983a,
             0xaeee5348386cb769,
             0xca2015e2b53b60a1,
             0x46febecb09bd9db9,
@@ -265,14 +265,14 @@ fn composite_led_by_the_first_column_is_pinned() {
         "(name, origin)",
         &got,
         &[
-            0x8a1829ffa65679f6,
-            0x8c12627e0e788381,
-            0x386d97d2c8bb38a4,
-            0x57c6b1d49f643922,
-            0xdb68f543666a77da,
-            0x5926699b6753d505,
-            0xeeed9b54d126d6d3,
-            0x90431dc253b0f27d,
+            0x7f45fcc3a72b3110,
+            0xede1ccd9a07193c9,
+            0x1801b892f50e276e,
+            0xc56f23a3519977dc,
+            0x4f32d314e60a4db7,
+            0x25ff96b02c0a7e5f,
+            0x505967069305aacb,
+            0x30eebdc4863f4193,
             0xa04634dc309701ba,
             0x1bc88ebb238ac45d,
             0x8a125d08f4938d01,
@@ -335,28 +335,28 @@ fn other_column_group_runs_are_pinned() {
         "origin, year, (origin, year)",
         &got,
         &[
-            0xc122fe6aedaf54a2,
-            0x0067a40c523d04d5,
+            0x251c0e898a26365d,
+            0x7e661b143859afac,
             0xa57bcb3cbb3893db,
             0xc864367de9504c22,
-            0x4a0dbb638e44f951,
-            0xdeae3ca39a6e9557,
+            0x4d3300e093eb118d,
+            0x182a4c48355dcccb,
             0x25d3d896c8bbb38b,
             0x3e6def59de7ca34a,
-            0x05c6eee0eaa9c603,
-            0x1e6d78b57d4ea5b0,
+            0x56d677b2afbde864,
+            0x865565c58a822b5c,
             0xb4b271deee920fa9,
             0x4f8d6028f7e3a9c7,
-            0x0c5e17a2c90f18d9,
-            0x495154a6b3f5421f,
+            0x575431c5e4171879,
+            0x28b71f3d3f3247c7,
             0xcf2728c22614c54b,
             0x8851439037d00849,
-            0x9f20911d2af11fcb,
-            0x1652b7ba36e35a52,
+            0xaa52dd293473eabb,
+            0x78c7cf47a41cd11e,
             0xe587f54597935545,
             0x2233b7a806313d18,
-            0x2229b55ffa92e2bb,
-            0x126b99e46efe598d,
+            0x99b3062a48592214,
+            0x01ad877e97f9e326,
             0x9f41463b9d82e5b2,
             0x985217d276372c4c,
         ],
@@ -430,6 +430,6 @@ fn fault_injected_runs_are_pinned() {
             )
         })
         .collect();
-    assert_pinned("faults", &got, &[0x803201446a4f79d7, 0xcbe3cedf28d8469d]);
+    assert_pinned("faults", &got, &[0xa35bf64503e8a4bd, 0x43ca4885cd2a5b52]);
     assert!(engine.metrics().snapshot().faulted_reads > 0);
 }

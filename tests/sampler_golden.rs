@@ -3,10 +3,12 @@
 //! replacement, with the size estimate) and the positions
 //! `Bitmap::select_many` resolves. "Batch equals the single-draw stream" is
 //! the only other sampler-level oracle, and it compares the code with
-//! itself; these digests were computed once, from the code as it stood
-//! before the staged draw path, and pin the streams bit for bit — including
-//! how many RNG words each run consumes (the word after the run is folded
-//! in) and the sorted permutation state mid-run.
+//! itself; these digests pin the streams bit for bit — including how many
+//! RNG words each run consumes (the word after the run is folded in) and
+//! the permutation state mid-run. The with-replacement, size-estimate and
+//! `select_many` digests date from before the staged draw path; the
+//! without-replacement ones were re-pinned when the keyed permutation
+//! replaced the virtual Fisher–Yates shuffle.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -125,9 +127,9 @@ fn without_replacement_streams_are_pinned() {
         .map(|rows| wor_stream(rows, seed(rows), 0, 1))
         .collect();
     let golden = [
-        0xce1f_085c_fb67_98beu64,
-        0xe6a2_5352_568e_5fc5,
-        0xcd97_8055_55dd_f811,
+        0x16b4_11ff_ad36_9badu64,
+        0xdb9c_fe52_f768_2f05,
+        0x10a1_d34f_c043_2404,
     ];
     assert_eq!(got, golden, "single draws: got {got:#018x?}");
     // Every batch size, run to exhaustion alone or interleaved with single
@@ -144,8 +146,9 @@ fn without_replacement_streams_are_pinned() {
 
 #[test]
 fn permutation_state_mid_run_is_pinned() {
-    // The sorted logical view of the virtual Fisher–Yates table, halfway
-    // through the dense fixture, reached by batches and by single draws.
+    // The permutation state halfway through the dense fixture (its draw
+    // count; the keyed permutation stores no entries), reached by batches
+    // and by single draws.
     let rows = &row_sets()[0];
     let half = rows.count_ones() as usize / 2;
     let digest = |batch: usize| {
@@ -169,7 +172,7 @@ fn permutation_state_mid_run_is_pinned() {
         fold.finish(&mut rng)
     };
     let got = [digest(1), digest(16), digest(256), digest(4096)];
-    let golden = [0xed4f_7697_7887_732bu64; 4];
+    let golden = [0x9731_d1b5_e07d_66b7u64; 4];
     assert_eq!(got, golden, "got {got:#018x?}");
 }
 

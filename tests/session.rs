@@ -685,18 +685,18 @@ fn avg_and_sum_session_rounds_are_pinned() {
     }
     // AVG, then SUM; unfiltered, filtered, two attributes; spr 1, 256.
     let golden: [u64; 12] = [
-        0x1bc0_5884_5672_7cce,
-        0xdf94_7482_6bb8_60ad,
-        0xccc6_32e5_5d3c_f6f2,
-        0x5e6f_6295_2174_6a14,
-        0xfd69_2509_a9bb_8d3d,
-        0x0ca5_e037_f9ab_da6b,
-        0x022c_f5ff_772a_4706,
-        0xa2bb_ecb5_ba49_8254,
-        0x5a2b_57b9_df73_d21f,
-        0x11d1_de99_d79b_be33,
-        0x75fa_7434_ed43_2460,
-        0xf9b7_fd0e_0b52_43da,
+        0x068e_b8ba_1e1a_44d1,
+        0xb2b3_a0a2_3bc4_709f,
+        0x58a3_985a_54ff_1a9b,
+        0xd844_70f0_c794_8430,
+        0x29ef_5e9b_4ea8_e4a2,
+        0xc3d1_cc4d_1c9b_3564,
+        0xcd72_f28b_97c4_f4d3,
+        0x0cf3_d56f_58f9_c1ca,
+        0xae95_861f_1d23_8bb8,
+        0xcd9b_23dd_0b1a_1fb1,
+        0x9768_d2a5_1b70_36ac,
+        0x9559_86e2_2c23_b232,
     ];
     assert_eq!(got, golden, "got {got:#x?}");
 }
