@@ -93,6 +93,19 @@
 //! its standalone replay. Failures print `SIM_SEED=<u64> POLICY=Wire`;
 //! `SIM_WIRE_EPISODES` sizes the batch (default 25).
 //!
+//! # Calibration
+//!
+//! The [`calibrate`] module measures the ordering guarantee itself: a grid
+//! of IFOCUS and ROUNDROBIN cells (with and without replacement, exact
+//! and resolution-relaxed, five value families and five adversarial row
+//! orders), each run thousands of times over one fixed table and judged
+//! by a Clopper–Pearson upper bound on its mis-ordering rate, which must
+//! sit at or below `δ`. `tests/calibration.rs` runs a fixed-seed slice in
+//! the tier-1 suite; `cargo test --release -p rapidviz-sim --test
+//! calibration_grid -- --nocapture` runs the whole grid (`SIM_CALIBRATION_RUNS`
+//! runs a cell, default 10,000) and prints every cell's row and the
+//! `SIM_SEED` of every mis-ordered run of a failing cell.
+//!
 //! [`MultiQueryScheduler`]: rapidviz::MultiQueryScheduler
 //! [`AlgorithmChoice`]: rapidviz::AlgorithmChoice
 
@@ -100,6 +113,7 @@
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
+pub mod calibrate;
 mod minimize;
 mod plan;
 mod run;
