@@ -28,6 +28,7 @@
 //! [`NeedleTail::new`](crate::NeedleTail::new)), so `(site, row)` names a
 //! row of the clustered order, not a position in the table as loaded.
 
+use crate::sampler::mix;
 use std::fmt;
 
 /// Which storage read a fault decision is being made for.
@@ -77,13 +78,6 @@ impl SeededFaults {
         };
         Self { seed, threshold }
     }
-
-    /// SplitMix64 finalizer — a full-avalanche 64-bit mix.
-    fn mix(mut x: u64) -> u64 {
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^ (x >> 31)
-    }
 }
 
 impl FaultInjector for SeededFaults {
@@ -92,7 +86,7 @@ impl FaultInjector for SeededFaults {
             FaultSite::RowRead => 0x9e37_79b9_7f4a_7c15_u64,
             FaultSite::SizedRowRead => 0xd1b5_4a32_d192_ed03_u64,
         };
-        Self::mix(self.seed ^ site_salt ^ row.wrapping_mul(0xff51_afd7_ed55_8ccd)) < self.threshold
+        mix(self.seed ^ site_salt ^ row.wrapping_mul(0xff51_afd7_ed55_8ccd)) < self.threshold
     }
 }
 

@@ -365,9 +365,10 @@ impl Permutation {
     }
 }
 
-/// SplitMix64's finalizer: a full-avalanche bijection on `u64`.
+/// SplitMix64's finalizer: a full-avalanche bijection on `u64` (also the
+/// fault injector's row hash).
 #[inline]
-fn mix(mut x: u64) -> u64 {
+pub(crate) fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
@@ -528,9 +529,9 @@ impl BitmapSampler {
     }
 
     /// The without-replacement state in the shape the stack benchmark
-    /// reads: the number of draws made so far, and no entries. The keyed
-    /// permutation stores nothing per draw (its state is `(K, drawn)`), so
-    /// the list a swap table used to fill stays empty.
+    /// reads: the number of draws made so far, and per-draw entries, of
+    /// which there are none: the keyed permutation's whole state is
+    /// `(K, drawn)`, and `K` is not exposed.
     #[must_use]
     pub fn permutation_state(&self) -> (u64, Vec<(u64, u64)>) {
         (self.drawn, Vec::new())

@@ -96,7 +96,7 @@ pub enum RowOrder {
     /// `μ − 25` on the first half of the row range and `μ + 25` on the
     /// second (odd groups: the other way round).
     RangeHalves,
-    /// Six groups whose sizes follow Zipf(1) over 12,000 rows (4,898 down
+    /// Six groups whose sizes follow Zipf(1) over 12,000 rows (4,897 down
     /// to 816), means 20 to 80, mixture values.
     ZipfGroups,
 }
@@ -346,7 +346,7 @@ fn mixture(mu: f64) -> Box<dyn ValueDist> {
 /// Panics if the query cannot be planned (the fixture always can).
 #[must_use]
 pub fn run_once(cell: &Cell, fixture: &Fixture, seed: u64) -> Snapshot {
-    let rng = StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     if cell.with_replacement {
         let mut config = AlgoConfig::new(C, DELTA)
             .with_mode(SamplingMode::WithReplacement)
@@ -355,7 +355,6 @@ pub fn run_once(cell: &Cell, fixture: &Fixture, seed: u64) -> Snapshot {
             config = config.with_resolution(r);
         }
         let mut groups = fixture.groups.clone();
-        let mut rng = rng;
         let mut stepper = match cell.algorithm {
             Algorithm::IFocus => IFocus::new(config).start(&mut groups, &mut rng),
             Algorithm::RoundRobin => RoundRobin::new(config).start(&mut groups, &mut rng),

@@ -5,10 +5,7 @@
 //! the only other sampler-level oracle, and it compares the code with
 //! itself; these digests pin the streams bit for bit — including how many
 //! RNG words each run consumes (the word after the run is folded in) and
-//! the permutation state mid-run. The with-replacement, size-estimate and
-//! `select_many` digests date from before the staged draw path; the
-//! without-replacement ones were re-pinned when the keyed permutation
-//! replaced the virtual Fisher–Yates shuffle.
+//! the permutation state mid-run.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
