@@ -300,7 +300,7 @@ impl FocusState {
 
     /// Whether group `i` ran dry: every row drawn without replacement (or
     /// none to draw), so its estimate is the exact group mean.
-    pub(crate) fn ran_dry(&self, i: usize) -> bool {
+    fn ran_dry(&self, i: usize) -> bool {
         let every_row = self.samples[i] >= self.sizes[i];
         every_row && (self.sizes[i] == 0 || self.config.mode == SamplingMode::WithoutReplacement)
     }
