@@ -141,7 +141,10 @@ impl Rule {
                 state.read_widths();
                 let mut has_open_edge = vec![false; state.k()];
                 for (done, &(a, b)) in resolved.iter_mut().zip(edges.iter()) {
-                    *done = *done || !state.interval(a).overlaps(&state.interval(b));
+                    // An edge to a group stopped by a dropped read can never
+                    // resolve; the run is truncated and drops it.
+                    let stopped = state.stopped_short(a) || state.stopped_short(b);
+                    *done = *done || stopped || !state.interval(a).overlaps(&state.interval(b));
                     if !*done {
                         has_open_edge[a] = true;
                         has_open_edge[b] = true;

@@ -72,8 +72,9 @@ pub struct Snapshot {
     /// Current estimates `ν_i` (means, or sums for the SUM variants).
     pub estimates: Vec<f64>,
     /// Current confidence intervals: live half-width for active groups,
-    /// frozen at deactivation for certified ones, zero-width for exhausted
-    /// (exact) ones.
+    /// frozen at deactivation for certified ones, zero-width for ones drawn
+    /// dry (exact); a group stopped by a dropped read is frozen at the
+    /// width for the samples it delivered.
     pub intervals: Vec<Interval>,
     /// Which groups are still active (still being sampled).
     pub active: Vec<bool>,

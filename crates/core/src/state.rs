@@ -156,7 +156,8 @@ pub(crate) struct FocusState {
     pub(crate) active: Vec<bool>,
     /// Groups that draw no more: the source came up short. Only a group
     /// that ran dry ([`Self::ran_dry`]) holds its exact mean; one stopped
-    /// by a dropped read keeps a width and marks the run truncated.
+    /// by a dropped read deactivates with a width and marks the run
+    /// truncated ([`Self::stop`]).
     pub(crate) exhausted: Vec<bool>,
     /// Every group's half-width at the last [`Self::read_widths`].
     pub(crate) live: Vec<f64>,
@@ -291,11 +292,25 @@ impl FocusState {
         }
     }
 
-    /// Group `i` draws no more. Unless it ran dry, a read was dropped
-    /// (a fault injector withheld it): the run is truncated.
+    /// Group `i` draws no more. Unless it ran dry, a read was dropped (a
+    /// fault injector withheld it): the run is truncated, and the group
+    /// deactivates at the width the schedule grants for the samples it
+    /// delivered, so no other group waits on an interval that can never
+    /// narrow.
     fn stop(&mut self, i: usize) {
         self.exhausted[i] = true;
-        self.truncated |= !self.ran_dry(i);
+        if self.stopped_short(i) {
+            self.truncated = true;
+            if self.active[i] {
+                self.frozen[i] = self.delivered_width(i);
+                self.active[i] = false;
+            }
+        }
+    }
+
+    /// Whether group `i` was stopped by a dropped read, not by running dry.
+    pub(crate) fn stopped_short(&self, i: usize) -> bool {
+        self.exhausted[i] && !self.ran_dry(i)
     }
 
     /// Whether group `i` ran dry: every row drawn without replacement (or
@@ -323,35 +338,39 @@ impl FocusState {
     }
 
     /// Reads every group's live half-width, the one place one is computed:
-    /// the anytime ε takes `N` over the active groups (all when none is),
-    /// and a group stopped short no narrower than ε at the samples it
-    /// delivered; Bernstein, the group's own count (at least 1) and
-    /// variance (0 if none).
+    /// the anytime ε takes `N` over the active groups (all when none is);
+    /// Bernstein, the group's own count (at least 1) and variance (0 if
+    /// none).
     pub(crate) fn read_widths(&mut self) {
-        match &self.width {
-            Width::Anytime(schedule) => {
-                let active = (0..self.k()).filter(|&i| self.active[i]);
-                let all = || self.sizes.iter().copied().max().unwrap_or(1);
-                let n_max = active.map(|i| self.sizes[i]).max().unwrap_or_else(all);
-                if self.read_at != (self.m, n_max) {
-                    self.read_at = (self.m, n_max);
-                    self.live.fill(schedule.half_width(self.m, n_max));
-                }
-                if self.truncated {
-                    for i in 0..self.k() {
-                        if self.exhausted[i] && !self.ran_dry(i) {
-                            let delivered = schedule.half_width(self.samples[i].max(1), n_max);
-                            self.live[i] = self.live[i].max(delivered);
-                        }
-                    }
-                }
+        if let Width::Anytime(schedule) = &self.width {
+            let n_max = self.n_max();
+            if self.read_at != (self.m, n_max) {
+                self.read_at = (self.m, n_max);
+                self.live.fill(schedule.half_width(self.m, n_max));
             }
+        } else {
+            for i in 0..self.k() {
+                self.live[i] = self.delivered_width(i);
+            }
+        }
+    }
+
+    /// The largest active size (the largest of all when none is active).
+    fn n_max(&self) -> u64 {
+        let active = (0..self.k()).filter(|&i| self.active[i]);
+        let all = || self.sizes.iter().copied().max().unwrap_or(1);
+        active.map(|i| self.sizes[i]).max().unwrap_or_else(all)
+    }
+
+    /// Group `i`'s half-width at its own sample count (at least 1): the
+    /// anytime ε at the current `N`, or its empirical-Bernstein width.
+    fn delivered_width(&self, i: usize) -> f64 {
+        match &self.width {
+            Width::Anytime(schedule) => schedule.half_width(self.samples[i].max(1), self.n_max()),
             Width::EmpiricalBernstein { schedule, m2 } => {
-                for (i, estimate) in self.estimates.iter().enumerate() {
-                    let n = estimate.count();
-                    let variance = if n > 0 { m2[i] / n as f64 } else { 0.0 };
-                    self.live[i] = schedule.half_width(n.max(1), variance);
-                }
+                let n = self.estimates[i].count();
+                let variance = if n > 0 { m2[i] / n as f64 } else { 0.0 };
+                schedule.half_width(n.max(1), variance)
             }
         }
     }

@@ -237,3 +237,72 @@ fn a_dropped_read_never_certifies_a_group_as_exact() {
         }
     }
 }
+
+#[test]
+fn a_group_stopped_by_a_dropped_read_does_not_hold_up_the_others() {
+    // With replacement a group never runs dry. Only the rows of the group
+    // clustered first can fail, so that group stops early with a wide
+    // interval around a mean 1 away from the other's; the other group must
+    // not wait for it to narrow. Both algorithms end truncated long before
+    // the round cap.
+    use rapidviz::core::extensions::IFocusGraph;
+    use rapidviz::core::{AlgorithmStepper, StepOutcome};
+    use rapidviz::needletail::{
+        ColumnDef, DataType, FaultInjector, FaultSite, Schema, TableBuilder,
+    };
+    use rapidviz::stats::SamplingMode;
+
+    #[derive(Debug)]
+    struct FirstGroupFaults;
+    impl FaultInjector for FirstGroupFaults {
+        fn fails(&self, _site: FaultSite, row: u64) -> bool {
+            row < 20_000 && row.is_multiple_of(64)
+        }
+    }
+
+    let mut b = TableBuilder::new(Schema::new(vec![
+        ColumnDef::new("g", DataType::Str),
+        ColumnDef::new("v", DataType::Float),
+    ]));
+    for i in 0..40_000u32 {
+        let g = if i % 2 == 0 { "a" } else { "b" };
+        b.push_row(vec![g.into(), f64::from(i % 100).into()]);
+    }
+    let mut engine = NeedleTail::new(b.finish(), &["g"]).expect("engine builds");
+    engine.set_fault_injector(std::sync::Arc::new(FirstGroupFaults));
+    let cap = 1_000_000;
+    let config = AlgoConfig::new(100.0, 0.05)
+        .with_mode(SamplingMode::WithReplacement)
+        .with_samples_per_round(16)
+        .with_max_rounds(cap);
+    for round_robin in [false, true] {
+        let mut groups = query_groups(&engine, "g", "v", &Predicate::True).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut stepper = if round_robin {
+            RoundRobin::new(config.clone()).start(&mut groups, &mut rng)
+        } else {
+            IFocus::new(config.clone()).start(&mut groups, &mut rng)
+        };
+        let outcome = loop {
+            let outcome = stepper.step(&mut groups, &mut rng);
+            if !outcome.is_running() {
+                break outcome;
+            }
+        };
+        let snap = stepper.snapshot();
+        assert_eq!(
+            outcome,
+            StepOutcome::BudgetExhausted,
+            "round robin {round_robin}"
+        );
+        assert!(snap.truncated);
+        assert!(snap.rounds < cap / 100, "ran {} rounds", snap.rounds);
+        assert!(engine.metrics().snapshot().faulted_reads > 0);
+    }
+    // The graph variant abandons the edge to the stopped group.
+    let mut groups = query_groups(&engine, "g", "v", &Predicate::True).unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let result = IFocusGraph::path(config, 2).run(&mut groups, &mut rng);
+    assert!(result.truncated);
+    assert!(result.rounds < cap / 100, "ran {} rounds", result.rounds);
+}
