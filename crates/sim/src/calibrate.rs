@@ -53,6 +53,8 @@ pub const SAMPLES_PER_ROUND: u64 = 16;
 /// Runs the tier-1 slice gives a cell: with no mis-ordered run, the
 /// smallest count whose Clopper–Pearson bound is at most `δ`.
 pub const SLICE_RUNS: u64 = 59;
+/// Runs the full grid gives a cell.
+pub const GRID_RUNS: u64 = 10_000;
 
 /// The ordering algorithm a cell runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -493,44 +495,23 @@ pub fn run_cell(cell: &Cell, fixture: &Fixture, runs: u64, base_seed: u64) -> Ce
     report
 }
 
-/// Runs every cell of `cells` `runs` times on `threads` worker threads
-/// (cells are dealt round-robin; each thread builds the fixtures it
-/// needs). Reports come back in `cells` order.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics.
+/// Runs every cell of `cells` `runs` times, one cell after another,
+/// building each data fixture once. Reports come back in `cells` order.
 #[must_use]
-pub fn run_grid(cells: &[Cell], runs: u64, base_seed: u64, threads: usize) -> Vec<CellReport> {
-    let threads = threads.clamp(1, cells.len().max(1));
-    let mut reports: Vec<Option<CellReport>> = vec![None; cells.len()];
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    let mut fixtures: Vec<(Data, Fixture)> = Vec::new();
-                    let mut out = Vec::new();
-                    for (i, cell) in cells.iter().enumerate().skip(t).step_by(threads) {
-                        if !fixtures.iter().any(|(d, _)| *d == cell.data) {
-                            fixtures.push((cell.data, Fixture::build(cell.data)));
-                        }
-                        let fixture = fixtures
-                            .iter()
-                            .find_map(|(d, f)| (*d == cell.data).then_some(f))
-                            .expect("built above");
-                        out.push((i, run_cell(cell, fixture, runs, base_seed ^ i as u64)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        for worker in workers {
-            for (i, report) in worker.join().expect("a calibration worker panicked") {
-                reports[i] = Some(report);
+pub fn run_grid(cells: &[Cell], runs: u64, base_seed: u64) -> Vec<CellReport> {
+    let mut fixtures: Vec<(Data, Fixture)> = Vec::new();
+    let mut reports = Vec::with_capacity(cells.len());
+    for (i, cell) in cells.iter().enumerate() {
+        let at = match fixtures.iter().position(|(d, _)| *d == cell.data) {
+            Some(at) => at,
+            None => {
+                fixtures.push((cell.data, Fixture::build(cell.data)));
+                fixtures.len() - 1
             }
-        }
-    });
-    reports.into_iter().flatten().collect()
+        };
+        reports.push(run_cell(cell, &fixtures[at].1, runs, base_seed ^ i as u64));
+    }
+    reports
 }
 
 /// The one-sided upper Clopper–Pearson bound at confidence `1 − alpha` on

@@ -102,9 +102,9 @@
 //! by a Clopper–Pearson upper bound on its mis-ordering rate, which must
 //! sit at or below `δ`. `tests/calibration.rs` runs a fixed-seed slice in
 //! the tier-1 suite; `cargo test --release -p rapidviz-sim --test
-//! calibration_grid -- --nocapture` runs the whole grid (`SIM_CALIBRATION_RUNS`
-//! runs a cell, default 10,000) and prints every cell's row and the
-//! `SIM_SEED` of every mis-ordered run of a failing cell.
+//! calibration_grid -- --ignored --nocapture` runs the whole grid (10,000
+//! runs a cell) and prints every cell's row and the `SIM_SEED` of every
+//! mis-ordered run of a failing cell.
 //!
 //! [`MultiQueryScheduler`]: rapidviz::MultiQueryScheduler
 //! [`AlgorithmChoice`]: rapidviz::AlgorithmChoice

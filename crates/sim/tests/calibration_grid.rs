@@ -8,28 +8,20 @@
 //! cargo test --release -p rapidviz-sim --test calibration_grid -- --ignored --nocapture
 //! ```
 //!
-//! Env knobs: `SIM_CALIBRATION_RUNS` (runs a cell, default 10,000),
-//! `SIM_CALIBRATION_THREADS` (worker threads, default 2) and
-//! `SIM_BASE_SEED`. A failing cell prints `SIM_SEED=<u64> CELL=<name>` for
-//! each of its first mis-ordered runs; `calibrate::run_once` on that cell
-//! and seed replays the run.
+//! `SIM_BASE_SEED` sets the base seed. A failing cell prints
+//! `SIM_SEED=<u64> CELL=<name>` for each of its first mis-ordered runs;
+//! `calibrate::run_once` on that cell and seed replays the run.
 
-use rapidviz_sim::calibrate::{grid, run_grid, CellReport};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use rapidviz_sim::calibrate::{grid, run_grid, CellReport, GRID_RUNS};
 
 #[test]
 #[ignore = "the full grid is a nightly job; run with --ignored"]
 fn every_cell_bounds_its_misordering_rate_by_delta() {
-    let runs = env_u64("SIM_CALIBRATION_RUNS", 10_000);
-    let threads = env_u64("SIM_CALIBRATION_THREADS", 2) as usize;
-    let base = env_u64("SIM_BASE_SEED", 0xCA11_B8A7_E5EE_D000);
-    let reports = run_grid(&grid(), runs, base, threads);
+    let base = std::env::var("SIM_BASE_SEED")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0xCA11_B8A7_E5EE_D000);
+    let reports = run_grid(&grid(), GRID_RUNS, base);
     println!("{}", CellReport::header());
     let mut failing = Vec::new();
     for report in &reports {

@@ -26,7 +26,7 @@
 //!   below so `m ∈ {1, 2}` yields a valid (conservative) width rather than
 //!   NaN.
 //! * **Sampling mode.** Without replacement retains the Serfling factor
-//!   `1 − (m/κ − 1)/N`; with replacement drops it (§3.6), in which case the
+//!   `1 − (m − 1)/N`; with replacement drops it (§3.6), in which case the
 //!   schedule does not need the group sizes at all.
 //! * **Heuristic factor.** Figures 5a/5b study dividing ε by a factor
 //!   `h ≥ 1`; `h = 1` is the prescribed schedule.

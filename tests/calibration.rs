@@ -9,7 +9,7 @@ use rapidviz_sim::calibrate::{grid, run_grid, CellReport, DELTA, SLICE_RUNS};
 
 #[test]
 fn every_cell_bounds_its_misordering_rate_by_delta_at_a_fixed_seed() {
-    let reports = run_grid(&grid(), SLICE_RUNS, 0x5EED_CA11, 2);
+    let reports = run_grid(&grid(), SLICE_RUNS, 0x5EED_CA11);
     assert_eq!(reports.len(), 60);
     let failing: Vec<String> = reports
         .iter()
