@@ -10,10 +10,12 @@
 //! row layout.
 //!
 //! The rest depend on the layout, and are pinned so that a layout change
-//! moves them on purpose: group-bys on other columns (their r-th row is
+//! moves them on purpose: group-bys on other columns, and multi-column
+//! group-bys not led by the first indexed column (their r-th row is
 //! whatever row the layout puts r-th), Algorithm 5's size probe (a
 //! uniformly random table position) and a fault-injected run (faults are
-//! keyed by row id).
+//! keyed by row id). A small table with numeric group columns pins the
+//! cell order, which sorts cells by their values' display strings.
 //!
 //! The filters are the stack benchmark's three filter shapes.
 
@@ -23,8 +25,8 @@ use rapidviz::core::extensions::{IFocusSum1, IFocusSum2, SizedGroupSource};
 use rapidviz::core::{AlgoConfig, IFocus, RunResult, SamplingMode};
 use rapidviz::needletail::codec::fnv1a64;
 use rapidviz::needletail::{
-    ColumnDef, DataType, NeedleTail, Predicate, Schema, SeededFaults, SizedGroupHandle,
-    TableBuilder, Value,
+    ColumnDef, DataType, GroupHandle, NeedleTail, Predicate, Schema, SeededFaults,
+    SizedGroupHandle, TableBuilder, Value,
 };
 use rapidviz::{NeedletailGroup, VizQuery};
 use std::sync::Arc;
@@ -125,6 +127,17 @@ fn run(
         cols => engine.group_handles_multi(cols, "delay", filter),
     }
     .unwrap();
+    run_handles(handles, agg, mode, spr, seed)
+}
+
+/// One run over already planned handles.
+fn run_handles(
+    handles: Vec<GroupHandle>,
+    agg: Agg,
+    mode: SamplingMode,
+    spr: u64,
+    seed: u64,
+) -> u64 {
     let labels: Vec<String> = handles.iter().map(|h| h.label().to_string()).collect();
     let mut groups: Vec<NeedletailGroup> = handles.into_iter().map(NeedletailGroup::new).collect();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -359,6 +372,161 @@ fn other_column_group_runs_are_pinned() {
             0x01ad877e97f9e326,
             0x9f41463b9d82e5b2,
             0x985217d276372c4c,
+        ],
+    );
+}
+
+#[test]
+fn multi_column_group_runs_not_led_by_the_first_column_are_pinned() {
+    let engine = engine();
+    let mut got = Vec::new();
+    for group_by in [&["origin", "name"][..], &["year", "origin"]] {
+        for mode in [
+            SamplingMode::WithoutReplacement,
+            SamplingMode::WithReplacement,
+        ] {
+            for spr in [1, 256] {
+                for (i, filter) in filters().iter().enumerate() {
+                    got.push(run(
+                        &engine,
+                        group_by,
+                        Agg::Avg,
+                        mode,
+                        spr,
+                        filter,
+                        70 + i as u64,
+                    ));
+                }
+            }
+        }
+    }
+    assert_pinned(
+        "(origin, name), (year, origin)",
+        &got,
+        &[
+            0x0a31bddfe60d7879,
+            0xcdd11ef2fbcbf601,
+            0x945a0e4383cf1098,
+            0x92583080f4f140d6,
+            0x434b15d3557b5530,
+            0xa9deea5564730427,
+            0x94c7b4d93f29edd4,
+            0xcae50345bf770c50,
+            0x668669f2f0de411f,
+            0xd0f6ceee1ec2bcab,
+            0x06af672221506c42,
+            0x3c2ae9dfc5e4b676,
+            0x740de9f2b26828c0,
+            0xa8ac880be46972ef,
+            0x3bde67474a9a9efc,
+            0xe8cd4c7fda11bb03,
+            0x602c61ac8f9d4c02,
+            0x307a065045689cb2,
+            0x70e0361100db1e5a,
+            0xc0d466789c72bdc8,
+            0x7caff428f9f1c916,
+            0x1b392f7a68427733,
+            0x70e0361100db1e5a,
+            0xe8c78c17d5eeccb6,
+            0x8d94d0ee4d002905,
+            0xc8fc0c7d70dd90d5,
+            0x8cf8c726181bef3a,
+            0x1bb22dd79b056e94,
+            0x4abd04ed703f7b23,
+            0xc9bc7fd28818aa9b,
+            0x8cf8c726181bef3a,
+            0xc5ea2cbcb9949b7c,
+        ],
+    );
+}
+
+/// 3,000 rows whose numeric group columns hold 9, 10 and −1 (`n` as
+/// integers, `f` as floats), beside a string column `g`.
+fn numeric_cells_engine() -> NeedleTail {
+    let mut b = TableBuilder::new(Schema::new(vec![
+        ColumnDef::new("g", DataType::Str),
+        ColumnDef::new("n", DataType::Int),
+        ColumnDef::new("f", DataType::Float),
+        ColumnDef::new("delay", DataType::Float),
+    ]));
+    let mut rng = StdRng::seed_from_u64(3302);
+    for _ in 0..3_000 {
+        let n = [9, 10, -1][rng.gen_range(0..3)];
+        let f = [9.0, 10.0, -1.0][rng.gen_range(0..3)];
+        let delay = (40.0 + 3.0 * n as f64 + rng.gen_range(-30.0..30.0)).clamp(0.0, 100.0);
+        b.push_row(vec![
+            ["b", "a"][rng.gen_range(0..2)].into(),
+            Value::Int(n),
+            f.into(),
+            delay.into(),
+        ]);
+    }
+    NeedleTail::new(b.finish(), &["g"]).unwrap()
+}
+
+/// Cells are ordered by the tuple of their values' display strings, so
+/// `10` sorts before `9` and `-1` before both.
+#[test]
+fn numeric_cell_labels_and_runs_are_pinned() {
+    let engine = numeric_cells_engine();
+    let mut labels = Vec::new();
+    let mut got = Vec::new();
+    for group_by in [&["g", "n"][..], &["n", "g"], &["f", "n"]] {
+        for (i, filter) in [Predicate::True, Predicate::eq("g", "a")]
+            .iter()
+            .enumerate()
+        {
+            let handles = engine
+                .group_handles_multi(group_by, "delay", filter)
+                .unwrap();
+            labels.push(
+                handles
+                    .iter()
+                    .map(|h| h.label().to_string())
+                    .collect::<Vec<_>>()
+                    .join(","),
+            );
+            for mode in [
+                SamplingMode::WithoutReplacement,
+                SamplingMode::WithReplacement,
+            ] {
+                got.push(run_handles(
+                    handles.clone(),
+                    Agg::Avg,
+                    mode,
+                    16,
+                    90 + i as u64,
+                ));
+            }
+        }
+    }
+    assert_eq!(
+        labels,
+        [
+            "a|-1,a|10,a|9,b|-1,b|10,b|9",
+            "a|-1,a|10,a|9",
+            "-1|a,-1|b,10|a,10|b,9|a,9|b",
+            "-1|a,10|a,9|a",
+            "-1|-1,-1|10,-1|9,10|-1,10|10,10|9,9|-1,9|10,9|9",
+            "-1|-1,-1|10,-1|9,10|-1,10|10,10|9,9|-1,9|10,9|9",
+        ]
+    );
+    assert_pinned(
+        "numeric cells",
+        &got,
+        &[
+            0xc03ecd2449cce2e4,
+            0x739e8c98718aa97c,
+            0xd6f35ac3a3a24a09,
+            0x5507e6e37a14e468,
+            0x4865cd8344690cd7,
+            0x1cc2968571e2693a,
+            0x28bd4c03c6e1417d,
+            0xc973b6de4866152c,
+            0xb75c847009d2a7ae,
+            0xd0004047c865f152,
+            0xea9a06fbca9b28fd,
+            0x857942bc88705f50,
         ],
     );
 }
