@@ -1,9 +1,9 @@
-//! A small bounded LRU map for the engine's planning caches.
+//! A small bounded LRU map for the engine's plan cache.
 //!
-//! The engine caches ready group plans and composite indexes per immutable
-//! table ([`crate::engine::NeedleTail`]); both caches are tiny (64 and 8
-//! entries) but must not grow without bound under an adversarial stream
-//! of distinct queries. This map is the minimal structure that serves: a
+//! The engine caches ready group plans per immutable table
+//! ([`crate::engine::NeedleTail`]); the cache is tiny (64 entries) but must
+//! not grow without bound under an adversarial stream of distinct
+//! queries. This map is the minimal structure that serves: a
 //! `HashMap` tagged with a monotone use tick, evicting the
 //! least-recently-used entry on overflow. Eviction is an `O(capacity)`
 //! scan — at the capacities the engine uses (≤ 64) that is a few cache

@@ -10,7 +10,6 @@
 
 use crate::bitmap::Bitmap;
 use crate::cache::LruCache;
-use crate::composite::CompositeIndex;
 use crate::fault::{FaultInjector, FaultSite};
 use crate::index::BitmapIndex;
 use crate::metrics::Metrics;
@@ -64,10 +63,6 @@ impl std::error::Error for EngineError {}
 /// outright.
 const PLAN_CACHE_CAPACITY: usize = 64;
 
-/// Distinct multi-attribute group-by column sets whose composite indexes
-/// are retained.
-const COMPOSITE_CACHE_CAPACITY: usize = 8;
-
 /// Selectivity cutover for filtered group plans: when the smaller operand
 /// of `group ∧ predicate` has at most `table_rows / 64` ones, the plan
 /// stores the intersection as a sorted-position **view**
@@ -78,16 +73,18 @@ const COMPOSITE_CACHE_CAPACITY: usize = 8;
 /// replaces, its construction touches `O(min(|group|, |predicate|))` rows
 /// rather than `O(table)` words, and `select(k)` becomes a direct index —
 /// below the cutover the view wins on every axis, above it the fused
-/// word-AND materialization does.
+/// word-AND materialization does. Multi-column cells apply the same rule
+/// to their exact size.
 const VIEW_CUTOVER_DENSITY: u64 = 64;
 
 /// Cache key for one planned group-by: the group columns plus the
 /// predicate's canonical form ([`Predicate::canonical_key`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
-    /// Single-attribute index path vs composite-cell path. The two label
-    /// groups differently (composite cells join values with `|`) even over
-    /// one column, so they must not share entries.
+    /// Single-attribute index path vs multi-column cell path. The two
+    /// label and order groups differently (cells join display strings with
+    /// `|` and sort by them) even over one column, so they must not share
+    /// entries.
     multi: bool,
     group_cols: Vec<String>,
     predicate: String,
@@ -137,27 +134,24 @@ fn lock<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The engine's table is immutable for its lifetime, so every planning
 /// artifact is cacheable forever with **no invalidation story beyond the
 /// engine's own drop** — the same contract as the per-column maxima behind
-/// [`NeedleTail::column_max`]. Two interior caches (each behind its own
-/// lock; the engine stays shareable by `&`) make repeat-query planning
-/// near-O(1):
+/// [`NeedleTail::column_max`]. One interior cache (behind a lock; the
+/// engine stays shareable by `&`) makes repeat-query planning near-O(1):
+/// **group plans** (64 entries), keyed by `(group columns, canonical
+/// predicate)` — the labels and per-group eligible-row sets
+/// ([`NeedleTail::group_handles`] / [`NeedleTail::group_handles_multi`]).
+/// [`Predicate::canonical_key`] flattens and sorts `AND`/`OR` chains, so
+/// every spelling of a dashboard's shared filter hits one entry. A warm hit
+/// hands back shared [`RowSet`]s: no predicate evaluation, no per-group
+/// intersection, no table-sized copies — fresh sampler state over shared
+/// rows.
 ///
-/// * **Group plans** (64 entries), keyed by `(group columns, canonical
-///   predicate)` — the labels and per-group eligible-row sets
-///   ([`NeedleTail::group_handles`] / [`NeedleTail::group_handles_multi`]).
-///   [`Predicate::canonical_key`] flattens and sorts `AND`/`OR` chains, so
-///   every spelling of a dashboard's shared filter hits one entry. A warm
-///   hit hands back shared [`RowSet`]s: no predicate evaluation, no
-///   per-group intersection, no table-sized copies — fresh sampler state
-///   over shared rows.
-/// * **Composite indexes** (8 entries), keyed by the group-by column list
-///   (the §6.3.4 joint indexes, formerly rebuilt on every multi-attribute
-///   query).
-///
-/// There is no predicate-bitmap cache: the plan key already holds the
-/// canonical predicate, so such a cache would only be consulted on a plan
-/// miss for a key population the plan cache already covers. A plan miss
-/// under a new group-by pays one predicate evaluation, which is small
-/// beside the per-group intersections it pays anyway.
+/// Nothing under the plan cache is cached again. The plan key already holds
+/// the canonical predicate, so a predicate-bitmap cache would only be
+/// consulted on a plan miss for a key population the plan cache already
+/// covers; a plan miss under a new group-by pays one predicate evaluation,
+/// which is small beside the per-group work it pays anyway. Multi-column
+/// cells are planned in one pass over the qualifying rows, with no joint
+/// index to keep.
 ///
 /// Groups of the clustered column (the first indexed one, see
 /// [`NeedleTail::new`]) are row ranges `[s_g, e_g)`, so they plan without
@@ -166,18 +160,18 @@ fn lock<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
 /// `rank(s_g)..rank(e_g)` of the one shared predicate bitmap. A cold plan
 /// costs at most two `rank` calls per group and copies nothing.
 ///
-/// Group-bys on other columns, and composite cells, intersect each group
-/// with the predicate and choose between a fused word-AND materialization
-/// and a sorted-position intersection view by selectivity: below one
-/// eligible row per 64 rows of table (`VIEW_CUTOVER_DENSITY`) the view is
-/// smaller *and* faster to build and select from; above it the fused
-/// word-AND wins. Every shape exposes the same row set, and
-/// cached plans share the very sets the cold plan built, so **fixed-seed
-/// results are byte-identical cold or warm** — regression-tested in
-/// `tests/plan_cache.rs`.
+/// Group-bys on other columns intersect each group with the predicate and
+/// choose between a fused word-AND materialization and a sorted-position
+/// intersection view by selectivity: below one eligible row per 64 rows of
+/// table (`VIEW_CUTOVER_DENSITY`) the view is smaller *and* faster to build
+/// and select from; above it the fused word-AND wins. Multi-column cells
+/// apply the same cutover to each cell's exact size. Every shape exposes
+/// the same row set, and cached plans share the very sets the cold plan
+/// built, so **fixed-seed results are byte-identical cold or warm** —
+/// regression-tested in `tests/plan_cache.rs`.
 ///
-/// All caches are LRU-bounded; [`NeedleTail::clear_plan_caches`] drops
-/// them (memory pressure, tests) at no correctness cost.
+/// The cache is LRU-bounded; [`NeedleTail::clear_plan_caches`] drops it
+/// (memory pressure, tests) at no correctness cost.
 #[derive(Debug)]
 pub struct NeedleTail {
     table: Arc<Table>,
@@ -196,8 +190,6 @@ pub struct NeedleTail {
     /// Ready group plans by `(group-by, canonical predicate)` (see the
     /// [planning-caches](#planning-caches) docs).
     plans: Mutex<LruCache<PlanKey, Arc<CachedPlan>>>,
-    /// Composite (multi-attribute) indexes by column list.
-    composites: Mutex<LruCache<Vec<String>, Arc<CompositeIndex>>>,
     /// Fault injector consulted on every sampled-row read (see
     /// [`crate::fault`]). Captured by handles at build time, so installing
     /// or clearing an injector affects only handles built afterwards.
@@ -221,7 +213,7 @@ impl NeedleTail {
     ///
     /// Group-bys on the clustered column draw exactly what they drew
     /// before clustering, filtered or not: rank `r` of a group (or of a
-    /// filtered group, or of a composite cell led by that column) still
+    /// filtered group, or of a multi-column cell led by that column) still
     /// resolves to the same original row. A group-by on any other column
     /// sees its rows in a different order, so its fixed-seed draws differ,
     /// but not their distribution: the map from a group's rank to its row
@@ -260,7 +252,6 @@ impl NeedleTail {
             metrics: Arc::new(Metrics::new()),
             column_maxima,
             plans: Mutex::new(LruCache::new(PLAN_CACHE_CAPACITY)),
-            composites: Mutex::new(LruCache::new(COMPOSITE_CACHE_CAPACITY)),
             faults: None,
         })
     }
@@ -349,13 +340,11 @@ impl NeedleTail {
         Arc::new(predicate.evaluate(&self.table, &self.indexes))
     }
 
-    /// Drops both planning caches (group plans, composite indexes).
-    /// Purely a memory-pressure/benchmarking valve: the caches are
-    /// repopulated on demand and carry no correctness state, since the
-    /// underlying table is immutable.
+    /// Drops the plan cache. Purely a memory-pressure/benchmarking valve:
+    /// the cache is repopulated on demand and carries no correctness
+    /// state, since the underlying table is immutable.
     pub fn clear_plan_caches(&self) {
         lock(&self.plans).clear();
-        lock(&self.composites).clear();
     }
 
     /// Resolves every column `predicate` names against the schema, so
@@ -569,72 +558,107 @@ impl NeedleTail {
     }
 
     /// Builds one [`GroupHandle`] per cell of a multi-attribute group-by
-    /// (§6.3.4), via a joint [`crate::composite::CompositeIndex`] over
-    /// `group_cols`. Cell labels join the attribute values with `|`.
+    /// (§6.3.4): each distinct tuple of `group_cols` values among the rows
+    /// satisfying `predicate`. Cell labels join the values' display strings
+    /// with `|`, and cells come in ascending order of that string tuple (so
+    /// `10` sorts before `9`). Any number of columns works; the wire
+    /// protocol caps it at two.
     ///
-    /// The joint index is built once per column list and retained; cell
-    /// plans go through the same plan cache and selectivity cutover as the
+    /// A cold plan is one pass over the qualifying rows, keyed by each
+    /// row's tuple of [`Table::group_code`]s, and needs no index on
+    /// `group_cols`. Plans go through the same plan cache as the
     /// single-attribute path, with the same byte-identical warm-plan
     /// guarantee.
     ///
     /// # Errors
     ///
-    /// Returns an error if any column is missing, if `agg_col` is
-    /// non-numeric, or if `predicate` ranges over a string column.
+    /// Returns [`EngineError::InvalidQuery`] if `group_cols` is empty, and
+    /// an error if any column is missing, if `agg_col` is non-numeric, or
+    /// if `predicate` names a missing column or ranges over a string one.
     pub fn group_handles_multi(
         &self,
         group_cols: &[&str],
         agg_col: &str,
         predicate: &Predicate,
     ) -> Result<Vec<GroupHandle>, EngineError> {
-        for col in group_cols {
-            if self.table.schema().column_index(col).is_none() {
-                return Err(EngineError::NoSuchColumn((*col).to_owned()));
-            }
+        if group_cols.is_empty() {
+            return Err(EngineError::InvalidQuery(
+                "a multi-attribute group-by needs at least one column".to_owned(),
+            ));
         }
+        let cols = group_cols
+            .iter()
+            .map(|col| {
+                let idx = self.table.schema().column_index(col);
+                idx.ok_or_else(|| EngineError::NoSuchColumn((*col).to_owned()))
+            })
+            .collect::<Result<Vec<usize>, _>>()?;
         let agg_idx = self.numeric_column(agg_col)?;
-        let owned_cols: Vec<String> = group_cols.iter().map(|c| (*c).to_owned()).collect();
         let key = PlanKey {
             multi: true,
-            group_cols: owned_cols.clone(),
+            group_cols: group_cols.iter().map(|c| (*c).to_owned()).collect(),
             predicate: predicate.canonical_key(),
         };
         let plan = self.plan_for(key, || {
-            let pred_bitmap = self.plan_filter(predicate)?;
-            let joint = self.composite_index(&owned_cols, group_cols);
-            let mut groups = Vec::with_capacity(joint.cell_count());
-            for cell in joint.cells() {
-                #[expect(clippy::expect_used, reason = "cells() lists only present keys")]
-                let base = joint
-                    .shared_bitmap_for(&cell)
-                    .expect("cell listed by index");
-                if let Some(rows) = self.intersect_rows(base, pred_bitmap.as_ref()) {
-                    let label = cell
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join("|");
-                    groups.push((Value::Str(label), rows));
-                }
-            }
-            Ok(groups)
+            let filter = self.plan_filter(predicate)?;
+            Ok(self.cells(&cols, filter.as_deref()))
         })?;
         Ok(self.handles_from_plan(&plan, agg_idx))
     }
 
-    /// The composite index over `cols`, built on first use and served from
-    /// the engine's composite cache afterwards.
-    fn composite_index(&self, cols: &[String], raw_cols: &[&str]) -> Arc<CompositeIndex> {
-        if let Some(hit) = lock(&self.composites).get(&cols.to_vec()) {
-            self.metrics.add_composite_cache_lookup(true);
-            return Arc::clone(hit);
+    /// The cells of a group-by over the columns `cols`, planned in one pass
+    /// over the rows `filter` admits (every row without one). A row's cell
+    /// is its tuple of [`Table::group_code`]s, and rows are visited in
+    /// ascending order, so each cell's row list comes out sorted. Cells are
+    /// ordered and labelled by their values' display strings, and each is
+    /// stored by [`VIEW_CUTOVER_DENSITY`] applied to its exact size: sorted
+    /// positions below the cutover, a bitmap above it.
+    fn cells(&self, cols: &[usize], filter: Option<&Bitmap>) -> Vec<(Value, RowSet)> {
+        let table = &*self.table;
+        let universe = table.row_count();
+        let mut cell_of: HashMap<Vec<u64>, usize> = HashMap::new();
+        let mut cells: Vec<Vec<u64>> = Vec::new();
+        let mut key = Vec::with_capacity(cols.len());
+        let mut visit = |row: u64| {
+            key.clear();
+            key.extend(cols.iter().map(|&col| table.group_code(row, col)));
+            let cell = match cell_of.get(key.as_slice()) {
+                Some(&cell) => cell,
+                None => {
+                    cell_of.insert(key.clone(), cells.len());
+                    cells.push(Vec::new());
+                    cells.len() - 1
+                }
+            };
+            cells[cell].push(row);
+        };
+        match filter {
+            Some(bits) => bits.iter_ones().for_each(&mut visit),
+            None => (0..universe).for_each(&mut visit),
         }
-        self.metrics.add_composite_cache_lookup(false);
-        // Built outside the lock: concurrent first builds duplicate work
-        // harmlessly rather than blocking every planner.
-        let built = Arc::new(CompositeIndex::build(&self.table, raw_cols));
-        lock(&self.composites).insert(cols.to_vec(), Arc::clone(&built));
-        built
+        let mut labelled: Vec<(Vec<String>, Vec<u64>)> = cells
+            .into_iter()
+            .map(|rows| {
+                let values = cols.iter().map(|&col| table.value(rows[0], col));
+                (values.map(|v| v.to_string()).collect(), rows)
+            })
+            .collect();
+        labelled.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        labelled
+            .into_iter()
+            .map(|(strings, mut rows)| {
+                let set = if (rows.len() as u64).saturating_mul(VIEW_CUTOVER_DENSITY) <= universe {
+                    rows.shrink_to_fit();
+                    RowSet::Positions {
+                        positions: Arc::new(rows),
+                        universe,
+                    }
+                } else {
+                    RowSet::from_bitmap(Bitmap::from_sorted_positions(&rows, universe))
+                };
+                (Value::Str(strings.join("|")), set)
+            })
+            .collect()
     }
 
     /// Builds one [`SizedGroupHandle`] per distinct value of `group_col`
@@ -1026,7 +1050,7 @@ mod tests {
     fn default_cache_capacities_are_pinned() {
         // The committed sizes are part of the serving contract: changing
         // them must be a deliberate decision, not a side effect.
-        assert_eq!((PLAN_CACHE_CAPACITY, COMPOSITE_CACHE_CAPACITY), (64, 8));
+        assert_eq!(PLAN_CACHE_CAPACITY, 64);
     }
 
     #[test]
@@ -1469,6 +1493,80 @@ mod tests {
     }
 
     #[test]
+    fn multi_group_by_rejects_an_empty_column_list() {
+        let engine = NeedleTail::new(flights(), &["name"]).unwrap();
+        assert!(matches!(
+            engine.group_handles_multi(&[], "delay", &Predicate::True),
+            Err(EngineError::InvalidQuery(_))
+        ));
+    }
+
+    #[test]
+    fn multi_group_by_cells_are_intersections_of_their_values() {
+        // Three columns of mixed type, one row in 200 in a rare cell: each
+        // cell holds exactly the rows of its value tuple, as the AND of the
+        // single-column index bitmaps, stored as positions below the
+        // cutover and as a bitmap above it.
+        let mut b = TableBuilder::new(Schema::new(vec![
+            ColumnDef::new("name", DataType::Str),
+            ColumnDef::new("bucket", DataType::Int),
+            ColumnDef::new("flag", DataType::Float),
+            ColumnDef::new("delay", DataType::Float),
+        ]));
+        for i in 0..4_000u32 {
+            let rare = i % 200 == 0;
+            let name = if rare {
+                "ZZ"
+            } else {
+                ["AA", "JB"][(i % 2) as usize]
+            };
+            b.push_row(vec![
+                name.into(),
+                Value::Int(i64::from(i % 3) - 1),
+                f64::from(u8::from(rare)).into(),
+                f64::from(i % 97).into(),
+            ]);
+        }
+        let columns = ["name", "bucket", "flag"];
+        let engine = NeedleTail::new(b.finish(), &columns).unwrap();
+        let cells = engine
+            .group_handles_multi(&columns, "delay", &Predicate::True)
+            .unwrap();
+        assert_eq!(cells.len(), 9, "AA and JB with flag 0, ZZ with flag 1");
+        for cell in &cells {
+            let label = cell.label().to_string();
+            let parts: Vec<&str> = label.split('|').collect();
+            let values = [
+                Value::from(parts[0]),
+                Value::Int(parts[1].parse().unwrap()),
+                Value::Float(parts[2].parse().unwrap()),
+            ];
+            let mut expect = engine
+                .index("name")
+                .unwrap()
+                .bitmap_for(&values[0])
+                .unwrap()
+                .clone();
+            for (col, value) in columns.iter().zip(&values).skip(1) {
+                expect = expect.and(engine.index(col).unwrap().bitmap_for(value).unwrap());
+            }
+            let rows = cell.sampler.rows();
+            assert_eq!(
+                rows.iter_ones().collect::<Vec<_>>(),
+                expect.iter_ones().collect::<Vec<_>>(),
+                "cell {label}"
+            );
+            let sparse = rows.count_ones() * VIEW_CUTOVER_DENSITY <= 4_000;
+            assert_eq!(sparse, parts[0] == "ZZ", "cell {label}");
+            assert_eq!(
+                matches!(rows, RowSet::Positions { .. }),
+                sparse,
+                "cell {label}"
+            );
+        }
+    }
+
+    #[test]
     fn multi_group_by_nontrivial_predicates_and_cached_reuse() {
         // Joint cells under a conjunction of an equality and a range,
         // checked cell by cell against the row-level predicate oracle —
@@ -1503,8 +1601,8 @@ mod tests {
                 rows.iter().map(|&r| table.float_value(r, 2)).sum::<f64>() / rows.len() as f64;
             assert!((h.exact_mean().unwrap() - mean).abs() < 1e-9);
         }
-        // Cached reuse: the second identical call (plan cache hit, joint
-        // index reused) replays cold fixed-seed draws bit for bit.
+        // Cached reuse: the second identical call (a plan cache hit)
+        // replays cold fixed-seed draws bit for bit.
         let mut warm = engine
             .group_handles_multi(&["name", "year"], "delay", &predicate)
             .unwrap();

@@ -34,11 +34,10 @@
 //!   through a reusable per-sampler scratch arena — allocation-free at
 //!   steady state, radix-sorted above [`RADIX_MIN_BATCH`]).
 //! * [`engine`] — the [`engine::NeedleTail`] façade tying it together,
-//!   including the zero-copy planning caches (shared `Arc` bitmaps, a plan
-//!   cache keyed by group-by and canonical predicate form handing back
-//!   ready group row sets, and a composite-index cache — repeat-query
-//!   planning is near-O(1) and allocation-light).
-//! * [`cache`] — the small bounded LRU map those caches use.
+//!   including its one planning cache (a plan cache keyed by group-by and
+//!   canonical predicate form handing back ready, shared group row sets —
+//!   repeat-query planning is near-O(1) and allocation-light).
+//! * [`cache`] — the small bounded LRU map behind that cache.
 //! * [`codec`] — the one bounded little-endian byte codec under the table
 //!   file ([`storage`]), the session checkpoint and the wire frame.
 //! * [`scan`] — the `SCAN` baseline: a full sequential pass computing exact
@@ -59,7 +58,6 @@
 pub mod bitmap;
 pub mod cache;
 pub mod codec;
-pub mod composite;
 pub mod csv;
 pub mod disk;
 pub mod engine;
@@ -76,7 +74,6 @@ pub mod table;
 pub mod value;
 
 pub use bitmap::Bitmap;
-pub use composite::CompositeIndex;
 pub use csv::{read_csv, CsvError, CsvOptions};
 pub use disk::SimulatedDisk;
 pub use engine::{EngineError, GroupHandle, NeedleTail, SizedGroupHandle};

@@ -17,8 +17,6 @@ pub struct Metrics {
     faulted_reads: AtomicU64,
     plan_cache_hits: AtomicU64,
     plan_cache_misses: AtomicU64,
-    composite_cache_hits: AtomicU64,
-    composite_cache_misses: AtomicU64,
 }
 
 /// A point-in-time copy of the counters.
@@ -47,9 +45,12 @@ pub struct MetricsSnapshot {
     pub plan_cache_hits: u64,
     /// Group-plan LRU misses (the plan was built cold and cached).
     pub plan_cache_misses: u64,
-    /// Composite (multi-attribute) index LRU hits.
+    /// Always 0: multi-attribute group-bys plan in one pass over the
+    /// qualifying rows and keep no composite index. Kept so readers of
+    /// this field keep compiling.
     pub composite_cache_hits: u64,
-    /// Composite index LRU misses (the joint index was built and cached).
+    /// Always 0, like
+    /// [`composite_cache_hits`](MetricsSnapshot::composite_cache_hits).
     pub composite_cache_misses: u64,
 }
 
@@ -89,15 +90,6 @@ impl Metrics {
         }
     }
 
-    /// Records one composite-index cache lookup (`hit` says which way).
-    pub fn add_composite_cache_lookup(&self, hit: bool) {
-        if hit {
-            self.composite_cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.composite_cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Reads the current counter values.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -110,8 +102,8 @@ impl Metrics {
             predicate_cache_misses: 0,
             plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
             plan_cache_misses: self.plan_cache_misses.load(Ordering::Relaxed),
-            composite_cache_hits: self.composite_cache_hits.load(Ordering::Relaxed),
-            composite_cache_misses: self.composite_cache_misses.load(Ordering::Relaxed),
+            composite_cache_hits: 0,
+            composite_cache_misses: 0,
         }
     }
 
@@ -123,8 +115,6 @@ impl Metrics {
         self.faulted_reads.store(0, Ordering::Relaxed);
         self.plan_cache_hits.store(0, Ordering::Relaxed);
         self.plan_cache_misses.store(0, Ordering::Relaxed);
-        self.composite_cache_hits.store(0, Ordering::Relaxed);
-        self.composite_cache_misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -150,10 +140,9 @@ mod tests {
         let m = Metrics::new();
         m.add_plan_cache_lookup(false);
         m.add_plan_cache_lookup(true);
-        m.add_composite_cache_lookup(false);
         let s = m.snapshot();
         assert_eq!((s.plan_cache_hits, s.plan_cache_misses), (1, 1));
-        assert_eq!((s.composite_cache_hits, s.composite_cache_misses), (0, 1));
+        assert_eq!((s.composite_cache_hits, s.composite_cache_misses), (0, 0));
     }
 
     #[test]

@@ -170,6 +170,24 @@ impl Table {
         }
     }
 
+    /// A code that tells column `col_idx`'s distinct values apart at
+    /// `row`: a string's dictionary code, an integer's two's-complement
+    /// bits, a float's bits (NaN is never stored, and `-0.0` stays apart
+    /// from `0.0`). One-pass group-bys key rows by it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row or column is out of range.
+    #[must_use]
+    pub fn group_code(&self, row: u64, col_idx: usize) -> u64 {
+        let row = Self::row_idx(row);
+        match &self.columns[col_idx] {
+            ColumnData::Int(v) => v[row] as u64,
+            ColumnData::Float(v) => v[row].to_bits(),
+            ColumnData::Str { codes, .. } => u64::from(codes[row]),
+        }
+    }
+
     /// The dictionary of a string column.
     ///
     /// # Panics

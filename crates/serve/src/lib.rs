@@ -64,7 +64,7 @@
 //! | `0x02` | Answer | `u8` outcome, `u64` population, `u8` truncated, `u32` k + k×string labels, k×`u64` estimate bits, k×`u64` samples per group, `u64` rounds |
 //! | `0x03` | Error | `u8` code (1 malformed / 2 invalid query / 3 over capacity / 4 shutting down / 5 no such token), string message |
 //! | `0x04` | Evicted | `u64` resident bytes at eviction |
-//! | `0x05` | Stats | 19×`u64`: admitted, completed, cancelled, rejected, frames sent, frames dropped, active clients, hit/miss pairs for the predicate (always 0, slot kept), plan, and composite caches, then parked, resumed, expired, parked-now, parked bytes, scheduler restarts |
+//! | `0x05` | Stats | 19×`u64`: admitted, completed, cancelled, rejected, frames sent, frames dropped, active clients, hit/miss pairs for the predicate cache (always 0, slot kept), the plan cache, and the composite cache (always 0, slot kept), then parked, resumed, expired, parked-now, parked bytes, scheduler restarts |
 //! | `0x06` | Parked | `u64` resume token (never 0) |
 //!
 //! A snapshot (inside `0x01`) is: `u32` k + k×string labels, k×`u64`

@@ -466,7 +466,9 @@ pub struct WireStats {
     pub predicate_cache: (u64, u64),
     /// Engine group-plan cache hits / misses (lifetime totals).
     pub plan_cache: (u64, u64),
-    /// Engine composite-index cache hits / misses.
+    /// Always `(0, 0)`: the engine keeps no composite index (multi-column
+    /// group-bys plan in one pass). The slot is kept so the STATS frame
+    /// layout does not change.
     pub composite_cache: (u64, u64),
     /// Sessions parked on client disconnect (lifetime total).
     pub sessions_parked: u64,

@@ -30,11 +30,10 @@
 //!
 //! **Excluded by design:** every piece of algorithm and sampler state
 //! (estimators, activity flags, ε bookkeeping, permutation keys —
-//! all reproduced by the replay) and the engine's planning caches
-//! (group plans, composite indexes). Resume re-plans
-//! through the normal path, so a checkpoint taken on one server restores
-//! correctly on a restarted server with cold caches — only latency
-//! differs, never results. The checksum detects a *differently shaped or
+//! all reproduced by the replay) and the engine's plan cache. Resume
+//! re-plans through the normal path, so a checkpoint taken on one server
+//! restores correctly on a restarted server with a cold cache — only
+//! latency differs, never results. The checksum detects a *differently shaped or
 //! sized* replay; it is not a table-identity stamp, and a resume against
 //! different data that happens to draw the same number of samples is not
 //! detected.

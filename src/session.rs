@@ -167,14 +167,14 @@ impl SessionEngine for ExactCount {
     }
 }
 
-/// How the engine's planning caches treated one query's planning phase:
-/// per-cache hit/miss deltas captured around
+/// How the engine's plan cache treated one query's planning phase: the
+/// hit/miss deltas captured around
 /// [`crate::VizQuery::start`] / [`crate::VizQuery::execute`] planning.
 ///
 /// A warm repeat of a seen query plans entirely from cache
 /// (`plan_hits > 0`, zero misses); a cold or cache-evicted plan shows the
 /// misses instead. A serving layer watches these to see when workload
-/// filter diversity outruns the LRUs — silently paying cold-plan cost on
+/// filter diversity outruns the LRU — silently paying cold-plan cost on
 /// every request — rather than guessing from latency. Deltas are read
 /// from the engine's shared [`rapidviz_needletail::MetricsSnapshot`], so
 /// if several queries plan concurrently on one engine each delta may
@@ -185,10 +185,6 @@ pub struct PlanCacheStats {
     pub plan_hits: u64,
     /// Group-plan LRU misses (plan built cold).
     pub plan_misses: u64,
-    /// Composite-index LRU hits (multi-attribute group-bys only).
-    pub composite_hits: u64,
-    /// Composite-index LRU misses.
-    pub composite_misses: u64,
 }
 
 impl PlanCacheStats {
@@ -206,8 +202,6 @@ impl PlanCacheStats {
         Self {
             plan_hits: d(after.plan_cache_hits, before.plan_cache_hits),
             plan_misses: d(after.plan_cache_misses, before.plan_cache_misses),
-            composite_hits: d(after.composite_cache_hits, before.composite_cache_hits),
-            composite_misses: d(after.composite_cache_misses, before.composite_cache_misses),
         }
     }
 
@@ -215,9 +209,7 @@ impl PlanCacheStats {
     /// a single miss.
     #[must_use]
     pub fn fully_warm(&self) -> bool {
-        self.plan_misses == 0
-            && self.composite_misses == 0
-            && (self.plan_hits > 0 || self.composite_hits > 0)
+        self.plan_misses == 0 && self.plan_hits > 0
     }
 }
 

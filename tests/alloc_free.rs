@@ -439,3 +439,43 @@ fn filtered_clustered_group_batches_are_allocation_free_at_steady_state() {
         );
     }
 }
+
+#[test]
+fn cold_multi_column_plans_request_bytes_linear_in_rows() {
+    // 14 × 40 = 560 cells over ~100k rows. A joint index with a
+    // table-length bitmap per cell would request about
+    // 560 · rows · 9/64 bytes (≈ 8 MB) before the plan itself; one pass
+    // over the rows requests a few row ids' worth per row, however many
+    // cells there are.
+    let mut b = TableBuilder::new(Schema::new(vec![
+        ColumnDef::new("name", DataType::Str),
+        ColumnDef::new("origin", DataType::Str),
+        ColumnDef::new("v", DataType::Float),
+    ]));
+    let mut rng = StdRng::seed_from_u64(8);
+    let rows = 100_000u64;
+    for _ in 0..rows {
+        b.push_row(vec![
+            format!("A{:02}", rng.gen_range(0..14)).into(),
+            format!("O{:02}", rng.gen_range(0..40)).into(),
+            rng.gen_range(0.0..100.0).into(),
+        ]);
+    }
+    let engine = NeedleTail::new(b.finish(), &["name", "origin"]).unwrap();
+    let per_row_budget = 48;
+    for columns in [["name", "origin"], ["origin", "name"]] {
+        engine.clear_plan_caches();
+        let bytes = alloc_bytes_during(|| {
+            let cells = engine
+                .group_handles_multi(&columns, "v", &Predicate::True)
+                .unwrap();
+            assert_eq!(cells.len(), 560);
+            std::hint::black_box(&cells);
+        });
+        assert!(
+            bytes < rows * per_row_budget,
+            "{columns:?}: a cold plan requested {bytes} bytes for {rows} rows \
+             (> {per_row_budget}/row) — something scales with cells × rows"
+        );
+    }
+}
