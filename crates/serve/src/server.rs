@@ -93,6 +93,11 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Socket write timeout on every connection: bounds how long a
+/// terminal-frame send can wedge on a stalled client before that client is
+/// declared dead.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -120,9 +125,6 @@ pub struct ServerConfig {
     /// rarer; tests wanting a complete round stream set this high and
     /// assert [`ServerStats::frames_dropped_slow`] stayed zero.
     pub frame_queue: usize,
-    /// Socket write timeout — bounds how long a terminal-frame send can
-    /// wedge on a stalled client before that client is declared dead.
-    pub write_timeout: Duration,
     /// How long a parked session stays resumable after its client
     /// disconnects (or the server drains). Must be positive.
     pub park_ttl: Duration,
@@ -148,7 +150,6 @@ impl Default for ServerConfig {
             session_memory_cap: None,
             per_client_max_samples: 200_000,
             frame_queue: 64,
-            write_timeout: Duration::from_secs(5),
             park_ttl: Duration::from_secs(120),
             park_byte_cap: None,
             enable_crash: false,
@@ -218,10 +219,7 @@ impl ServerStats {
                 engine_metrics.plan_cache_hits,
                 engine_metrics.plan_cache_misses,
             ),
-            composite_cache: (
-                engine_metrics.composite_cache_hits,
-                engine_metrics.composite_cache_misses,
-            ),
+            composite_cache: (0, 0),
             sessions_parked: self.sessions_parked.load(Ordering::Relaxed),
             sessions_resumed: self.sessions_resumed.load(Ordering::Relaxed),
             sessions_expired: parking.expired_total,
@@ -1028,7 +1026,7 @@ fn accept_loop(
 }
 
 fn reject_over_capacity(mut stream: TcpStream, config: &ServerConfig, stats: &ServerStats) {
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let frame = Frame::Error {
         code: ErrorCode::OverCapacity,
         message: format!("server is at its {}-client capacity", config.max_clients),
@@ -1054,7 +1052,7 @@ fn client_loop(
     let (config, stats) = (&shared.config, &*shared.stats);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let mut reader = LineReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
