@@ -89,13 +89,16 @@ pub enum QueryKind {
 /// by `g`, its first indexed column, so `g` groups (and `(g, g2)` cells,
 /// whose rows follow `g`'s) keep the draws they had before clustering;
 /// `g2` alone is grouped the way every other column is, through per-group
-/// intersections over rows the clustering moved.
+/// intersections over rows the clustering moved, and `(g2, g)` cells are
+/// planned in one pass over those rows like every multi-column group-by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupBy {
     /// `g`.
     G,
     /// `(g, g2)`.
     GThenG2,
+    /// `(g2, g)`: a multi-column group-by not led by the clustered column.
+    G2ThenG,
     /// `g2`.
     G2,
 }
@@ -107,16 +110,20 @@ impl GroupBy {
         match self {
             GroupBy::G => &["g"],
             GroupBy::GThenG2 => &["g", "g2"],
+            GroupBy::G2ThenG => &["g2", "g"],
             GroupBy::G2 => &["g2"],
         }
     }
 
-    /// Draws a group-by: `(g, g2)` with probability `multi`, `g2` alone
-    /// with probability `other`, else `g`.
+    /// Draws a group-by: a two-column one with probability `multi` (either
+    /// order, equally likely), `g2` alone with probability `other`, else
+    /// `g`.
     pub(crate) fn draw(rng: &mut impl Rng, multi: f64, other: f64) -> Self {
         let u: f64 = rng.gen_range(0.0..1.0);
-        if u < multi {
+        if u < multi / 2.0 {
             GroupBy::GThenG2
+        } else if u < multi {
+            GroupBy::G2ThenG
         } else if u < multi + other {
             GroupBy::G2
         } else {
@@ -415,6 +422,22 @@ mod tests {
             .unwrap();
         assert_eq!(handles.len(), 6, "no filter value empties a group");
         assert!(handles.iter().all(|h| !h.is_empty()));
+    }
+
+    #[test]
+    fn both_grammars_draw_every_group_by() {
+        let mut in_process = Vec::new();
+        let mut wire = Vec::new();
+        for seed in 0..100u64 {
+            let plan = episode_plan(seed, SchedulePolicy::FairShare);
+            in_process.extend(plan.queries.iter().map(|q| q.group_by));
+            let plan = crate::wire::wire_episode_plan(seed);
+            wire.extend(plan.clients.iter().map(|c| c.query.group_by));
+        }
+        for group_by in [GroupBy::G, GroupBy::GThenG2, GroupBy::G2ThenG, GroupBy::G2] {
+            assert!(in_process.contains(&group_by), "in-process {group_by:?}");
+            assert!(wire.contains(&group_by), "wire {group_by:?}");
+        }
     }
 
     #[test]
