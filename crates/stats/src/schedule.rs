@@ -17,6 +17,17 @@
 //! group stays within `±ε_m` of its true mean **simultaneously for every
 //! round** `m ≥ 1` — which is exactly what the stopping rule needs.
 //!
+//! **At κ = 1 that claim is measured, not proved.** Theorem 3.2 covers
+//! each geometric epoch with one maximal inequality, but at κ = 1 every
+//! epoch is a single round, and a per-round union bound over this width
+//! diverges: pointwise Hoeffding spends `2·(3δ/(π²k))/(ln m)²` at round
+//! `m`, and `Σ_m 1/(ln m)²` is infinite. Nothing in this crate proves the
+//! κ = 1 schedule is a `1 − δ` anytime bound. The calibration grid
+//! (`rapidviz-sim`'s `calibrate` module, run in full by
+//! `crates/sim/tests/calibration_grid.rs`) measures the ordering it
+//! certifies instead, at 10,000 seeded runs per cell, against a one-sided
+//! Clopper–Pearson bound that must sit at or below `δ`.
+//!
 //! Paper-faithful details implemented here:
 //!
 //! * **κ = 1.** The paper admits any epoch base `κ ≥ 1`; its experiments
