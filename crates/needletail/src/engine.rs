@@ -565,10 +565,10 @@ impl NeedleTail {
     /// protocol caps it at two.
     ///
     /// A cold plan is one pass over the qualifying rows, keyed by each
-    /// row's tuple of [`Table::group_code`]s, and needs no index on
-    /// `group_cols`. Plans go through the same plan cache as the
-    /// single-attribute path, with the same byte-identical warm-plan
-    /// guarantee.
+    /// row's tuple of per-column codes (a string's dictionary code, a
+    /// number's bits), and needs no index on `group_cols`. Plans go
+    /// through the same plan cache as the single-attribute path, with the
+    /// same byte-identical warm-plan guarantee.
     ///
     /// # Errors
     ///

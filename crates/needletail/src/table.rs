@@ -179,7 +179,7 @@ impl Table {
     ///
     /// Panics if the row or column is out of range.
     #[must_use]
-    pub fn group_code(&self, row: u64, col_idx: usize) -> u64 {
+    pub(crate) fn group_code(&self, row: u64, col_idx: usize) -> u64 {
         let row = Self::row_idx(row);
         match &self.columns[col_idx] {
             ColumnData::Int(v) => v[row] as u64,
