@@ -639,8 +639,8 @@ impl NeedleTail {
         let mut labelled: Vec<(Vec<String>, Vec<u64>)> = cells
             .into_iter()
             .map(|rows| {
-                let values = cols.iter().map(|&col| table.value(rows[0], col));
-                (values.map(|v| v.to_string()).collect(), rows)
+                let display = |&col: &usize| table.value(rows[0], col).to_string();
+                (cols.iter().map(display).collect(), rows)
             })
             .collect();
         labelled.sort_unstable_by(|a, b| a.0.cmp(&b.0));

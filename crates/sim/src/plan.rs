@@ -89,8 +89,8 @@ pub enum QueryKind {
 /// by `g`, its first indexed column, so `g` groups (and `(g, g2)` cells,
 /// whose rows follow `g`'s) keep the draws they had before clustering;
 /// `g2` alone is grouped the way every other column is, through per-group
-/// intersections over rows the clustering moved, and `(g2, g)` cells are
-/// planned in one pass over those rows like every multi-column group-by.
+/// intersections over rows the clustering moved. `(g2, g)` is the
+/// partition `(g, g2)` is, labelled and ordered by `g2` first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupBy {
     /// `g`.

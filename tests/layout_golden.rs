@@ -10,12 +10,13 @@
 //! row layout.
 //!
 //! The rest depend on the layout, and are pinned so that a layout change
-//! moves them on purpose: group-bys on other columns, and multi-column
-//! group-bys not led by the first indexed column (their r-th row is
+//! moves them on purpose: group-bys on other columns (their r-th row is
 //! whatever row the layout puts r-th), Algorithm 5's size probe (a
 //! uniformly random table position) and a fault-injected run (faults are
-//! keyed by row id). A small table with numeric group columns pins the
-//! cell order, which sorts cells by their values' display strings.
+//! keyed by row id). Multi-column group-bys not led by the first indexed
+//! column are pinned beside them, and a small table with numeric group
+//! columns pins the cell order, which sorts cells by their values'
+//! display strings.
 //!
 //! The filters are the stack benchmark's three filter shapes.
 
