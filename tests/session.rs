@@ -613,6 +613,10 @@ fn session_iterator_terminates_after_terminal_update() {
 /// 20k rows over two attributes: three airlines with separated delay
 /// rates, two origins.
 fn two_attribute_engine() -> NeedleTail {
+    NeedleTail::new(two_attribute_table(), &["name"]).unwrap()
+}
+
+fn two_attribute_table() -> rapidviz::needletail::Table {
     let mut b = TableBuilder::new(Schema::new(vec![
         ColumnDef::new("name", DataType::Str),
         ColumnDef::new("origin", DataType::Str),
@@ -625,7 +629,7 @@ fn two_attribute_engine() -> NeedleTail {
         let delay = if rng.gen_bool(mu / 100.0) { 100.0 } else { 0.0 };
         b.push_row(vec![name.into(), origin.into(), Value::Float(delay)]);
     }
-    NeedleTail::new(b.finish(), &["name"]).unwrap()
+    b.finish()
 }
 
 /// `fnv1a64` over every round a session streams: the outcome, the round
@@ -697,6 +701,51 @@ fn avg_and_sum_session_rounds_are_pinned() {
         0xcd9b_23dd_0b1a_1fb1,
         0x9768_d2a5_1b70_36ac,
         0x9559_86e2_2c23_b232,
+    ];
+    assert_eq!(got, golden, "got {got:#x?}");
+}
+
+/// Every round of SCAN sessions over the two-attribute table is pinned:
+/// grouped by the clustered `name` unfiltered and under `origin = BOS`, by
+/// `(name, origin)`, and by the unclustered `origin`, each fault-free and
+/// with 5 % of row reads dropped.
+#[test]
+fn scan_session_rounds_are_pinned() {
+    let mut engine = NeedleTail::new(two_attribute_table(), &["name", "origin"]).unwrap();
+    let mut got = Vec::new();
+    for faulted in [false, true] {
+        if faulted {
+            engine.set_fault_injector(std::sync::Arc::new(
+                rapidviz::needletail::SeededFaults::new(7, 0.05),
+            ));
+        }
+        for shape in 0..4u64 {
+            let q = VizQuery::new(&engine);
+            let q = match shape {
+                0 => q.group_by("name"),
+                1 => q.group_by("name").filter(Predicate::eq("origin", "BOS")),
+                2 => q.group_by("name").group_by("origin"),
+                _ => q.group_by("origin"),
+            };
+            let session = q
+                .avg("delay")
+                .algorithm(AlgorithmChoice::ExactScan)
+                .start(StdRng::seed_from_u64(3_400 + shape))
+                .unwrap();
+            got.push(session_digest(session));
+        }
+    }
+    // Fault-free, then faulted; `name`, `name` under `origin = BOS`,
+    // `(name, origin)`, `origin`.
+    let golden: [u64; 8] = [
+        0x2358_fb85_0cb9_8011,
+        0xb50e_7e14_238d_7bb8,
+        0x9865_67cf_f5e9_1cb6,
+        0x9ed8_db40_d568_e042,
+        0x16e2_25bd_d12b_40c7,
+        0x4d8f_fcc8_00d6_ec1a,
+        0x33da_58b9_6dae_3820,
+        0x24a0_597b_5555_a43a,
     ];
     assert_eq!(got, golden, "got {got:#x?}");
 }
