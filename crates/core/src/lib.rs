@@ -20,10 +20,8 @@
 //! * [`roundrobin::RoundRobin`] — the baseline: conventional round-robin
 //!   stratified sampling instrumented with the same confidence machinery so
 //!   it stops with the same guarantee.
-//! * [`scan::ExactScan`] — exhaustive read; exact answer, zero risk,
-//!   maximal cost.
 //!
-//! All four run over any collection of [`group::GroupSource`]s through the
+//! All three run over any collection of [`group::GroupSource`]s through the
 //! same inherent `new` / `start` / `run` shape, their steppers behind the
 //! [`runner::AlgorithmStepper`] trait: step, snapshot, sample count, memory
 //! accounting and finish are everything a driver needs, so the session
@@ -31,7 +29,12 @@
 //! IFOCUS's round is written once, in [`focus`]: [`IFocusStepper`] and
 //! [`RoundRobinStepper`] are one type, [`focus::FocusStepper`], under a
 //! crate-private *rule* (every pair must order; the same with every group
-//! drawing). IREFINE and SCAN have a round of their own.
+//! drawing). IREFINE has a round of its own.
+//!
+//! The exhaustive SCAN baseline (exact answer, zero risk, maximal cost) is
+//! not a stepper over group sources: it reads each group in one pass through
+//! the storage layer (`rapidviz_needletail::GroupHandle::exact`), and the
+//! `rapidviz` facade runs it as `AlgorithmChoice::ExactScan`.
 //!
 //! ## Extensions (§6)
 //!
@@ -61,7 +64,6 @@ pub mod ordering;
 pub mod result;
 pub mod roundrobin;
 pub mod runner;
-pub mod scan;
 mod state;
 pub mod viz;
 
@@ -77,7 +79,6 @@ pub use ordering::{
 pub use result::RunResult;
 pub use roundrobin::{RoundRobin, RoundRobinStepper};
 pub use runner::{AlgorithmStepper, Snapshot, StepOutcome};
-pub use scan::{ExactScan, ScanStepper};
 
 // Re-export the sampling-mode enum so downstream users configure algorithms
 // without importing rapidviz-stats directly.

@@ -384,10 +384,22 @@ impl Bitmap {
 
     /// Iterator over set-bit positions, ascending.
     pub fn iter_ones(&self) -> impl Iterator<Item = u64> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
-            let base = (wi as u64) * 64;
-            BitIter { word }.map(move |b| base + u64::from(b))
-        })
+        self.iter_ones_from(0)
+    }
+
+    /// Iterator over the set-bit positions `>= from`, ascending: a walk of
+    /// the words from `from`'s on, with no directory lookup.
+    pub fn iter_ones_from(&self, from: u64) -> impl Iterator<Item = u64> + '_ {
+        let first =
+            usize::try_from(from / 64).map_or(self.words.len(), |w| w.min(self.words.len()));
+        let keep = u64::MAX << (from % 64);
+        (first..)
+            .zip(&self.words[first..])
+            .flat_map(move |(wi, &word)| {
+                let word = if wi == first { word & keep } else { word };
+                let base = (wi as u64) * 64;
+                BitIter { word }.map(move |b| base + u64::from(b))
+            })
     }
 
     /// Approximate heap footprint in bytes.
@@ -668,6 +680,14 @@ mod tests {
         let positions: Vec<u64> = vec![3, 64, 65, 100, 511, 700];
         let bm = Bitmap::from_sorted_positions(&positions, 701);
         assert_eq!(bm.iter_ones().collect::<Vec<_>>(), positions);
+        for from in [0, 3, 4, 63, 64, 66, 511, 700, 701, 10_000] {
+            let expect: Vec<u64> = positions.iter().copied().filter(|&p| p >= from).collect();
+            assert_eq!(
+                bm.iter_ones_from(from).collect::<Vec<_>>(),
+                expect,
+                "from {from}"
+            );
+        }
     }
 
     #[test]

@@ -913,21 +913,56 @@ impl GroupHandle {
         self.sampler.reset();
     }
 
-    /// Exact group mean (reads every member; test/verification aid).
+    /// Reads the whole group in one ascending pass over its rows (see
+    /// [`RowSet::for_each_row`]), without the sampler: its permutation and
+    /// RNG are untouched. Every row is charged as scanned
+    /// ([`Metrics::add_rows_scanned`]), and a row the installed fault
+    /// injector fails ([`FaultSite::RowRead`]) is counted as dropped
+    /// instead of summed. Values are summed in row order from `0.0`, as
+    /// [`NeedleTail::scan`] sums them, so a fault-free pass's
+    /// `sum / delivered` is that scan's mean bit for bit.
+    #[must_use]
+    pub fn exact(&self) -> ExactAggregate {
+        let agg = self.pass(self.faults.as_deref());
+        self.metrics.add_rows_scanned(agg.delivered + agg.dropped);
+        self.metrics.add_faulted_reads(agg.dropped);
+        agg
+    }
+
+    /// Exact group mean: [`Self::exact`]'s pass with no fault injector and
+    /// no metrics charged (a test and evaluation aid). `None` for an empty
+    /// group.
     #[must_use]
     pub fn exact_mean(&self) -> Option<f64> {
-        let n = self.len();
-        if n == 0 {
-            return None;
-        }
-        let sum: f64 = self
-            .sampler
-            .rows()
-            .iter_ones()
-            .map(|row| self.table.float_value(row, self.agg_idx))
-            .sum();
-        Some(sum / n as f64)
+        let agg = self.pass(None);
+        (agg.delivered > 0).then(|| agg.sum / agg.delivered as f64)
     }
+
+    fn pass(&self, faults: Option<&dyn FaultInjector>) -> ExactAggregate {
+        let mut agg = ExactAggregate::default();
+        self.sampler.rows().for_each_row(|row| {
+            if faults.is_some_and(|f| f.fails(FaultSite::RowRead, row)) {
+                agg.dropped += 1;
+            } else {
+                agg.delivered += 1;
+                agg.sum += self.table.float_value(row, self.agg_idx);
+            }
+        });
+        agg
+    }
+}
+
+/// One group's exact pass ([`GroupHandle::exact`]): the rows read, their
+/// measure sum, and the rows a fault injector dropped. `delivered +
+/// dropped` is the group's size.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ExactAggregate {
+    /// Rows read and summed.
+    pub delivered: u64,
+    /// Sum of the delivered rows' measure values, in row order.
+    pub sum: f64,
+    /// Rows whose read the fault injector failed.
+    pub dropped: u64,
 }
 
 /// A per-group sampler pairing each measure-value draw with an unbiased
@@ -1386,6 +1421,69 @@ mod tests {
     }
 
     #[test]
+    fn exact_passes_equal_the_scan_over_every_row_set_shape() {
+        #[derive(Debug)]
+        struct EveryFifthRow;
+        impl FaultInjector for EveryFifthRow {
+            fn fails(&self, _site: FaultSite, row: u64) -> bool {
+                row.is_multiple_of(5)
+            }
+        }
+        let mut engine = NeedleTail::new(skewed(), &["name", "year"]).unwrap();
+        let shape = |rows: &RowSet| match rows {
+            RowSet::Range { .. } => "range",
+            RowSet::Window { .. } => "window",
+            RowSet::Bitmap(_) => "bitmap",
+            RowSet::Positions { .. } => "positions",
+        };
+        let cases = [
+            ("name", Predicate::True, "range"),
+            ("name", Predicate::eq("year", Value::Int(2001)), "window"),
+            ("year", Predicate::True, "bitmap"),
+            ("year", Predicate::eq("name", "UA"), "positions"),
+        ];
+        for faulted in [false, true] {
+            if faulted {
+                engine.set_fault_injector(Arc::new(EveryFifthRow));
+            }
+            for (column, predicate, want) in &cases {
+                let scan = engine.scan(column, "delay", predicate).unwrap();
+                for h in engine.group_handles(column, "delay", predicate).unwrap() {
+                    assert_eq!(
+                        shape(h.sampler.rows()),
+                        *want,
+                        "{column} under {predicate:?}"
+                    );
+                    let truth = scan.iter().find(|g| &g.group == h.label()).unwrap();
+                    let mut kept = (0, 0.0);
+                    h.sampler.rows().for_each_row(|row| {
+                        if !(faulted && row.is_multiple_of(5)) {
+                            kept = (kept.0 + 1, kept.1 + engine.table.float_value(row, 2));
+                        }
+                    });
+                    let before = engine.metrics().snapshot();
+                    let agg = h.exact();
+                    let after = engine.metrics().snapshot();
+                    assert_eq!(
+                        (agg.delivered, agg.sum.to_bits()),
+                        (kept.0, kept.1.to_bits())
+                    );
+                    assert_eq!(agg.delivered + agg.dropped, h.len());
+                    assert_eq!(after.rows_scanned - before.rows_scanned, h.len());
+                    assert_eq!(after.faulted_reads - before.faulted_reads, agg.dropped);
+                    assert_eq!(after.random_samples, before.random_samples);
+                    if !faulted {
+                        assert_eq!(agg.sum.to_bits(), truth.sum.to_bits());
+                    }
+                    // The mean ignores the injector and charges nothing.
+                    assert_eq!(h.exact_mean(), truth.mean());
+                    assert_eq!(engine.metrics().snapshot(), after);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn predicate_bitmap_cache_shares_equivalent_spellings() {
         let engine = NeedleTail::new(skewed(), &["name", "year"]).unwrap();
         let a = Predicate::eq("year", Value::Int(2001)).and(Predicate::ge("delay", 10.0));
@@ -1551,11 +1649,9 @@ mod tests {
                 expect = expect.and(engine.index(col).unwrap().bitmap_for(value).unwrap());
             }
             let rows = cell.sampler.rows();
-            assert_eq!(
-                rows.iter_ones().collect::<Vec<_>>(),
-                expect.iter_ones().collect::<Vec<_>>(),
-                "cell {label}"
-            );
+            let mut got = Vec::new();
+            rows.for_each_row(|row| got.push(row));
+            assert_eq!(got, expect.iter_ones().collect::<Vec<_>>(), "cell {label}");
             let sparse = rows.count_ones() * VIEW_CUTOVER_DENSITY <= 4_000;
             assert_eq!(sparse, parts[0] == "ZZ", "cell {label}");
             assert_eq!(

@@ -76,7 +76,7 @@ pub mod value;
 pub use bitmap::Bitmap;
 pub use csv::{read_csv, CsvError, CsvOptions};
 pub use disk::SimulatedDisk;
-pub use engine::{EngineError, GroupHandle, NeedleTail, SizedGroupHandle};
+pub use engine::{EngineError, ExactAggregate, GroupHandle, NeedleTail, SizedGroupHandle};
 pub use fault::{FaultInjector, FaultSite, SeededFaults};
 pub use index::BitmapIndex;
 pub use io::{CostBreakdown, DiskModel};

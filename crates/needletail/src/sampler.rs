@@ -252,15 +252,20 @@ impl RowSet {
         bits.select_many(sorted_ks, out);
     }
 
-    /// Iterator over the eligible row ids, ascending. A window resolves
-    /// each rank with one `select` (a verification path, not a hot one).
-    pub fn iter_ones(&self) -> Box<dyn Iterator<Item = u64> + '_> {
+    /// Calls `f` on every eligible row id, ascending, allocating nothing:
+    /// a range counts through its rows, positions and a bitmap are walked
+    /// in order, and a window is one `select` of its first row followed by
+    /// a walk over its bitmap's set bits.
+    pub fn for_each_row(&self, f: impl FnMut(u64)) {
         match self {
-            RowSet::Range { start, count, .. } => Box::new(*start..start + count),
-            RowSet::Bitmap(bm) => Box::new(bm.iter_ones()),
-            RowSet::Positions { positions, .. } => Box::new(positions.iter().copied()),
+            RowSet::Range { start, count, .. } => (*start..start + count).for_each(f),
+            RowSet::Bitmap(bm) => bm.iter_ones().for_each(f),
+            RowSet::Positions { positions, .. } => positions.iter().copied().for_each(f),
             RowSet::Window { bits, first, count } => {
-                Box::new((*first..first + count).filter_map(|k| bits.select(k)))
+                if let Some(start) = bits.select(*first) {
+                    let count = usize::try_from(*count).unwrap_or(usize::MAX);
+                    bits.iter_ones_from(start).take(count).for_each(f);
+                }
             }
         }
     }
@@ -763,6 +768,13 @@ mod tests {
     use super::*;
     use rand::{RngCore, SeedableRng};
 
+    /// The set's rows as [`RowSet::for_each_row`] visits them.
+    pub(super) fn ones(set: &RowSet) -> Vec<u64> {
+        let mut rows = Vec::new();
+        set.for_each_row(|row| rows.push(row));
+        rows
+    }
+
     fn bitmap(positions: &[u64], len: u64) -> Bitmap {
         Bitmap::from_sorted_positions(positions, len)
     }
@@ -1211,7 +1223,7 @@ mod tests {
             assert_eq!(set.len(), 1000);
             assert!(!set.is_empty());
             assert_eq!(set.count_ones(), positions.len() as u64);
-            assert_eq!(set.iter_ones().collect::<Vec<_>>(), positions);
+            assert_eq!(ones(set), positions);
             for (k, &p) in positions.iter().enumerate() {
                 assert!(set.get(p));
                 assert_eq!(set.select(k as u64), Some(p));
@@ -1329,6 +1341,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::ones;
     use super::*;
     use proptest::prelude::*;
     use rand::SeedableRng;
@@ -1502,7 +1515,7 @@ mod proptests {
             for (expect, set) in cases {
                 prop_assert_eq!(set.len(), len);
                 prop_assert_eq!(set.count_ones(), expect.len() as u64);
-                prop_assert_eq!(set.iter_ones().collect::<Vec<_>>(), expect.clone());
+                prop_assert_eq!(ones(&set), expect.clone());
                 for (k, &p) in expect.iter().enumerate() {
                     prop_assert_eq!(set.select(k as u64), Some(p));
                 }

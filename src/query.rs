@@ -23,11 +23,13 @@
 
 use crate::adapter::NeedletailGroup;
 use crate::checkpoint::QuerySpec;
-use crate::session::{ExactCount, PlanCacheStats, QuerySession, SessionCore, SessionEngine};
+use crate::session::{
+    ExactCount, ExactScan, PlanCacheStats, QuerySession, SessionCore, SessionEngine,
+};
 use rand::RngCore;
 use rapidviz_core::clock::{Clock, SystemClock};
 use rapidviz_core::extensions::IFocusSum1;
-use rapidviz_core::{AlgoConfig, ExactScan, GroupSource, IFocus, IRefine, RoundRobin};
+use rapidviz_core::{AlgoConfig, GroupSource, IFocus, IRefine, RoundRobin};
 use rapidviz_needletail::{EngineError, NeedleTail, Predicate};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -379,7 +381,7 @@ impl<'a> VizQuery<'a> {
                 Box::new((RoundRobin::new(config()?).start(&mut groups, rng), groups))
             }
             (Aggregate::Avg, AlgorithmChoice::ExactScan) => {
-                Box::new((ExactScan::new(config()?).start(&mut groups, rng), groups))
+                Box::new(ExactScan::new(groups, config()?.c))
             }
             (Aggregate::Sum, AlgorithmChoice::IFocus) => {
                 Box::new((IFocusSum1::new(config()?).start(&mut groups, rng), groups))

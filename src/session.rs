@@ -55,7 +55,7 @@ use rand::RngCore;
 use rapidviz_core::clock::{Clock, SystemClock};
 use rapidviz_core::runner::AlgorithmStepper;
 use rapidviz_core::{viz, GroupSource, RunResult, Snapshot, StepOutcome};
-use rapidviz_needletail::NeedleTail;
+use rapidviz_needletail::{ExactAggregate, NeedleTail};
 use rapidviz_stats::Interval;
 use std::sync::Arc;
 use std::time::Instant;
@@ -163,6 +163,97 @@ impl SessionEngine for ExactCount {
             samples_per_group: vec![0; k],
             rounds: 0,
             truncated: false,
+        }
+    }
+}
+
+/// SCAN (see [`crate::AlgorithmChoice::ExactScan`]): each step reads one
+/// whole group, in plan order, through
+/// [`rapidviz_needletail::GroupHandle::exact`], so no sample is drawn and
+/// no RNG word is consumed. A group of `N` rows, `n` of them delivered with
+/// sum `s`, has the interval `[s/N, (s + c·(N − n))/N]`: the point `s/N`
+/// once read in full, `[0, c]` before it is read. A group with a dropped
+/// row keeps that interval and stays active, and the run ends truncated
+/// and `BudgetExhausted` instead of `Converged`.
+#[derive(Debug)]
+pub(crate) struct ExactScan {
+    groups: Vec<NeedletailGroup>,
+    c: f64,
+    /// One pass per group read so far, in plan order.
+    reads: Vec<ExactAggregate>,
+}
+
+impl ExactScan {
+    pub(crate) fn new(groups: Vec<NeedletailGroup>, c: f64) -> Self {
+        let reads = Vec::with_capacity(groups.len());
+        Self { groups, c, reads }
+    }
+
+    fn truncated(&self) -> bool {
+        self.reads.iter().any(|r| r.dropped > 0)
+    }
+}
+
+impl SessionEngine for ExactScan {
+    fn step(&mut self, _rng: &mut dyn RngCore) -> StepOutcome {
+        if let Some(group) = self.groups.get(self.reads.len()) {
+            let read = group.handle().exact();
+            self.reads.push(read);
+        }
+        if self.reads.len() < self.groups.len() {
+            StepOutcome::Running
+        } else if self.truncated() {
+            StepOutcome::BudgetExhausted
+        } else {
+            StepOutcome::Converged
+        }
+    }
+
+    fn snapshot(&self) -> Snapshot {
+        let k = self.groups.len();
+        let mut snap = Snapshot {
+            labels: self.groups.iter().map(GroupSource::label).collect(),
+            estimates: Vec::with_capacity(k),
+            intervals: Vec::with_capacity(k),
+            active: Vec::with_capacity(k),
+            samples_per_group: Vec::with_capacity(k),
+            rounds: 0,
+            truncated: self.truncated(),
+        };
+        for (i, group) in self.groups.iter().enumerate() {
+            let read = self.reads.get(i).copied().unwrap_or_default();
+            let (n, rows) = (read.delivered, group.len());
+            let estimate = if n == 0 { 0.0 } else { read.sum / n as f64 };
+            snap.estimates.push(estimate);
+            snap.intervals.push(if n == rows {
+                Interval::new(estimate, estimate)
+            } else {
+                let unread = self.c * (rows - n) as f64;
+                Interval::new(read.sum / rows as f64, (read.sum + unread) / rows as f64)
+            });
+            snap.active.push(i >= self.reads.len() || read.dropped > 0);
+            snap.samples_per_group.push(n);
+            snap.rounds = snap.rounds.max(n);
+        }
+        snap
+    }
+
+    fn total_samples(&self) -> u64 {
+        self.reads.iter().map(|r| r.delivered).sum()
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.snapshot().approx_bytes()
+    }
+
+    fn finish(self: Box<Self>) -> RunResult {
+        let snap = self.snapshot();
+        RunResult {
+            labels: snap.labels,
+            estimates: snap.estimates,
+            samples_per_group: snap.samples_per_group,
+            rounds: snap.rounds,
+            truncated: snap.truncated,
         }
     }
 }

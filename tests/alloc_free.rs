@@ -441,6 +441,44 @@ fn filtered_clustered_group_batches_are_allocation_free_at_steady_state() {
 }
 
 #[test]
+fn exact_passes_are_allocation_free() {
+    // `g` is the first indexed column: unfiltered its groups are row
+    // ranges, under a filter rank windows of the filter's bitmap. `h` is
+    // not: unfiltered its groups share the index's bitmaps, and under a
+    // filter that keeps 1 row in 100 they are sorted positions.
+    let mut b = TableBuilder::new(Schema::new(vec![
+        ColumnDef::new("g", DataType::Str),
+        ColumnDef::new("h", DataType::Str),
+        ColumnDef::new("f", DataType::Str),
+        ColumnDef::new("v", DataType::Float),
+    ]));
+    for i in 0..64_000u32 {
+        let g = if i % 3 == 0 { "a" } else { "b" };
+        let h = ["p", "q", "r", "s"][(i % 4) as usize];
+        let f = if i % 100 == 7 { "x" } else { "y" };
+        b.push_row(vec![g.into(), h.into(), f.into(), f64::from(i % 97).into()]);
+    }
+    let engine = NeedleTail::new(b.finish(), &["g", "h", "f"]).unwrap();
+    for (column, filter) in [
+        ("g", Predicate::True),
+        ("g", Predicate::eq("f", "y")),
+        ("h", Predicate::True),
+        ("h", Predicate::eq("f", "x")),
+    ] {
+        let handles = engine.group_handles(column, "v", &filter).unwrap();
+        let mut rows = 0;
+        let allocs = allocations_during(|| {
+            for handle in &handles {
+                rows += std::hint::black_box(handle.exact()).delivered;
+                std::hint::black_box(handle.exact_mean());
+            }
+        });
+        assert_eq!(allocs, 0, "exact passes over {column} under {filter:?}");
+        assert_eq!(rows, handles.iter().map(|h| h.len()).sum::<u64>());
+    }
+}
+
+#[test]
 fn cold_multi_column_plans_request_bytes_linear_in_rows() {
     // 14 × 40 = 560 cells over ~100k rows. A joint index with a
     // table-length bitmap per cell would request about

@@ -239,6 +239,53 @@ fn a_dropped_read_never_certifies_a_group_as_exact() {
 }
 
 #[test]
+fn a_scan_never_certifies_a_group_with_a_dropped_read() {
+    // The same two groups of 20,000 rows (means 49 and 50), 5 % of reads
+    // dropped, read by SCAN. Both groups lose rows, so neither may be
+    // certified at any round; each interval must still hold its group's
+    // true mean (the unread rows lie in [0, c]), and the run ends
+    // truncated instead of converged.
+    use rapidviz::needletail::{ColumnDef, DataType, Schema, SeededFaults, TableBuilder};
+    use rapidviz::{AlgorithmChoice, StepOutcome, VizQuery};
+    let mut b = TableBuilder::new(Schema::new(vec![
+        ColumnDef::new("g", DataType::Str),
+        ColumnDef::new("v", DataType::Float),
+    ]));
+    for i in 0..40_000u32 {
+        let g = if i % 2 == 0 { "a" } else { "b" };
+        b.push_row(vec![g.into(), f64::from(i % 100).into()]);
+    }
+    let mut engine = NeedleTail::new(b.finish(), &["g"]).expect("engine builds");
+    engine.set_fault_injector(std::sync::Arc::new(SeededFaults::new(7, 0.05)));
+    let mut session = VizQuery::new(&engine)
+        .group_by("g")
+        .avg("v")
+        .bound(100.0)
+        .algorithm(AlgorithmChoice::ExactScan)
+        .start(rand::rngs::StdRng::seed_from_u64(5))
+        .unwrap();
+    let mut last = None;
+    for update in session.by_ref() {
+        assert_eq!(update.snapshot.certified_order(), Vec::<usize>::new());
+        assert!(update.newly_certified.is_empty());
+        last = Some(update.outcome);
+    }
+    assert_eq!(last, Some(StepOutcome::BudgetExhausted));
+    let snap = session.snapshot();
+    assert!(snap.truncated);
+    assert_eq!(snap.labels, ["a", "b"]);
+    for ((iv, &n), truth) in snap
+        .intervals
+        .iter()
+        .zip(&snap.samples_per_group)
+        .zip([49.0, 50.0])
+    {
+        assert!(n > 0 && n < 20_000, "{n} rows delivered");
+        assert!(iv.lo <= truth && truth <= iv.hi, "{iv:?} misses {truth}");
+    }
+}
+
+#[test]
 fn a_group_stopped_by_a_dropped_read_does_not_hold_up_the_others() {
     // With replacement a group never runs dry. Only the rows of the group
     // clustered first can fail, so that group stops early with a wide

@@ -29,7 +29,7 @@ use rapidviz::needletail::{
     ColumnDef, DataType, GroupHandle, NeedleTail, Predicate, Schema, SeededFaults,
     SizedGroupHandle, TableBuilder, Value,
 };
-use rapidviz::{NeedletailGroup, VizQuery};
+use rapidviz::{AlgorithmChoice, NeedletailGroup, StepOutcome, VizQuery};
 use std::sync::Arc;
 
 const AIRLINES: [&str; 6] = ["AA", "B6", "DL", "HA", "UA", "WN"];
@@ -328,6 +328,52 @@ fn first_column_scans_are_pinned() {
             0x491af174b20abf73,
         ],
     );
+}
+
+/// Every estimate a fault-free SCAN session streams is the engine scan's
+/// `sum / count` for its group, bit for bit: by the clustered `name` (row
+/// ranges unfiltered, rank windows filtered) and by the unclustered
+/// `origin` (index bitmaps unfiltered, intersections filtered), under
+/// every filter.
+#[test]
+fn scan_sessions_equal_the_engine_scan_bit_for_bit() {
+    let engine = engine();
+    for column in ["name", "origin"] {
+        for filter in filters() {
+            let truth: Vec<(String, u64)> = engine
+                .scan(column, "delay", &filter)
+                .unwrap()
+                .into_iter()
+                .filter(|g| g.count > 0)
+                .map(|g| (g.group.to_string(), (g.sum / g.count as f64).to_bits()))
+                .collect();
+            let mut session = VizQuery::new(&engine)
+                .group_by(column)
+                .avg("delay")
+                .filter(filter.clone())
+                .algorithm(AlgorithmChoice::ExactScan)
+                .start(StdRng::seed_from_u64(0))
+                .unwrap();
+            let mut certified = 0;
+            for update in session.by_ref() {
+                let snap = &update.snapshot;
+                for g in snap.certified_order() {
+                    let want = truth.iter().find(|(label, _)| *label == snap.labels[g]);
+                    assert_eq!(
+                        want.map(|w| w.1),
+                        Some(snap.estimates[g].to_bits()),
+                        "{column} under {filter:?}: group {}",
+                        snap.labels[g]
+                    );
+                }
+                certified = snap.certified_order().len();
+            }
+            assert_eq!(certified, truth.len(), "{column} under {filter:?}");
+            let answer = session.finish();
+            assert_eq!(answer.outcome, StepOutcome::Converged);
+            assert!(!answer.result.truncated);
+        }
+    }
 }
 
 #[test]
