@@ -387,19 +387,16 @@ impl Bitmap {
         self.iter_ones_from(0)
     }
 
-    /// Iterator over the set-bit positions `>= from`, ascending: a walk of
-    /// the words from `from`'s on, with no directory lookup.
+    /// Iterator over the set-bit positions `>= from`, ascending.
     pub fn iter_ones_from(&self, from: u64) -> impl Iterator<Item = u64> + '_ {
-        let first =
-            usize::try_from(from / 64).map_or(self.words.len(), |w| w.min(self.words.len()));
+        let first = usize::try_from(from / 64).unwrap_or(usize::MAX);
         let keep = u64::MAX << (from % 64);
-        (first..)
-            .zip(&self.words[first..])
-            .flat_map(move |(wi, &word)| {
-                let word = if wi == first { word & keep } else { word };
-                let base = (wi as u64) * 64;
-                BitIter { word }.map(move |b| base + u64::from(b))
-            })
+        let words = self.words.iter().enumerate().skip(first);
+        words.flat_map(move |(wi, &word)| {
+            let word = if wi == first { word & keep } else { word };
+            let base = (wi as u64) * 64;
+            BitIter { word }.map(move |b| base + u64::from(b))
+        })
     }
 
     /// Approximate heap footprint in bytes.

@@ -913,14 +913,12 @@ impl GroupHandle {
         self.sampler.reset();
     }
 
-    /// Reads the whole group in one ascending pass over its rows (see
-    /// [`RowSet::for_each_row`]), without the sampler: its permutation and
-    /// RNG are untouched. Every row is charged as scanned
-    /// ([`Metrics::add_rows_scanned`]), and a row the installed fault
-    /// injector fails ([`FaultSite::RowRead`]) is counted as dropped
-    /// instead of summed. Values are summed in row order from `0.0`, as
-    /// [`NeedleTail::scan`] sums them, so a fault-free pass's
-    /// `sum / delivered` is that scan's mean bit for bit.
+    /// Reads the whole group in one ascending pass over its rows
+    /// ([`RowSet::for_each_row`]), leaving the sampler untouched. Every row
+    /// is charged as scanned; a row the fault injector fails
+    /// ([`FaultSite::RowRead`]) is counted as dropped, not summed. The sum
+    /// runs in row order from `0.0` like [`NeedleTail::scan`]'s, so a
+    /// fault-free `sum / delivered` is that scan's mean bit for bit.
     #[must_use]
     pub fn exact(&self) -> ExactAggregate {
         let agg = self.pass(self.faults.as_deref());
@@ -930,8 +928,7 @@ impl GroupHandle {
     }
 
     /// Exact group mean: [`Self::exact`]'s pass with no fault injector and
-    /// no metrics charged (a test and evaluation aid). `None` for an empty
-    /// group.
+    /// no metrics charged (an evaluation aid); `None` for an empty group.
     #[must_use]
     pub fn exact_mean(&self) -> Option<f64> {
         let agg = self.pass(None);

@@ -62,6 +62,10 @@
 //!    outcome re-report it bit-identically and draw nothing.
 //! 10. **no-panic** — the whole episode body runs under `catch_unwind`;
 //!     any panic is an invariant failure with the same seed-based repro.
+//! 11. **scan-exact** — every group a SCAN session grouped by one column
+//!     lists in `certified_order`, at any round, has an estimate
+//!     bit-identical to the engine scan's mean under the same filter; a
+//!     group with a dropped read must therefore stay uncertified.
 //!
 //! # `SIM_SEED` repro workflow
 //!

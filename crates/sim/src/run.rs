@@ -14,17 +14,17 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rapidviz::needletail::{EngineError, NeedleTail, SeededFaults};
+use rapidviz::needletail::{EngineError, NeedleTail, Predicate, SeededFaults};
 use rapidviz::{
-    Clock, MultiQueryScheduler, QueryAnswer, QueryId, QuerySession, RoundUpdate, SchedulePolicy,
-    SchedulerEvent, SimulatedClock, StepOutcome, VizQuery,
+    AlgorithmChoice, Clock, MultiQueryScheduler, QueryAnswer, QueryId, QuerySession, RoundUpdate,
+    SchedulePolicy, SchedulerEvent, SimulatedClock, StepOutcome, VizQuery,
 };
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::plan::{EpisodePlan, QueryKind, QuerySpec, SimEvent, TimeBudget};
+use crate::plan::{EpisodePlan, PredSpec, QueryKind, QuerySpec, SimEvent, TimeBudget};
 
 /// Hard ceiling on scheduler quanta per episode — far above what any
 /// generated plan needs, so hitting it means a session stopped making
@@ -197,6 +197,33 @@ struct Trace {
     answer: Option<AnswerKey>,
     evicted: bool,
     terminal: Option<StepOutcome>,
+    /// `(label, mean bits)` per group from [`NeedleTail::scan`] under the
+    /// query's filter, for a SCAN query with one group-by column.
+    scan_truth: Option<Vec<(String, u64)>>,
+}
+
+/// What the `scan-exact` invariant holds a SCAN query's certified groups
+/// to: each group's [`NeedleTail::scan`] mean under the query's filter, as
+/// bits. `None` for other queries and for multi-column group-bys, which
+/// the engine scan does not group.
+fn scan_truth(engine: &NeedleTail, spec: &QuerySpec) -> Option<Vec<(String, u64)>> {
+    let &[column] = spec.group_by.columns() else {
+        return None;
+    };
+    if spec.kind != QueryKind::Avg(AlgorithmChoice::ExactScan) {
+        return None;
+    }
+    let filter = spec
+        .predicate
+        .as_ref()
+        .map_or(Predicate::True, PredSpec::build);
+    let groups = engine.scan(column, "v", &filter).ok()?;
+    Some(
+        groups
+            .into_iter()
+            .filter_map(|g| Some((g.group.to_string(), g.mean()?.to_bits())))
+            .collect(),
+    )
 }
 
 /// Runs one episode: scheduled phase with online invariants, then
@@ -274,6 +301,7 @@ fn episode_body(plan: &EpisodePlan, opts: &EpisodeOptions) -> Result<Report, Fai
                         .map_err(|e| fail("admit-error", format!("query {idx} rejected: {e:?}")))?;
                     let init_active = session.snapshot().active;
                     let admit_samples = session.total_samples();
+                    let scan_truth = scan_truth(&engine, spec);
                     let id = sched.admit(session);
                     live.push((id, traces.len()));
                     traces.push(Trace {
@@ -285,6 +313,7 @@ fn episode_body(plan: &EpisodePlan, opts: &EpisodeOptions) -> Result<Report, Fai
                         answer: None,
                         evicted: false,
                         terminal: None,
+                        scan_truth,
                     });
                     report.admitted += 1;
                 }
@@ -531,7 +560,7 @@ fn check_round(
     // ROUNDROBIN is exempt from the bit-frozen clause: it samples every
     // group each round, active or not, so certified estimates keep
     // refining by design. Certified *positions* still never reactivate.
-    if spec.kind != QueryKind::Avg(rapidviz::AlgorithmChoice::RoundRobin) {
+    if spec.kind != QueryKind::Avg(AlgorithmChoice::RoundRobin) {
         if let Some(prev) = &prev {
             for (i, &was) in prev_active.iter().enumerate() {
                 if !was && key.estimate_bits[i] != prev.estimate_bits[i] {
@@ -540,6 +569,25 @@ fn check_round(
                         format!("query {qi}: certified group {i}'s estimate moved"),
                     ));
                 }
+            }
+        }
+    }
+
+    if let Some(truth) = &trace.scan_truth {
+        let snap = &update.snapshot;
+        for g in snap.certified_order() {
+            let label = &snap.labels[g];
+            let want = truth.iter().find(|(l, _)| l == label).map(|t| t.1);
+            if want != Some(snap.estimates[g].to_bits()) {
+                return Err((
+                    "scan-exact",
+                    format!(
+                        "query {qi}: SCAN certified group {label} at {}, but the engine scan's \
+                         mean is {:?}",
+                        snap.estimates[g],
+                        want.map(f64::from_bits)
+                    ),
+                ));
             }
         }
     }

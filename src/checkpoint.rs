@@ -137,20 +137,14 @@ pub enum AlgorithmChoice {
     /// The ROUNDROBIN baseline (conventional stratified sampling with the
     /// same stopping guarantee).
     RoundRobin = 2,
-    /// The exhaustive SCAN baseline: exact answer, maximal cost. Each
-    /// round reads one whole group, in plan order, in one ascending pass
-    /// over its rows through the storage layer
-    /// ([`rapidviz_needletail::GroupHandle::exact`]); no sample is drawn and
-    /// no RNG word consumed, and the rows read count as samples, so the
-    /// fraction sampled ends at 1 and `max_samples` stops it between
-    /// groups. A fault-free answer is [`NeedleTail::scan`]'s `sum / count`
-    /// bit for bit. A group of `N` rows with `n` read, summing to `s`,
-    /// reports `[s/N, (s + c·(N − n))/N]`: a point once read in full,
-    /// `[0, c]` before its round. A group with a row the fault injector
-    /// dropped is never certified: it stays active at that interval and
+    /// The exhaustive SCAN baseline: each round reads one whole group in
+    /// one pass over its rows ([`rapidviz_needletail::GroupHandle::exact`]),
+    /// drawing no sample and no RNG word; rows read count as samples, so
+    /// `max_samples` stops it between groups. Fault-free, it answers the
+    /// engine scan's `sum / count` bit for bit. `n` of `N` rows read with
+    /// sum `s` report `[s/N, (s + c·(N − n))/N]`, `[0, c]` before the
+    /// group's round. A group with a dropped read is never certified, and
     /// the run ends truncated and `BudgetExhausted`.
-    ///
-    /// [`NeedleTail::scan`]: rapidviz_needletail::NeedleTail::scan
     ExactScan = 3,
 }
 

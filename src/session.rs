@@ -70,8 +70,23 @@ pub(crate) trait SessionEngine: std::fmt::Debug {
     fn step(&mut self, rng: &mut dyn RngCore) -> StepOutcome;
     fn snapshot(&self) -> Snapshot;
     fn total_samples(&self) -> u64;
-    fn approx_bytes(&self) -> usize;
-    fn finish(self: Box<Self>) -> RunResult;
+
+    /// The snapshot's size, by default: COUNT and SCAN hold little else.
+    fn approx_bytes(&self) -> usize {
+        self.snapshot().approx_bytes()
+    }
+
+    /// The snapshot's fields, by default.
+    fn finish(self: Box<Self>) -> RunResult {
+        let snap = self.snapshot();
+        RunResult {
+            labels: snap.labels,
+            estimates: snap.estimates,
+            samples_per_group: snap.samples_per_group,
+            rounds: snap.rounds,
+            truncated: snap.truncated,
+        }
+    }
 }
 
 /// Every [`AlgorithmStepper`] over plain storage-backed groups: AVG under
@@ -150,21 +165,6 @@ impl SessionEngine for ExactCount {
     fn total_samples(&self) -> u64 {
         0
     }
-
-    fn approx_bytes(&self) -> usize {
-        self.snapshot().approx_bytes()
-    }
-
-    fn finish(self: Box<Self>) -> RunResult {
-        let k = self.estimates.len();
-        RunResult {
-            labels: self.labels,
-            estimates: self.estimates,
-            samples_per_group: vec![0; k],
-            rounds: 0,
-            truncated: false,
-        }
-    }
 }
 
 /// SCAN (see [`crate::AlgorithmChoice::ExactScan`]): each step reads one
@@ -185,8 +185,11 @@ pub(crate) struct ExactScan {
 
 impl ExactScan {
     pub(crate) fn new(groups: Vec<NeedletailGroup>, c: f64) -> Self {
-        let reads = Vec::with_capacity(groups.len());
-        Self { groups, c, reads }
+        Self {
+            groups,
+            c,
+            reads: Vec::new(),
+        }
     }
 
     fn truncated(&self) -> bool {
@@ -210,13 +213,12 @@ impl SessionEngine for ExactScan {
     }
 
     fn snapshot(&self) -> Snapshot {
-        let k = self.groups.len();
         let mut snap = Snapshot {
             labels: self.groups.iter().map(GroupSource::label).collect(),
-            estimates: Vec::with_capacity(k),
-            intervals: Vec::with_capacity(k),
-            active: Vec::with_capacity(k),
-            samples_per_group: Vec::with_capacity(k),
+            estimates: Vec::new(),
+            intervals: Vec::new(),
+            active: Vec::new(),
+            samples_per_group: Vec::new(),
             rounds: 0,
             truncated: self.truncated(),
         };
@@ -240,21 +242,6 @@ impl SessionEngine for ExactScan {
 
     fn total_samples(&self) -> u64 {
         self.reads.iter().map(|r| r.delivered).sum()
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.snapshot().approx_bytes()
-    }
-
-    fn finish(self: Box<Self>) -> RunResult {
-        let snap = self.snapshot();
-        RunResult {
-            labels: snap.labels,
-            estimates: snap.estimates,
-            samples_per_group: snap.samples_per_group,
-            rounds: snap.rounds,
-            truncated: snap.truncated,
-        }
     }
 }
 
