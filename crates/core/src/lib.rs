@@ -29,12 +29,8 @@
 //! IFOCUS's round is written once, in [`focus`]: [`IFocusStepper`] and
 //! [`RoundRobinStepper`] are one type, [`focus::FocusStepper`], under a
 //! crate-private *rule* (every pair must order; the same with every group
-//! drawing). IREFINE has a round of its own.
-//!
-//! The exhaustive SCAN baseline (exact answer, zero risk, maximal cost) is
-//! not a stepper over group sources: it reads each group in one pass through
-//! the storage layer (`rapidviz_needletail::GroupHandle::exact`), and the
-//! `rapidviz` facade runs it as `AlgorithmChoice::ExactScan`.
+//! drawing). IREFINE has a round of its own. SCAN reads storage, not
+//! group sources: it is the facade's `AlgorithmChoice::ExactScan`.
 //!
 //! ## Extensions (§6)
 //!

@@ -388,7 +388,7 @@ impl Bitmap {
     }
 
     /// Iterator over the set-bit positions `>= from`, ascending.
-    pub fn iter_ones_from(&self, from: u64) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn iter_ones_from(&self, from: u64) -> impl Iterator<Item = u64> + '_ {
         let first = usize::try_from(from / 64).unwrap_or(usize::MAX);
         let keep = u64::MAX << (from % 64);
         let words = self.words.iter().enumerate().skip(first);

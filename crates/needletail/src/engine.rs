@@ -730,7 +730,7 @@ impl NeedleTail {
     }
 
     /// Full sequential scan computing exact per-group aggregates, charging
-    /// one scanned row per record to the metrics (the SCAN baseline).
+    /// one scanned row per record: the row-level oracle for SCAN sessions.
     ///
     /// # Errors
     ///
@@ -1445,7 +1445,9 @@ mod tests {
             }
             for (column, predicate, want) in &cases {
                 let scan = engine.scan(column, "delay", predicate).unwrap();
-                for h in engine.group_handles(column, "delay", predicate).unwrap() {
+                for mut h in engine.group_handles(column, "delay", predicate).unwrap() {
+                    // A partly drawn permutation does not shorten the pass.
+                    let _ = h.sample_without_replacement(&mut rand::rngs::StdRng::seed_from_u64(1));
                     assert_eq!(
                         shape(h.sampler.rows()),
                         *want,

@@ -40,8 +40,8 @@
 //! * [`cache`] — the small bounded LRU map behind that cache.
 //! * [`codec`] — the one bounded little-endian byte codec under the table
 //!   file ([`storage`]), the session checkpoint and the wire frame.
-//! * [`scan`] — the `SCAN` baseline: a full sequential pass computing exact
-//!   per-group aggregates via a hash map, as a traditional DBMS would.
+//! * [`scan`] — the row-level exact-aggregate oracle: one sequential pass
+//!   into a hash map, as a traditional DBMS would run `SCAN`.
 //! * [`io`] — the deterministic I/O + CPU cost model used to regenerate the
 //!   paper's wall-clock figures (a substitution for the authors' hardware,
 //!   documented in the module).

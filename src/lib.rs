@@ -10,7 +10,7 @@
 //! * [`stats`] — concentration inequalities and the anytime ε-schedule.
 //! * [`needletail`] — the bitmap-indexed sampling storage engine.
 //! * [`datagen`] — the paper's synthetic workloads and the flight model.
-//! * [`core`] — IFOCUS / IREFINE / ROUNDROBIN / SCAN and all §6 extensions.
+//! * [`core`] — IFOCUS / IREFINE / ROUNDROBIN and all §6 extensions.
 //!
 //! ## Quickstart
 //!
