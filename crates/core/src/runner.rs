@@ -65,7 +65,7 @@ impl StepOutcome {
 
 /// A point-in-time view of a stepper: everything a progressive renderer
 /// needs to draw the partial bar chart after a round.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Group labels, in input order.
     pub labels: Vec<String>,

@@ -2,11 +2,10 @@
 //! and collects a whole query run. Used by the load generator, the
 //! loopback tests, and the simulation harness's wire episodes.
 
-use crate::protocol::{
-    read_frame, ErrorCode, Frame, QueryRequest, WireAnswer, WireRound, WireStats,
-};
+use crate::protocol::{read_frame, ErrorCode, Frame, QueryRequest, WireAnswer, WireStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rapidviz::RoundUpdate;
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -17,7 +16,7 @@ pub struct QueryRun {
     /// Every intermediate round frame (the server may drop some for slow
     /// clients; [`crate::server::ServerStats::frames_dropped_slow`] says
     /// whether any were).
-    pub rounds: Vec<WireRound>,
+    pub rounds: Vec<RoundUpdate>,
     /// The resume token from the server's [`Frame::Parked`] announcement,
     /// if the session was made durable. Present even on completed runs
     /// (the token was granted at admission); only useful after a

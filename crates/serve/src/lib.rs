@@ -67,9 +67,13 @@
 //! | `0x05` | Stats | 19×`u64`: admitted, completed, cancelled, rejected, frames sent, frames dropped, active clients, hit/miss pairs for the predicate cache (always 0, slot kept), the plan cache, and the composite cache (always 0, slot kept), then parked, resumed, expired, parked-now, parked bytes, scheduler restarts |
 //! | `0x06` | Parked | `u64` resume token (never 0) |
 //!
-//! A snapshot (inside `0x01`) is: `u32` k + k×string labels, k×`u64`
+//! A Round frame carries the session's [`rapidviz::RoundUpdate`] itself
+//! ([`protocol::Frame::Round`]); its snapshot is the engine's
+//! [`rapidviz::Snapshot`], encoded as: `u32` k + k×string labels, k×`u64`
 //! estimate bits, k×(`u64`,`u64`) interval lo/hi bits, k×`u8` active
-//! flags, k×`u64` samples per group, `u64` rounds, `u8` truncated.
+//! flags, k×`u64` samples per group, `u64` rounds, `u8` truncated. A
+//! decoder refuses an interval that is NaN or has lo > hi, so a decoded
+//! snapshot keeps the in-process invariants.
 //!
 //! `0x02` and `0x03` are **terminal**: the server sends nothing further
 //! for that command (and closes after `0x03`). `0x04` is followed by a
@@ -126,6 +130,6 @@ pub mod server;
 pub use client::{backoff_delays, QueryRun, RetryPolicy, WireClient};
 pub use protocol::{
     parse_resume_line, read_frame, write_frame, ErrorCode, FilterSpec, Frame, QueryRequest,
-    WireAnswer, WireRound, WireSnapshot, WireStats,
+    WireAnswer, WireStats,
 };
 pub use server::{Server, ServerConfig, ServerHandle, ServerStats};

@@ -6,10 +6,13 @@
 //! payload is a schema over [`rapidviz::needletail::codec`] — the codec
 //! owns the primitives (bit-exact `f64`s: the wire answer must compare
 //! byte-identical to an in-process run) and the decode hardening rules.
+//! A round frame carries the session's own [`RoundUpdate`] and its
+//! [`Snapshot`]; there is no separate wire copy of either.
 
 use rapidviz::needletail::codec::{CodecError, Dec, Enc};
 use rapidviz::needletail::Predicate;
-use rapidviz::{Aggregate, AlgorithmChoice, QueryAnswer, RoundUpdate, StepOutcome};
+use rapidviz::stats::Interval;
+use rapidviz::{Aggregate, AlgorithmChoice, QueryAnswer, RoundUpdate, Snapshot, StepOutcome};
 use std::io::{Read, Write};
 
 /// Upper bound on one request line, bytes (LF included). Longer lines are
@@ -364,56 +367,6 @@ fn parse_u64_positive(key: &str, value: &str) -> Result<u64, String> {
     Ok(v)
 }
 
-/// The wire form of one [`Snapshot`](rapidviz::Snapshot).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireSnapshot {
-    /// Group labels, input order.
-    pub labels: Vec<String>,
-    /// Estimates (bit-exact).
-    pub estimates: Vec<f64>,
-    /// Confidence intervals, `(lo, hi)` per group.
-    pub intervals: Vec<(f64, f64)>,
-    /// Still-active flags.
-    pub active: Vec<bool>,
-    /// Per-group sample counts.
-    pub samples_per_group: Vec<u64>,
-    /// Round counter.
-    pub rounds: u64,
-    /// Whether a budget already truncated the run.
-    pub truncated: bool,
-}
-
-impl WireSnapshot {
-    /// The certified partial ordering: indices of inactive groups sorted
-    /// by ascending estimate (mirrors
-    /// [`Snapshot::certified_order`](rapidviz::Snapshot::certified_order)).
-    #[must_use]
-    pub fn certified_order(&self) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.estimates.len())
-            .filter(|&i| !self.active[i])
-            .collect();
-        idx.sort_by(|&a, &b| self.estimates[a].total_cmp(&self.estimates[b]));
-        idx
-    }
-}
-
-/// The wire form of one [`RoundUpdate`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireRound {
-    /// Step outcome.
-    pub outcome: StepOutcome,
-    /// Round counter after the step.
-    pub round: u64,
-    /// Total samples drawn so far.
-    pub total_samples: u64,
-    /// Fraction of eligible rows sampled (bit-exact).
-    pub fraction_sampled: f64,
-    /// Groups certified during this step.
-    pub newly_certified: Vec<u32>,
-    /// Full snapshot.
-    pub snapshot: WireSnapshot,
-}
-
 /// The wire form of a terminal [`QueryAnswer`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireAnswer {
@@ -488,8 +441,9 @@ pub struct WireStats {
 /// One server→client message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// A session advanced one round.
-    Round(WireRound),
+    /// A session advanced one round: its [`RoundUpdate`] and the
+    /// [`Snapshot`] inside it travel as they are.
+    Round(RoundUpdate),
     /// The terminal answer; the server closes the connection after it.
     Answer(WireAnswer),
     /// A structured error; the server closes the connection after it.
@@ -557,23 +511,30 @@ fn decode_outcome(d: &mut Dec<'_>) -> Result<StepOutcome, DecodeError> {
     StepOutcome::from_code(code).ok_or_else(|| DecodeError(format!("bad outcome byte {code}")))
 }
 
-fn encode_snapshot(e: &mut Enc, s: &WireSnapshot) {
+fn encode_snapshot(e: &mut Enc, s: &Snapshot) {
     e.count(s.labels.len());
     e.column(&s.labels);
     e.column(&s.estimates);
-    e.column(&s.intervals);
+    for iv in &s.intervals {
+        e.f64_bits(iv.lo);
+        e.f64_bits(iv.hi);
+    }
     e.column(&s.active);
     e.column(&s.samples_per_group);
     e.u64(s.rounds);
     e.flag(s.truncated);
 }
 
-fn decode_snapshot(d: &mut Dec<'_>) -> Result<WireSnapshot, DecodeError> {
+fn decode_snapshot(d: &mut Dec<'_>) -> Result<Snapshot, DecodeError> {
     let k = d.count(4)?;
-    Ok(WireSnapshot {
+    Ok(Snapshot {
         labels: d.column(k)?,
         estimates: d.column(k)?,
-        intervals: d.column(k)?,
+        intervals: d
+            .column(k)?
+            .into_iter()
+            .map(interval)
+            .collect::<Result<_, _>>()?,
         active: d.column(k)?,
         samples_per_group: d.column(k)?,
         rounds: d.u64()?,
@@ -581,33 +542,21 @@ fn decode_snapshot(d: &mut Dec<'_>) -> Result<WireSnapshot, DecodeError> {
     })
 }
 
+/// `Interval`'s invariant, checked: `lo <= hi` is false for NaN too.
+fn interval((lo, hi): (f64, f64)) -> Result<Interval, DecodeError> {
+    if lo <= hi {
+        Ok(Interval { lo, hi })
+    } else {
+        Err(DecodeError(format!("bad interval [{lo}, {hi}]")))
+    }
+}
+
 impl Frame {
-    /// A [`Frame::Round`] built from a session's [`RoundUpdate`].
+    /// A [`Frame::Round`] holding a copy of a session's [`RoundUpdate`]
+    /// (a caller that owns the update moves it in with `Frame::Round`).
     #[must_use]
     pub fn from_update(update: &RoundUpdate) -> Self {
-        let snap = &update.snapshot;
-        Frame::Round(WireRound {
-            outcome: update.outcome,
-            round: update.round,
-            total_samples: update.total_samples,
-            fraction_sampled: update.fraction_sampled,
-            newly_certified: update
-                .newly_certified
-                .iter()
-                // Group counts are bounded far below u32::MAX; clamp so a
-                // pathological session degrades to a bad index, not an abort.
-                .map(|&i| u32::try_from(i).unwrap_or(u32::MAX))
-                .collect(),
-            snapshot: WireSnapshot {
-                labels: snap.labels.clone(),
-                estimates: snap.estimates.clone(),
-                intervals: snap.intervals.iter().map(|i| (i.lo, i.hi)).collect(),
-                active: snap.active.clone(),
-                samples_per_group: snap.samples_per_group.clone(),
-                rounds: snap.rounds,
-                truncated: snap.truncated,
-            },
-        })
+        Frame::Round(update.clone())
     }
 
     /// A [`Frame::Answer`] built from a finished [`QueryAnswer`].
@@ -636,7 +585,12 @@ impl Frame {
                 e.u64(r.round);
                 e.u64(r.total_samples);
                 e.f64_bits(r.fraction_sampled);
-                e.vec(&r.newly_certified);
+                e.count(r.newly_certified.len());
+                // Group counts are bounded far below u32::MAX; clamp so a
+                // pathological session degrades to a bad index, not an abort.
+                for &i in &r.newly_certified {
+                    e.u32(u32::try_from(i).unwrap_or(u32::MAX));
+                }
                 encode_snapshot(&mut e, &r.snapshot);
             }
             Frame::Answer(a) => {
@@ -696,17 +650,17 @@ impl Frame {
     /// # Errors
     ///
     /// Returns [`DecodeError`] on an unknown tag, truncated payload,
-    /// implausible count, non-`0`/`1` boolean, invalid UTF-8, or trailing
-    /// bytes.
+    /// implausible count, non-`0`/`1` boolean, invalid UTF-8, an interval
+    /// that is NaN or has `lo > hi`, or trailing bytes.
     pub fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
         let mut d = Dec::new(payload);
         let frame = match d.u8()? {
-            TAG_ROUND => Frame::Round(WireRound {
+            TAG_ROUND => Frame::Round(RoundUpdate {
                 outcome: decode_outcome(&mut d)?,
                 round: d.u64()?,
                 total_samples: d.u64()?,
                 fraction_sampled: d.f64_bits()?,
-                newly_certified: d.vec()?,
+                newly_certified: d.vec::<u32>()?.into_iter().map(|i| i as usize).collect(),
                 snapshot: decode_snapshot(&mut d)?,
             }),
             TAG_ANSWER => {
@@ -898,16 +852,16 @@ mod tests {
     use rapidviz::needletail::codec::fnv1a64;
 
     fn sample_round() -> Frame {
-        Frame::Round(WireRound {
+        Frame::Round(RoundUpdate {
             outcome: StepOutcome::Running,
             round: 3,
             total_samples: 120,
             fraction_sampled: 0.25,
             newly_certified: vec![1],
-            snapshot: WireSnapshot {
+            snapshot: Snapshot {
                 labels: vec!["a".into(), "b".into()],
                 estimates: vec![1.5, -2.25],
-                intervals: vec![(1.0, 2.0), (-3.0, -1.5)],
+                intervals: vec![Interval::new(1.0, 2.0), Interval::new(-3.0, -1.5)],
                 active: vec![true, false],
                 samples_per_group: vec![70, 50],
                 rounds: 3,
@@ -1054,6 +1008,15 @@ mod tests {
         // samples(8)+fraction(8) = offset 26.
         huge[26..30].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(Frame::decode(&huge).is_err());
+        // The two intervals sit at 64..96 as (lo, hi) bit pairs. A NaN
+        // endpoint or lo > hi would break `Interval`'s invariant.
+        assert_eq!(payload[64..72], 1.0f64.to_bits().to_le_bytes());
+        for (at, v) in [(64, f64::NAN), (88, f64::NAN), (64, 2.5), (88, -3.5)] {
+            let mut bad = payload.clone();
+            bad[at..at + 8].copy_from_slice(&f64::to_bits(v).to_le_bytes());
+            let err = Frame::decode(&bad).unwrap_err();
+            assert!(err.0.contains("bad interval"), "{v} at {at}: {err}");
+        }
     }
 
     #[test]

@@ -693,7 +693,7 @@ fn scheduler_loop(shared: &Shared, cmd_rx: &Receiver<Command>) -> LoopExit {
             SchedulerEvent::Round { id, update } => {
                 let terminal = update.outcome != StepOutcome::Running;
                 if let Some(link) = links.get(&id) {
-                    send_round(&link.tx, Frame::from_update(&update).encode(), stats);
+                    send_round(&link.tx, Frame::Round(update).encode(), stats);
                     if !terminal && link.token != 0 {
                         // Durability refresh: keep the registry holding
                         // this session's latest resumable state, so even
@@ -1347,8 +1347,8 @@ mod tests {
     mod sharded {
         use super::*;
         use crate::client::{QueryRun, WireClient};
-        use crate::protocol::WireRound;
         use rapidviz::needletail::{ColumnDef, DataType, Schema, TableBuilder, Value};
+        use rapidviz::RoundUpdate;
 
         /// Two groups of 2^19 rows each, holding the same multiset of
         /// values in `0..100`, so their means tie exactly.
@@ -1409,7 +1409,7 @@ mod tests {
         }
 
         /// Reads the token and `rounds` round frames of a live stream.
-        fn token_and_rounds(client: &mut WireClient, rounds: usize) -> (u64, Vec<WireRound>) {
+        fn token_and_rounds(client: &mut WireClient, rounds: usize) -> (u64, Vec<RoundUpdate>) {
             let (mut token, mut seen) = (None, Vec::new());
             while token.is_none() || seen.len() < rounds {
                 match client.next_frame().expect("frame decodes") {

@@ -12,10 +12,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rapidviz::needletail::{ColumnDef, DataType, NeedleTail, Schema, TableBuilder, Value};
-use rapidviz::{ParkingRegistry, SessionCheckpoint, SimulatedClock, StepOutcome, VizQuery};
+use rapidviz::{
+    ParkingRegistry, RoundUpdate, SessionCheckpoint, SimulatedClock, StepOutcome, VizQuery,
+};
 use rapidviz_serve::{
     ErrorCode, Frame, QueryRequest, RetryPolicy, Server, ServerConfig, ServerHandle, WireClient,
-    WireRound,
 };
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -76,7 +77,7 @@ fn bits(estimates: &[f64]) -> Vec<u64> {
 
 /// Asserts every wire round (in stream order) is bit-identical to the same
 /// round of the uninterrupted in-process run of [`endless_request`]`(seed)`.
-fn assert_matches_uninterrupted(rounds: &[WireRound], seed: u64) {
+fn assert_matches_uninterrupted(rounds: &[RoundUpdate], seed: u64) {
     let engine = engine();
     let mut session = VizQuery::new(&engine)
         .group_by("g")
@@ -111,7 +112,7 @@ fn assert_matches_uninterrupted(rounds: &[WireRound], seed: u64) {
 
 /// Sends `RESUME` for `token` and reads the next `n` round frames of the
 /// resumed stream, checking that the token is announced again.
-fn resume_rounds(client: &mut WireClient, token: u64, n: usize) -> Vec<WireRound> {
+fn resume_rounds(client: &mut WireClient, token: u64, n: usize) -> Vec<RoundUpdate> {
     client
         .send_line(&format!("RESUME token={token}"))
         .expect("resume sent");
@@ -331,11 +332,13 @@ fn resuming_a_stale_sampled_count_token_gets_an_error_frame() {
         .collect();
     let stale = SessionCheckpoint::from_bytes(&bytes).expect("a well-formed v2 recipe");
     let registry = Arc::new(Mutex::new(ParkingRegistry::new(Duration::from_secs(120))));
-    let token = registry
-        .lock()
-        .expect("unpoisoned")
-        .park(stale)
-        .expect("the registry takes it");
+    let token = {
+        let mut registry = registry.lock().expect("unpoisoned");
+        let token = registry.reserve();
+        registry
+            .park_reserved(token, stale)
+            .expect("the registry takes it")
+    };
     let handle = Server::start_shared(engine(), durable_config(), registry).expect("server binds");
 
     // COUNT now draws nothing, so the recipe cannot replay: the resume

@@ -6,12 +6,14 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rapidviz::needletail::NeedleTail;
-use rapidviz::{Aggregate, StepOutcome, VizQuery};
+use rapidviz::needletail::SeededFaults;
+use rapidviz::{Aggregate, AlgorithmChoice, RoundUpdate, StepOutcome, VizQuery};
 use rapidviz_datagen::FlightModel;
 use rapidviz_serve::{
     ErrorCode, Frame, QueryRequest, Server, ServerConfig, ServerHandle, WireClient,
 };
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Duration;
 
 const TABLE_SEED: u64 = 11;
@@ -102,6 +104,90 @@ fn wire_answer_byte_identical_to_in_process() {
     handle.shutdown();
 }
 
+/// A round update with every float as its bit pattern, so `==` is
+/// `to_bits` equality field by field.
+#[derive(Debug, PartialEq)]
+struct UpdateBits {
+    outcome: StepOutcome,
+    /// `round`, `total_samples`, `snapshot.rounds`.
+    counters: [u64; 3],
+    fraction: u64,
+    newly_certified: Vec<usize>,
+    labels: Vec<String>,
+    estimates: Vec<u64>,
+    intervals: Vec<(u64, u64)>,
+    active: Vec<bool>,
+    samples_per_group: Vec<u64>,
+    truncated: bool,
+}
+
+fn update_bits(u: &RoundUpdate) -> UpdateBits {
+    let s = &u.snapshot;
+    UpdateBits {
+        outcome: u.outcome,
+        counters: [u.round, u.total_samples, s.rounds],
+        fraction: u.fraction_sampled.to_bits(),
+        newly_certified: u.newly_certified.clone(),
+        labels: s.labels.clone(),
+        estimates: s.estimates.iter().map(|e| e.to_bits()).collect(),
+        intervals: s
+            .intervals
+            .iter()
+            .map(|iv| (iv.lo.to_bits(), iv.hi.to_bits()))
+            .collect(),
+        active: s.active.clone(),
+        samples_per_group: s.samples_per_group.clone(),
+        truncated: s.truncated,
+    }
+}
+
+/// Every update of in-process sessions — AVG under each algorithm, SUM
+/// and COUNT, with and without dropped reads — comes back from `encode`
+/// then `decode` bit for bit.
+#[test]
+fn every_session_update_survives_encode_and_decode() {
+    for faults in [None, Some(SeededFaults::new(7, 0.05))] {
+        let mut engine = flight_engine();
+        if let Some(f) = faults {
+            engine.set_fault_injector(Arc::new(f));
+        }
+        let algorithms = [
+            AlgorithmChoice::IFocus,
+            AlgorithmChoice::IRefine,
+            AlgorithmChoice::RoundRobin,
+            AlgorithmChoice::ExactScan,
+        ];
+        let queries = algorithms
+            .map(|a| VizQuery::new(&engine).avg("arr_delay").algorithm(a))
+            .into_iter()
+            .chain([
+                VizQuery::new(&engine).sum("arr_delay"),
+                VizQuery::new(&engine).count("arr_delay"),
+            ]);
+        for (i, query) in queries.enumerate() {
+            let mut session = query
+                .group_by("name")
+                .samples_per_round(64)
+                .max_samples(3_000)
+                .start(StdRng::seed_from_u64(40 + i as u64))
+                .expect("session starts");
+            loop {
+                let update = session.step();
+                let payload = Frame::from_update(&update).encode();
+                match Frame::decode(&payload) {
+                    Ok(Frame::Round(back)) => {
+                        assert_eq!(update_bits(&back), update_bits(&update), "query {i}");
+                    }
+                    other => panic!("query {i} round {}: {other:?}", update.round),
+                }
+                if !update.outcome.is_running() {
+                    break;
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn wire_round_stream_matches_in_process_session() {
     // Queue large enough that nothing is ever dropped, so the full round
@@ -138,51 +224,7 @@ fn wire_round_stream_matches_in_process_session() {
     );
     assert_eq!(run.rounds.len(), reference.len());
     for (wire, local) in run.rounds.iter().zip(&reference) {
-        assert_eq!(wire.outcome, local.outcome);
-        assert_eq!(wire.round, local.round);
-        assert_eq!(wire.total_samples, local.total_samples);
-        assert_eq!(
-            wire.fraction_sampled.to_bits(),
-            local.fraction_sampled.to_bits()
-        );
-        let certified: Vec<u32> = local
-            .newly_certified
-            .iter()
-            .map(|&i| u32::try_from(i).unwrap())
-            .collect();
-        assert_eq!(wire.newly_certified, certified);
-        assert_eq!(wire.snapshot.labels, local.snapshot.labels);
-        assert_eq!(wire.snapshot.active, local.snapshot.active);
-        assert_eq!(
-            wire.snapshot.samples_per_group,
-            local.snapshot.samples_per_group
-        );
-        let wire_bits: Vec<u64> = wire
-            .snapshot
-            .estimates
-            .iter()
-            .map(|e| e.to_bits())
-            .collect();
-        let local_bits: Vec<u64> = local
-            .snapshot
-            .estimates
-            .iter()
-            .map(|e| e.to_bits())
-            .collect();
-        assert_eq!(wire_bits, local_bits);
-        let wire_iv: Vec<(u64, u64)> = wire
-            .snapshot
-            .intervals
-            .iter()
-            .map(|&(lo, hi)| (lo.to_bits(), hi.to_bits()))
-            .collect();
-        let local_iv: Vec<(u64, u64)> = local
-            .snapshot
-            .intervals
-            .iter()
-            .map(|iv| (iv.lo.to_bits(), iv.hi.to_bits()))
-            .collect();
-        assert_eq!(wire_iv, local_iv);
+        assert_eq!(update_bits(wire), update_bits(local));
     }
     // The terminal answer agrees with the session's own final snapshot.
     let answer = run.answer.expect("terminal answer");

@@ -293,7 +293,7 @@ impl PlanCacheStats {
 
 /// What one session round produced: the step outcome plus a full
 /// [`Snapshot`] for progressive rendering, and bookkeeping deltas.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundUpdate {
     /// Outcome of the round ([`StepOutcome::Running`] means keep stepping).
     pub outcome: StepOutcome,
