@@ -69,9 +69,20 @@ impl WireClient {
     ///
     /// # Errors
     ///
-    /// Propagates socket write failures.
+    /// [`std::io::ErrorKind::InvalidInput`], with nothing written, when
+    /// the line would not parse back to `request` (a value holding a
+    /// separator, an empty `IN` list, a non-finite number): the server
+    /// would answer a different query or none. Otherwise propagates socket
+    /// write failures.
     pub fn send_request(&mut self, request: &QueryRequest) -> std::io::Result<()> {
-        self.send_line(&request.to_line())
+        let line = request.to_line();
+        if QueryRequest::parse_line(&line).as_ref() != Ok(request) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("request does not survive its own line: {line:?}"),
+            ));
+        }
+        self.send_line(&line)
     }
 
     /// Sends one raw protocol line (LF appended). Public so robustness
@@ -263,6 +274,48 @@ pub fn backoff_delays(policy: &RetryPolicy) -> Vec<Duration> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::FilterSpec;
+    use std::io::Read;
+    use std::net::TcpListener;
+
+    /// What `send_request` puts on the socket for `request`: the bytes a
+    /// peer reads until the client hangs up.
+    fn bytes_sent(request: &QueryRequest) -> (std::io::Result<()>, Vec<u8>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client =
+            WireClient::connect(listener.local_addr().unwrap(), Duration::from_secs(5)).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        let sent = client.send_request(request);
+        drop(client);
+        let mut got = Vec::new();
+        peer.read_to_end(&mut got).unwrap();
+        (sent, got)
+    }
+
+    #[test]
+    fn requests_that_would_parse_as_another_query_are_refused_unsent() {
+        let mut split_in = QueryRequest::avg("name", "delay", 1);
+        split_in.filter = Some(FilterSpec::In("origin".into(), vec!["A|B".into()]));
+        let mut split_group = QueryRequest::avg("name", "delay", 1);
+        split_group.group_by = vec!["a,b".into()];
+        let mut empty_in = QueryRequest::avg("name", "delay", 1);
+        empty_in.filter = Some(FilterSpec::In("origin".into(), Vec::new()));
+        for request in [split_in, split_group, empty_in] {
+            let (sent, got) = bytes_sent(&request);
+            let err = sent.expect_err("refused");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{request:?}");
+            assert!(got.is_empty(), "{request:?} wrote {got:?}");
+        }
+        // A request that round-trips goes out as its line.
+        let mut fine = QueryRequest::avg("name", "delay", 1);
+        fine.filter = Some(FilterSpec::In(
+            "origin".into(),
+            vec!["A".into(), "B".into()],
+        ));
+        let (sent, got) = bytes_sent(&fine);
+        sent.unwrap();
+        assert_eq!(got, format!("{}\n", fine.to_line()).into_bytes());
+    }
 
     #[test]
     fn backoff_schedule_is_deterministic_and_bounded() {

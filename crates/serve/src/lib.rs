@@ -32,7 +32,10 @@
 //!
 //! `group`, `agg`, `measure`, and `seed` are required; key order is free;
 //! unknown keys, bad numbers, or a missing required key get an error
-//! frame with code `Malformed` and the connection closes. A connection
+//! frame with code `Malformed` and the connection closes. The grammar has
+//! no escapes, so [`client::WireClient::send_request`] refuses, writing
+//! nothing, a request whose line would not parse back to it (a value
+//! holding a separator, an empty `IN` list). A connection
 //! runs one command at a time: after `QUERY` or `RESUME`, the server
 //! streams frames until the terminal frame, then reads the next line.
 //!

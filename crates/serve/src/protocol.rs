@@ -68,7 +68,7 @@ pub enum FilterSpec {
     Eq(String, String),
     /// `column IN (values)`, spelled as an OR chain in listed order (the
     /// engine canonicalizes, so operand order never splits the plan
-    /// cache).
+    /// cache). An empty list matches no row.
     In(String, Vec<String>),
 }
 
@@ -79,13 +79,11 @@ impl FilterSpec {
         match self {
             FilterSpec::Eq(col, val) => Predicate::eq(col.clone(), val.clone()),
             FilterSpec::In(col, vals) => {
-                let mut iter = vals.iter();
-                let first = iter.next().cloned().unwrap_or_default();
-                let mut pred = Predicate::eq(col.clone(), first);
-                for v in iter {
-                    pred = pred.or(Predicate::eq(col.clone(), v.clone()));
-                }
-                pred
+                let mut atoms = vals.iter().map(|v| Predicate::eq(col.clone(), v.clone()));
+                let first = atoms
+                    .next()
+                    .unwrap_or_else(|| Predicate::is_in(col.clone(), Vec::<String>::new()));
+                atoms.fold(first, Predicate::or)
             }
         }
     }
@@ -1090,6 +1088,20 @@ mod tests {
         let mut long = payload.clone();
         long.push(0);
         assert!(Frame::decode(&long).is_err());
+    }
+
+    #[test]
+    fn an_empty_in_filter_matches_no_row() {
+        use rapidviz::needletail::{ColumnDef, DataType, Schema, TableBuilder};
+        let mut b = TableBuilder::new(Schema::new(vec![ColumnDef::new("origin", DataType::Str)]));
+        for origin in ["", "A", "B"] {
+            b.push_row(vec![origin.into()]);
+        }
+        let table = b.finish();
+        let pred = FilterSpec::In("origin".into(), Vec::new()).to_predicate();
+        for row in 0..3 {
+            assert!(!pred.matches_row(&table, row), "row {row} matched");
+        }
     }
 
     #[test]
