@@ -269,11 +269,6 @@ pub struct SessionStats {
     /// signal a serving layer watches to tell cache-friendly workloads
     /// from filter-diverse ones that pay cold-plan cost per request.
     pub planning: PlanCacheStats,
-    /// Size of the session's most recent [`SessionCheckpoint`]
-    /// ([`SessionCheckpoint::approx_bytes`], updated by
-    /// [`MultiQueryScheduler::checkpoint`]); 0 until the first checkpoint
-    /// is taken.
-    pub checkpoint_bytes: usize,
 }
 
 /// One admitted session plus its scheduling state.
@@ -456,7 +451,6 @@ impl MultiQueryScheduler {
             outcome: session.outcome(),
             evicted: false,
             planning: session.planning_stats(),
-            checkpoint_bytes: 0,
         };
         self.ledger.charge(stats.total_samples);
         let runnable = !session.is_finished();
@@ -664,16 +658,20 @@ impl MultiQueryScheduler {
         slot.into_answer()
     }
 
-    /// Parks a live session: checkpoints it into `registry` and removes it
-    /// from the scheduler, returning the resume token. The session's draws
-    /// stay charged to the global sample budget (parking is not a refund),
-    /// and any pending eviction notice for it is dropped, exactly as in
-    /// [`MultiQueryScheduler::finish`].
+    /// Parks a live session under `token`, a token the caller reserved
+    /// earlier with [`ParkingRegistry::reserve`]: checkpoints it into
+    /// `registry` and removes it from the scheduler, returning the token.
+    /// The session's draws stay charged to the global sample budget
+    /// (parking is not a refund), and any pending eviction notice for it
+    /// is dropped, exactly as in [`MultiQueryScheduler::finish`].
     ///
     /// This is what a serving layer calls on client disconnect instead of
-    /// cancelling: the checkpoint outlives the connection (bounded by the
-    /// registry's TTL and byte cap) and a reconnecting client resumes it
-    /// with [`MultiQueryScheduler::unpark`].
+    /// cancelling: the token was announced to the client at admission (so
+    /// it survives even a hard server crash), the checkpoint outlives the
+    /// connection (bounded by the registry's TTL and byte cap), and a
+    /// reconnecting client resumes it with
+    /// [`MultiQueryScheduler::unpark`]. Upserts: a checkpoint already
+    /// parked under the token (a periodic refresh) is replaced.
     ///
     /// # Errors
     ///
@@ -688,34 +686,11 @@ impl MultiQueryScheduler {
     ///   it was started with a caller-supplied opaque RNG whose state
     ///   cannot be captured).
     /// * [`ParkError::OverCapacity`] — the registry's byte cap is full.
-    pub fn park(&mut self, id: QueryId, registry: &mut ParkingRegistry) -> Result<u64, ParkError> {
-        self.park_inner(id, registry, None)
-    }
-
-    /// [`MultiQueryScheduler::park`] under a token the caller reserved
-    /// earlier with [`ParkingRegistry::reserve`] — the serving pattern
-    /// where the token is announced to the client at admission (so it
-    /// survives even a hard server crash) and the checkpoint lands under
-    /// it at disconnect. Upserts: a checkpoint already parked under the
-    /// token (a periodic refresh) is replaced.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`MultiQueryScheduler::park`].
     pub fn park_reserved(
         &mut self,
         id: QueryId,
         registry: &mut ParkingRegistry,
         token: u64,
-    ) -> Result<u64, ParkError> {
-        self.park_inner(id, registry, Some(token))
-    }
-
-    fn park_inner(
-        &mut self,
-        id: QueryId,
-        registry: &mut ParkingRegistry,
-        token: Option<u64>,
     ) -> Result<u64, ParkError> {
         let idx = self
             .slots
@@ -728,10 +703,7 @@ impl MultiQueryScheduler {
             // is nothing left to park.
             None => return Err(ParkError::NoSuchSession),
         };
-        let token = match token {
-            Some(t) => registry.park_reserved(t, checkpoint)?,
-            None => registry.park(checkpoint)?,
-        };
+        registry.park_reserved(token, checkpoint)?;
         let slot = self.slots.remove(idx);
         if slot.runnable {
             self.runnable_weight -= slot.weight();
@@ -744,23 +716,20 @@ impl MultiQueryScheduler {
     /// Checkpoints a live session **without** removing it — the periodic
     /// durability refresh a crash-recovering server takes after each
     /// round (paired with [`ParkingRegistry::park_reserved`], so the
-    /// registry always holds each session's latest resumable state). Also
-    /// records the checkpoint size in [`SessionStats::checkpoint_bytes`].
+    /// registry always holds each session's latest resumable state).
     ///
     /// # Errors
     ///
     /// [`ParkError::NoSuchSession`] for unknown / finished / evicted ids;
     /// [`ParkError::Checkpoint`] if the session cannot checkpoint.
-    pub fn checkpoint(&mut self, id: QueryId) -> Result<SessionCheckpoint, ParkError> {
+    pub fn checkpoint(&self, id: QueryId) -> Result<SessionCheckpoint, ParkError> {
         let slot = self
             .slots
-            .iter_mut()
+            .iter()
             .find(|s| s.id == id)
             .ok_or(ParkError::NoSuchSession)?;
         let session = slot.session.as_ref().ok_or(ParkError::NoSuchSession)?;
-        let checkpoint = session.checkpoint().map_err(ParkError::Checkpoint)?;
-        slot.stats.checkpoint_bytes = checkpoint.approx_bytes();
-        Ok(checkpoint)
+        session.checkpoint().map_err(ParkError::Checkpoint)
     }
 
     /// Resumes a parked session from `registry` and re-admits it under a
@@ -989,9 +958,10 @@ struct ParkedEntry {
 /// TTL-bounded, byte-capped store of parked session checkpoints, keyed by
 /// resume token.
 ///
-/// A serving layer parks a disconnecting client's session here
-/// ([`MultiQueryScheduler::park`]) instead of cancelling it, hands the
-/// token to the client, and resumes on reconnect
+/// A serving layer reserves a token at admission and hands it to the
+/// client, parks a disconnecting client's session under it
+/// ([`MultiQueryScheduler::park_reserved`]) instead of cancelling it, and
+/// resumes on reconnect
 /// ([`MultiQueryScheduler::unpark`]). Two bounds keep an abandoned-client
 /// workload from pinning memory forever:
 ///
@@ -1105,17 +1075,6 @@ impl ParkingRegistry {
         token
     }
 
-    /// Parks a checkpoint under a fresh token and returns it.
-    ///
-    /// # Errors
-    ///
-    /// [`ParkError::OverCapacity`] if the byte cap would be exceeded (the
-    /// rejection is counted in [`ParkingStats::rejected_total`]).
-    pub fn park(&mut self, checkpoint: SessionCheckpoint) -> Result<u64, ParkError> {
-        let token = self.reserve();
-        self.park_reserved(token, checkpoint)
-    }
-
     /// Parks (or refreshes) a checkpoint under a token obtained from
     /// [`ParkingRegistry::reserve`]. An entry already held under the token
     /// is replaced — this is how a server keeps each live session's latest
@@ -1126,7 +1085,8 @@ impl ParkingRegistry {
     /// # Errors
     ///
     /// [`ParkError::OverCapacity`] if the byte cap would be exceeded net
-    /// of the entry being replaced.
+    /// of the entry being replaced (the rejection is counted in
+    /// [`ParkingStats::rejected_total`]).
     pub fn park_reserved(
         &mut self,
         token: u64,
@@ -1408,7 +1368,8 @@ mod tests {
                 sched.poll();
             }
             let mut registry = ParkingRegistry::new(Duration::from_secs(60));
-            let token = sched.park(id, &mut registry).unwrap();
+            let token = registry.reserve();
+            sched.park_reserved(id, &mut registry, token).unwrap();
             assert_eq!(sched.len(), 0);
             assert_eq!(registry.len(), 1);
             assert!(registry.bytes() > 0);
@@ -1450,7 +1411,8 @@ mod tests {
             );
             sched.poll();
             let mut registry = ParkingRegistry::new(Duration::from_secs(60));
-            match sched.park(id, &mut registry) {
+            let token = registry.reserve();
+            match sched.park_reserved(id, &mut registry, token) {
                 Err(ParkError::Checkpoint(CheckpointError::OpaqueRng)) => {}
                 other => panic!("expected OpaqueRng checkpoint error, got {other:?}"),
             }
@@ -1468,8 +1430,9 @@ mod tests {
             let mut sched = MultiQueryScheduler::new(SchedulePolicy::FairShare);
             let id = sched.admit(session(&engine, 1));
             let bogus = QueryId(999);
+            let token = registry.reserve();
             assert_eq!(
-                sched.park(bogus, &mut registry),
+                sched.park_reserved(bogus, &mut registry, token),
                 Err(ParkError::NoSuchSession)
             );
             assert!(matches!(
@@ -1477,7 +1440,10 @@ mod tests {
                 Err(ParkError::NoSuchToken)
             ));
             sched.finish(id);
-            assert_eq!(sched.park(id, &mut registry), Err(ParkError::NoSuchSession));
+            assert_eq!(
+                sched.park_reserved(id, &mut registry, token),
+                Err(ParkError::NoSuchSession)
+            );
         }
 
         #[test]
@@ -1488,7 +1454,8 @@ mod tests {
             let mut sched = MultiQueryScheduler::new(SchedulePolicy::FairShare);
             let id = sched.admit(session(&engine, 3));
             sched.poll();
-            let token = sched.park(id, &mut registry).unwrap();
+            let token = registry.reserve();
+            sched.park_reserved(id, &mut registry, token).unwrap();
 
             // One tick short of the TTL: still resumable.
             clock.advance(Duration::from_secs(29));
@@ -1511,7 +1478,8 @@ mod tests {
             let mut sched = MultiQueryScheduler::new(SchedulePolicy::FairShare);
             let id = sched.admit(session(&engine, 5));
             sched.poll();
-            match sched.park(id, &mut registry) {
+            let token = registry.reserve();
+            match sched.park_reserved(id, &mut registry, token) {
                 Err(ParkError::OverCapacity { needed, cap }) => {
                     assert!(needed > 1);
                     assert_eq!(cap, 1);
@@ -1531,8 +1499,10 @@ mod tests {
             let mut sched = MultiQueryScheduler::new(SchedulePolicy::FairShare);
             let a = sched.admit(session(&engine, 1));
             let b = sched.admit(session(&engine, 2));
-            assert_eq!(sched.park(a, &mut registry).unwrap(), 1);
-            assert_eq!(sched.park(b, &mut registry).unwrap(), 2);
+            for (id, want) in [(a, 1), (b, 2)] {
+                let token = registry.reserve();
+                assert_eq!(sched.park_reserved(id, &mut registry, token), Ok(want));
+            }
         }
 
         #[test]
@@ -1550,7 +1520,6 @@ mod tests {
             for _ in 0..3 {
                 sched.poll();
                 let ck = sched.checkpoint(id).unwrap();
-                assert!(sched.stats(id).unwrap().checkpoint_bytes > 0);
                 registry.park_reserved(token, ck).unwrap();
             }
             assert_eq!(registry.len(), 1);
@@ -1591,7 +1560,8 @@ mod tests {
                 sched.poll();
             }
             let before = sched.total_samples();
-            let token = sched.park(id, &mut registry).unwrap();
+            let token = registry.reserve();
+            sched.park_reserved(id, &mut registry, token).unwrap();
             assert_eq!(
                 sched.total_samples(),
                 before,
@@ -1623,7 +1593,8 @@ mod tests {
             let before = ledger.charged();
             assert_eq!(a.total_samples(), before, "both schedulers read one ledger");
             assert_eq!(b.total_samples(), before);
-            let token = a.park(moved, &mut registry).unwrap();
+            let token = registry.reserve();
+            a.park_reserved(moved, &mut registry, token).unwrap();
             b.unpark(&mut registry, token, &engine).unwrap();
             assert_eq!(
                 ledger.charged(),
