@@ -94,7 +94,8 @@
 //! crash drills with reconnect-and-resume recovery) run against an
 //! in-process `rapidviz-serve` server, and every completed answer —
 //! including resumed and crash-recovered ones — is byte-compared against
-//! its standalone replay. Failures print `SIM_SEED=<u64> POLICY=Wire`;
+//! its standalone replay, as is every round frame a completing client
+//! receives (frames may be dropped, never altered). Failures print `SIM_SEED=<u64> POLICY=Wire`;
 //! `SIM_WIRE_EPISODES` sizes the batch (default 25).
 //!
 //! # Calibration

@@ -122,7 +122,7 @@ impl Report {
 
 /// Everything bit-comparable about one [`RoundUpdate`].
 #[derive(Debug, Clone, PartialEq)]
-struct UpdateKey {
+pub(crate) struct UpdateKey {
     outcome: StepOutcome,
     round: u64,
     total_samples: u64,
@@ -134,7 +134,7 @@ struct UpdateKey {
     truncated: bool,
 }
 
-fn update_key(update: &RoundUpdate) -> UpdateKey {
+pub(crate) fn update_key(update: &RoundUpdate) -> UpdateKey {
     UpdateKey {
         outcome: update.outcome,
         round: update.round,

@@ -29,6 +29,10 @@
 //!    session bit-identically from its registry checkpoint. Conversely,
 //!    an episode without a drill ends with zero scheduler restarts, so a
 //!    panic the supervisor quietly absorbs still fails the episode.
+//! 6. **wire-round-replay** — the round frames a `Complete` client
+//!    receives are, in order and [`f64::to_bits`]-exactly, a subsequence
+//!    of the updates the same seeded query streams in process: the
+//!    server may drop a frame for a slow client, never alter one.
 //!
 //! Crash-drill episodes run a single client: the drill kills every live
 //! session in the incarnation, so a fleet-mate's `Complete` script would
@@ -38,10 +42,11 @@
 //! the seed fully determines the episode.
 
 use crate::plan::{GroupBy, TableSpec};
+use crate::run::update_key;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rapidviz::needletail::NeedleTail;
-use rapidviz::{AlgorithmChoice, VizQuery};
+use rapidviz::{AlgorithmChoice, RoundUpdate, VizQuery};
 use rapidviz_core::clock::{Clock, SystemClock};
 use rapidviz_serve::{
     ErrorCode, FilterSpec, Frame, QueryRequest, RetryPolicy, Server, ServerConfig, WireClient,
@@ -110,6 +115,31 @@ impl WireQuerySpec {
     /// Executes the same query in-process against `engine` and returns
     /// the answer for byte-comparison.
     fn execute_in_process(&self, engine: &NeedleTail) -> rapidviz::QueryAnswer {
+        self.in_process(engine)
+            .execute(&mut StdRng::seed_from_u64(self.seed))
+            .expect("replay of an admitted wire query plans")
+    }
+
+    /// Streams the same query in-process against `engine`: every update
+    /// up to and including the terminal one.
+    fn stream_in_process(&self, engine: &NeedleTail) -> Vec<RoundUpdate> {
+        let mut session = self
+            .in_process(engine)
+            .start(StdRng::seed_from_u64(self.seed))
+            .expect("replay of an admitted wire query plans");
+        let mut updates = Vec::new();
+        loop {
+            let update = session.step();
+            let running = update.outcome.is_running();
+            updates.push(update);
+            if !running {
+                return updates;
+            }
+        }
+    }
+
+    /// The in-process query this spec's request line denotes.
+    fn in_process<'e>(&self, engine: &'e NeedleTail) -> VizQuery<'e> {
         let mut q = VizQuery::new(engine);
         for col in self.group_by.columns() {
             q = q.group_by(*col);
@@ -127,8 +157,6 @@ impl WireQuerySpec {
         }
         q.samples_per_round(self.samples_per_round)
             .max_samples(self.max_samples)
-            .execute(&mut StdRng::seed_from_u64(self.seed))
-            .expect("replay of an admitted wire query plans")
     }
 }
 
@@ -216,6 +244,9 @@ pub struct WireReport {
     pub resumed_answers: u64,
     /// Crash drills recovered bit-identically via reconnect + `RESUME`.
     pub crash_recoveries: u64,
+    /// Round frames of `Complete` clients matched, in order, against the
+    /// in-process stream.
+    pub replayed_rounds: u64,
 }
 
 /// Expands one root seed into a wire episode plan. Pure.
@@ -398,6 +429,12 @@ pub fn run_wire_episode(plan: &WireEpisodePlan) -> Result<WireReport, WireFailur
     for (script, result) in plan.clients.iter().zip(results) {
         let outcome = result.map_err(&fail)?;
         let answer = match outcome {
+            ClientOutcome::Completed(a, rounds) => {
+                let local = script.query.stream_in_process(&replay_engine);
+                report.replayed_rounds += replays_as_subsequence(&rounds, &local)
+                    .map_err(|message| fail(format!("{message} for {script:?}")))?;
+                a
+            }
             ClientOutcome::Answered(a) => a,
             ClientOutcome::Resumed(a) => {
                 report.resumed_answers += 1;
@@ -480,7 +517,26 @@ pub fn run_wire_episode(plan: &WireEpisodePlan) -> Result<WireReport, WireFailur
     Ok(report)
 }
 
+/// Checks that `wire` is, in order and [`f64::to_bits`]-exactly, a
+/// subsequence of `local`; returns how many frames it matched.
+fn replays_as_subsequence(wire: &[RoundUpdate], local: &[RoundUpdate]) -> Result<u64, String> {
+    let mut local = local.iter().map(update_key);
+    for (i, frame) in wire.iter().enumerate() {
+        let key = update_key(frame);
+        if !local.any(|k| k == key) {
+            return Err(format!(
+                "wire-round-replay: frame {i} (round {}) matches no in-process update \
+                 after the previous frame's: {key:?}",
+                frame.round
+            ));
+        }
+    }
+    Ok(wire.len() as u64)
+}
+
 enum ClientOutcome {
+    /// A `Complete` script's answer and every round frame it received.
+    Completed(rapidviz_serve::WireAnswer, Vec<RoundUpdate>),
     Answered(rapidviz_serve::WireAnswer),
     /// Answered after a disconnect + `RESUME` round-trip.
     Resumed(rapidviz_serve::WireAnswer),
@@ -558,9 +614,10 @@ fn run_client_script(
             let run = client
                 .run_query(&script.query.to_request())
                 .map_err(|e| format!("query stream failed: {e}"))?;
-            run.answer
-                .map(ClientOutcome::Answered)
-                .ok_or_else(|| format!("no terminal answer; error={:?}", run.error))
+            match run.answer {
+                Some(a) => Ok(ClientOutcome::Completed(a, run.rounds)),
+                None => Err(format!("no terminal answer; error={:?}", run.error)),
+            }
         }
         WireBehavior::HalfClose => {
             client
@@ -719,6 +776,7 @@ pub fn run_wire_batch(base_seed: u64, count: u64) -> WireReport {
                 aggregate.malformed_rejections += r.malformed_rejections;
                 aggregate.resumed_answers += r.resumed_answers;
                 aggregate.crash_recoveries += r.crash_recoveries;
+                aggregate.replayed_rounds += r.replayed_rounds;
             }
             Err(failure) => panic!("{}", failure.report()),
         }

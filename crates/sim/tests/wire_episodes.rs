@@ -24,6 +24,10 @@ fn wire_batch() {
         report.verified_answers > 0,
         "batch must byte-verify some answers: {report:?}"
     );
+    assert!(
+        report.replayed_rounds > 0,
+        "batch must replay some round frames: {report:?}"
+    );
 }
 
 #[test]
