@@ -28,11 +28,16 @@
 //! Both regimes also come in batch form —
 //! [`BitmapSampler::sample_batch_with_replacement`] and
 //! [`BitmapSampler::sample_batch_without_replacement`] — which generate all
-//! `n` ranks first, resolve them through one sorted
-//! [`Bitmap::select_many`] call, and then restore draw order. The batch
-//! paths consume the RNG identically to `n` single draws, so for a fixed
-//! seed they return the **same stream of rows** — batching is a pure
-//! throughput optimization with no statistical or reproducibility cost.
+//! `n` ranks first and then resolve them. Without replacement the ranks
+//! `π_K(drawn..drawn + n)` go through the network side by side (*The keyed
+//! permutation*). A [`RowSet::Range`] or [`RowSet::Positions`] resolves a
+//! rank with one add or one load, so it maps the ranks in draw order; only
+//! a [`RowSet::Bitmap`] or [`RowSet::Window`] sorts them, resolves them
+//! through one sorted [`Bitmap::select_many`] call, and restores draw
+//! order. The batch paths consume the RNG identically to `n` single draws,
+//! so for a fixed seed they return the **same stream of rows** — batching
+//! is a pure throughput optimization with no statistical or
+//! reproducibility cost.
 //! [`SizeEstimatingSampler::sample_batch_with_size_estimate`] extends the
 //! same contract to Algorithm 5's `(row, z)` pairs.
 //!
@@ -49,10 +54,15 @@
 //! smaller one: with halves of one to three bits, (π_K(0), π_K(1)) stays
 //! measurably non-uniform even at twelve rounds. So `b` is at least 8, and
 //! a group of fewer than 256 rows walks up to `256 / eligible` times per
-//! draw, which its few draws afford. The round keys are expanded from `K`, which
-//! the sampler takes from the RNG at its first without-replacement draw,
-//! so with-replacement streams never see it. [`BitmapSampler::reset`]
-//! drops `K`: the next draw starts a fresh permutation.
+//! draw, which its few draws afford. A batch enciphers [`LANES`] ranks at a
+//! time, round by round, so their independent multiply chains overlap
+//! instead of each waiting on the last, and then cycle-walks the ranks that
+//! landed out of range, again `LANES` at a time; each rank still takes
+//! exactly the encipherings a single draw gives it. The round keys are
+//! expanded from `K`, which the sampler takes from the RNG at its first
+//! without-replacement draw, so with-replacement streams never see it.
+//! [`BitmapSampler::reset`] drops `K`: the next draw starts a fresh
+//! permutation.
 //!
 //! **What this assumes.** Hoeffding–Serfling is proved for a uniformly
 //! random permutation; `π_K` is one of at most `2^64` pseudo-random ones.
@@ -73,9 +83,10 @@
 //!
 //! ## The scratch arena
 //!
-//! Every sampler owns a [`BatchScratch`]: the sort keys, the sorted-rank
-//! staging buffer, the `select_many` output, and the radix-sort ping-pong
-//! buffer all live in reusable vectors, so after the first few batches the
+//! Every sampler owns a [`BatchScratch`]: the draw-order ranks, and for
+//! the two shapes that sort (a bitmap and a window) the sorted-rank staging
+//! buffer, the `select_many` output, and the radix-sort ping-pong buffer,
+//! all live in reusable vectors, so after the first batch of a size the
 //! batch path performs **zero heap allocation at steady state** (verified
 //! by a counting-allocator test). Batches of [`RADIX_MIN_BATCH`] keys or
 //! more are sorted with a stable LSD radix sort over the packed words
@@ -210,7 +221,8 @@ impl RowSet {
     /// [`Bitmap::select_many`]; a range adds its start to each rank, the
     /// positions view indexes directly). A window copies the ranks to shift
     /// them; the sampler's batch path shifts them in its own scratch
-    /// instead.
+    /// instead. Only a bitmap and a window need the ranks sorted, and the
+    /// sampler's batch path sorts only for those two.
     ///
     /// # Panics
     ///
@@ -291,16 +303,20 @@ pub const RADIX_MIN_BATCH: usize = 4096;
 
 /// Reusable buffers for batched rank resolution — one per sampler, so the
 /// batch path allocates nothing once the buffers have grown to the batch
-/// size. All buffers are cleared (not shrunk) between batches.
+/// size. All buffers are cleared (not shrunk) between batches; a range or
+/// positions view only ever uses `keys`.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
-    /// Draw-order ranks, packed in place to `rank << 20 | draw_index`.
+    /// Draw-order ranks; for a bitmap or window, packed in place to
+    /// `rank << 20 | draw_index` and sorted.
     keys: Vec<u64>,
-    /// Radix-sort ping-pong buffer.
+    /// Radix-sort ping-pong buffer (bitmap and window only).
     radix: Vec<u64>,
-    /// Sorted ranks handed to [`Bitmap::select_many`].
+    /// Sorted ranks handed to [`Bitmap::select_many`] (bitmap and window
+    /// only).
     sorted: Vec<u64>,
-    /// Positions returned by `select_many` (sorted-rank order).
+    /// Positions returned by `select_many` in sorted-rank order (bitmap
+    /// and window only).
     positions: Vec<u64>,
     /// Fallback sort pairs for oversized ranks/batches (rank ≥ 2^44 or
     /// batch ≥ 2^20); never used by realistic workloads.
@@ -314,6 +330,11 @@ const FEISTEL_ROUNDS: usize = 6;
 
 /// The network's smallest domain is `2^MIN_DOMAIN_BITS` ranks.
 const MIN_DOMAIN_BITS: u32 = 8;
+
+/// Ranks a batch pushes through the network side by side: enough
+/// independent multiply chains to keep the multiplier busy while each
+/// chain waits on its own last result.
+const LANES: usize = 8;
 
 /// The keyed bijection `π_K` on `[0, n)`: a Feistel network over `2^b ≥ n`
 /// ranks, cycle-walked back into range.
@@ -354,20 +375,97 @@ impl Permutation {
         x
     }
 
-    /// One pass of the network over the power-of-two domain. Round `j`
-    /// maps halves `(l, r)` of widths `(wl, wr)` to `(r, l ^ F_j(r))` of
-    /// widths `(wr, wl)`.
+    /// Replaces every `i < n` in `xs` by `π_K(i)`, equal rank for rank to
+    /// [`Self::rank`]: the network runs over [`LANES`] ranks at a time,
+    /// then the ranks left `≥ n` cycle-walk through a window of `LANES`
+    /// slots, each slot refilled from the batch as its walk lands in range.
+    /// The last fewer than `LANES` ranks, and walks, go one at a time: a
+    /// part-empty lane pass costs more than the few single ranks it would
+    /// replace, which made batches of one to four draws slower.
+    fn rank_many(&self, xs: &mut [u64]) {
+        let mut chunks = xs.chunks_exact_mut(LANES);
+        for chunk in &mut chunks {
+            let mut lanes = [0; LANES];
+            lanes.copy_from_slice(chunk);
+            chunk.copy_from_slice(&self.encipher_lanes(lanes));
+        }
+        for x in chunks.into_remainder() {
+            *x = self.rank(*x);
+        }
+        // `slot[j]` is where walk `j` writes back.
+        let (mut slot, mut lanes) = ([0usize; LANES], [0u64; LANES]);
+        let (mut live, mut next) = (0, 0);
+        loop {
+            while live < LANES && next < xs.len() {
+                if xs[next] >= self.n {
+                    (slot[live], lanes[live]) = (next, xs[next]);
+                    live += 1;
+                }
+                next += 1;
+            }
+            if live < LANES {
+                break;
+            }
+            lanes = self.encipher_lanes(lanes);
+            let mut j = 0;
+            while j < live {
+                if lanes[j] < self.n {
+                    xs[slot[j]] = lanes[j];
+                    live -= 1;
+                    (slot[j], lanes[j]) = (slot[live], lanes[live]);
+                } else {
+                    j += 1;
+                }
+            }
+        }
+        // Walking on from an out-of-range rank is what `rank` does after
+        // its first encipherment.
+        for (&i, &x) in slot[..live].iter().zip(&lanes[..live]) {
+            xs[i] = self.rank(x);
+        }
+    }
+
+    /// One pass of the network over the power-of-two domain: [`round`] with
+    /// each round key in turn.
     #[inline]
     fn encipher(&self, x: u64) -> u64 {
-        let mask = |w: u32| (1u64 << w) - 1;
         let (mut wl, mut wr) = (self.high, self.low);
         let (mut l, mut r) = (x >> wr, x & mask(wr));
         for &key in &self.keys {
-            (l, r) = (r, l ^ (mix(r ^ key) & mask(wl)));
+            (l, r) = round(l, r, key, wl);
             (wl, wr) = (wr, wl);
         }
         (l << wr) | r
     }
+
+    /// [`Self::encipher`] over [`LANES`] ranks, every rank taking round `j`
+    /// before any takes round `j + 1`, so their chains interleave.
+    #[inline]
+    fn encipher_lanes(&self, xs: [u64; LANES]) -> [u64; LANES] {
+        let (mut wl, mut wr) = (self.high, self.low);
+        let (mut l, mut r) = (xs.map(|x| x >> wr), xs.map(|x| x & mask(wr)));
+        for &key in &self.keys {
+            for (l, r) in l.iter_mut().zip(&mut r) {
+                (*l, *r) = round(*l, *r, key, wl);
+            }
+            (wl, wr) = (wr, wl);
+        }
+        std::array::from_fn(|i| (l[i] << wr) | r[i])
+    }
+}
+
+/// One Feistel round: halves `(l, r)` of widths `(wl, wr)` become
+/// `(r, l ^ F(r))` of widths `(wr, wl)`, where `F` is the keyed SplitMix64
+/// finalizer cut to `wl` bits.
+#[inline]
+fn round(l: u64, r: u64, key: u64, wl: u32) -> (u64, u64) {
+    (r, l ^ (mix(r ^ key) & mask(wl)))
+}
+
+/// The low `w` bits.
+#[inline]
+fn mask(w: u32) -> u64 {
+    (1 << w) - 1
 }
 
 /// SplitMix64's finalizer: a full-avalanche bijection on `u64` (also the
@@ -503,10 +601,11 @@ impl BitmapSampler {
     /// in one batch, appending them to `out` in draw order; returns the
     /// number appended (`< n` once the population runs dry).
     ///
-    /// The batch is `π_K` over ranks `drawn..drawn + n`, resolved through
-    /// one [`Bitmap::select_many`] sweep; the RNG is consumed as by `n`
-    /// calls of [`Self::sample_without_replacement`] (the key, if this is
-    /// the first draw, and nothing else), so the rows are the same stream.
+    /// The batch is `π_K` over ranks `drawn..drawn + n`, computed in place
+    /// [`LANES`] ranks at a time and resolved as the module docs' *Batched
+    /// draws* describe; the RNG is consumed as by `n` calls of
+    /// [`Self::sample_without_replacement`] (the key, if this is the first
+    /// draw, and nothing else), so the rows are the same stream.
     pub fn sample_batch_without_replacement<R: Rng + ?Sized>(
         &mut self,
         n: usize,
@@ -518,9 +617,10 @@ impl BitmapSampler {
             return 0;
         }
         let order = self.order(rng);
-        let drawn = self.drawn;
-        self.scratch.keys.clear();
-        (self.scratch.keys).extend((drawn..drawn + take as u64).map(|d| order.rank(d)));
+        let keys = &mut self.scratch.keys;
+        keys.clear();
+        keys.extend(self.drawn..self.drawn + take as u64);
+        order.rank_many(keys);
         self.drawn += take as u64;
         resolve_in_draw_order(&self.bits, &mut self.scratch, out);
         take
@@ -543,9 +643,11 @@ impl BitmapSampler {
     }
 }
 
-/// Resolves the draw-order ranks staged in `scratch.keys` against `bits`
-/// via one sorted `select_many` sweep, appending positions to `out` in the
-/// original draw order. All intermediate state lives in `scratch` (a
+/// Resolves the draw-order ranks staged in `scratch.keys` against `bits`,
+/// appending positions to `out` in draw order. A range returns `start + k`
+/// and a positions view `positions[k]`, rank by rank: no pack, sort,
+/// `select_many` or unsort. A bitmap or window resolves through one sorted
+/// `select_many` sweep. All intermediate state lives in `scratch` (a
 /// window shifts the sorted ranks there), so a warm scratch makes this
 /// allocation-free (provided `out` has capacity).
 ///
@@ -557,6 +659,13 @@ impl BitmapSampler {
 /// to the pair sort.
 fn resolve_in_draw_order(bits: &RowSet, scratch: &mut BatchScratch, out: &mut Vec<u64>) {
     const IDX_BITS: u32 = 20;
+    match bits {
+        RowSet::Range { start, .. } => return out.extend(scratch.keys.iter().map(|&k| start + k)),
+        RowSet::Positions { positions, .. } => {
+            return out.extend(scratch.keys.iter().map(|&k| positions[k as usize]));
+        }
+        RowSet::Bitmap(_) | RowSet::Window { .. } => {}
+    }
     let BatchScratch {
         keys,
         radix,
@@ -803,6 +912,30 @@ mod tests {
         for k in 1..=24u32 {
             for n in [(1u64 << k) - 1, 1 << k, (1 << k) + 1] {
                 assert!(is_bijection(u64::from(k) << 40 | n, n), "n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn batched_ranks_equal_single_ranks() {
+        // Every bijection-test domain, each batch length from the start of
+        // the permutation and from its middle: `rank_many` must give each
+        // rank exactly what `rank` gives it (8 is the lane count, 4,097
+        // more than a window's worth of walks).
+        let domains = (1..=4_097u64).chain((1..=24u32).flat_map(|k| {
+            let p = 1u64 << k;
+            [p - 1, p, p + 1]
+        }));
+        for n in domains {
+            let pi = Permutation::new(mix(n), n);
+            for offset in [0, n / 2] {
+                for len in [1u64, 7, 8, 9, 255, 256, 4_097] {
+                    let end = n.min(offset + len);
+                    let mut batch: Vec<u64> = (offset..end).collect();
+                    pi.rank_many(&mut batch);
+                    let single: Vec<u64> = (offset..end).map(|i| pi.rank(i)).collect();
+                    assert_eq!(batch, single, "n {n} offset {offset} len {len}");
+                }
             }
         }
     }
@@ -1314,6 +1447,52 @@ mod tests {
                 over_bitmap.sample_without_replacement(&mut rng_a),
                 over_window.sample_without_replacement(&mut rng_b)
             );
+        }
+    }
+
+    #[test]
+    fn every_row_set_shape_replays_single_draws_in_batches_of_16_and_256() {
+        // A range and a positions view map ranks in draw order, a bitmap
+        // and a window sort them: all four must replay single draws.
+        let rows: Vec<u64> = (0..3_000).map(|i| i * 3 + 1).collect();
+        let bits = Arc::new(bitmap(&rows, 9_001));
+        let shapes = [
+            RowSet::Range {
+                start: 40,
+                count: 3_000,
+                universe: 9_001,
+            },
+            RowSet::Positions {
+                positions: Arc::new(rows.clone()),
+                universe: 9_001,
+            },
+            RowSet::Bitmap(Arc::clone(&bits)),
+            RowSet::Window {
+                bits,
+                first: 500,
+                count: 2_000,
+            },
+        ];
+        for set in shapes {
+            for batch in [16, 256] {
+                let mut singles = BitmapSampler::from_rows(set.clone());
+                let mut batched = singles.clone();
+                let mut rng_s = rand::rngs::StdRng::seed_from_u64(batch as u64);
+                let mut rng_b = rng_s.clone();
+                let mut got = Vec::new();
+                for _ in 0..5 {
+                    batched.sample_batch_with_replacement(batch, &mut rng_b, &mut got);
+                    batched.sample_batch_without_replacement(batch, &mut rng_b, &mut got);
+                }
+                let mut want = Vec::new();
+                for _ in 0..5 {
+                    want.extend((0..batch).map(|_| singles.sample_with_replacement(&mut rng_s)));
+                    want.extend((0..batch).map(|_| singles.sample_without_replacement(&mut rng_s)));
+                }
+                let want: Vec<u64> = want.into_iter().flatten().collect();
+                assert_eq!(got, want, "{set:?} in batches of {batch}");
+                assert_eq!(rng_b.state(), rng_s.state());
+            }
         }
     }
 

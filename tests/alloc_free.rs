@@ -16,11 +16,12 @@ use rapidviz::core::group::VecGroup;
 use rapidviz::core::{AlgoConfig, AlgorithmStepper, IFocus, SamplingMode, StepOutcome};
 use rapidviz::needletail::sampler::RADIX_MIN_BATCH;
 use rapidviz::needletail::{
-    Bitmap, BitmapSampler, ColumnDef, DataType, NeedleTail, Predicate, Schema,
+    Bitmap, BitmapSampler, ColumnDef, DataType, NeedleTail, Predicate, RowSet, Schema,
     SizeEstimatingSampler, TableBuilder,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// System allocator wrapper that counts every allocation (and
 /// reallocation; frees are not counted — the claim under test is about
@@ -157,6 +158,53 @@ fn without_replacement_batches_only_allocate_for_swap_growth() {
         }
     });
     assert_eq!(allocs, 0, "WOR batches must not allocate");
+}
+
+#[test]
+fn range_and_positions_batches_are_allocation_free_after_one_warm_up() {
+    // These two shapes resolve ranks in draw order without the sort's
+    // buffers: one batch of the measured size must be all the warm-up.
+    let positions: Vec<u64> = (0..200_000).map(|i| i * 3 + 2).collect();
+    let shapes = [
+        RowSet::Range {
+            start: 7,
+            count: 200_000,
+            universe: 600_000,
+        },
+        RowSet::Positions {
+            positions: Arc::new(positions),
+            universe: 600_000,
+        },
+    ];
+    for rows in shapes {
+        for batch in [16, 256] {
+            for replace in [false, true] {
+                let mut sampler = BitmapSampler::from_rows(rows.clone());
+                let mut rng = StdRng::seed_from_u64(batch as u64);
+                let mut out = Vec::new();
+                let mut draw = |out: &mut Vec<u64>| {
+                    out.clear();
+                    if replace {
+                        sampler.sample_batch_with_replacement(batch, &mut rng, out)
+                    } else {
+                        sampler.sample_batch_without_replacement(batch, &mut rng, out)
+                    }
+                };
+                assert_eq!(draw(&mut out), batch);
+                let allocs = allocations_during(|| {
+                    for _ in 0..20 {
+                        assert_eq!(draw(&mut out), batch);
+                    }
+                });
+                let shape = if matches!(rows, RowSet::Range { .. }) {
+                    "range"
+                } else {
+                    "positions"
+                };
+                assert_eq!(allocs, 0, "{shape} batches of {batch}, replace {replace}");
+            }
+        }
+    }
 }
 
 #[test]
