@@ -2,11 +2,13 @@
 //! and collects a whole query run. Used by the load generator, the
 //! loopback tests, and the simulation harness's wire episodes.
 
-use crate::protocol::{read_frame, ErrorCode, Frame, QueryRequest, WireAnswer, WireStats};
+use crate::protocol::{
+    read_frame, write_all_slices, ErrorCode, Frame, QueryRequest, WireAnswer, WireStats,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rapidviz::RoundUpdate;
-use std::io::Write;
+use std::io::{BufReader, IoSlice};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -40,9 +42,10 @@ impl QueryRun {
     }
 }
 
-/// A blocking connection to a `rapidviz-serve` server.
+/// A blocking connection to a `rapidviz-serve` server. Frames are read
+/// through a buffer, so a stream of small frames costs few reads.
 pub struct WireClient {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
 }
 
 impl WireClient {
@@ -60,7 +63,9 @@ impl WireClient {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
-        Ok(Self { stream })
+        Ok(Self {
+            stream: BufReader::new(stream),
+        })
     }
 
     /// Sends a `QUERY` line without reading anything back — callers
@@ -92,9 +97,8 @@ impl WireClient {
     ///
     /// Propagates socket write failures.
     pub fn send_line(&mut self, line: &str) -> std::io::Result<()> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()
+        let mut bufs = [IoSlice::new(line.as_bytes()), IoSlice::new(b"\n")];
+        write_all_slices(self.stream.get_mut(), &mut bufs)
     }
 
     /// Reads the next frame; `Ok(None)` on a clean server close.
@@ -180,10 +184,12 @@ impl WireClient {
     }
 
     /// The underlying stream — robustness tests use it to shut down write
-    /// halves or send byte-at-a-time.
+    /// halves or send byte-at-a-time. Read frames with
+    /// [`WireClient::next_frame`], not from this stream: bytes already in
+    /// the client's read buffer are not on the stream any more.
     #[must_use]
     pub fn stream(&mut self) -> &mut TcpStream {
-        &mut self.stream
+        self.stream.get_mut()
     }
 
     /// [`WireClient::connect`] with bounded, seeded-backoff retries —

@@ -13,7 +13,7 @@ use rapidviz::needletail::codec::{CodecError, Dec, Enc};
 use rapidviz::needletail::Predicate;
 use rapidviz::stats::Interval;
 use rapidviz::{Aggregate, AlgorithmChoice, QueryAnswer, RoundUpdate, Snapshot, StepOutcome};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Upper bound on one request line, bytes (LF included). Longer lines are
 /// rejected with [`ErrorCode::Malformed`] before being buffered whole, so
@@ -722,7 +722,9 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
     write_frame_bytes(w, &payload)
 }
 
-/// Writes an already-encoded payload with its length prefix.
+/// Writes an already-encoded payload with its length prefix, both in one
+/// vectored write where the writer takes them together (a socket does: one
+/// syscall, and one segment under `TCP_NODELAY`).
 ///
 /// # Errors
 ///
@@ -734,8 +736,28 @@ pub fn write_frame_bytes(w: &mut impl Write, payload: &[u8]) -> std::io::Result<
             "frame payload exceeds the u32 length prefix",
         ));
     };
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)
+    write_all_slices(
+        w,
+        &mut [IoSlice::new(&len.to_le_bytes()), IoSlice::new(payload)],
+    )
+}
+
+/// `write_all` over several buffers: one vectored write, repeated on what
+/// a short write left.
+pub(crate) fn write_all_slices(
+    w: &mut impl Write,
+    mut bufs: &mut [IoSlice<'_>],
+) -> std::io::Result<()> {
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Reads one length-prefixed frame. Returns `Ok(None)` on a clean EOF at
