@@ -21,8 +21,8 @@
 //! connections keeps the shards balanced when a connection closes just
 //! as another opens: a closed connection counts until its thread notices
 //! the close, a finished stream does not. Client threads receive *encoded
-//! frame payloads* (plain `Vec<u8>`) back over bounded per-query channels
-//! — a scheduler never blocks on a socket. Two commands go to every
+//! frame payloads* back over bounded per-query channels — a scheduler
+//! never blocks on a socket. Two commands go to every
 //! shard: a graceful shutdown, which each shard answers by draining its
 //! sessions into the shared registry, and the `CRASH` drill. `RESUME`
 //! works on any shard, because the registry is shared, and so does
@@ -58,6 +58,14 @@
 //!   last-round checkpoints — reconnecting clients `RESUME token=…` and
 //!   the stream continues bit-identically from the checkpoint.
 //!
+//! A durable session completes only when its answer frame is written:
+//! the writer retires the token just before the write, so a client that
+//! holds the answer can no longer resume it. An answer that never reaches
+//! the socket (the connection is gone) leaves the session parked under its
+//! token with its last-round checkpoint, and `RESUME` replays the final
+//! round to the same answer bits. An answer the kernel accepted but the
+//! client never read is lost with the connection.
+//!
 //! Sessions that cannot checkpoint (or that the registry's byte cap
 //! rejects) run exactly as before, just without a token — disconnect
 //! cancels them.
@@ -82,7 +90,7 @@ use rand::SeedableRng;
 use rapidviz::needletail::NeedleTail;
 use rapidviz::{
     MultiQueryScheduler, ParkError, ParkingRegistry, QueryId, QuerySession, SampleLedger,
-    SchedulePolicy, SchedulerEvent, StepOutcome, VizQuery,
+    SchedulePolicy, SchedulerEvent, SessionCheckpoint, StepOutcome, VizQuery,
 };
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Write};
@@ -165,7 +173,8 @@ pub struct ServerStats {
     /// Sessions admitted into the scheduler (resumed sessions count
     /// again — a resume is a fresh admission).
     pub sessions_admitted: AtomicU64,
-    /// Sessions that produced a terminal answer frame.
+    /// Sessions that produced a terminal answer frame (a durable
+    /// session's counts once the frame is being written).
     pub sessions_completed: AtomicU64,
     /// Sessions cancelled outright by client disconnect (only sessions
     /// without a resume token; durable ones park instead).
@@ -180,7 +189,8 @@ pub struct ServerStats {
     pub frames_dropped_slow: AtomicU64,
     /// Currently connected clients.
     pub active_clients: AtomicU64,
-    /// Sessions parked into the registry on disconnect or drain.
+    /// Sessions parked into the registry on disconnect or drain, or
+    /// because their answer never reached the socket.
     pub sessions_parked: AtomicU64,
     /// Parked sessions successfully resumed via `RESUME`.
     pub sessions_resumed: AtomicU64,
@@ -236,19 +246,19 @@ enum Command {
     Admit {
         client: u64,
         request: Box<QueryRequest>,
-        tx: SyncSender<Vec<u8>>,
+        tx: SyncSender<Outbound>,
     },
     /// Resume the parked session under `token` for `client`.
     Resume {
         client: u64,
         token: u64,
-        tx: SyncSender<Vec<u8>>,
+        tx: SyncSender<Outbound>,
     },
     /// The client disconnected; park its in-flight sessions (cancel the
     /// ones that cannot park).
     Cancel { client: u64 },
     /// Encode a stats frame and send it to `tx`.
-    Stats { tx: SyncSender<Vec<u8>> },
+    Stats { tx: SyncSender<Outbound> },
     /// Kill this scheduler-loop incarnation abruptly (config-gated
     /// recovery drill); the supervisor starts the next one.
     Crash,
@@ -266,10 +276,84 @@ enum LoopExit {
     Crashed,
 }
 
+/// A frame on its way from a shard to its connection's writer.
+struct Outbound {
+    /// The encoded frame.
+    payload: Vec<u8>,
+    /// Set on a durable session's answer.
+    answer: Option<AnswerHandoff>,
+}
+
+impl From<Vec<u8>> for Outbound {
+    fn from(payload: Vec<u8>) -> Self {
+        Self {
+            payload,
+            answer: None,
+        }
+    }
+}
+
+/// How a durable session's answer settles the session (module docs,
+/// *Durability*). Until the writer calls [`AnswerHandoff::retire`], the
+/// registry holds the token's last-round checkpoint; retiring takes it out
+/// and counts the session completed. Dropped unwritten — the queue was
+/// gone, the write failed, or the connection closed with the frame queued
+/// — the hand-off puts the checkpoint back and counts the session parked
+/// instead (cancelled, if the registry no longer takes it).
+struct AnswerHandoff {
+    token: u64,
+    /// The checkpoint taken out by [`AnswerHandoff::retire`].
+    retired: Option<SessionCheckpoint>,
+    /// Whether `retire` counted the session completed.
+    counted: bool,
+    /// Whether the frame reached the socket.
+    written: bool,
+    stats: Arc<ServerStats>,
+    registry: Arc<Mutex<ParkingRegistry>>,
+}
+
+impl AnswerHandoff {
+    /// Retires the token and counts the session completed: called just
+    /// before the answer's write, so neither can lag the client's read.
+    fn retire(&mut self) {
+        self.retired = lock_registry(&self.registry).withdraw(self.token);
+        self.stats
+            .sessions_completed
+            .fetch_add(1, Ordering::Relaxed);
+        self.counted = true;
+    }
+}
+
+impl Drop for AnswerHandoff {
+    fn drop(&mut self) {
+        if self.written {
+            return;
+        }
+        let kept = {
+            let mut reg = lock_registry(&self.registry);
+            match self.retired.take() {
+                Some(checkpoint) => reg.park_reserved(self.token, checkpoint).is_ok(),
+                None => reg.get(self.token).is_ok(),
+            }
+        };
+        let stats = &self.stats;
+        // The new bucket first, so the buckets never sum below the
+        // admissions while the completion is undone.
+        if kept {
+            stats.sessions_parked.fetch_add(1, Ordering::Relaxed);
+        } else {
+            stats.sessions_cancelled.fetch_add(1, Ordering::Relaxed);
+        }
+        if self.counted {
+            stats.sessions_completed.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
+
 /// Where an admitted session's frames go.
 struct ClientLink {
     client: u64,
-    tx: SyncSender<Vec<u8>>,
+    tx: SyncSender<Outbound>,
     /// The session's resume token (0 = not durable: the session could not
     /// checkpoint or the registry rejected it).
     token: u64,
@@ -689,51 +773,7 @@ fn scheduler_loop(shared: &Shared, cmd_rx: &Receiver<Command>) -> LoopExit {
         if drained && sched.runnable_count() == 0 {
             continue;
         }
-        match sched.poll() {
-            SchedulerEvent::Round { id, update } => {
-                let terminal = update.outcome != StepOutcome::Running;
-                if let Some(link) = links.get(&id) {
-                    send_round(&link.tx, Frame::Round(update).encode(), stats);
-                    if !terminal && link.token != 0 {
-                        // Durability refresh: keep the registry holding
-                        // this session's latest resumable state, so even
-                        // a hard crash loses no completed rounds.
-                        if let Ok(ck) = sched.checkpoint(id) {
-                            let mut reg = lock_registry(registry);
-                            let _ = reg.park_reserved(link.token, ck);
-                        }
-                    }
-                }
-                if terminal {
-                    deliver_answer(&mut sched, &mut links, id, stats, registry);
-                }
-            }
-            SchedulerEvent::MemoryEvicted { id, bytes } => {
-                if let Some(link) = links.get(&id) {
-                    // Eviction notices are part of the contract — never
-                    // dropped (see module docs for why this send is
-                    // bounded).
-                    let payload = (Frame::Evicted {
-                        bytes: bytes as u64,
-                    })
-                    .encode();
-                    let _ = link.tx.send(payload);
-                }
-                deliver_answer(&mut sched, &mut links, id, stats, registry);
-            }
-            SchedulerEvent::GlobalBudgetExhausted { .. } => {
-                // Finish out everything still registered with best-effort
-                // answers; late admits land here on the next poll.
-                let ids: Vec<QueryId> = links.keys().copied().collect();
-                for id in ids {
-                    deliver_answer(&mut sched, &mut links, id, stats, registry);
-                }
-            }
-            SchedulerEvent::Drained => {
-                // Raced between runnable_count and poll; loop back to
-                // blocking recv.
-            }
-        }
+        handle_event(sched.poll(), &mut sched, &mut links, stats, registry);
     };
     match exit {
         LoopExit::Shutdown => {
@@ -757,6 +797,62 @@ fn scheduler_loop(shared: &Shared, cmd_rx: &Receiver<Command>) -> LoopExit {
         }
     }
     exit
+}
+
+/// Applies one scheduler event: streams a round (refreshing the session's
+/// durability checkpoint) and delivers every answer the event ends.
+fn handle_event(
+    event: SchedulerEvent,
+    sched: &mut MultiQueryScheduler,
+    links: &mut BTreeMap<QueryId, ClientLink>,
+    stats: &Arc<ServerStats>,
+    registry: &Arc<Mutex<ParkingRegistry>>,
+) {
+    match event {
+        SchedulerEvent::Round { id, update } => {
+            let terminal = update.outcome != StepOutcome::Running;
+            if let Some(link) = links.get(&id) {
+                send_round(&link.tx, Frame::Round(update).encode(), stats);
+                if !terminal && link.token != 0 {
+                    // Durability refresh: keep the registry holding
+                    // this session's latest resumable state, so even
+                    // a hard crash loses no completed rounds.
+                    if let Ok(ck) = sched.checkpoint(id) {
+                        let mut reg = lock_registry(registry);
+                        let _ = reg.park_reserved(link.token, ck);
+                    }
+                }
+            }
+            if terminal {
+                deliver_answer(sched, links, id, stats, registry);
+            }
+        }
+        SchedulerEvent::MemoryEvicted { id, bytes } => {
+            if let Some(link) = links.get(&id) {
+                // Eviction notices are part of the contract — never
+                // dropped (see module docs for why this send is
+                // bounded).
+                let payload = (Frame::Evicted {
+                    bytes: bytes as u64,
+                })
+                .encode();
+                let _ = link.tx.send(payload.into());
+            }
+            deliver_answer(sched, links, id, stats, registry);
+        }
+        SchedulerEvent::GlobalBudgetExhausted { .. } => {
+            // Finish out everything still registered with best-effort
+            // answers; late admits land here on the next poll.
+            let ids: Vec<QueryId> = links.keys().copied().collect();
+            for id in ids {
+                deliver_answer(sched, links, id, stats, registry);
+            }
+        }
+        SchedulerEvent::Drained => {
+            // Raced between runnable_count and poll; loop back to
+            // blocking recv.
+        }
+    }
 }
 
 /// Parks a linked session under its token, falling back to cancelling it
@@ -838,7 +934,7 @@ fn handle_command(
                     // Announce the token before any round frame: the
                     // client must hold it before a failure can take the
                     // stream down.
-                    let _ = tx.send((Frame::Parked { token }).encode());
+                    let _ = tx.send((Frame::Parked { token }).encode().into());
                 }
                 links.insert(id, ClientLink { client, tx, token });
                 stats.sessions_admitted.fetch_add(1, Ordering::Relaxed);
@@ -850,7 +946,7 @@ fn handle_command(
                     message,
                 })
                 .encode();
-                let _ = tx.send(payload);
+                let _ = tx.send(payload.into());
             }
         },
         Command::Resume { client, token, tx } => {
@@ -873,7 +969,7 @@ fn handle_command(
             };
             match resumed {
                 Ok(id) => {
-                    let _ = tx.send((Frame::Parked { token }).encode());
+                    let _ = tx.send((Frame::Parked { token }).encode().into());
                     links.insert(id, ClientLink { client, tx, token });
                     stats.sessions_admitted.fetch_add(1, Ordering::Relaxed);
                     stats.sessions_resumed.fetch_add(1, Ordering::Relaxed);
@@ -890,7 +986,7 @@ fn handle_command(
                             format!("token {token} is unknown, already resumed, or expired"),
                         ),
                     };
-                    let _ = tx.send((Frame::Error { code, message }).encode());
+                    let _ = tx.send((Frame::Error { code, message }).encode().into());
                 }
             }
         }
@@ -916,7 +1012,7 @@ fn handle_command(
                 reg.stats()
             };
             let payload = Frame::Stats(stats.wire(&engine.metrics().snapshot(), parking)).encode();
-            let _ = tx.send(payload);
+            let _ = tx.send(payload.into());
         }
         Command::Crash => {
             if config.enable_crash {
@@ -932,13 +1028,15 @@ fn handle_command(
     None
 }
 
-/// Finishes `id`, drops its durability shadow, and streams its terminal
-/// answer frame.
+/// Finishes `id` and streams its terminal answer frame. A durable
+/// session's answer carries its [`AnswerHandoff`]: the session counts as
+/// completed only once the writer takes the frame, and a failed send
+/// drops the hand-off, which parks it.
 fn deliver_answer(
     sched: &mut MultiQueryScheduler,
     links: &mut BTreeMap<QueryId, ClientLink>,
     id: QueryId,
-    stats: &ServerStats,
+    stats: &Arc<ServerStats>,
     registry: &Arc<Mutex<ParkingRegistry>>,
 ) {
     let Some(link) = links.remove(&id) else {
@@ -946,24 +1044,33 @@ fn deliver_answer(
         let _ = sched.finish(id);
         return;
     };
-    if link.token != 0 {
-        // A completed session is no longer resumable; without this the
-        // shadow would linger until the TTL reaped it.
-        let mut reg = lock_registry(registry);
-        reg.discard(link.token);
-    }
-    if let Some(answer) = sched.finish(id) {
-        // Count before handing the frame off: a client that reads its
-        // answer must already see itself in `sessions_completed`.
+    let Some(answer) = sched.finish(id) else {
+        lock_registry(registry).discard(link.token);
+        return;
+    };
+    let answer = Outbound {
+        payload: Frame::from_answer(&answer).encode(),
+        answer: (link.token != 0).then(|| AnswerHandoff {
+            token: link.token,
+            retired: None,
+            counted: false,
+            written: false,
+            stats: Arc::clone(stats),
+            registry: Arc::clone(registry),
+        }),
+    };
+    if answer.answer.is_none() {
+        // Nothing to resume: count before handing the frame off, so a
+        // client that reads its answer already sees itself counted.
         stats.sessions_completed.fetch_add(1, Ordering::Relaxed);
-        let _ = link.tx.send(Frame::from_answer(&answer).encode());
     }
+    let _ = link.tx.send(answer);
 }
 
 /// Sends an intermediate round frame without ever blocking the scheduler:
 /// a full queue drops the frame (the next snapshot supersedes it).
-fn send_round(tx: &SyncSender<Vec<u8>>, payload: Vec<u8>, stats: &ServerStats) {
-    match tx.try_send(payload) {
+fn send_round(tx: &SyncSender<Outbound>, payload: Vec<u8>, stats: &ServerStats) {
+    match tx.try_send(payload.into()) {
         Ok(()) => {}
         Err(TrySendError::Full(_)) => {
             stats.frames_dropped_slow.fetch_add(1, Ordering::Relaxed);
@@ -1079,7 +1186,7 @@ fn client_loop(
             continue;
         }
         if line == "STATS" {
-            let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(1);
+            let (tx, rx) = mpsc::sync_channel::<Outbound>(1);
             let shard = shards.place();
             let answered = shards.send(shard, Command::Stats { tx })
                 && pump_frames(&mut writer, &rx, stats, shutdown);
@@ -1102,7 +1209,7 @@ fn client_loop(
         }
         // Everything else opens a round stream: a parked session resumed
         // by token, or a fresh query.
-        let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(config.frame_queue.max(1));
+        let (tx, rx) = mpsc::sync_channel::<Outbound>(config.frame_queue.max(1));
         let command = if line.starts_with("RESUME") {
             parse_resume_line(line).map(|token| Command::Resume { client, token, tx })
         } else {
@@ -1158,13 +1265,16 @@ fn send_error(writer: &mut TcpStream, stats: &ServerStats, code: ErrorCode, mess
 /// socket died or the server is shutting down — the caller then cancels
 /// and closes.
 fn pump_frames(
-    writer: &mut TcpStream,
-    rx: &Receiver<Vec<u8>>,
+    writer: &mut impl Write,
+    rx: &Receiver<Outbound>,
     stats: &ServerStats,
     shutdown: &AtomicBool,
 ) -> bool {
     loop {
-        let payload = match rx.recv_timeout(Duration::from_millis(100)) {
+        let Outbound {
+            payload,
+            mut answer,
+        } = match rx.recv_timeout(Duration::from_millis(100)) {
             Ok(p) => p,
             Err(RecvTimeoutError::Timeout) => {
                 if shutdown.load(Ordering::SeqCst) {
@@ -1176,8 +1286,14 @@ fn pump_frames(
             // more is coming.
             Err(RecvTimeoutError::Disconnected) => return false,
         };
+        if let Some(answer) = &mut answer {
+            answer.retire();
+        }
         if crate::protocol::write_frame_bytes(writer, &payload).is_err() {
             return false;
+        }
+        if let Some(answer) = &mut answer {
+            answer.written = true;
         }
         stats.frames_sent.fetch_add(1, Ordering::Relaxed);
         if payload.first().is_some_and(|&tag| ends_stream(tag)) {
@@ -1233,7 +1349,7 @@ mod tests {
         // loop drains them back to back, ahead of its first `poll()`, and
         // the session is live and unfinished when the drain lands however
         // fast a round is.
-        let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(4_096);
+        let (tx, rx) = mpsc::sync_channel::<Outbound>(4_096);
         cmd_tx
             .send(Command::Admit {
                 client: 1,
@@ -1246,7 +1362,7 @@ mod tests {
         drain_schedulers(&Shards::new(vec![cmd_tx]), vec![thread]);
 
         // The token announcement proves the session was live and durable.
-        let first = rx.try_recv().expect("token frame was sent");
+        let first = rx.try_recv().expect("token frame was sent").payload;
         assert_eq!(first.first().copied(), Some(0x06), "Parked frame first");
         assert_eq!(
             stats.sessions_parked.load(Ordering::Relaxed),
@@ -1275,7 +1391,7 @@ mod tests {
             let exit = handle_command(cmd, &engine, &config, sched, &mut links, &stats, &registry);
             assert!(exit.is_none());
         };
-        let (tx, _admitted) = mpsc::sync_channel::<Vec<u8>>(4_096);
+        let (tx, _admitted) = mpsc::sync_channel::<Outbound>(4_096);
         let admit = Command::Admit {
             client: 1,
             request: Box::new(QueryRequest::avg("name", "arr_delay", 1)),
@@ -1291,14 +1407,14 @@ mod tests {
         assert_eq!(sched.len(), 0, "the disconnect parked the session");
 
         // No such token: rejected, and not counted as a resume.
-        let (tx, refused) = mpsc::sync_channel::<Vec<u8>>(4);
+        let (tx, refused) = mpsc::sync_channel::<Outbound>(4);
         let resume = Command::Resume {
             client: 2,
             token: 99,
             tx,
         };
         run(&mut sched, resume);
-        let frame = refused.try_recv().expect("error frame was sent");
+        let frame = refused.try_recv().expect("error frame was sent").payload;
         assert!(matches!(
             Frame::decode(&frame),
             Ok(Frame::Error {
@@ -1308,14 +1424,14 @@ mod tests {
         ));
         assert_eq!(lock_registry(&registry).stats().resumed_total, 0);
 
-        let (tx, resumed) = mpsc::sync_channel::<Vec<u8>>(4_096);
+        let (tx, resumed) = mpsc::sync_channel::<Outbound>(4_096);
         let resume = Command::Resume {
             client: 2,
             token: 1,
             tx,
         };
         run(&mut sched, resume);
-        let frame = resumed.try_recv().expect("token frame was sent");
+        let frame = resumed.try_recv().expect("token frame was sent").payload;
         assert_eq!(Frame::decode(&frame), Ok(Frame::Parked { token: 1 }));
         assert_eq!(sched.len(), 1);
         assert_eq!(
@@ -1329,6 +1445,113 @@ mod tests {
         let parking = lock_registry(&registry).stats();
         assert_eq!(parking.resumed_total, 1);
         assert_eq!(parking.parked, 1, "the resumed session is durable again");
+    }
+
+    /// A writer that takes every frame but an answer: it keeps the refused
+    /// answer's bytes and fails the write, as a socket whose peer is gone.
+    #[derive(Default)]
+    struct RefusesAnswers {
+        frame: Vec<u8>,
+        refused: Vec<u8>,
+    }
+
+    impl Write for RefusesAnswers {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.frame.extend_from_slice(buf);
+            let len = self
+                .frame
+                .get(..4)
+                .map(|p| 4 + u32::from_le_bytes(p.try_into().expect("4 bytes")) as usize);
+            if len == Some(self.frame.len()) {
+                let frame = std::mem::take(&mut self.frame);
+                if let Ok(Frame::Answer(_)) = Frame::decode(&frame[4..]) {
+                    self.refused = frame;
+                    return Err(ErrorKind::BrokenPipe.into());
+                }
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// An answer that cannot be written leaves its session parked under
+    /// its token with the last round's checkpoint, not completed; `RESUME`
+    /// replays the final round to the same answer bytes, and a written
+    /// answer retires the token.
+    #[test]
+    fn an_answer_that_never_reached_the_socket_stays_resumable() {
+        let engine = engine();
+        let config = ServerConfig::default();
+        let registry = Arc::new(Mutex::new(ParkingRegistry::new(config.park_ttl)));
+        let stats = Arc::new(ServerStats::default());
+        let shutdown = AtomicBool::new(false);
+        let mut sched = MultiQueryScheduler::new(config.policy);
+        let mut links = BTreeMap::new();
+        // Runs `cmd`, then steps the shard until every linked stream has
+        // its answer queued.
+        let mut serve = |cmd| {
+            let exit = handle_command(
+                cmd, &engine, &config, &mut sched, &mut links, &stats, &registry,
+            );
+            assert!(exit.is_none());
+            while !links.is_empty() {
+                handle_event(sched.poll(), &mut sched, &mut links, &stats, &registry);
+            }
+        };
+        let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+
+        let (tx, rx) = mpsc::sync_channel::<Outbound>(4_096);
+        let mut request = QueryRequest::avg("name", "arr_delay", 3);
+        request.samples_per_round = Some(8);
+        serve(Command::Admit {
+            client: 1,
+            request: Box::new(request),
+            tx,
+        });
+        let mut gone = RefusesAnswers::default();
+        assert!(!pump_frames(&mut gone, &rx, &stats, &shutdown));
+        assert!(!gone.refused.is_empty(), "the answer was refused");
+        assert_eq!(count(&stats.sessions_admitted), 1);
+        assert_eq!(count(&stats.sessions_completed), 0);
+        assert_eq!(count(&stats.sessions_parked), 1);
+        assert_eq!(count(&stats.sessions_cancelled), 0);
+        assert_eq!(
+            lock_registry(&registry).len(),
+            1,
+            "the token stays resumable"
+        );
+
+        let (tx, rx) = mpsc::sync_channel::<Outbound>(4_096);
+        serve(Command::Resume {
+            client: 2,
+            token: 1,
+            tx,
+        });
+        let mut socket = Vec::new();
+        assert!(pump_frames(&mut socket, &rx, &stats, &shutdown));
+        let mut frames: &[u8] = &socket;
+        let mut last = None;
+        while let Some(frame) = crate::protocol::read_frame(&mut frames).expect("frames decode") {
+            last = Some(frame);
+        }
+        let refused = Frame::decode(&gone.refused[4..]).expect("answer decodes");
+        assert_eq!(last, Some(refused), "the resumed answer is the refused one");
+        assert_eq!(
+            socket[socket.len() - gone.refused.len()..],
+            gone.refused[..],
+            "bit for bit"
+        );
+        assert_eq!(count(&stats.sessions_admitted), 2);
+        assert_eq!(count(&stats.sessions_completed), 1);
+        assert_eq!(count(&stats.sessions_parked), 1);
+        assert_eq!(count(&stats.sessions_resumed), 1);
+        assert!(
+            lock_registry(&registry).is_empty(),
+            "the written answer retired the token"
+        );
     }
 
     /// The drain must also join cleanly when the scheduler holds nothing.

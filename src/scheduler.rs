@@ -1123,13 +1123,16 @@ impl ParkingRegistry {
     /// durability shadow is no longer resumable. Returns whether an entry
     /// was held.
     pub fn discard(&mut self, token: u64) -> bool {
-        match self.parked.remove(&token) {
-            Some(entry) => {
-                self.bytes -= entry.bytes;
-                true
-            }
-            None => false,
-        }
+        self.withdraw(token).is_some()
+    }
+
+    /// [`ParkingRegistry::discard`], returning the checkpoint: a server
+    /// withdraws a session's shadow while its answer is being written, and
+    /// parks it again if the write fails.
+    pub fn withdraw(&mut self, token: u64) -> Option<SessionCheckpoint> {
+        let entry = self.parked.remove(&token)?;
+        self.bytes -= entry.bytes;
+        Some(entry.checkpoint)
     }
 
     /// Borrows a parked checkpoint without consuming it (sweeps expired
