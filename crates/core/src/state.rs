@@ -169,8 +169,10 @@ pub(crate) struct FocusState {
     /// Round counter `m` (samples per still-active group so far).
     pub(crate) m: u64,
     pub(crate) truncated: bool,
-    /// Reusable buffer for batched draws (avoids a per-round allocation).
-    scratch: Vec<f64>,
+    /// Each group's values of the last batched round it drew (reused).
+    outs: Vec<Vec<f64>>,
+    /// The groups drawing this round, ascending (reused).
+    picks: Vec<usize>,
     /// Reusable deactivation-fixpoint buffers (member list, interval set,
     /// removal list) — zero steady-state allocation per round.
     fix: FixpointScratch,
@@ -222,7 +224,8 @@ impl FocusState {
             samples: vec![0; k],
             m: 1,
             truncated: false,
-            scratch: Vec::new(),
+            outs: vec![Vec::new(); k],
+            picks: Vec::new(),
             fix: FixpointScratch::default(),
         }
     }
@@ -272,26 +275,6 @@ impl FocusState {
         }
     }
 
-    /// Draws a batch of `n` samples from group `i` through its
-    /// [`GroupSource::draw_batch`] hook (one call instead of `n`); stops the
-    /// group when the source comes up short. Identical in effect and RNG
-    /// consumption to `n` repeated [`Self::draw`] calls.
-    pub(crate) fn draw_batch<G: GroupSource>(
-        &mut self,
-        i: usize,
-        group: &mut G,
-        rng: &mut dyn RngCore,
-        n: u64,
-    ) {
-        self.scratch.clear();
-        let got = group.draw_batch(n, rng, self.config.mode, &mut self.scratch);
-        self.width.push(i, &mut self.estimates[i], &self.scratch);
-        self.samples[i] += got;
-        if got < n {
-            self.stop(i);
-        }
-    }
-
     /// Group `i` draws no more. Unless it ran dry, a read was dropped (a
     /// fault injector withheld it): the run is truncated, and the group
     /// deactivates at the width the schedule grants for the samples it
@@ -320,9 +303,10 @@ impl FocusState {
         every_row && (self.sizes[i] == 0 || self.config.mode == SamplingMode::WithoutReplacement)
     }
 
-    /// Draws this round's batch from every unexhausted group, in group
-    /// order: the active ones (IFOCUS), or all of them with
-    /// `include_inactive` (ROUNDROBIN). The batched hot loops come here.
+    /// Draws this round's batch from every unexhausted group in one
+    /// [`GroupSource::draw_round`]: the active ones (IFOCUS), or all with
+    /// `include_inactive` (ROUNDROBIN); then, in group order, pushes each
+    /// batch into its running mean and stops a group that came up short.
     pub(crate) fn draw_round_selected<G: GroupSource>(
         &mut self,
         include_inactive: bool,
@@ -330,11 +314,20 @@ impl FocusState {
         rng: &mut dyn RngCore,
         batch: u64,
     ) {
-        for i in 0..self.k() {
-            if (include_inactive || self.active[i]) && !self.exhausted[i] {
-                self.draw_batch(i, &mut groups[i], rng, batch);
+        let mut picks = std::mem::take(&mut self.picks);
+        picks.clear();
+        let drawing = |i: &usize| (include_inactive || self.active[*i]) && !self.exhausted[*i];
+        picks.extend((0..self.k()).filter(drawing));
+        G::draw_round(groups, &picks, batch, rng, self.config.mode, &mut self.outs);
+        for &i in &picks {
+            let got = self.outs[i].len() as u64;
+            self.width.push(i, &mut self.estimates[i], &self.outs[i]);
+            self.samples[i] += got;
+            if got < batch {
+                self.stop(i);
             }
         }
+        self.picks = picks;
     }
 
     /// Reads every group's live half-width, the one place one is computed:
@@ -482,7 +475,9 @@ impl FocusState {
             + self.live.capacity() * size_of::<f64>()
             + self.frozen.capacity() * size_of::<f64>()
             + self.samples.capacity() * size_of::<u64>()
-            + self.scratch.capacity() * size_of::<f64>()
+            + self.outs.capacity() * size_of::<Vec<f64>>()
+            + self.outs.iter().map(Vec::capacity).sum::<usize>() * size_of::<f64>()
+            + self.picks.capacity() * size_of::<usize>()
             + self.fix.approx_bytes()
     }
 

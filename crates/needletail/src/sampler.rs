@@ -626,6 +626,12 @@ impl BitmapSampler {
         take
     }
 
+    /// Whether `π_K` is keyed: further draws without replacement read no RNG.
+    #[must_use]
+    pub fn is_keyed(&self) -> bool {
+        self.order.is_some()
+    }
+
     /// Resets the without-replacement permutation: the next draw takes a
     /// fresh key.
     pub fn reset(&mut self) {
@@ -916,24 +922,56 @@ mod tests {
         }
     }
 
+    /// `π_K(i)` by [`Permutation::encipher`] walked at most `2^b` times
+    /// (every cycle of the network is that short), failing with the domain
+    /// and offset of the batch it belongs to instead of walking forever.
+    fn walked(pi: &Permutation, i: u64, offset: u64) -> u64 {
+        let mut x = pi.encipher(i);
+        for _ in 0..1u64 << (pi.high + pi.low) {
+            if x < pi.n {
+                return x;
+            }
+            x = pi.encipher(x);
+        }
+        panic!(
+            "n {} offset {offset}: rank {i} never walks into range",
+            pi.n
+        );
+    }
+
     #[test]
     fn batched_ranks_equal_single_ranks() {
         // Every bijection-test domain, each batch length from the start of
         // the permutation and from its middle: `rank_many` must give each
-        // rank exactly what `rank` gives it (8 is the lane count, 4,097
-        // more than a window's worth of walks).
+        // rank exactly what the single-rank walk gives it (8 is the lane
+        // count, 4,097 more than a window's worth of walks). `rank_many`
+        // walks with `rank`, which walks forever from a value a wrong lane
+        // pass left off every in-range cycle, or on a network that is no
+        // bijection; so the lane pass is held to `encipher`, over in-range
+        // and out-of-range values, and the bounded reference walk runs
+        // before `rank_many` does.
         let domains = (1..=4_097u64).chain((1..=24u32).flat_map(|k| {
             let p = 1u64 << k;
             [p - 1, p, p + 1]
         }));
         for n in domains {
             let pi = Permutation::new(mix(n), n);
+            let domain = 1u64 << (pi.high + pi.low);
             for offset in [0, n / 2] {
+                for start in [offset, n + offset % (domain - n + 1)] {
+                    let lanes: [u64; LANES] = std::array::from_fn(|j| (start + j as u64) % domain);
+                    let single = lanes.map(|x| pi.encipher(x));
+                    assert_eq!(
+                        pi.encipher_lanes(lanes),
+                        single,
+                        "n {n} offset {offset} lanes"
+                    );
+                }
                 for len in [1u64, 7, 8, 9, 255, 256, 4_097] {
                     let end = n.min(offset + len);
+                    let single: Vec<u64> = (offset..end).map(|i| walked(&pi, i, offset)).collect();
                     let mut batch: Vec<u64> = (offset..end).collect();
                     pi.rank_many(&mut batch);
-                    let single: Vec<u64> = (offset..end).map(|i| pi.rank(i)).collect();
                     assert_eq!(batch, single, "n {n} offset {offset} len {len}");
                 }
             }
