@@ -130,18 +130,16 @@ impl Width {
         }
     }
 
-    /// Folds drawn values into group `i`'s running mean and, for Bernstein,
-    /// its `m2` (Welford's update, so the mean keeps its bits).
+    /// Folds a drawn value into group `i`'s running mean and, for
+    /// Bernstein, its `m2` (Welford's update, so the mean keeps its bits).
     #[inline]
-    fn push(&mut self, i: usize, estimate: &mut RunningMean, xs: &[f64]) {
+    fn push(&mut self, i: usize, estimate: &mut RunningMean, x: f64) {
         let Width::EmpiricalBernstein { m2, .. } = self else {
-            return estimate.push_batch(xs);
+            return estimate.push(x);
         };
-        for &x in xs {
-            let before = estimate.mean();
-            estimate.push(x);
-            m2[i] += (x - before) * (x - estimate.mean());
-        }
+        let before = estimate.mean();
+        estimate.push(x);
+        m2[i] += (x - before) * (x - estimate.mean());
     }
 }
 
@@ -268,7 +266,7 @@ impl FocusState {
     pub(crate) fn draw<G: GroupSource>(&mut self, i: usize, group: &mut G, rng: &mut dyn RngCore) {
         match group.sample(rng, self.config.mode) {
             Some(x) => {
-                self.width.push(i, &mut self.estimates[i], &[x]);
+                self.width.push(i, &mut self.estimates[i], x);
                 self.samples[i] += 1;
             }
             None => self.stop(i),
@@ -305,8 +303,10 @@ impl FocusState {
 
     /// Draws this round's batch from every unexhausted group in one
     /// [`GroupSource::draw_round`]: the active ones (IFOCUS), or all with
-    /// `include_inactive` (ROUNDROBIN); then, in group order, pushes each
-    /// batch into its running mean and stops a group that came up short.
+    /// `include_inactive` (ROUNDROBIN); folds value `j` of every batch
+    /// before value `j + 1`, so the groups' divide chains overlap (each
+    /// still folds its own values in draw order: a per-group fold's bits);
+    /// and stops, in group order, a group that came up short.
     pub(crate) fn draw_round_selected<G: GroupSource>(
         &mut self,
         include_inactive: bool,
@@ -319,9 +319,16 @@ impl FocusState {
         let drawing = |i: &usize| (include_inactive || self.active[*i]) && !self.exhausted[*i];
         picks.extend((0..self.k()).filter(drawing));
         G::draw_round(groups, &picks, batch, rng, self.config.mode, &mut self.outs);
+        let longest = picks.iter().map(|&i| self.outs[i].len()).max();
+        for j in 0..longest.unwrap_or(0) {
+            for &i in &picks {
+                if let Some(&x) = self.outs[i].get(j) {
+                    self.width.push(i, &mut self.estimates[i], x);
+                }
+            }
+        }
         for &i in &picks {
             let got = self.outs[i].len() as u64;
-            self.width.push(i, &mut self.estimates[i], &self.outs[i]);
             self.samples[i] += got;
             if got < batch {
                 self.stop(i);
@@ -511,14 +518,97 @@ impl FocusState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::GroupSource;
+    use rand::SeedableRng;
+
+    /// A group of `len` rows that delivers `values` in order and then
+    /// comes up short: dry when `values` holds every row, a dropped read
+    /// otherwise.
+    struct Scripted {
+        values: Vec<f64>,
+        len: u64,
+        next: usize,
+    }
+
+    impl GroupSource for Scripted {
+        fn label(&self) -> String {
+            String::new()
+        }
+        fn len(&self) -> u64 {
+            self.len
+        }
+        fn sample(&mut self, _rng: &mut dyn RngCore, _mode: SamplingMode) -> Option<f64> {
+            let x = self.values.get(self.next).copied();
+            self.next += 1;
+            x
+        }
+        fn reset(&mut self) {}
+    }
+
+    #[test]
+    fn the_lockstep_fold_keeps_every_groups_sequential_bits() {
+        // Values whose running mean depends on their order.
+        let values = |seed: f64, n: usize| -> Vec<f64> {
+            (0..n)
+                .map(|j| (seed + j as f64 * 0.37).sin() * 97.3 + 3.1 / (j as f64 + 1.7))
+                .collect()
+        };
+        // Full batches; dry at 5 of 5 rows, mid-batch; a dropped read
+        // after 3 of 100 rows; full again.
+        let script = [
+            (values(0.1, 40), 40),
+            (values(1.3, 5), 5),
+            (values(2.9, 3), 100),
+            (values(4.4, 24), 24),
+        ];
+        let config = AlgoConfig::new(100.0, 0.05).with_mode(SamplingMode::WithoutReplacement);
+        for width in [Width::anytime, Width::empirical_bernstein] {
+            let mut groups: Vec<Scripted> = script
+                .iter()
+                .map(|(v, len)| Scripted {
+                    values: v.clone(),
+                    len: *len,
+                    next: 0,
+                })
+                .collect();
+            let labels = vec![String::new(); groups.len()];
+            let sizes = groups.iter().map(GroupSource::len).collect();
+            let mut state = FocusState::new(&config, width(&config, groups.len()), labels, sizes);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+            for _ in 0..2 {
+                state.draw_round_selected(false, &mut groups, &mut rng, 8);
+            }
+            for (i, (v, _)) in script.iter().enumerate() {
+                // The per-group sequential fold of what group `i` delivered.
+                let (mut mean, mut m2) = (RunningMean::new(), 0.0);
+                for &x in &v[..v.len().min(16)] {
+                    let before = mean.mean();
+                    mean.push(x);
+                    m2 += (x - before) * (x - mean.mean());
+                }
+                let got = &state.estimates[i];
+                assert_eq!(got.mean().to_bits(), mean.mean().to_bits(), "group {i}");
+                assert_eq!(
+                    (got.count(), state.samples[i]),
+                    (mean.count(), mean.count())
+                );
+                if let Width::EmpiricalBernstein { m2: kept, .. } = &state.width {
+                    assert_eq!(kept[i].to_bits(), m2.to_bits(), "group {i}");
+                }
+            }
+            assert_eq!(state.exhausted, [false, true, true, false]);
+            assert!(state.stopped_short(2) && !state.stopped_short(1) && state.truncated);
+        }
+    }
 
     #[test]
     fn the_bernstein_width_keeps_m2_beside_an_unchanged_mean() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         let mut width = Width::empirical_bernstein(&AlgoConfig::new(10.0, 0.05), 2);
         let (mut mean, mut plain) = (RunningMean::new(), RunningMean::new());
-        width.push(1, &mut mean, &xs[..3]);
-        width.push(1, &mut mean, &xs[3..]);
+        for &x in &xs {
+            width.push(1, &mut mean, x);
+        }
         plain.push_batch(&xs);
         assert_eq!(mean, plain, "the mean keeps its bits");
         let Width::EmpiricalBernstein { m2, .. } = &width else {

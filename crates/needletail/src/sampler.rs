@@ -216,54 +216,6 @@ impl RowSet {
         }
     }
 
-    /// Resolves a **sorted** batch of ranks, appending each `k`-th eligible
-    /// row to `out` in input order (the contract of
-    /// [`Bitmap::select_many`]; a range adds its start to each rank, the
-    /// positions view indexes directly). A window copies the ranks to shift
-    /// them; the sampler's batch path shifts them in its own scratch
-    /// instead. Only a bitmap and a window need the ranks sorted, and the
-    /// sampler's batch path sorts only for those two.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any rank is `>= count_ones()`.
-    pub fn select_many(&self, sorted_ks: &[u64], out: &mut Vec<u64>) {
-        if let Some(&last) = sorted_ks.last() {
-            assert!(
-                last < self.count_ones(),
-                "select_many rank out of range (count_ones {})",
-                self.count_ones()
-            );
-        }
-        match self {
-            RowSet::Range { start, .. } => out.extend(sorted_ks.iter().map(|&k| start + k)),
-            RowSet::Bitmap(bm) => bm.select_many(sorted_ks, out),
-            RowSet::Positions { positions, .. } => {
-                out.extend(sorted_ks.iter().map(|&k| positions[k as usize]));
-            }
-            RowSet::Window { .. } => self.select_many_in_place(&mut sorted_ks.to_vec(), out),
-        }
-    }
-
-    /// [`Self::select_many`] over ranks the call may overwrite: a window
-    /// shifts them in place into its bitmap's rank space, so resolving a
-    /// batch allocates nothing.
-    fn select_many_in_place(&self, sorted_ks: &mut [u64], out: &mut Vec<u64>) {
-        let RowSet::Window { bits, first, count } = self else {
-            return self.select_many(sorted_ks, out);
-        };
-        if let Some(&last) = sorted_ks.last() {
-            assert!(
-                last < *count,
-                "select_many rank out of range (count_ones {count})"
-            );
-        }
-        for k in sorted_ks.iter_mut() {
-            *k += first;
-        }
-        bits.select_many(sorted_ks, out);
-    }
-
     /// Calls `f` on every eligible row id, ascending, allocating nothing:
     /// a range counts through its rows, positions and a bitmap are walked
     /// in order, and a window is one `select` of its first row followed by
@@ -653,9 +605,9 @@ impl BitmapSampler {
 /// appending positions to `out` in draw order. A range returns `start + k`
 /// and a positions view `positions[k]`, rank by rank: no pack, sort,
 /// `select_many` or unsort. A bitmap or window resolves through one sorted
-/// `select_many` sweep. All intermediate state lives in `scratch` (a
-/// window shifts the sorted ranks there), so a warm scratch makes this
-/// allocation-free (provided `out` has capacity).
+/// [`Bitmap::select_many`] sweep, a window's ranks shifted by its `first`
+/// as they are staged. All intermediate state lives in `scratch`, so a
+/// warm scratch makes this allocation-free (provided `out` has capacity).
 ///
 /// When ranks and batch size fit (rank < 2^44, batch < 2^20 — any realistic
 /// workload), rank and draw index are packed into a single `u64`
@@ -665,13 +617,14 @@ impl BitmapSampler {
 /// to the pair sort.
 fn resolve_in_draw_order(bits: &RowSet, scratch: &mut BatchScratch, out: &mut Vec<u64>) {
     const IDX_BITS: u32 = 20;
-    match bits {
+    let (bm, first, count) = match bits {
         RowSet::Range { start, .. } => return out.extend(scratch.keys.iter().map(|&k| start + k)),
         RowSet::Positions { positions, .. } => {
             return out.extend(scratch.keys.iter().map(|&k| positions[k as usize]));
         }
-        RowSet::Bitmap(_) | RowSet::Window { .. } => {}
-    }
+        RowSet::Bitmap(bm) => (bm, 0, bm.count_ones()),
+        RowSet::Window { bits, first, count } => (bits, *first, *count),
+    };
     let BatchScratch {
         keys,
         radix,
@@ -681,6 +634,7 @@ fn resolve_in_draw_order(bits: &RowSet, scratch: &mut BatchScratch, out: &mut Ve
     } = scratch;
     let n = keys.len();
     let max_rank = keys.iter().copied().max().unwrap_or(0);
+    assert!(n == 0 || max_rank < count, "rank out of range");
     let base = out.len();
     if n < (1 << IDX_BITS) && max_rank < (1 << (64 - IDX_BITS)) {
         for (i, r) in keys.iter_mut().enumerate() {
@@ -692,9 +646,9 @@ fn resolve_in_draw_order(bits: &RowSet, scratch: &mut BatchScratch, out: &mut Ve
             keys.sort_unstable();
         }
         sorted.clear();
-        sorted.extend(keys.iter().map(|&p| p >> IDX_BITS));
+        sorted.extend(keys.iter().map(|&p| (p >> IDX_BITS) + first));
         positions.clear();
-        bits.select_many_in_place(sorted, positions);
+        bm.select_many(sorted, positions);
         out.resize(base + n, 0);
         let idx_mask = (1u64 << IDX_BITS) - 1;
         for (&packed, &pos) in keys.iter().zip(positions.iter()) {
@@ -705,9 +659,9 @@ fn resolve_in_draw_order(bits: &RowSet, scratch: &mut BatchScratch, out: &mut Ve
         pairs.extend(keys.iter().copied().zip(0..));
         pairs.sort_unstable();
         sorted.clear();
-        sorted.extend(pairs.iter().map(|&(r, _)| r));
+        sorted.extend(pairs.iter().map(|&(r, _)| r + first));
         positions.clear();
-        bits.select_many_in_place(sorted, positions);
+        bm.select_many(sorted, positions);
         out.resize(base + n, 0);
         for (&(_, idx), &pos) in pairs.iter().zip(positions.iter()) {
             out[base + idx as usize] = pos;
@@ -1401,23 +1355,25 @@ mod tests {
             }
             assert!(!set.get(3));
             assert_eq!(set.select(positions.len() as u64), None);
-            let ks: Vec<u64> = vec![0, 0, 2, 6];
+            let mut scratch = BatchScratch::default();
+            scratch.keys.extend([6, 0, 2, 0]);
             let mut out = Vec::new();
-            set.select_many(&ks, &mut out);
-            assert_eq!(out, vec![2, 2, 7, 999]);
+            resolve_in_draw_order(set, &mut scratch, &mut out);
+            assert_eq!(out, vec![999, 2, 7, 2]);
         }
         assert!(as_positions.heap_bytes() < as_bitmap.heap_bytes());
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn rowset_positions_select_many_rejects_oob_rank() {
+    #[should_panic(expected = "out of bounds")]
+    fn positions_batch_rejects_oob_rank() {
         let set = RowSet::Positions {
             positions: Arc::new(vec![1, 2]),
             universe: 10,
         };
-        let mut out = Vec::new();
-        set.select_many(&[0, 2], &mut out);
+        let mut scratch = BatchScratch::default();
+        scratch.keys.extend([0, 2]);
+        resolve_in_draw_order(&set, &mut scratch, &mut Vec::new());
     }
 
     #[test]
@@ -1456,8 +1412,9 @@ mod tests {
             first: 3,
             count: 2,
         };
-        let mut out = Vec::new();
-        set.select_many(&[0, 2], &mut out);
+        let mut scratch = BatchScratch::default();
+        scratch.keys.extend([2, 0]);
+        resolve_in_draw_order(&set, &mut scratch, &mut Vec::new());
     }
 
     #[test]
@@ -1742,16 +1699,14 @@ mod proptests {
                 }
                 if !expect.is_empty() {
                     let n = expect.len() as u64;
-                    let mut ks: Vec<u64> = (0..40)
-                        .map(|i| seed.wrapping_mul(i * 2 + 1).wrapping_add(i * i) % n)
-                        .collect();
-                    ks.sort_unstable();
-                    let want: Vec<u64> = ks.iter().map(|&k| expect[k as usize]).collect();
+                    let mut scratch = BatchScratch::default();
+                    scratch.keys.extend(
+                        (0..40).map(|i| seed.wrapping_mul(i * 2 + 1).wrapping_add(i * i) % n),
+                    );
+                    let want: Vec<u64> =
+                        scratch.keys.iter().map(|&k| expect[k as usize]).collect();
                     let mut out = Vec::new();
-                    set.select_many(&ks, &mut out);
-                    prop_assert_eq!(&out, &want);
-                    out.clear();
-                    set.select_many_in_place(&mut ks, &mut out);
+                    resolve_in_draw_order(&set, &mut scratch, &mut out);
                     prop_assert_eq!(&out, &want);
                 }
             }

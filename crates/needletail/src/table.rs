@@ -76,6 +76,12 @@ fn sorted_ordinals<T: Copy>(values: &[T], cmp: impl Fn(&T, &T) -> Ordering) -> V
         .collect()
 }
 
+/// A numeric column as the slice it is stored in ([`Table::measure`]).
+pub(crate) enum Measure<'a> {
+    Int(&'a [i64]),
+    Float(&'a [f64]),
+}
+
 /// An immutable, fully loaded relation.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -146,9 +152,25 @@ impl Table {
     #[must_use]
     pub fn float_value(&self, row: u64, col_idx: usize) -> f64 {
         let row = Self::row_idx(row);
+        match self.measure(col_idx) {
+            Measure::Int(v) => v[row] as f64,
+            Measure::Float(v) => v[row],
+        }
+    }
+
+    /// Measure column `col_idx` as its stored slice, indexed by row id: a
+    /// loop over many rows matches on it once and runs compiled per type,
+    /// where [`Self::float_value`] matches on every call (a row-order sum
+    /// of 4M rows: 12–17 ms through it, 3–7 ms over the slice; release,
+    /// 2-vCPU x86-64). Read an `Int` `as f64`, as `float_value` does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the column is not numeric.
+    pub(crate) fn measure(&self, col_idx: usize) -> Measure<'_> {
         match &self.columns[col_idx] {
-            ColumnData::Int(v) => v[row] as f64,
-            ColumnData::Float(v) => v[row],
+            ColumnData::Int(v) => Measure::Int(v),
+            ColumnData::Float(v) => Measure::Float(v),
             #[expect(clippy::panic, reason = "`# Panics`; plans type-check measures")]
             ColumnData::Str { .. } => panic!("column {col_idx} is not numeric"),
         }

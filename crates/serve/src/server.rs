@@ -201,12 +201,11 @@ pub struct ServerStats {
     /// the shards. A panic restarts one shard's loop; a `CRASH` drill
     /// restarts every shard's, so one drill adds the shard count.
     pub scheduler_restarts: AtomicU64,
-    /// Sessions dropped un-drained by a `CRASH` drill (their latest
-    /// checkpoints survive in the registry, so they stay resumable).
-    /// Together with completed + cancelled + parked this keeps slot
-    /// accounting balanced: every admission ends in exactly one bucket.
-    /// A real panic's casualties are not counted — the unwound stack
-    /// takes the tally with it.
+    /// Sessions dropped un-drained by a `CRASH` drill or by a panic that
+    /// unwound their shard's scheduler loop (their latest checkpoints
+    /// survive in the registry, so they stay resumable). Together with
+    /// completed + cancelled + parked this keeps slot accounting balanced:
+    /// every admission ends in exactly one bucket.
     pub sessions_crashed: AtomicU64,
 }
 
@@ -349,6 +348,9 @@ impl Drop for AnswerHandoff {
         }
     }
 }
+
+/// Each admitted session's link to its client, by query id.
+type Links = BTreeMap<QueryId, ClientLink>;
 
 /// Where an admitted session's frames go.
 struct ClientLink {
@@ -704,9 +706,14 @@ fn build_session(
 /// them up immediately instead of leaving the shard's connections talking
 /// to a dead receiver.
 fn supervisor_loop(shared: &Shared, cmd_rx: &Receiver<Command>) {
+    // The incarnations' links live here too, so whatever one leaves linked
+    // (a drill returns with it, a panic unwinds past it) is counted crashed.
+    // BTreeMap, not HashMap: broadcast paths iterate this map, and delivery
+    // order must replay identically run to run.
+    let mut links = BTreeMap::new();
     loop {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            scheduler_loop(shared, cmd_rx)
+            scheduler_loop(shared, cmd_rx, &mut links)
         }));
         match outcome {
             Ok(LoopExit::Shutdown) => break,
@@ -714,20 +721,23 @@ fn supervisor_loop(shared: &Shared, cmd_rx: &Receiver<Command>) {
                 // The incarnation's sessions died with it; their latest
                 // per-round checkpoints survive in the shared registry,
                 // so reconnecting clients resume from there.
-                shared
-                    .stats
-                    .scheduler_restarts
-                    .fetch_add(1, Ordering::Relaxed);
+                let stats = &shared.stats;
+                stats
+                    .sessions_crashed
+                    .fetch_add(links.len() as u64, Ordering::Relaxed);
+                links.clear();
+                stats.scheduler_restarts.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 }
 
 /// One scheduler-loop incarnation of a shard: owns its scheduler and every
-/// session pinned to it; commands in, frame payloads out. Returns how it
-/// exited (see [`LoopExit`]); on [`LoopExit::Shutdown`] live sessions have
-/// been drained into the parking registry.
-fn scheduler_loop(shared: &Shared, cmd_rx: &Receiver<Command>) -> LoopExit {
+/// session pinned to it, and links each to its client in `links`; commands
+/// in, frame payloads out. Returns how it exited (see [`LoopExit`]); on
+/// [`LoopExit::Shutdown`] live sessions have been drained into the parking
+/// registry.
+fn scheduler_loop(shared: &Shared, cmd_rx: &Receiver<Command>, links: &mut Links) -> LoopExit {
     let Shared {
         engine,
         config,
@@ -739,9 +749,6 @@ fn scheduler_loop(shared: &Shared, cmd_rx: &Receiver<Command>) -> LoopExit {
     if let Some(cap) = config.session_memory_cap {
         sched = sched.with_session_memory_cap(cap);
     }
-    // BTreeMap, not HashMap: broadcast paths iterate this map, and
-    // delivery order must replay identically run to run.
-    let mut links: BTreeMap<QueryId, ClientLink> = BTreeMap::new();
     let exit = 'run: loop {
         // Drain every pending command first so admissions and cancels are
         // never starved by a busy scheduler.
@@ -752,7 +759,7 @@ fn scheduler_loop(shared: &Shared, cmd_rx: &Receiver<Command>) -> LoopExit {
             match cmd_rx.recv() {
                 Ok(cmd) => {
                     if let Some(exit) =
-                        handle_command(cmd, engine, config, &mut sched, &mut links, stats, registry)
+                        handle_command(cmd, engine, config, &mut sched, links, stats, registry)
                     {
                         break 'run exit;
                     }
@@ -765,7 +772,7 @@ fn scheduler_loop(shared: &Shared, cmd_rx: &Receiver<Command>) -> LoopExit {
         };
         while let Ok(cmd) = cmd_rx.try_recv() {
             if let Some(exit) =
-                handle_command(cmd, engine, config, &mut sched, &mut links, stats, registry)
+                handle_command(cmd, engine, config, &mut sched, links, stats, registry)
             {
                 break 'run exit;
             }
@@ -773,27 +780,17 @@ fn scheduler_loop(shared: &Shared, cmd_rx: &Receiver<Command>) -> LoopExit {
         if drained && sched.runnable_count() == 0 {
             continue;
         }
-        handle_event(sched.poll(), &mut sched, &mut links, stats, registry);
+        handle_event(sched.poll(), &mut sched, links, stats, registry);
     };
-    match exit {
-        LoopExit::Shutdown => {
-            // Graceful drain: park every still-linked session so a
-            // successor server sharing the registry can resume it;
-            // receivers see the channel close and clients get a clean TCP
-            // close.
-            let targets: Vec<(QueryId, u64)> = links.iter().map(|(id, l)| (*id, l.token)).collect();
-            links.clear();
-            for (id, token) in targets {
-                park_or_cancel(&mut sched, id, token, stats, registry);
-            }
-        }
-        LoopExit::Crashed => {
-            // Drop everything un-drained — that is the point of the
-            // drill; parked checkpoints in the shared registry survive.
-            // Count the casualties so slot accounting stays balanced.
-            stats
-                .sessions_crashed
-                .fetch_add(links.len() as u64, Ordering::Relaxed);
+    if exit == LoopExit::Shutdown {
+        // Graceful drain: park every still-linked session so a successor
+        // server sharing the registry can resume it; receivers see the
+        // channel close and clients get a clean TCP close. A crash drill
+        // leaves everything linked for the supervisor to count and drop.
+        let targets: Vec<(QueryId, u64)> = links.iter().map(|(id, l)| (*id, l.token)).collect();
+        links.clear();
+        for (id, token) in targets {
+            park_or_cancel(&mut sched, id, token, stats, registry);
         }
     }
     exit
@@ -804,7 +801,7 @@ fn scheduler_loop(shared: &Shared, cmd_rx: &Receiver<Command>) -> LoopExit {
 fn handle_event(
     event: SchedulerEvent,
     sched: &mut MultiQueryScheduler,
-    links: &mut BTreeMap<QueryId, ClientLink>,
+    links: &mut Links,
     stats: &Arc<ServerStats>,
     registry: &Arc<Mutex<ParkingRegistry>>,
 ) {
@@ -917,7 +914,7 @@ fn handle_command(
     engine: &NeedleTail,
     config: &ServerConfig,
     sched: &mut MultiQueryScheduler,
-    links: &mut BTreeMap<QueryId, ClientLink>,
+    links: &mut Links,
     stats: &ServerStats,
     registry: &Arc<Mutex<ParkingRegistry>>,
 ) -> Option<LoopExit> {
@@ -1034,7 +1031,7 @@ fn handle_command(
 /// drops the hand-off, which parks it.
 fn deliver_answer(
     sched: &mut MultiQueryScheduler,
-    links: &mut BTreeMap<QueryId, ClientLink>,
+    links: &mut Links,
     id: QueryId,
     stats: &Arc<ServerStats>,
     registry: &Arc<Mutex<ParkingRegistry>>,

@@ -11,14 +11,16 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rapidviz::needletail::{ColumnDef, DataType, NeedleTail, Schema, TableBuilder, Value};
+use rapidviz::needletail::{
+    ColumnDef, DataType, FaultInjector, FaultSite, NeedleTail, Schema, TableBuilder, Value,
+};
 use rapidviz::{
     ParkingRegistry, RoundUpdate, SessionCheckpoint, SimulatedClock, StepOutcome, VizQuery,
 };
 use rapidviz_serve::{
     ErrorCode, Frame, QueryRequest, RetryPolicy, Server, ServerConfig, ServerHandle, WireClient,
 };
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -427,5 +429,103 @@ fn stats_frame_carries_parking_counters_over_the_wire() {
     assert_eq!(stats.sessions_resumed, 1);
     assert_eq!(stats.parked_now, 1);
     drop(client);
+    handle.shutdown();
+}
+
+/// Panics on the first row read after it is armed, once: a storage layer
+/// that panics under a live session.
+#[derive(Debug, Default)]
+struct PanicOnceArmed(AtomicBool);
+
+impl FaultInjector for PanicOnceArmed {
+    fn fails(&self, _site: FaultSite, _row: u64) -> bool {
+        if self.0.swap(false, Ordering::SeqCst) {
+            panic!("injected read panic");
+        }
+        false
+    }
+}
+
+/// Starts [`endless_request`]`(seed)` and returns its client once the
+/// token and the first round have arrived.
+fn streaming(handle: &ServerHandle, seed: u64) -> WireClient {
+    let mut client = connect(handle);
+    client
+        .send_request(&endless_request(seed))
+        .expect("request sent");
+    let (mut token, mut round) = (false, false);
+    while !(token && round) {
+        match client.next_frame().expect("frame decodes") {
+            Some(Frame::Parked { .. }) => token = true,
+            Some(Frame::Round(_)) => round = true,
+            other => panic!("expected a live stream, got {other:?}"),
+        }
+    }
+    client
+}
+
+/// Reads `client`'s stream to its end, which must come without a terminal
+/// frame, as a crash ends it.
+fn cut_off(mut client: WireClient) {
+    while let Ok(Some(frame)) = client.next_frame() {
+        assert!(matches!(frame, Frame::Round(_)), "got {frame:?}");
+    }
+}
+
+/// Polls until every admission sits in exactly one bucket: completed,
+/// cancelled, parked or crashed.
+fn assert_balanced(handle: &ServerHandle) {
+    let stats = handle.stats();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let admitted = stats.sessions_admitted.load(Ordering::Relaxed);
+        let ended = stats.sessions_completed.load(Ordering::Relaxed)
+            + stats.sessions_cancelled.load(Ordering::Relaxed)
+            + stats.sessions_parked.load(Ordering::Relaxed)
+            + stats.sessions_crashed.load(Ordering::Relaxed);
+        if admitted == ended {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{admitted} admitted, {ended} completed, cancelled, parked or crashed"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+#[test]
+fn a_scheduler_panic_counts_its_sessions_crashed() {
+    let armed = Arc::new(PanicOnceArmed::default());
+    let mut engine = engine();
+    engine.set_fault_injector(Arc::clone(&armed) as Arc<dyn FaultInjector>);
+    let config = ServerConfig {
+        enable_crash: true,
+        ..durable_config()
+    };
+    let handle = Server::start(engine, config).expect("server binds");
+    let stats = Arc::clone(handle.stats());
+    let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+
+    // The session's next read panics and unwinds its shard's scheduler
+    // loop; the supervisor restarts it and counts the session crashed.
+    let victim = streaming(&handle, 81);
+    armed.0.store(true, Ordering::SeqCst);
+    cut_off(victim);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while count(&stats.scheduler_restarts) == 0 {
+        assert!(Instant::now() < deadline, "the shard never restarted");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(count(&stats.scheduler_restarts), 1);
+    assert_eq!(count(&stats.sessions_crashed), 1);
+    assert_balanced(&handle);
+
+    // A drill still adds exactly the sessions it drops.
+    let live = [streaming(&handle, 82), streaming(&handle, 83)];
+    connect(&handle).send_line("CRASH").expect("crash sent");
+    live.into_iter().for_each(cut_off);
+    assert_eq!(count(&stats.sessions_crashed), 3);
+    assert_balanced(&handle);
     handle.shutdown();
 }

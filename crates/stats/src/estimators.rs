@@ -26,10 +26,11 @@ impl RunningMean {
         self.mean += (x - self.mean) / self.count as f64;
     }
 
-    /// Incorporates a whole batch of observations — the hook the batched
-    /// draw pipeline feeds (one call per round instead of one per sample).
-    /// Bit-identical to pushing each element in order, so batching can
-    /// never change an estimate.
+    /// Incorporates a whole batch of observations, bit-identical to
+    /// pushing each element in order, so batching can never change an
+    /// estimate. The steppers' batched rounds do not call it: they fold
+    /// value `j` of every group's batch before value `j + 1`, one
+    /// [`Self::push`] at a time, so the groups' divides overlap.
     pub fn push_batch(&mut self, xs: &[f64]) {
         for &x in xs {
             self.push(x);
