@@ -16,10 +16,11 @@
 //! without-replacement cells whose row order is adversarial ([`RowOrder`]).
 //! Every table is a NEEDLETAIL engine clustered by its group column, so
 //! every group is one contiguous row range ([`rapidviz::needletail::RowSet::Range`]).
-//! Without-replacement runs go through [`VizQuery`], so each draw is the
-//! engine sampler's keyed permutation `π_K`; with-replacement runs (which
-//! `VizQuery` does not offer) step the algorithm directly over the same
-//! engine's group handles.
+//! Without-replacement draws are the engine sampler's keyed permutation
+//! `π_K`. Exact cells without replacement go through [`VizQuery`];
+//! with-replacement runs (which `VizQuery` does not offer) and
+//! resolution-relaxed ones step the algorithm directly over the same
+//! engine's group handles, so every group is sampled.
 //!
 //! # What a cell reports
 //!
@@ -349,9 +350,14 @@ fn mixture(mu: f64) -> Box<dyn ValueDist> {
 #[must_use]
 pub fn run_once(cell: &Cell, fixture: &Fixture, seed: u64) -> Snapshot {
     let mut rng = StdRng::seed_from_u64(seed);
-    if cell.with_replacement {
+    if cell.with_replacement || cell.resolution {
+        let mode = if cell.with_replacement {
+            SamplingMode::WithReplacement
+        } else {
+            SamplingMode::WithoutReplacement
+        };
         let mut config = AlgoConfig::new(C, DELTA)
-            .with_mode(SamplingMode::WithReplacement)
+            .with_mode(mode)
             .with_samples_per_round(SAMPLES_PER_ROUND);
         if let Some(r) = cell.r() {
             config = config.with_resolution(r);
@@ -368,16 +374,13 @@ pub fn run_once(cell: &Cell, fixture: &Fixture, seed: u64) -> Snapshot {
         Algorithm::IFocus => AlgorithmChoice::IFocus,
         Algorithm::RoundRobin => AlgorithmChoice::RoundRobin,
     };
-    let mut query = VizQuery::new(&fixture.engine)
+    let query = VizQuery::new(&fixture.engine)
         .group_by("g")
         .avg("y")
         .algorithm(algorithm)
         .bound(C)
         .delta(DELTA)
         .samples_per_round(SAMPLES_PER_ROUND);
-    if cell.resolution {
-        query = query.resolution_pct(RESOLUTION_PCT);
-    }
     let mut session = query.start(rng).expect("the fixture plans");
     while session.step().outcome.is_running() {}
     session.snapshot()

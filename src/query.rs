@@ -478,7 +478,6 @@ mod tests {
             .group_by("name")
             .avg("delay")
             .bound(100.0)
-            .resolution_pct(1.0)
             .execute(&mut rng)
             .unwrap();
         assert_eq!(answer.ranked_labels(), vec!["JB", "AA", "UA"]);

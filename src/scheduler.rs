@@ -1335,7 +1335,6 @@ mod tests {
                 .group_by("airline")
                 .avg("delay")
                 .bound(100.0)
-                .resolution_pct(6.0)
                 .samples_per_round(24)
                 .start(rand::rngs::StdRng::seed_from_u64(seed))
                 .unwrap()
@@ -1407,7 +1406,6 @@ mod tests {
                     .group_by("airline")
                     .avg("delay")
                     .bound(100.0)
-                    .resolution_pct(6.0)
                     .samples_per_round(24)
                     .start(OpaqueRng(42))
                     .unwrap(),

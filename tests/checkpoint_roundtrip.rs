@@ -323,7 +323,6 @@ fn mid_run_checkpoint(engine: &NeedleTail) -> SessionCheckpoint {
         .group_by("name")
         .avg("delay")
         .bound(100.0)
-        .resolution_pct(6.0)
         .samples_per_round(24)
         .max_samples(100_000)
         .start(rand::rngs::StdRng::seed_from_u64(42))

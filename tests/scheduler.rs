@@ -222,7 +222,6 @@ fn deadline_policy_runs_earliest_deadline_exclusively_first() {
             .group_by("name")
             .avg("delay")
             .bound(100.0)
-            .resolution_pct(1.0)
             .deadline(Instant::now() + Duration::from_secs(7200))
             .start(StdRng::seed_from_u64(41))
             .unwrap(),
@@ -232,7 +231,6 @@ fn deadline_policy_runs_earliest_deadline_exclusively_first() {
             .group_by("name")
             .avg("delay")
             .bound(100.0)
-            .resolution_pct(1.0)
             .deadline(Instant::now() + Duration::from_secs(3600))
             .start(StdRng::seed_from_u64(42))
             .unwrap(),

@@ -631,7 +631,6 @@ fn session_iterator_terminates_after_terminal_update() {
         .group_by("name")
         .avg("delay")
         .bound(100.0)
-        .resolution_pct(1.0)
         .start(StdRng::seed_from_u64(14))
         .unwrap();
     let updates: Vec<_> = session.by_ref().collect();
@@ -738,6 +737,51 @@ fn avg_and_sum_session_rounds_are_pinned() {
         0xcd9b_23dd_0b1a_1fb1,
         0x9768_d2a5_1b70_36ac,
         0x9559_86e2_2c23_b232,
+    ];
+    assert_eq!(got, golden, "got {got:#x?}");
+}
+
+/// The same AVG and SUM sessions without a resolution: no group is read
+/// whole, so every round is sampled, and these pins hold across any change
+/// that decides which groups a relaxed session reads whole.
+#[test]
+fn unrelaxed_avg_and_sum_session_rounds_are_pinned() {
+    let engine = two_attribute_engine();
+    let mut got = Vec::new();
+    for (a, sum) in [false, true].into_iter().enumerate() {
+        for shape in 0..3u64 {
+            for spr in [1, 256] {
+                let mut q = VizQuery::new(&engine).group_by("name");
+                q = match shape {
+                    0 => q,
+                    1 => q.filter(Predicate::eq("origin", "BOS")),
+                    _ => q.group_by("origin"),
+                };
+                q = if sum { q.sum("delay") } else { q.avg("delay") };
+                let seed = 3_500 + 100 * a as u64 + 10 * shape + spr % 7;
+                let session = q
+                    .samples_per_round(spr)
+                    .max_samples(40_000)
+                    .start(StdRng::seed_from_u64(seed))
+                    .unwrap();
+                got.push(session_digest(session));
+            }
+        }
+    }
+    // AVG, then SUM; unfiltered, filtered, two attributes; spr 1, 256.
+    let golden: [u64; 12] = [
+        0x63be_e0d5_181e_3bf8,
+        0xa206_62de_55f7_7b0a,
+        0xa4ed_ac2b_c487_ab9c,
+        0x5b2a_bd65_50ec_71d5,
+        0x6ffd_1616_81a4_05ad,
+        0x3566_51c3_6dc5_c18f,
+        0x92e0_fd79_6805_3023,
+        0xf706_bc41_7b75_6ea1,
+        0x196d_3f96_29a6_3108,
+        0x8604_bdf8_3eed_12ea,
+        0x15ad_1a39_d087_cccd,
+        0xab6f_9ec6_b479_dfff,
     ];
     assert_eq!(got, golden, "got {got:#x?}");
 }
