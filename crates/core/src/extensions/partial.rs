@@ -267,7 +267,7 @@ mod tests {
                     state.draw(i, &mut groups[i], rng);
                 }
             }
-            if state.resolution_reached() || state.all_active_exhausted() {
+            if state.resolution_reached(false) || state.all_active_exhausted() {
                 state.deactivate_all();
             } else {
                 state.standard_deactivation();

@@ -52,6 +52,9 @@ pub(crate) enum Rule {
     /// Every pair must order in sum space `|S_i|·ν_i` (Algorithm 4); active
     /// groups draw a batch each, as under `FullOrder`.
     ScaledSum,
+    /// SCAN: every group exact, read one per step, each leaving the active
+    /// set once read (`FocusState::read_exact`); no fixpoint.
+    Scan,
     /// Only the `t` best groups, and the order among them (§6.1.2).
     /// `ruled_out[i]`: group `i` is certainly not one of them.
     TopT {
@@ -83,13 +86,8 @@ impl Rule {
     /// value requirement replaces it), or nothing left to draw.
     fn cut_off(&self, state: &mut FocusState) -> bool {
         let resolved = match self {
-            Rule::Values { .. } => false,
-            Rule::ScaledSum => state.config.resolution_epsilon().is_some_and(|thresh| {
-                state.read_widths();
-                let below = |i: usize| state.sizes[i] as f64 * state.live[i] < thresh;
-                (0..state.k()).all(|i| !state.active[i] || below(i))
-            }),
-            _ => state.resolution_reached(),
+            Rule::Values { .. } | Rule::Scan => false,
+            _ => state.resolution_reached(matches!(self, Rule::ScaledSum)),
         };
         resolved
             || match self {
@@ -105,13 +103,17 @@ impl Rule {
             Rule::FullOrder | Rule::EveryGroup => state.standard_deactivation(),
             Rule::ScaledSum => {
                 // Intervals `[|S_i|·(ν_i − ε), |S_i|·(ν_i + ε)]`
-                // (Algorithm 4 lines 6–7, 11–13).
+                // (Algorithm 4 lines 6–7, 11–13), an exact group's scaled.
                 state.read_widths();
                 state.separate(|s, i| {
-                    let scale = s.sizes[i] as f64;
-                    Interval::centered(s.estimates[i].mean() * scale, s.live[i] * scale)
+                    let (n, iv) = (s.sizes[i] as f64, s.interval(i));
+                    match s.exact[i] {
+                        Some(_) => Interval::new(iv.lo * n, iv.hi * n),
+                        None => Interval::centered(s.estimates[i].mean() * n, s.live[i] * n),
+                    }
                 });
             }
+            Rule::Scan => {}
             Rule::TopT {
                 t,
                 direction,
@@ -215,7 +217,7 @@ impl FocusStepper {
     /// `ε_1` is already below `r/4` draws one extra round.
     pub(crate) fn begin(state: FocusState, rule: Rule, honours_resolution: bool) -> Self {
         let mut stepper = Self { state, rule };
-        let stop = honours_resolution && stepper.state.resolution_reached();
+        let stop = honours_resolution && stepper.state.resolution_reached(false);
         stepper.settle(stop);
         stepper
     }
@@ -258,16 +260,18 @@ impl FocusStepper {
     }
 
     /// The per-draw round: one `sample()` per drawing group,
-    /// `samples_per_round` ignored — what the eager §6 variants run.
+    /// `samples_per_round` ignored — what the eager §6 variants run (exact
+    /// groups are all read at the first).
     pub fn step_any<G: GroupSource>(
         &mut self,
         groups: &mut [G],
         rng: &mut dyn RngCore,
     ) -> StepOutcome {
         let every = matches!(self.rule, Rule::EveryGroup);
+        self.state.read_exact(groups, false);
         self.round(1, |state| {
             for (i, group) in groups.iter_mut().enumerate() {
-                if (every || state.active[i]) && !state.exhausted[i] {
+                if (every || state.active[i]) && !state.exhausted[i] && state.exact[i].is_none() {
                     state.draw(i, group, rng);
                 }
             }
@@ -277,12 +281,15 @@ impl FocusStepper {
 
 impl AlgorithmStepper for FocusStepper {
     fn step<G: GroupSource>(&mut self, groups: &mut [G], rng: &mut dyn RngCore) -> StepOutcome {
-        let every = match self.rule {
-            Rule::FullOrder | Rule::ScaledSum => false,
-            Rule::EveryGroup => true,
+        let (every, scan) = match self.rule {
+            Rule::FullOrder | Rule::ScaledSum => (false, false),
+            Rule::EveryGroup => (true, false),
+            Rule::Scan => (false, true),
             _ => return self.step_any(groups, rng),
         };
-        // One draw_batch call per drawing group.
+        // Exact groups first, before the prologue (so one certified at
+        // bootstrap is still read), then one `draw_round`.
+        self.state.read_exact(groups, scan);
         let batch = self.state.config.samples_per_round;
         self.round(batch, |state| {
             state.draw_round_selected(every, groups, rng, batch)

@@ -99,6 +99,14 @@ pub trait GroupSource {
         }
     }
 
+    /// One exact pass over every member in storage order, as `(n, sum)`:
+    /// the members read (fewer than [`Self::len`] when reads are dropped)
+    /// and their sum, folded from `0.0`. `None` (the default): the source
+    /// has no such pass, so it can only be sampled.
+    fn read_exact(&mut self) -> Option<(u64, f64)> {
+        None
+    }
+
     /// The true mean `µ_i`, when the source knows it (synthetic data,
     /// materialized groups). Only used for *evaluation* — algorithms must
     /// never consult it.

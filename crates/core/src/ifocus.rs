@@ -73,6 +73,14 @@ impl IFocus {
         FocusStepper::start(&self.config, Rule::FullOrder, Width::anytime, groups, rng)
     }
 
+    /// SCAN: every group read whole ([`GroupSource::read_exact`]), one per
+    /// step in plan order, leaving the active set once read (never
+    /// certified if a row was dropped). No RNG word is read.
+    pub fn scan<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> IFocusStepper {
+        let config = self.config.clone().with_exact(vec![true; groups.len()]);
+        FocusStepper::start(&config, Rule::Scan, Width::anytime, groups, rng)
+    }
+
     /// Runs IFOCUS over the groups to completion — a thin loop over
     /// [`IFocus::start`] and [`AlgorithmStepper::step`].
     ///
@@ -342,7 +350,7 @@ mod tests {
         rng: &mut rand::rngs::StdRng,
     ) -> crate::result::RunResult {
         let mut state = FocusState::initialize(config, Width::anytime, groups, rng);
-        if state.resolution_reached() {
+        if state.resolution_reached(false) {
             state.deactivate_all();
         } else {
             state.standard_deactivation();
@@ -361,7 +369,7 @@ mod tests {
                     }
                 }
             }
-            if state.resolution_reached() || state.all_active_exhausted() {
+            if state.resolution_reached(false) || state.all_active_exhausted() {
                 state.deactivate_all();
             } else {
                 state.standard_deactivation();

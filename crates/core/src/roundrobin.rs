@@ -173,7 +173,7 @@ mod tests {
         rng: &mut rand::rngs::StdRng,
     ) -> crate::result::RunResult {
         let mut state = FocusState::initialize(config, Width::anytime, groups, rng);
-        if state.resolution_reached() {
+        if state.resolution_reached(false) {
             state.deactivate_all();
         } else {
             state.standard_deactivation();
@@ -186,7 +186,7 @@ mod tests {
             let batch = config.samples_per_round;
             state.m += batch;
             state.draw_round_selected(true, groups, rng, batch);
-            if state.resolution_reached() || state.all_exhausted() {
+            if state.resolution_reached(false) || state.all_exhausted() {
                 state.deactivate_all();
             } else {
                 state.standard_deactivation();

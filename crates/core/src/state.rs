@@ -167,6 +167,9 @@ pub(crate) struct FocusState {
     /// Round counter `m` (samples per still-active group so far).
     pub(crate) m: u64,
     pub(crate) truncated: bool,
+    /// Groups read by one exact pass instead of sampled: the pass's
+    /// `(n, sum)` (`(0, 0.0)` until it runs); `None` for a sampled group.
+    pub(crate) exact: Vec<Option<(u64, f64)>>,
     /// Each group's values of the last batched round it drew (reused).
     outs: Vec<Vec<f64>>,
     /// The groups drawing this round, ascending (reused).
@@ -178,7 +181,8 @@ pub(crate) struct FocusState {
 
 impl FocusState {
     /// Initializes state and performs the first round (one sample from every
-    /// group — Algorithm 1 lines 1–3).
+    /// group — Algorithm 1 lines 1–3) but those [`AlgoConfig::exact`] marks,
+    /// which the first step reads whole instead ([`Self::read_exact`]).
     pub(crate) fn initialize<G: GroupSource>(
         config: &AlgoConfig,
         width: fn(&AlgoConfig, usize) -> Width,
@@ -189,7 +193,10 @@ impl FocusState {
         let sizes = groups.iter().map(GroupSource::len).collect();
         let mut state = Self::new(config, width(config, groups.len()), labels, sizes);
         for (i, group) in groups.iter_mut().enumerate() {
-            state.draw(i, group, rng);
+            match config.exact.get(i) {
+                Some(true) => state.exact[i] = Some((0, 0.0)),
+                _ => state.draw(i, group, rng),
+            }
         }
         state
     }
@@ -222,6 +229,7 @@ impl FocusState {
             samples: vec![0; k],
             m: 1,
             truncated: false,
+            exact: vec![None; k],
             outs: vec![Vec::new(); k],
             picks: Vec::new(),
             fix: FixpointScratch::default(),
@@ -294,11 +302,30 @@ impl FocusState {
         self.exhausted[i] && !self.ran_dry(i)
     }
 
-    /// Whether group `i` ran dry: every row drawn without replacement (or
-    /// none to draw), so its estimate is the exact group mean.
+    /// Whether group `i` ran dry: every row drawn without replacement or
+    /// read by its exact pass (or none to draw), so its estimate is the
+    /// exact group mean.
     fn ran_dry(&self, i: usize) -> bool {
-        let every_row = self.samples[i] >= self.sizes[i];
-        every_row && (self.sizes[i] == 0 || self.config.mode == SamplingMode::WithoutReplacement)
+        let whole = self.exact[i].is_some() || self.config.mode == SamplingMode::WithoutReplacement;
+        self.samples[i] >= self.sizes[i] && (self.sizes[i] == 0 || whole)
+    }
+
+    /// Reads the exact groups not read yet, each in one pass (with `one`,
+    /// SCAN's pace, only the first, which then leaves the active set). Its
+    /// estimate is `sum/n`, each row read counts as a sample, and a row
+    /// short (dropped, or no pass at all) stops it ([`Self::stop`]).
+    pub(crate) fn read_exact<G: GroupSource>(&mut self, groups: &mut [G], one: bool) {
+        for i in 0..self.k() {
+            if self.exact[i].is_some() && !self.exhausted[i] {
+                let (n, sum) = groups[i].read_exact().unwrap_or_default();
+                (self.exact[i], self.samples[i]) = (Some((n, sum)), n);
+                self.estimates[i] = RunningMean::from_parts(n, sum / n.max(1) as f64);
+                self.stop(i);
+                if one {
+                    return self.deactivate(i);
+                }
+            }
+        }
     }
 
     /// Draws this round's batch from every unexhausted group in one
@@ -316,7 +343,9 @@ impl FocusState {
     ) {
         let mut picks = std::mem::take(&mut self.picks);
         picks.clear();
-        let drawing = |i: &usize| (include_inactive || self.active[*i]) && !self.exhausted[*i];
+        let drawing = |i: &usize| {
+            (include_inactive || self.active[*i]) && !self.exhausted[*i] && self.exact[*i].is_none()
+        };
         picks.extend((0..self.k()).filter(drawing));
         G::draw_round(groups, &picks, batch, rng, self.config.mode, &mut self.outs);
         let longest = picks.iter().map(|&i| self.outs[i].len()).max();
@@ -355,9 +384,9 @@ impl FocusState {
         }
     }
 
-    /// The largest active size (the largest of all when none is active).
+    /// The largest active sampled size (the largest of all when none is).
     fn n_max(&self) -> u64 {
-        let active = (0..self.k()).filter(|&i| self.active[i]);
+        let active = (0..self.k()).filter(|&i| self.active[i] && self.exact[i].is_none());
         let all = || self.sizes.iter().copied().max().unwrap_or(1);
         active.map(|i| self.sizes[i]).max().unwrap_or_else(all)
     }
@@ -376,8 +405,15 @@ impl FocusState {
     }
 
     /// Group `i`'s interval: live (as of the last read) while active,
-    /// frozen once deactivated, zero-width once it ran dry (exact).
+    /// frozen once deactivated, zero-width once it ran dry (exact). An
+    /// exact group whose pass read `n` of its `N` rows with sum `s` has
+    /// `[s/N, (s + c·(N − n))/N]`, each unread row anywhere in `[0, c]`:
+    /// `[0, c]` before the pass, the point `s/n` once `n = N`.
     pub(crate) fn interval(&self, i: usize) -> Interval {
+        if let Some((n, sum)) = self.exact[i] {
+            let (rows, unread) = (self.sizes[i].max(1) as f64, self.sizes[i].saturating_sub(n));
+            return Interval::new(sum / rows, (sum + self.config.c * unread as f64) / rows);
+        }
         let frozen = if self.exhausted[i] && self.ran_dry(i) {
             0.0
         } else {
@@ -428,14 +464,18 @@ impl FocusState {
         }
     }
 
-    /// Whether the resolution relaxation allows stopping now: every active
-    /// width of a fresh read below `r/4`.
-    pub(crate) fn resolution_reached(&mut self) -> bool {
+    /// Whether the resolution relaxation allows stopping now: at a fresh
+    /// read, every active width below `r/4` (times `|S_i|` when `scaled`,
+    /// Algorithm 4's sum space), every exact group read.
+    pub(crate) fn resolution_reached(&mut self, scaled: bool) -> bool {
         let Some(thresh) = self.config.resolution_epsilon() else {
             return false;
         };
         self.read_widths();
-        (0..self.k()).all(|i| !self.active[i] || self.live[i] < thresh)
+        let scale = |i: usize| if scaled { self.sizes[i] as f64 } else { 1.0 };
+        let sampled = |i: usize| scale(i) * self.live[i] < thresh;
+        let below = |i: usize| self.exact[i].map_or_else(|| sampled(i), |_| self.exhausted[i]);
+        (0..self.k()).all(|i| !self.active[i] || below(i))
     }
 
     /// True when every active group is exhausted — no further sampling can
@@ -482,6 +522,7 @@ impl FocusState {
             + self.live.capacity() * size_of::<f64>()
             + self.frozen.capacity() * size_of::<f64>()
             + self.samples.capacity() * size_of::<u64>()
+            + self.exact.capacity() * size_of::<Option<(u64, f64)>>()
             + self.outs.capacity() * size_of::<Vec<f64>>()
             + self.outs.iter().map(Vec::capacity).sum::<usize>() * size_of::<f64>()
             + self.picks.capacity() * size_of::<usize>()
@@ -489,27 +530,37 @@ impl FocusState {
     }
 
     /// A point-in-time view for the resumable stepping API: estimates,
-    /// intervals (as of the read that ended the round), active flags, and
+    /// intervals (as of the read that ended the round), active flags (an
+    /// exact group read short stays active: it is never certified), and
     /// sample counts.
     pub(crate) fn snapshot(&self) -> Snapshot {
+        let shown = |i: usize| self.active[i] || (self.exact[i].is_some() && self.stopped_short(i));
         Snapshot {
             labels: self.labels.clone(),
             estimates: self.estimates.iter().map(RunningMean::mean).collect(),
             intervals: (0..self.k()).map(|i| self.interval(i)).collect(),
-            active: self.active.clone(),
+            active: (0..self.k()).map(shown).collect(),
             samples_per_group: self.samples.clone(),
-            rounds: self.m,
+            rounds: self.rounds(),
             truncated: self.truncated,
         }
+    }
+
+    /// The round counter `m`, or with no sampled group the most rows one
+    /// group's pass read.
+    fn rounds(&self) -> u64 {
+        let scan = self.exact.iter().all(Option::is_some);
+        let most = self.samples.iter().max().copied();
+        most.filter(|_| scan).unwrap_or(self.m)
     }
 
     /// Packages the final result.
     pub(crate) fn finish(self) -> RunResult {
         RunResult {
+            rounds: self.rounds(),
             labels: self.labels,
             estimates: self.estimates.iter().map(RunningMean::mean).collect(),
             samples_per_group: self.samples,
-            rounds: self.m,
             truncated: self.truncated,
         }
     }

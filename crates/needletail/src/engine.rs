@@ -703,32 +703,6 @@ impl NeedleTail {
         Ok(handles)
     }
 
-    /// Builds a [`SizeEstimatingSampler`] for one group (Algorithm 5
-    /// support: unknown-group-size `SUM`).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `group_col` is unindexed.
-    pub fn size_estimating_sampler(
-        &self,
-        group_col: &str,
-        group_value: &Value,
-    ) -> Result<SizeEstimatingSampler, EngineError> {
-        let index = self
-            .indexes
-            .get(group_col)
-            .ok_or_else(|| EngineError::NotIndexed(group_col.to_owned()))?;
-        Ok(match index.shared_bitmap_for(group_value) {
-            Some(bitmap) => {
-                SizeEstimatingSampler::shared(Arc::clone(bitmap), self.table.row_count())
-            }
-            None => SizeEstimatingSampler::new(
-                Bitmap::zeros(self.table.row_count()),
-                self.table.row_count(),
-            ),
-        })
-    }
-
     /// Full sequential scan computing exact per-group aggregates, charging
     /// one scanned row per record: the row-level oracle for SCAN sessions.
     ///
@@ -1930,9 +1904,10 @@ mod tests {
     #[test]
     fn size_estimating_sampler_sees_true_fraction() {
         let engine = NeedleTail::new(flights(), &["name"]).unwrap();
-        let s = engine
-            .size_estimating_sampler("name", &"AA".into())
+        let aa = engine.indexes["name"]
+            .shared_bitmap_for(&"AA".into())
             .unwrap();
+        let s = SizeEstimatingSampler::shared(Arc::clone(aa), engine.table.row_count());
         assert_eq!(s.eligible(), 4);
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let mut z_sum = 0.0;

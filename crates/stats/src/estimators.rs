@@ -20,6 +20,13 @@ impl RunningMean {
         Self::default()
     }
 
+    /// The mean of `count` observations computed elsewhere, e.g. by one
+    /// exact pass over a whole group.
+    #[must_use]
+    pub fn from_parts(count: u64, mean: f64) -> Self {
+        Self { count, mean }
+    }
+
     /// Incorporates one observation.
     pub fn push(&mut self, x: f64) {
         self.count += 1;

@@ -114,6 +114,12 @@ impl GroupSource for NeedletailGroup {
         }
     }
 
+    /// [`GroupHandle::exact`]: one ascending pass, charged as rows scanned.
+    fn read_exact(&mut self) -> Option<(u64, f64)> {
+        let pass = self.handle.exact();
+        Some((pass.delivered, pass.sum))
+    }
+
     fn true_mean(&self) -> Option<f64> {
         self.true_mean
     }

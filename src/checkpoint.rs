@@ -137,14 +137,10 @@ pub enum AlgorithmChoice {
     /// The ROUNDROBIN baseline (conventional stratified sampling with the
     /// same stopping guarantee).
     RoundRobin = 2,
-    /// The exhaustive SCAN baseline: each round reads one whole group in
-    /// one pass over its rows ([`rapidviz_needletail::GroupHandle::exact`]),
-    /// drawing no sample and no RNG word; rows read count as samples, so
+    /// The exhaustive SCAN baseline ([`rapidviz_core::IFocus::scan`]): one
+    /// whole group read per round; rows read count as samples, so
     /// `max_samples` stops it between groups. Fault-free, it answers the
-    /// engine scan's `sum / count` bit for bit. `n` of `N` rows read with
-    /// sum `s` report `[s/N, (s + c·(N − n))/N]`, `[0, c]` before the
-    /// group's round. A group with a dropped read is never certified, and
-    /// the run ends truncated and `BudgetExhausted`.
+    /// engine scan's `sum / count` bit for bit.
     ExactScan = 3,
 }
 

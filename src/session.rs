@@ -55,7 +55,7 @@ use rand::RngCore;
 use rapidviz_core::clock::{Clock, SystemClock};
 use rapidviz_core::runner::AlgorithmStepper;
 use rapidviz_core::{viz, GroupSource, RunResult, Snapshot, StepOutcome};
-use rapidviz_needletail::{ExactAggregate, NeedleTail};
+use rapidviz_needletail::NeedleTail;
 use rapidviz_stats::Interval;
 use std::sync::Arc;
 use std::time::Instant;
@@ -71,7 +71,7 @@ pub(crate) trait SessionEngine: std::fmt::Debug {
     fn snapshot(&self) -> Snapshot;
     fn total_samples(&self) -> u64;
 
-    /// The snapshot's size, by default: COUNT and SCAN hold little else.
+    /// The snapshot's size, by default: COUNT holds little else.
     fn approx_bytes(&self) -> usize {
         self.snapshot().approx_bytes()
     }
@@ -120,128 +120,36 @@ impl<S: AlgorithmStepper + std::fmt::Debug> SessionEngine for (S, Vec<Needletail
 /// and converges, so a COUNT session streams one terminal round like any
 /// other session.
 #[derive(Debug)]
-pub(crate) struct ExactCount {
-    labels: Vec<String>,
-    estimates: Vec<f64>,
-    certified: bool,
-}
+pub(crate) struct ExactCount(Snapshot);
 
 impl ExactCount {
     pub(crate) fn new(groups: &[NeedletailGroup], rows: u64) -> Self {
-        Self {
+        let share = |g: &NeedletailGroup| g.len() as f64 / rows as f64;
+        let estimates: Vec<f64> = groups.iter().map(share).collect();
+        Self(Snapshot {
             labels: groups.iter().map(GroupSource::label).collect(),
-            estimates: groups
-                .iter()
-                .map(|g| g.len() as f64 / rows as f64)
-                .collect(),
-            certified: false,
-        }
+            intervals: estimates.iter().map(|&e| Interval::new(e, e)).collect(),
+            active: vec![true; groups.len()],
+            samples_per_group: vec![0; groups.len()],
+            rounds: 0,
+            truncated: false,
+            estimates,
+        })
     }
 }
 
 impl SessionEngine for ExactCount {
     fn step(&mut self, _rng: &mut dyn RngCore) -> StepOutcome {
-        self.certified = true;
+        self.0.active.fill(false);
         StepOutcome::Converged
     }
 
     fn snapshot(&self) -> Snapshot {
-        let k = self.estimates.len();
-        Snapshot {
-            labels: self.labels.clone(),
-            estimates: self.estimates.clone(),
-            intervals: self
-                .estimates
-                .iter()
-                .map(|&e| Interval::new(e, e))
-                .collect(),
-            active: vec![!self.certified; k],
-            samples_per_group: vec![0; k],
-            rounds: 0,
-            truncated: false,
-        }
+        self.0.clone()
     }
 
     fn total_samples(&self) -> u64 {
         0
-    }
-}
-
-/// SCAN (see [`crate::AlgorithmChoice::ExactScan`]): each step reads one
-/// whole group, in plan order, through
-/// [`rapidviz_needletail::GroupHandle::exact`], so no sample is drawn and
-/// no RNG word is consumed. A group of `N` rows, `n` of them delivered with
-/// sum `s`, has the interval `[s/N, (s + c·(N − n))/N]`: the point `s/N`
-/// once read in full, `[0, c]` before it is read. A group with a dropped
-/// row keeps that interval and stays active, and the run ends truncated
-/// and `BudgetExhausted` instead of `Converged`.
-#[derive(Debug)]
-pub(crate) struct ExactScan {
-    groups: Vec<NeedletailGroup>,
-    c: f64,
-    /// One pass per group read so far, in plan order.
-    reads: Vec<ExactAggregate>,
-}
-
-impl ExactScan {
-    pub(crate) fn new(groups: Vec<NeedletailGroup>, c: f64) -> Self {
-        Self {
-            groups,
-            c,
-            reads: Vec::new(),
-        }
-    }
-
-    fn truncated(&self) -> bool {
-        self.reads.iter().any(|r| r.dropped > 0)
-    }
-}
-
-impl SessionEngine for ExactScan {
-    fn step(&mut self, _rng: &mut dyn RngCore) -> StepOutcome {
-        if let Some(group) = self.groups.get(self.reads.len()) {
-            let read = group.handle().exact();
-            self.reads.push(read);
-        }
-        if self.reads.len() < self.groups.len() {
-            StepOutcome::Running
-        } else if self.truncated() {
-            StepOutcome::BudgetExhausted
-        } else {
-            StepOutcome::Converged
-        }
-    }
-
-    fn snapshot(&self) -> Snapshot {
-        let mut snap = Snapshot {
-            labels: self.groups.iter().map(GroupSource::label).collect(),
-            estimates: Vec::new(),
-            intervals: Vec::new(),
-            active: Vec::new(),
-            samples_per_group: Vec::new(),
-            rounds: 0,
-            truncated: self.truncated(),
-        };
-        for (i, group) in self.groups.iter().enumerate() {
-            let read = self.reads.get(i).copied().unwrap_or_default();
-            let (n, rows) = (read.delivered, group.len());
-            let estimate = if n == 0 { 0.0 } else { read.sum / n as f64 };
-            snap.estimates.push(estimate);
-            snap.intervals.push(if n == rows {
-                Interval::new(estimate, estimate)
-            } else {
-                let unread = self.c * (rows - n) as f64;
-                Interval::new(read.sum / rows as f64, (read.sum + unread) / rows as f64)
-            });
-            snap.active.push(i >= self.reads.len() || read.dropped > 0);
-            snap.samples_per_group.push(n);
-            snap.rounds = snap.rounds.max(n);
-        }
-        snap
-    }
-
-    fn total_samples(&self) -> u64 {
-        self.reads.iter().map(|r| r.delivered).sum()
     }
 }
 
