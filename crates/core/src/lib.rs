@@ -29,8 +29,8 @@
 //! IFOCUS's round is written once, in [`focus`]: [`IFocusStepper`] and
 //! [`RoundRobinStepper`] are one type, [`focus::FocusStepper`], under a
 //! crate-private *rule* (every pair must order; the same with every group
-//! drawing). IREFINE has a round of its own. SCAN reads storage, not
-//! group sources: it is the facade's `AlgorithmChoice::ExactScan`.
+//! drawing). IREFINE has a round of its own. SCAN is the same round with
+//! every group read whole by one pass, one per step ([`IFocus::scan`]).
 //!
 //! ## Extensions (§6)
 //!

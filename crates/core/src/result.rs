@@ -26,9 +26,10 @@ pub struct RunResult {
     /// Final estimates `ν_1..ν_k` (for AVG algorithms these are means; the
     /// SUM variants return sums).
     pub estimates: Vec<f64>,
-    /// Samples drawn from each group (`m_i`).
+    /// Values read from each group (`m_i`), sampled or scanned whole.
     pub samples_per_group: Vec<u64>,
-    /// Number of rounds executed (the final value of `m`).
+    /// Rounds executed (the final `m`; when every group was read whole,
+    /// the most rows one group's pass read).
     pub rounds: u64,
     /// Whether the run hit [`crate::AlgoConfig::max_rounds`] before
     /// terminating naturally. Results are still the best-effort estimates.

@@ -78,7 +78,7 @@ pub struct Snapshot {
     pub intervals: Vec<Interval>,
     /// Which groups are still active (still being sampled).
     pub active: Vec<bool>,
-    /// Samples drawn from each group so far.
+    /// Values read from each group so far, sampled or scanned whole.
     pub samples_per_group: Vec<u64>,
     /// Round counter `m` after the last completed round.
     pub rounds: u64,

@@ -907,7 +907,7 @@ impl GroupHandle {
     /// ([`FaultSite::RowRead`]) is counted as dropped, not summed. The sum
     /// runs in row order from `0.0` like [`NeedleTail::scan`]'s, so a
     /// fault-free `sum / delivered` is that scan's mean bit for bit. It
-    /// reads the typed column ([`Table::measure`]), matched once, not per
+    /// reads the typed column (`Table::measure`), matched once, not per
     /// row: a 4M-row pass took 12–17 ms through `float_value`, 3–7 ms over
     /// the slice, the same adds in the same order (release, 2-vCPU x86-64).
     #[must_use]

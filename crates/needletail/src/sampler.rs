@@ -54,7 +54,7 @@
 //! smaller one: with halves of one to three bits, (π_K(0), π_K(1)) stays
 //! measurably non-uniform even at twelve rounds. So `b` is at least 8, and
 //! a group of fewer than 256 rows walks up to `256 / eligible` times per
-//! draw, which its few draws afford. A batch enciphers [`LANES`] ranks at a
+//! draw, which its few draws afford. A batch enciphers `LANES` ranks at a
 //! time, round by round, so their independent multiply chains overlap
 //! instead of each waiting on the last, and then cycle-walks the ranks that
 //! landed out of range, again `LANES` at a time; each rank still takes
@@ -554,7 +554,7 @@ impl BitmapSampler {
     /// number appended (`< n` once the population runs dry).
     ///
     /// The batch is `π_K` over ranks `drawn..drawn + n`, computed in place
-    /// [`LANES`] ranks at a time and resolved as the module docs' *Batched
+    /// `LANES` ranks at a time and resolved as the module docs' *Batched
     /// draws* describe; the RNG is consumed as by `n` calls of
     /// [`Self::sample_without_replacement`] (the key, if this is the first
     /// draw, and nothing else), so the rows are the same stream.

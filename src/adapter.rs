@@ -87,7 +87,7 @@ impl GroupSource for NeedletailGroup {
     }
 
     /// Splits a wide round across the draw helpers: without replacement,
-    /// ≥ 2 groups and [`FAN_OUT_MIN_DRAWS`] draws, every π_K keyed, and no
+    /// ≥ 2 groups and `FAN_OUT_MIN_DRAWS` draws, every π_K keyed, and no
     /// other round being drawn in the process (a sharded server that keeps
     /// every core busy draws inline). Otherwise it draws in order.
     fn draw_round(

@@ -207,7 +207,7 @@ pub struct RoundUpdate {
     pub outcome: StepOutcome,
     /// Round counter after this step.
     pub round: u64,
-    /// Total samples drawn so far, across all groups.
+    /// Values read so far across all groups, sampled or scanned whole.
     pub total_samples: u64,
     /// `total_samples / population`, clamped to at most 1.0 — monotone
     /// over a session's updates. With-replacement sampling on small groups
