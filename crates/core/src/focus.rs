@@ -342,6 +342,7 @@ mod tests {
     use crate::group::VecGroup;
     use crate::{IFocus, RoundRobin};
     use rand::SeedableRng;
+    use rapidviz_stats::SamplingMode;
 
     /// Three identical constant groups: their intervals coincide, so no rule
     /// can ever separate them and only a cut-off ends the run.
@@ -430,6 +431,80 @@ mod tests {
         assert_eq!(result.rounds, u64::MAX);
         assert_eq!(result.samples_per_group, [100, 100, 100]);
         assert!(!result.truncated);
+    }
+
+    /// A group that delivers its rows in order when sampled, and all of
+    /// them, summed in order from `0.0`, in one exact pass.
+    struct Rows(Vec<f64>, usize);
+
+    impl GroupSource for Rows {
+        fn label(&self) -> String {
+            String::new()
+        }
+        fn len(&self) -> u64 {
+            self.0.len() as u64
+        }
+        fn sample(&mut self, _rng: &mut dyn RngCore, _mode: SamplingMode) -> Option<f64> {
+            self.1 += 1;
+            self.0.get(self.1 - 1).copied()
+        }
+        fn read_exact(&mut self) -> Option<(u64, f64)> {
+            Some((self.len(), self.0.iter().fold(0.0, |sum, x| sum + x)))
+        }
+        fn reset(&mut self) {}
+    }
+
+    #[test]
+    fn a_sampled_group_stays_active_until_it_clears_an_exact_point() {
+        // Group 0 is read whole: its mean is the point 50. Group 1's first
+        // 400 rows alternate 40 and 60, so its interval sits on that point
+        // for a while before the 90s that follow pull it clear.
+        let exact = Rows(vec![40.0, 60.0, 45.0, 55.0], 0);
+        let mut sampled: Vec<f64> = (0..400).map(|i| [40.0, 60.0][i % 2]).collect();
+        sampled.extend([90.0; 3_000]);
+        let mut groups = vec![exact, Rows(sampled, 0)];
+        let config = AlgoConfig::new(100.0, 0.05)
+            .with_samples_per_round(8)
+            .with_exact(vec![true, false]);
+        let mut stepper = IFocus::new(config).start(&mut groups, &mut rng());
+        let mut overlapped = 0;
+        let outcome = loop {
+            let outcome = stepper.step(&mut groups, &mut rng());
+            let snap = stepper.snapshot();
+            assert_eq!(snap.intervals[0], Interval::new(50.0, 50.0));
+            let covers = snap.intervals[1].contains(50.0);
+            assert!(snap.active[1] || !covers, "round {}", snap.rounds);
+            overlapped += usize::from(covers);
+            if !outcome.is_running() {
+                break outcome;
+            }
+        };
+        assert_eq!(outcome, StepOutcome::Converged);
+        assert!(overlapped > 10, "the intervals met in {overlapped} rounds");
+        assert_eq!(
+            stepper.snapshot().samples_per_group[0],
+            4,
+            "rows read are samples"
+        );
+    }
+
+    #[test]
+    fn exact_groups_are_read_in_the_first_step_and_never_drawn() {
+        let mut groups = vec![Rows(vec![10.0; 50], 0), Rows(vec![90.0; 50], 0)];
+        let config = AlgoConfig::new(100.0, 0.05).with_exact(vec![true, true]);
+        let mut stepper = IFocus::new(config).start(&mut groups, &mut rng());
+        // Nothing is bootstrapped: each group reports `[0, c]` until read.
+        let before = stepper.snapshot();
+        assert_eq!(before.samples_per_group, [0, 0]);
+        assert_eq!(before.intervals[0], Interval::new(0.0, 100.0));
+        assert_eq!(
+            stepper.step(&mut groups, &mut rng()),
+            StepOutcome::Converged
+        );
+        let after = stepper.finish();
+        assert_eq!(after.estimates, [10.0, 90.0]);
+        assert_eq!((after.samples_per_group, after.rounds), (vec![50, 50], 50));
+        assert_eq!((groups[0].1, groups[1].1), (0, 0), "no draw");
     }
 
     #[test]

@@ -13,14 +13,19 @@
 //!
 //! [`grid`] is IFOCUS and ROUNDROBIN × {with, without replacement} ×
 //! {exact, resolution-relaxed} × five value families ([`Family`]), plus
-//! without-replacement cells whose row order is adversarial ([`RowOrder`]).
+//! without-replacement cells whose row order is adversarial ([`RowOrder`]),
+//! plus two relaxed IFOCUS cells whose planner reads groups whole
+//! ([`Planned`]).
 //! Every table is a NEEDLETAIL engine clustered by its group column, so
 //! every group is one contiguous row range ([`rapidviz::needletail::RowSet::Range`]).
 //! Without-replacement draws are the engine sampler's keyed permutation
 //! `π_K`. Exact cells without replacement go through [`VizQuery`];
 //! with-replacement runs (which `VizQuery` does not offer) and
 //! resolution-relaxed ones step the algorithm directly over the same
-//! engine's group handles, so every group is sampled.
+//! engine's group handles, so every group is sampled. The [`Planned`]
+//! cells go through `VizQuery` with the resolution, which reads a group
+//! whole when that is cheaper than sampling it: all four groups of one,
+//! three of the four of the other.
 //!
 //! # What a cell reports
 //!
@@ -104,6 +109,18 @@ pub enum RowOrder {
     ZipfGroups,
 }
 
+/// Tables of the cells run through [`VizQuery`] at [`RESOLUTION_PCT`],
+/// which reads some of their groups whole by one exact pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Planned {
+    /// The truncated-normal family's table: every group is read whole.
+    AllExact,
+    /// Mixture values: one group of 500,000 rows with mean 50, above
+    /// `ρ·m_floor` (~455,000 rows) and so sampled, and three of 5,000
+    /// read whole, with means 30, 44 and 56.
+    Mixed,
+}
+
 /// What a cell's table holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Data {
@@ -111,6 +128,8 @@ pub enum Data {
     Family(Family),
     /// An adversarial row order.
     Order(RowOrder),
+    /// A table the planner reads partly or wholly by exact passes.
+    Planned(Planned),
 }
 
 /// One configuration of the grid.
@@ -146,6 +165,8 @@ impl Cell {
             Data::Order(RowOrder::Periodic(p)) => format!("periodic-{p}"),
             Data::Order(RowOrder::RangeHalves) => "range-halves".to_owned(),
             Data::Order(RowOrder::ZipfGroups) => "zipf-groups".to_owned(),
+            Data::Planned(Planned::AllExact) => "planned-all-exact".to_owned(),
+            Data::Planned(Planned::Mixed) => "planned-mixed".to_owned(),
         };
         format!("{algorithm}/{mode}/{bound}/{data}")
     }
@@ -159,7 +180,8 @@ impl Cell {
 
 /// The whole grid: 40 main cells (algorithm × mode × bound × family),
 /// then 20 without-replacement adversarial-order cells (algorithm × bound
-/// × order).
+/// × order), then the two relaxed IFOCUS cells the planner reads partly
+/// or wholly by exact passes.
 #[must_use]
 pub fn grid() -> Vec<Cell> {
     let families = [
@@ -203,6 +225,14 @@ pub fn grid() -> Vec<Cell> {
             }
         }
     }
+    for planned in [Planned::AllExact, Planned::Mixed] {
+        cells.push(Cell {
+            algorithm: Algorithm::IFocus,
+            with_replacement: false,
+            resolution: true,
+            data: Data::Planned(planned),
+        });
+    }
     cells
 }
 
@@ -228,6 +258,17 @@ impl Fixture {
         let ladder = [20.0, 40.0, 55.0, 75.0];
         let orders = [30.0, 45.0, 55.0, 70.0];
         let columns: Vec<Vec<f64>> = match data {
+            Data::Planned(Planned::Mixed) => [(500_000, 50.0), (5_000, 30.0), (5_000, 44.0)]
+                .into_iter()
+                .chain([(5_000, 56.0)])
+                .map(|(size, mu)| {
+                    let dist = mixture(mu);
+                    (0..size).map(|_| dist.sample(&mut rng)).collect()
+                })
+                .collect(),
+            Data::Planned(Planned::AllExact) => {
+                return Self::build(Data::Family(Family::TruncNorm))
+            }
             Data::Family(family) => {
                 let means: Vec<f64> = match family {
                     Family::NearTie => vec![40.0, 44.0, 48.0, 52.0],
@@ -350,7 +391,8 @@ fn mixture(mu: f64) -> Box<dyn ValueDist> {
 #[must_use]
 pub fn run_once(cell: &Cell, fixture: &Fixture, seed: u64) -> Snapshot {
     let mut rng = StdRng::seed_from_u64(seed);
-    if cell.with_replacement || cell.resolution {
+    let planned = matches!(cell.data, Data::Planned(_));
+    if cell.with_replacement || (cell.resolution && !planned) {
         let mode = if cell.with_replacement {
             SamplingMode::WithReplacement
         } else {
@@ -374,13 +416,16 @@ pub fn run_once(cell: &Cell, fixture: &Fixture, seed: u64) -> Snapshot {
         Algorithm::IFocus => AlgorithmChoice::IFocus,
         Algorithm::RoundRobin => AlgorithmChoice::RoundRobin,
     };
-    let query = VizQuery::new(&fixture.engine)
+    let mut query = VizQuery::new(&fixture.engine)
         .group_by("g")
         .avg("y")
         .algorithm(algorithm)
         .bound(C)
         .delta(DELTA)
         .samples_per_round(SAMPLES_PER_ROUND);
+    if cell.resolution {
+        query = query.resolution_pct(RESOLUTION_PCT);
+    }
     let mut session = query.start(rng).expect("the fixture plans");
     while session.step().outcome.is_running() {}
     session.snapshot()
@@ -582,11 +627,11 @@ mod tests {
     #[test]
     fn the_grid_has_every_cell_once() {
         let cells = grid();
-        assert_eq!(cells.len(), 60);
+        assert_eq!(cells.len(), 62);
         let mut names: Vec<String> = cells.iter().map(Cell::name).collect();
         names.sort();
         names.dedup();
-        assert_eq!(names.len(), 60);
+        assert_eq!(names.len(), 62);
         let adversarial = cells.iter().filter(|c| matches!(c.data, Data::Order(_)));
         assert!(adversarial.clone().all(|c| !c.with_replacement));
         assert_eq!(adversarial.count(), 20);
@@ -601,6 +646,9 @@ mod tests {
         let zipf = Fixture::build(Data::Order(RowOrder::ZipfGroups));
         let sizes: Vec<u64> = zipf.groups.iter().map(GroupSource::len).collect();
         assert_eq!(sizes, [4_897, 2_448, 1_632, 1_224, 979, 816]);
+        let mixed = Fixture::build(Data::Planned(Planned::Mixed));
+        let sizes: Vec<u64> = mixed.groups.iter().map(GroupSource::len).collect();
+        assert_eq!(sizes, [500_000, 5_000, 5_000, 5_000]);
         let skew = Fixture::build(Data::Family(Family::HeavySkew));
         let sizes: Vec<u64> = skew.groups.iter().map(GroupSource::len).collect();
         assert_eq!(sizes, [17_000, 1_000, 1_000, 1_000]);

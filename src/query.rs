@@ -516,6 +516,25 @@ mod tests {
     }
 
     #[test]
+    fn groups_are_read_whole_below_rho_times_the_floor_and_under_the_cap() {
+        let config = || AlgoConfig::new(100.0, 0.05).with_resolution(5.0);
+        let exact = |sizes: &[u64], cap| exact_groups(config(), sizes, cap).exact;
+        // k = 3 at 5 %: m_floor is 20,704 samples at a largest size of
+        // 60,000 (310,560 = ρ·m_floor rows), 12,198 at 20,000 and ~30,300
+        // at 600,000 (~455,000 rows, so that group is sampled).
+        assert_eq!(exact(&[60_000, 50_000, 900], None), [true; 3]);
+        assert_eq!(exact(&[600_000, 50_000, 900], None), [false, true, true]);
+        assert_eq!(exact(&[20_000; 3], Some(45_000)), [true, true, false]);
+        assert_eq!(
+            exact(&[30_000, 20_000, 10_000], Some(45_000)),
+            [true, false, true]
+        );
+        assert!(exact_groups(AlgoConfig::new(100.0, 0.05), &[10; 3], None)
+            .exact
+            .is_empty());
+    }
+
+    #[test]
     fn filtered_query() {
         let engine = engine();
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
