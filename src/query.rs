@@ -436,7 +436,7 @@ impl<'a> VizQuery<'a> {
 /// ρ: what one sampled value costs, in rows of one exact pass. Probe
 /// (release, 2-vCPU x86-64; flight tables of 1M and 4M rows grouped by
 /// the clustered `name`, 14 groups; AVG and SUM of three measures at 2 %,
-/// spr 256, three seeds each): 28–37 ns a sample against 1.2–1.9 ns a row,
+/// spr 256, three seeds each): 28–38 ns a sample against 1.2–1.9 ns a row,
 /// ratios 15–26. ρ is the smallest, so a group read whole never costs more.
 const RHO: u64 = 15;
 
