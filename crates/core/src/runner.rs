@@ -106,14 +106,8 @@ impl Snapshot {
     /// them immediately; active groups are still in flux.
     #[must_use]
     pub fn certified_order(&self) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.estimates.len())
-            .filter(|&i| !self.active[i])
-            .collect();
-        idx.sort_by(|&a, &b| {
-            self.estimates[a]
-                .total_cmp(&self.estimates[b])
-                .then(a.cmp(&b))
-        });
+        let mut idx = self.order_by_estimate();
+        idx.retain(|&i| !self.active[i]);
         idx
     }
 
@@ -134,16 +128,13 @@ impl Snapshot {
             + self.samples_per_group.capacity() * size_of::<u64>()
     }
 
-    /// All group indices sorted by ascending current estimate — the best
-    /// full ordering available right now (no guarantee for active groups).
+    /// All group indices sorted by ascending current estimate, ties by
+    /// index (a stable sort) — the best full ordering available right now
+    /// (no guarantee for active groups).
     #[must_use]
     pub fn order_by_estimate(&self) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..self.estimates.len()).collect();
-        idx.sort_by(|&a, &b| {
-            self.estimates[a]
-                .total_cmp(&self.estimates[b])
-                .then(a.cmp(&b))
-        });
+        idx.sort_by(|&a, &b| self.estimates[a].total_cmp(&self.estimates[b]));
         idx
     }
 }

@@ -81,12 +81,6 @@ impl SimulatedDisk {
         self.values == 0
     }
 
-    /// Number of pages on the device.
-    #[must_use]
-    pub fn page_count(&self) -> u64 {
-        self.pages.len() as u64
-    }
-
     /// Reads the page holding `row`, charging one transfer of the given
     /// kind, and returns the raw page bytes.
     fn read_page(&self, page: usize, sequential: bool) -> &[u8] {
@@ -176,9 +170,9 @@ mod tests {
 
     #[test]
     fn page_count_rounds_up() {
-        assert_eq!(disk(16, 64).page_count(), 2);
-        assert_eq!(disk(17, 64).page_count(), 3);
-        assert_eq!(disk(0, 64).page_count(), 0);
+        assert_eq!(disk(16, 64).pages.len(), 2);
+        assert_eq!(disk(17, 64).pages.len(), 3);
+        assert_eq!(disk(0, 64).pages.len(), 0);
         assert!(disk(0, 64).is_empty());
     }
 

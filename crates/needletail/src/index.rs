@@ -167,13 +167,6 @@ impl BitmapIndex {
             .map(|(_, bm)| bm)
     }
 
-    /// Number of rows matching `value` (0 if absent) — "group size from the
-    /// index without touching disk".
-    #[must_use]
-    pub fn cardinality_of(&self, value: &Value) -> u64 {
-        self.bitmap_for(value).map_or(0, Bitmap::count_ones)
-    }
-
     /// OR of all bitmaps for numeric values in `[lo, hi]` (inclusive,
     /// either side optional; a NaN bound selects nothing, as it does on the
     /// scan path). Strings are not range-indexable here.
@@ -211,6 +204,11 @@ pub(crate) fn in_range(x: f64, lo: Option<f64>, hi: Option<f64>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Rows matching `value` (0 if absent).
+    fn rows_of(idx: &BitmapIndex, value: &Value) -> u64 {
+        idx.bitmap_for(value).map_or(0, Bitmap::count_ones)
+    }
     use crate::schema::{ColumnDef, Schema};
     use crate::table::TableBuilder;
 
@@ -241,10 +239,10 @@ mod tests {
         assert_eq!(idx.distinct_count(), 3);
         let aa = idx.bitmap_for(&"AA".into()).unwrap();
         assert_eq!(aa.iter_ones().collect::<Vec<_>>(), vec![0, 2, 5]);
-        assert_eq!(idx.cardinality_of(&"JB".into()), 2);
-        assert_eq!(idx.cardinality_of(&"ZZ".into()), 0);
+        assert_eq!(rows_of(&idx, &"JB".into()), 2);
+        assert_eq!(rows_of(&idx, &"ZZ".into()), 0);
         // Partition: bitmaps are disjoint and cover all rows.
-        let total: u64 = idx.values().iter().map(|v| idx.cardinality_of(v)).sum();
+        let total: u64 = idx.values().iter().map(|v| rows_of(&idx, v)).sum();
         assert_eq!(total, t.row_count());
     }
 
@@ -257,15 +255,15 @@ mod tests {
             vec![Value::Int(2007), Value::Int(2008)],
             "values must come back in ascending order"
         );
-        assert_eq!(idx.cardinality_of(&Value::Int(2007)), 2);
-        assert_eq!(idx.cardinality_of(&Value::Int(2008)), 4);
+        assert_eq!(rows_of(&idx, &Value::Int(2007)), 2);
+        assert_eq!(rows_of(&idx, &Value::Int(2008)), 4);
     }
 
     #[test]
     fn float_index_and_range() {
         let t = table();
         let idx = BitmapIndex::build(&t, "delay");
-        assert_eq!(idx.cardinality_of(&Value::Float(30.0)), 1);
+        assert_eq!(rows_of(&idx, &Value::Float(30.0)), 1);
         let mid = idx.range_bitmap(Some(15.0), Some(30.0));
         // delays 15, 20, 25, 30 → rows 1, 2, 5, 0.
         assert_eq!(mid.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2, 5]);

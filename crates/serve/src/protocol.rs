@@ -276,19 +276,11 @@ impl QueryRequest {
                 }
                 "filter" => filter = Some(FilterSpec::parse(value)?),
                 "delta" => delta = Some(parse_f64(key, value, |d| d > 0.0 && d < 1.0)?),
-                "resolution_pct" => {
-                    resolution_pct = Some(parse_f64(key, value, |r| r > 0.0)?);
-                }
+                "resolution_pct" => resolution_pct = Some(parse_f64(key, value, |r| r > 0.0)?),
                 "bound" => bound = Some(parse_f64(key, value, |b| b > 0.0)?),
                 "spr" => samples_per_round = Some(parse_u64_positive(key, value)?),
                 "max_samples" => max_samples = Some(parse_u64_positive(key, value)?),
-                "seed" => {
-                    seed = Some(
-                        value
-                            .parse::<u64>()
-                            .map_err(|_| format!("seed wants a u64, got {value:?}"))?,
-                    );
-                }
+                "seed" => seed = Some(parse_u64(key, value)?),
                 other => return Err(format!("unknown key {other:?}")),
             }
         }
@@ -331,9 +323,7 @@ pub fn parse_resume_line(line: &str) -> Result<u64, String> {
         };
         match key {
             "token" => {
-                let t = value
-                    .parse::<u64>()
-                    .map_err(|_| format!("token wants a u64, got {value:?}"))?;
+                let t = parse_u64(key, value)?;
                 if t == 0 {
                     return Err("token must be non-zero".to_owned());
                 }
@@ -355,10 +345,14 @@ fn parse_f64(key: &str, value: &str, valid: impl Fn(f64) -> bool) -> Result<f64,
     Ok(v)
 }
 
-fn parse_u64_positive(key: &str, value: &str) -> Result<u64, String> {
-    let v = value
+fn parse_u64(key: &str, value: &str) -> Result<u64, String> {
+    value
         .parse::<u64>()
-        .map_err(|_| format!("{key} wants a u64, got {value:?}"))?;
+        .map_err(|_| format!("{key} wants a u64, got {value:?}"))
+}
+
+fn parse_u64_positive(key: &str, value: &str) -> Result<u64, String> {
+    let v = parse_u64(key, value)?;
     if v == 0 {
         return Err(format!("{key} must be positive"));
     }
