@@ -39,10 +39,6 @@ pub struct AlgoConfig {
     /// exceed the remaining budget retires the group instead (the run is
     /// marked truncated). `u64::MAX` = no cap.
     pub max_samples_per_group: u64,
-    /// The groups (by index) the first step reads whole by one exact pass
-    /// ([`crate::GroupSource::read_exact`]) and never samples; none by
-    /// default. No other interval changes, so neither does the guarantee.
-    pub exact: Vec<bool>,
 }
 
 impl AlgoConfig {
@@ -65,7 +61,6 @@ impl AlgoConfig {
             max_rounds: u64::MAX,
             max_samples_per_group: u64::MAX,
             samples_per_round: 1,
-            exact: Vec::new(),
         }
     }
 
@@ -115,13 +110,6 @@ impl AlgoConfig {
     pub fn with_samples_per_round(mut self, b: u64) -> Self {
         assert!(b >= 1, "batch size must be at least 1");
         self.samples_per_round = b;
-        self
-    }
-
-    /// Marks the groups read whole instead of sampled.
-    #[must_use]
-    pub fn with_exact(mut self, exact: Vec<bool>) -> Self {
-        self.exact = exact;
         self
     }
 

@@ -42,7 +42,7 @@ impl IFocusPartial {
         groups: &mut [G],
         rng: &mut dyn RngCore,
     ) -> IFocusPartialStepper {
-        let state = FocusState::initialize(&self.config, Width::anytime, groups, rng);
+        let state = FocusState::initialize(&self.config, Width::anytime, groups, &[], rng);
         let mut stepper = IFocusPartialStepper {
             emitted: vec![false; state.k()],
             // Unlike plain IFOCUS, the round-1 test does not consult the
@@ -252,7 +252,7 @@ mod tests {
         rng: &mut dyn rand::RngCore,
         emit: &mut impl FnMut(PartialEmission),
     ) -> RunResult {
-        let mut state = FocusState::initialize(config, Width::anytime, groups, rng);
+        let mut state = FocusState::initialize(config, Width::anytime, groups, &[], rng);
         let mut emitted = vec![false; state.k()];
         state.standard_deactivation();
         reference_flush(&state, &mut emitted, emit);

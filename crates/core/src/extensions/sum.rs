@@ -57,7 +57,19 @@ impl IFocusSum1 {
         groups: &mut [G],
         rng: &mut dyn RngCore,
     ) -> IFocusSum1Stepper {
-        FocusStepper::start(&self.config, Rule::ScaledSum, Width::anytime, groups, rng)
+        self.start_planned(groups, &[], rng)
+    }
+
+    /// [`IFocusSum1::start`], reading the groups marked `exact` whole as
+    /// [`crate::IFocus::start_planned`] does.
+    pub fn start_planned<G: GroupSource>(
+        &self,
+        groups: &mut [G],
+        exact: &[bool],
+        rng: &mut dyn RngCore,
+    ) -> IFocusSum1Stepper {
+        let state = FocusState::initialize(&self.config, Width::anytime, groups, exact, rng);
+        FocusStepper::begin(state, Rule::ScaledSum, false)
     }
 
     /// Runs over the groups; estimates are group **sums** `ν_i ≈ σ_i` —
@@ -722,7 +734,7 @@ mod tests {
                 }
             }
         }
-        let mut state = FocusState::initialize(config, Width::anytime, groups, rng);
+        let mut state = FocusState::initialize(config, Width::anytime, groups, &[], rng);
         let sizes = state.sizes.clone();
         deactivate_scaled(&mut state, &sizes);
         while state.any_active() {

@@ -85,11 +85,8 @@ impl Rule {
     /// relaxation (`ε_m < r/4`; SUM compares the largest `|S_i|·ε`; the
     /// value requirement replaces it), or nothing left to draw.
     fn cut_off(&self, state: &mut FocusState) -> bool {
-        let resolved = match self {
-            Rule::Values { .. } | Rule::Scan => false,
-            _ => state.resolution_reached(matches!(self, Rule::ScaledSum)),
-        };
-        resolved
+        let relaxed = !matches!(self, Rule::Values { .. } | Rule::Scan);
+        (relaxed && state.resolution_reached(matches!(self, Rule::ScaledSum)))
             || match self {
                 Rule::EveryGroup => state.all_exhausted(),
                 _ => state.all_active_exhausted(),
@@ -208,7 +205,7 @@ impl FocusStepper {
         // rules on it: only IFOCUS, ROUNDROBIN and Algorithm 5 honour the
         // resolution cut-off at the bootstrap round.
         let honours_resolution = matches!(rule, Rule::FullOrder | Rule::EveryGroup);
-        let state = FocusState::initialize(config, width, groups, rng);
+        let state = FocusState::initialize(config, width, groups, &[], rng);
         Self::begin(state, rule, honours_resolution)
     }
 
@@ -463,10 +460,9 @@ mod tests {
         let mut sampled: Vec<f64> = (0..400).map(|i| [40.0, 60.0][i % 2]).collect();
         sampled.extend([90.0; 3_000]);
         let mut groups = vec![exact, Rows(sampled, 0)];
-        let config = AlgoConfig::new(100.0, 0.05)
-            .with_samples_per_round(8)
-            .with_exact(vec![true, false]);
-        let mut stepper = IFocus::new(config).start(&mut groups, &mut rng());
+        let config = AlgoConfig::new(100.0, 0.05).with_samples_per_round(8);
+        let mut stepper =
+            IFocus::new(config).start_planned(&mut groups, &[true, false], &mut rng());
         let mut overlapped = 0;
         let outcome = loop {
             let outcome = stepper.step(&mut groups, &mut rng());
@@ -491,8 +487,8 @@ mod tests {
     #[test]
     fn exact_groups_are_read_in_the_first_step_and_never_drawn() {
         let mut groups = vec![Rows(vec![10.0; 50], 0), Rows(vec![90.0; 50], 0)];
-        let config = AlgoConfig::new(100.0, 0.05).with_exact(vec![true, true]);
-        let mut stepper = IFocus::new(config).start(&mut groups, &mut rng());
+        let algo = IFocus::new(AlgoConfig::new(100.0, 0.05));
+        let mut stepper = algo.start_planned(&mut groups, &[true, true], &mut rng());
         // Nothing is bootstrapped: each group reports `[0, c]` until read.
         let before = stepper.snapshot();
         assert_eq!(before.samples_per_group, [0, 0]);

@@ -24,6 +24,7 @@ use crate::focus::{FocusStepper, Rule, Width};
 use crate::group::GroupSource;
 use crate::result::RunResult;
 use crate::runner::AlgorithmStepper;
+use crate::state::FocusState;
 use rand::RngCore;
 
 /// The IFOCUS algorithm (and IFOCUS-R when a resolution is configured).
@@ -70,15 +71,29 @@ impl IFocus {
     ///
     /// Panics if `groups` is empty.
     pub fn start<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> IFocusStepper {
-        FocusStepper::start(&self.config, Rule::FullOrder, Width::anytime, groups, rng)
+        self.start_planned(groups, &[], rng)
+    }
+
+    /// [`IFocus::start`], but the first step reads the groups marked
+    /// `exact` whole ([`GroupSource::read_exact`]; without a pass, a group
+    /// stops truncated at `[0, c]`) and never samples them.
+    pub fn start_planned<G: GroupSource>(
+        &self,
+        groups: &mut [G],
+        exact: &[bool],
+        rng: &mut dyn RngCore,
+    ) -> IFocusStepper {
+        let state = FocusState::initialize(&self.config, Width::anytime, groups, exact, rng);
+        FocusStepper::begin(state, Rule::FullOrder, true)
     }
 
     /// SCAN: every group read whole ([`GroupSource::read_exact`]), one per
     /// step in plan order, leaving the active set once read (never
     /// certified if a row was dropped). No RNG word is read.
     pub fn scan<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> IFocusStepper {
-        let config = self.config.clone().with_exact(vec![true; groups.len()]);
-        FocusStepper::start(&config, Rule::Scan, Width::anytime, groups, rng)
+        let every = vec![true; groups.len()];
+        let state = FocusState::initialize(&self.config, Width::anytime, groups, &every, rng);
+        FocusStepper::begin(state, Rule::Scan, false)
     }
 
     /// Runs IFOCUS over the groups to completion — a thin loop over
@@ -349,7 +364,7 @@ mod tests {
         groups: &mut [VecGroup],
         rng: &mut rand::rngs::StdRng,
     ) -> crate::result::RunResult {
-        let mut state = FocusState::initialize(config, Width::anytime, groups, rng);
+        let mut state = FocusState::initialize(config, Width::anytime, groups, &[], rng);
         if state.resolution_reached(false) {
             state.deactivate_all();
         } else {

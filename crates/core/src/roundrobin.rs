@@ -172,7 +172,7 @@ mod tests {
         groups: &mut [VecGroup],
         rng: &mut rand::rngs::StdRng,
     ) -> crate::result::RunResult {
-        let mut state = FocusState::initialize(config, Width::anytime, groups, rng);
+        let mut state = FocusState::initialize(config, Width::anytime, groups, &[], rng);
         if state.resolution_reached(false) {
             state.deactivate_all();
         } else {

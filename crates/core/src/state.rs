@@ -181,19 +181,20 @@ pub(crate) struct FocusState {
 
 impl FocusState {
     /// Initializes state and performs the first round (one sample from every
-    /// group — Algorithm 1 lines 1–3) but those [`AlgoConfig::exact`] marks,
-    /// which the first step reads whole instead ([`Self::read_exact`]).
+    /// group — Algorithm 1 lines 1–3) but those `exact` marks, which the
+    /// first step reads whole instead ([`Self::read_exact`]).
     pub(crate) fn initialize<G: GroupSource>(
         config: &AlgoConfig,
         width: fn(&AlgoConfig, usize) -> Width,
         groups: &mut [G],
+        exact: &[bool],
         rng: &mut dyn RngCore,
     ) -> Self {
         let labels = groups.iter().map(GroupSource::label).collect();
         let sizes = groups.iter().map(GroupSource::len).collect();
         let mut state = Self::new(config, width(config, groups.len()), labels, sizes);
         for (i, group) in groups.iter_mut().enumerate() {
-            match config.exact.get(i) {
+            match exact.get(i) {
                 Some(true) => state.exact[i] = Some((0, 0.0)),
                 _ => state.draw(i, group, rng),
             }

@@ -768,6 +768,12 @@ impl GroupHandle {
         self.len() == 0
     }
 
+    /// Whether the rows are one range: an unfiltered clustered-column group.
+    #[must_use]
+    pub fn is_row_range(&self) -> bool {
+        matches!(self.sampler.rows(), RowSet::Range { .. })
+    }
+
     /// Charges one retrieval and reads the sampled `row`'s measure value;
     /// `None`, charging the dropped read, when an installed fault injector
     /// fails it. The draw itself already happened — RNG consumption is

@@ -1,8 +1,8 @@
 //! Sessions whose groups are read whole resume over the wire bit for bit.
 //!
 //! A session at 30 % resolution over [`engine`] reads the groups `a` and
-//! `b` whole in its first step and samples `c` (grouped by `g`), or reads
-//! every group whole (grouped by `h`). Each one's checkpoint at every
+//! `b` whole in its first step and samples `c`; at 20 % it reads every
+//! group whole. Each one's checkpoint at every
 //! round is parked in a registry the server shares, and a `RESUME` over
 //! the wire must stream the uninterrupted in-process run's remaining
 //! rounds and answer, `f64::to_bits` equal. Nothing here races the
@@ -16,15 +16,12 @@ use rapidviz_serve::{Server, ServerConfig, WireClient};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Groups of `g`: two read whole at 30 %, one sampled; `h` splits every
-/// row three ways into groups read whole.
+/// Groups of `g` (row ranges): two read whole at 30 %, one sampled.
 fn engine() -> NeedleTail {
     let mut b = TableBuilder::new(Schema::new(vec![
         ColumnDef::new("g", DataType::Str),
-        ColumnDef::new("h", DataType::Str),
         ColumnDef::new("v", DataType::Float),
     ]));
-    let mut row = 0u32;
     for (label, size, mean) in [
         ("a", 2_000u32, 30.0),
         ("b", 3_000, 45.0),
@@ -32,20 +29,18 @@ fn engine() -> NeedleTail {
     ] {
         for j in 0..size {
             let v = mean + f64::from((j * 37) % 41) - 20.0;
-            let h = ["x", "y", "z"][(row % 3) as usize];
-            b.push_row(vec![label.into(), h.into(), Value::Float(v)]);
-            row += 1;
+            b.push_row(vec![label.into(), Value::Float(v)]);
         }
     }
-    NeedleTail::new(b.finish(), &["g", "h"]).expect("engine builds")
+    NeedleTail::new(b.finish(), &["g"]).expect("engine builds")
 }
 
-fn query<'e>(engine: &'e NeedleTail, by: &str) -> VizQuery<'e> {
+fn query(engine: &NeedleTail, resolution_pct: f64) -> VizQuery<'_> {
     VizQuery::new(engine)
-        .group_by(by)
+        .group_by("g")
         .avg("v")
         .bound(100.0)
-        .resolution_pct(30.0)
+        .resolution_pct(resolution_pct)
         .samples_per_round(16)
 }
 
@@ -56,14 +51,19 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 #[test]
 fn mixed_and_exact_sessions_resume_over_the_wire_at_every_round() {
     let local = engine();
-    for by in ["g", "h"] {
-        let mut session = query(&local, by).start(StdRng::seed_from_u64(5)).unwrap();
+    for (by, pct) in [("mixed", 30.0), ("all exact", 20.0)] {
+        let mut session = query(&local, pct).start(StdRng::seed_from_u64(5)).unwrap();
         let reference: Vec<RoundUpdate> = session.by_ref().collect();
         let answer = session.finish();
+        assert_eq!(
+            reference.len() == 1,
+            by == "all exact",
+            "{by}: one step iff all exact"
+        );
         let registry = Arc::new(Mutex::new(ParkingRegistry::new(Duration::from_secs(600))));
         let mut tokens = Vec::new();
         for boundary in 0..reference.len() {
-            let mut session = query(&local, by).start(StdRng::seed_from_u64(5)).unwrap();
+            let mut session = query(&local, pct).start(StdRng::seed_from_u64(5)).unwrap();
             for _ in 0..boundary {
                 session.step();
             }

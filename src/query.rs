@@ -28,7 +28,7 @@ use rand::RngCore;
 use rapidviz_core::clock::{Clock, SystemClock};
 use rapidviz_core::extensions::IFocusSum1;
 use rapidviz_core::{AlgoConfig, GroupSource, IFocus, IRefine, RoundRobin};
-use rapidviz_needletail::{EngineError, NeedleTail, Predicate};
+use rapidviz_needletail::{EngineError, GroupHandle, NeedleTail, Predicate};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -346,6 +346,7 @@ impl<'a> VizQuery<'a> {
             self.engine
                 .group_handles_multi(&cols, measure, &spec.predicate)?
         };
+        let ranges: Vec<bool> = handles.iter().map(GroupHandle::is_row_range).collect();
         let mut groups: Vec<NeedletailGroup> =
             handles.into_iter().map(NeedletailGroup::new).collect();
         let sizes: Vec<u64> = groups.iter().map(GroupSource::len).collect();
@@ -367,13 +368,16 @@ impl<'a> VizQuery<'a> {
             Ok(config)
         };
         // IFOCUS and Algorithm 4 read the groups `exact_groups` picks whole.
-        let planned = || config().map(|c| exact_groups(c, &sizes, spec.max_samples));
+        let cap = spec.max_samples.unwrap_or(u64::MAX);
+        let plan = || config().map(|c| (exact_groups(&c, &sizes, &ranges, cap), c));
         let engine: Box<dyn SessionEngine> = match (spec.aggregate, spec.algorithm) {
             (Aggregate::Count, AlgorithmChoice::IFocus) => {
                 Box::new(ExactCount::new(&groups, self.engine.table().row_count()))
             }
             (Aggregate::Avg, AlgorithmChoice::IFocus) => {
-                Box::new((IFocus::new(planned()?).start(&mut groups, rng), groups))
+                let (exact, config) = plan()?;
+                let stepper = IFocus::new(config).start_planned(&mut groups, &exact, rng);
+                Box::new((stepper, groups))
             }
             (Aggregate::Avg, AlgorithmChoice::IRefine) => {
                 Box::new((IRefine::new(config()?).start(&mut groups, rng), groups))
@@ -385,7 +389,9 @@ impl<'a> VizQuery<'a> {
                 Box::new((IFocus::new(config()?).scan(&mut groups, rng), groups))
             }
             (Aggregate::Sum, AlgorithmChoice::IFocus) => {
-                Box::new((IFocusSum1::new(planned()?).start(&mut groups, rng), groups))
+                let (exact, config) = plan()?;
+                let stepper = IFocusSum1::new(config).start_planned(&mut groups, &exact, rng);
+                Box::new((stepper, groups))
             }
             (Aggregate::Sum, other) => {
                 return Err(EngineError::Unsupported(format!(
@@ -433,9 +439,10 @@ impl<'a> VizQuery<'a> {
     }
 }
 
-/// ρ: what one sampled value costs, in rows of one exact pass. Probe
-/// (release, 2-vCPU x86-64; flight tables of 1M and 4M rows grouped by
-/// the clustered `name`, 14 groups; AVG and SUM of three measures at 2 %,
+/// ρ: what one sampled value costs, in rows of one exact pass over a row
+/// range (the only shape it was measured on). Probe (release, 2-vCPU
+/// x86-64; flight tables of 1M and 4M rows grouped by the clustered
+/// `name`, unfiltered, 14 groups; AVG and SUM of three measures at 2 %,
 /// spr 256, three seeds each): 28–38 ns a sample against 1.2–1.9 ns a row,
 /// ratios 15–26. ρ is the smallest, so a group read whole never costs more.
 const RHO: u64 = 15;
@@ -443,22 +450,24 @@ const RHO: u64 = 15;
 /// Marks the groups one exact pass finishes more cheaply than sampling
 /// can: with a resolution `r` a group draws at most `m_floor` samples (the
 /// schedule's width at the largest size is below `r/4` from there on), so
-/// group `i` is read whole iff `n_i ≤ ρ·min(n_i, m_floor)`. Under a sample
-/// cap, only while the rows read fit under it, in plan order.
-fn exact_groups(config: AlgoConfig, sizes: &[u64], cap: Option<u64>) -> AlgoConfig {
+/// row-range group `i` is read whole iff `n_i ≤ ρ·min(n_i, m_floor)`.
+/// Under a sample cap, only while the rows read plus `min(n_j, m_floor)`
+/// for each group left sampled fit under it, in plan order: a pass never
+/// spends budget a sampled run could have converged on.
+fn exact_groups(config: &AlgoConfig, sizes: &[u64], ranges: &[bool], cap: u64) -> Vec<bool> {
     let (Some(target), Some(&n_max)) = (config.resolution_epsilon(), sizes.iter().max()) else {
-        return config;
+        return Vec::new();
     };
     let schedule = config.schedule(sizes.len());
     let m_floor = schedule.rounds_to_reach(target, n_max, n_max.max(1));
-    let mut left = cap.unwrap_or(u64::MAX);
-    let mut exact = |&n: &u64| {
-        let cheaper = n <= RHO.saturating_mul(n.min(m_floor.unwrap_or(n_max))) && n <= left;
-        left -= if cheaper { n } else { 0 };
-        cheaper
+    let floor = |n: u64| n.min(m_floor.unwrap_or(n_max));
+    let mut spent: u64 = sizes.iter().map(|&n| floor(n)).sum();
+    let mut exact = |(&n, &range): (&u64, &bool)| {
+        let read = range && n <= RHO.saturating_mul(floor(n)) && spent + n - floor(n) <= cap;
+        spent += if read { n - floor(n) } else { 0 };
+        read
     };
-    let exact = sizes.iter().map(&mut exact).collect();
-    config.with_exact(exact)
+    sizes.iter().zip(ranges).map(&mut exact).collect()
 }
 
 /// The spec's `samples_per_round` over `k` planned groups, clamped to
@@ -517,21 +526,24 @@ mod tests {
 
     #[test]
     fn groups_are_read_whole_below_rho_times_the_floor_and_under_the_cap() {
-        let config = || AlgoConfig::new(100.0, 0.05).with_resolution(5.0);
-        let exact = |sizes: &[u64], cap| exact_groups(config(), sizes, cap).exact;
+        let config = AlgoConfig::new(100.0, 0.05).with_resolution(5.0);
+        let exact = |sizes: &[u64], cap| exact_groups(&config, sizes, &[true; 3], cap);
+        let none = u64::MAX;
         // k = 3 at 5 %: m_floor is 20,704 samples at a largest size of
         // 60,000 (310,560 = ρ·m_floor rows), 12,198 at 20,000 and ~30,300
         // at 600,000 (~455,000 rows, so that group is sampled).
-        assert_eq!(exact(&[60_000, 50_000, 900], None), [true; 3]);
-        assert_eq!(exact(&[600_000, 50_000, 900], None), [false, true, true]);
-        assert_eq!(exact(&[20_000; 3], Some(45_000)), [true, true, false]);
-        assert_eq!(
-            exact(&[30_000, 20_000, 10_000], Some(45_000)),
-            [true, false, true]
-        );
-        assert!(exact_groups(AlgoConfig::new(100.0, 0.05), &[10; 3], None)
-            .exact
-            .is_empty());
+        assert_eq!(exact(&[60_000, 50_000, 900], none), [true; 3]);
+        assert_eq!(exact(&[600_000, 50_000, 900], none), [false, true, true]);
+        // Only row ranges, the shape ρ was measured on.
+        let shapes = exact_groups(&config, &[60_000, 50_000, 900], &[true, false, true], none);
+        assert_eq!(shapes, [true, false, true]);
+        // Sampled, three groups of 20,000 rows need at most 3 × 12,198 =
+        // 36,594 samples; reading one whole adds 7,802 (44,396), a second
+        // another 7,802 (52,198), past a cap of 45,000.
+        assert_eq!(exact(&[20_000; 3], 45_000), [true, false, false]);
+        assert_eq!(exact(&[20_000; 3], 44_395), [false; 3]);
+        let unrelaxed = AlgoConfig::new(100.0, 0.05);
+        assert!(exact_groups(&unrelaxed, &[10; 3], &[true; 3], none).is_empty());
     }
 
     #[test]

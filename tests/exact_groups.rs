@@ -4,10 +4,11 @@
 //!
 //! A resolution `r` bounds a group's samples by `m_floor`, the round at
 //! which the schedule's width reaches `r/4`; `VizQuery` reads a group whole
-//! iff it has at most `ρ·min(n_i, m_floor)` rows (ρ = 15). At 30 % and
-//! three groups `m_floor` is ~780 samples, so on [`engine`] the groups `a`
-//! (2,000 rows) and `b` (3,000) are read whole and `c` (20,000) is
-//! sampled; grouped by `h` (three groups of ~8,300) every group is read.
+//! iff its rows are one range and at most `ρ·min(n_i, m_floor)` (ρ = 15).
+//! At 30 % and three groups `m_floor` is ~780 samples, so on [`engine`] the
+//! groups `a` (2,000 rows) and `b` (3,000) of the clustered `g` are read
+//! whole and `c` (20,000) is sampled; at 20 % every group of `g` is read.
+//! The groups of `h` (~8,300 rows each, not clustered) are always sampled.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,13 +47,16 @@ fn engine() -> NeedleTail {
     NeedleTail::new(table(), &["g", "h"]).unwrap()
 }
 
-/// The mixed query (`g`) or the all-exact one (`h`).
-fn query<'e>(engine: &'e NeedleTail, by: &str) -> VizQuery<'e> {
+/// Resolutions of the mixed and the all-exact query over `g`.
+const MIXED: f64 = 30.0;
+const ALL_EXACT: f64 = 20.0;
+
+fn query(engine: &NeedleTail, resolution_pct: f64) -> VizQuery<'_> {
     VizQuery::new(engine)
-        .group_by(by)
+        .group_by("g")
         .avg("v")
         .bound(100.0)
-        .resolution_pct(30.0)
+        .resolution_pct(resolution_pct)
         .samples_per_round(16)
 }
 
@@ -92,10 +96,10 @@ fn same_round(a: &RoundUpdate, b: &RoundUpdate, what: &str) {
 #[test]
 fn all_exact_sessions_equal_the_engine_scan_bit_for_bit() {
     let engine = engine();
-    let answer = query(&engine, "h")
+    let answer = query(&engine, ALL_EXACT)
         .execute(&mut StdRng::seed_from_u64(1))
         .unwrap();
-    let scan = engine.scan("h", "v", &Predicate::True).unwrap();
+    let scan = engine.scan("g", "v", &Predicate::True).unwrap();
     assert_eq!(answer.result.labels.len(), scan.len());
     for g in scan {
         let i = answer
@@ -114,10 +118,10 @@ fn all_exact_sessions_equal_the_engine_scan_bit_for_bit() {
     // The unread-row bound and the sum space agree: SUM reads the same
     // groups whole, `(s/n)·n` of every group.
     let sum = VizQuery::new(&engine)
-        .group_by("h")
+        .group_by("g")
         .sum("v")
         .bound(100.0)
-        .resolution_pct(30.0)
+        .resolution_pct(ALL_EXACT)
         .execute(&mut StdRng::seed_from_u64(1))
         .unwrap();
     assert_eq!(sum.result.total_samples(), engine.table().row_count());
@@ -137,7 +141,9 @@ fn all_exact_sessions_charge_rows_scanned_not_samples() {
     let engine = engine();
     let rows = engine.table().row_count();
     let before = engine.metrics().snapshot();
-    let mut session = query(&engine, "h").start(StdRng::seed_from_u64(2)).unwrap();
+    let mut session = query(&engine, ALL_EXACT)
+        .start(StdRng::seed_from_u64(2))
+        .unwrap();
     let updates: Vec<RoundUpdate> = session.by_ref().collect();
     let after = engine.metrics().snapshot();
     assert_eq!(after.rows_scanned - before.rows_scanned, rows);
@@ -163,7 +169,11 @@ fn all_exact_sessions_charge_rows_scanned_not_samples() {
 fn mixed_sessions_read_the_small_groups_and_sample_the_large_one() {
     let engine = engine();
     let before = engine.metrics().snapshot();
-    let updates = drive(query(&engine, "g").start(StdRng::seed_from_u64(3)).unwrap());
+    let updates = drive(
+        query(&engine, MIXED)
+            .start(StdRng::seed_from_u64(3))
+            .unwrap(),
+    );
     let after = engine.metrics().snapshot();
     assert_eq!(after.rows_scanned - before.rows_scanned, 5_000, "a and b");
     assert!(after.random_samples > before.random_samples, "c is sampled");
@@ -177,15 +187,37 @@ fn mixed_sessions_read_the_small_groups_and_sample_the_large_one() {
 }
 
 #[test]
+fn groups_that_are_not_one_row_range_are_sampled() {
+    // `h` is indexed but not clustered, so its groups are bitmaps, and a
+    // filter makes `g`'s groups windows of the predicate's bitmap: ρ was
+    // measured on neither pass, so even at 20 % none is read whole.
+    let engine = engine();
+    let by_h = VizQuery::new(&engine)
+        .group_by("h")
+        .avg("v")
+        .bound(100.0)
+        .resolution_pct(ALL_EXACT);
+    let filtered = query(&engine, ALL_EXACT).filter(Predicate::eq("h", "x"));
+    for (what, q) in [("bitmaps", by_h), ("windows", filtered)] {
+        let before = engine.metrics().snapshot();
+        let answer = q.execute(&mut StdRng::seed_from_u64(3)).unwrap();
+        let after = engine.metrics().snapshot();
+        assert_eq!(after.rows_scanned, before.rows_scanned, "{what}");
+        assert!(after.random_samples > before.random_samples, "{what}");
+        assert_eq!(answer.outcome, StepOutcome::Converged, "{what}");
+    }
+}
+
+#[test]
 fn an_exact_group_with_a_dropped_row_is_never_a_point() {
     let mut engine = engine();
     engine.set_fault_injector(Arc::new(SeededFaults::new(7, 0.05)));
     for (what, q) in [
         (
             "scan",
-            query(&engine, "g").algorithm(AlgorithmChoice::ExactScan),
+            query(&engine, MIXED).algorithm(AlgorithmChoice::ExactScan),
         ),
-        ("mixed", query(&engine, "g")),
+        ("mixed", query(&engine, MIXED)),
     ] {
         let updates = drive(q.start(StdRng::seed_from_u64(4)).unwrap());
         for u in &updates {
@@ -208,10 +240,10 @@ fn an_exact_group_with_a_dropped_row_is_never_a_point() {
 #[test]
 fn mixed_and_exact_sessions_resume_bit_identically_at_every_round() {
     let engine = engine();
-    for (what, by) in [("mixed", "g"), ("all exact", "h")] {
-        let reference = drive(query(&engine, by).start(StdRng::seed_from_u64(5)).unwrap());
+    for (what, pct) in [("mixed", MIXED), ("all exact", ALL_EXACT)] {
+        let reference = drive(query(&engine, pct).start(StdRng::seed_from_u64(5)).unwrap());
         for boundary in 0..reference.len() {
-            let mut session = query(&engine, by).start(StdRng::seed_from_u64(5)).unwrap();
+            let mut session = query(&engine, pct).start(StdRng::seed_from_u64(5)).unwrap();
             for _ in 0..boundary {
                 session.step();
             }
@@ -227,11 +259,37 @@ fn mixed_and_exact_sessions_resume_bit_identically_at_every_round() {
 }
 
 #[test]
+fn a_capped_session_reads_no_group_whole_that_sampling_would_need_the_budget_for() {
+    // Sampled, the three groups need at most ~3 × 780 samples and converge
+    // under a cap of 2,500. Reading `a` whole (2,000 rows) would leave 500
+    // for `b` and `c`, so nothing is read; a cap of 10,000 fits `a` and
+    // `b` read whole beside `c`'s ~780.
+    let engine = engine();
+    for (cap, scanned) in [(2_500, 0), (10_000, 5_000)] {
+        let before = engine.metrics().snapshot();
+        let answer = query(&engine, MIXED)
+            .max_samples(cap)
+            .execute(&mut StdRng::seed_from_u64(7))
+            .unwrap();
+        let after = engine.metrics().snapshot();
+        assert_eq!(
+            after.rows_scanned - before.rows_scanned,
+            scanned,
+            "cap {cap}"
+        );
+        assert_eq!(answer.outcome, StepOutcome::Converged, "cap {cap}");
+        assert!(!answer.result.truncated, "cap {cap}");
+        assert!(answer.result.total_samples() <= cap, "cap {cap}");
+    }
+}
+
+#[test]
 fn a_capped_session_samples_instead_of_reading_past_its_cap() {
     // The wire workloads' shape: 1M rows in 14 groups of ~71,400, read
-    // whole at 5 % when uncapped. Under the server's default per-client
-    // cap of 200,000 only two fit, and the rest are sampled (tied means,
-    // so they sample up to the cap).
+    // whole at 5 % when uncapped. Sampled, they could need 14 × ~28,500
+    // samples, more than the server's default per-client cap of 200,000
+    // already, so no group is read whole (tied means: they sample up to
+    // the cap).
     let mut b = TableBuilder::new(Schema::new(vec![
         ColumnDef::new("g", DataType::Str),
         ColumnDef::new("v", DataType::Float),
@@ -253,9 +311,13 @@ fn a_capped_session_samples_instead_of_reading_past_its_cap() {
         .execute(&mut StdRng::seed_from_u64(6))
         .unwrap();
     let after = engine.metrics().snapshot();
-    let scanned = after.rows_scanned - before.rows_scanned;
-    assert_eq!(scanned, 142_858, "two groups of 71,429 read whole");
+    assert_eq!(
+        after.rows_scanned, before.rows_scanned,
+        "nothing read whole"
+    );
     assert!(after.random_samples > before.random_samples);
-    let read_whole = answer.result.samples_per_group.iter();
-    assert_eq!(read_whole.filter(|&&n| n == 71_429).count(), 2);
+    assert!(answer.result.truncated);
+    // The cap is checked between rounds: at most one round of 14 × 512
+    // past it.
+    assert!(answer.result.total_samples() <= 200_000 + 14 * 512);
 }

@@ -724,21 +724,23 @@ fn avg_and_sum_session_rounds_are_pinned() {
         }
     }
     // AVG, then SUM; unfiltered, filtered, two attributes; spr 1, 256.
-    // Every group here is read whole in the first step (5 % resolution on
-    // groups of at most ~6,700 rows), so the batch size moves no bit.
+    // The unfiltered groups of the clustered `name` are row ranges of at
+    // most ~6,700 rows, read whole in the first step at 5 %, so the batch
+    // size moves no bit; filtered (windows) and two-attribute groups are
+    // sampled, as they were before any group was read whole.
     let golden: [u64; 12] = [
         0xa58c_9c33_6a6b_9ad7,
         0xa58c_9c33_6a6b_9ad7,
-        0x5168_17ee_933b_626a,
-        0x5168_17ee_933b_626a,
-        0x438a_707c_a980_11dc,
-        0x438a_707c_a980_11dc,
+        0x58a3_985a_54ff_1a9b,
+        0xd844_70f0_c794_8430,
+        0x29ef_5e9b_4ea8_e4a2,
+        0xc3d1_cc4d_1c9b_3564,
         0x12e2_2ece_119d_de84,
         0x12e2_2ece_119d_de84,
-        0xc876_fd76_aa5c_0332,
-        0xc876_fd76_aa5c_0332,
-        0x18ad_00a6_b83e_eb21,
-        0x18ad_00a6_b83e_eb21,
+        0xae95_861f_1d23_8bb8,
+        0xcd9b_23dd_0b1a_1fb1,
+        0x9768_d2a5_1b70_36ac,
+        0x9559_86e2_2c23_b232,
     ];
     assert_eq!(got, golden, "got {got:#x?}");
 }
