@@ -14,16 +14,17 @@
 //! whatever row the layout puts r-th), Algorithm 5's size probe (a
 //! uniformly random table position) and a fault-injected run (faults are
 //! keyed by row id). Multi-column group-bys not led by the first indexed
-//! column are pinned beside them, and a small table with numeric group
+//! column are pinned beside them, a small table with numeric group
 //! columns pins the cell order, which sorts cells by their values'
-//! display strings.
+//! display strings, and wide keyed rounds (14 groups × 256 draws) are
+//! pinned round by round, fault-free and fault-injected.
 //!
 //! The filters are the stack benchmark's three filter shapes.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rapidviz::core::extensions::{IFocusSum1, IFocusSum2, SizedGroupSource};
-use rapidviz::core::{AlgoConfig, IFocus, RunResult, SamplingMode};
+use rapidviz::core::{AlgoConfig, AlgorithmStepper, IFocus, RunResult, SamplingMode, Snapshot};
 use rapidviz::needletail::codec::fnv1a64;
 use rapidviz::needletail::{
     ColumnDef, DataType, GroupHandle, NeedleTail, Predicate, Schema, SeededFaults,
@@ -647,4 +648,129 @@ fn fault_injected_runs_are_pinned() {
         .collect();
     assert_pinned("faults", &got, &[0xa35bf64503e8a4bd, 0x43ca4885cd2a5b52]);
     assert!(engine.metrics().snapshot().faulted_reads > 0);
+}
+
+/// Rows of the small group of [`wide_round_engine`], which runs dry in a
+/// round of more than 12 × 256 draws.
+const WIDE_SMALL: u64 = 600;
+
+/// 14 groups, 13 of 20,000 rows with means 20, 24, …, 68 and one of
+/// [`WIDE_SMALL`] rows with mean 70, close enough to 68 that it is still
+/// drawing when it runs dry. Every group is a row range of `g`.
+fn wide_round_engine(faults: Option<SeededFaults>) -> NeedleTail {
+    let mut b = TableBuilder::new(Schema::new(vec![
+        ColumnDef::new("g", DataType::Str),
+        ColumnDef::new("v", DataType::Float),
+    ]));
+    let mut rng = StdRng::seed_from_u64(40);
+    for g in 0..14u64 {
+        let (rows, mu) = if g == 13 {
+            (WIDE_SMALL, 70.0)
+        } else {
+            (20_000, 20.0 + 4.0 * g as f64)
+        };
+        for _ in 0..rows {
+            let v = if rng.gen_bool(mu / 100.0) { 100.0 } else { 0.0 };
+            b.push_row(vec![format!("g{g:02}").into(), v.into()]);
+        }
+    }
+    let mut engine = NeedleTail::new(b.finish(), &["g"]).unwrap();
+    if let Some(faults) = faults {
+        engine.set_fault_injector(Arc::new(faults));
+    }
+    engine
+}
+
+/// `fnv1a64` over a round: its outcome, the round counter, every estimate
+/// and interval endpoint as bits, the active set and the per-group
+/// samples.
+fn round_digest(outcome: StepOutcome, snap: &Snapshot) -> u64 {
+    let mut bytes = vec![outcome.code()];
+    bytes.extend_from_slice(&snap.rounds.to_le_bytes());
+    for (e, iv) in snap.estimates.iter().zip(&snap.intervals) {
+        for x in [e, &iv.lo, &iv.hi] {
+            bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+    }
+    bytes.extend(snap.active.iter().map(|&a| u8::from(a)));
+    for m in &snap.samples_per_group {
+        bytes.extend_from_slice(&m.to_le_bytes());
+    }
+    fnv1a64(&bytes)
+}
+
+/// Steps `stepper` to its end: every round's digest and samples per group.
+fn wide_rounds<S: AlgorithmStepper>(
+    mut stepper: S,
+    groups: &mut [NeedletailGroup],
+    rng: &mut StdRng,
+) -> (Vec<u64>, Vec<Vec<u64>>) {
+    let (mut digests, mut samples) = (Vec::new(), Vec::new());
+    loop {
+        let outcome = stepper.step(groups, rng);
+        let snap = stepper.snapshot();
+        digests.push(round_digest(outcome, &snap));
+        samples.push(snap.samples_per_group);
+        if !outcome.is_running() {
+            return (digests, samples);
+        }
+    }
+}
+
+/// Wide keyed rounds without replacement (14 groups × 256 draws, seed 41),
+/// AVG and SUM, fault-free and with 5 % of reads dropped: per run, the
+/// round count, `fnv1a64` over every round's digest, `fnv1a64` over the
+/// RNG's final state, and the samples and faulted reads the engine
+/// charged. The fault-free AVG run's small group runs dry in a round of
+/// more than 12 × 256 draws.
+#[test]
+fn wide_keyed_rounds_are_pinned() {
+    let bytes = |words: &[u64]| -> Vec<u8> { words.iter().flat_map(|w| w.to_le_bytes()).collect() };
+    let mut got = Vec::new();
+    for faults in [None, Some(SeededFaults::new(7, 0.05))] {
+        let engine = wide_round_engine(faults);
+        for sum in [false, true] {
+            let handles = engine.group_handles("g", "v", &Predicate::True).unwrap();
+            let mut groups: Vec<NeedletailGroup> =
+                handles.into_iter().map(NeedletailGroup::new).collect();
+            let config = AlgoConfig::new(100.0, 0.05).with_samples_per_round(256);
+            let mut rng = StdRng::seed_from_u64(41);
+            let before = engine.metrics().snapshot();
+            let (digests, samples) = if sum {
+                let stepper = IFocusSum1::new(config).start(&mut groups, &mut rng);
+                wide_rounds(stepper, &mut groups, &mut rng)
+            } else {
+                let stepper = IFocus::new(config).start(&mut groups, &mut rng);
+                wide_rounds(stepper, &mut groups, &mut rng)
+            };
+            let after = engine.metrics().snapshot();
+            if !sum && faults.is_none() {
+                let dry = samples.iter().position(|s| s[13] == WIDE_SMALL).unwrap();
+                let drawn = |r: usize| samples[r].iter().sum::<u64>();
+                assert!(dry > 0 && drawn(dry) - drawn(dry - 1) > 12 * 256);
+            }
+            got.push((
+                digests.len(),
+                fnv1a64(&bytes(&digests)),
+                fnv1a64(&bytes(&rng.state())),
+                after.random_samples - before.random_samples,
+                after.faulted_reads - before.faulted_reads,
+            ));
+        }
+    }
+    let listed: Vec<String> = got
+        .iter()
+        .map(|(n, d, r, s, f)| format!("({n}, 0x{d:016x}, 0x{r:016x}, {s}, {f})"))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            (46, 0xb861ab0f587b4adb, 0x881bc35b1d615b7f, 126_309, 0),
+            (46, 0xc087ab349b5aeced, 0x881bc35b1d615b7f, 123_662, 0),
+            (1, 0x08ffc5fc5d443094, 0x881bc35b1d615b7f, 3_086, 152),
+            (1, 0x640c65446269ceac, 0x881bc35b1d615b7f, 3_086, 152),
+        ],
+        "wide rounds: got [{}]",
+        listed.join(", ")
+    );
 }
