@@ -285,7 +285,7 @@ impl AlgorithmStepper for FocusStepper {
             _ => return self.step_any(groups, rng),
         };
         // Exact groups first, before the prologue (so one certified at
-        // bootstrap is still read), then one `draw_round`.
+        // bootstrap is still read), then one batch per drawing group.
         self.state.read_exact(groups, scan);
         let batch = self.state.config.samples_per_round;
         self.round(batch, |state| {

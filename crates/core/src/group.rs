@@ -49,7 +49,8 @@ pub trait GroupSource {
     /// is batch-capable with unchanged semantics. Sources backed by
     /// rank/select storage (e.g. the NEEDLETAIL adapter) override this to
     /// draw the whole batch in one pass — the hot-path optimization the
-    /// per-round draw loops rely on.
+    /// per-round draw loops rely on. A round calls it once per drawing
+    /// group, in group order, on the stepping thread.
     /// Overrides **must** consume the RNG identically to `n` single draws
     /// so that batch size never changes a fixed-seed run's output.
     fn draw_batch(
@@ -70,33 +71,6 @@ pub trait GroupSource {
             }
         }
         got
-    }
-
-    /// Draws one round: a batch of `n` from each group `picks` names
-    /// (ascending indices into `groups`) into `outs[i]`, cleared first.
-    ///
-    /// The default calls [`Self::draw_batch`] per pick, in order. An
-    /// override may draw elsewhere, on other threads, but **must** equal
-    /// that loop bit for bit: the same values in each `outs[i]`, the same
-    /// state left in every group, the same RNG words consumed. The
-    /// NEEDLETAIL adapter's does, as it lends out only groups whose draws
-    /// depend on nothing but their own state: a keyed without-replacement
-    /// batch reads no RNG word, fault decisions are pure in the row, and
-    /// metrics are atomic sums.
-    fn draw_round(
-        groups: &mut [Self],
-        picks: &[usize],
-        n: u64,
-        rng: &mut dyn RngCore,
-        mode: SamplingMode,
-        outs: &mut [Vec<f64>],
-    ) where
-        Self: Sized,
-    {
-        for &i in picks {
-            outs[i].clear();
-            groups[i].draw_batch(n, rng, mode, &mut outs[i]);
-        }
     }
 
     /// One exact pass over every member in storage order, as `(n, sum)`:

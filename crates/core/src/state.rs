@@ -329,9 +329,10 @@ impl FocusState {
         }
     }
 
-    /// Draws this round's batch from every unexhausted group in one
-    /// [`GroupSource::draw_round`]: the active ones (IFOCUS), or all with
-    /// `include_inactive` (ROUNDROBIN); folds value `j` of every batch
+    /// Draws this round's batch from every unexhausted sampled group, one
+    /// [`GroupSource::draw_batch`] each in group order on this thread: the
+    /// active ones (IFOCUS), or all with `include_inactive` (ROUNDROBIN),
+    /// each into its reused `outs` buffer; folds value `j` of every batch
     /// before value `j + 1`, so the groups' divide chains overlap (each
     /// still folds its own values in draw order: a per-group fold's bits);
     /// and stops, in group order, a group that came up short.
@@ -348,7 +349,10 @@ impl FocusState {
             (include_inactive || self.active[*i]) && !self.exhausted[*i] && self.exact[*i].is_none()
         };
         picks.extend((0..self.k()).filter(drawing));
-        G::draw_round(groups, &picks, batch, rng, self.config.mode, &mut self.outs);
+        for &i in &picks {
+            self.outs[i].clear();
+            groups[i].draw_batch(batch, rng, self.config.mode, &mut self.outs[i]);
+        }
         let longest = picks.iter().map(|&i| self.outs[i].len()).max();
         for j in 0..longest.unwrap_or(0) {
             for &i in &picks {

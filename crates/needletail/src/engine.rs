@@ -886,27 +886,6 @@ impl GroupHandle {
         self.sampler.reset();
     }
 
-    /// Whether further draws without replacement read no RNG word.
-    #[must_use]
-    pub fn is_keyed(&self) -> bool {
-        self.sampler.is_keyed()
-    }
-
-    /// A fresh, unlabelled handle over the same rows, built without
-    /// allocating: it holds a handle's place while that one is lent out.
-    #[must_use]
-    pub fn stand_in(&self) -> Self {
-        Self {
-            label: Value::Int(0),
-            agg_idx: self.agg_idx,
-            table: Arc::clone(&self.table),
-            sampler: BitmapSampler::from_rows(self.sampler.rows().clone()),
-            metrics: Arc::clone(&self.metrics),
-            faults: None,
-            rows_buf: Vec::new(),
-        }
-    }
-
     /// Reads the whole group in one ascending pass over its rows
     /// ([`RowSet::for_each_row`]), leaving the sampler untouched. Every row
     /// is charged as scanned; a row the fault injector fails

@@ -578,12 +578,6 @@ impl BitmapSampler {
         take
     }
 
-    /// Whether `π_K` is keyed: further draws without replacement read no RNG.
-    #[must_use]
-    pub fn is_keyed(&self) -> bool {
-        self.order.is_some()
-    }
-
     /// Resets the without-replacement permutation: the next draw takes a
     /// fresh key.
     pub fn reset(&mut self) {

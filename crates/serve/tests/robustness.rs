@@ -227,6 +227,53 @@ fn filter_on_a_missing_column_is_rejected_without_a_scheduler_restart() {
     handle.shutdown();
 }
 
+/// A filter that matches no row plans no group. Every aggregate answers
+/// it empty and converged; unanswered, AVG and SUM would panic a scheduler
+/// shard and drop its sessions.
+#[test]
+fn a_filter_that_matches_no_row_is_answered_empty() {
+    let handle = start_server(ServerConfig::default());
+    for agg in ["avg", "sum", "count"] {
+        let mut client = connect(&handle);
+        client
+            .send_line(&format!(
+                "QUERY group=name agg={agg} measure=elapsed seed=1 filter=eq:name:nope"
+            ))
+            .expect("line sent");
+        loop {
+            match client.next_frame().expect("server answers, never resets") {
+                Some(Frame::Answer(answer)) => {
+                    assert_eq!(answer.outcome, StepOutcome::Converged, "{agg}");
+                    assert!(answer.labels.is_empty(), "{agg}: {:?}", answer.labels);
+                    break;
+                }
+                Some(Frame::Error { code, message }) => panic!("{agg}: {code:?}: {message}"),
+                Some(_) => {}
+                None => panic!("{agg}: closed without an answer"),
+            }
+        }
+    }
+    let stats = handle.stats();
+    assert_eq!(stats.scheduler_restarts.load(Ordering::Relaxed), 0);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let admitted = stats.sessions_admitted.load(Ordering::Relaxed);
+        let ended = stats.sessions_completed.load(Ordering::Relaxed)
+            + stats.sessions_cancelled.load(Ordering::Relaxed)
+            + stats.sessions_parked.load(Ordering::Relaxed)
+            + stats.sessions_crashed.load(Ordering::Relaxed);
+        if admitted == 3 && admitted == ended {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{admitted} admitted, {ended} ended"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn hostile_round_size_is_clamped_to_the_sample_budget() {
     let handle = start_server(ServerConfig::default());

@@ -5,15 +5,9 @@
 //! algorithms; [`NeedletailGroup`] connects them, turning an engine
 //! [`GroupHandle`] into a `GroupSource` the IFOCUS family can run on.
 
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::RngCore;
 use rapidviz_core::{GroupSource, SamplingMode};
 use rapidviz_needletail::GroupHandle;
-use std::any::Any;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, LazyLock, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::thread::Builder;
 
 /// A NEEDLETAIL group handle viewed as an algorithm group source.
 #[derive(Debug, Clone)]
@@ -86,34 +80,6 @@ impl GroupSource for NeedletailGroup {
         got as u64
     }
 
-    /// Splits a wide round across the draw helpers: without replacement,
-    /// ≥ 2 groups and `FAN_OUT_MIN_DRAWS` draws, every π_K keyed, and no
-    /// other round being drawn in the process (a sharded server that keeps
-    /// every core busy draws inline). Otherwise it draws in order.
-    fn draw_round(
-        groups: &mut [Self],
-        picks: &[usize],
-        n: u64,
-        rng: &mut dyn RngCore,
-        mode: SamplingMode,
-        outs: &mut [Vec<f64>],
-    ) {
-        let alone = ROUNDS_IN_FLIGHT.fetch_add(1, Ordering::Relaxed) == 0;
-        let _round = InFlight;
-        let wide = alone
-            && mode == SamplingMode::WithoutReplacement
-            && picks.len() >= 2
-            && n.saturating_mul(picks.len() as u64) >= FAN_OUT_MIN_DRAWS
-            && picks.iter().all(|&i| groups[i].handle.is_keyed());
-        if wide && helpers() > 0 {
-            return fan_out(groups, picks, n, outs);
-        }
-        for &i in picks {
-            outs[i].clear();
-            groups[i].draw_batch(n, rng, mode, &mut outs[i]);
-        }
-    }
-
     /// [`GroupHandle::exact`]: one ascending pass, charged as rows scanned.
     fn read_exact(&mut self) -> Option<(u64, f64)> {
         let pass = self.handle.exact();
@@ -126,155 +92,6 @@ impl GroupSource for NeedletailGroup {
 
     fn reset(&mut self) {
         self.handle.reset_permutation();
-    }
-}
-
-/// The fewest draws a round needs before it is split across threads.
-/// Measured (release, 2-cpu x86-64, 14 groups of a 4M-row table): a split
-/// round of 224–256 draws took 18–36 % longer than in order, one of 512
-/// broke even (−23 … +1 %), 1,024 gained up to 20 %, and 3,584 (14 × 256)
-/// 27–29 %. `wire_stream` (224 draws a round) stays on one thread.
-const FAN_OUT_MIN_DRAWS: u64 = 1_024;
-
-/// The most draw helpers the pool starts, however many cores there are.
-const MAX_HELPERS: usize = 7;
-
-/// Rounds of [`NeedletailGroup`]s being drawn in this process right now.
-/// `Relaxed`: it publishes no data (the queue has its own lock).
-static ROUNDS_IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
-
-/// Takes a round off [`ROUNDS_IN_FLIGHT`] when dropped, unwinding included.
-/// Only a round that entered alone fans out: one at a time uses [`QUEUE`].
-struct InFlight;
-
-impl Drop for InFlight {
-    fn drop(&mut self) {
-        ROUNDS_IN_FLIGHT.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// The draw helpers, started at the first wide round: one fewer than the
-/// cores this process may run on, at most [`MAX_HELPERS`], none on one.
-/// Detached, they sleep between rounds; a draw's panic is caught and
-/// raised on the stepping thread instead.
-fn helpers() -> usize {
-    static STARTED: OnceLock<usize> = OnceLock::new();
-    *STARTED.get_or_init(|| {
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        let spawn = |i| Builder::new().name(format!("draw-{i}")).spawn(help);
-        let wanted = (cores - 1).min(MAX_HELPERS);
-        (0..wanted).filter(|&i| spawn(i).is_ok()).count()
-    })
-}
-
-/// The groups in transit between a round's stepping thread and the
-/// helpers.
-static QUEUE: LazyLock<Mutex<Queue>> = LazyLock::new(Mutex::default);
-/// Helpers sleep here until groups are lent.
-static LENT: Condvar = Condvar::new();
-/// The stepping thread sleeps here until claimed groups come back.
-static RETURNED: Condvar = Condvar::new();
-
-/// One round's groups in transit. Its vectors keep their capacity from
-/// round to round, so a warm hand-off allocates nothing.
-#[derive(Default)]
-struct Queue {
-    /// Lent groups no thread has claimed yet.
-    open: Vec<Lent>,
-    /// Drawn groups waiting to go home.
-    back: Vec<Lent>,
-    /// Groups a helper is drawing now.
-    claimed: usize,
-}
-
-/// A group lent by value, with all its draw needs and the panic it raised.
-struct Lent {
-    home: usize,
-    group: NeedletailGroup,
-    n: u64,
-    out: Vec<f64>,
-    panic: Option<Box<dyn Any + Send>>,
-}
-
-impl Lent {
-    fn draw(&mut self) {
-        let (group, n, out) = (&mut self.group, self.n, &mut self.out);
-        out.clear();
-        // Never read: a lent group's permutation is keyed, and a keyed
-        // batch takes no RNG word.
-        let unread = &mut StdRng::seed_from_u64(0);
-        let draw = || group.draw_batch(n, unread, SamplingMode::WithoutReplacement, out);
-        self.panic = panic::catch_unwind(AssertUnwindSafe(draw)).err();
-    }
-}
-
-/// A poisoned lock still guards a whole queue: no draw runs under it.
-fn lock() -> MutexGuard<'static, Queue> {
-    QUEUE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn wait(sleep: &Condvar, queue: MutexGuard<'static, Queue>) -> MutexGuard<'static, Queue> {
-    sleep.wait(queue).unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Claims open groups one at a time and draws them until none is open.
-/// A helper's claim counts in `claimed` until its group is back.
-fn drain(mut queue: MutexGuard<'static, Queue>, helper: bool) -> MutexGuard<'static, Queue> {
-    while let Some(mut lent) = queue.open.pop() {
-        queue.claimed += usize::from(helper);
-        drop(queue);
-        lent.draw();
-        queue = lock();
-        queue.claimed -= usize::from(helper);
-        queue.back.push(lent);
-    }
-    queue
-}
-
-/// Lends every picked group to the helpers, leaving a stand-in in its
-/// place, and drains the queue beside them: the stepping thread waits only
-/// for groups a helper has already claimed. Once every group is home, a
-/// panic a draw raised is raised again here.
-fn fan_out(groups: &mut [NeedletailGroup], picks: &[usize], n: u64, outs: &mut [Vec<f64>]) {
-    let mut queue = lock();
-    for &home in picks {
-        let stand_in = NeedletailGroup::new(groups[home].handle.stand_in());
-        let group = std::mem::replace(&mut groups[home], stand_in);
-        let out = std::mem::take(&mut outs[home]);
-        queue.open.push(Lent {
-            home,
-            group,
-            n,
-            out,
-            panic: None,
-        });
-    }
-    LENT.notify_all();
-    queue = drain(queue, false);
-    while queue.claimed > 0 {
-        queue = wait(&RETURNED, queue);
-    }
-    let mut raised = None;
-    for lent in queue.back.drain(..) {
-        groups[lent.home] = lent.group;
-        outs[lent.home] = lent.out;
-        raised = raised.or(lent.panic);
-    }
-    drop(queue);
-    if let Some(payload) = raised {
-        panic::resume_unwind(payload);
-    }
-}
-
-/// A helper's life: drain the queue, wake the stepping thread, sleep.
-fn help() {
-    let mut queue = lock();
-    loop {
-        queue = drain(queue, true);
-        if queue.claimed == 0 {
-            RETURNED.notify_one();
-        }
-        queue = wait(&LENT, queue);
     }
 }
 

@@ -374,6 +374,11 @@ impl<'a> VizQuery<'a> {
             (Aggregate::Count, AlgorithmChoice::IFocus) => {
                 Box::new(ExactCount::new(&groups, self.engine.table().row_count()))
             }
+            // A plan with no group has nothing to sample: it gets COUNT's
+            // empty answer, converged at its first step.
+            (Aggregate::Avg, _) | (Aggregate::Sum, AlgorithmChoice::IFocus) if k == 0 => {
+                Box::new(ExactCount::new(&[], 0))
+            }
             (Aggregate::Avg, AlgorithmChoice::IFocus) => {
                 let (exact, config) = plan()?;
                 let stepper = IFocus::new(config).start_planned(&mut groups, &exact, rng);
@@ -617,6 +622,46 @@ mod tests {
         }
         let total: f64 = answer.result.estimates.iter().sum();
         assert!(total > 0.4 && total < 0.6, "about half the rows are BOS");
+    }
+
+    #[test]
+    fn a_plan_with_no_group_answers_empty_at_its_first_step() {
+        // Every pair the planner accepts unfiltered starts under a filter
+        // that matches no row and converges at its first step with no
+        // group; a refused override stays refused.
+        let engine = engine();
+        let none = Predicate::eq("origin", "nope");
+        for aggregate in [Aggregate::Avg, Aggregate::Sum, Aggregate::Count] {
+            for algorithm in [
+                AlgorithmChoice::IFocus,
+                AlgorithmChoice::IRefine,
+                AlgorithmChoice::RoundRobin,
+                AlgorithmChoice::ExactScan,
+            ] {
+                let query = |filter: Predicate| {
+                    let q = VizQuery::new(&engine).group_by("name").resolution_pct(5.0);
+                    let q = match aggregate {
+                        Aggregate::Avg => q.avg("delay"),
+                        Aggregate::Sum => q.sum("delay"),
+                        Aggregate::Count => q.count("delay"),
+                    };
+                    q.algorithm(algorithm)
+                        .filter(filter)
+                        .start(rand::rngs::StdRng::seed_from_u64(13))
+                };
+                let pair = format!("{aggregate:?} {algorithm:?}");
+                if query(Predicate::True).is_err() {
+                    assert!(query(none.clone()).is_err(), "{pair}: now accepted");
+                    continue;
+                }
+                let mut session = query(none.clone()).unwrap();
+                assert_eq!(session.by_ref().count(), 1, "{pair}");
+                let answer = session.finish();
+                assert!(answer.converged(), "{pair}");
+                assert!(answer.result.labels.is_empty(), "{pair}");
+                assert_eq!(answer.population, 0, "{pair}");
+            }
+        }
     }
 
     #[test]

@@ -118,7 +118,7 @@ impl<S: AlgorithmStepper + std::fmt::Debug> SessionEngine for (S, Vec<Needletail
 /// over the relation's row count, with a point interval and no sample.
 /// Every group stays active until the first step, which certifies them all
 /// and converges, so a COUNT session streams one terminal round like any
-/// other session.
+/// other session. It also answers every plan with no group.
 #[derive(Debug)]
 pub(crate) struct ExactCount(Snapshot);
 
