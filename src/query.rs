@@ -549,6 +549,31 @@ mod tests {
         assert_eq!(exact(&[20_000; 3], 44_395), [false; 3]);
         let unrelaxed = AlgoConfig::new(100.0, 0.05);
         assert!(exact_groups(&unrelaxed, &[10; 3], &[true; 3], none).is_empty());
+        // The paper's sizes stay sampled: ten groups of 10^8, 10^9 and
+        // 10^10 rows at 1 % (`resolution_sample_count_is_size_invariant`).
+        let paper = AlgoConfig::new(100.0, 0.05).with_resolution(1.0);
+        for n in [100_000_000, 1_000_000_000, 10_000_000_000] {
+            assert_eq!(
+                exact_groups(&paper, &[n; 10], &[true; 10], none),
+                [false; 10]
+            );
+        }
+        // One row above ρ·m_floor is sampled, ρ·m_floor rows are read
+        // whole. m_floor grows with n (it is n until the width can reach
+        // the target), so step n to ρ·m_floor(n) + 1 until it holds still.
+        let target = config.resolution_epsilon().unwrap();
+        let m_floor = |n| {
+            config
+                .schedule(3)
+                .rounds_to_reach(target, n, n)
+                .unwrap_or(n)
+        };
+        let mut n = 1;
+        while n != RHO * m_floor(n) + 1 {
+            n = RHO * m_floor(n) + 1;
+        }
+        assert_eq!(exact(&[n; 3], none), [false; 3], "{n} rows");
+        assert_eq!(exact(&[n - 1; 3], none), [true; 3], "{} rows", n - 1);
     }
 
     #[test]

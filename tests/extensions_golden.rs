@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use rapidviz::core::extensions::{
     IFocusBernstein, IFocusGraph, IFocusMistakes, IFocusMultiAggregate, IFocusPartial, IFocusSum1,
     IFocusSum2, IFocusSum2Stepper, IFocusTopT, IFocusTrends, IFocusValues, MultiAggregateResult,
-    VecPairGroup, VecSizedGroup,
+    NoIndexSampler, VecPairGroup, VecSizedGroup, VecStream,
 };
 use rapidviz::core::{
     AlgoConfig, AlgorithmStepper, IFocus, IRefine, RoundRobin, RunResult, SamplingMode, Snapshot,
@@ -71,6 +71,23 @@ fn pair_groups(seed: u64) -> Vec<VecPairGroup> {
             VecPairGroup::new(format!("g{i}"), pairs)
         })
         .collect()
+}
+
+/// [`MEANS`] as a relation with no group index: 30,000 rows a group.
+fn stream(seed: u64) -> VecStream {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    VecStream::new(
+        MEANS
+            .iter()
+            .enumerate()
+            .map(|(i, &mu)| {
+                let values: Vec<f64> = (0..30_000)
+                    .map(|_| if rng.gen_bool(mu / 100.0) { 100.0 } else { 0.0 })
+                    .collect();
+                (format!("g{i}"), values)
+            })
+            .collect(),
+    )
 }
 
 fn digest(estimates: &[&[f64]], samples: &[u64], rounds: u64, truncated: bool) -> u64 {
@@ -189,6 +206,36 @@ fn multi_aggregate_runs_are_pinned() {
         0x0ebd_8598_ffad_a26a,
         0x8230_cee7_dfe0_6b1c,
         0x5c5e_a06d_8bcc_2c1e,
+    ];
+    assert_eq!(got, golden, "got {got:#018x?}");
+}
+
+#[test]
+fn noindex_runs_are_pinned() {
+    // Always with replacement, and `max_rounds` caps rows drawn: exact,
+    // relaxed by a resolution, and capped at 500 rows (cut at 512, the
+    // next multiple of the 16-row check stride).
+    let exact = AlgoConfig::new(100.0, 0.05);
+    let configs = [
+        exact.clone(),
+        exact.clone().with_resolution(12.0),
+        exact.with_max_rounds(500),
+    ];
+    let runs: Vec<RunResult> = configs
+        .into_iter()
+        .map(|c| NoIndexSampler::new(c).run(&mut stream(2015), &mut rng(2016)))
+        .collect();
+    let shape: Vec<(bool, u64)> = runs.iter().map(|r| (r.truncated, r.rounds)).collect();
+    assert!(
+        !shape[0].0 && !shape[1].0 && shape[1].1 < shape[0].1,
+        "{shape:?}"
+    );
+    assert_eq!(shape[2], (true, 512));
+    let got: Vec<u64> = runs.iter().map(run_digest).collect();
+    let golden = [
+        0x3820_c037_b316_f866,
+        0x22f9_7208_8a82_8d03,
+        0x634c_1fa4_b967_5f7f,
     ];
     assert_eq!(got, golden, "got {got:#018x?}");
 }

@@ -17,7 +17,9 @@
 //! column are pinned beside them, a small table with numeric group
 //! columns pins the cell order, which sorts cells by their values'
 //! display strings, and wide keyed rounds (14 groups × 256 draws) are
-//! pinned round by round, fault-free and fault-injected.
+//! pinned round by round, fault-free and fault-injected (at a rate that
+//! ends the run in its first round, and at one that stops groups in later
+//! rounds).
 //!
 //! The filters are the stack benchmark's three filter shapes.
 
@@ -771,6 +773,66 @@ fn wide_keyed_rounds_are_pinned() {
             (1, 0x640c65446269ceac, 0x881bc35b1d615b7f, 3_086, 152),
         ],
         "wide rounds: got [{}]",
+        listed.join(", ")
+    );
+}
+
+/// [`wide_keyed_rounds_are_pinned`]'s rounds with 0.05 % of reads dropped,
+/// so that groups survive their first batch: both runs last at least three
+/// rounds, and in some round after the first a group delivers fewer than
+/// its 256 draws while rows are left, so a dropped read stopped it. Pinned
+/// per run as there: the round count, `fnv1a64` over every round's digest
+/// and over the RNG's final state, and the samples and faulted reads.
+#[test]
+fn multi_round_faulted_keyed_rounds_are_pinned() {
+    let bytes = |words: &[u64]| -> Vec<u8> { words.iter().flat_map(|w| w.to_le_bytes()).collect() };
+    let engine = wide_round_engine(Some(SeededFaults::new(7, 0.0005)));
+    let mut got = Vec::new();
+    for sum in [false, true] {
+        let handles = engine.group_handles("g", "v", &Predicate::True).unwrap();
+        let rows: Vec<u64> = handles.iter().map(GroupHandle::len).collect();
+        let mut groups: Vec<NeedletailGroup> =
+            handles.into_iter().map(NeedletailGroup::new).collect();
+        let config = AlgoConfig::new(100.0, 0.05).with_samples_per_round(256);
+        let mut rng = StdRng::seed_from_u64(41);
+        let before = engine.metrics().snapshot();
+        let (digests, samples) = if sum {
+            let stepper = IFocusSum1::new(config).start(&mut groups, &mut rng);
+            wide_rounds(stepper, &mut groups, &mut rng)
+        } else {
+            let stepper = IFocus::new(config).start(&mut groups, &mut rng);
+            wide_rounds(stepper, &mut groups, &mut rng)
+        };
+        let after = engine.metrics().snapshot();
+        let stopped_short_after_round_1 = (1..samples.len()).any(|r| {
+            (0..rows.len()).any(|i| {
+                let drawn = samples[r][i] - samples[r - 1][i];
+                drawn > 0 && drawn < 256 && samples[r][i] < rows[i]
+            })
+        });
+        assert!(
+            digests.len() >= 3 && stopped_short_after_round_1,
+            "sum {sum}"
+        );
+        got.push((
+            digests.len(),
+            fnv1a64(&bytes(&digests)),
+            fnv1a64(&bytes(&rng.state())),
+            after.random_samples - before.random_samples,
+            after.faulted_reads - before.faulted_reads,
+        ));
+    }
+    let listed: Vec<String> = got
+        .iter()
+        .map(|(n, d, r, s, f)| format!("({n}, 0x{d:016x}, 0x{r:016x}, {s}, {f})"))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            (11, 0x34b7deb2d632452a, 0x881bc35b1d615b7f, 21_093, 12),
+            (11, 0xabd778f75054f879, 0x881bc35b1d615b7f, 20_750, 12),
+        ],
+        "faulted rounds: got [{}]",
         listed.join(", ")
     );
 }
