@@ -7,7 +7,7 @@
 //! row fetch — goes through a single page-read primitive, which counts
 //! distinct transfer events exactly the way a Direct-I/O device would
 //! (one block per random fetch; `ceil(bytes/block)` for a scan). The
-//! [`crate::io::DiskModel`] then converts the counts into seconds.
+//! [`DiskModel`] then converts the counts into seconds.
 //!
 //! Pages store `f64` values little-endian, 131 072 per 1 MB page — the
 //! same 8-bytes-per-record figure the paper's 8 GB/10^9-row dataset

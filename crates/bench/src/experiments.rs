@@ -18,6 +18,7 @@
 //! algorithm runs carry a generous round cap (reported when hit).
 
 use crate::algorithms::AlgorithmKind;
+use crate::io::DiskModel;
 use crate::report::{count, header, mean, pct, secs};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,7 +29,6 @@ use rapidviz_core::{
 };
 use rapidviz_datagen::difficulty::five_number_summary;
 use rapidviz_datagen::{difficulty, DatasetSpec, FlightAttribute, FlightModel, WorkloadFamily};
-use rapidviz_needletail::DiskModel;
 use std::fmt::Write as _;
 
 /// Round cap for non-resolution algorithms on adversarial seeds (the paper

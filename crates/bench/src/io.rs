@@ -7,7 +7,7 @@
 //! block read. We do not have that hardware, so [`DiskModel`] substitutes
 //! for it and reproduces those figures as a *deterministic cost model*: the
 //! experiment harness feeds it the exact operation counts
-//! ([`crate::metrics::MetricsSnapshot`]-style) and it returns I/O and CPU
+//! (`rapidviz_needletail::MetricsSnapshot`-style) and it returns I/O and CPU
 //! seconds.
 //!
 //! Because every §5 time series is a monotone function of sample counts and

@@ -15,13 +15,12 @@
 //! phase-2 loop uses per-group ε values `ε(m_i)`; the anytime schedule is
 //! valid at every per-group `m`, so correctness is unaffected.
 //!
-//! Outside [`crate::focus`]'s one round: it samples a *pair* stream
+//! Outside `rapidviz_core::focus`'s one round: it samples a *pair* stream
 //! ([`PairGroupSource`], not `GroupSource`) into two means per group, in two
 //! phases at per-group `m_i`. Library-only §6.3.5 reference, eager `run`.
 
-use crate::config::AlgoConfig;
-use crate::state::FixpointScratch;
 use rand::RngCore;
+use rapidviz_core::{AlgoConfig, FixpointScratch};
 use rapidviz_stats::{Interval, RunningMean, SamplingMode};
 
 /// A group source producing paired measures `(y, z)` for one tuple.
@@ -257,7 +256,7 @@ impl PairRun<'_> {
         }
         let interval_of = |i: usize| Interval::centered(estimates[i].mean(), eps_of(i));
         while self.fix.separate(active, interval_of) {
-            for &i in &self.fix.remove {
+            for &i in self.fix.removed() {
                 active[i] = false;
             }
         }
@@ -267,8 +266,9 @@ impl PairRun<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ordering::is_correctly_ordered;
     use rand::{Rng, SeedableRng};
+    use rapidviz_core::group::VecGroup;
+    use rapidviz_core::{is_correctly_ordered, IFocus};
 
     fn pair_groups(specs: &[(f64, f64)], n: usize, seed: u64) -> Vec<VecPairGroup> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -313,17 +313,12 @@ mod tests {
         let result = algo.run(&mut g1, &mut rng);
 
         // Y-only baseline via plain IFOCUS on the Y component.
-        let mut y_groups: Vec<crate::group::VecGroup> = g1
+        let mut y_groups: Vec<VecGroup> = g1
             .iter()
             .enumerate()
-            .map(|(i, g)| {
-                crate::group::VecGroup::new(
-                    format!("y{i}"),
-                    g.pairs.iter().map(|&(y, _)| y).collect(),
-                )
-            })
+            .map(|(i, g)| VecGroup::new(format!("y{i}"), g.pairs.iter().map(|&(y, _)| y).collect()))
             .collect();
-        let y_only = crate::ifocus::IFocus::new(AlgoConfig::new(100.0, 0.05));
+        let y_only = IFocus::new(AlgoConfig::new(100.0, 0.05));
         let mut rng2 = rand::rngs::StdRng::seed_from_u64(133);
         let r_y = y_only.run(&mut y_groups, &mut rng2);
         assert!(

@@ -14,14 +14,12 @@
 //! like ROUNDROBIN (no focusing is possible), yet still samples far less
 //! than a full scan.
 //!
-//! Outside [`crate::focus`]'s one round: rows arrive from a [`StreamSource`]
+//! Outside `rapidviz_core::focus`'s one round: rows arrive from a [`StreamSource`]
 //! (no NEEDLETAIL index, no per-group draw to direct), every group sits at
 //! its own `m_i`. Library-only §6.3.6 reference, eager `run`.
 
-use crate::config::AlgoConfig;
-use crate::result::RunResult;
-use crate::state::FixpointScratch;
 use rand::RngCore;
+use rapidviz_core::{AlgoConfig, FixpointScratch, RunResult};
 use rapidviz_stats::{Interval, RunningMean};
 
 /// A relation we can only sample whole rows from: each draw yields
@@ -185,8 +183,8 @@ impl NoIndexSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ordering::is_correctly_ordered;
     use rand::{Rng, SeedableRng};
+    use rapidviz_core::is_correctly_ordered;
 
     fn stream(means: &[f64], n: usize, seed: u64) -> VecStream {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);

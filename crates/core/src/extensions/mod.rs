@@ -16,9 +16,11 @@
 //!   over the `x·z` stream\].
 //! * [`adaptive`] — variance-adaptive IFOCUS \[`FullOrder` with the
 //!   empirical-Bernstein width\].
-//! * [`multi`] (§6.3.5, two aggregates — Problem 8) and [`noindex`]
-//!   (§6.3.6, no index on the group-by attribute — Problem 9) keep a loop
-//!   of their own as library-only references; each module doc says why.
+//!
+//! Multiple aggregates (§6.3.5, Problem 8) and no index on the group-by
+//! attribute (§6.3.6, Problem 9) have no rule and no product caller: they
+//! are paper instruments in `rapidviz-bench` (`multi`, `noindex`), each a
+//! loop of its own over this crate's [`crate::FixpointScratch`].
 //!
 //! Selection predicates (§6.3.3) and multiple group-bys (§6.3.4) change
 //! *which rows are eligible*, not the algorithm, and are provided by the
@@ -29,8 +31,6 @@
 pub mod adaptive;
 pub mod graph;
 pub mod mistakes;
-pub mod multi;
-pub mod noindex;
 pub mod partial;
 pub mod sum;
 pub mod topt;
@@ -40,8 +40,6 @@ pub mod values;
 pub use adaptive::IFocusBernstein;
 pub use graph::{is_graph_correct, IFocusGraph};
 pub use mistakes::IFocusMistakes;
-pub use multi::{IFocusMultiAggregate, MultiAggregateResult, PairGroupSource, VecPairGroup};
-pub use noindex::{NoIndexSampler, StreamSource, VecStream};
 pub use partial::{IFocusPartial, IFocusPartialStepper, PartialEmission};
 pub use sum::{
     count_config, ifocus_count, CountSource, IFocusSum1, IFocusSum1Stepper, IFocusSum2,

@@ -34,14 +34,16 @@
 //!
 //! ## Extensions (§6)
 //!
-//! The [`extensions`] module implements every variant the paper describes:
-//! trend-line / choropleth adjacency ordering, top-t, allowed mistakes,
-//! value accuracy, partial results, `SUM` (known and unknown group sizes),
-//! `COUNT`, multiple aggregates, and the no-index setting — all but the
-//! last two as further rules over that one round ([`extensions`] names
-//! each), as is a variance-adaptive variant of the interval width.
-//! Selection predicates and multiple group-bys are handled in the storage
-//! layer (`rapidviz-needletail`) since they only change eligible rows.
+//! The [`extensions`] module implements the paper's variants as further
+//! rules over that one round ([`extensions`] names each): trend-line /
+//! choropleth adjacency ordering, top-t, allowed mistakes, value accuracy,
+//! partial results, `SUM` (known and unknown group sizes) and `COUNT`, and
+//! a variance-adaptive variant of the interval width. Multiple aggregates
+//! (§6.3.5) and the no-index setting (§6.3.6) have no product caller and
+//! live in `rapidviz-bench` as paper instruments; their loops call the
+//! same deactivation fixpoint, [`FixpointScratch`]. Selection predicates
+//! and multiple group-bys are handled in the storage layer
+//! (`rapidviz-needletail`) since they only change eligible rows.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -75,6 +77,7 @@ pub use ordering::{
 pub use result::RunResult;
 pub use roundrobin::{RoundRobin, RoundRobinStepper};
 pub use runner::{AlgorithmStepper, Snapshot, StepOutcome};
+pub use state::FixpointScratch;
 
 // Re-export the sampling-mode enum so downstream users configure algorithms
 // without importing rapidviz-stats directly.

@@ -17,10 +17,13 @@
 //! snapshot shows), each over the active set of that moment; an interval
 //! freezes at the last read.
 //!
-//! [`FixpointScratch::separate`] is the crate's only deactivation fixpoint
-//! (Algorithm 1 lines 10–12); multi-aggregate (two means per group)
-//! iterates it in a loop of its own. IREFINE and the no-index sampler run
-//! one all-groups overlap check per round ([`FixpointScratch::build_full`]).
+//! [`FixpointScratch`] is the workspace's only deactivation fixpoint
+//! (Algorithm 1 lines 10–12), public so that code outside this crate need
+//! not copy it. [`FocusState::separate`] iterates
+//! [`FixpointScratch::separate`], and so does `rapidviz-bench`'s
+//! multi-aggregate loop (two means per group); IREFINE and the bench's
+//! no-index sampler run one all-groups overlap check per round
+//! ([`FixpointScratch::build_full`]).
 
 use crate::config::AlgoConfig;
 use crate::group::GroupSource;
@@ -35,16 +38,16 @@ use rapidviz_stats::{
 /// list, the interval set, and the per-iteration removal list are all
 /// rebuilt in place, so a warmed scratch makes the whole fixpoint
 /// allocation-free (the same arena discipline as the samplers'
-/// `BatchScratch`). Owned by [`FocusState`]; the multi-aggregate loop,
-/// IREFINE and the no-index sampler hold one of their own.
+/// `BatchScratch`). Owned by the crate's round state; IREFINE and the
+/// bench crate's multi-aggregate and no-index loops hold one of their own.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct FixpointScratch {
+pub struct FixpointScratch {
     /// Indices of currently active groups, rebuilt per iteration.
     members: Vec<usize>,
     /// Their confidence intervals, positionally aligned with `members`.
     set: IntervalSetScratch,
     /// Members that separated this iteration.
-    pub(crate) remove: Vec<usize>,
+    remove: Vec<usize>,
 }
 
 impl FixpointScratch {
@@ -52,12 +55,9 @@ impl FixpointScratch {
     /// from `active`, filling `remove` with every member whose interval is
     /// disjoint from all other members'. Returns `false` when the fixpoint
     /// is reached (no members, or nothing separated); callers loop while
-    /// it returns `true`, deactivating `remove` between iterations.
-    pub(crate) fn separate(
-        &mut self,
-        active: &[bool],
-        interval_of: impl Fn(usize) -> Interval,
-    ) -> bool {
+    /// it returns `true`, deactivating [`Self::removed`] between
+    /// iterations.
+    pub fn separate(&mut self, active: &[bool], interval_of: impl Fn(usize) -> Interval) -> bool {
         self.members.clear();
         self.members
             .extend((0..active.len()).filter(|&i| active[i]));
@@ -78,10 +78,16 @@ impl FixpointScratch {
         !self.remove.is_empty()
     }
 
+    /// The members the last [`Self::separate`] found separated.
+    #[must_use]
+    pub fn removed(&self) -> &[usize] {
+        &self.remove
+    }
+
     /// Rebuilds the interval set over **all** `k` groups (IREFINE's line 10
     /// and the no-index stopping test, which probe every group rather than
     /// iterating a fixpoint over the active subset).
-    pub(crate) fn build_full(&mut self, k: usize, interval_of: impl Fn(usize) -> Interval) {
+    pub fn build_full(&mut self, k: usize, interval_of: impl Fn(usize) -> Interval) {
         self.set.begin();
         for i in 0..k {
             self.set.push(interval_of(i));
@@ -91,7 +97,8 @@ impl FixpointScratch {
 
     /// Whether member `i` (an index into the `build_full` ordering)
     /// overlaps any other member.
-    pub(crate) fn full_overlaps_others(&self, i: usize) -> bool {
+    #[must_use]
+    pub fn full_overlaps_others(&self, i: usize) -> bool {
         self.set.member_overlaps_others(i)
     }
 
@@ -447,7 +454,7 @@ impl FocusState {
     pub(crate) fn separate(&mut self, interval_of: impl Fn(&Self, usize) -> Interval) {
         let mut fix = std::mem::take(&mut self.fix);
         while fix.separate(&self.active, |i| interval_of(self, i)) {
-            for &i in &fix.remove {
+            for &i in fix.removed() {
                 self.deactivate(i);
             }
         }

@@ -32,7 +32,7 @@
 //!   the unknown-size `SUM` algorithm (§6.3.1, Algorithm 5). Single draws
 //!   and batched draws (one sorted `select_many` sweep per batch, resolved
 //!   through a reusable per-sampler scratch arena — allocation-free at
-//!   steady state, radix-sorted above [`RADIX_MIN_BATCH`]).
+//!   steady state).
 //! * [`engine`] — the [`engine::NeedleTail`] façade tying it together,
 //!   including its one planning cache (a plan cache keyed by group-by and
 //!   canonical predicate form handing back ready, shared group row sets —
@@ -42,9 +42,6 @@
 //!   file ([`storage`]), the session checkpoint and the wire frame.
 //! * [`scan`] — the row-level exact-aggregate oracle: one sequential pass
 //!   into a hash map, as a traditional DBMS would run `SCAN`.
-//! * [`io`] — the deterministic I/O + CPU cost model used to regenerate the
-//!   paper's wall-clock figures (a substitution for the authors' hardware,
-//!   documented in the module).
 //! * [`metrics`] — sample/block counters every operation feeds.
 //! * [`fault`] — injectable storage-read fault points (deterministic,
 //!   row-keyed), so chaos tests can verify that sessions degrade to
@@ -59,11 +56,9 @@ pub mod bitmap;
 pub mod cache;
 pub mod codec;
 pub mod csv;
-pub mod disk;
 pub mod engine;
 pub mod fault;
 pub mod index;
-pub mod io;
 pub mod metrics;
 pub mod predicate;
 pub mod sampler;
@@ -75,14 +70,12 @@ pub mod value;
 
 pub use bitmap::Bitmap;
 pub use csv::{read_csv, CsvError, CsvOptions};
-pub use disk::SimulatedDisk;
 pub use engine::{EngineError, ExactAggregate, GroupHandle, NeedleTail, SizedGroupHandle};
 pub use fault::{FaultInjector, FaultSite, SeededFaults};
 pub use index::BitmapIndex;
-pub use io::{CostBreakdown, DiskModel};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use predicate::Predicate;
-pub use sampler::{BatchScratch, BitmapSampler, RowSet, SizeEstimatingSampler, RADIX_MIN_BATCH};
+pub use sampler::{BatchScratch, BitmapSampler, RowSet, SizeEstimatingSampler};
 pub use scan::{scan_group_aggregates, GroupAggregate};
 pub use schema::{ColumnDef, DataType, Schema};
 pub use storage::{read_table, write_table, StorageError};

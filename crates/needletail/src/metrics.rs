@@ -1,10 +1,10 @@
 //! Operation counters.
 //!
-//! Every engine operation feeds a shared [`Metrics`] instance; the I/O cost
-//! model ([`crate::io::DiskModel`]) turns the resulting counts into the
-//! deterministic I/O / CPU second figures reported by the experiment
-//! harness. Counters are atomic so handles can share one sink without
-//! locking.
+//! Every engine operation feeds a shared [`Metrics`] instance, which the
+//! session, the server's stats and the stack benchmark read. The experiment
+//! harness's I/O cost model (`rapidviz_bench::DiskModel`) prices sample
+//! and scan counts as deterministic I/O / CPU seconds. Counters are atomic
+//! so handles can share one sink without locking.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

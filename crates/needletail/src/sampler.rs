@@ -85,13 +85,9 @@
 //!
 //! Every sampler owns a [`BatchScratch`]: the draw-order ranks, and for
 //! the two shapes that sort (a bitmap and a window) the sorted-rank staging
-//! buffer, the `select_many` output, and the radix-sort ping-pong buffer,
-//! all live in reusable vectors, so after the first batch of a size the
-//! batch path performs **zero heap allocation at steady state** (verified
-//! by a counting-allocator test). Batches of [`RADIX_MIN_BATCH`] keys or
-//! more are sorted with a stable LSD radix sort over the packed words
-//! instead of comparison sorting; since packed keys are distinct, both
-//! sorts produce the identical resolve order (property-tested).
+//! buffer and the `select_many` output, all live in reusable vectors, so
+//! after the first batch of a size the batch path performs **zero heap
+//! allocation at steady state** (verified by a counting-allocator test).
 
 use crate::bitmap::Bitmap;
 use rand::Rng;
@@ -248,11 +244,6 @@ impl RowSet {
     }
 }
 
-/// Batches at or above this many keys sort with the LSD radix sort;
-/// smaller batches use pattern-defeating quicksort, which wins while the
-/// key array is cache-resident.
-pub const RADIX_MIN_BATCH: usize = 4096;
-
 /// Reusable buffers for batched rank resolution — one per sampler, so the
 /// batch path allocates nothing once the buffers have grown to the batch
 /// size. All buffers are cleared (not shrunk) between batches; a range or
@@ -262,8 +253,6 @@ pub struct BatchScratch {
     /// Draw-order ranks; for a bitmap or window, packed in place to
     /// `rank << 20 | draw_index` and sorted.
     keys: Vec<u64>,
-    /// Radix-sort ping-pong buffer (bitmap and window only).
-    radix: Vec<u64>,
     /// Sorted ranks handed to [`Bitmap::select_many`] (bitmap and window
     /// only).
     sorted: Vec<u64>,
@@ -606,9 +595,8 @@ impl BitmapSampler {
 /// When ranks and batch size fit (rank < 2^44, batch < 2^20 — any realistic
 /// workload), rank and draw index are packed into a single `u64`
 /// (`rank << 20 | index`) so the sort runs over plain words: markedly
-/// faster than sorting `(u64, u32)` pairs. Batches of [`RADIX_MIN_BATCH`]
-/// or more packed keys use the LSD radix sort. Oversized inputs fall back
-/// to the pair sort.
+/// faster than sorting `(u64, u32)` pairs. Oversized inputs fall back to
+/// the pair sort.
 fn resolve_in_draw_order(bits: &RowSet, scratch: &mut BatchScratch, out: &mut Vec<u64>) {
     const IDX_BITS: u32 = 20;
     let (bm, first, count) = match bits {
@@ -621,7 +609,6 @@ fn resolve_in_draw_order(bits: &RowSet, scratch: &mut BatchScratch, out: &mut Ve
     };
     let BatchScratch {
         keys,
-        radix,
         sorted,
         positions,
         pairs,
@@ -634,11 +621,7 @@ fn resolve_in_draw_order(bits: &RowSet, scratch: &mut BatchScratch, out: &mut Ve
         for (i, r) in keys.iter_mut().enumerate() {
             *r = (*r << IDX_BITS) | i as u64;
         }
-        if n >= RADIX_MIN_BATCH {
-            radix_sort_u64(keys, radix);
-        } else {
-            keys.sort_unstable();
-        }
+        keys.sort_unstable();
         sorted.clear();
         sorted.extend(keys.iter().map(|&p| (p >> IDX_BITS) + first));
         positions.clear();
@@ -660,49 +643,6 @@ fn resolve_in_draw_order(bits: &RowSet, scratch: &mut BatchScratch, out: &mut Ve
         for (&(_, idx), &pos) in pairs.iter().zip(positions.iter()) {
             out[base + idx as usize] = pos;
         }
-    }
-}
-
-/// Stable LSD radix sort over `u64` keys: 8-bit digits, low byte first,
-/// skipping digit positions beyond the maximum key's width and positions
-/// where every key shares the digit (the common case for packed
-/// `rank << 20 | index` keys, whose top bytes are zero). `tmp` is the
-/// ping-pong buffer; after every executed pass the buffers swap, so the
-/// sorted run always ends in `keys`.
-///
-/// Stability makes the result identical to `sort_unstable` whenever keys
-/// are distinct — which packed keys always are (the index bits differ).
-pub(crate) fn radix_sort_u64(keys: &mut Vec<u64>, tmp: &mut Vec<u64>) {
-    let n = keys.len();
-    if n <= 1 {
-        return;
-    }
-    let max = keys.iter().copied().max().unwrap_or(0);
-    let passes = (64 - max.leading_zeros()).div_ceil(8).max(1) as usize;
-    tmp.clear();
-    tmp.resize(n, 0);
-    for pass in 0..passes {
-        let shift = pass * 8;
-        let mut counts = [0usize; 256];
-        for &k in keys.iter() {
-            counts[((k >> shift) & 0xFF) as usize] += 1;
-        }
-        // A constant digit cannot reorder anything: skip the scatter.
-        if counts.contains(&n) {
-            continue;
-        }
-        let mut running = 0usize;
-        for c in &mut counts {
-            let bucket = *c;
-            *c = running;
-            running += bucket;
-        }
-        for &k in keys.iter() {
-            let d = ((k >> shift) & 0xFF) as usize;
-            tmp[counts[d]] = k;
-            counts[d] += 1;
-        }
-        std::mem::swap(keys, tmp);
     }
 }
 
@@ -1289,20 +1229,20 @@ mod tests {
 
     #[test]
     fn radix_sized_batch_matches_single_draw_stream() {
-        // A batch at RADIX_MIN_BATCH exercises the radix-sort resolve path
-        // end to end and must still replay the single-draw stream.
+        // A 4,096-key batch (the size that once switched to a radix sort)
+        // must still replay the single-draw stream.
         let positions: Vec<u64> = (0..30_000).map(|i| i * 3 + 1).collect();
         let s = BitmapSampler::new(bitmap(&positions, 100_000));
         let mut s2 = s.clone();
         let mut rng_single = rand::rngs::StdRng::seed_from_u64(50);
         let mut rng_batch = rand::rngs::StdRng::seed_from_u64(50);
-        let singles: Vec<u64> = (0..RADIX_MIN_BATCH)
+        let singles: Vec<u64> = (0..4096)
             .map(|_| s.sample_with_replacement(&mut rng_single).unwrap())
             .collect();
         let mut batched = Vec::new();
-        let got = s2.sample_batch_with_replacement(RADIX_MIN_BATCH, &mut rng_batch, &mut batched);
-        assert_eq!(got, RADIX_MIN_BATCH);
-        assert_eq!(batched, singles, "radix path must replay the stream");
+        let got = s2.sample_batch_with_replacement(4096, &mut rng_batch, &mut batched);
+        assert_eq!(got, 4096);
+        assert_eq!(batched, singles, "a 4,096-key batch must replay the stream");
     }
 
     #[test]
@@ -1616,29 +1556,6 @@ mod proptests {
             }
             prop_assert_eq!(&mixed, &all_singles);
             prop_assert_eq!(rng_c.state(), rng_a.state());
-        }
-
-        /// The LSD radix sort and the packed-u64 comparison sort order any
-        /// distinct-key batch identically, so the two resolve paths can
-        /// never disagree on draw order.
-        #[test]
-        fn radix_sort_matches_comparison_sort(
-            ranks in proptest::collection::vec(0u64..(1 << 44), 1..600),
-            seed in 0u64..1000,
-        ) {
-            // Pack exactly like resolve_in_draw_order: rank << 20 | index,
-            // keys distinct by construction. Perturb with the seed so the
-            // high bytes (and thus the pass-skipping logic) vary.
-            let mut keys: Vec<u64> = ranks
-                .iter()
-                .enumerate()
-                .map(|(i, &r)| (r.wrapping_add(seed) % (1 << 44)) << 20 | i as u64)
-                .collect();
-            let mut expected = keys.clone();
-            expected.sort_unstable();
-            let mut tmp = Vec::new();
-            radix_sort_u64(&mut keys, &mut tmp);
-            prop_assert_eq!(keys, expected);
         }
 
         /// A rank window over `[s, e)` of a bitmap is the bitmap's ones

@@ -14,8 +14,9 @@
 use rand::SeedableRng;
 use rapidviz::core::{is_correctly_ordered, AlgoConfig, GroupSource, IFocus};
 use rapidviz::datagen::FlightModel;
-use rapidviz::needletail::{DiskModel, NeedleTail, Predicate};
+use rapidviz::needletail::{NeedleTail, Predicate};
 use rapidviz::query_groups;
+use rapidviz_bench::DiskModel;
 
 fn main() {
     // Materialize a 500k-row flight table and index the airline column.

@@ -3,13 +3,14 @@
 use rand::{Rng, SeedableRng};
 use rapidviz::core::extensions::sum::SizedGroupSource;
 use rapidviz::core::extensions::{
-    ifocus_count, IFocusMistakes, IFocusMultiAggregate, IFocusPartial, IFocusSum1, IFocusSum2,
-    IFocusTopT, IFocusTrends, IFocusValues, NoIndexSampler, VecPairGroup, VecSizedGroup, VecStream,
+    ifocus_count, IFocusMistakes, IFocusPartial, IFocusSum1, IFocusSum2, IFocusTopT, IFocusTrends,
+    IFocusValues, VecSizedGroup,
 };
 use rapidviz::core::{
     fraction_correct_pairs, is_top_t_correct, is_trend_correct, AlgoConfig, GroupSource,
 };
 use rapidviz::datagen::VecGroup;
+use rapidviz_bench::{IFocusMultiAggregate, NoIndexSampler, VecPairGroup, VecStream};
 
 fn two_point_groups(means: &[f64], n: usize, seed: u64) -> Vec<VecGroup> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);

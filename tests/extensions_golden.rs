@@ -11,15 +11,17 @@
 
 use rand::{Rng, SeedableRng};
 use rapidviz::core::extensions::{
-    IFocusBernstein, IFocusGraph, IFocusMistakes, IFocusMultiAggregate, IFocusPartial, IFocusSum1,
-    IFocusSum2, IFocusSum2Stepper, IFocusTopT, IFocusTrends, IFocusValues, MultiAggregateResult,
-    NoIndexSampler, VecPairGroup, VecSizedGroup, VecStream,
+    IFocusBernstein, IFocusGraph, IFocusMistakes, IFocusPartial, IFocusSum1, IFocusSum2,
+    IFocusSum2Stepper, IFocusTopT, IFocusTrends, IFocusValues, VecSizedGroup,
 };
 use rapidviz::core::{
     AlgoConfig, AlgorithmStepper, IFocus, IRefine, RoundRobin, RunResult, SamplingMode, Snapshot,
 };
 use rapidviz::datagen::VecGroup;
 use rapidviz::needletail::codec::fnv1a64;
+use rapidviz_bench::{
+    IFocusMultiAggregate, MultiAggregateResult, NoIndexSampler, VecPairGroup, VecStream,
+};
 
 /// One near-tie (70 / 72), so the resolution-relaxed runs stop before the
 /// exact ones separate it.

@@ -23,7 +23,7 @@ const LAYERS: [&str; 8] = [
     "rapidviz: rapidviz-stats rapidviz-needletail rapidviz-datagen rapidviz-core",
     "rapidviz-serve: rapidviz rapidviz-stats rapidviz-needletail rapidviz-datagen rapidviz-core",
     "rapidviz-sim: rapidviz rapidviz-serve rapidviz-core rapidviz-needletail",
-    "rapidviz-bench: rapidviz-needletail rapidviz-datagen rapidviz-core",
+    "rapidviz-bench: rapidviz-stats rapidviz-datagen rapidviz-core",
 ];
 
 type Graph = BTreeMap<String, BTreeSet<String>>;

@@ -5,10 +5,9 @@
 use rand::SeedableRng;
 use rapidviz::core::{is_correctly_ordered_with_resolution, AlgoConfig, IFocus};
 use rapidviz::datagen::FlightModel;
-use rapidviz::needletail::{
-    read_csv, read_table, write_table, CsvOptions, DiskModel, NeedleTail, Predicate, SimulatedDisk,
-};
+use rapidviz::needletail::{read_csv, read_table, write_table, CsvOptions, NeedleTail, Predicate};
 use rapidviz::{query_groups, VizQuery};
+use rapidviz_bench::{DiskModel, SimulatedDisk};
 
 /// CSV → table → binary → table → engine → guaranteed ordering.
 #[test]
